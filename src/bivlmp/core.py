@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import invert_monotone
+from .numerics import solve_decreasing_batch
 
 DEFAULT_SLACK = 1e-9
 
@@ -172,13 +172,24 @@ def marginal_density(p: CoreParams, i: int, z):
 
 def marginal_quantile(p: CoreParams, i: int, u):
     """Solve Gbar_i(z) = u; closed form z = (1/gamma_i) ln((u^-alpha - alpha_i)/(1 - alpha_i))."""
-    gamma, aw = _marg(p, i)
     u = np.asarray(u, dtype=float)
     if np.any(u <= 0.0) or np.any(u > 1.0):
         raise DomainError("u must lie in (0, 1]")
+    return marginal_quantile_log(p, i, np.log(u))
+
+
+def marginal_quantile_log(p: CoreParams, i: int, lu):
+    """Solve ln Gbar_i(z) = lu for lu <= 0: z = (1/gamma_i) ln(1 + expm1(-alpha lu)/(1 - alpha_i)).
+
+    Working from lu keeps the digits of u near 1.  Where e^{-alpha lu}
+    overflows, z = (-alpha lu - ln(1 - alpha_i))/gamma_i to double precision.
+    """
+    gamma, aw = _marg(p, i)
+    a = -p.alpha * np.asarray(lu, dtype=float)
+    if np.any(a < 0.0):
+        raise DomainError("ln u must be nonpositive")
     with np.errstate(over="ignore"):
-        out = np.log((u ** (-p.alpha) - aw) / (1.0 - aw)) / gamma
-    out = np.maximum(out, 0.0)
+        out = np.where(a < 700.0, np.log1p(np.expm1(a) / (1.0 - aw)), a - np.log1p(-aw)) / gamma
     return float(out) if out.ndim == 0 else out
 
 
@@ -293,13 +304,10 @@ class StrongCore:
         vals = np.array([self.hbar(z) for z in grid])
         if np.any(np.diff(vals) > 1e-12):
             raise ValidationError("Hbar must be nonincreasing")
-        # convexity via second differences on the log-spaced grid
-        second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-        # uneven spacing: use divided differences instead
+        # convexity via divided differences on the log-spaced grid
         dd = np.diff(vals) / np.diff(grid)
         if np.any(np.diff(dd) < -1e-9):
             raise ValidationError("Hbar must be convex")
-        del second
 
 
 def strong_eval(s: StrongCore, x, y):
@@ -307,20 +315,8 @@ def strong_eval(s: StrongCore, x, y):
     y = np.asarray(y, dtype=float)
     if np.any(x < 0) or np.any(y < 0):
         raise DomainError("x and y must be nonnegative")
-    out = np.vectorize(s.hbar)(x + s.a * y)
-    out = np.asarray(out, dtype=float)
+    out = np.vectorize(s.hbar, otypes=[float])(x + s.a * y)
     return float(out) if out.ndim == 0 else out
-
-
-def _hbar_inverse(s: StrongCore, v: float) -> float:
-    if v >= 1.0:
-        return 0.0
-    hi = 1.0
-    for _ in range(400):
-        if s.hbar(hi) < v:
-            break
-        hi *= 2.0
-    return invert_monotone(s.hbar, v, 0.0, hi, tol=1e-13)
 
 
 def strong_distortion(s: StrongCore, s_shift: float, t_shift: float, v):
@@ -334,14 +330,8 @@ def strong_distortion(s: StrongCore, s_shift: float, t_shift: float, v):
     v = np.asarray(v, dtype=float)
     if np.any(v < 0) or np.any(v > 1):
         raise DomainError("v must lie in [0, 1]")
-
-    def one(vi):
-        if vi <= 0.0:
-            return 0.0
-        if vi >= 1.0:
-            return 1.0
-        return s.hbar(w + _hbar_inverse(s, vi)) / denom
-
-    out = np.vectorize(one)(v)
-    out = np.asarray(out, dtype=float)
+    hbar = np.vectorize(s.hbar, otypes=[float])
+    inside = (v > 0.0) & (v < 1.0)
+    out = np.where(v >= 1.0, 1.0, 0.0)
+    out[inside] = hbar(w + solve_decreasing_batch(hbar, v[inside])) / denom
     return float(out) if out.ndim == 0 else out

@@ -13,8 +13,9 @@ the v-quantile.  J_i has the closed form
 
 on the whole parametric core family; the quadrature route recomputes it by
 integrating (g_i / Gbar_i)^2 numerically and serves as the independent check.
-The closed route works from ln v throughout (v^alpha - 1 as expm1): at large
-ages v rounds to within ~1e-9 of 1, and ln v of the rounded v loses ~7 digits.
+Both routes work from ln v throughout (v^alpha - 1 as expm1, the quadrature's
+upper limit from expm1(-alpha ln v)): at large ages v rounds to within ~1e-9
+of 1, and ln v of the rounded v loses ~7 digits.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators as gen_mod
-from .core import CoreParams, marginal_density, marginal_quantile, marginal_survival
+from .core import CoreParams, marginal_density, marginal_quantile_log, marginal_survival
 from .errors import CapabilityError, DomainError
 from .model import Model, copula_t, copula_t_diag_log
 from .numerics import integrate_unit, limit_at_zero
@@ -83,12 +84,13 @@ def _j_closed_from_log(p: CoreParams, i: int, lv):
     return (gamma / p.alpha**2) * (aw * np.expm1(p.alpha * lv) - p.alpha * lv)
 
 
-def j_integral_quadrature(p: CoreParams, i: int, v: float, tol: float = 1e-10) -> float:
-    if not (0.0 < v <= 1.0):
-        raise DomainError("v must lie in (0, 1]")
-    if v == 1.0:
+def j_integral_quadrature(p: CoreParams, i: int, lv: float, tol: float = 1e-10) -> float:
+    """J_i(v) by quadrature up to the v-quantile, from lv = ln v so it keeps its digits near v = 1."""
+    if not (-math.inf < lv <= 0.0):
+        raise DomainError("ln v must lie in (-inf, 0]")
+    if lv == 0.0:
         return 0.0
-    z_max = marginal_quantile(p, i, v)
+    z_max = marginal_quantile_log(p, i, lv)
 
     def hazard_sq(u):
         z = z_max * u
@@ -103,14 +105,10 @@ def j_integral(m: Model, i: int, v, method: str = "closed") -> float:
     if method == "closed":
         return j_integral_closed(m.core, i, v)
     if method == "quadrature":
-        return j_integral_quadrature(m.core, i, float(v))
+        if not (0.0 < v <= 1.0):
+            raise DomainError("v must lie in (0, 1]")
+        return j_integral_quadrature(m.core, i, math.log(v))
     raise DomainError(f"unknown method {method!r}")
-
-
-_CLOSED_FORM_FAMILIES = {
-    "identity", "weibull", "gompertz", "mo15", "pareto",
-    "logistic", "log_series", "arctan", "mixing", "sine",
-}
 
 
 _LOG_V_FLOOR = math.log(1e-300)
@@ -131,8 +129,8 @@ def _kendall_values(m: Model, t: float, s, j_method: str):
         j_sum = _j_closed_from_log(m.core, 1, lv) + _j_closed_from_log(m.core, 2, lv)
     else:
         j_sum = np.vectorize(
-            lambda vi: j_integral_quadrature(m.core, 1, vi) + j_integral_quadrature(m.core, 2, vi)
-        )(v)
+            lambda li: j_integral_quadrature(m.core, 1, li) + j_integral_quadrature(m.core, 2, li)
+        )(lv)
     bracket = 2.0 * lv + j_sum / m.lam
     et = math.exp(-tau)
     # h_t'(v) v = s * e^-tau * (h'/h)(e^-tau v) * v, in ratio form
@@ -146,8 +144,8 @@ def _kendall_values(m: Model, t: float, s, j_method: str):
 def kendall_closed_form(m: Model, t: float, s):
     """K_t via the fully closed route (closed J_i, closed inverse and derivative)."""
     g = m.generator
-    if g.family not in _CLOSED_FORM_FAMILIES or not (g.has_closed_inverse and g.has_prime):
-        raise CapabilityError(f"no closed-form Kendall function registered for {g.family}")
+    if not (g.has_closed_inverse and g.has_prime):
+        raise CapabilityError(f"{g.family}: closed-form Kendall needs a closed inverse and a derivative")
     return _kendall_values(m, t, s, j_method="closed")
 
 

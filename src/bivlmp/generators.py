@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DomainError, ValidationError
-from .numerics import expanding_upper_bracket, invert_monotone
+from .numerics import solve_decreasing_batch
 
 _EPS = 1e-300
 
@@ -507,10 +507,8 @@ class PolynomialGenerator(Generator):
         return np.polyval(self.coeffs[::-1], x)
 
     def _h_inv(self, u):
-        def solve(ui):
-            return invert_monotone(lambda z: float(np.polyval(self.coeffs[::-1], z)), float(ui), 0.0, 1.0, tol=1e-13)
-
-        return np.vectorize(solve)(u)
+        # h(e^-z) decreases on [0, inf); solving for z = -ln x keeps digits near x = 1
+        return np.exp(-solve_decreasing_batch(lambda z: self._h(np.exp(-z)), u))
 
     def _h_lp(self, x):
         d = np.polyder(np.poly1d(self.coeffs[::-1]))
@@ -577,20 +575,15 @@ class SurvivalGenerator(Generator):
 
     def _h(self, x):
         z = -np.log(x)
-        return np.vectorize(self.survival)(z)
+        return np.vectorize(self.survival, otypes=[float])(z)
 
     def _h_inv(self, u):
-        def solve(ui):
-            hi = expanding_upper_bracket(self.survival, float(ui), start=1.0)
-            z = invert_monotone(self.survival, float(ui), 0.0, hi, tol=1e-12)
-            return math.exp(-z)
-
-        return np.vectorize(solve)(u)
+        return np.exp(-solve_decreasing_batch(np.vectorize(self.survival, otypes=[float]), u))
 
     def _h_lp(self, x):
         z = -np.log(x)
-        sv = np.vectorize(self.survival)(z)
-        dv = np.vectorize(self.density)(z)
+        sv = np.vectorize(self.survival, otypes=[float])(z)
+        dv = np.vectorize(self.density, otypes=[float])(z)
         return dv / (x * sv)
 
 

@@ -1,8 +1,10 @@
 """Shared numerical kernels.
 
-Adaptive quadrature on [0, inf) and (0, 1), bracketing inversion of monotone
-functions, and one-sided limit estimation by Aitken extrapolation.  Everything
-here is a pure function of its inputs.
+Adaptive quadrature on [0, inf) and (0, 1), one-sided limit estimation by
+Aitken extrapolation, and the package's one root finder, which inverts
+nonincreasing functions on [0, inf) elementwise with scipy's ``bracket_root``
+and ``find_root`` (Chandrupatla's method).  Everything here is a pure function
+of its inputs.
 """
 
 from __future__ import annotations
@@ -12,12 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
+from scipy.optimize import elementwise
 
 from .errors import ConvergenceError, DomainError
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_INVERT_TOL = 1e-8
 LIMIT_BUDGET = 40
+SOLVE_BLOCK = 8192  # elements per solver call: scipy keeps ~20 work arrays per element
 
 
 @dataclass(frozen=True)
@@ -107,66 +111,14 @@ def integrate_unit(f, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
 
 
 def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT_INVERT_TOL) -> float:
-    """Solve f(x) = target for strictly monotone f on [lo, hi].
-
-    Bisection with secant acceleration; the bracket is preserved at every
-    step, so derivative degeneracy at the endpoints is harmless.
-    """
-    if not lo < hi:
-        raise DomainError("need lo < hi")
-    flo, fhi = f(lo), f(hi)
-    increasing = fhi > flo
-    a, b = lo, hi
-    fa, fb = (flo, fhi) if increasing else (fhi, flo)
-    # After orientation fa <= target <= fb must hold for a monotone f.
-    if not (min(flo, fhi) - tol <= target <= max(flo, fhi) + tol):
-        raise DomainError(
-            f"target {target!r} outside bracket values [{min(flo, fhi)!r}, {max(flo, fhi)!r}]"
-        )
-    if abs(flo - target) <= tol:
-        return lo
-    if abs(fhi - target) <= tol:
-        return hi
-    lo_x, hi_x = (a, b) if increasing else (a, b)
-    g_lo = flo - target
-    g_hi = fhi - target
-    if g_lo == 0:
-        return lo
-    if g_hi == 0:
-        return hi
-    if math.copysign(1.0, g_lo) == math.copysign(1.0, g_hi):
-        raise DomainError("f(lo) and f(hi) lie on the same side of target; f not monotone on bracket?")
-    # False position with the Illinois modification: when the same endpoint
-    # survives two steps in a row its residual is halved, which prevents the
-    # stall that plain regula falsi exhibits on flat tails.
-    g_lo_w, g_hi_w = g_lo, g_hi
-    last_side = 0
-    for _ in range(200):
-        if g_hi_w != g_lo_w:
-            x = hi_x - g_hi_w * (hi_x - lo_x) / (g_hi_w - g_lo_w)
-        else:
-            x = 0.5 * (lo_x + hi_x)
-        if not (lo_x < x < hi_x):
-            x = 0.5 * (lo_x + hi_x)
-        gx = f(x) - target
-        if math.isnan(gx):
-            raise DomainError(f"f returned NaN at x={x!r}")
-        if abs(gx) <= tol:
-            return x
-        if math.copysign(1.0, gx) == math.copysign(1.0, g_lo):
-            lo_x, g_lo_w = x, gx
-            if last_side == -1:
-                g_hi_w *= 0.5
-            last_side = -1
-        else:
-            hi_x, g_hi_w = x, gx
-            if last_side == 1:
-                g_lo_w *= 0.5
-            last_side = 1
-        if hi_x - lo_x <= 1e-15 * max(1.0, abs(hi_x)):
-            # Bracket exhausted in double precision; return the better end.
-            return lo_x if abs(g_lo_w) < abs(g_hi_w) else hi_x
-    raise ConvergenceError("monotone inversion did not reach tolerance", estimate=0.5 * (lo_x + hi_x))
+    """Solve f(x) = target for a scalar monotone f on [lo, hi], to |f(x) - target| <= tol."""
+    fv = np.vectorize(f, otypes=[float])
+    res = elementwise.find_root(lambda x: fv(x) - target, (lo, hi), tolerances={"fatol": tol})
+    if res.status == -1:
+        raise DomainError(f"target {target!r} is not bracketed by f on [{lo!r}, {hi!r}]")
+    if res.status != 0:
+        raise ConvergenceError("monotone inversion did not converge", estimate=float(res.x))
+    return float(res.x)
 
 
 def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BUDGET) -> LimitEstimate:
@@ -205,37 +157,28 @@ def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BU
     return LimitEstimate(value=value, sequence_tail=raw[-6:], converged=False)
 
 
-def expanding_upper_bracket(f, target: float, start: float = 1.0, factor: float = 2.0, max_iter: int = 200) -> float:
-    """Find hi with f(hi) < target for a decreasing f on [0, inf)."""
-    hi = start
-    for _ in range(max_iter):
-        if f(hi) < target:
-            return hi
-        hi *= factor
-    raise ConvergenceError("could not bracket target with expanding upper bound", estimate=hi)
+def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarray:
+    """Solve fn(d, *args) = targets elementwise for fn nonincreasing in d on [0, inf).
 
-
-def solve_decreasing_batch(fn, targets: np.ndarray, start: float = 1.0, iters: int = 80) -> np.ndarray:
-    """Vectorized inversion of a nonincreasing array function on [0, inf).
-
-    ``fn`` maps an array of abscissae to an array of values; each entry i is
-    solved for fn(d)_i = targets_i by doubling then bisection.
+    The bracket [0, start] grows to the right until it holds the root, then
+    Chandrupatla's method refines it to double precision.  ``fn`` is handed
+    only the elements still being refined, so per-element constants must come
+    through ``args`` (arrays broadcastable with ``targets``), never a closure.
+    Elements are solved SOLVE_BLOCK at a time.
     """
     targets = np.asarray(targets, dtype=float)
-    hi = np.full_like(targets, start)
-    for _ in range(120):
-        vals = fn(hi)
-        need = vals > targets
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    else:
-        raise ConvergenceError("batch bracket expansion failed", estimate=None)
-    lo = np.zeros_like(targets)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        vals = fn(mid)
-        go_right = vals > targets
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-    return 0.5 * (lo + hi)
+
+    def residual(d, target, *rest):
+        return fn(d, *rest) - target
+
+    flat = [np.broadcast_to(a, targets.shape).ravel() for a in (targets,) + tuple(args)]
+    out = np.empty(targets.size)
+    for k in range(0, targets.size, SOLVE_BLOCK):
+        block = tuple(a[k:k + SOLVE_BLOCK] for a in flat)
+        bracket = elementwise.bracket_root(residual, 0.0, start, xmin=0.0, args=block)
+        res = elementwise.find_root(residual, bracket.bracket, args=block)
+        failed = (bracket.status != 0) | (res.status != 0)
+        if np.any(failed):
+            raise ConvergenceError(f"root finder failed on {np.count_nonzero(failed)} elements", estimate=res.x)
+        out[k:k + SOLVE_BLOCK] = res.x
+    return out.reshape(targets.shape)

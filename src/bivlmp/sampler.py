@@ -93,8 +93,7 @@ def _invert_core_side(p: CoreParams, i: int, targets: np.ndarray) -> np.ndarray:
         # closed form: P(D>d) = aw * w^{-(alpha+1)/alpha}, w = aw + (1-aw) e^{gamma d}
         w = (targets / aw) ** (-p.alpha / (p.alpha + 1.0))
         return np.log(np.maximum(w - aw, 1e-300) / (1.0 - aw)) / gamma
-    scale = 1.0 / p.lam
-    return solve_decreasing_batch(lambda d: _side_survival(p, i, d), targets, start=scale)
+    return solve_decreasing_batch(lambda d: _side_survival(p, i, d), targets, start=1.0 / p.lam)
 
 
 def sample_core(p: CoreParams, n: int, seed: int, label: str = "core") -> SampleBatch:
@@ -175,13 +174,10 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
     for i, mask, q in ((1, side1, q1), (2, side2, q2)):
         if not np.any(mask):
             continue
-        tau_m = tau[mask]
-        targets = u_mag[mask] * q
         sol = solve_decreasing_batch(
-            lambda dd: _q_t_batch(m, i, tau_m, dd), targets, start=1.0 / p.lam
+            lambda dd, tt: _q_t_batch(m, i, tt, dd), u_mag[mask] * q, start=1.0 / p.lam, args=(tau[mask],)
         )
         d[mask] = sol if i == 1 else -sol
-    d = np.where(atom, 0.0, d)
     x = w + np.maximum(d, 0.0)
     y = w + np.maximum(-d, 0.0)
     return SampleBatch(x=x, y=y, atom=atom, seed=int(seed), model_label=m.label)

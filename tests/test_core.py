@@ -13,6 +13,7 @@ from bivlmp.core import (
     gbar_eval,
     marginal_density,
     marginal_quantile,
+    marginal_quantile_log,
     marginal_survival,
     mu_core,
     require_valid,
@@ -23,7 +24,7 @@ from bivlmp.core import (
     validate_core,
     weak_lmp_residual,
 )
-from bivlmp.errors import ValidationError
+from bivlmp.errors import DomainError, ValidationError
 
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 NON_MU = CoreParams(lam=0.12, alpha=1.0, gamma1=0.1, gamma2=0.08, alpha1=0.3, alpha2=0.25)
@@ -82,6 +83,17 @@ def test_marginal_quantile_round_trip():
         zs = marginal_quantile(MU, i, us)
         assert np.allclose(marginal_survival(MU, i, zs), us, atol=1e-10)
     assert marginal_quantile(MU, 1, 0.5) == pytest.approx(10.0 * math.log(1.7 / 0.7), rel=1e-10)
+
+
+def test_marginal_quantile_log_keeps_digits_at_both_ends():
+    # alpha = 1, gamma = 0.1, alpha1 = 0.3: z = 10 ln(1 + expm1(-lu) / 0.7)
+    assert marginal_quantile_log(MU, 1, -1e-12) == pytest.approx(1e-11 / 0.7, rel=1e-9)
+    lu = np.array([-699.0, -701.0, -1e4])
+    assert np.allclose(marginal_quantile_log(MU, 1, lu), 10.0 * (-lu - math.log(0.7)), rtol=1e-14)
+    us = np.linspace(0.05, 0.95, 19)
+    assert np.allclose(marginal_quantile_log(NON_MU, 2, np.log(us)), marginal_quantile(NON_MU, 2, us), rtol=1e-13)
+    with pytest.raises(DomainError):
+        marginal_quantile_log(MU, 1, 1e-3)
 
 
 def test_marginal_density_matches_finite_differences():

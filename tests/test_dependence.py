@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,7 @@ from bivlmp.dependence import (
     tail_upper,
 )
 from bivlmp.errors import CapabilityError
-from bivlmp.generators import generator_from_survival
+from bivlmp.generators import generator_from_survival, make_generator, power_scaled
 from bivlmp.model import Model, Mo15Params, mo15_bridge
 from bivlmp.sampler import sample_model
 
@@ -32,7 +34,7 @@ S_GRID = np.linspace(0.05, 0.95, 19)
 def test_j_integral_known_value_both_routes():
     # (gamma/alpha^2)(alpha1 v^alpha - alpha ln v - alpha1) at v = 0.5
     closed = j_integral_closed(MU, 1, 0.5)
-    quad = j_integral_quadrature(MU, 1, 0.5)
+    quad = j_integral_quadrature(MU, 1, math.log(0.5))
     assert closed == pytest.approx(0.0543147, abs=5e-7)
     assert quad == pytest.approx(closed, abs=1e-9)
 
@@ -41,7 +43,7 @@ def test_j_integral_routes_agree_on_grid():
     for p in (MU, mu_core(alpha=2.0, gamma=0.3, alpha1=0.6, alpha2=0.3)):
         for v in (0.05, 0.3, 0.9):
             for i in (1, 2):
-                assert j_integral_quadrature(p, i, v) == pytest.approx(
+                assert j_integral_quadrature(p, i, math.log(v)) == pytest.approx(
                     j_integral_closed(p, i, v), abs=1e-9
                 )
 
@@ -97,7 +99,10 @@ def test_kendall_gompertz_accurate_at_large_age():
     q = Mo15Params(lam=2.0, lam1=1.5, lam2=1.5, xi=3.0, xi1=1.5, xi2=2.5)
     m = mo15_bridge(q)
     t = 10.0
-    k = kendall_closed_form(m, t, S_GRID)
+    routes = {
+        "closed_form": (kendall_closed_form(m, t, S_GRID), 1e-12),
+        "quadrature": (kendall_function(m, t, S_GRID, source="quadrature").k_values(), 1e-9),
+    }
 
     with mp.workdps(50):
         p, xi = m.core, mp.mpf(q.xi)
@@ -119,7 +124,19 @@ def test_kendall_gompertz_accurate_at_large_age():
             return float(s - hv * (2 * mp.log(v) + j_sum / mp.mpf(p.lam)))
 
         expect = np.array([ref(s) for s in S_GRID])
-    assert np.max(np.abs(k - expect)) <= 1e-12
+    for route, (k, tol) in routes.items():
+        assert np.max(np.abs(k - expect)) <= tol, route
+
+
+def test_closed_form_eligibility_follows_capabilities(models):
+    # power_scaled carries no family of its own: its closed inverse and derivative
+    # alone make the closed route eligible
+    m = Model(generator=power_scaled(make_generator("identity"), 2.0), core=models["identity_mu"].core)
+    for t in (0.0, 5.0):
+        auto = kendall_function(m, t, S_GRID)
+        quad = kendall_function(m, t, S_GRID, source="quadrature")
+        assert auto.source == "closed_form"
+        assert np.max(np.abs(auto.k_values() - quad.k_values())) <= 1e-12
 
 
 def test_closed_form_requires_capability(models):

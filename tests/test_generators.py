@@ -190,12 +190,29 @@ def test_mixing_law_rejects_bad_parameters():
         MixingLaw("cauchy", {})
 
 
+# arrays reaching both ends of (0, 1), where a numeric inverse loses digits first
+NEAR_ENDPOINTS = np.array([1e-200, 1e-12, 1e-6, 0.3, 1.0 - 1e-6, 1.0 - 1e-12])
+
+
 def test_generator_from_survival_matches_closed_form():
     # survival e^{-z^2}: h(x) = exp(-(ln x)^2) reproduced through quadrature-free wrap
     g = generator_from_survival(lambda z: math.exp(-(z**2)))
     ref = make_generator("weibull", a=1.0, alpha=2.0)
     x = np.linspace(0.05, 0.95, 19)
     assert np.allclose(g.h(x), ref.h(x), atol=1e-9)
+    # the numeric inverse against the closed one, relative, near 0 and near 1
+    assert np.allclose(g.h_inverse(NEAR_ENDPOINTS), ref.h_inverse(NEAR_ENDPOINTS), rtol=1e-10, atol=0.0)
+    assert g.h_inverse(0.3) == pytest.approx(ref.h_inverse(0.3), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[0.0, 1.5, 0.0, -0.5], [0.0, 0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]
+)
+def test_polynomial_inverse_near_endpoints(coeffs):
+    g = make_generator("polynomial", coeffs=coeffs)
+    x = np.asarray(g.h_inverse(NEAR_ENDPOINTS))
+    assert np.allclose(g.h(x), NEAR_ENDPOINTS, rtol=1e-12, atol=0.0)
+    assert np.all(np.diff(x) > 0)
 
 
 def test_aging_profile_quick_cases():

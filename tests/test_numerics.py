@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivlmp.errors import DomainError
+from bivlmp import numerics
+from bivlmp.errors import ConvergenceError, DomainError
 from bivlmp.numerics import (
-    expanding_upper_bracket,
     integrate_unit,
     integrate_upper,
     invert_monotone,
@@ -65,16 +65,32 @@ def test_limit_at_zero_half_angle():
     assert est.value == pytest.approx(0.5, abs=1e-6)
 
 
-def test_expanding_upper_bracket():
-    f = lambda z: math.exp(-z)
-    hi = expanding_upper_bracket(f, 1e-4)
-    assert f(hi) < 1e-4
-
-
 def test_solve_decreasing_batch():
     targets = np.array([0.9, 0.5, 0.1, 1e-6])
     roots = solve_decreasing_batch(lambda z: np.exp(-z), targets)
     assert np.allclose(roots, -np.log(targets), atol=1e-10)
+
+
+@pytest.mark.parametrize("block", [2, numerics.SOLVE_BLOCK])
+def test_solve_decreasing_batch_per_element_args(block, monkeypatch):
+    # the solver hands fn only the elements still active, so per-element rates
+    # must arrive through args; rate 1e-12 puts the root ~2^39 past start.
+    # A block of 2 splits the elements, and their args must split with them.
+    monkeypatch.setattr(numerics, "SOLVE_BLOCK", block)
+    rates = np.array([1e-12, 0.5, 3.0, 1e-3, 40.0])
+    targets = np.array([0.5, 0.9, 1e-8, 0.25, 0.999])
+    roots = solve_decreasing_batch(lambda z, r: np.exp(-r * z), targets, args=(rates,))
+    expect = -np.log(targets) / rates
+    assert expect[0] > 2.0**30
+    assert np.allclose(roots, expect, rtol=1e-12, atol=0.0)
+
+
+def test_solve_decreasing_batch_nan_raises():
+    with pytest.raises(ConvergenceError):
+        solve_decreasing_batch(lambda z: np.full_like(z, np.nan), np.array([0.5, 0.2]))
+    # NaN past the root's bracket is no excuse to stop short either
+    with pytest.raises(ConvergenceError):
+        solve_decreasing_batch(lambda z: np.where(z > 3.0, np.nan, np.exp(-z)), np.array([0.5, 1e-5]))
 
 
 @given(

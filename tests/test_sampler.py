@@ -5,8 +5,8 @@ import pytest
 
 from bivlmp.core import mu_core, singular_mass
 from bivlmp.errors import ValidationError
-from bivlmp.generators import MixingLaw
-from bivlmp.model import fbar
+from bivlmp.generators import MixingLaw, generator_from_survival
+from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
     SampleBatch,
     empirical_atom,
@@ -30,6 +30,18 @@ def test_sample_model_deterministic(models):
     assert np.array_equal(a.atom, b.atom)
     c = sample_model(m, 2_000, seed=100)
     assert not np.array_equal(a.x, c.x)
+
+
+@pytest.mark.parametrize("n", [1, 1_000])
+def test_sample_model_numeric_generator_matches_closed(models, n):
+    # survival e^-z gives h(x) = x, so draws match the identity model's up to the root finder
+    m = models["identity_mu"]
+    g = generator_from_survival(lambda z: math.exp(-z), density=lambda z: math.exp(-z))
+    got = sample_model(Model(generator=g, core=m.core, label="numeric identity"), n, seed=3)
+    want = sample_model(m, n, seed=3)
+    assert np.array_equal(got.atom, want.atom)
+    assert np.allclose(got.x, want.x, rtol=1e-9, atol=1e-12)
+    assert np.allclose(got.y, want.y, rtol=1e-9, atol=1e-12)
 
 
 def test_csv_round_trip(tmp_path, models):
