@@ -9,7 +9,6 @@ time-indexed distortion d_t induced by h.
 
 from .core import (
     CoreParams,
-    StrongCore,
     core_copula,
     gbar_eval,
     marginal_density,
@@ -17,8 +16,6 @@ from .core import (
     marginal_survival,
     mu_core,
     singular_mass,
-    strong_distortion,
-    strong_eval,
     validate_core,
     weak_lmp_residual,
 )
@@ -64,7 +61,6 @@ from .model import (
     generalized_weak_residual,
     mean_excess,
     mo15_bridge,
-    mo15_survival,
     residual_marginal,
     singular_line_survival,
 )

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import solve_decreasing_batch
+from .numerics import copula_edges, in_unit, scalar_or_array
 
 DEFAULT_SLACK = 1e-9
 
@@ -129,7 +129,7 @@ def gbar_log(p: CoreParams, x, y):
     """log Gbar(x, y), vectorized; the diagonal uses the exact -lambda*t form."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
+    if not np.all((x >= 0) & (y >= 0)):
         raise DomainError("x and y must be nonnegative")
     d = x - y
     m = np.minimum(x, y)
@@ -138,44 +138,34 @@ def gbar_log(p: CoreParams, x, y):
     z = np.abs(d)
     # log(alpha_i + (1-alpha_i) e^{gamma z}) computed overflow-safe
     inner = gamma * z + np.log1p(aw * np.exp(-gamma * z) / (1.0 - aw)) + np.log1p(-aw)
-    out = -p.lam * m - inner / p.alpha
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(-p.lam * m - inner / p.alpha)
 
 
 def gbar_eval(p: CoreParams, x, y):
     """Gbar(x, y)."""
     require_valid(p)
-    out = np.exp(gbar_log(p, x, y))
-    return float(out) if np.ndim(out) == 0 else out
+    return scalar_or_array(np.exp(gbar_log(p, x, y)))
 
 
 def marginal_survival(p: CoreParams, i: int, z):
     gamma, aw = _marg(p, i)
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("z must be nonnegative")
+    z = _nonnegative(z)
     inner = gamma * z + np.log1p(aw * np.exp(-gamma * z) / (1.0 - aw)) + math.log1p(-aw)
-    out = np.exp(-inner / p.alpha)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(np.exp(-inner / p.alpha))
 
 
 def marginal_density(p: CoreParams, i: int, z):
     """g_i(z) = -d/dz Gbar_i(z), closed form."""
     gamma, aw = _marg(p, i)
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0):
-        raise DomainError("z must be nonnegative")
+    z = _nonnegative(z)
     base = aw + (1.0 - aw) * np.exp(gamma * z)
     out = (gamma * (1.0 - aw) / p.alpha) * np.exp(gamma * z) * base ** (-1.0 / p.alpha - 1.0)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
 
 
 def marginal_quantile(p: CoreParams, i: int, u):
     """Solve Gbar_i(z) = u; closed form z = (1/gamma_i) ln((u^-alpha - alpha_i)/(1 - alpha_i))."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u > 1.0):
-        raise DomainError("u must lie in (0, 1]")
-    return marginal_quantile_log(p, i, np.log(u))
+    return marginal_quantile_log(p, i, np.log(in_unit(u, "u", open_at_0=True)))
 
 
 def marginal_quantile_log(p: CoreParams, i: int, lu):
@@ -186,11 +176,18 @@ def marginal_quantile_log(p: CoreParams, i: int, lu):
     """
     gamma, aw = _marg(p, i)
     a = -p.alpha * np.asarray(lu, dtype=float)
-    if np.any(a < 0.0):
+    if not np.all(a >= 0.0):
         raise DomainError("ln u must be nonpositive")
     with np.errstate(over="ignore"):
         out = np.where(a < 700.0, np.log1p(np.expm1(a) / (1.0 - aw)), a - np.log1p(-aw)) / gamma
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(out)
+
+
+def _nonnegative(z):
+    z = np.asarray(z, dtype=float)
+    if not np.all(z >= 0):
+        raise DomainError("z must be nonnegative")
+    return z
 
 
 def _marg(p: CoreParams, i: int):
@@ -236,10 +233,8 @@ def core_copula(p: CoreParams, u, v):
     is composed as Gbar(Gbar1^-1(u), Gbar2^-1(v)).
     """
     require_valid(p)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(u < 0) or np.any(u > 1) or np.any(v < 0) or np.any(v > 1):
-        raise DomainError("u and v must lie in [0, 1]")
+    u = in_unit(u, "u")
+    v = in_unit(v, "v")
     ui = np.clip(u, 1e-300, 1.0)
     vi = np.clip(v, 1e-300, 1.0)
     if p.is_mu:
@@ -252,86 +247,11 @@ def core_copula(p: CoreParams, u, v):
         x = marginal_quantile(p, 1, ui)
         y = marginal_quantile(p, 2, vi)
         out = np.exp(gbar_log(p, x, y))
-    out = np.where((u <= 0) | (v <= 0), 0.0, out)
-    out = np.where(u >= 1, v, np.where(v >= 1, u, out))
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
-def core_copula_generic(p: CoreParams, u, v):
-    """The composition route Gbar(Gbar1^-1(u), Gbar2^-1(v)); oracle for the closed form."""
-    u = np.clip(np.asarray(u, dtype=float), 1e-300, 1.0)
-    v = np.clip(np.asarray(v, dtype=float), 1e-300, 1.0)
-    x = marginal_quantile(p, 1, u)
-    y = marginal_quantile(p, 2, v)
-    out = np.exp(gbar_log(p, x, y))
-    return float(out) if np.ndim(out) == 0 else out
+    return copula_edges(u, v, out)
 
 
 def weak_lmp_residual(p: CoreParams, x, y, t):
     """Gbar(x+t, y+t) - Gbar(x, y) Gbar(t, t); zero for every member of the family."""
-    if min(np.min(np.asarray(x)), np.min(np.asarray(y)), np.min(np.asarray(t))) < 0:
-        raise DomainError("x, y, t must be nonnegative")
     lhs = np.exp(gbar_log(p, np.asarray(x) + t, np.asarray(y) + t))
     rhs = np.exp(gbar_log(p, x, y) + gbar_log(p, t, t))
-    out = np.asarray(lhs - rhs, dtype=float)
-    return float(out) if out.ndim == 0 else out
-
-
-# ---------------------------------------------------------------------------
-# strong lack-of-memory solutions
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StrongCore:
-    """F(x, y) = Hbar(x + a y) for a convex univariate survival function Hbar.
-
-    These are exactly the solutions of the strong two-parameter equation
-    F(x+s, y+t) = F(x, y) F(s, t) relaxed through a distortion d_{s,t} that
-    depends on s + a t only.
-    """
-
-    hbar: object
-    a: float
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValidationError("a must be positive")
-        if abs(self.hbar(0.0) - 1.0) > 1e-9:
-            raise ValidationError("Hbar(0) must equal 1")
-        grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 41)])
-        vals = np.array([self.hbar(z) for z in grid])
-        if np.any(np.diff(vals) > 1e-12):
-            raise ValidationError("Hbar must be nonincreasing")
-        # convexity via divided differences on the log-spaced grid
-        dd = np.diff(vals) / np.diff(grid)
-        if np.any(np.diff(dd) < -1e-9):
-            raise ValidationError("Hbar must be convex")
-
-
-def strong_eval(s: StrongCore, x, y):
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
-        raise DomainError("x and y must be nonnegative")
-    out = np.vectorize(s.hbar, otypes=[float])(x + s.a * y)
-    return float(out) if out.ndim == 0 else out
-
-
-def strong_distortion(s: StrongCore, s_shift: float, t_shift: float, v):
-    """d_{s,t}(v) = Hbar(s + a t + Hbar^-1(v)) / Hbar(s + a t)."""
-    if s_shift < 0 or t_shift < 0:
-        raise DomainError("shifts must be nonnegative")
-    w = s_shift + s.a * t_shift
-    denom = s.hbar(w)
-    if denom <= 0:
-        raise DomainError("Hbar vanishes at the shift; distortion undefined")
-    v = np.asarray(v, dtype=float)
-    if np.any(v < 0) or np.any(v > 1):
-        raise DomainError("v must lie in [0, 1]")
-    hbar = np.vectorize(s.hbar, otypes=[float])
-    inside = (v > 0.0) & (v < 1.0)
-    out = np.where(v >= 1.0, 1.0, 0.0)
-    out[inside] = hbar(w + solve_decreasing_batch(hbar, v[inside])) / denom
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(lhs - rhs)

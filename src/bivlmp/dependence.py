@@ -29,7 +29,7 @@ from . import generators as gen_mod
 from .core import CoreParams, marginal_density, marginal_quantile_log, marginal_survival
 from .errors import CapabilityError, DomainError
 from .model import Model, copula_t, copula_t_diag_log
-from .numerics import integrate_unit, limit_at_zero
+from .numerics import in_unit, integrate_unit, limit_at_zero, scalar_or_array
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
 
@@ -71,11 +71,7 @@ class TailReport:
 
 
 def j_integral_closed(p: CoreParams, i: int, v) -> float:
-    v = np.asarray(v, dtype=float)
-    if np.any(v <= 0) or np.any(v > 1):
-        raise DomainError("v must lie in (0, 1]")
-    out = _j_closed_from_log(p, i, np.log(v))
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(_j_closed_from_log(p, i, np.log(in_unit(v, "v", open_at_0=True))))
 
 
 def _j_closed_from_log(p: CoreParams, i: int, lv):
@@ -105,9 +101,7 @@ def j_integral(m: Model, i: int, v, method: str = "closed") -> float:
     if method == "closed":
         return j_integral_closed(m.core, i, v)
     if method == "quadrature":
-        if not (0.0 < v <= 1.0):
-            raise DomainError("v must lie in (0, 1]")
-        return j_integral_quadrature(m.core, i, math.log(v))
+        return j_integral_quadrature(m.core, i, math.log(in_unit(v, "v", open_at_0=True)))
     raise DomainError(f"unknown method {method!r}")
 
 
@@ -120,9 +114,7 @@ def _kendall_values(m: Model, t: float, s, j_method: str):
     if not g.has_prime:
         raise CapabilityError(f"{g.family}: Kendall function needs the derivative capability")
     tau = m.tau(t)
-    s = np.asarray(s, dtype=float)
-    if np.any(s <= 0) or np.any(s > 1):
-        raise DomainError("s must lie in (0, 1]")
+    s = in_unit(s, "s", open_at_0=True)
     lv = np.maximum(gen_mod.residual_distortion_log_inverse(g, tau, s), _LOG_V_FLOOR)
     v = np.exp(lv)
     if j_method == "closed":
@@ -135,10 +127,7 @@ def _kendall_values(m: Model, t: float, s, j_method: str):
     et = math.exp(-tau)
     # h_t'(v) v = s * e^-tau * (h'/h)(e^-tau v) * v, in ratio form
     factor = et * np.asarray(g.h_log_prime(et * v)) * v
-    k = s * (1.0 - factor * bracket)
-    k = np.where(s >= 1.0, 1.0, k)
-    out = np.asarray(k, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(np.where(s >= 1.0, 1.0, s * (1.0 - factor * bracket)))
 
 
 def kendall_closed_form(m: Model, t: float, s):
@@ -157,18 +146,15 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "a
     """
     s_grid = tuple(float(s) for s in s_grid)
     if source == "auto":
-        try:
-            k = kendall_closed_form(m, t, s_grid)
-            return KendallCurve(t=float(t), grid=tuple(zip(s_grid, np.atleast_1d(k))), source="closed_form")
-        except CapabilityError:
-            source = "quadrature"
+        g = m.generator
+        source = "closed_form" if g.has_closed_inverse and g.has_prime else "quadrature"
     if source == "closed_form":
         k = kendall_closed_form(m, t, s_grid)
-        return KendallCurve(t=float(t), grid=tuple(zip(s_grid, np.atleast_1d(k))), source="closed_form")
-    if source != "quadrature":
+    elif source == "quadrature":
+        k = _kendall_values(m, t, s_grid, j_method="quadrature")
+    else:
         raise DomainError(f"unknown source {source!r}")
-    k = _kendall_values(m, t, s_grid, j_method="quadrature")
-    return KendallCurve(t=float(t), grid=tuple(zip(s_grid, np.atleast_1d(k))), source="quadrature")
+    return KendallCurve(t=float(t), grid=tuple(zip(s_grid, np.atleast_1d(k))), source=source)
 
 
 def kendall_tau(m: Model, t: float, tol: float = 1e-9) -> float:
@@ -286,7 +272,7 @@ def tail_lower(m: Model, t: float) -> TailReport:
     core coefficient is below 1.  Unclassified generators fall back to the
     numeric limit.
     """
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     base = core_lambda_l(m.core)
     zb = m.generator.zero_behavior
@@ -310,7 +296,7 @@ def tail_upper(m: Model, t: float) -> TailReport:
     Power behavior 1 - h(x) ~ a (1-x)^beta leaves the coefficient at the core
     value for t > 0 but shifts it to 2 - (2 - core)^beta at t = 0.
     """
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     base = core_lambda_u(m.core)
     ob = m.generator.one_behavior

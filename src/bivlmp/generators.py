@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CapabilityError, DomainError, ValidationError
-from .numerics import solve_decreasing_batch
+from .numerics import copula_edges, in_unit, scalar_or_array, solve_decreasing_batch
 
 _EPS = 1e-300
+_SLACK = 1e-12  # rounding allowed outside [0, 1] in a generator's argument
 
 
 def _as_interior(x):
@@ -29,17 +30,19 @@ def _as_interior(x):
     return np.clip(np.asarray(x, dtype=float), _EPS, 1.0 - 1e-16)
 
 
-def _with_endpoints(fn, x, at0=0.0, at1=1.0):
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise DomainError("argument outside [0, 1]")
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        out = np.asarray(fn(_as_interior(x)), dtype=float)
-    out = np.where(x <= 0.0, at0, out)
-    out = np.where(x >= 1.0, at1, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+def _in_unit(x, what="argument"):
+    return in_unit(x, what, _SLACK)
+
+
+def _unit_edges(x, out):
+    """out with the exact values 0 at x <= 0 and 1 at x >= 1."""
+    return scalar_or_array(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)))
+
+
+def _quiet(fn, *args):
+    """fn(*args) with floating-point warnings off, under the return convention."""
+    with np.errstate(all="ignore"):
+        return scalar_or_array(fn(*args))
 
 
 class Generator:
@@ -67,11 +70,21 @@ class Generator:
         """Logarithmic derivative h'(x)/h(x)."""
         raise CapabilityError(f"{self.family}: derivative not available")
 
+    def _h_prime(self, x):
+        return self._h(x) * self._h_lp(x)
+
     def _h_log(self, x):
         return np.log(self._h(x))
 
     def _h_inv_from_log(self, lw):
         return self._h_inv(np.exp(lw))
+
+    def _h_from_log(self, lw):
+        """h(e^lw) for lw <= 0; families override it where e^lw underflowing loses real mass."""
+        return self.h(np.exp(lw))
+
+    def _h_log_from_log(self, lw):
+        return np.log(self._h_from_log(lw))
 
     def _residual_log_inverse(self, t, u):
         """ln h_t^-1(u) for u in (0, 1]; families with a closed form override this."""
@@ -85,57 +98,39 @@ class Generator:
 
     # public, endpoint-safe surface ------------------------------------------
     def h(self, x):
-        return _with_endpoints(self._h, x)
+        x = _in_unit(x)
+        return _unit_edges(x, _quiet(self._h, _as_interior(x)))
 
     def h_inverse(self, u):
-        return _with_endpoints(self._h_inv, u)
+        u = _in_unit(u)
+        return _unit_edges(u, _quiet(self._h_inv, _as_interior(u)))
 
     def h_prime(self, x):
-        if not self.has_prime:
-            raise CapabilityError(f"{self.family}: derivative capability missing")
-        x = np.asarray(x, dtype=float)
-        if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-            raise DomainError("argument outside [0, 1]")
-        xi = _as_interior(x)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = np.asarray(self._h(xi) * self._h_lp(xi), dtype=float)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        self._need_prime()
+        return _quiet(self._h_prime, _as_interior(_in_unit(x)))
 
     def h_log(self, x):
-        x = np.asarray(x, dtype=float)
-        xi = _as_interior(x)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = np.asarray(self._h_log(xi), dtype=float)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _quiet(self._h_log, _as_interior(x))
 
     def h_log_prime(self, x):
-        if not self.has_prime:
-            raise CapabilityError(f"{self.family}: derivative capability missing")
-        xi = _as_interior(x)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = np.asarray(self._h_lp(xi), dtype=float)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        self._need_prime()
+        return _quiet(self._h_lp, _as_interior(x))
 
     def h_inverse_from_log(self, lw):
-        lw = np.asarray(lw, dtype=float)
-        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            out = np.asarray(self._h_inv_from_log(lw), dtype=float)
-        out = np.clip(out, 0.0, 1.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        out = _quiet(self._h_inv_from_log, np.asarray(lw, dtype=float))
+        return scalar_or_array(np.clip(out, 0.0, 1.0))
 
     def h_from_log(self, lw):
-        """h(e^lw) for lw <= 0; overridden where e^lw underflowing loses real mass."""
-        lw = np.asarray(lw, dtype=float)
-        out = self.h(np.exp(np.minimum(lw, 0.0)))
-        return float(out) if np.ndim(out) == 0 else out
+        """h(e^lw), with lw clamped to <= 0."""
+        return scalar_or_array(self._h_from_log(np.minimum(lw, 0.0)))
+
+    def h_log_from_log(self, lw):
+        """ln h(e^lw), with lw clamped to <= 0; families with a log form keep it finite where h underflows."""
+        return scalar_or_array(self._h_log_from_log(np.minimum(lw, 0.0)))
+
+    def _need_prime(self):
+        if not self.has_prime:
+            raise CapabilityError(f"{self.family}: derivative capability missing")
 
     def neg_log_h_inverse(self, u):
         """-ln h^-1(u), stable when h^-1(u) underflows double precision.
@@ -146,7 +141,7 @@ class Generator:
         at the representable floor.
         """
         u = np.asarray(u, dtype=float)
-        v = np.asarray(self.h_inverse(u), dtype=float)
+        v = np.asarray(self.h_inverse(u))
         out = -np.log(np.maximum(v, 1e-300))
         bad = v < 1e-280
         if np.any(bad):
@@ -162,10 +157,8 @@ class Generator:
                 if out.ndim:
                     out[bad] = repl
                 else:
-                    out = np.asarray(repl, dtype=float)
-        if out.ndim == 0:
-            return float(out)
-        return out
+                    out = repl
+        return scalar_or_array(out)
 
     def describe(self):
         return {"family": self.family, "params": dict(self.params)}
@@ -239,11 +232,13 @@ class StretchedExpGenerator(Generator):
         u = -np.log(x)
         return self.shape * self.rate * (self.rate * u) ** (self.shape - 1.0) / x
 
-    def h_from_log(self, lw):
+    def _h_from_log(self, lw):
         # depends on ln x only; avoids the e^lw underflow for shape < 1
-        lw = np.asarray(lw, dtype=float)
-        out = np.exp(-((self.rate * (-np.minimum(lw, 0.0))) ** self.shape))
-        return float(out) if np.ndim(out) == 0 else out
+        return np.exp(self._h_log_from_log(lw))
+
+    def _h_log_from_log(self, lw):
+        # exact, where log(h) would add rounding to the residual ratio and the quadratures over it
+        return -((self.rate * (-lw)) ** self.shape)
 
 
 class GompertzGenerator(Generator):
@@ -275,6 +270,10 @@ class GompertzGenerator(Generator):
 
     def _h_lp(self, x):
         return self.xi * self.mu * x ** (-self.mu - 1.0)
+
+    def _h_log_from_log(self, lw):
+        # ln h(e^lw) = -xi (e^{-mu lw} - 1): finite long after h(e^lw) underflows
+        return -self.xi * np.expm1(-self.mu * lw)
 
     def _residual_log_inverse(self, t, u):
         # h_t is Gompertz again, with xi e^{mu t}; exact where h_t^-1(u) rounds to 1
@@ -328,17 +327,15 @@ class LogPowerGenerator(Generator):
 
     def neg_log_h_inverse(self, u):
         # closed form: -ln h^-1(u) = (u^(-1/expo) - 1) / coef, no underflow
-        u = np.asarray(u, dtype=float)
-        out = np.expm1(-np.log(np.maximum(u, 1e-300)) / self.expo) / self.coef
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return scalar_or_array(np.expm1(-np.log(np.maximum(_in_unit(u), 1e-300)) / self.expo) / self.coef)
 
-    def h_from_log(self, lw):
+    def _h_from_log(self, lw):
         # h depends on ln x only, so evaluate from the log argument exactly
-        lw = np.asarray(lw, dtype=float)
-        out = (1.0 - self.coef * np.minimum(lw, 0.0)) ** (-self.expo)
-        return float(out) if np.ndim(out) == 0 else out
+        return (1.0 - self.coef * lw) ** (-self.expo)
+
+    def _h_log_from_log(self, lw):
+        # exact, like the stretched exponential's
+        return -self.expo * np.log1p(-self.coef * lw)
 
 
 class LogisticGenerator(Generator):
@@ -366,11 +363,9 @@ class LogisticGenerator(Generator):
         xa = x**self.a
         return self.a * self.theta / (x * (self.theta + (1.0 - self.theta) * xa))
 
-    def h_from_log(self, lw):
-        lw = np.asarray(lw, dtype=float)
-        xa = np.exp(self.a * np.minimum(lw, 0.0))
-        out = xa / (self.theta + (1.0 - self.theta) * xa)
-        return float(out) if np.ndim(out) == 0 else out
+    def _h_from_log(self, lw):
+        xa = np.exp(self.a * lw)
+        return xa / (self.theta + (1.0 - self.theta) * xa)
 
 
 class LogSeriesGenerator(Generator):
@@ -404,11 +399,8 @@ class LogSeriesGenerator(Generator):
         xa = x**self.a
         return self.a * self.theta * xa / (x * (self.theta * xa + 1.0) * np.log1p(self.theta * xa))
 
-    def h_from_log(self, lw):
-        lw = np.asarray(lw, dtype=float)
-        xa = np.exp(self.a * np.minimum(lw, 0.0))
-        out = np.log1p(self.theta * xa) / math.log1p(self.theta)
-        return float(out) if np.ndim(out) == 0 else out
+    def _h_from_log(self, lw):
+        return np.log1p(self.theta * np.exp(self.a * lw)) / math.log1p(self.theta)
 
 
 class ArctanGenerator(Generator):
@@ -435,10 +427,8 @@ class ArctanGenerator(Generator):
         xa = x**self.a
         return self.a * xa / (x * (1.0 + xa * xa) * np.arctan(xa))
 
-    def h_from_log(self, lw):
-        lw = np.asarray(lw, dtype=float)
-        out = (4.0 / math.pi) * np.arctan(np.exp(self.a * np.minimum(lw, 0.0)))
-        return float(out) if np.ndim(out) == 0 else out
+    def _h_from_log(self, lw):
+        return (4.0 / math.pi) * np.arctan(np.exp(self.a * lw))
 
 
 class SibuyaMixingGenerator(Generator):
@@ -469,12 +459,10 @@ class SibuyaMixingGenerator(Generator):
         one_m = 1.0 - xr
         return self.a * self.ratio * xr * one_m ** (self.a - 1.0) / (x * (1.0 - one_m**self.a))
 
-    def h_from_log(self, lw):
+    def _h_from_log(self, lw):
         # x^ratio = e^{ratio lw} stays representable far past where e^lw underflows
-        lw = np.asarray(lw, dtype=float)
         with np.errstate(divide="ignore"):  # lw = 0 gives log1p(-1) = -inf, h = 1 exactly
-            out = -np.expm1(self.a * np.log1p(-np.exp(self.ratio * np.minimum(lw, 0.0))))
-        return float(out) if np.ndim(out) == 0 else out
+            return -np.expm1(self.a * np.log1p(-np.exp(self.ratio * lw)))
 
 
 class PolynomialGenerator(Generator):
@@ -619,8 +607,11 @@ class PowerScaledGenerator(Generator):
     def _h_lp(self, x):
         return self.beta * x ** (self.beta - 1.0) * self.base._h_lp(x**self.beta)
 
-    def h_from_log(self, lw):
-        return self.base.h_from_log(self.beta * np.asarray(lw, dtype=float))
+    def _h_from_log(self, lw):
+        return self.base._h_from_log(self.beta * lw)
+
+    def _h_log_from_log(self, lw):
+        return self.base._h_log_from_log(self.beta * lw)
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +671,6 @@ def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
     else:
         g = LogSeriesGenerator(a=ratio, theta=law.params["theta"])
     g.family = "mixing"
-    g.mixing_law = law
-    g.mixing_ratio = float(ratio)
     g.params = {"law": {"kind": law.kind, "params": dict(law.params)}, "ratio": float(ratio)}
     return g
 
@@ -732,7 +721,7 @@ def power_scaled(g: Generator, beta: float) -> Generator:
 
 
 def _check_t(t):
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     et = math.exp(-t)
     if et == 0.0:
@@ -740,60 +729,47 @@ def _check_t(t):
     return et
 
 
+def _h_ratio(g: Generator, et: float, x):
+    """h(et x) / h(et) as the exp of a log difference, so neither factor underflows."""
+    with np.errstate(all="ignore"):
+        return np.exp(g.h_log(et * np.asarray(x)) - g.h_log(et))
+
+
 def time_distortion(g: Generator, t: float, x):
     """d_t(x) = h(e^-t h^-1(x)) / h(e^-t)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise DomainError("x outside [0, 1]")
+    x = _in_unit(x, "x")
     if t == 0.0:
-        out = np.clip(x, 0.0, 1.0)
-        return float(out) if out.ndim == 0 else out
+        return scalar_or_array(np.clip(x, 0.0, 1.0))
     et = _check_t(t)
-    v = g.h_inverse(x)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        out = np.exp(g.h_log(et * np.asarray(v)) - g.h_log(et))
-    out = np.asarray(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)), dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return _unit_edges(x, _h_ratio(g, et, g.h_inverse(x)))
 
 
 def residual_distortion(g: Generator, t: float, x):
     """h_t(x) = h(e^-t x) / h(e^-t)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < -1e-12) or np.any(x > 1.0 + 1e-12):
-        raise DomainError("x outside [0, 1]")
+    x = _in_unit(x, "x")
     if t == 0.0:
         return g.h(x)
-    et = _check_t(t)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        out = np.exp(g.h_log(et * x) - g.h_log(et))
-    out = np.asarray(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)), dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return _unit_edges(x, _h_ratio(g, _check_t(t), x))
 
 
 def residual_distortion_inverse(g: Generator, t: float, u):
     """h_t^-1(u) = e^t h^-1(u h(e^-t)), via the log domain for robustness."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
-        raise DomainError("u outside [0, 1]")
+    u = _in_unit(u, "u")
     if t == 0.0:
         return g.h_inverse(u)
     et = _check_t(t)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         lw = np.log(np.clip(u, _EPS, 1.0)) + g.h_log(et)
         out = np.minimum(np.asarray(g.h_inverse_from_log(lw)) / et, 1.0)
-    out = np.asarray(np.where(u <= 0.0, 0.0, np.where(u >= 1.0, 1.0, out)), dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return _unit_edges(u, out)
 
 
 def residual_distortion_log_inverse(g: Generator, t: float, u):
     """ln h_t^-1(u) for u in (0, 1], accurate where h_t^-1(u) is within rounding of 1."""
-    u = np.asarray(u, dtype=float)
-    if np.any(u <= 0.0) or np.any(u > 1.0 + 1e-12):
-        raise DomainError("u outside (0, 1]")
+    u = in_unit(u, "u", _SLACK, open_at_0=True)
     _check_t(t)
     with np.errstate(divide="ignore"):
-        out = np.asarray(g._residual_log_inverse(t, np.minimum(u, 1.0)), dtype=float)
-    return float(out) if out.ndim == 0 else out
+        return scalar_or_array(g._residual_log_inverse(t, np.minimum(u, 1.0)))
 
 
 def residual_distortion_prime(g: Generator, t: float, x):
@@ -802,24 +778,15 @@ def residual_distortion_prime(g: Generator, t: float, x):
         return g.h_prime(x)
     et = _check_t(t)
     x = _as_interior(x)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        ratio = np.exp(g.h_log(et * x) - g.h_log(et))
-        out = np.asarray(ratio * et * g.h_log_prime(et * x), dtype=float)
-    return float(out) if out.ndim == 0 else out
+    with np.errstate(all="ignore"):
+        return scalar_or_array(_h_ratio(g, et, x) * et * g.h_log_prime(et * x))
 
 
 def pseudo_product(g: Generator, a, b):
     """a (x)_h b = h(h^-1(a) h^-1(b))."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(a < -1e-12) or np.any(a > 1 + 1e-12) or np.any(b < -1e-12) or np.any(b > 1 + 1e-12):
-        raise DomainError("pseudo-product arguments must lie in [0, 1]")
-    inner = np.asarray(g.h_inverse(a)) * np.asarray(g.h_inverse(b))
-    out = np.asarray(g.h(inner), dtype=float)
-    out = np.where(a <= 0.0, 0.0, np.where(b <= 0.0, 0.0, out))
-    out = np.where(a >= 1.0, b, np.where(b >= 1.0, a, out))
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    a = _in_unit(a, "pseudo-product argument")
+    b = _in_unit(b, "pseudo-product argument")
+    return copula_edges(a, b, g.h(np.asarray(g.h_inverse(a)) * np.asarray(g.h_inverse(b))))
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,10 @@ import numpy as np
 
 from . import core as core_mod
 from . import generators as gen_mod
-from .core import CoreParams, gbar_log, marginal_survival, require_valid, singular_mass
+from .core import CoreParams, gbar_log, require_valid, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import Generator, Mo15Generator
-from .numerics import integrate_upper
-
-_LOG_SWITCH = math.log(1e-250)
+from .numerics import copula_edges, in_unit, integrate_upper, scalar_or_array
 
 
 @dataclass(frozen=True)
@@ -44,7 +42,7 @@ class Model:
         return self.core.lam
 
     def tau(self, t: float) -> float:
-        if t < 0:
+        if not t >= 0:
             raise DomainError("t must be nonnegative")
         return self.core.lam * t
 
@@ -58,42 +56,33 @@ class Model:
 
 def fbar_log(m: Model, x, y):
     """log Fbar(x, y); the core stays in the log domain so deep tails survive."""
-    out = np.log(np.maximum(m.generator.h_from_log(gbar_log(m.core, x, y)), 1e-300))
-    return float(out) if np.ndim(out) == 0 else out
+    return scalar_or_array(np.log(np.maximum(m.generator.h_from_log(gbar_log(m.core, x, y)), 1e-300)))
 
 
 def fbar(m: Model, x, y):
     """Fbar(x, y) = h(Gbar(x, y)), evaluated from log Gbar to keep heavy tails."""
-    out = m.generator.h_from_log(gbar_log(m.core, x, y))
-    return float(out) if np.ndim(out) == 0 else out
+    return m.generator.h_from_log(gbar_log(m.core, x, y))
 
 
 def fbar_marginal(m: Model, i: int, z):
     """Marginal survival of the model: h(Gbar_i(z))."""
-    z = np.asarray(z, dtype=float)
-    lg = gbar_log(m.core, z, 0.0) if i == 1 else gbar_log(m.core, 0.0, z)
-    out = m.generator.h_from_log(lg)
-    return float(out) if np.ndim(out) == 0 else out
+    return fbar(m, z, 0.0) if i == 1 else fbar(m, 0.0, z)
+
+
+def _residual_from_log(g: Generator, tau: float, lw):
+    """h_tau(e^lw) = h(e^{lw - tau}) / h(e^-tau), as the exp of a difference of logs."""
+    with np.errstate(all="ignore"):
+        return scalar_or_array(np.exp(g.h_log_from_log(lw - tau) - g.h_log_from_log(-tau)))
 
 
 def fbar_residual(m: Model, t: float, x, y):
     """Fbar_t(x, y) = Fbar(x+t, y+t) / Fbar(t, t) = h_tau(Gbar(x, y))."""
-    tau = m.tau(t)
-    lg = np.asarray(gbar_log(m.core, x, y), dtype=float)
-    denom = m.generator.h_from_log(-tau) if tau > 0 else 1.0
-    out = np.asarray(m.generator.h_from_log(lg - tau), dtype=float) / denom
-    return float(out) if np.ndim(out) == 0 else out
+    return _residual_from_log(m.generator, m.tau(t), gbar_log(m.core, x, y))
 
 
 def residual_marginal(m: Model, i: int, t: float, x):
     """Margin of Fbar_t: h_tau(Gbar_i(x))."""
-    tau = m.tau(t)
-    x = np.asarray(x, dtype=float)
-    # Gbar(x, 0) and Gbar(0, x) are the core marginals, already in log form
-    lg = np.asarray(gbar_log(m.core, x, 0.0) if i == 1 else gbar_log(m.core, 0.0, x), dtype=float)
-    denom = m.generator.h_from_log(-tau) if tau > 0 else 1.0
-    out = np.asarray(m.generator.h_from_log(lg - tau), dtype=float) / denom
-    return float(out) if np.ndim(out) == 0 else out
+    return fbar_residual(m, t, x, 0.0) if i == 1 else fbar_residual(m, t, 0.0, x)
 
 
 def generalized_weak_residual(m: Model, t: float, x, y):
@@ -109,8 +98,7 @@ def generalized_weak_residual(m: Model, t: float, x, y):
     den_log = g.h_log(math.exp(-tau)) if tau > 0 else 0.0
     lhs = np.exp(np.asarray(num_log) - den_log)
     rhs = gen_mod.time_distortion(g, tau, g.h_from_log(gbar_log(m.core, x, y)))
-    out = np.asarray(lhs - rhs, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(lhs - rhs)
 
 
 def copula_t(m: Model, t: float, u, v):
@@ -119,19 +107,12 @@ def copula_t(m: Model, t: float, u, v):
     C_t(u, v) = h_tau(C_Gbar(h_tau^-1(u), h_tau^-1(v))).
     """
     tau = m.tau(t)
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if np.any(u < 0) or np.any(u > 1) or np.any(v < 0) or np.any(v > 1):
-        raise DomainError("u and v must lie in [0, 1]")
+    u = in_unit(u, "u")
+    v = in_unit(v, "v")
     a = gen_mod.residual_distortion_inverse(m.generator, tau, u)
     b = gen_mod.residual_distortion_inverse(m.generator, tau, v)
     c = core_mod.core_copula(m.core, a, b)
-    out = gen_mod.residual_distortion(m.generator, tau, c)
-    out = np.asarray(out, dtype=float)
-    out = np.where((u <= 0) | (v <= 0), 0.0, out)
-    out = np.where(u >= 1, v, np.where(v >= 1, u, out))
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return copula_edges(u, v, gen_mod.residual_distortion(m.generator, tau, c))
 
 
 def copula_t_diag_log(m: Model, t: float, log_u):
@@ -148,15 +129,12 @@ def copula_t_diag_log(m: Model, t: float, log_u):
     if tau > 0:
         a = np.minimum(np.asarray(a) / math.exp(-tau), 1.0)
     c = core_mod.core_copula(m.core, a, a)
-    et = math.exp(-tau)
-    out = g.h_log(et * np.asarray(c)) - base_log
-    out = np.asarray(out, dtype=float)
-    return float(out) if out.ndim == 0 else out
+    return scalar_or_array(g.h_log(math.exp(-tau) * np.asarray(c)) - base_log)
 
 
 def singular_line_survival(m: Model, t: float, x):
     """S_t(x) = P(X = Y) h_tau(e^{-lambda x}): residual mass beyond x on the diagonal."""
-    if x < 0:
+    if not x >= 0:
         raise DomainError("x must be nonnegative")
     p0 = singular_mass(m.core)
     if p0 == 0.0:
@@ -238,24 +216,3 @@ def mo15_bridge(q: Mo15Params, slack: float = core_mod.DEFAULT_SLACK, label: str
         lam=q.lam, alpha=1.0, gamma1=q.lam1, gamma2=q.lam2, alpha1=a1, alpha2=a2, slack=slack
     )
     return Model(generator=Mo15Generator(xi=q.xi), core=core, label=label)
-
-
-def mo15_survival(q: Mo15Params, x, y):
-    """The piecewise closed form of the bivariate Gompertz survival function.
-
-    For x >= y:
-        exp(-xi (e^{lam y} - 1) - e^{lam y} xi1 (e^{lam1 (x-y)} - 1)),
-    symmetric (with xi2, lam2) for x < y.  Serves as the independent oracle for
-    the h(Gbar) composition produced by the bridge.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(x < 0) or np.any(y < 0):
-        raise DomainError("x and y must be nonnegative")
-    mn = np.minimum(x, y)
-    d = np.abs(x - y)
-    xi_side = np.where(x >= y, q.xi1, q.xi2)
-    lam_side = np.where(x >= y, q.lam1, q.lam2)
-    e = np.exp(q.lam * mn)
-    out = np.exp(-q.xi * (e - 1.0) - e * xi_side * np.expm1(lam_side * d))
-    return float(out) if np.ndim(out) == 0 else out

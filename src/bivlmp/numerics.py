@@ -5,6 +5,10 @@ Aitken extrapolation, and the package's one root finder, which inverts
 nonincreasing functions on [0, inf) elementwise with scipy's ``bracket_root``
 and ``find_root`` (Chandrupatla's method).  Everything here is a pure function
 of its inputs.
+
+The package's array conventions live here too: every public array function
+returns ``scalar_or_array(out)``, checks a probability argument with
+``in_unit`` and sets a copula's boundary values with ``copula_edges``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,30 @@ DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_INVERT_TOL = 1e-8
 LIMIT_BUDGET = 40
 SOLVE_BLOCK = 8192  # elements per solver call: scipy keeps ~20 work arrays per element
+
+
+def scalar_or_array(out):
+    """The return convention: a 0-d result as a Python float, anything else as a float array."""
+    out = np.asarray(out, dtype=float)
+    return float(out) if out.ndim == 0 else out
+
+
+def in_unit(x, what: str, slack: float = 0.0, open_at_0: bool = False) -> np.ndarray:
+    """x as a float array, or DomainError unless all of it lies in [-slack, 1 + slack].
+
+    With open_at_0 the interval is (0, 1 + slack].  NaN fails the check.
+    """
+    x = np.asarray(x, dtype=float)
+    above = x > 0.0 if open_at_0 else x >= -slack
+    if not np.all(above & (x <= 1.0 + slack)):
+        raise DomainError(f"{what} must lie in {'(0' if open_at_0 else '[0'}, 1]")
+    return x
+
+
+def copula_edges(u, v, out):
+    """out with a copula's exact boundary values: C(u, 0) = C(0, v) = 0, C(u, 1) = u, C(1, v) = v."""
+    out = np.where((u <= 0) | (v <= 0), 0.0, out)
+    return scalar_or_array(np.where(u >= 1, v, np.where(v >= 1, u, out)))
 
 
 @dataclass(frozen=True)

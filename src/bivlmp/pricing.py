@@ -17,13 +17,10 @@ the published benchmark table uses horizon = 100 years.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from . import generators as gen_mod
-from .core import marginal_survival
 from .errors import ConvergenceError, DomainError
-from .model import Model, fbar_marginal, residual_marginal
+from .model import Model, _residual_from_log, fbar_marginal, residual_marginal
 from .numerics import QuadratureResult, integrate_unit, integrate_upper
 
 PRICING_TOL = 1e-8
@@ -53,7 +50,7 @@ def _integrate(surv, lam: float, horizon, tol: float, what: str) -> float:
 
 def joint_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
 
     def surv(z):
@@ -64,20 +61,17 @@ def joint_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) ->
 
 def residual_joint_annuity(m: Model, t: float, tol: float = PRICING_TOL) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
     tau = m.tau(t)
 
     def surv(z):
-        denom = m.generator.h_from_log(-tau) if tau > 0 else 1.0
-        return float(m.generator.h_from_log(-m.lam * z - tau) / denom)
+        return _residual_from_log(m.generator, tau, -m.lam * z)
 
     return _integrate(surv, m.lam, None, tol, "conditional joint annuity integral")
 
 
 def independent_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) -> float:
     """Deferred premium under independence with the same marginals."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
 
     def surv(z):
@@ -92,9 +86,8 @@ def independent_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_T
 
 def residual_independent_annuity(m: Model, t: float, tol: float = PRICING_TOL) -> float:
     """Conditional independence benchmark: product of the residual marginals."""
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
-    tau = m.tau(t)
 
     def surv(z):
         return float(residual_marginal(m, 1, t, z) * residual_marginal(m, 2, t, z))

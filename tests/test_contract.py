@@ -1,0 +1,173 @@
+"""The array contract of the public numeric functions.
+
+Every array function returns a Python float for a scalar input and a float64
+array of the input's shape otherwise.  Copulas take their exact boundary
+values.  A NaN argument to a function that checks its domain raises
+DomainError.  The generator methods that take a log argument (h_log,
+h_log_prime, h_from_log, h_log_from_log, h_inverse_from_log) check no domain,
+as before: they are the inner loop of the quadratures and the root finder.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bivlmp import core, dependence, generators, model, pricing
+from bivlmp.config import builtin_models
+from bivlmp.core import mu_core
+from bivlmp.errors import DomainError
+from bivlmp.generators import (
+    MixingLaw,
+    generator_from_mixing,
+    generator_from_survival,
+    make_generator,
+    power_scaled,
+)
+
+MODELS = builtin_models()
+M = MODELS["mixing_gamma"]
+P = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
+
+GENERATORS = {
+    "identity": make_generator("identity"),
+    "weibull": make_generator("weibull", a=1.0, alpha=0.5),
+    "gompertz": make_generator("gompertz", xi=2.0, mu=1.5),
+    "mo15": make_generator("mo15", xi=2.0),
+    "pareto": make_generator("pareto", a=1.0, mu=1.0),
+    "logistic": make_generator("logistic", a=1.0, theta=0.5),
+    "log_series": make_generator("log_series", a=1.0, theta=10.0),
+    "arctan": make_generator("arctan", a=2.0),
+    "polynomial": make_generator("polynomial", coeffs=[0.0, 1.5, 0.0, -0.5]),
+    "sine": make_generator("sine", theta=1.0),
+    "mixing_gamma": generator_from_mixing(MixingLaw("gamma", {"a": 2.0}), 0.1),
+    "mixing_stable": generator_from_mixing(MixingLaw("positive_stable", {"a": 0.5}), 0.1),
+    "mixing_sibuya": generator_from_mixing(MixingLaw("sibuya", {"a": 0.5}), 0.1),
+    "mixing_log_series": generator_from_mixing(MixingLaw("log_series", {"theta": -0.5}), 0.1),
+    "from_survival": generator_from_survival(
+        lambda z: math.exp(-(z**1.5)), density=lambda z: 1.5 * z**0.5 * math.exp(-(z**1.5))
+    ),
+    "power_scaled": power_scaled(make_generator("gompertz", xi=1.5, mu=1.0), 2.0),
+}
+# each public generator method with a point of its domain
+METHODS = {
+    "h": 0.3, "h_inverse": 0.3, "h_prime": 0.3, "h_log": 0.3, "h_log_prime": 0.3,
+    "h_inverse_from_log": -0.7, "h_from_log": -0.7, "h_log_from_log": -0.7, "neg_log_h_inverse": 0.3,
+}
+G = GENERATORS["log_series"]
+
+# (name, function of one argument, a point of its domain)
+ARRAY_FUNCTIONS = [
+    ("core.gbar_log", lambda x: core.gbar_log(P, x, 2.0), 3.0),
+    ("core.gbar_eval", lambda x: core.gbar_eval(P, 1.0, x), 3.0),
+    ("core.marginal_survival", lambda x: core.marginal_survival(P, 1, x), 3.0),
+    ("core.marginal_density", lambda x: core.marginal_density(P, 2, x), 3.0),
+    ("core.marginal_quantile", lambda x: core.marginal_quantile(P, 1, x), 0.4),
+    ("core.marginal_quantile_log", lambda x: core.marginal_quantile_log(P, 2, x), -0.4),
+    ("core.core_copula", lambda x: core.core_copula(P, x, 0.6), 0.4),
+    ("core.weak_lmp_residual", lambda x: core.weak_lmp_residual(P, x, 1.0, 2.0), 3.0),
+    ("model.fbar", lambda x: model.fbar(M, x, 2.0), 3.0),
+    ("model.fbar_log", lambda x: model.fbar_log(M, 2.0, x), 3.0),
+    ("model.fbar_marginal", lambda x: model.fbar_marginal(M, 1, x), 3.0),
+    ("model.fbar_residual", lambda x: model.fbar_residual(M, 5.0, x, 2.0), 3.0),
+    ("model.residual_marginal", lambda x: model.residual_marginal(M, 2, 5.0, x), 3.0),
+    ("model.generalized_weak_residual", lambda x: model.generalized_weak_residual(M, 5.0, x, 2.0), 3.0),
+    ("model.copula_t", lambda x: model.copula_t(M, 5.0, 0.6, x), 0.4),
+    ("model.copula_t_diag_log", lambda x: model.copula_t_diag_log(M, 5.0, x), -0.9),
+    ("generators.time_distortion", lambda x: generators.time_distortion(G, 0.5, x), 0.4),
+    ("generators.residual_distortion", lambda x: generators.residual_distortion(G, 0.5, x), 0.4),
+    ("generators.residual_distortion_inverse", lambda x: generators.residual_distortion_inverse(G, 0.5, x), 0.4),
+    ("generators.residual_distortion_log_inverse",
+     lambda x: generators.residual_distortion_log_inverse(G, 0.5, x), 0.4),
+    ("generators.residual_distortion_prime", lambda x: generators.residual_distortion_prime(G, 0.5, x), 0.4),
+    ("generators.pseudo_product", lambda x: generators.pseudo_product(G, x, 0.6), 0.4),
+    ("dependence.j_integral_closed", lambda x: dependence.j_integral_closed(P, 1, x), 0.4),
+    ("dependence.kendall_closed_form", lambda x: dependence.kendall_closed_form(M, 5.0, x), 0.4),
+] + [
+    (f"{family}.{meth}", lambda x, g=g, meth=meth: getattr(g, meth)(x), point)
+    for family, g in GENERATORS.items()
+    for meth, point in METHODS.items()
+    if g.has_prime or "prime" not in meth
+]
+
+
+def _assert_contract(fn, point):
+    out = fn(point)
+    assert type(out) is float
+    arr = fn(np.array([point]))
+    assert isinstance(arr, np.ndarray) and arr.shape == (1,) and arr.dtype == np.float64
+    assert arr[0] == out
+
+
+@pytest.mark.parametrize("name,fn,point", ARRAY_FUNCTIONS, ids=[c[0] for c in ARRAY_FUNCTIONS])
+def test_scalar_in_float_out_array_in_array_out(name, fn, point):
+    _assert_contract(fn, point)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_copula_edges_exact(name):
+    m = MODELS[name]
+    u = np.array([0.0, 1e-9, 0.05, 0.3, 0.5, 0.7, 0.95, 1.0 - 1e-9, 1.0])
+    for t in (0.0, 1.0 / m.lam):
+        assert np.all(model.copula_t(m, t, u, 0.0) == 0.0)
+        assert np.all(model.copula_t(m, t, 0.0, u) == 0.0)
+        assert np.array_equal(model.copula_t(m, t, u, 1.0), u)
+        assert np.array_equal(model.copula_t(m, t, 1.0, u), u)
+    assert np.all(core.core_copula(m.core, u, 0.0) == 0.0)
+    assert np.array_equal(core.core_copula(m.core, u, 1.0), u)
+    assert np.array_equal(core.core_copula(m.core, 1.0, u), u)
+
+
+NAN = math.nan
+NAN_CALLS = [
+    ("core.gbar_log", lambda: core.gbar_log(P, NAN, 1.0)),
+    ("core.gbar_eval", lambda: core.gbar_eval(P, 1.0, NAN)),
+    ("core.marginal_survival", lambda: core.marginal_survival(P, 1, NAN)),
+    ("core.marginal_density", lambda: core.marginal_density(P, 2, np.array([1.0, NAN]))),
+    ("core.marginal_quantile", lambda: core.marginal_quantile(P, 1, NAN)),
+    ("core.marginal_quantile_log", lambda: core.marginal_quantile_log(P, 1, NAN)),
+    ("core.core_copula", lambda: core.core_copula(P, 0.5, NAN)),
+    ("core.weak_lmp_residual", lambda: core.weak_lmp_residual(P, 1.0, 1.0, NAN)),
+    ("model.tau", lambda: M.tau(NAN)),
+    ("model.fbar", lambda: model.fbar(M, NAN, 1.0)),
+    ("model.fbar_log", lambda: model.fbar_log(M, 1.0, NAN)),
+    ("model.fbar_marginal", lambda: model.fbar_marginal(M, 1, NAN)),
+    ("model.fbar_residual.t", lambda: model.fbar_residual(M, NAN, 1.0, 1.0)),
+    ("model.fbar_residual.x", lambda: model.fbar_residual(M, 1.0, NAN, 1.0)),
+    ("model.residual_marginal", lambda: model.residual_marginal(M, 1, 1.0, NAN)),
+    ("model.generalized_weak_residual", lambda: model.generalized_weak_residual(M, NAN, 1.0, 1.0)),
+    ("model.copula_t.t", lambda: model.copula_t(M, NAN, 0.5, 0.5)),
+    ("model.copula_t.u", lambda: model.copula_t(M, 1.0, NAN, 0.5)),
+    ("model.singular_line_survival", lambda: model.singular_line_survival(M, 1.0, NAN)),
+    ("model.mean_excess", lambda: model.mean_excess(M, 1, NAN)),
+    ("generators.time_distortion", lambda: generators.time_distortion(G, 0.5, NAN)),
+    ("generators.residual_distortion.t", lambda: generators.residual_distortion(G, NAN, 0.5)),
+    ("generators.residual_distortion.x", lambda: generators.residual_distortion(G, 0.5, NAN)),
+    ("generators.residual_distortion_inverse", lambda: generators.residual_distortion_inverse(G, 0.5, NAN)),
+    ("generators.residual_distortion_log_inverse",
+     lambda: generators.residual_distortion_log_inverse(G, 0.5, NAN)),
+    ("generators.residual_distortion_prime", lambda: generators.residual_distortion_prime(G, NAN, 0.5)),
+    ("generators.pseudo_product", lambda: generators.pseudo_product(G, 0.5, NAN)),
+    ("dependence.j_integral_closed", lambda: dependence.j_integral_closed(P, 1, NAN)),
+    ("dependence.j_integral", lambda: dependence.j_integral(M, 1, NAN, method="quadrature")),
+    ("dependence.kendall_function.s", lambda: dependence.kendall_function(M, 1.0, (0.5, NAN))),
+    ("dependence.kendall_function.t", lambda: dependence.kendall_function(M, NAN, (0.5,))),
+    ("dependence.kendall_tau", lambda: dependence.kendall_tau(M, NAN)),
+    ("dependence.tail_lower", lambda: dependence.tail_lower(M, NAN)),
+    ("dependence.tail_upper", lambda: dependence.tail_upper(M, NAN)),
+    ("pricing.joint_annuity", lambda: pricing.joint_annuity(M, NAN)),
+    ("pricing.independent_annuity", lambda: pricing.independent_annuity(M, NAN)),
+    ("pricing.residual_joint_annuity", lambda: pricing.residual_joint_annuity(M, NAN)),
+    ("pricing.residual_independent_annuity", lambda: pricing.residual_independent_annuity(M, NAN)),
+] + [
+    (f"{family}.{meth}", lambda g=g, meth=meth: getattr(g, meth)(NAN))
+    for family, g in GENERATORS.items()
+    for meth in ("h", "h_inverse", "h_prime", "neg_log_h_inverse")
+    if g.has_prime or meth != "h_prime"
+]
+
+
+@pytest.mark.parametrize("name,call", NAN_CALLS, ids=[c[0] for c in NAN_CALLS])
+def test_nan_raises_domain_error(name, call):
+    with pytest.raises(DomainError):
+        call()

@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 
 from bivlmp.core import (
     CoreParams,
-    StrongCore,
     core_copula,
-    core_copula_generic,
     gbar_eval,
+    gbar_log,
     marginal_density,
     marginal_quantile,
     marginal_quantile_log,
@@ -19,8 +18,6 @@ from bivlmp.core import (
     require_valid,
     singular_mass,
     singular_mass_raw,
-    strong_distortion,
-    strong_eval,
     validate_core,
     weak_lmp_residual,
 )
@@ -133,6 +130,13 @@ def test_copula_known_value():
     assert core_copula(p, 0.5, 0.5) == pytest.approx(3.0 / 7.0, abs=1e-6)
 
 
+def core_copula_generic(p, u, v):
+    """The composition route Gbar(Gbar1^-1(u), Gbar2^-1(v)); oracle for the closed form."""
+    x = marginal_quantile(p, 1, np.clip(u, 1e-300, 1.0))
+    y = marginal_quantile(p, 2, np.clip(v, 1e-300, 1.0))
+    return float(np.exp(gbar_log(p, x, y)))
+
+
 def test_copula_closed_matches_generic():
     rng = np.random.default_rng(7)
     u, v = rng.uniform(0.02, 0.98, 50), rng.uniform(0.02, 0.98, 50)
@@ -207,30 +211,3 @@ def test_core_two_increasing_property(raw):
         + gbar_eval(p, b[:, 0], b[:, 1])
     )
     assert np.min(mass) > -1e-9
-
-
-# -- strong solutions -------------------------------------------------------
-
-
-def test_strong_core_exponential():
-    s = StrongCore(hbar=lambda z: math.exp(-z), a=2.0)
-    assert strong_eval(s, 1.0, 1.0) == pytest.approx(math.exp(-3.0), rel=1e-12)
-    # memoryless base: the distortion is multiplication by the shift factor
-    v = np.linspace(0.1, 0.9, 9)
-    out = strong_distortion(s, 1.0, 0.5, v)
-    assert np.allclose(out, v, atol=1e-9)
-
-
-def test_strong_core_pareto_tail():
-    s = StrongCore(hbar=lambda z: 1.0 / (1.0 + z) ** 2, a=2.0)
-    assert strong_eval(s, 1.0, 1.0) == pytest.approx(1.0 / 16.0, rel=1e-12)
-    # strong equation: F(x+s, y+t) = d_{s,t}(F(x, y))
-    x, y, sh, th = 0.7, 0.4, 1.1, 0.6
-    lhs = strong_eval(s, x + sh, y + th)
-    rhs = strong_distortion(s, sh, th, strong_eval(s, x, y)) * strong_eval(s, sh, th)
-    assert lhs == pytest.approx(rhs, abs=1e-10)
-
-
-def test_strong_core_rejects_concave_survival():
-    with pytest.raises(ValidationError):
-        StrongCore(hbar=lambda z: max(0.0, 1.0 - z * z), a=1.0)

@@ -148,9 +148,11 @@ def test_closed_form_requires_capability(models):
     m2 = Model(generator=g, core=m.core, label="numeric-only")
     with pytest.raises(CapabilityError):
         kendall_closed_form(m2, 0.0, S_GRID)
-    # the quadrature route still works for such generators
+    # the quadrature route still works for such generators, and auto takes it
     k = kendall_function(m2, 0.0, (0.3, 0.6), source="quadrature")
     assert np.all(np.isfinite(k.k_values()))
+    auto = kendall_function(m2, 0.0, (0.3, 0.6))
+    assert auto.source == "quadrature" and auto.grid == k.grid
 
 
 def test_j_integral_dispatch(models):

@@ -16,7 +16,6 @@ from bivlmp.model import (
     generalized_weak_residual,
     mean_excess,
     mo15_bridge,
-    mo15_survival,
     residual_marginal,
     singular_line_survival,
 )
@@ -123,11 +122,44 @@ def test_tau_rescales_time(models):
 Q = Mo15Params(lam=1.0, lam1=1.0, lam2=1.0, xi=2.0, xi1=1.2, xi2=1.2)
 
 
+def mo15_survival(q: Mo15Params, x, y):
+    """The piecewise closed form of the bivariate Gompertz survival function.
+
+    For x >= y:
+        exp(-xi (e^{lam y} - 1) - e^{lam y} xi1 (e^{lam1 (x-y)} - 1)),
+    symmetric (with xi2, lam2) for x < y.  Serves as the independent oracle for
+    the h(Gbar) composition produced by the bridge.
+    """
+    mn = np.minimum(x, y)
+    xi_side = np.where(x >= y, q.xi1, q.xi2)
+    lam_side = np.where(x >= y, q.lam1, q.lam2)
+    e = np.exp(q.lam * mn)
+    return np.exp(-q.xi * (e - 1.0) - e * xi_side * np.expm1(lam_side * np.abs(x - y)))
+
+
 def test_mo15_bridge_matches_piecewise_closed_form():
     m = mo15_bridge(Q)
     xs = np.linspace(0.0, 4.0, 17)
     X, Y = np.meshgrid(xs, xs)
     assert np.allclose(fbar(m, X, Y), mo15_survival(Q, X, Y), atol=1e-13)
+
+
+def test_mo15_residual_at_large_age():
+    # at lam t = 6, h(e^-tau) = exp(-2 (e^6 - 1)) underflows; the residual
+    # survival is the ratio of the closed form at 40 digits
+    mp = pytest.importorskip("mpmath")
+    m = mo15_bridge(Q)
+    with mp.workdps(40):
+        def surv(x, y):
+            x, y = mp.mpf(x), mp.mpf(y)
+            e = mp.exp(min(x, y))
+            return mp.exp(-2 * (e - 1) - e * mp.mpf("1.2") * mp.expm1(abs(x - y)))
+
+        expect = float(surv(6.5, 6.3) / surv(6, 6))
+        margin = float(surv(6.5, 6) / surv(6, 6))
+    assert fbar_residual(m, 6.0, 0.5, 0.3) == pytest.approx(expect, rel=1e-11)
+    assert residual_marginal(m, 1, 6.0, 0.5) == pytest.approx(margin, rel=1e-11)
+    assert residual_marginal(m, 2, 6.0, 0.5) == pytest.approx(margin, rel=1e-11)
 
 
 def test_mo15_constraints_enforced():

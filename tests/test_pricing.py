@@ -119,3 +119,16 @@ def test_reference_orderings(models):
         assert joint_annuity(mr, t, horizon=REFERENCE_HORIZON) < independent_annuity(
             mr, t, horizon=REFERENCE_HORIZON
         )
+
+
+def test_mo15_residual_annuities_at_large_age(models):
+    # at lam t = 6, h(e^-tau) = exp(-2 (e^6 - 1)) underflows.  Given both alive,
+    # Fbar_t(z, z) = exp(-c (e^z - 1)) with c = xi e^6, and the product of the
+    # residual margins has the same form with c = 2 xi_1 e^6; both integrate to
+    # e^c E_1(c).
+    mp = pytest.importorskip("mpmath")
+    m = models["mo15"]
+    with mp.workdps(40):
+        joint, independent = (float(mp.exp(c) * mp.e1(c)) for c in (2 * mp.exp(6), mp.mpf("2.4") * mp.exp(6)))
+    assert residual_joint_annuity(m, 6.0) == pytest.approx(joint, rel=1e-10)
+    assert residual_independent_annuity(m, 6.0) == pytest.approx(independent, rel=1e-10)
