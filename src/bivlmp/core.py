@@ -136,8 +136,8 @@ def gbar_log(p: CoreParams, x, y):
     gamma = np.where(d >= 0, p.gamma1, p.gamma2)
     aw = np.where(d >= 0, p.alpha1, p.alpha2)
     z = np.abs(d)
-    # log(alpha_i + (1-alpha_i) e^{gamma z}) computed overflow-safe
-    inner = gamma * z + np.log1p(aw * np.exp(-gamma * z) / (1.0 - aw)) + np.log1p(-aw)
+    # log(alpha_i + (1-alpha_i) e^{gamma z}), overflow-safe and without cancellation as z -> 0
+    inner = gamma * z + np.log1p(aw * np.expm1(-gamma * z))
     return scalar_or_array(-p.lam * m - inner / p.alpha)
 
 
@@ -150,7 +150,7 @@ def gbar_eval(p: CoreParams, x, y):
 def marginal_survival(p: CoreParams, i: int, z):
     gamma, aw = _marg(p, i)
     z = _nonnegative(z)
-    inner = gamma * z + np.log1p(aw * np.exp(-gamma * z) / (1.0 - aw)) + math.log1p(-aw)
+    inner = gamma * z + np.log1p(aw * np.expm1(-gamma * z))
     return scalar_or_array(np.exp(-inner / p.alpha))
 
 
@@ -161,6 +161,12 @@ def marginal_density(p: CoreParams, i: int, z):
     base = aw + (1.0 - aw) * np.exp(gamma * z)
     out = (gamma * (1.0 - aw) / p.alpha) * np.exp(gamma * z) * base ** (-1.0 / p.alpha - 1.0)
     return scalar_or_array(out)
+
+
+def marginal_hazard(p: CoreParams, i: int, z):
+    """Hazard g_i / Gbar_i = (gamma_i / alpha) / (1 + alpha_i e^{-gamma_i z} / (1 - alpha_i)), finite at every z."""
+    gamma, aw = _marg(p, i)
+    return scalar_or_array((gamma / p.alpha) / (1.0 + aw * np.exp(-gamma * _nonnegative(z)) / (1.0 - aw)))
 
 
 def marginal_quantile(p: CoreParams, i: int, u):

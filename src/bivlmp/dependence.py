@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators as gen_mod
-from .core import CoreParams, marginal_density, marginal_quantile_log, marginal_survival
+from .core import CoreParams, marginal_hazard, marginal_quantile_log
 from .errors import CapabilityError, DomainError
 from .model import Model, copula_t, copula_t_diag_log
 from .numerics import in_unit, integrate_unit, limit_at_zero, scalar_or_array
@@ -80,20 +80,18 @@ def _j_closed_from_log(p: CoreParams, i: int, lv):
     return (gamma / p.alpha**2) * (aw * np.expm1(p.alpha * lv) - p.alpha * lv)
 
 
-def j_integral_quadrature(p: CoreParams, i: int, lv: float, tol: float = 1e-10) -> float:
-    """J_i(v) by quadrature up to the v-quantile, from lv = ln v so it keeps its digits near v = 1."""
-    if not (-math.inf < lv <= 0.0):
+def j_integral_quadrature(p: CoreParams, i: int, lv, tol: float = 1e-10):
+    """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
+    lv = np.asarray(lv, dtype=float)
+    if not np.all((lv > -math.inf) & (lv <= 0.0)):
         raise DomainError("ln v must lie in (-inf, 0]")
-    if lv == 0.0:
-        return 0.0
-    z_max = marginal_quantile_log(p, i, lv)
+    z_max = np.ravel(marginal_quantile_log(p, i, lv))
 
     def hazard_sq(u):
-        z = z_max * u
-        haz = marginal_density(p, i, z) / marginal_survival(p, i, z)
+        haz = marginal_hazard(p, i, z_max * u)
         return z_max * haz * haz
 
-    return integrate_unit(hazard_sq, tol=tol).value
+    return scalar_or_array(np.reshape(integrate_unit(hazard_sq, tol=tol).value, lv.shape))
 
 
 def j_integral(m: Model, i: int, v, method: str = "closed") -> float:
@@ -101,33 +99,22 @@ def j_integral(m: Model, i: int, v, method: str = "closed") -> float:
     if method == "closed":
         return j_integral_closed(m.core, i, v)
     if method == "quadrature":
-        return j_integral_quadrature(m.core, i, math.log(in_unit(v, "v", open_at_0=True)))
+        return j_integral_quadrature(m.core, i, np.log(in_unit(v, "v", open_at_0=True)))
     raise DomainError(f"unknown method {method!r}")
-
-
-_LOG_V_FLOOR = math.log(1e-300)
 
 
 def _kendall_values(m: Model, t: float, s, j_method: str):
     """Evaluate K_t pointwise; s may be scalar or array."""
     g = m.generator
-    if not g.has_prime:
-        raise CapabilityError(f"{g.family}: Kendall function needs the derivative capability")
     tau = m.tau(t)
     s = in_unit(s, "s", open_at_0=True)
-    lv = np.maximum(gen_mod.residual_distortion_log_inverse(g, tau, s), _LOG_V_FLOOR)
-    v = np.exp(lv)
-    if j_method == "closed":
-        j_sum = _j_closed_from_log(m.core, 1, lv) + _j_closed_from_log(m.core, 2, lv)
-    else:
-        j_sum = np.vectorize(
-            lambda li: j_integral_quadrature(m.core, 1, li) + j_integral_quadrature(m.core, 2, li)
-        )(lv)
-    bracket = 2.0 * lv + j_sum / m.lam
-    et = math.exp(-tau)
-    # h_t'(v) v = s * e^-tau * (h'/h)(e^-tau v) * v, in ratio form
-    factor = et * np.asarray(g.h_log_prime(et * v)) * v
-    return scalar_or_array(np.where(s >= 1.0, 1.0, s * (1.0 - factor * bracket)))
+    lv = gen_mod.residual_distortion_log_inverse(g, tau, s)
+    j_route = _j_closed_from_log if j_method == "closed" else j_integral_quadrature
+    bracket = 2.0 * lv + (j_route(m.core, 1, lv) + j_route(m.core, 2, lv)) / m.lam
+    # h_t'(v) v = s x h'(x)/h(x) at ln x = ln v - tau
+    with np.errstate(invalid="ignore"):
+        k = s * (1.0 - g.h_elasticity_from_log(lv - tau) * bracket)
+    return scalar_or_array(np.where(s >= 1.0, 1.0, k))
 
 
 def kendall_closed_form(m: Model, t: float, s):
@@ -159,12 +146,7 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "a
 
 def kendall_tau(m: Model, t: float, tol: float = 1e-9) -> float:
     """tau = 3 - 4 integral_0^1 K_t(s) ds."""
-
-    def k_at(s):
-        return float(_kendall_values(m, t, s, j_method="closed"))
-
-    val = integrate_unit(k_at, tol=tol).value
-    return 3.0 - 4.0 * val
+    return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, t, s, j_method="closed"), tol=tol).value
 
 
 # ---------------------------------------------------------------------------

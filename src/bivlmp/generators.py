@@ -39,6 +39,11 @@ def _unit_edges(x, out):
     return scalar_or_array(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)))
 
 
+def _log1mexp(x):
+    """ln(1 - e^x) for x <= 0, without cancellation at either end."""
+    return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+
+
 def _quiet(fn, *args):
     """fn(*args) with floating-point warnings off, under the return convention."""
     with np.errstate(all="ignore"):
@@ -66,18 +71,18 @@ class Generator:
     def _h_inv(self, u):
         raise NotImplementedError
 
-    def _h_lp(self, x):
-        """Logarithmic derivative h'(x)/h(x)."""
+    def _h_elasticity(self, lx):
+        """x h'(x) / h(x) at x = e^lx, from lx so that neither x nor h(x) has to be representable."""
         raise CapabilityError(f"{self.family}: derivative not available")
 
     def _h_prime(self, x):
-        return self._h(x) * self._h_lp(x)
+        return self._h(x) * self._h_elasticity(np.log(x)) / x
 
     def _h_log(self, x):
         return np.log(self._h(x))
 
     def _h_inv_from_log(self, lw):
-        return self._h_inv(np.exp(lw))
+        return np.exp(self._h_log_inv_from_log(lw))
 
     def _h_from_log(self, lw):
         """h(e^lw) for lw <= 0; families override it where e^lw underflowing loses real mass."""
@@ -86,9 +91,17 @@ class Generator:
     def _h_log_from_log(self, lw):
         return np.log(self._h_from_log(lw))
 
+    def _h_log_inv_from_log(self, lw):
+        """ln h^-1(e^lw); families override it where h^-1 underflows."""
+        return np.log(self._h_inv(np.exp(lw)))
+
     def _residual_log_inverse(self, t, u):
-        """ln h_t^-1(u) for u in (0, 1]; families with a closed form override this."""
-        return np.log(residual_distortion_inverse(self, t, u))
+        """ln h_t^-1(u) = t + ln h^-1(w) with ln w = ln u + ln h(e^-t), for u in (0, 1]."""
+        return t + self._h_log_inv_from_log(np.log(u) + self.h_log_from_log(-t))
+
+    def _residual_log(self, t, lw):
+        """ln h_t(e^lw) = ln h(e^{lw - t}) - ln h(e^-t); families with a closed form override this."""
+        return self.h_log_from_log(lw - t) - self.h_log_from_log(-t)
 
     def _h_pp(self, x):
         raise CapabilityError(f"{self.family}: second derivative not available")
@@ -114,7 +127,12 @@ class Generator:
 
     def h_log_prime(self, x):
         self._need_prime()
-        return _quiet(self._h_lp, _as_interior(x))
+        return _quiet(lambda v: self._h_elasticity(np.log(v)) / v, _as_interior(x))
+
+    def h_elasticity_from_log(self, lx):
+        """x h'(x) / h(x) at x = e^lx, lx <= 0: the slope of ln h against ln x."""
+        self._need_prime()
+        return _quiet(self._h_elasticity, np.minimum(np.asarray(lx, dtype=float), 0.0))
 
     def h_inverse_from_log(self, lw):
         out = _quiet(self._h_inv_from_log, np.asarray(lw, dtype=float))
@@ -180,8 +198,8 @@ class IdentityGenerator(Generator):
     def _h_inv(self, u):
         return u
 
-    def _h_lp(self, x):
-        return 1.0 / x
+    def _h_elasticity(self, lx):
+        return np.ones_like(lx)
 
     def _h_log(self, x):
         return np.log(x)
@@ -225,12 +243,12 @@ class StretchedExpGenerator(Generator):
     def _h_inv(self, u):
         return np.exp(-((-np.log(u)) ** (1.0 / self.shape)) / self.rate)
 
-    def _h_inv_from_log(self, lw):
-        return np.exp(-((-lw) ** (1.0 / self.shape)) / self.rate)
+    def _h_log_inv_from_log(self, lw):
+        return -((-lw) ** (1.0 / self.shape)) / self.rate
 
-    def _h_lp(self, x):
-        u = -np.log(x)
-        return self.shape * self.rate * (self.rate * u) ** (self.shape - 1.0) / x
+    def _h_elasticity(self, lx):
+        # np.power, not **: a scalar's ** can round apart from the array loop
+        return self.shape * self.rate * np.power(self.rate * -lx, self.shape - 1.0)
 
     def _h_from_log(self, lw):
         # depends on ln x only; avoids the e^lw underflow for shape < 1
@@ -268,8 +286,8 @@ class GompertzGenerator(Generator):
     def _h_inv_from_log(self, lw):
         return (1.0 - lw / self.xi) ** (-1.0 / self.mu)
 
-    def _h_lp(self, x):
-        return self.xi * self.mu * x ** (-self.mu - 1.0)
+    def _h_elasticity(self, lx):
+        return self.xi * self.mu * np.exp(-self.mu * lx)
 
     def _h_log_from_log(self, lw):
         # ln h(e^lw) = -xi (e^{-mu lw} - 1): finite long after h(e^lw) underflows
@@ -278,6 +296,10 @@ class GompertzGenerator(Generator):
     def _residual_log_inverse(self, t, u):
         # h_t is Gompertz again, with xi e^{mu t}; exact where h_t^-1(u) rounds to 1
         return -np.log1p(-math.exp(-self.mu * t) * np.log(u) / self.xi) / self.mu
+
+    def _residual_log(self, t, lw):
+        # -xi e^{mu t} expm1(-mu lw), not the difference of two terms of size xi e^{mu t}
+        return -self.xi * np.exp(self.mu * t) * np.expm1(-self.mu * lw)
 
 
 class Mo15Generator(GompertzGenerator):
@@ -319,11 +341,11 @@ class LogPowerGenerator(Generator):
     def _h_inv(self, u):
         return np.exp((1.0 - u ** (-1.0 / self.expo)) / self.coef)
 
-    def _h_inv_from_log(self, lw):
-        return np.exp((1.0 - np.exp(-lw / self.expo)) / self.coef)
+    def _h_log_inv_from_log(self, lw):
+        return -np.expm1(-lw / self.expo) / self.coef
 
-    def _h_lp(self, x):
-        return self.expo * self.coef / (x * (1.0 - self.coef * np.log(x)))
+    def _h_elasticity(self, lx):
+        return self.expo * self.coef / (1.0 - self.coef * lx)
 
     def neg_log_h_inverse(self, u):
         # closed form: -ln h^-1(u) = (u^(-1/expo) - 1) / coef, no underflow
@@ -359,9 +381,8 @@ class LogisticGenerator(Generator):
     def _h_inv(self, u):
         return (self.theta / (1.0 / u - 1.0 + self.theta)) ** (1.0 / self.a)
 
-    def _h_lp(self, x):
-        xa = x**self.a
-        return self.a * self.theta / (x * (self.theta + (1.0 - self.theta) * xa))
+    def _h_elasticity(self, lx):
+        return self.a * self.theta / (self.theta + (1.0 - self.theta) * np.exp(self.a * lx))
 
     def _h_from_log(self, lw):
         xa = np.exp(self.a * lw)
@@ -395,9 +416,12 @@ class LogSeriesGenerator(Generator):
     def _h_inv(self, u):
         return (np.expm1(u * math.log1p(self.theta)) / self.theta) ** (1.0 / self.a)
 
-    def _h_lp(self, x):
-        xa = x**self.a
-        return self.a * self.theta * xa / (x * (self.theta * xa + 1.0) * np.log1p(self.theta * xa))
+    def _h_log_inv_from_log(self, lw):
+        return np.log(np.expm1(np.exp(lw) * math.log1p(self.theta)) / self.theta) / self.a
+
+    def _h_elasticity(self, lx):
+        y = self.theta * np.exp(self.a * lx)  # y / log1p(y) -> 1 as y -> 0
+        return self.a / (1.0 + y) * np.where(y == 0.0, 1.0, y / np.log1p(y))
 
     def _h_from_log(self, lw):
         return np.log1p(self.theta * np.exp(self.a * lw)) / math.log1p(self.theta)
@@ -423,9 +447,9 @@ class ArctanGenerator(Generator):
     def _h_inv(self, u):
         return np.tan(math.pi * u / 4.0) ** (1.0 / self.a)
 
-    def _h_lp(self, x):
-        xa = x**self.a
-        return self.a * xa / (x * (1.0 + xa * xa) * np.arctan(xa))
+    def _h_elasticity(self, lx):
+        y = np.exp(self.a * lx)  # y / arctan(y) -> 1 as y -> 0
+        return self.a / (1.0 + y * y) * np.where(y == 0.0, 1.0, y / np.arctan(y))
 
     def _h_from_log(self, lw):
         return (4.0 / math.pi) * np.arctan(np.exp(self.a * lw))
@@ -454,10 +478,14 @@ class SibuyaMixingGenerator(Generator):
     def _h_inv(self, u):
         return np.exp(np.log(-np.expm1(np.log1p(-u) / self.a)) / self.ratio)
 
-    def _h_lp(self, x):
-        xr = x**self.ratio
-        one_m = 1.0 - xr
-        return self.a * self.ratio * xr * one_m ** (self.a - 1.0) / (x * (1.0 - one_m**self.a))
+    def _h_elasticity(self, lx):
+        log_one_m = _log1mexp(self.ratio * lx)  # ln(1 - x^ratio)
+        return (self.a * self.ratio * np.exp(self.ratio * lx + (self.a - 1.0) * log_one_m)
+                / -np.expm1(self.a * log_one_m))
+
+    def _h_log_inv_from_log(self, lw):
+        # ln(1 - e^x) at both steps keeps the digits of w near 1 and near 0
+        return _log1mexp(_log1mexp(lw) / self.a) / self.ratio
 
     def _h_from_log(self, lw):
         # x^ratio = e^{ratio lw} stays representable far past where e^lw underflows
@@ -498,9 +526,10 @@ class PolynomialGenerator(Generator):
         # h(e^-z) decreases on [0, inf); solving for z = -ln x keeps digits near x = 1
         return np.exp(-solve_decreasing_batch(lambda z: self._h(np.exp(-z)), u))
 
-    def _h_lp(self, x):
+    def _h_elasticity(self, lx):
+        x = _as_interior(np.exp(lx))
         d = np.polyder(np.poly1d(self.coeffs[::-1]))
-        return np.polyval(d.coeffs, x) / np.polyval(self.coeffs[::-1], x)
+        return x * np.polyval(d.coeffs, x) / np.polyval(self.coeffs[::-1], x)
 
     def _h_pp(self, x):
         d2 = np.polyder(np.poly1d(self.coeffs[::-1]), 2)
@@ -532,8 +561,9 @@ class SineGenerator(Generator):
     def _h_inv(self, u):
         return np.arcsin(u * math.sin(self.theta)) / self.theta
 
-    def _h_lp(self, x):
-        return self.theta / np.tan(self.theta * x)
+    def _h_elasticity(self, lx):
+        x = _as_interior(np.exp(lx))
+        return self.theta * x / np.tan(self.theta * x)
 
     def _h_pp(self, x):
         return -self.theta**2 * np.sin(self.theta * x) / math.sin(self.theta)
@@ -568,11 +598,9 @@ class SurvivalGenerator(Generator):
     def _h_inv(self, u):
         return np.exp(-solve_decreasing_batch(np.vectorize(self.survival, otypes=[float]), u))
 
-    def _h_lp(self, x):
-        z = -np.log(x)
-        sv = np.vectorize(self.survival, otypes=[float])(z)
-        dv = np.vectorize(self.density, otypes=[float])(z)
-        return dv / (x * sv)
+    def _h_elasticity(self, lx):
+        # x h'(x) / h(x) = density(z) / survival(z) at z = -ln x
+        return np.vectorize(self.density, otypes=[float])(-lx) / np.vectorize(self.survival, otypes=[float])(-lx)
 
 
 class PowerScaledGenerator(Generator):
@@ -604,8 +632,8 @@ class PowerScaledGenerator(Generator):
     def _h_inv(self, u):
         return self.base._h_inv(u) ** (1.0 / self.beta)
 
-    def _h_lp(self, x):
-        return self.beta * x ** (self.beta - 1.0) * self.base._h_lp(x**self.beta)
+    def _h_elasticity(self, lx):
+        return self.beta * self.base._h_elasticity(self.beta * lx)
 
     def _h_from_log(self, lw):
         return self.base._h_from_log(self.beta * lw)
@@ -766,10 +794,16 @@ def residual_distortion_inverse(g: Generator, t: float, u):
 
 def residual_distortion_log_inverse(g: Generator, t: float, u):
     """ln h_t^-1(u) for u in (0, 1], accurate where h_t^-1(u) is within rounding of 1."""
-    u = in_unit(u, "u", _SLACK, open_at_0=True)
+    u = np.minimum(in_unit(u, "u", _SLACK, open_at_0=True), 1.0)
     _check_t(t)
-    with np.errstate(divide="ignore"):
-        return scalar_or_array(g._residual_log_inverse(t, np.minimum(u, 1.0)))
+    with np.errstate(all="ignore"):
+        return scalar_or_array(np.where(u == 1.0, 0.0, np.minimum(g._residual_log_inverse(t, u), 0.0)))
+
+
+def residual_distortion_log(g: Generator, t: float, lw):
+    """ln h_t(e^lw) for lw <= 0, finite where h(e^-t) underflows."""
+    with np.errstate(all="ignore"):
+        return scalar_or_array(g._residual_log(t, np.minimum(lw, 0.0)))
 
 
 def residual_distortion_prime(g: Generator, t: float, x):

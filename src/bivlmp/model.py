@@ -21,7 +21,7 @@ import numpy as np
 from . import core as core_mod
 from . import generators as gen_mod
 from .core import CoreParams, gbar_log, require_valid, singular_mass
-from .errors import ConvergenceError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .generators import Generator, Mo15Generator
 from .numerics import copula_edges, in_unit, integrate_upper, scalar_or_array
 
@@ -70,9 +70,8 @@ def fbar_marginal(m: Model, i: int, z):
 
 
 def _residual_from_log(g: Generator, tau: float, lw):
-    """h_tau(e^lw) = h(e^{lw - tau}) / h(e^-tau), as the exp of a difference of logs."""
-    with np.errstate(all="ignore"):
-        return scalar_or_array(np.exp(g.h_log_from_log(lw - tau) - g.h_log_from_log(-tau)))
+    """h_tau(e^lw) = h(e^{lw - tau}) / h(e^-tau), as the exp of its log."""
+    return scalar_or_array(np.exp(gen_mod.residual_distortion_log(g, tau, lw)))
 
 
 def fbar_residual(m: Model, t: float, x, y):
@@ -143,6 +142,11 @@ def singular_line_survival(m: Model, t: float, x):
     return p0 * gen_mod.residual_distortion(m.generator, tau, math.exp(-m.lam * x))
 
 
+def decay_rate(m: Model, t: float) -> float:
+    """1/z for the z where Fbar_t(z, z) = 1/e: the scale every half-line quadrature at age t runs on."""
+    return m.lam / -gen_mod.residual_distortion_log_inverse(m.generator, m.tau(t), math.exp(-1.0))
+
+
 def mean_excess(m: Model, i: int, t: float, tol: float = 1e-10) -> float:
     """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz.
 
@@ -151,24 +155,13 @@ def mean_excess(m: Model, i: int, t: float, tol: float = 1e-10) -> float:
     """
     if i not in (1, 2):
         raise DomainError("margin index must be 1 or 2")
-    tau = m.tau(t)
-
-    def surv(z):
-        return float(residual_marginal(m, i, t, z))
-
     z1, z2 = 150.0 / m.lam, 600.0 / m.lam
-    s_big, s_big2 = surv(z1), surv(z2)
+    s_big, s_big2 = residual_marginal(m, i, t, np.array([z1, z2]))
     if s_big > 0.0 and s_big2 > 0.0:
         expo = -(math.log(s_big2) - math.log(s_big)) / math.log(z2 / z1)
         if expo <= 1.05:
             return math.inf
-    try:
-        res = integrate_upper(surv, tol=tol, rate=m.lam)
-    except ConvergenceError as exc:
-        if exc.estimate is not None and math.isfinite(exc.estimate) and exc.estimate > 1e6:
-            return math.inf
-        raise
-    return res.value
+    return integrate_upper(lambda z: residual_marginal(m, i, t, z), tol=tol, rate=decay_rate(m, t)).value
 
 
 # ---------------------------------------------------------------------------

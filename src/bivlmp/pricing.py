@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .model import Model, _residual_from_log, fbar_marginal, residual_marginal
-from .numerics import QuadratureResult, integrate_unit, integrate_upper
+from .model import Model, _residual_from_log, decay_rate, fbar_marginal, residual_marginal
+from .numerics import integrate_unit, integrate_upper
 
 PRICING_TOL = 1e-8
 
@@ -34,14 +34,14 @@ class PricingQuote:
     model_label: str = ""
 
 
-def _integrate(surv, lam: float, horizon, tol: float, what: str) -> float:
+def _integrate(surv, m: Model, t: float, horizon, tol: float, what: str) -> float:
+    """Integral of surv over [0, horizon), or over [0, inf) on the decay scale of m at age t."""
     try:
         if horizon is None:
-            return integrate_upper(surv, tol=tol, rate=lam).value
+            return integrate_upper(surv, tol=tol, rate=decay_rate(m, t)).value
         if horizon <= 0:
             raise DomainError("horizon must be positive")
-        res: QuadratureResult = integrate_unit(lambda u: horizon * surv(horizon * u), tol=tol)
-        return res.value
+        return integrate_unit(lambda u: horizon * surv(horizon * u), tol=tol).value
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate
@@ -52,58 +52,38 @@ def joint_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) ->
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
     if not t >= 0:
         raise DomainError("t must be nonnegative")
-
-    def surv(z):
-        return float(m.generator.h_from_log(-m.lam * (z + t)))
-
-    return _integrate(surv, m.lam, None if horizon is None else horizon - t, tol, "joint annuity integral")
+    return _integrate(lambda z: m.generator.h_from_log(-m.lam * (z + t)), m, t,
+                      None if horizon is None else horizon - t, tol, "joint annuity integral")
 
 
 def residual_joint_annuity(m: Model, t: float, tol: float = PRICING_TOL) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
     tau = m.tau(t)
-
-    def surv(z):
-        return _residual_from_log(m.generator, tau, -m.lam * z)
-
-    return _integrate(surv, m.lam, None, tol, "conditional joint annuity integral")
+    return _integrate(lambda z: _residual_from_log(m.generator, tau, -m.lam * z), m, t, None, tol,
+                      "conditional joint annuity integral")
 
 
 def independent_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) -> float:
     """Deferred premium under independence with the same marginals."""
     if not t >= 0:
         raise DomainError("t must be nonnegative")
-
-    def surv(z):
-        s1 = fbar_marginal(m, 1, z + t)
-        s2 = fbar_marginal(m, 2, z + t)
-        return float(s1 * s2)
-
-    return _integrate(
-        surv, m.lam, None if horizon is None else horizon - t, tol, "independent annuity integral"
-    )
+    return _integrate(lambda z: fbar_marginal(m, 1, z + t) * fbar_marginal(m, 2, z + t), m, t,
+                      None if horizon is None else horizon - t, tol, "independent annuity integral")
 
 
 def residual_independent_annuity(m: Model, t: float, tol: float = PRICING_TOL) -> float:
     """Conditional independence benchmark: product of the residual marginals."""
     if not t >= 0:
         raise DomainError("t must be nonnegative")
-
-    def surv(z):
-        return float(residual_marginal(m, 1, t, z) * residual_marginal(m, 2, t, z))
-
-    return _integrate(surv, m.lam, None, tol, "conditional independent annuity integral")
+    return _integrate(lambda z: residual_marginal(m, 1, t, z) * residual_marginal(m, 2, t, z), m, t, None, tol,
+                      "conditional independent annuity integral")
 
 
 def life_expectancy(m: Model, i: int, horizon=None, tol: float = PRICING_TOL) -> float:
     """Mean of lifetime i: integral of h(Gbar_i), optionally up to a limiting age."""
     if i not in (1, 2):
         raise DomainError("margin index must be 1 or 2")
-
-    def surv(z):
-        return float(fbar_marginal(m, i, z))
-
-    return _integrate(surv, m.lam, horizon, tol, "life expectancy integral")
+    return _integrate(lambda z: fbar_marginal(m, i, z), m, 0.0, horizon, tol, "life expectancy integral")
 
 
 def premium_table(m: Model, ts, horizon=None) -> list:

@@ -4,7 +4,8 @@ Every array function returns a Python float for a scalar input and a float64
 array of the input's shape otherwise.  Copulas take their exact boundary
 values.  A NaN argument to a function that checks its domain raises
 DomainError.  The generator methods that take a log argument (h_log,
-h_log_prime, h_from_log, h_log_from_log, h_inverse_from_log) check no domain,
+h_log_prime, h_from_log, h_log_from_log, h_inverse_from_log,
+h_elasticity_from_log) and residual_distortion_log check no domain,
 as before: they are the inner loop of the quadratures and the root finder.
 """
 
@@ -53,6 +54,7 @@ GENERATORS = {
 METHODS = {
     "h": 0.3, "h_inverse": 0.3, "h_prime": 0.3, "h_log": 0.3, "h_log_prime": 0.3,
     "h_inverse_from_log": -0.7, "h_from_log": -0.7, "h_log_from_log": -0.7, "neg_log_h_inverse": 0.3,
+    "h_elasticity_from_log": -0.7,
 }
 G = GENERATORS["log_series"]
 
@@ -62,6 +64,7 @@ ARRAY_FUNCTIONS = [
     ("core.gbar_eval", lambda x: core.gbar_eval(P, 1.0, x), 3.0),
     ("core.marginal_survival", lambda x: core.marginal_survival(P, 1, x), 3.0),
     ("core.marginal_density", lambda x: core.marginal_density(P, 2, x), 3.0),
+    ("core.marginal_hazard", lambda x: core.marginal_hazard(P, 2, x), 3.0),
     ("core.marginal_quantile", lambda x: core.marginal_quantile(P, 1, x), 0.4),
     ("core.marginal_quantile_log", lambda x: core.marginal_quantile_log(P, 2, x), -0.4),
     ("core.core_copula", lambda x: core.core_copula(P, x, 0.6), 0.4),
@@ -80,8 +83,10 @@ ARRAY_FUNCTIONS = [
     ("generators.residual_distortion_log_inverse",
      lambda x: generators.residual_distortion_log_inverse(G, 0.5, x), 0.4),
     ("generators.residual_distortion_prime", lambda x: generators.residual_distortion_prime(G, 0.5, x), 0.4),
+    ("generators.residual_distortion_log", lambda x: generators.residual_distortion_log(G, 0.5, x), -0.4),
     ("generators.pseudo_product", lambda x: generators.pseudo_product(G, x, 0.6), 0.4),
     ("dependence.j_integral_closed", lambda x: dependence.j_integral_closed(P, 1, x), 0.4),
+    ("dependence.j_integral_quadrature", lambda x: dependence.j_integral_quadrature(P, 1, x), -0.9),
     ("dependence.kendall_closed_form", lambda x: dependence.kendall_closed_form(M, 5.0, x), 0.4),
 ] + [
     (f"{family}.{meth}", lambda x, g=g, meth=meth: getattr(g, meth)(x), point)
@@ -124,6 +129,7 @@ NAN_CALLS = [
     ("core.gbar_eval", lambda: core.gbar_eval(P, 1.0, NAN)),
     ("core.marginal_survival", lambda: core.marginal_survival(P, 1, NAN)),
     ("core.marginal_density", lambda: core.marginal_density(P, 2, np.array([1.0, NAN]))),
+    ("core.marginal_hazard", lambda: core.marginal_hazard(P, 1, NAN)),
     ("core.marginal_quantile", lambda: core.marginal_quantile(P, 1, NAN)),
     ("core.marginal_quantile_log", lambda: core.marginal_quantile_log(P, 1, NAN)),
     ("core.core_copula", lambda: core.core_copula(P, 0.5, NAN)),
@@ -140,6 +146,7 @@ NAN_CALLS = [
     ("model.copula_t.u", lambda: model.copula_t(M, 1.0, NAN, 0.5)),
     ("model.singular_line_survival", lambda: model.singular_line_survival(M, 1.0, NAN)),
     ("model.mean_excess", lambda: model.mean_excess(M, 1, NAN)),
+    ("model.decay_rate", lambda: model.decay_rate(M, NAN)),
     ("generators.time_distortion", lambda: generators.time_distortion(G, 0.5, NAN)),
     ("generators.residual_distortion.t", lambda: generators.residual_distortion(G, NAN, 0.5)),
     ("generators.residual_distortion.x", lambda: generators.residual_distortion(G, 0.5, NAN)),
@@ -150,6 +157,7 @@ NAN_CALLS = [
     ("generators.pseudo_product", lambda: generators.pseudo_product(G, 0.5, NAN)),
     ("dependence.j_integral_closed", lambda: dependence.j_integral_closed(P, 1, NAN)),
     ("dependence.j_integral", lambda: dependence.j_integral(M, 1, NAN, method="quadrature")),
+    ("dependence.j_integral_quadrature", lambda: dependence.j_integral_quadrature(P, 1, np.array([-0.5, NAN]))),
     ("dependence.kendall_function.s", lambda: dependence.kendall_function(M, 1.0, (0.5, NAN))),
     ("dependence.kendall_function.t", lambda: dependence.kendall_function(M, NAN, (0.5,))),
     ("dependence.kendall_tau", lambda: dependence.kendall_tau(M, NAN)),

@@ -25,6 +25,8 @@ from bivlmp.model import Model, Mo15Params, mo15_bridge
 from bivlmp.sampler import sample_model
 
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
+CONFIG_NAMES = ("identity_mu", "mixing_gamma", "mixing_stable", "mixing_sibuya", "mixing_logseries", "mo15",
+                "fig1_left", "fig1_right", "weibull_mu", "pareto_mu")
 S_GRID = np.linspace(0.05, 0.95, 19)
 
 
@@ -52,12 +54,14 @@ def test_j_integral_routes_agree_on_grid():
 
 
 def test_kendall_dual_pipeline_sample(models):
-    for name in ("identity_mu", "mixing_gamma"):
+    # the two routes differ only in how J_i is integrated, so they agree to rounding
+    s = np.linspace(0.02, 0.98, 49)
+    for name in CONFIG_NAMES:
         m = models[name]
-        for t in (0.0, 5.0):
-            closed = kendall_function(m, t, S_GRID, source="closed_form")
-            quad = kendall_function(m, t, S_GRID, source="quadrature")
-            assert np.max(np.abs(closed.k_values() - quad.k_values())) < 1e-6, (name, t)
+        for t in (0.0, 5.0, 2.0 / m.lam):
+            closed = kendall_function(m, t, s, source="closed_form")
+            quad = kendall_function(m, t, s, source="quadrature")
+            assert np.max(np.abs(closed.k_values() - quad.k_values())) <= 1e-12, (name, t)
             assert closed.source == "closed_form" and quad.source == "quadrature"
 
 
@@ -214,3 +218,44 @@ def test_identity_tails_lemma_vs_numeric(models):
 def test_tail_report_properties(models):
     rep = tail_lower(models["identity_mu"], 1.0)
     assert rep.lambda_l == rep.value and rep.lambda_u is None
+
+
+def test_kendall_tau_pinned(models):
+    # 30-digit mpmath integrals of the closed K_t over (0, 1)
+    for name, lam_t, expect in (("pareto_mu", 2.0, 0.88041544590071118), ("mixing_gamma", 2.0, 0.90435354875805561),
+                                ("pareto_mu", 0.0, 0.80121754589226864)):
+        m = models[name]
+        assert kendall_tau(m, lam_t / m.lam) == pytest.approx(expect, abs=1e-10), (name, lam_t)
+
+
+EXTREME_S = (1e-300, 1e-100, 1e-30, 1e-15, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12)
+
+
+@pytest.mark.parametrize(
+    "name,lam_t,s",
+    [
+        (name, lam_t, s)
+        for name in CONFIG_NAMES
+        for lam_t in (0.0, 2.0)
+        for s in EXTREME_S
+        # fig1_left's negative core singular mass puts its K_t above 1 near s = 1
+        # (notes/decisions.md)
+        if not (name == "fig1_left" and s > 0.5)
+    ],
+)
+def test_kendall_finite_at_extreme_s(models, name, lam_t, s):
+    # the quadrature of tau evaluates K_t at nodes down to ~1e-275 and within 1e-16 of 1
+    m = models[name]
+    k = kendall_closed_form(m, lam_t / m.lam, s)
+    assert math.isfinite(k) and s <= k <= 1.0
+
+
+def test_mo15_kendall_free_of_age(models):
+    # the MU core with alpha = 1 makes C_t of mo15 the same at every age; h_t'(v) v
+    # comes from ln v - tau, so nothing overflows until e^-tau itself underflows
+    m = models["mo15"]
+    k0 = kendall_function(m, 0.0, S_GRID).k_values()
+    for lam_t in (40.0, 400.0, 700.0):
+        t = lam_t / m.lam
+        assert np.allclose(kendall_function(m, t, S_GRID).k_values(), k0, rtol=0.0, atol=1e-12), lam_t
+        assert kendall_tau(m, t) == pytest.approx(0.2, abs=1e-12), lam_t

@@ -17,18 +17,18 @@ from bivlmp.numerics import (
 
 
 def test_integrate_upper_exponential():
-    res = integrate_upper(lambda z: math.exp(-z))
+    res = integrate_upper(lambda z: np.exp(-z))
     assert res.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_integrate_upper_gamma_density():
-    res = integrate_upper(lambda z: z * math.exp(-z))
+    res = integrate_upper(lambda z: z * np.exp(-z))
     assert res.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_integrate_upper_respects_rate_scaling():
     lam = 0.05
-    res = integrate_upper(lambda z: math.exp(-lam * z), rate=lam)
+    res = integrate_upper(lambda z: np.exp(-lam * z), rate=lam)
     assert res.value == pytest.approx(1.0 / lam, rel=1e-10)
 
 
@@ -40,6 +40,47 @@ def test_integrate_unit_polynomial():
 def test_integrate_upper_rejects_nan():
     with pytest.raises(DomainError):
         integrate_upper(lambda z: float("nan"))
+
+
+def test_integrate_unit_rejects_nan_at_one_node():
+    with pytest.raises(DomainError):
+        integrate_unit(lambda u: np.where(u > 0.5, np.nan, u))
+
+
+def test_integrate_batch_of_columns():
+    # m columns integrate m functions in one call, each to its own tolerance
+    powers = np.array([0.0, 1.0, 2.5, -0.5])
+    res = integrate_unit(lambda u: u**powers)
+    assert res.value.shape == (4,)
+    assert np.allclose(res.value, 1.0 / (powers + 1.0), rtol=1e-12, atol=0.0)
+    rates = np.array([1e-3, 1.0, 40.0])
+    res = integrate_upper(lambda z: np.exp(-rates * z), rate=1e-2)
+    assert np.allclose(res.value, 1.0 / rates, rtol=1e-12, atol=0.0)
+    assert isinstance(res.evaluations, int) and res.evaluations % 3 == 0
+
+
+def test_integrate_single_column_is_a_float():
+    res = integrate_unit(lambda u: 3.0 * u * u)
+    assert isinstance(res.value, float) and res.value == pytest.approx(1.0, rel=1e-14)
+    assert res.abs_error_estimate <= 1e-10
+
+
+def test_integrate_without_convergence_raises():
+    # 1/u is not integrable: every level adds about as much as the last
+    with pytest.raises(ConvergenceError):
+        integrate_unit(lambda u: 1.0 / u)
+    # nor is 1/(1 + z) on the half line: the estimate stops at the last nodes
+    with pytest.raises(ConvergenceError) as exc:
+        integrate_upper(lambda z: 1.0 / (1.0 + z))
+    assert exc.value.estimate > 100.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+def test_integrate_rejects_bad_tol_and_rate(bad):
+    with pytest.raises(DomainError):
+        integrate_unit(lambda u: u, tol=bad)
+    with pytest.raises(DomainError):
+        integrate_upper(lambda z: np.exp(-z), rate=bad)
 
 
 def test_invert_monotone_decreasing():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bivlmp.model import fbar
+from bivlmp.model import fbar, mean_excess
 from bivlmp.pricing import (
     REFERENCE_HORIZON,
     REFERENCE_PREMIUMS,
@@ -132,3 +132,36 @@ def test_mo15_residual_annuities_at_large_age(models):
         joint, independent = (float(mp.exp(c) * mp.e1(c)) for c in (2 * mp.exp(6), mp.mpf("2.4") * mp.exp(6)))
     assert residual_joint_annuity(m, 6.0) == pytest.approx(joint, rel=1e-10)
     assert residual_independent_annuity(m, 6.0) == pytest.approx(independent, rel=1e-10)
+
+
+def _exp_e1(c):
+    """e^c E_1(c) for c >= 2e4: the asymptotic series sum_k (-1)^k k! / c^(k+1) is exact to rounding by k = 8."""
+    return sum((-1) ** k * math.factorial(k) / c ** (k + 1) for k in range(8))
+
+
+@pytest.mark.parametrize("lam_t", [10.0, 20.0])
+def test_mo15_residual_quantities_far_out(models, lam_t):
+    # Fbar_t(z, z) = exp(-c (e^{lam z} - 1)) with c = xi e^{lam t}; the product of
+    # the residual margins and margin 1 alone have the same form with c = 2 xi_1 e^{lam t}
+    # and c = xi_1 e^{lam t} (xi_i = xi (1 - alpha_i), gamma_i = lam = 1).  Each integrates
+    # to e^c E_1(c) / lam, down to 1e-9 at lam t = 20, where h(e^-tau) underflows.
+    m = models["mo15"]
+    t = lam_t / m.lam
+    xi, xi1 = m.generator.xi, m.generator.xi * (1.0 - m.core.alpha1)
+    assert residual_joint_annuity(m, t) == pytest.approx(_exp_e1(xi * math.exp(lam_t)) / m.lam, rel=1e-9)
+    assert residual_independent_annuity(m, t) == pytest.approx(_exp_e1(2 * xi1 * math.exp(lam_t)) / m.lam, rel=1e-9)
+    assert mean_excess(m, 1, t) == pytest.approx(_exp_e1(xi1 * math.exp(lam_t)) / m.lam, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "name,lam_t,expect",
+    [
+        # 30-digit mpmath integrals of h(Gbar_1(z)) h(Gbar_2(z)) from t to infinity
+        ("mixing_gamma", 0.0, 35.487349634607993),
+        ("fig1_left", 20.0, 3.6582162969356709e-11),
+        ("fig1_right", 20.0, 7.3671709615319757e-9),
+    ],
+)
+def test_independent_annuity_pinned(models, name, lam_t, expect):
+    m = models[name]
+    assert independent_annuity(m, lam_t / m.lam) == pytest.approx(expect, rel=1e-10)
