@@ -147,11 +147,14 @@ def gbar_eval(p: CoreParams, x, y):
     return scalar_or_array(np.exp(gbar_log(p, x, y)))
 
 
-def marginal_survival(p: CoreParams, i: int, z):
+def _marginal_log(p: CoreParams, i: int, z):
+    """ln Gbar_i(z) for z >= 0, unchecked."""
     gamma, aw = _marg(p, i)
-    z = _nonnegative(z)
-    inner = gamma * z + np.log1p(aw * np.expm1(-gamma * z))
-    return scalar_or_array(np.exp(-inner / p.alpha))
+    return -(gamma * z + np.log1p(aw * np.expm1(-gamma * z))) / p.alpha
+
+
+def marginal_survival(p: CoreParams, i: int, z):
+    return scalar_or_array(np.exp(_marginal_log(p, i, _nonnegative(z))))
 
 
 def marginal_density(p: CoreParams, i: int, z):
@@ -180,13 +183,18 @@ def marginal_quantile_log(p: CoreParams, i: int, lu):
     Working from lu keeps the digits of u near 1.  Where e^{-alpha lu}
     overflows, z = (-alpha lu - ln(1 - alpha_i))/gamma_i to double precision.
     """
-    gamma, aw = _marg(p, i)
-    a = -p.alpha * np.asarray(lu, dtype=float)
-    if not np.all(a >= 0.0):
+    lu = np.asarray(lu, dtype=float)
+    if not np.all(lu <= 0.0):
         raise DomainError("ln u must be nonpositive")
+    return scalar_or_array(_log_a(p, i, lu) / _marg(p, i)[0])
+
+
+def _log_a(p: CoreParams, i: int, lu):
+    """ln((u^-alpha - alpha_i)/(1 - alpha_i)) = gamma_i Gbar_i^-1(u) from lu = ln u <= 0, unchecked."""
+    aw = _marg(p, i)[1]
+    a = -p.alpha * lu
     with np.errstate(over="ignore"):
-        out = np.where(a < 700.0, np.log1p(np.expm1(a) / (1.0 - aw)), a - np.log1p(-aw)) / gamma
-    return scalar_or_array(out)
+        return np.where(a < 700.0, np.log1p(np.expm1(a) / (1.0 - aw)), a - np.log1p(-aw))
 
 
 def _nonnegative(z):
@@ -229,31 +237,37 @@ def singular_mass(p: CoreParams) -> float:
 
 
 def core_copula(p: CoreParams, u, v):
-    """Survival copula of Gbar.
+    """Survival copula of Gbar, the exp of _core_copula_log with exact edges."""
+    require_valid(p)
+    u = in_unit(u, "u")
+    v = in_unit(v, "v")
+    with np.errstate(all="ignore"):  # u or v = 0 gives ln 0; copula_edges sets those points
+        lc = _core_copula_log(p, np.log(u), np.log(v))
+    return copula_edges(u, v, np.exp(lc))
+
+
+def _core_copula_log(p: CoreParams, lu, lv):
+    """ln C(e^lu, e^lv) of the survival copula of Gbar, for lu, lv <= 0.
 
     On the gamma1=gamma2, lambda=gamma/alpha subfamily the closed form
 
         C(u, v) = (alpha2 A(u) + alpha1 B(v) + (1-alpha1-alpha2) max(A(u), B(v)))^{-1/alpha}
 
-    with A(u) = (u^-alpha - alpha1)/(1 - alpha1) applies; otherwise the copula
-    is composed as Gbar(Gbar1^-1(u), Gbar2^-1(v)).
+    with A(u) = (u^-alpha - alpha1)/(1 - alpha1) applies; for A >= B the
+    bracket is A ((1 - alpha1) + alpha1 B/A), taken as ln A +
+    log1p(alpha1 expm1(ln B - ln A)).  Otherwise the copula is composed as
+    Gbar(Gbar1^-1(u), Gbar2^-1(v)), with gamma_i Gbar_i^-1 = ln A, ln B.
     """
-    require_valid(p)
-    u = in_unit(u, "u")
-    v = in_unit(v, "v")
-    ui = np.clip(u, 1e-300, 1.0)
-    vi = np.clip(v, 1e-300, 1.0)
-    if p.is_mu:
-        with np.errstate(over="ignore"):
-            A = (ui ** (-p.alpha) - p.alpha1) / (1.0 - p.alpha1)
-            B = (vi ** (-p.alpha) - p.alpha2) / (1.0 - p.alpha2)
-            core = p.alpha2 * A + p.alpha1 * B + (1.0 - p.alpha1 - p.alpha2) * np.maximum(A, B)
-            out = core ** (-1.0 / p.alpha)
-    else:
-        x = marginal_quantile(p, 1, ui)
-        y = marginal_quantile(p, 2, vi)
-        out = np.exp(gbar_log(p, x, y))
-    return copula_edges(u, v, out)
+    la = _log_a(p, 1, lu)
+    lb = _log_a(p, 2, lv)
+    with np.errstate(over="ignore", invalid="ignore"):  # the branch np.where drops may overflow
+        if p.is_mu:
+            lc = -np.where(la >= lb, la + np.log1p(p.alpha1 * np.expm1(lb - la)),
+                           lb + np.log1p(p.alpha2 * np.expm1(la - lb))) / p.alpha
+        else:
+            lc = gbar_log(p, la / p.gamma1, lb / p.gamma2)
+    # C <= min(u, v); this also gives -inf where ln A = ln B = inf leaves inf - inf
+    return np.fmin(lc, np.minimum(lu, lv))
 
 
 def weak_lmp_residual(p: CoreParams, x, y, t):

@@ -106,7 +106,7 @@ def j_integral(m: Model, i: int, v, method: str = "closed") -> float:
 def _kendall_values(m: Model, t: float, s, j_method: str):
     """Evaluate K_t pointwise; s may be scalar or array."""
     g = m.generator
-    tau = m.tau(t)
+    tau = min(m.tau(t), g._copula_age_cap)  # K_t is a function of C_t alone
     s = in_unit(s, "s", open_at_0=True)
     lv = gen_mod.residual_distortion_log_inverse(g, tau, s)
     j_route = _j_closed_from_log if j_method == "closed" else j_integral_quadrature
@@ -254,8 +254,7 @@ def tail_lower(m: Model, t: float) -> TailReport:
     core coefficient is below 1.  Unclassified generators fall back to the
     numeric limit.
     """
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    m.tau(t)  # the age check
     base = core_lambda_l(m.core)
     zb = m.generator.zero_behavior
     if zb[0] == "power":
@@ -278,8 +277,7 @@ def tail_upper(m: Model, t: float) -> TailReport:
     Power behavior 1 - h(x) ~ a (1-x)^beta leaves the coefficient at the core
     value for t > 0 but shifts it to 2 - (2 - core)^beta at t = 0.
     """
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    m.tau(t)  # the age check
     base = core_lambda_u(m.core)
     ob = m.generator.one_behavior
     if ob[0] == "power":

@@ -6,6 +6,11 @@ pseudo-product a (x) b = h(h^-1(a) h^-1(b)) and the time distortions
     d_t(x) = h(e^-t h^-1(x)) / h(e^-t)      (residual-vector distortion)
     h_t(x) = h(e^-t x) / h(e^-t)            (distortion of the undistorted core)
 
+Every family states two functions of a log argument, ln h(e^lw) and
+ln h^-1(e^lw) for lw <= 0, and everything else derives from them.  An age t
+enters only as the shift lw - t: no formula forms e^-t x, which underflows
+(and drags h(e^-t x) and h(e^-t) to 0 with it) long before their ratio does.
+
 The catalog below covers the closed-form families plus generators built from a
 moment generating function (mixing construction) or from an arbitrary
 univariate survival function.
@@ -21,13 +26,8 @@ import numpy as np
 from .errors import CapabilityError, DomainError, ValidationError
 from .numerics import copula_edges, in_unit, scalar_or_array, solve_decreasing_batch
 
-_EPS = 1e-300
 _SLACK = 1e-12  # rounding allowed outside [0, 1] in a generator's argument
-
-
-def _as_interior(x):
-    """Clip to the open interval so family formulas never see exact 0/1."""
-    return np.clip(np.asarray(x, dtype=float), _EPS, 1.0 - 1e-16)
+_DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
 
 
 def _in_unit(x, what="argument"):
@@ -37,6 +37,12 @@ def _in_unit(x, what="argument"):
 def _unit_edges(x, out):
     """out with the exact values 0 at x <= 0 and 1 at x >= 1."""
     return scalar_or_array(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)))
+
+
+def _log_arg(x):
+    """ln x for x in [0, 1] (0 gives -inf), clamped to <= 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.minimum(np.log(x), 0.0)
 
 
 def _log1mexp(x):
@@ -50,8 +56,26 @@ def _quiet(fn, *args):
         return scalar_or_array(fn(*args))
 
 
+def _solved_log_inverse(fn, lw, targets):
+    """-z for the z >= 0 with fn(z) = target, fn nonincreasing; -inf where lw = -inf.
+
+    The inverse of a family without a closed one: ln h^-1(e^lw) = -z.
+    """
+    lw = np.asarray(lw, dtype=float)
+    out = np.where(lw == -np.inf, -np.inf, np.nan)
+    finite = np.isfinite(lw)
+    out[finite] = -solve_decreasing_batch(fn, np.broadcast_to(targets, lw.shape)[finite])
+    return out
+
+
 class Generator:
-    """Base class; subclasses provide the interior formulas."""
+    """Base class.
+
+    A family defines ``_h_log_from_log(lw) = ln h(e^lw)`` and
+    ``_h_log_inv_from_log(lw) = ln h^-1(e^lw)`` for lw <= 0, each finite
+    wherever its value is, and ``_h_elasticity(lx) = x h'(x) / h(x)`` at
+    x = e^lx where h has a derivative.  The public methods derive from these.
+    """
 
     family = "base"
     has_closed_inverse = True
@@ -60,123 +84,69 @@ class Generator:
     # asymptotics: ("power", scale, exponent) | ("exponential", scale, exponent) | ("other",)
     zero_behavior = ("other",)
     one_behavior = ("other",)
+    # the age past which the residual copula C_t equals its limit to double precision
+    _copula_age_cap = math.inf
 
     def __init__(self):
         self.params: dict = {}
 
-    # interior-only formulas -------------------------------------------------
-    def _h(self, x):
+    # the log-domain formulas of a family ------------------------------------
+    def _h_log_from_log(self, lw):
         raise NotImplementedError
 
-    def _h_inv(self, u):
+    def _h_log_inv_from_log(self, lw):
         raise NotImplementedError
 
     def _h_elasticity(self, lx):
         """x h'(x) / h(x) at x = e^lx, from lx so that neither x nor h(x) has to be representable."""
-        raise CapabilityError(f"{self.family}: derivative not available")
+        raise CapabilityError(f"{self.family}: derivative capability missing")
 
-    def _h_prime(self, x):
-        return self._h(x) * self._h_elasticity(np.log(x)) / x
-
-    def _h_log(self, x):
-        return np.log(self._h(x))
-
-    def _h_inv_from_log(self, lw):
-        return np.exp(self._h_log_inv_from_log(lw))
-
-    def _h_from_log(self, lw):
-        """h(e^lw) for lw <= 0; families override it where e^lw underflowing loses real mass."""
-        return self.h(np.exp(lw))
-
-    def _h_log_from_log(self, lw):
-        return np.log(self._h_from_log(lw))
-
-    def _h_log_inv_from_log(self, lw):
-        """ln h^-1(e^lw); families override it where h^-1 underflows."""
-        return np.log(self._h_inv(np.exp(lw)))
-
-    def _residual_log_inverse(self, t, u):
-        """ln h_t^-1(u) = t + ln h^-1(w) with ln w = ln u + ln h(e^-t), for u in (0, 1]."""
-        return t + self._h_log_inv_from_log(np.log(u) + self.h_log_from_log(-t))
+    def _residual_log_inverse(self, t, lu):
+        """ln h_t^-1(e^lu) = t + ln h^-1(w) with ln w = lu + ln h(e^-t), for lu <= 0."""
+        return t + self._h_log_inv_from_log(lu + self._h_log_from_log(-t))
 
     def _residual_log(self, t, lw):
         """ln h_t(e^lw) = ln h(e^{lw - t}) - ln h(e^-t); families with a closed form override this."""
-        return self.h_log_from_log(lw - t) - self.h_log_from_log(-t)
-
-    def _h_pp(self, x):
-        raise CapabilityError(f"{self.family}: second derivative not available")
-
-    def _h_ppp(self, x):
-        raise CapabilityError(f"{self.family}: third derivative not available")
+        return self._h_log_from_log(lw - t) - self._h_log_from_log(-t)
 
     # public, endpoint-safe surface ------------------------------------------
     def h(self, x):
         x = _in_unit(x)
-        return _unit_edges(x, _quiet(self._h, _as_interior(x)))
+        return _unit_edges(x, _quiet(lambda lx: np.exp(self._h_log_from_log(lx)), _log_arg(x)))
 
     def h_inverse(self, u):
         u = _in_unit(u)
-        return _unit_edges(u, _quiet(self._h_inv, _as_interior(u)))
+        return _unit_edges(u, _quiet(lambda lu: np.exp(self._h_log_inv_from_log(lu)), _log_arg(u)))
 
     def h_prime(self, x):
-        self._need_prime()
-        return _quiet(self._h_prime, _as_interior(_in_unit(x)))
+        """h'(x) for x in (0, 1]."""
+        return residual_distortion_prime(self, 0.0, x)
 
     def h_log(self, x):
-        return _quiet(self._h_log, _as_interior(x))
+        return _quiet(self._h_log_from_log, _log_arg(x))
 
     def h_log_prime(self, x):
-        self._need_prime()
-        return _quiet(lambda v: self._h_elasticity(np.log(v)) / v, _as_interior(x))
+        return _quiet(lambda v: self._h_elasticity(_log_arg(v)) / v, np.asarray(x, dtype=float))
 
     def h_elasticity_from_log(self, lx):
         """x h'(x) / h(x) at x = e^lx, lx <= 0: the slope of ln h against ln x."""
-        self._need_prime()
         return _quiet(self._h_elasticity, np.minimum(np.asarray(lx, dtype=float), 0.0))
 
     def h_inverse_from_log(self, lw):
-        out = _quiet(self._h_inv_from_log, np.asarray(lw, dtype=float))
+        out = _quiet(lambda v: np.exp(self._h_log_inv_from_log(v)), np.minimum(lw, 0.0))
         return scalar_or_array(np.clip(out, 0.0, 1.0))
 
     def h_from_log(self, lw):
         """h(e^lw), with lw clamped to <= 0."""
-        return scalar_or_array(self._h_from_log(np.minimum(lw, 0.0)))
+        return _quiet(lambda v: np.exp(self._h_log_from_log(v)), np.minimum(lw, 0.0))
 
     def h_log_from_log(self, lw):
-        """ln h(e^lw), with lw clamped to <= 0; families with a log form keep it finite where h underflows."""
-        return scalar_or_array(self._h_log_from_log(np.minimum(lw, 0.0)))
-
-    def _need_prime(self):
-        if not self.has_prime:
-            raise CapabilityError(f"{self.family}: derivative capability missing")
+        """ln h(e^lw), with lw clamped to <= 0; finite where h(e^lw) underflows."""
+        return _quiet(self._h_log_from_log, np.minimum(lw, 0.0))
 
     def neg_log_h_inverse(self, u):
-        """-ln h^-1(u), stable when h^-1(u) underflows double precision.
-
-        Falls back on the zero-behavior expansion (h(x) ~ c x^e or
-        h(x) ~ exp(-c (x^-e - 1)) as x -> 0) for arguments whose inverse
-        cannot be represented; generators without a tagged expansion saturate
-        at the representable floor.
-        """
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(self.h_inverse(u))
-        out = -np.log(np.maximum(v, 1e-300))
-        bad = v < 1e-280
-        if np.any(bad):
-            ub = np.maximum(u[bad] if u.ndim else u, 1e-300)
-            zb = self.zero_behavior
-            if zb[0] == "power":
-                repl = (math.log(zb[1]) - np.log(ub)) / zb[2]
-            elif zb[0] == "exponential":
-                repl = np.log1p(-np.log(ub) / zb[1]) / zb[2]
-            else:
-                repl = None
-            if repl is not None:
-                if out.ndim:
-                    out[bad] = repl
-                else:
-                    out = repl
-        return scalar_or_array(out)
+        """-ln h^-1(u), finite where h^-1(u) underflows."""
+        return _quiet(lambda lu: -self._h_log_inv_from_log(lu), _log_arg(_in_unit(u)))
 
     def describe(self):
         return {"family": self.family, "params": dict(self.params)}
@@ -188,27 +158,17 @@ class Generator:
 
 class IdentityGenerator(Generator):
     family = "identity"
-    has_second_third = True
     zero_behavior = ("power", 1.0, 1.0)
     one_behavior = ("power", 1.0, 1.0)
 
-    def _h(self, x):
-        return x
+    def _h_log_from_log(self, lw):
+        return lw
 
-    def _h_inv(self, u):
-        return u
+    def _h_log_inv_from_log(self, lw):
+        return lw
 
     def _h_elasticity(self, lx):
         return np.ones_like(lx)
-
-    def _h_log(self, x):
-        return np.log(x)
-
-    def _h_pp(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    def _h_ppp(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
 
 
 class StretchedExpGenerator(Generator):
@@ -228,35 +188,18 @@ class StretchedExpGenerator(Generator):
         self.rate = float(rate)
         self.shape = float(shape)
         self.params = {self._keys[0]: self.rate, self._keys[1]: self.shape}
-        if abs(shape - 1.0) < 1e-14:
-            self.zero_behavior = ("power", 1.0, rate)
-        else:
-            self.zero_behavior = ("other",)
+        self.zero_behavior = ("power", 1.0, rate) if abs(shape - 1.0) < 1e-14 else ("other",)
         self.one_behavior = ("power", rate**shape, shape)
 
-    def _h(self, x):
-        return np.exp(-((self.rate * (-np.log(x))) ** self.shape))
-
-    def _h_log(self, x):
-        return -((self.rate * (-np.log(x))) ** self.shape)
-
-    def _h_inv(self, u):
-        return np.exp(-((-np.log(u)) ** (1.0 / self.shape)) / self.rate)
+    # np.power, not **: a scalar's ** can round apart from the array loop
+    def _h_log_from_log(self, lw):
+        return -np.power(self.rate * -lw, self.shape)
 
     def _h_log_inv_from_log(self, lw):
-        return -((-lw) ** (1.0 / self.shape)) / self.rate
+        return -np.power(-lw, 1.0 / self.shape) / self.rate
 
     def _h_elasticity(self, lx):
-        # np.power, not **: a scalar's ** can round apart from the array loop
         return self.shape * self.rate * np.power(self.rate * -lx, self.shape - 1.0)
-
-    def _h_from_log(self, lw):
-        # depends on ln x only; avoids the e^lw underflow for shape < 1
-        return np.exp(self._h_log_from_log(lw))
-
-    def _h_log_from_log(self, lw):
-        # exact, where log(h) would add rounding to the residual ratio and the quadratures over it
-        return -((self.rate * (-lw)) ** self.shape)
 
 
 class GompertzGenerator(Generator):
@@ -273,33 +216,29 @@ class GompertzGenerator(Generator):
         self.params = {"xi": self.xi, "mu": self.mu}
         self.zero_behavior = ("exponential", self.xi, self.mu)
         self.one_behavior = ("power", self.xi * self.mu, 1.0)
+        # C_t depends on t only through xi e^{mu t}, and what is left of that dependence is
+        # O(ln(u)^2 / (xi e^{mu t})): below rounding past xi e^{mu t} = e^230, long before the
+        # scale overflows at e^709.  So the copula and K_t stop aging there.
+        self._copula_age_cap = max(230.0 - math.log(self.xi), 0.0) / self.mu
 
-    def _h(self, x):
-        return np.exp(-self.xi * (x ** (-self.mu) - 1.0))
+    def _h_log_from_log(self, lw):
+        # -xi (e^{-mu lw} - 1): finite long after h(e^lw) underflows
+        return -self.xi * np.expm1(-self.mu * lw)
 
-    def _h_log(self, x):
-        return -self.xi * (x ** (-self.mu) - 1.0)
-
-    def _h_inv(self, u):
-        return (1.0 - np.log(u) / self.xi) ** (-1.0 / self.mu)
-
-    def _h_inv_from_log(self, lw):
-        return (1.0 - lw / self.xi) ** (-1.0 / self.mu)
+    def _h_log_inv_from_log(self, lw):
+        return -np.log1p(-lw / self.xi) / self.mu
 
     def _h_elasticity(self, lx):
         return self.xi * self.mu * np.exp(-self.mu * lx)
 
-    def _h_log_from_log(self, lw):
-        # ln h(e^lw) = -xi (e^{-mu lw} - 1): finite long after h(e^lw) underflows
-        return -self.xi * np.expm1(-self.mu * lw)
-
-    def _residual_log_inverse(self, t, u):
+    def _residual_log_inverse(self, t, lu):
         # h_t is Gompertz again, with xi e^{mu t}; exact where h_t^-1(u) rounds to 1
-        return -np.log1p(-math.exp(-self.mu * t) * np.log(u) / self.xi) / self.mu
+        return -np.log1p(-math.exp(-self.mu * t) * lu / self.xi) / self.mu
 
     def _residual_log(self, t, lw):
-        # -xi e^{mu t} expm1(-mu lw), not the difference of two terms of size xi e^{mu t}
-        return -self.xi * np.exp(self.mu * t) * np.expm1(-self.mu * lw)
+        # -xi e^{mu t} expm1(-mu lw), not the difference of two terms of size xi e^{mu t};
+        # exactly 0 at lw = 0 also where e^{mu t} overflows
+        return np.where(lw == 0.0, 0.0, -self.xi * np.exp(self.mu * t) * np.expm1(-self.mu * lw))
 
 
 class Mo15Generator(GompertzGenerator):
@@ -329,35 +268,17 @@ class LogPowerGenerator(Generator):
         self.coef = float(coef)
         self.expo = float(expo)
         self.params = {self._keys[0]: coef, self._keys[1]: expo}
-        self.zero_behavior = ("other",)
         self.one_behavior = ("power", self.coef * self.expo, 1.0)
 
-    def _h(self, x):
-        return (1.0 - self.coef * np.log(x)) ** (-self.expo)
-
-    def _h_log(self, x):
-        return -self.expo * np.log1p(-self.coef * np.log(x))
-
-    def _h_inv(self, u):
-        return np.exp((1.0 - u ** (-1.0 / self.expo)) / self.coef)
+    def _h_log_from_log(self, lw):
+        return -self.expo * np.log1p(-self.coef * lw)
 
     def _h_log_inv_from_log(self, lw):
+        # (1 - u^(-1/expo)) / coef: h^-1 underflows long before its log does
         return -np.expm1(-lw / self.expo) / self.coef
 
     def _h_elasticity(self, lx):
         return self.expo * self.coef / (1.0 - self.coef * lx)
-
-    def neg_log_h_inverse(self, u):
-        # closed form: -ln h^-1(u) = (u^(-1/expo) - 1) / coef, no underflow
-        return scalar_or_array(np.expm1(-np.log(np.maximum(_in_unit(u), 1e-300)) / self.expo) / self.coef)
-
-    def _h_from_log(self, lw):
-        # h depends on ln x only, so evaluate from the log argument exactly
-        return (1.0 - self.coef * lw) ** (-self.expo)
-
-    def _h_log_from_log(self, lw):
-        # exact, like the stretched exponential's
-        return -self.expo * np.log1p(-self.coef * lw)
 
 
 class LogisticGenerator(Generator):
@@ -375,18 +296,16 @@ class LogisticGenerator(Generator):
         self.zero_behavior = ("power", 1.0 / self.theta, self.a)
         self.one_behavior = ("power", self.a * self.theta, 1.0)
 
-    def _h(self, x):
-        return 1.0 / (self.theta * x ** (-self.a) + 1.0 - self.theta)
+    def _h_log_from_log(self, lw):
+        # h = x^a / (theta + (1 - theta) x^a)
+        return self.a * lw - np.log(self.theta + (1.0 - self.theta) * np.exp(self.a * lw))
 
-    def _h_inv(self, u):
-        return (self.theta / (1.0 / u - 1.0 + self.theta)) ** (1.0 / self.a)
+    def _h_log_inv_from_log(self, lw):
+        # h^-1(u)^a = theta u / (1 + (theta - 1) u)
+        return (math.log(self.theta) + lw - np.log1p((self.theta - 1.0) * np.exp(lw))) / self.a
 
     def _h_elasticity(self, lx):
         return self.a * self.theta / (self.theta + (1.0 - self.theta) * np.exp(self.a * lx))
-
-    def _h_from_log(self, lw):
-        xa = np.exp(self.a * lw)
-        return xa / (self.theta + (1.0 - self.theta) * xa)
 
 
 class LogSeriesGenerator(Generator):
@@ -404,27 +323,23 @@ class LogSeriesGenerator(Generator):
         self.theta = float(theta)
         self.params = {"a": self.a, "theta": self.theta}
         self.zero_behavior = ("power", self.theta / math.log1p(self.theta), self.a)
-        self.one_behavior = (
-            "power",
-            self.a * self.theta / ((1.0 + self.theta) * math.log1p(self.theta)),
-            1.0,
-        )
+        self.one_behavior = ("power", self.a * self.theta / ((1.0 + self.theta) * math.log1p(self.theta)), 1.0)
 
-    def _h(self, x):
-        return np.log1p(self.theta * x**self.a) / math.log1p(self.theta)
-
-    def _h_inv(self, u):
-        return (np.expm1(u * math.log1p(self.theta)) / self.theta) ** (1.0 / self.a)
+    def _h_log_from_log(self, lw):
+        # deep in the tail, ln(1 + theta y) = theta y to double precision
+        lt = math.log1p(self.theta)
+        ly = self.a * lw
+        exact = np.log(np.log1p(self.theta * np.exp(ly)) / lt)
+        return np.where(ly > _DEEP, exact, ly + math.log(self.theta / lt))
 
     def _h_log_inv_from_log(self, lw):
-        return np.log(np.expm1(np.exp(lw) * math.log1p(self.theta)) / self.theta) / self.a
+        lt = math.log1p(self.theta)
+        exact = np.log(np.expm1(np.exp(lw) * lt) / self.theta)
+        return np.where(lw > _DEEP, exact, lw + math.log(lt / self.theta)) / self.a
 
     def _h_elasticity(self, lx):
         y = self.theta * np.exp(self.a * lx)  # y / log1p(y) -> 1 as y -> 0
         return self.a / (1.0 + y) * np.where(y == 0.0, 1.0, y / np.log1p(y))
-
-    def _h_from_log(self, lw):
-        return np.log1p(self.theta * np.exp(self.a * lw)) / math.log1p(self.theta)
 
 
 class ArctanGenerator(Generator):
@@ -441,24 +356,25 @@ class ArctanGenerator(Generator):
         self.zero_behavior = ("power", 4.0 / math.pi, self.a)
         self.one_behavior = ("power", 2.0 * self.a / math.pi, 1.0)
 
-    def _h(self, x):
-        return (4.0 / math.pi) * np.arctan(x**self.a)
+    def _h_log_from_log(self, lw):
+        ly = self.a * lw
+        exact = np.log((4.0 / math.pi) * np.arctan(np.exp(ly)))
+        return np.where(ly > _DEEP, exact, ly + math.log(4.0 / math.pi))
 
-    def _h_inv(self, u):
-        return np.tan(math.pi * u / 4.0) ** (1.0 / self.a)
+    def _h_log_inv_from_log(self, lw):
+        exact = np.log(np.tan((math.pi / 4.0) * np.exp(lw)))
+        return np.where(lw > _DEEP, exact, lw + math.log(math.pi / 4.0)) / self.a
 
     def _h_elasticity(self, lx):
         y = np.exp(self.a * lx)  # y / arctan(y) -> 1 as y -> 0
         return self.a / (1.0 + y * y) * np.where(y == 0.0, 1.0, y / np.arctan(y))
-
-    def _h_from_log(self, lw):
-        return (4.0 / math.pi) * np.arctan(np.exp(self.a * lw))
 
 
 class SibuyaMixingGenerator(Generator):
     """h(x) = 1 - (1 - x^r)^a from the Sibuya mixing law."""
 
     family = "mixing"
+    _NEAR_0 = -40.0  # below this ln x^r, h = a x^r and h^-1(u) = (u/a)^(1/r) to double precision
 
     def __init__(self, a, ratio):
         super().__init__()
@@ -472,25 +388,19 @@ class SibuyaMixingGenerator(Generator):
         self.zero_behavior = ("power", self.a, self.ratio)
         self.one_behavior = ("power", self.ratio**self.a, self.a)
 
-    def _h(self, x):
-        return -np.expm1(self.a * np.log(-np.expm1(self.ratio * np.log(x))))
-
-    def _h_inv(self, u):
-        return np.exp(np.log(-np.expm1(np.log1p(-u) / self.a)) / self.ratio)
-
-    def _h_elasticity(self, lx):
-        log_one_m = _log1mexp(self.ratio * lx)  # ln(1 - x^ratio)
-        return (self.a * self.ratio * np.exp(self.ratio * lx + (self.a - 1.0) * log_one_m)
-                / -np.expm1(self.a * log_one_m))
+    # ln(1 - e^x) at each step keeps the digits of h near 1 and near 0
+    def _h_log_from_log(self, lw):
+        ly = self.ratio * lw
+        return np.where(ly > self._NEAR_0, _log1mexp(self.a * _log1mexp(ly)), math.log(self.a) + ly)
 
     def _h_log_inv_from_log(self, lw):
-        # ln(1 - e^x) at both steps keeps the digits of w near 1 and near 0
-        return _log1mexp(_log1mexp(lw) / self.a) / self.ratio
+        return np.where(lw > self._NEAR_0, _log1mexp(_log1mexp(lw) / self.a), lw - math.log(self.a)) / self.ratio
 
-    def _h_from_log(self, lw):
-        # x^ratio = e^{ratio lw} stays representable far past where e^lw underflows
-        with np.errstate(divide="ignore"):  # lw = 0 gives log1p(-1) = -inf, h = 1 exactly
-            return -np.expm1(self.a * np.log1p(-np.exp(self.ratio * lw)))
+    def _h_elasticity(self, lx):
+        ly = self.ratio * lx
+        log_one_m = _log1mexp(ly)  # ln(1 - x^ratio)
+        exact = self.a * self.ratio * np.exp(ly + (self.a - 1.0) * log_one_m) / -np.expm1(self.a * log_one_m)
+        return np.where(ly > self._NEAR_0, exact, self.ratio)
 
 
 class PolynomialGenerator(Generator):
@@ -518,18 +428,21 @@ class PolynomialGenerator(Generator):
         k0 = int(np.nonzero(np.abs(c) > 1e-12)[0][0])
         self.zero_behavior = ("power", float(c[k0]), float(k0))
         self.one_behavior = ("power", float(np.polyval(np.polyder(np.poly1d(c[::-1])).coeffs, 1.0)), 1.0)
+        # h(x) = x^k0 p(x) with p(0) = c_k0 > 0, and x h'(x) = x^k0 q(x)
+        self._k0 = k0
+        self._p = c[k0:][::-1]
+        self._q = (np.arange(k0, c.size) * c[k0:])[::-1]
 
-    def _h(self, x):
-        return np.polyval(self.coeffs[::-1], x)
+    def _h_log_from_log(self, lw):
+        return self._k0 * lw + np.log(np.polyval(self._p, np.exp(lw)))
 
-    def _h_inv(self, u):
-        # h(e^-z) decreases on [0, inf); solving for z = -ln x keeps digits near x = 1
-        return np.exp(-solve_decreasing_batch(lambda z: self._h(np.exp(-z)), u))
+    def _h_log_inv_from_log(self, lw):
+        # ln h(e^-z) decreases on [0, inf); solving for z = -ln x keeps digits near x = 1
+        return _solved_log_inverse(lambda z: self._h_log_from_log(-z), lw, lw)
 
     def _h_elasticity(self, lx):
-        x = _as_interior(np.exp(lx))
-        d = np.polyder(np.poly1d(self.coeffs[::-1]))
-        return x * np.polyval(d.coeffs, x) / np.polyval(self.coeffs[::-1], x)
+        x = np.exp(lx)
+        return np.polyval(self._q, x) / np.polyval(self._p, x)
 
     def _h_pp(self, x):
         d2 = np.polyder(np.poly1d(self.coeffs[::-1]), 2)
@@ -555,15 +468,17 @@ class SineGenerator(Generator):
         self.zero_behavior = ("power", self.theta / math.sin(self.theta), 1.0)
         self.one_behavior = ("power", self.theta * math.cos(self.theta) / math.sin(self.theta), 1.0)
 
-    def _h(self, x):
-        return np.sin(self.theta * x) / math.sin(self.theta)
+    def _h_log_from_log(self, lw):
+        s = math.sin(self.theta)
+        return np.where(lw > _DEEP, np.log(np.sin(self.theta * np.exp(lw)) / s), lw + math.log(self.theta / s))
 
-    def _h_inv(self, u):
-        return np.arcsin(u * math.sin(self.theta)) / self.theta
+    def _h_log_inv_from_log(self, lw):
+        s = math.sin(self.theta)
+        return np.where(lw > _DEEP, np.log(np.arcsin(s * np.exp(lw)) / self.theta), lw + math.log(s / self.theta))
 
     def _h_elasticity(self, lx):
-        x = _as_interior(np.exp(lx))
-        return self.theta * x / np.tan(self.theta * x)
+        y = self.theta * np.exp(lx)  # y / tan(y) -> 1 as y -> 0
+        return np.where(y == 0.0, 1.0, y / np.tan(y))
 
     def _h_pp(self, x):
         return -self.theta**2 * np.sin(self.theta * x) / math.sin(self.theta)
@@ -586,21 +501,23 @@ class SurvivalGenerator(Generator):
         vals = np.array([survival(z) for z in grid])
         if np.any(np.diff(vals) > 1e-12):
             raise ValidationError("survival function is not decreasing on the test grid")
-        self.survival = survival
+        self.survival = np.vectorize(survival, otypes=[float])
         self.density = density
         self.has_prime = density is not None
         self.params = {"kind": "from_survival"}
 
-    def _h(self, x):
-        z = -np.log(x)
-        return np.vectorize(self.survival, otypes=[float])(z)
+    def _h_log_from_log(self, lw):
+        return np.log(self.survival(-lw))
 
-    def _h_inv(self, u):
-        return np.exp(-solve_decreasing_batch(np.vectorize(self.survival, otypes=[float]), u))
+    def _h_log_inv_from_log(self, lw):
+        # survival(z) = u, solved where the user's function lives: on u itself
+        return _solved_log_inverse(self.survival, lw, np.exp(lw))
 
     def _h_elasticity(self, lx):
         # x h'(x) / h(x) = density(z) / survival(z) at z = -ln x
-        return np.vectorize(self.density, otypes=[float])(-lx) / np.vectorize(self.survival, otypes=[float])(-lx)
+        if self.density is None:
+            return super()._h_elasticity(lx)
+        return np.vectorize(self.density, otypes=[float])(-lx) / self.survival(-lx)
 
 
 class PowerScaledGenerator(Generator):
@@ -618,35 +535,31 @@ class PowerScaledGenerator(Generator):
         self.has_prime = base.has_prime
         self.params = {"beta": self.beta, "base": base.family}
         zb = base.zero_behavior
-        if zb[0] == "power":
-            self.zero_behavior = ("power", zb[1], zb[2] * self.beta)
-        elif zb[0] == "exponential":
-            self.zero_behavior = ("exponential", zb[1], zb[2] * self.beta)
-
-    def _h(self, x):
-        return self.base._h(x**self.beta)
-
-    def _h_log(self, x):
-        return self.base._h_log(x**self.beta)
-
-    def _h_inv(self, u):
-        return self.base._h_inv(u) ** (1.0 / self.beta)
-
-    def _h_elasticity(self, lx):
-        return self.beta * self.base._h_elasticity(self.beta * lx)
-
-    def _h_from_log(self, lw):
-        return self.base._h_from_log(self.beta * lw)
+        if zb[0] != "other":
+            self.zero_behavior = (zb[0], zb[1], zb[2] * self.beta)
+        self._copula_age_cap = base._copula_age_cap / self.beta  # h_beta at age t is h at age beta t
 
     def _h_log_from_log(self, lw):
         return self.base._h_log_from_log(self.beta * lw)
+
+    def _h_log_inv_from_log(self, lw):
+        return self.base._h_log_inv_from_log(lw) / self.beta
+
+    def _h_elasticity(self, lx):
+        return self.beta * self.base._h_elasticity(self.beta * lx)
 
 
 # ---------------------------------------------------------------------------
 # mixing construction
 # ---------------------------------------------------------------------------
 
-MIXING_KINDS = ("gamma", "positive_stable", "sibuya", "log_series")
+# kind -> (parameter, its admissible range, the message when it is outside)
+_MIXING_RANGES = {
+    "gamma": ("a", lambda a: a > 0.0, "gamma mixing needs a > 0"),
+    "positive_stable": ("a", lambda a: 0.0 < a <= 1.0, "positive-stable mixing needs a in (0, 1]"),
+    "sibuya": ("a", lambda a: 0.0 < a <= 1.0, "sibuya mixing needs a in (0, 1]"),
+    "log_series": ("theta", lambda th: -1.0 < th < 0.0, "log-series mixing needs theta in (-1, 0)"),
+}
 
 
 @dataclass(frozen=True)
@@ -655,35 +568,11 @@ class MixingLaw:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in MIXING_KINDS:
+        if self.kind not in _MIXING_RANGES:
             raise ValidationError(f"unknown mixing law {self.kind!r}")
-        p = self.params
-        if self.kind == "gamma":
-            if p.get("a", 0.0) <= 0:
-                raise ValidationError("gamma mixing needs a > 0")
-        elif self.kind == "positive_stable":
-            if not (0.0 < p.get("a", 0.0) <= 1.0):
-                raise ValidationError("positive-stable mixing needs a in (0, 1]")
-        elif self.kind == "sibuya":
-            if not (0.0 < p.get("a", 0.0) <= 1.0):
-                raise ValidationError("sibuya mixing needs a in (0, 1]")
-        elif self.kind == "log_series":
-            th = p.get("theta", 0.0)
-            if not (-1.0 < th < 0.0):
-                raise ValidationError("log-series mixing needs theta in (-1, 0)")
-
-    def mgf(self, u):
-        """M_Z(u) for u <= 0."""
-        p = self.params
-        u = np.asarray(u, dtype=float)
-        if self.kind == "gamma":
-            return (1.0 - u) ** (-p["a"])
-        if self.kind == "positive_stable":
-            return np.exp(-np.abs(u) ** p["a"])
-        if self.kind == "sibuya":
-            return 1.0 - (-np.expm1(u)) ** p["a"]
-        theta = p["theta"]
-        return np.log1p(theta * np.exp(u)) / math.log1p(theta)
+        name, admissible, message = _MIXING_RANGES[self.kind]
+        if not admissible(self.params.get(name, 0.0)):
+            raise ValidationError(message)
 
 
 def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
@@ -732,9 +621,7 @@ def make_generator(family: str, **params) -> Generator:
     except KeyError:
         raise ValidationError(f"unknown generator family {family!r}") from None
     g = builder(params)
-    if family == "pareto":
-        # keep user-facing parametrization
-        g.family = "pareto"
+    if family == "pareto":  # the user-facing parameters, not (coef, expo) = (a, 1/mu)
         g.params = {"a": float(params["a"]), "mu": float(params["mu"])}
     return g
 
@@ -748,79 +635,71 @@ def power_scaled(g: Generator, beta: float) -> Generator:
 # ---------------------------------------------------------------------------
 
 
-def _check_t(t):
+def _check_age(t) -> float:
+    """The one age check: t >= 0, which NaN fails."""
     if not t >= 0:
         raise DomainError("t must be nonnegative")
-    et = math.exp(-t)
-    if et == 0.0:
-        raise DomainError("exp(-t) underflows; evaluate in the log domain (t too large)")
-    return et
+    return float(t)
 
 
-def _h_ratio(g: Generator, et: float, x):
-    """h(et x) / h(et) as the exp of a log difference, so neither factor underflows."""
+def _residual_log_inverse_from_log(g: Generator, t: float, lu):
+    """ln h_t^-1(e^lu) for lu <= 0: exactly 0 at lu = 0 and never above it."""
     with np.errstate(all="ignore"):
-        return np.exp(g.h_log(et * np.asarray(x)) - g.h_log(et))
+        return np.where(lu == 0.0, 0.0, np.minimum(g._residual_log_inverse(t, lu), 0.0))
 
 
 def time_distortion(g: Generator, t: float, x):
-    """d_t(x) = h(e^-t h^-1(x)) / h(e^-t)."""
+    """d_t(x) = h(e^-t h^-1(x)) / h(e^-t) = h_t(h^-1(x))."""
     x = _in_unit(x, "x")
-    if t == 0.0:
-        return scalar_or_array(np.clip(x, 0.0, 1.0))
-    et = _check_t(t)
-    return _unit_edges(x, _h_ratio(g, et, g.h_inverse(x)))
+    t = _check_age(t)
+    with np.errstate(all="ignore"):
+        out = np.exp(g._residual_log(t, np.minimum(g._h_log_inv_from_log(_log_arg(x)), 0.0)))
+    return _unit_edges(x, out)
 
 
 def residual_distortion(g: Generator, t: float, x):
     """h_t(x) = h(e^-t x) / h(e^-t)."""
     x = _in_unit(x, "x")
-    if t == 0.0:
-        return g.h(x)
-    return _unit_edges(x, _h_ratio(g, _check_t(t), x))
+    t = _check_age(t)
+    with np.errstate(all="ignore"):
+        out = np.exp(g._residual_log(t, _log_arg(x)))
+    return _unit_edges(x, out)
 
 
 def residual_distortion_inverse(g: Generator, t: float, u):
-    """h_t^-1(u) = e^t h^-1(u h(e^-t)), via the log domain for robustness."""
+    """h_t^-1(u) = e^t h^-1(u h(e^-t))."""
     u = _in_unit(u, "u")
-    if t == 0.0:
-        return g.h_inverse(u)
-    et = _check_t(t)
-    with np.errstate(all="ignore"):
-        lw = np.log(np.clip(u, _EPS, 1.0)) + g.h_log(et)
-        out = np.minimum(np.asarray(g.h_inverse_from_log(lw)) / et, 1.0)
-    return _unit_edges(u, out)
+    return _unit_edges(u, np.exp(_residual_log_inverse_from_log(g, _check_age(t), _log_arg(u))))
 
 
 def residual_distortion_log_inverse(g: Generator, t: float, u):
     """ln h_t^-1(u) for u in (0, 1], accurate where h_t^-1(u) is within rounding of 1."""
-    u = np.minimum(in_unit(u, "u", _SLACK, open_at_0=True), 1.0)
-    _check_t(t)
-    with np.errstate(all="ignore"):
-        return scalar_or_array(np.where(u == 1.0, 0.0, np.minimum(g._residual_log_inverse(t, u), 0.0)))
+    u = in_unit(u, "u", _SLACK, open_at_0=True)
+    return scalar_or_array(_residual_log_inverse_from_log(g, _check_age(t), _log_arg(u)))
 
 
 def residual_distortion_log(g: Generator, t: float, lw):
     """ln h_t(e^lw) for lw <= 0, finite where h(e^-t) underflows."""
+    t = _check_age(t)
     with np.errstate(all="ignore"):
         return scalar_or_array(g._residual_log(t, np.minimum(lw, 0.0)))
 
 
 def residual_distortion_prime(g: Generator, t: float, x):
-    """h_t'(x) = e^-t h'(e^-t x) / h(e^-t), in ratio form to survive underflow."""
-    if t == 0.0:
-        return g.h_prime(x)
-    et = _check_t(t)
-    x = _as_interior(x)
+    """h_t'(x) = h_t(x) el(ln x - t) / x for x in (0, 1], el the elasticity x h'(x) / h(x)."""
+    lx = _log_arg(in_unit(x, "x", _SLACK, open_at_0=True))
+    t = _check_age(t)
     with np.errstate(all="ignore"):
-        return scalar_or_array(_h_ratio(g, et, x) * et * g.h_log_prime(et * x))
+        return scalar_or_array(np.exp(g._residual_log(t, lx) - lx) * g._h_elasticity(lx - t))
 
 
 def pseudo_product(g: Generator, a, b):
-    """a (x)_h b = h(h^-1(a) h^-1(b))."""
+    """a (x)_h b = h(h^-1(a) h^-1(b)), added as logs."""
     a = _in_unit(a, "pseudo-product argument")
     b = _in_unit(b, "pseudo-product argument")
-    return copula_edges(a, b, g.h(np.asarray(g.h_inverse(a)) * np.asarray(g.h_inverse(b))))
+    with np.errstate(all="ignore"):
+        out = np.exp(g._h_log_from_log(g._h_log_inv_from_log(_log_arg(a)) + g._h_log_inv_from_log(_log_arg(b))))
+    return copula_edges(a, b, out)
 
 
 # ---------------------------------------------------------------------------
@@ -862,11 +741,8 @@ def aging_profile(g: Generator, t_grid=DEFAULT_T_GRID, x_grid=DEFAULT_X_GRID) ->
     t_grid = tuple(sorted(float(t) for t in t_grid if t > 0.0))
     x_grid = tuple(float(x) for x in x_grid)
     xs = np.asarray(x_grid)
-    v = np.asarray(g.h_inverse(xs))
-    # log d_t(x) = log h(e^-t v) - log h(e^-t): immune to underflow at large t
-    log_d = np.array(
-        [np.asarray(g.h_log(math.exp(-t) * v)) - float(g.h_log(math.exp(-t))) for t in t_grid]
-    )
+    lv = -np.asarray(g.neg_log_h_inverse(xs))
+    log_d = np.array([residual_distortion_log(g, t, lv) for t in t_grid])  # ln d_t(x) = ln h_t(h^-1(x))
     margins = log_d - np.log(xs)[None, :]
     nbu = _classify(margins < -_SIGN_TOL, margins > _SIGN_TOL, ("NBU", "NWU"))
     diffs = np.diff(log_d, axis=0)  # log d_{t_{k+1}} - log d_{t_k}; IFR means nonpositive

@@ -8,7 +8,8 @@ lack-of-memory equation
 
 where d_tau is the time distortion induced by h.  Because the core diagonal is
 Gbar(t, t) = e^{-lambda t}, every t-level operation below feeds the generator
-machinery the rescaled time tau = lambda * t.
+machinery the rescaled time tau = lambda * t, as the shift -tau of a log
+argument: e^{-tau} is never formed.
 """
 
 from __future__ import annotations
@@ -42,9 +43,7 @@ class Model:
         return self.core.lam
 
     def tau(self, t: float) -> float:
-        if not t >= 0:
-            raise DomainError("t must be nonnegative")
-        return self.core.lam * t
+        return self.core.lam * gen_mod._check_age(t)
 
     def describe(self):
         return {
@@ -55,8 +54,8 @@ class Model:
 
 
 def fbar_log(m: Model, x, y):
-    """log Fbar(x, y); the core stays in the log domain so deep tails survive."""
-    return scalar_or_array(np.log(np.maximum(m.generator.h_from_log(gbar_log(m.core, x, y)), 1e-300)))
+    """log Fbar(x, y) = ln h(Gbar(x, y)) from log Gbar, finite where Fbar underflows."""
+    return m.generator.h_log_from_log(gbar_log(m.core, x, y))
 
 
 def fbar(m: Model, x, y):
@@ -87,17 +86,23 @@ def residual_marginal(m: Model, i: int, t: float, x):
 def generalized_weak_residual(m: Model, t: float, x, y):
     """Fbar(x+t, y+t)/Fbar(t, t) - d_tau(Fbar(x, y)); identically zero for h(Gbar) models.
 
-    The ratio is taken in the log domain whenever the denominator is tiny.
+    The ratio is the exp of a difference of fbar_log, so it stays exact where both factors underflow.
     """
     tau = m.tau(t)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    den = fbar_log(m, t, t)
+    if den == -math.inf:
+        raise DomainError("ln Fbar(t, t) is below the most negative double at this age")
+    lhs = np.exp(fbar_log(m, np.asarray(x, dtype=float) + t, np.asarray(y, dtype=float) + t) - den)
+    return scalar_or_array(lhs - gen_mod.time_distortion(m.generator, tau, fbar(m, x, y)))
+
+
+def _copula_t_log(m: Model, tau: float, lu, lv):
+    """ln C_t(e^lu, e^lv) = ln h_tau(C(h_tau^-1(u), h_tau^-1(v))), every step from logs."""
     g = m.generator
-    num_log = np.log(np.maximum(g.h_from_log(gbar_log(m.core, x + t, y + t)), 1e-300))
-    den_log = g.h_log(math.exp(-tau)) if tau > 0 else 0.0
-    lhs = np.exp(np.asarray(num_log) - den_log)
-    rhs = gen_mod.time_distortion(g, tau, g.h_from_log(gbar_log(m.core, x, y)))
-    return scalar_or_array(lhs - rhs)
+    tau = min(tau, g._copula_age_cap)
+    la = gen_mod._residual_log_inverse_from_log(g, tau, lu)
+    lb = gen_mod._residual_log_inverse_from_log(g, tau, lv)
+    return gen_mod.residual_distortion_log(g, tau, core_mod._core_copula_log(m.core, la, lb))
 
 
 def copula_t(m: Model, t: float, u, v):
@@ -108,27 +113,13 @@ def copula_t(m: Model, t: float, u, v):
     tau = m.tau(t)
     u = in_unit(u, "u")
     v = in_unit(v, "v")
-    a = gen_mod.residual_distortion_inverse(m.generator, tau, u)
-    b = gen_mod.residual_distortion_inverse(m.generator, tau, v)
-    c = core_mod.core_copula(m.core, a, b)
-    return copula_edges(u, v, gen_mod.residual_distortion(m.generator, tau, c))
+    with np.errstate(all="ignore"):  # u or v = 0 gives ln 0; copula_edges sets those points
+        return copula_edges(u, v, np.exp(_copula_t_log(m, tau, np.log(u), np.log(v))))
 
 
 def copula_t_diag_log(m: Model, t: float, log_u):
-    """log C_t(u, u) taken along the diagonal from log u; used by tail probes.
-
-    Works directly in the log domain so u can go far below double-precision
-    ulp(1) territory without the copula underflowing to 0.
-    """
-    tau = m.tau(t)
-    g = m.generator
-    log_u = np.asarray(log_u, dtype=float)
-    base_log = g.h_log(math.exp(-tau)) if tau > 0 else 0.0
-    a = g.h_inverse_from_log(log_u + base_log)
-    if tau > 0:
-        a = np.minimum(np.asarray(a) / math.exp(-tau), 1.0)
-    c = core_mod.core_copula(m.core, a, a)
-    return scalar_or_array(g.h_log(math.exp(-tau) * np.asarray(c)) - base_log)
+    """log C_t(u, u) from log u; used by tail probes far below the smallest double."""
+    return _copula_t_log(m, m.tau(t), np.asarray(log_u, dtype=float), np.asarray(log_u, dtype=float))
 
 
 def singular_line_survival(m: Model, t: float, x):
@@ -138,13 +129,17 @@ def singular_line_survival(m: Model, t: float, x):
     p0 = singular_mass(m.core)
     if p0 == 0.0:
         return 0.0
-    tau = m.tau(t)
-    return p0 * gen_mod.residual_distortion(m.generator, tau, math.exp(-m.lam * x))
+    return p0 * _residual_from_log(m.generator, m.tau(t), -m.lam * x)
 
 
 def decay_rate(m: Model, t: float) -> float:
     """1/z for the z where Fbar_t(z, z) = 1/e: the scale every half-line quadrature at age t runs on."""
-    return m.lam / -gen_mod.residual_distortion_log_inverse(m.generator, m.tau(t), math.exp(-1.0))
+    lv = gen_mod.residual_distortion_log_inverse(m.generator, m.tau(t), math.exp(-1.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = m.lam / -np.float64(lv)
+    if not 0.0 < rate < math.inf:
+        raise DomainError("the residual lifetime scale underflows at this age")
+    return float(rate)
 
 
 def mean_excess(m: Model, i: int, t: float, tol: float = 1e-10) -> float:

@@ -50,8 +50,7 @@ def _integrate(surv, m: Model, t: float, horizon, tol: float, what: str) -> floa
 
 def joint_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    m.tau(t)  # the age check
     return _integrate(lambda z: m.generator.h_from_log(-m.lam * (z + t)), m, t,
                       None if horizon is None else horizon - t, tol, "joint annuity integral")
 
@@ -65,16 +64,13 @@ def residual_joint_annuity(m: Model, t: float, tol: float = PRICING_TOL) -> floa
 
 def independent_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) -> float:
     """Deferred premium under independence with the same marginals."""
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    m.tau(t)  # the age check
     return _integrate(lambda z: fbar_marginal(m, 1, z + t) * fbar_marginal(m, 2, z + t), m, t,
                       None if horizon is None else horizon - t, tol, "independent annuity integral")
 
 
 def residual_independent_annuity(m: Model, t: float, tol: float = PRICING_TOL) -> float:
     """Conditional independence benchmark: product of the residual marginals."""
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
     return _integrate(lambda z: residual_marginal(m, 1, t, z) * residual_marginal(m, 2, t, z), m, t, None, tol,
                       "conditional independent annuity integral")
 

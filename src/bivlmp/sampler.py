@@ -15,7 +15,8 @@ atom probability is unchanged while the conditional side-magnitude survival is
     q_t(d) = h'(e^{-lambda t} Gbar1(d)) (lambda Gbar1(d) - g1(d))
              / (lambda h'(e^{-lambda t})),
 
-obtained by differentiating Fbar along the second coordinate at x = y + d.
+obtained by differentiating Fbar along the second coordinate at x = y + d,
+and evaluated from ln Gbar1(d) - lambda t.
 All draws come from a counter-based Philox stream, one batch per seed, so
 identical (model, n, seed) is bit-reproducible.
 """
@@ -30,6 +31,8 @@ from scipy.special import gammaln
 
 from .core import (
     CoreParams,
+    _marg,
+    _marginal_log,
     marginal_density,
     marginal_survival,
     require_valid,
@@ -120,18 +123,27 @@ def sample_core(p: CoreParams, n: int, seed: int, label: str = "core") -> Sample
     return SampleBatch(x=x, y=y, atom=atom, seed=int(seed), model_label=label)
 
 
-def _q_t_batch(m: Model, i: int, tau: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Conditional side survival q_t(d) for per-draw ages, ratio form in the log domain."""
-    g = m.generator
-    p = m.core
-    et = np.exp(-tau)
-    gb = marginal_survival(p, i, d)
-    gd = marginal_density(p, i, d)
+def _q_t_batch(m: Model, i: int, d: np.ndarray, tau, lh_tau, el_tau) -> np.ndarray:
+    """Conditional side survival q_t(d) at per-draw ages tau, from the log of Gbar_i(d).
+
+    q_t(d) = h_tau(Gbar_i(d)) el(ln Gbar_i(d) - tau) / el(-tau) (1 - hazard_i(d) / lambda),
+    el the elasticity x h'(x) / h(x); lh_tau = ln h(e^-tau) and el_tau = el(-tau)
+    are constant per draw, so the caller computes them once.
+    """
+    g, p = m.generator, m.core
+    lx = _marginal_log(p, i, d) - tau
+    # 1 - hazard_i/lambda = (1 - gamma_i/(alpha lambda) + c) / (1 + c), c = alpha_i e^{-gamma_i d}/(1 - alpha_i):
+    # without the cancellation where hazard_i nears lambda, whose noise costs the root finder passes
+    gamma, aw = _marg(p, i)
+    c = aw / (1.0 - aw) * np.exp(-gamma * d)
     with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        log_ratio = np.asarray(g.h_log(et * gb)) - np.asarray(g.h_log(et))
-        lp_ratio = np.asarray(g.h_log_prime(et * gb)) / np.asarray(g.h_log_prime(et))
-        out = np.exp(log_ratio) * lp_ratio * (gb - gd / p.lam)
-    return out
+        ratio = np.exp(np.asarray(g.h_log_from_log(lx)) - lh_tau) * g.h_elasticity_from_log(lx) / el_tau
+        return ratio * (1.0 - gamma / (p.alpha * p.lam) + c) / (1.0 + c)
+
+
+def _age_constants(g, tau):
+    """(ln h(e^-tau), el(-tau)): the per-draw constants of _q_t_batch."""
+    return g.h_log_from_log(-tau), g.h_elasticity_from_log(-tau)
 
 
 def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
@@ -144,7 +156,7 @@ def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
     d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / m.core.lam])
     for i in (1, 2):
         for tp in probes:
-            q = _q_t_batch(m, i, np.full(d_grid.size, tp), d_grid)
+            q = _q_t_batch(m, i, d_grid, tp, *_age_constants(m.generator, tp))
             if np.any(np.diff(q) > 1e-9):
                 raise ValidationError(
                     "conditional gap survival is not monotone: the generator/core pair "
@@ -171,11 +183,13 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
     side1 = (~atom) & (u_cat < p0 + q1)
     side2 = ~(atom | side1)
     d = np.zeros(n)
+    lh_tau, el_tau = _age_constants(m.generator, tau)
     for i, mask, q in ((1, side1, q1), (2, side2, q2)):
         if not np.any(mask):
             continue
         sol = solve_decreasing_batch(
-            lambda dd, tt: _q_t_batch(m, i, tt, dd), u_mag[mask] * q, start=1.0 / p.lam, args=(tau[mask],)
+            lambda dd, *age: _q_t_batch(m, i, dd, *age), u_mag[mask] * q, start=1.0 / p.lam,
+            args=(tau[mask], lh_tau[mask], el_tau[mask]),
         )
         d[mask] = sol if i == 1 else -sol
     x = w + np.maximum(d, 0.0)

@@ -3,10 +3,11 @@
 Every array function returns a Python float for a scalar input and a float64
 array of the input's shape otherwise.  Copulas take their exact boundary
 values.  A NaN argument to a function that checks its domain raises
-DomainError.  The generator methods that take a log argument (h_log,
-h_log_prime, h_from_log, h_log_from_log, h_inverse_from_log,
-h_elasticity_from_log) and residual_distortion_log check no domain,
-as before: they are the inner loop of the quadratures and the root finder.
+DomainError, and so does an age below 0 or an argument outside the domain.
+The generator methods that take a log argument (h_log, h_log_prime,
+h_from_log, h_log_from_log, h_inverse_from_log, h_elasticity_from_log) and
+the log argument of residual_distortion_log are not checked: they are the
+inner loop of the quadratures and the root finder.
 """
 
 import math
@@ -154,6 +155,14 @@ NAN_CALLS = [
     ("generators.residual_distortion_log_inverse",
      lambda: generators.residual_distortion_log_inverse(G, 0.5, NAN)),
     ("generators.residual_distortion_prime", lambda: generators.residual_distortion_prime(G, NAN, 0.5)),
+    ("generators.residual_distortion_log.t", lambda: generators.residual_distortion_log(G, NAN, -0.5)),
+    # out of the domain, not NaN: these returned a number
+    ("generators.residual_distortion_log.negative_t",
+     lambda: generators.residual_distortion_log(M.generator, -1.0, -0.5)),
+    ("generators.residual_distortion_prime.x_above_1",
+     lambda: generators.residual_distortion_prime(M.generator, 1.0, 1.5)),
+    ("generators.residual_distortion_prime.x_below_0",
+     lambda: generators.residual_distortion_prime(M.generator, 1.0, -0.5)),
     ("generators.pseudo_product", lambda: generators.pseudo_product(G, 0.5, NAN)),
     ("dependence.j_integral_closed", lambda: dependence.j_integral_closed(P, 1, NAN)),
     ("dependence.j_integral", lambda: dependence.j_integral(M, 1, NAN, method="quadrature")),

@@ -18,6 +18,7 @@ from bivlmp.generators import (
     residual_distortion_log_inverse,
     time_distortion,
 )
+from oracles import mixing_mgf
 
 CATALOG = [
     ("identity", {}),
@@ -160,8 +161,8 @@ def test_mixing_generator_matches_mgf():
     ):
         g = generator_from_mixing(law, ratio=0.1)
         x = np.linspace(0.05, 0.95, 19)
-        assert np.allclose(g.h(x), law.mgf(0.1 * np.log(x)), rtol=1e-12), law.kind
-        assert law.mgf(0.0) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(g.h(x), mixing_mgf(law, 0.1 * np.log(x)), rtol=1e-12), law.kind
+        assert mixing_mgf(law, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_neg_log_inverse_survives_underflow():

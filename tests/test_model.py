@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bivlmp.core import mu_core, singular_mass
+from bivlmp.core import core_copula, mu_core, singular_mass
 from bivlmp.errors import DomainError, ValidationError
 from bivlmp.generators import make_generator
 from bivlmp.model import (
@@ -11,6 +11,7 @@ from bivlmp.model import (
     Model,
     copula_t,
     fbar,
+    fbar_log,
     fbar_marginal,
     fbar_residual,
     generalized_weak_residual,
@@ -174,3 +175,52 @@ def test_mo15_constraints_enforced():
 def test_mo15_generator_needs_xi_at_least_one():
     with pytest.raises(ValidationError):
         Model(generator=make_generator("mo15", xi=0.5), core=MU)
+
+
+# -- ages enter as -tau: values that forming e^-tau x got wrong --------------
+
+
+def test_mo15_copula_keeps_its_t0_value_at_large_age(models):
+    m = models["mo15"]
+    assert copula_t(m, 0.0, 0.3, 0.4) == pytest.approx(0.16286505699569437, rel=1e-15)
+    for t in (40.0, 300.0, 1000.0):
+        assert copula_t(m, t, 0.3, 0.4) == pytest.approx(0.16286505699569437, rel=1e-13), t
+
+
+def test_pareto_copula_below_the_inverse_underflow():
+    # h(x) = 1/(1 - ln x), h^-1(u) = exp(1 - 1/u) = e^-999 at u = 1e-3; the MU core closed form at 40 digits
+    mp = pytest.importorskip("mpmath")
+    m = Model(generator=make_generator("pareto", a=1.0, mu=1.0), core=MU)
+    with mp.workdps(40):
+        a = mp.exp(1 - 1 / mp.mpf("1e-3"))
+        b = mp.exp(1 - 1 / mp.mpf("0.5"))
+        big_a, big_b = (1 / a - mp.mpf("0.3")) / mp.mpf("0.7"), (1 / b - mp.mpf("0.2")) / mp.mpf("0.8")
+        c = 1 / (mp.mpf("0.2") * big_a + mp.mpf("0.3") * big_b + mp.mpf("0.5") * max(big_a, big_b))
+        expect = float(1 / (1 - mp.log(c)))
+    assert copula_t(m, 0.0, 1e-3, 0.5) == pytest.approx(expect, rel=1e-13)
+    assert copula_t(m, 0.0, 1e-3, 0.5) == pytest.approx(1e-3, rel=1e-3)
+
+
+def test_residual_functions_at_ages_past_exp_underflow(models):
+    mo, ident = models["mo15"], models["identity_mu"]
+    assert generalized_weak_residual(mo, 40.0, 0.5, 0.3) == pytest.approx(0.0, abs=1e-15)
+    # the identity generator is memoryless: every age-t function keeps its t = 0 value
+    assert fbar_residual(ident, 8000.0, 0.5, 0.3) == pytest.approx(0.9569138737702609, rel=1e-12)
+    assert fbar_log(mo, 6.0, 6.0) == pytest.approx(-2.0 * math.expm1(6.0), rel=1e-15)
+    assert fbar_log(ident, 8000.0, 8000.0) == pytest.approx(-800.0, rel=1e-15)
+    t = 800.0 / ident.lam
+    assert copula_t(ident, t, 0.3, 0.4) == pytest.approx(core_copula(ident.core, 0.3, 0.4), rel=1e-12)
+    assert singular_line_survival(ident, t, 2.0) == pytest.approx(0.5 * math.exp(-0.2), rel=1e-12)
+    assert generalized_weak_residual(ident, t, 0.5, 0.3) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_mo15_past_the_overflow_of_its_age_scale(models):
+    # xi e^{lambda t} overflows past lambda t = 709.1: the residual survival is still exact, while
+    # the quantities that need the scale itself raise a named error
+    m = models["mo15"]
+    assert fbar_residual(m, 800.0, 0.0, 0.0) == 1.0
+    assert fbar_residual(m, 800.0, 0.5, 0.3) == 0.0
+    with pytest.raises(DomainError):
+        mean_excess(m, 1, 800.0)
+    with pytest.raises(DomainError):
+        generalized_weak_residual(m, 800.0, 0.5, 0.3)

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from bivlmp.core import mu_core, singular_mass
+from bivlmp.core import marginal_survival, mu_core, singular_mass
 from bivlmp.errors import ValidationError
 from bivlmp.generators import MixingLaw, generator_from_survival
 from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
     SampleBatch,
+    _age_constants,
+    _q_t_batch,
     empirical_atom,
     empirical_atom_survival,
     empirical_survival,
@@ -18,6 +20,7 @@ from bivlmp.sampler import (
     sample_mixing_shortcut,
     sample_model,
 )
+from oracles import mixing_mgf
 
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 
@@ -101,6 +104,24 @@ def test_atom_survival_curve(models):
     assert abs(empirical_atom_survival(batch, x) - 0.25) < 4 * se
 
 
+@pytest.mark.parametrize("name", ["pareto_mu", "mixing_gamma"])
+@pytest.mark.parametrize("tau", [700.0, 1000.0])
+def test_gap_law_of_very_old_minima_matches_log_power_closed_form(models, name, tau):
+    # h(x) = (1 - c ln x)^-e gives
+    #   q_t(d) = ((1 + c tau) / (1 + c (tau - ln Gbar_i(d))))^(e + 1) (1 - hazard_i(d) / lambda);
+    # e^-tau Gbar_i(d) is far below the smallest double here.  On these MU cores
+    # 1 - hazard_i(d) / lambda = k / (1 + k) with k = alpha_i e^{-gamma d} / (1 - alpha_i).
+    m = models[name]
+    c, e = m.generator.coef, m.generator.expo
+    d = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 30) / m.lam])
+    for i, aw in ((1, m.core.alpha1), (2, m.core.alpha2)):
+        lg = np.log(marginal_survival(m.core, i, d))
+        k = aw / (1.0 - aw) * np.exp(-m.core.gamma1 * d)
+        want = ((1.0 + c * tau) / (1.0 + c * (tau - lg))) ** (e + 1.0) * k / (1.0 + k)
+        got = _q_t_batch(m, i, d, tau, *_age_constants(m.generator, tau))
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0), i
+
+
 def test_invalid_composition_rejected(models):
     # Weibull distortion with shape 2 on this core satisfies the functional
     # equation but is not 2-increasing; the sampler must refuse it.
@@ -141,7 +162,7 @@ def test_mixing_factor_matches_mgf(law):
     u = -0.3
     vals = np.exp(u * z)
     se = float(np.std(vals) / math.sqrt(n))
-    assert abs(float(np.mean(vals)) - float(law.mgf(u))) < 4.5 * se
+    assert abs(float(np.mean(vals)) - float(mixing_mgf(law, u))) < 4.5 * se
 
 
 def test_sibuya_factor_support():
