@@ -19,7 +19,7 @@ import json
 
 from .core import CoreParams, DEFAULT_SLACK
 from .errors import ValidationError
-from .generators import Generator, make_generator
+from .generators import _FAMILIES, Generator, make_generator
 from .model import Model
 
 _TOP_KEYS = {"label", "generator", "core", "validation_slack"}
@@ -89,6 +89,8 @@ def _parse_generator(gdoc: dict) -> Generator:
 def emit_config(m: Model) -> dict:
     """Config document that reparses to an identical model."""
     g = m.generator
+    if g.family != "mixing" and g.family not in _FAMILIES:
+        raise ValidationError(f"a {g.family!r} generator has no config form")
     if g.family == "mixing":
         gdoc = {
             "family": "mixing",

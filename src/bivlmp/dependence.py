@@ -154,50 +154,30 @@ def kendall_tau(m: Model, t: float, tol: float = 1e-9) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _Fenwick:
-    def __init__(self, n):
-        self.n = n
-        self.tree = np.zeros(n + 1, dtype=np.int64)
-
-    def add(self, i):
-        i += 1
-        while i <= self.n:
-            self.tree[i] += 1
-            i += i & (-i)
-
-    def prefix(self, i):
-        # count of inserted ranks <= i
-        s = 0
-        i += 1
-        while i > 0:
-            s += self.tree[i]
-            i -= i & (-i)
-        return int(s)
-
-
 def _concordance_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """For each i, the number of j with X_j > X_i and Y_j > Y_i."""
+    """For each i, the number of j with X_j > X_i and Y_j > Y_i.
+
+    In descending x, ties broken by ascending y, that is the number of earlier
+    points with a higher y rank.  Level by level, each point in the right half
+    of a block pair counts them in the left half by searchsorted on the ranks
+    sorted within blocks (keys block * n + rank).
+    """
     n = x.size
-    order = np.lexsort((y, -x))  # descending x, ties broken by y
-    y_rank = np.searchsorted(np.sort(np.unique(y)), y)
-    n_ranks = int(y_rank.max()) + 1
-    bit = _Fenwick(n_ranks)
+    order = np.lexsort((y, -x))
+    rank = np.unique(y, return_inverse=True)[1][order]
+    pos = np.arange(n)
     counts = np.zeros(n, dtype=np.int64)
-    inserted = 0
-    i = 0
-    while i < n:
-        j = i
-        while j < n and x[order[j]] == x[order[i]]:
-            j += 1
-        # query the whole tie group before inserting any of it
-        for k in range(i, j):
-            idx = order[k]
-            counts[idx] = inserted - bit.prefix(int(y_rank[idx]))
-        for k in range(i, j):
-            bit.add(int(y_rank[order[k]]))
-        inserted += j - i
-        i = j
-    return counts
+    size = 1
+    while size < n:
+        block = pos // size
+        keys = np.sort(block * n + rank)
+        right = block % 2 == 1
+        left = block[right] - 1
+        counts[right] += (left + 1) * size - np.searchsorted(keys, left * n + rank[right], side="right")
+        size *= 2
+    out = np.empty(n, dtype=np.int64)
+    out[order] = counts
+    return out
 
 
 def empirical_kendall(batch, s_grid=DEFAULT_S_GRID) -> KendallCurve:

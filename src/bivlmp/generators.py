@@ -179,7 +179,6 @@ class StretchedExpGenerator(Generator):
     """
 
     family = "weibull"
-    _keys = ("a", "alpha")
 
     def __init__(self, rate, shape):
         super().__init__()
@@ -187,7 +186,7 @@ class StretchedExpGenerator(Generator):
             raise ValidationError("stretched-exponential generator needs rate > 0 and shape > 0")
         self.rate = float(rate)
         self.shape = float(shape)
-        self.params = {self._keys[0]: self.rate, self._keys[1]: self.shape}
+        self.params = {"a": self.rate, "alpha": self.shape}
         self.zero_behavior = ("power", 1.0, rate) if abs(shape - 1.0) < 1e-14 else ("other",)
         self.one_behavior = ("power", rate**shape, shape)
 
@@ -259,7 +258,6 @@ class LogPowerGenerator(Generator):
     """
 
     family = "pareto"
-    _keys = ("a", "mu")
 
     def __init__(self, coef, expo):
         super().__init__()
@@ -267,7 +265,7 @@ class LogPowerGenerator(Generator):
             raise ValidationError("log-power generator needs positive parameters")
         self.coef = float(coef)
         self.expo = float(expo)
-        self.params = {self._keys[0]: coef, self._keys[1]: expo}
+        self.params = {"a": self.coef, "mu": 1.0 / self.expo}
         self.one_behavior = ("power", self.coef * self.expo, 1.0)
 
     def _h_log_from_log(self, lw):

@@ -14,6 +14,7 @@ argument: e^{-tau} is never formed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,21 +143,29 @@ def decay_rate(m: Model, t: float) -> float:
     return float(rate)
 
 
-def mean_excess(m: Model, i: int, t: float, tol: float = 1e-10) -> float:
-    """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz.
+def _heavy_tailed(m: Model, surv) -> bool:
+    """Whether the survival curve surv looks too heavy tailed to integrate over [0, inf).
 
-    Returns +inf when the residual marginal is heavy tailed: local decay
-    exponent d ln surv / d ln z at z ~ hundreds of mean lifetimes is <= ~1.
+    True when the local decay exponent d ln surv / d ln z at z ~ hundreds of
+    mean lifetimes is <= ~1, which a light tail still slow there passes too.
+    mean_excess asks this before it integrates; the pricing integrals ask it
+    once the quadrature has failed.
     """
+    z1, z2 = 150.0 / m.lam, 600.0 / m.lam
+    s_big, s_big2 = surv(np.array([z1, z2]))
+    if s_big > 0.0 and s_big2 > 0.0:
+        return -(math.log(s_big2) - math.log(s_big)) / math.log(z2 / z1) <= 1.05
+    return False
+
+
+def mean_excess(m: Model, i: int, t: float, tol: float = 1e-10) -> float:
+    """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz, +inf if heavy tailed."""
     if i not in (1, 2):
         raise DomainError("margin index must be 1 or 2")
-    z1, z2 = 150.0 / m.lam, 600.0 / m.lam
-    s_big, s_big2 = residual_marginal(m, i, t, np.array([z1, z2]))
-    if s_big > 0.0 and s_big2 > 0.0:
-        expo = -(math.log(s_big2) - math.log(s_big)) / math.log(z2 / z1)
-        if expo <= 1.05:
-            return math.inf
-    return integrate_upper(lambda z: residual_marginal(m, i, t, z), tol=tol, rate=decay_rate(m, t)).value
+    surv = functools.partial(residual_marginal, m, i, t)
+    if _heavy_tailed(m, surv):
+        return math.inf
+    return integrate_upper(surv, tol=tol, rate=decay_rate(m, t)).value
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,11 @@ the published benchmark table uses horizon = 100 years.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .model import Model, _residual_from_log, decay_rate, fbar_marginal, residual_marginal
+from .model import Model, _heavy_tailed, _residual_from_log, decay_rate, fbar_marginal, residual_marginal
 from .numerics import integrate_unit, integrate_upper
 
 PRICING_TOL = 1e-8
@@ -35,7 +36,10 @@ class PricingQuote:
 
 
 def _integrate(surv, m: Model, t: float, horizon, tol: float, what: str) -> float:
-    """Integral of surv over [0, horizon), or over [0, inf) on the decay scale of m at age t."""
+    """Integral of surv over [0, horizon), or over [0, inf) on the decay scale of m at age t.
+
+    A half-line integral that does not converge reads +inf when the tail of surv is heavy.
+    """
     try:
         if horizon is None:
             return integrate_upper(surv, tol=tol, rate=decay_rate(m, t)).value
@@ -43,6 +47,8 @@ def _integrate(surv, m: Model, t: float, horizon, tol: float, what: str) -> floa
             raise DomainError("horizon must be positive")
         return integrate_unit(lambda u: horizon * surv(horizon * u), tol=tol).value
     except ConvergenceError as exc:
+        if horizon is None and _heavy_tailed(m, surv):
+            return math.inf
         raise ConvergenceError(
             f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate
         ) from exc

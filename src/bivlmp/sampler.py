@@ -16,7 +16,11 @@ atom probability is unchanged while the conditional side-magnitude survival is
              / (lambda h'(e^{-lambda t})),
 
 obtained by differentiating Fbar along the second coordinate at x = y + d,
-and evaluated from ln Gbar1(d) - lambda t.
+and evaluated from ln Gbar1(d) - lambda t.  sample_model inverts q_t with the
+package's root finder, except where q_t has a closed-form inverse: for the
+identity generator q_t is the core's side law at every age, and on a side with
+gamma_i = alpha lambda that law inverts in closed form.  The core sampler and
+the frailty shortcut are this path with the identity generator.
 All draws come from a counter-based Philox stream, one batch per seed, so
 identical (model, n, seed) is bit-reproducible.
 """
@@ -27,19 +31,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
-from .core import (
-    CoreParams,
-    _marg,
-    _marginal_log,
-    marginal_density,
-    marginal_survival,
-    require_valid,
-    singular_mass,
-)
-from .errors import DomainError, ValidationError
-from .generators import MixingLaw, generator_from_mixing
+from .core import CoreParams, _marg, _marginal_log, require_valid, singular_mass
+from .errors import CapabilityError, DomainError, ValidationError
+from .generators import IdentityGenerator, MixingLaw, generator_from_mixing
 from .model import Model
 from .numerics import solve_decreasing_batch
 
@@ -83,44 +78,31 @@ def _side_probs(p: CoreParams):
     return p0 / total, q1 / total, q2 / total
 
 
-def _side_survival(p: CoreParams, i: int, d):
-    """P(D > d) (i=1) or P(D < -d) (i=2), d >= 0, up to the side normalization."""
-    return marginal_survival(p, i, d) - marginal_density(p, i, d) / p.lam
+def _mu_side_quantile(s, alpha, aw, gamma):
+    """d with P(D > d | side) = s on a side with gamma_i = alpha lambda, the core's closed form.
+
+    There P(D > d) = aw v^{-(alpha+1)/alpha} with v = aw + (1 - aw) e^{gamma d}, and s <= 1 gives v >= 1 > aw.
+    """
+    v = s ** (-alpha / (alpha + 1.0))
+    return np.log((v - aw) / (1.0 - aw)) / gamma
 
 
-def _invert_core_side(p: CoreParams, i: int, targets: np.ndarray) -> np.ndarray:
-    """Solve P(D > d) = target for d, vectorized."""
-    gamma, aw = (p.gamma1, p.alpha1) if i == 1 else (p.gamma2, p.alpha2)
-    ratio = gamma / (p.alpha * p.lam)
-    if abs(ratio - 1.0) < 1e-12:
-        # closed form: P(D>d) = aw * w^{-(alpha+1)/alpha}, w = aw + (1-aw) e^{gamma d}
-        w = (targets / aw) ** (-p.alpha / (p.alpha + 1.0))
-        return np.log(np.maximum(w - aw, 1e-300) / (1.0 - aw)) / gamma
-    return solve_decreasing_batch(lambda d: _side_survival(p, i, d), targets, start=1.0 / p.lam)
+def _split(u_cat, p0, q1):
+    """The atom flags and the two side masks of a categorical uniform."""
+    atom = u_cat < p0
+    side1 = (~atom) & (u_cat < p0 + q1)
+    return atom, side1, ~(atom | side1)
+
+
+def _batch(w, d, atom, seed, label) -> SampleBatch:
+    """The pairs (W + max(D, 0), W + max(-D, 0))."""
+    return SampleBatch(x=w + np.maximum(d, 0.0), y=w + np.maximum(-d, 0.0), atom=atom, seed=int(seed),
+                       model_label=label)
 
 
 def sample_core(p: CoreParams, n: int, seed: int, label: str = "core") -> SampleBatch:
-    """Draw n pairs from the undistorted core."""
-    require_valid(p)
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = _rng(seed)
-    w = -np.log(rng.random(n)) / p.lam
-    p0, q1, q2 = _side_probs(p)
-    u_cat = rng.random(n)
-    u_mag = rng.random(n)
-    atom = u_cat < p0
-    side1 = (~atom) & (u_cat < p0 + q1)
-    side2 = ~(atom | side1)
-    d = np.zeros(n)
-    if np.any(side1):
-        d[side1] = _invert_core_side(p, 1, u_mag[side1] * q1)
-    if np.any(side2):
-        d[side2] = -_invert_core_side(p, 2, u_mag[side2] * q2)
-    d = np.where(atom, 0.0, d)
-    x = w + np.maximum(d, 0.0)
-    y = w + np.maximum(-d, 0.0)
-    return SampleBatch(x=x, y=y, atom=atom, seed=int(seed), model_label=label)
+    """Draw n pairs from the undistorted core: the model with the identity generator."""
+    return sample_model(Model(generator=IdentityGenerator(), core=p, label=label), n, seed)
 
 
 def _q_t_batch(m: Model, i: int, d: np.ndarray, tau, lh_tau, el_tau) -> np.ndarray:
@@ -164,37 +146,38 @@ def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
                 )
 
 
+def _side_gap(m: Model, i: int, targets: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Solve q_t(d) = target per draw.
+
+    For the identity generator q_t is the core's side law at every age, closed
+    form on a side with gamma_i = alpha lambda.
+    """
+    p = m.core
+    gamma, aw = _marg(p, i)
+    if isinstance(m.generator, IdentityGenerator) and abs(gamma / (p.alpha * p.lam) - 1.0) < 1e-12:
+        return _mu_side_quantile(targets / aw, p.alpha, aw, gamma)
+    return solve_decreasing_batch(lambda d, *age: _q_t_batch(m, i, d, *age), targets, start=1.0 / p.lam,
+                                  args=(tau, *_age_constants(m.generator, tau)))
+
+
 def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
     """Draw n pairs from a distorted model, conditioning the gap law on the min."""
     if not m.generator.has_prime:
-        raise DomainError(f"{m.generator.family}: sampling needs the derivative capability")
+        raise CapabilityError(f"{m.generator.family}: sampling needs the derivative capability")
     if n < 1:
         raise DomainError("n must be at least 1")
     p = m.core
-    rng = _rng(seed)
-    u_min = rng.random(n)
-    u_cat = rng.random(n)
-    u_mag = rng.random(n)
+    u_min, u_cat, u_mag = _rng(seed).random((3, n))
     w = np.asarray(m.generator.neg_log_h_inverse(u_min)) / p.lam
     tau = p.lam * w
     _check_q_monotone(m, tau)
     p0, q1, q2 = _side_probs(p)
-    atom = u_cat < p0
-    side1 = (~atom) & (u_cat < p0 + q1)
-    side2 = ~(atom | side1)
+    atom, side1, side2 = _split(u_cat, p0, q1)
     d = np.zeros(n)
-    lh_tau, el_tau = _age_constants(m.generator, tau)
-    for i, mask, q in ((1, side1, q1), (2, side2, q2)):
-        if not np.any(mask):
-            continue
-        sol = solve_decreasing_batch(
-            lambda dd, *age: _q_t_batch(m, i, dd, *age), u_mag[mask] * q, start=1.0 / p.lam,
-            args=(tau[mask], lh_tau[mask], el_tau[mask]),
-        )
-        d[mask] = sol if i == 1 else -sol
-    x = w + np.maximum(d, 0.0)
-    y = w + np.maximum(-d, 0.0)
-    return SampleBatch(x=x, y=y, atom=atom, seed=int(seed), model_label=m.label)
+    for i, mask, q, sign in ((1, side1, q1, 1.0), (2, side2, q2, -1.0)):
+        if np.any(mask):
+            d[mask] = sign * _side_gap(m, i, u_mag[mask] * q, tau[mask])
+    return _batch(w, d, atom, seed, m.label)
 
 
 # ---------------------------------------------------------------------------
@@ -203,30 +186,13 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
 
 
 def _sample_sibuya(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
-    """Sibuya(a) variates by inverting the survival P(Z > k) = prod_{j<=k}(1 - a/j)."""
-    u = rng.random(n)
+    """Sibuya(a) variates as the mixture Z | P ~ Geometric(P) on {1, 2, ...}, P ~ Beta(a, 1 - a).
 
-    def log_surv(k):
-        return gammaln(k + 1.0 - a) - gammaln(1.0 - a) - gammaln(k + 1.0)
-
-    # smallest k >= 1 with P(Z > k) < u, then Z = k
-    hi = np.ones(n)
-    for _ in range(120):
-        need = np.exp(log_surv(hi)) >= u
-        if not np.any(need):
-            break
-        hi = np.where(need, hi * 2.0, hi)
-    lo = np.zeros(n)
-    for _ in range(80):
-        mid = np.floor((lo + hi) / 2.0)
-        mid = np.where(mid <= lo, lo + 1.0, mid)
-        mid = np.where(mid >= hi, hi, mid)
-        go_right = np.exp(log_surv(mid)) >= u
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_right, hi, mid)
-        if np.all(hi - lo <= 1.0):
-            break
-    return hi
+    Exact: P(Z > k) = E[(1 - P)^k] = prod_{j<=k}(1 - a/j).  Z = 1 + floor(E / -ln(1 - P)) with E
+    standard exponential, in floats, since a small a puts mass far past the int64 range.
+    """
+    p = rng.beta(a, 1.0 - a, n)
+    return np.floor(rng.standard_exponential(n) / -np.log1p(-p)) + 1.0
 
 
 def _sample_positive_stable(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
@@ -276,30 +242,16 @@ def sample_mixing_shortcut(
         raise DomainError("ratio must be positive")
     if n < 1:
         raise DomainError("n must be at least 1")
-    gamma = p.gamma1
     rng = _rng(seed)
-    z = sample_mixing_factor(law, rng, n)
-    c = ratio * z  # per-draw power of Gbar
-    alpha_eff = p.alpha / c
-    lam_eff = c * p.lam
-    w = -np.log(rng.random(n)) / lam_eff
-    u_cat = rng.random(n)
-    u_mag = rng.random(n)
-    p0 = 1.0 - p.alpha1 - p.alpha2
-    atom = u_cat < p0
-    side1 = (~atom) & (u_cat < p0 + p.alpha1)
-    side2 = ~(atom | side1)
+    c = ratio * sample_mixing_factor(law, rng, n)  # per-draw power of Gbar
+    u_min, u_cat, u_mag = rng.random((3, n))
+    w = -np.log(u_min) / (c * p.lam)
+    atom, side1, side2 = _split(u_cat, 1.0 - p.alpha1 - p.alpha2, p.alpha1)
+    alpha = p.alpha / c
     d = np.zeros(n)
     for mask, aw, sign in ((side1, p.alpha1, 1.0), (side2, p.alpha2, -1.0)):
-        if not np.any(mask):
-            continue
-        ae = alpha_eff[mask]
-        wv = (u_mag[mask]) ** (-ae / (ae + 1.0))  # targets already normalized by aw
-        d[mask] = sign * np.log(np.maximum(wv - aw, 1e-300) / (1.0 - aw)) / gamma
-    d = np.where(atom, 0.0, d)
-    x = w + np.maximum(d, 0.0)
-    y = w + np.maximum(-d, 0.0)
-    return SampleBatch(x=x, y=y, atom=atom, seed=int(seed), model_label=label)
+        d[mask] = sign * _mu_side_quantile(u_mag[mask], alpha[mask], aw, p.gamma1)
+    return _batch(w, d, atom, seed, label)
 
 
 def mixing_model(law: MixingLaw, p: CoreParams, ratio: float, label: str = "mixing") -> Model:

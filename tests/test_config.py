@@ -10,7 +10,10 @@ from bivlmp.config import (
     load_model,
     parse_config,
 )
+from bivlmp.core import mu_core
 from bivlmp.errors import ValidationError
+from bivlmp.generators import IdentityGenerator, LogPowerGenerator, generator_from_survival, power_scaled
+from bivlmp.model import Model
 
 CONFIG_DIR = "configs"
 
@@ -86,3 +89,24 @@ def test_config_files_are_strict_json(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError):
         load_model(path)
+
+
+@pytest.mark.parametrize(
+    "generator",
+    [power_scaled(IdentityGenerator(), 2.0), generator_from_survival(lambda z: 1.0 / (1.0 + z))],
+    ids=["power_scaled", "from_survival"],
+)
+def test_emit_refuses_generators_without_a_config_form(generator):
+    m = Model(generator=generator, core=mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2))
+    with pytest.raises(ValidationError, match=generator.family):
+        emit_config(m)
+
+
+def test_log_power_generator_describes_its_pareto_parameters():
+    # h(x) = (1 - ln x)^-2 is the pareto family with a = 1 and mu = 1/2
+    core = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
+    m = Model(generator=LogPowerGenerator(coef=1.0, expo=2.0), core=core)
+    assert m.generator.params == {"a": 1.0, "mu": 0.5}
+    again = parse_config(emit_config(m))
+    assert again.describe() == m.describe()
+    assert again.generator.expo == 2.0

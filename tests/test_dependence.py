@@ -179,9 +179,10 @@ def _brute_counts(x, y):
 
 def test_concordance_counts_match_brute_force():
     rng = np.random.default_rng(11)
-    x = rng.integers(0, 12, 300).astype(float)
-    y = rng.integers(0, 12, 300).astype(float)
-    assert np.array_equal(_concordance_counts(x, y), _brute_counts(x, y))
+    samples = [(rng.integers(0, 12, n).astype(float), rng.integers(0, 12, n).astype(float)) for n in (300, 1, 2)]
+    samples += [(rng.random(257), rng.random(257)), (np.full(40, 3.0), np.full(40, 3.0))]  # the last all tied
+    for x, y in samples:
+        assert np.array_equal(_concordance_counts(x, y), _brute_counts(x, y)), x.size
 
 
 def test_empirical_kendall_tracks_closed_form(models):

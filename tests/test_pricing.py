@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bivlmp.model import fbar, mean_excess
+from bivlmp.core import mu_core
+from bivlmp.generators import make_generator
+from bivlmp.model import Model, fbar, mean_excess
 from bivlmp.pricing import (
     REFERENCE_HORIZON,
     REFERENCE_PREMIUMS,
@@ -38,6 +40,26 @@ def test_deferred_vs_residual_relation(models):
     # heavy-tailed diagonal survival evaluates exactly in the log domain
     m = models["mixing_gamma"]
     assert joint_annuity(m, 10.0) == pytest.approx(100.0 / 1.1, rel=1e-8)
+
+
+def test_divergent_integrals_read_infinite(models):
+    # h(Gbar_i(z)) ~ 1/(lambda z) on pareto_mu: every integral of a margin or of the diagonal diverges alike
+    m = models["pareto_mu"]
+    assert life_expectancy(m, 1) == math.inf
+    assert joint_annuity(m, 0.0) == math.inf
+    assert residual_joint_annuity(m, 5.0) == math.inf
+    assert mean_excess(m, 1, 0.0) == math.inf
+    # the product of the two margins decays like z^-2 and stays finite
+    assert independent_annuity(m, 0.0) == pytest.approx(11.233045102486045, rel=1e-10)
+
+
+def test_slow_light_tail_stays_finite():
+    # Fbar(z, z) = exp(-(lam z)^0.2): its log-slope over 150/lam..600/lam is about 0.6, yet the mean is Gamma(6)/lam
+    m = Model(make_generator("weibull", a=1.0, alpha=0.2), mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2))
+    assert joint_annuity(m, 0.0) == pytest.approx(math.gamma(6.0) / m.lam, rel=1e-8)
+    for i in (1, 2):
+        assert life_expectancy(m, i) == pytest.approx(math.gamma(6.0) / m.lam, rel=2e-3)
+    assert math.isfinite(residual_joint_annuity(m, 5.0))
 
 
 def test_residual_joint_annuity_constant_for_identity(models):

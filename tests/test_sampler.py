@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
-from bivlmp.core import marginal_survival, mu_core, singular_mass
-from bivlmp.errors import ValidationError
-from bivlmp.generators import MixingLaw, generator_from_survival
+from bivlmp.core import CoreParams, marginal_survival, mu_core, singular_mass
+from bivlmp.errors import CapabilityError, ValidationError
+from bivlmp.generators import IdentityGenerator, MixingLaw, generator_from_survival, power_scaled
 from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
     SampleBatch,
@@ -23,6 +24,7 @@ from bivlmp.sampler import (
 from oracles import mixing_mgf
 
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
+NON_MU = CoreParams(lam=0.15, alpha=1.0, gamma1=0.1, gamma2=0.12, alpha1=0.3, alpha2=0.2)
 
 
 def test_sample_model_deterministic(models):
@@ -45,6 +47,30 @@ def test_sample_model_numeric_generator_matches_closed(models, n):
     assert np.array_equal(got.atom, want.atom)
     assert np.allclose(got.x, want.x, rtol=1e-9, atol=1e-12)
     assert np.allclose(got.y, want.y, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [MU, NON_MU], ids=["mu", "non_mu"])
+def test_sample_core_is_the_identity_model(p):
+    got = sample_core(p, 5_000, seed=13)
+    want = sample_model(Model(generator=IdentityGenerator(), core=p, label="core"), 5_000, seed=13)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y)
+    assert np.array_equal(got.atom, want.atom)
+
+
+def test_identity_closed_form_gap_matches_root_finder():
+    # power_scaled(identity, 1) is h(x) = x outside the identity class, so its gaps go through the root finder
+    n = 5_000
+    closed = sample_model(Model(generator=IdentityGenerator(), core=MU), n, seed=19)
+    solved = sample_model(Model(generator=power_scaled(IdentityGenerator(), 1.0), core=MU), n, seed=19)
+    assert np.array_equal(closed.atom, solved.atom)
+    assert np.allclose(solved.x, closed.x, rtol=1e-12, atol=0.0)
+    assert np.allclose(solved.y, closed.y, rtol=1e-12, atol=0.0)
+
+
+def test_sampling_needs_the_derivative_capability():
+    g = generator_from_survival(lambda z: math.exp(-z))
+    with pytest.raises(CapabilityError):
+        sample_model(Model(generator=g, core=MU), 10, seed=1)
 
 
 def test_csv_round_trip(tmp_path, models):
@@ -171,6 +197,19 @@ def test_sibuya_factor_support():
     assert np.all(z == np.round(z)) and np.min(z) == 1.0
     # P(Z = 1) = a for a Sibuya law
     assert abs(np.mean(z == 1.0) - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5])
+def test_sibuya_tail_matches_exact_law(a):
+    # P(Z > k) = Gamma(k + 1 - a) / (Gamma(1 - a) Gamma(k + 1)), which is k^-a / Gamma(1 - a) to double
+    # precision far out, where a small a still leaves much of the mass
+    n = 200_000
+    z = sample_mixing_factor(MixingLaw("sibuya", {"a": a}), np.random.default_rng(79), n)
+    exact = {k: math.exp(gammaln(k + 1.0 - a) - gammaln(1.0 - a) - gammaln(k + 1.0)) for k in (1, 2, 5, 10, 100, 1e3)}
+    exact.update({k: k**-a / math.gamma(1.0 - a) for k in (1e16, 1e20, 1e30)})
+    for k, p in exact.items():
+        se = math.sqrt(p * (1.0 - p) / n)
+        assert abs(np.mean(z > k) - p) < 5.0 * se, k
 
 
 def test_batch_metadata(models):
