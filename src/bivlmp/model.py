@@ -23,7 +23,7 @@ import numpy as np
 from . import core as core_mod
 from . import generators as gen_mod
 from .core import CoreParams, gbar_log, require_valid, singular_mass
-from .errors import DomainError, ValidationError
+from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import Generator, Mo15Generator
 from .numerics import copula_edges, in_unit, integrate_upper, scalar_or_array
 
@@ -147,9 +147,8 @@ def _heavy_tailed(m: Model, surv) -> bool:
     """Whether the survival curve surv looks too heavy tailed to integrate over [0, inf).
 
     True when the local decay exponent d ln surv / d ln z at z ~ hundreds of
-    mean lifetimes is <= ~1, which a light tail still slow there passes too.
-    mean_excess asks this before it integrates; the pricing integrals ask it
-    once the quadrature has failed.
+    mean lifetimes is <= ~1, which a light tail still slow there passes too;
+    so survival_integral asks it only once the quadrature has failed.
     """
     z1, z2 = 150.0 / m.lam, 600.0 / m.lam
     s_big, s_big2 = surv(np.array([z1, z2]))
@@ -158,14 +157,24 @@ def _heavy_tailed(m: Model, surv) -> bool:
     return False
 
 
+def survival_integral(m: Model, t: float, surv, tol: float) -> float:
+    """Integral of surv over [0, inf) on the decay scale of m at age t, +inf if it fails on a heavy tail.
+
+    A quadrature that does not converge on a tail the probe finds light raises its ConvergenceError.
+    """
+    try:
+        return integrate_upper(surv, tol=tol, rate=decay_rate(m, t)).value
+    except ConvergenceError:
+        if _heavy_tailed(m, surv):
+            return math.inf
+        raise
+
+
 def mean_excess(m: Model, i: int, t: float, tol: float = 1e-10) -> float:
     """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz, +inf if heavy tailed."""
     if i not in (1, 2):
         raise DomainError("margin index must be 1 or 2")
-    surv = functools.partial(residual_marginal, m, i, t)
-    if _heavy_tailed(m, surv):
-        return math.inf
-    return integrate_upper(surv, tol=tol, rate=decay_rate(m, t)).value
+    return survival_integral(m, t, functools.partial(residual_marginal, m, i, t), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,10 @@ inverts nonincreasing functions on [0, inf) elementwise with scipy's
 ``bracket_root`` and ``find_root`` (Chandrupatla's method).  Everything here is
 a pure function of its inputs.
 
+SciPy is imported only inside the two functions that call it,
+``solve_decreasing_batch`` and ``invert_monotone``, so importing the package
+(and every command that never inverts numerically) does not load it.
+
 The package's array conventions live here too: every public array function
 returns ``scalar_or_array(out)``, checks a probability argument with
 ``in_unit`` and sets a copula's boundary values with ``copula_edges``.
@@ -17,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import elementwise
 
 from .errors import ConvergenceError, DomainError
 
@@ -134,6 +137,8 @@ def integrate_unit(f, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
 
 def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT_INVERT_TOL) -> float:
     """Solve f(x) = target for a scalar monotone f on [lo, hi], to |f(x) - target| <= tol."""
+    from scipy.optimize import elementwise
+
     fv = np.vectorize(f, otypes=[float])
     res = elementwise.find_root(lambda x: fv(x) - target, (lo, hi), tolerances={"fatol": tol})
     if res.status == -1:
@@ -188,6 +193,8 @@ def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarr
     through ``args`` (arrays broadcastable with ``targets``), never a closure.
     Elements are solved SOLVE_BLOCK at a time.
     """
+    from scipy.optimize import elementwise
+
     targets = np.asarray(targets, dtype=float)
 
     def residual(d, target, *rest):

@@ -17,12 +17,11 @@ the published benchmark table uses horizon = 100 years.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
-from .model import Model, _heavy_tailed, _residual_from_log, decay_rate, fbar_marginal, residual_marginal
-from .numerics import integrate_unit, integrate_upper
+from .model import Model, _residual_from_log, fbar_marginal, residual_marginal, survival_integral
+from .numerics import integrate_unit, integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
 
 PRICING_TOL = 1e-8
 
@@ -42,13 +41,11 @@ def _integrate(surv, m: Model, t: float, horizon, tol: float, what: str) -> floa
     """
     try:
         if horizon is None:
-            return integrate_upper(surv, tol=tol, rate=decay_rate(m, t)).value
+            return survival_integral(m, t, surv, tol)
         if horizon <= 0:
             raise DomainError("horizon must be positive")
         return integrate_unit(lambda u: horizon * surv(horizon * u), tol=tol).value
     except ConvergenceError as exc:
-        if horizon is None and _heavy_tailed(m, surv):
-            return math.inf
         raise ConvergenceError(
             f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate
         ) from exc

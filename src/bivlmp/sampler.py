@@ -38,6 +38,8 @@ from .generators import IdentityGenerator, MixingLaw, generator_from_mixing
 from .model import Model
 from .numerics import solve_decreasing_batch
 
+CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
+
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -56,10 +58,12 @@ class SampleBatch:
         return int(self.x.size)
 
     def to_csv(self, path):
+        """Write x, y, atom rows with .17g floats, CSV_BLOCK rows per write."""
         with open(path, "w", newline="") as fh:
             fh.write("x,y,atom\n")
-            for xi, yi, ai in zip(self.x, self.y, self.atom):
-                fh.write(f"{xi:.17g},{yi:.17g},{int(ai)}\n")
+            for k in range(0, self.n, CSV_BLOCK):
+                rows = zip(*(a[k:k + CSV_BLOCK].tolist() for a in (self.x, self.y, self.atom)))
+                fh.write("".join(f"{x:.17g},{y:.17g},{int(a)}\n" for x, y, a in rows))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -82,9 +86,9 @@ def _mu_side_quantile(s, alpha, aw, gamma):
     """d with P(D > d | side) = s on a side with gamma_i = alpha lambda, the core's closed form.
 
     There P(D > d) = aw v^{-(alpha+1)/alpha} with v = aw + (1 - aw) e^{gamma d}, and s <= 1 gives v >= 1 > aw.
+    v - 1 is taken as expm1 and d as log1p, so a tiny alpha, whose v rounds to 1, keeps its gap.
     """
-    v = s ** (-alpha / (alpha + 1.0))
-    return np.log((v - aw) / (1.0 - aw)) / gamma
+    return np.log1p(np.expm1(-alpha / (alpha + 1.0) * np.log(s)) / (1.0 - aw)) / gamma
 
 
 def _split(u_cat, p0, q1):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +11,10 @@ from bivlmp.cli import run
 from bivlmp.config import BUILTIN_CONFIGS, parse_config
 from bivlmp.model import fbar
 from bivlmp.config import builtin_model
+from bivlmp.sampler import CSV_BLOCK, sample_model
 
 CFG = "configs/identity_mu.json"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_validate_ok(capsys):
@@ -117,3 +123,52 @@ def test_price_table(capsys):
     # identity model: joint premium at t=0 equals 1/lambda = 10
     row0 = out.strip().split("\n")[1].split()
     assert float(row0[1]) == pytest.approx(10.0, abs=1e-3)
+
+
+def _fresh(code: str) -> str:
+    """stdout of code run in a fresh interpreter that imports bivlmp from src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_queries_never_load_scipy():
+    # only the root finder imports scipy, and none of these commands inverts numerically
+    out = _fresh("""
+import sys
+import bivlmp
+from bivlmp import cli
+for argv in (["validate", "-c", "configs/fig1_right.json"],
+             ["eval", "-c", "configs/mixing_gamma.json", "--x", "3", "--y", "5"],
+             ["eval", "-c", "configs/mo15.json", "--x", "0.3", "--y", "0.5", "--t", "1.2"],
+             ["tau", "-c", "configs/mixing_stable.json", "--t", "0,1.3"],
+             ["kendall", "-c", "configs/mo15.json", "--t", "0,1.3", "--points", "9"],
+             ["price", "-c", "configs/fig1_left.json", "--t", "0,10,20"],
+             ["paper", "table1"]):
+    assert cli.run(argv) == 0, argv
+print("scipy loaded:", "scipy" in sys.modules)
+""")
+    assert out.endswith("scipy loaded: False\n")
+
+
+def test_sample_loads_the_root_finder(tmp_path):
+    argv = ["sample", "-c", "configs/fig1_left.json", "-n", "200", "--seed", "5", "-o", str(tmp_path / "s.csv")]
+    out = _fresh(f"""
+import sys
+from bivlmp import cli
+assert cli.run({argv!r}) == 0
+print("scipy.optimize loaded:", "scipy.optimize" in sys.modules)
+""")
+    assert out.endswith("scipy.optimize loaded: True\n")
+
+
+def test_csv_bytes_match_row_by_row_format(tmp_path, models):
+    # past two block boundaries, with atom rows
+    batch = sample_model(models["identity_mu"], 2 * CSV_BLOCK + 3, seed=11)
+    assert batch.atom.any() and not batch.atom.all()
+    path = tmp_path / "s.csv"
+    batch.to_csv(path)
+    rows = "".join(f"{x:.17g},{y:.17g},{int(a)}\n" for x, y, a in zip(batch.x, batch.y, batch.atom))
+    assert path.read_bytes() == ("x,y,atom\n" + rows).encode()

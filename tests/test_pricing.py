@@ -53,13 +53,22 @@ def test_divergent_integrals_read_infinite(models):
     assert independent_annuity(m, 0.0) == pytest.approx(11.233045102486045, rel=1e-10)
 
 
-def test_slow_light_tail_stays_finite():
+def test_slow_light_tail_stays_finite(models):
     # Fbar(z, z) = exp(-(lam z)^0.2): its log-slope over 150/lam..600/lam is about 0.6, yet the mean is Gamma(6)/lam
     m = Model(make_generator("weibull", a=1.0, alpha=0.2), mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2))
     assert joint_annuity(m, 0.0) == pytest.approx(math.gamma(6.0) / m.lam, rel=1e-8)
     for i in (1, 2):
         assert life_expectancy(m, i) == pytest.approx(math.gamma(6.0) / m.lam, rel=2e-3)
+        # at age 0 the mean excess is the same integral
+        assert mean_excess(m, i, 0.0) == pytest.approx(life_expectancy(m, i), rel=1e-8)
     assert math.isfinite(residual_joint_annuity(m, 5.0))
+    # the stable mixing's residual margins are slow the same way at lambda t = 3000;
+    # each margin outlives the pair
+    s = models["mixing_stable"]
+    t = 3000.0 / s.lam
+    joint = residual_joint_annuity(s, t)
+    for i in (1, 2):
+        assert joint <= mean_excess(s, i, t) < math.inf
 
 
 def test_residual_joint_annuity_constant_for_identity(models):

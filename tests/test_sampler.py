@@ -11,6 +11,7 @@ from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
     SampleBatch,
     _age_constants,
+    _mu_side_quantile,
     _q_t_batch,
     empirical_atom,
     empirical_atom_survival,
@@ -65,6 +66,20 @@ def test_identity_closed_form_gap_matches_root_finder():
     assert np.array_equal(closed.atom, solved.atom)
     assert np.allclose(solved.x, closed.x, rtol=1e-12, atol=0.0)
     assert np.allclose(solved.y, closed.y, rtol=1e-12, atol=0.0)
+
+
+def test_shortcut_keeps_the_gap_at_tiny_per_draw_alpha():
+    # Sibuya(0.05) frailties reach Z past 1e16, where the per-draw alpha/Z rounds s^(-alpha/(alpha+1)) to 1
+    b = sample_mixing_shortcut(MixingLaw("sibuya", {"a": 0.05}), MU, 0.1, 100_000, seed=3)
+    assert np.count_nonzero((b.x == b.y) & ~b.atom) == 0
+
+
+def test_mu_side_quantile_first_order_at_tiny_alpha():
+    # d = ln(1 + (s^(-alpha/(alpha+1)) - 1)/(1 - aw))/gamma is alpha (-ln s)/((1 - aw) gamma) to first order
+    s = np.array([0.5, 1e-3, 0.999])
+    alpha = 1e-20
+    want = alpha * -np.log(s) / (0.7 * 0.1)
+    assert np.allclose(_mu_side_quantile(s, alpha, 0.3, 0.1), want, rtol=1e-12, atol=0.0)
 
 
 def test_sampling_needs_the_derivative_capability():
