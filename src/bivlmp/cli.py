@@ -157,15 +157,13 @@ def cmd_paper(args) -> int:
             f"{r['side']:>5} {r['t']:>5.0f} {r['kind']:>12} {r['computed']:>10.4f} "
             f"{r['reference']:>10.4f} {r['rel_err']:>9.2e}  {'pass' if ok else 'FAIL'}"
         )
-    # ordering check: left joint > independent, right joint < independent
-    for side, cmp_ok in (("left", lambda j, i: j > i), ("right", lambda j, i: j < i)):
-        m = models[side]
-        for t in pricing.REFERENCE_PREMIUMS[side]["ts"]:
-            j = pricing.joint_annuity(m, t, horizon=pricing.REFERENCE_HORIZON)
-            i = pricing.independent_annuity(m, t, horizon=pricing.REFERENCE_HORIZON)
-            ok = cmp_ok(j, i)
-            all_ok &= ok
-            print(f"ordering {side} t={t:.0f}: joint {'>' if j > i else '<'} independent  {'pass' if ok else 'FAIL'}")
+    # ordering check: left joint > independent, right joint < independent; rows come in
+    # (joint, independent) pairs per side and age
+    for joint, indep in zip(rows[::2], rows[1::2]):
+        side, j, i = joint["side"], joint["computed"], indep["computed"]
+        ok = j > i if side == "left" else j < i
+        all_ok &= ok
+        print(f"ordering {side} t={joint['t']:.0f}: joint {'>' if j > i else '<'} independent  {'pass' if ok else 'FAIL'}")
     return 0 if all_ok else 1
 
 
@@ -234,10 +232,7 @@ def run(argv=None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except BivlmpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (BivlmpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

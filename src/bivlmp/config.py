@@ -1,6 +1,7 @@
 """Strict JSON model configuration.
 
-Schema (unknown fields rejected at every level):
+Schema (an unknown or missing field or parameter is rejected at every level,
+and every value must be a finite JSON number; only polynomial "coeffs" is a list):
 
     {
       "label": "text",                     # optional
@@ -16,102 +17,70 @@ Schema (unknown fields rejected at every level):
 from __future__ import annotations
 
 import json
+import sys
 
 from .core import CoreParams, DEFAULT_SLACK
 from .errors import ValidationError
-from .generators import _FAMILIES, Generator, make_generator
+from .generators import Generator, make_generator
 from .model import Model
 
-_TOP_KEYS = {"label", "generator", "core", "validation_slack"}
-_CORE_KEYS = {"lambda", "alpha", "gamma1", "gamma2", "alpha1", "alpha2"}
-_GEN_KEYS = {"family", "params"}
-_GEN_MIXING_KEYS = {"family", "law", "ratio"}
-_LAW_KEYS = {"kind", "params"}
+_CORE_FIELDS = ("lambda", "alpha", "gamma1", "gamma2", "alpha1", "alpha2")
 
 
-def _reject_unknown(d: dict, allowed: set, where: str):
-    if not isinstance(d, dict):
+def _fields(doc, required: tuple, where: str, optional: tuple = ()):
+    """doc, which must be an object with every required field and no field outside required + optional."""
+    if not isinstance(doc, dict):
         raise ValidationError(f"{where} must be a JSON object")
-    unknown = set(d) - allowed
+    unknown = set(doc) - set(required) - set(optional)
     if unknown:
         raise ValidationError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValidationError(f"{where} missing field(s): {', '.join(missing)}")
+    return doc
+
+
+def _number(value, where: str, list_ok: bool = False):
+    """value as a float, or as a list of floats where list_ok; bools, strings, null and non-finite values fail."""
+    if list_ok and isinstance(value, list):
+        return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{where} must be a finite number, not {value!r}")
+    return float(value)
+
+
+def _params(doc, where: str) -> dict:
+    """A params object with each value checked by _number; the generator layer checks the names."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    return {k: _number(v, f"{where}.{k}", list_ok=k == "coeffs") for k, v in doc.items()}
 
 
 def parse_config(doc: dict) -> Model:
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    for req in ("generator", "core"):
-        if req not in doc:
-            raise ValidationError(f"config missing required field {req!r}")
-    slack = float(doc.get("validation_slack", DEFAULT_SLACK))
-    core_doc = doc["core"]
-    _reject_unknown(core_doc, _CORE_KEYS, "core")
-    missing = _CORE_KEYS - set(core_doc)
-    if missing:
-        raise ValidationError(f"core missing field(s): {', '.join(sorted(missing))}")
-    core = CoreParams(
-        lam=float(core_doc["lambda"]),
-        alpha=float(core_doc["alpha"]),
-        gamma1=float(core_doc["gamma1"]),
-        gamma2=float(core_doc["gamma2"]),
-        alpha1=float(core_doc["alpha1"]),
-        alpha2=float(core_doc["alpha2"]),
-        slack=slack,
-    )
-    gen = _parse_generator(doc["generator"])
-    return Model(generator=gen, core=core, label=str(doc.get("label", "")))
+    _fields(doc, ("generator", "core"), "config", ("label", "validation_slack"))
+    cdoc = _fields(doc["core"], _CORE_FIELDS, "core")
+    core = CoreParams(*(_number(cdoc[k], f"core.{k}") for k in _CORE_FIELDS),
+                      slack=_number(doc.get("validation_slack", DEFAULT_SLACK), "validation_slack"))
+    return Model(generator=_parse_generator(doc["generator"]), core=core, label=str(doc.get("label", "")))
 
 
-def _parse_generator(gdoc: dict) -> Generator:
-    if not isinstance(gdoc, dict) or "family" not in gdoc:
-        raise ValidationError("generator must be an object with a 'family' field")
-    family = gdoc["family"]
-    if family == "mixing":
-        _reject_unknown(gdoc, _GEN_MIXING_KEYS, "generator")
-        for req in ("law", "ratio"):
-            if req not in gdoc:
-                raise ValidationError(f"mixing generator missing field {req!r}")
-        law = gdoc["law"]
-        _reject_unknown(law, _LAW_KEYS, "generator.law")
-        if "kind" not in law:
-            raise ValidationError("generator.law missing 'kind'")
-        return make_generator(
-            "mixing",
-            law={"kind": law["kind"], "params": dict(law.get("params", {}))},
-            ratio=float(gdoc["ratio"]),
-        )
-    _reject_unknown(gdoc, _GEN_KEYS, "generator")
-    params = gdoc.get("params", {})
-    if not isinstance(params, dict):
-        raise ValidationError("generator.params must be an object")
-    return make_generator(family, **params)
+def _parse_generator(gdoc) -> Generator:
+    if isinstance(gdoc, dict) and gdoc.get("family") == "mixing":
+        _fields(gdoc, ("family", "law", "ratio"), "generator")
+        law = _fields(gdoc["law"], ("kind",), "generator.law", ("params",))
+        law = {"kind": law["kind"], "params": _params(law.get("params", {}), "generator.law.params")}
+        return make_generator("mixing", law=law, ratio=_number(gdoc["ratio"], "generator.ratio"))
+    _fields(gdoc, ("family",), "generator", ("params",))
+    return make_generator(gdoc["family"], **_params(gdoc.get("params", {}), "generator.params"))
 
 
 def emit_config(m: Model) -> dict:
     """Config document that reparses to an identical model."""
-    g = m.generator
-    if g.family != "mixing" and g.family not in _FAMILIES:
-        raise ValidationError(f"a {g.family!r} generator has no config form")
-    if g.family == "mixing":
-        gdoc = {
-            "family": "mixing",
-            "law": {"kind": g.params["law"]["kind"], "params": dict(g.params["law"]["params"])},
-            "ratio": g.params["ratio"],
-        }
-    else:
-        gdoc = {"family": g.family, "params": dict(g.params)}
-    return {
-        "label": m.label,
-        "generator": gdoc,
-        "core": {
-            "lambda": m.core.lam,
-            "alpha": m.core.alpha,
-            "gamma1": m.core.gamma1,
-            "gamma2": m.core.gamma2,
-            "alpha1": m.core.alpha1,
-            "alpha2": m.core.alpha2,
-        },
-        "validation_slack": m.core.slack,
-    }
+    if m.generator.config is None:
+        raise ValidationError(f"a hand-built {m.generator.family!r} generator has no config form")
+    core = m.core.describe()
+    slack = core.pop("slack")
+    return {"label": m.label, "generator": m.generator.describe(), "core": core, "validation_slack": slack}
 
 
 def load_model(path) -> Model:

@@ -40,9 +40,6 @@ class KendallCurve:
     grid: tuple  # of (s, K) pairs
     source: str  # closed_form | quadrature | empirical
 
-    def s_values(self):
-        return np.array([s for s, _ in self.grid])
-
     def k_values(self):
         return np.array([k for _, k in self.grid])
 

@@ -18,6 +18,7 @@ univariate survival function.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -80,15 +81,13 @@ class Generator:
     family = "base"
     has_closed_inverse = True
     has_prime = True
-    has_second_third = False
     # asymptotics: ("power", scale, exponent) | ("exponential", scale, exponent) | ("other",)
     zero_behavior = ("other",)
     one_behavior = ("other",)
     # the age past which the residual copula C_t equals its limit to double precision
     _copula_age_cap = math.inf
-
-    def __init__(self):
-        self.params: dict = {}
+    # the config document make_generator or generator_from_mixing built this from; None when built by hand
+    config = None
 
     # the log-domain formulas of a family ------------------------------------
     def _h_log_from_log(self, lw):
@@ -149,11 +148,11 @@ class Generator:
         return _quiet(lambda lu: -self._h_log_inv_from_log(lu), _log_arg(_in_unit(u)))
 
     def describe(self):
-        return {"family": self.family, "params": dict(self.params)}
+        """A copy of the config document, or only the family of a generator built by hand."""
+        return copy.deepcopy(self.config) if self.config is not None else {"family": self.family}
 
     def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in self.params.items())
-        return f"{type(self).__name__}({args})"
+        return f"{type(self).__name__}({self.describe()})"
 
 
 class IdentityGenerator(Generator):
@@ -181,12 +180,10 @@ class StretchedExpGenerator(Generator):
     family = "weibull"
 
     def __init__(self, rate, shape):
-        super().__init__()
         if rate <= 0 or shape <= 0:
             raise ValidationError("stretched-exponential generator needs rate > 0 and shape > 0")
         self.rate = float(rate)
         self.shape = float(shape)
-        self.params = {"a": self.rate, "alpha": self.shape}
         self.zero_behavior = ("power", 1.0, rate) if abs(shape - 1.0) < 1e-14 else ("other",)
         self.one_behavior = ("power", rate**shape, shape)
 
@@ -207,12 +204,10 @@ class GompertzGenerator(Generator):
     family = "gompertz"
 
     def __init__(self, xi, mu):
-        super().__init__()
         if xi <= 0 or mu <= 0:
             raise ValidationError("gompertz generator needs xi > 0 and mu > 0")
         self.xi = float(xi)
         self.mu = float(mu)
-        self.params = {"xi": self.xi, "mu": self.mu}
         self.zero_behavior = ("exponential", self.xi, self.mu)
         self.one_behavior = ("power", self.xi * self.mu, 1.0)
         # C_t depends on t only through xi e^{mu t}, and what is left of that dependence is
@@ -247,7 +242,6 @@ class Mo15Generator(GompertzGenerator):
 
     def __init__(self, xi):
         super().__init__(xi, 1.0)
-        self.params = {"xi": self.xi}
 
 
 class LogPowerGenerator(Generator):
@@ -260,12 +254,10 @@ class LogPowerGenerator(Generator):
     family = "pareto"
 
     def __init__(self, coef, expo):
-        super().__init__()
         if coef <= 0 or expo <= 0:
             raise ValidationError("log-power generator needs positive parameters")
         self.coef = float(coef)
         self.expo = float(expo)
-        self.params = {"a": self.coef, "mu": 1.0 / self.expo}
         self.one_behavior = ("power", self.coef * self.expo, 1.0)
 
     def _h_log_from_log(self, lw):
@@ -285,12 +277,10 @@ class LogisticGenerator(Generator):
     family = "logistic"
 
     def __init__(self, a, theta):
-        super().__init__()
         if a <= 0 or theta <= 0:
             raise ValidationError("logistic generator needs a > 0 and theta > 0")
         self.a = float(a)
         self.theta = float(theta)
-        self.params = {"a": self.a, "theta": self.theta}
         self.zero_behavior = ("power", 1.0 / self.theta, self.a)
         self.one_behavior = ("power", self.a * self.theta, 1.0)
 
@@ -312,14 +302,12 @@ class LogSeriesGenerator(Generator):
     family = "log_series"
 
     def __init__(self, a, theta):
-        super().__init__()
         if a <= 0:
             raise ValidationError("log-series generator needs a > 0")
         if theta <= -1.0 or theta == 0.0:
             raise ValidationError("log-series generator needs theta in (-1, 0) or theta > 0")
         self.a = float(a)
         self.theta = float(theta)
-        self.params = {"a": self.a, "theta": self.theta}
         self.zero_behavior = ("power", self.theta / math.log1p(self.theta), self.a)
         self.one_behavior = ("power", self.a * self.theta / ((1.0 + self.theta) * math.log1p(self.theta)), 1.0)
 
@@ -346,11 +334,9 @@ class ArctanGenerator(Generator):
     family = "arctan"
 
     def __init__(self, a):
-        super().__init__()
         if a <= 0:
             raise ValidationError("arctan generator needs a > 0")
         self.a = float(a)
-        self.params = {"a": self.a}
         self.zero_behavior = ("power", 4.0 / math.pi, self.a)
         self.one_behavior = ("power", 2.0 * self.a / math.pi, 1.0)
 
@@ -369,20 +355,16 @@ class ArctanGenerator(Generator):
 
 
 class SibuyaMixingGenerator(Generator):
-    """h(x) = 1 - (1 - x^r)^a from the Sibuya mixing law."""
+    """h(x) = 1 - (1 - x^r)^a, r = ratio; the Sibuya mixing law gives it for a in (0, 1]."""
 
     family = "mixing"
     _NEAR_0 = -40.0  # below this ln x^r, h = a x^r and h^-1(u) = (u/a)^(1/r) to double precision
 
     def __init__(self, a, ratio):
-        super().__init__()
-        if not (0.0 < a <= 1.0):
-            raise ValidationError("sibuya mixing needs a in (0, 1]")
-        if ratio <= 0:
-            raise ValidationError("mixing ratio must be positive")
+        if a <= 0 or ratio <= 0:
+            raise ValidationError("sibuya-form generator needs a > 0 and ratio > 0")
         self.a = float(a)
         self.ratio = float(ratio)
-        self.params = {"a": self.a, "ratio": self.ratio}
         self.zero_behavior = ("power", self.a, self.ratio)
         self.one_behavior = ("power", self.ratio**self.a, self.a)
 
@@ -406,10 +388,8 @@ class PolynomialGenerator(Generator):
 
     family = "polynomial"
     has_closed_inverse = False
-    has_second_third = True
 
     def __init__(self, coeffs):
-        super().__init__()
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ValidationError("polynomial generator needs at least two coefficients")
@@ -418,7 +398,6 @@ class PolynomialGenerator(Generator):
         if abs(c[0]) > 1e-12:
             raise ValidationError("polynomial generator needs zero constant term (h(0)=0)")
         self.coeffs = c
-        self.params = {"coeffs": [float(v) for v in c]}
         grid = np.linspace(0.0, 1.0, 512)
         vals = np.polyval(c[::-1], grid)
         if np.any(np.diff(vals) <= 0):
@@ -455,14 +434,11 @@ class SineGenerator(Generator):
     """h(x) = sin(theta x) / sin(theta), theta in (0, pi/2)."""
 
     family = "sine"
-    has_second_third = True
 
     def __init__(self, theta):
-        super().__init__()
         if not (0.0 < theta < math.pi / 2.0):
             raise ValidationError("sine generator needs theta in (0, pi/2)")
         self.theta = float(theta)
-        self.params = {"theta": self.theta}
         self.zero_behavior = ("power", self.theta / math.sin(self.theta), 1.0)
         self.one_behavior = ("power", self.theta * math.cos(self.theta) / math.sin(self.theta), 1.0)
 
@@ -492,7 +468,6 @@ class SurvivalGenerator(Generator):
     has_closed_inverse = False
 
     def __init__(self, survival, density=None, z_max: float = 1e4):
-        super().__init__()
         if abs(survival(0.0) - 1.0) > 1e-9:
             raise ValidationError("survival function must satisfy survival(0) = 1")
         grid = np.geomspace(1e-6, z_max, 64)
@@ -502,7 +477,6 @@ class SurvivalGenerator(Generator):
         self.survival = np.vectorize(survival, otypes=[float])
         self.density = density
         self.has_prime = density is not None
-        self.params = {"kind": "from_survival"}
 
     def _h_log_from_log(self, lw):
         return np.log(self.survival(-lw))
@@ -524,14 +498,12 @@ class PowerScaledGenerator(Generator):
     family = "power_scaled"
 
     def __init__(self, base: Generator, beta: float):
-        super().__init__()
         if beta <= 0:
             raise ValidationError("beta must be positive")
         self.base = base
         self.beta = float(beta)
         self.has_closed_inverse = base.has_closed_inverse
         self.has_prime = base.has_prime
-        self.params = {"beta": self.beta, "base": base.family}
         zb = base.zero_behavior
         if zb[0] != "other":
             self.zero_behavior = (zb[0], zb[1], zb[2] * self.beta)
@@ -548,15 +520,57 @@ class PowerScaledGenerator(Generator):
 
 
 # ---------------------------------------------------------------------------
-# mixing construction
+# the config families and the mixing construction
 # ---------------------------------------------------------------------------
 
-# kind -> (parameter, its admissible range, the message when it is outside)
-_MIXING_RANGES = {
-    "gamma": ("a", lambda a: a > 0.0, "gamma mixing needs a > 0"),
-    "positive_stable": ("a", lambda a: 0.0 < a <= 1.0, "positive-stable mixing needs a in (0, 1]"),
-    "sibuya": ("a", lambda a: 0.0 < a <= 1.0, "sibuya mixing needs a in (0, 1]"),
-    "log_series": ("theta", lambda th: -1.0 < th < 0.0, "log-series mixing needs theta in (-1, 0)"),
+
+def _entry(table: dict, key, what: str):
+    if not isinstance(key, str) or key not in table:
+        raise ValidationError(f"unknown {what} {key!r}")
+    return table[key]
+
+
+def _arguments(params: dict, names: tuple, what: str) -> list:
+    """The values of params in the order of names, which must be exactly its keys."""
+    unknown = set(params) - set(names)
+    if unknown:
+        raise ValidationError(f"unknown parameter(s) of {what}: {', '.join(sorted(unknown))}")
+    missing = [k for k in names if k not in params]
+    if missing:
+        raise ValidationError(f"{what} is missing parameter(s): {', '.join(missing)}")
+    return [params[k] for k in names]
+
+
+def _pareto(a, mu):
+    """Pareto survival (1 + a z)^(-1/mu) as a generator."""
+    if not mu > 0 or 1.0 / mu == math.inf:
+        raise ValidationError("pareto generator needs mu > 0 with 1/mu finite")
+    return LogPowerGenerator(a, 1.0 / mu)
+
+
+# family -> (its parameters in the builder's order, the builder)
+FAMILIES = {
+    "identity": ((), IdentityGenerator),
+    "weibull": (("a", "alpha"), StretchedExpGenerator),
+    "gompertz": (("xi", "mu"), GompertzGenerator),
+    "pareto": (("a", "mu"), _pareto),
+    "logistic": (("a", "theta"), LogisticGenerator),
+    "log_series": (("a", "theta"), LogSeriesGenerator),
+    "arctan": (("a",), ArctanGenerator),
+    "mo15": (("xi",), Mo15Generator),
+    "polynomial": (("coeffs",), PolynomialGenerator),
+    "sine": (("theta",), SineGenerator),
+}
+
+# kind -> (its parameter, the parameter's admissible range, the message when it is outside,
+#          the generator from (parameter, ratio))
+MIXING_LAWS = {
+    "gamma": ("a", lambda a: a > 0.0, "gamma mixing needs a > 0", lambda a, ratio: LogPowerGenerator(ratio, a)),
+    "positive_stable": ("a", lambda a: 0.0 < a <= 1.0, "positive-stable mixing needs a in (0, 1]",
+                        lambda a, ratio: StretchedExpGenerator(ratio, a)),
+    "sibuya": ("a", lambda a: 0.0 < a <= 1.0, "sibuya mixing needs a in (0, 1]", SibuyaMixingGenerator),
+    "log_series": ("theta", lambda th: -1.0 < th < 0.0, "log-series mixing needs theta in (-1, 0)",
+                   lambda theta, ratio: LogSeriesGenerator(ratio, theta)),
 }
 
 
@@ -566,27 +580,19 @@ class MixingLaw:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _MIXING_RANGES:
-            raise ValidationError(f"unknown mixing law {self.kind!r}")
-        name, admissible, message = _MIXING_RANGES[self.kind]
-        if not admissible(self.params.get(name, 0.0)):
+        name, admissible, message, _ = _entry(MIXING_LAWS, self.kind, "mixing law")
+        (value,) = _arguments(self.params, (name,), f"{self.kind} mixing")
+        if not admissible(value):
             raise ValidationError(message)
 
 
 def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
-    """Generator h(z) = M_Z(ratio * ln z) for a positive mixing factor Z."""
-    if ratio <= 0:
+    """Generator h(z) = M_Z(ratio * ln z) for a positive mixing factor Z; law and ratio are its config."""
+    if not ratio > 0:
         raise ValidationError("mixing ratio must be positive")
-    if law.kind == "gamma":
-        g = LogPowerGenerator(coef=ratio, expo=law.params["a"])
-    elif law.kind == "positive_stable":
-        g = StretchedExpGenerator(rate=ratio, shape=law.params["a"])
-    elif law.kind == "sibuya":
-        g = SibuyaMixingGenerator(a=law.params["a"], ratio=ratio)
-    else:
-        g = LogSeriesGenerator(a=ratio, theta=law.params["theta"])
-    g.family = "mixing"
-    g.params = {"law": {"kind": law.kind, "params": dict(law.params)}, "ratio": float(ratio)}
+    name, _, _, build = MIXING_LAWS[law.kind]
+    g = build(law.params[name], ratio)
+    g.config = {"family": "mixing", "law": {"kind": law.kind, "params": dict(law.params)}, "ratio": ratio}
     return g
 
 
@@ -594,33 +600,16 @@ def generator_from_survival(survival, density=None) -> Generator:
     return SurvivalGenerator(survival, density=density)
 
 
-_FAMILIES = {
-    "identity": lambda params: IdentityGenerator(),
-    "weibull": lambda params: StretchedExpGenerator(rate=params["a"], shape=params["alpha"]),
-    "gompertz": lambda params: GompertzGenerator(xi=params["xi"], mu=params["mu"]),
-    "pareto": lambda params: LogPowerGenerator(coef=params["a"], expo=1.0 / params["mu"]),
-    "logistic": lambda params: LogisticGenerator(a=params["a"], theta=params["theta"]),
-    "log_series": lambda params: LogSeriesGenerator(a=params["a"], theta=params["theta"]),
-    "arctan": lambda params: ArctanGenerator(a=params["a"]),
-    "mo15": lambda params: Mo15Generator(xi=params["xi"]),
-    "polynomial": lambda params: PolynomialGenerator(coeffs=params["coeffs"]),
-    "sine": lambda params: SineGenerator(theta=params["theta"]),
-}
-
-
-def make_generator(family: str, **params) -> Generator:
+def make_generator(family: str, /, **params) -> Generator:
+    """The generator a config document names, which keeps the document as its config."""
     if family == "mixing":
-        law = params["law"]
-        if isinstance(law, dict):
-            law = MixingLaw(kind=law["kind"], params=dict(law["params"]))
-        return generator_from_mixing(law, params["ratio"])
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise ValidationError(f"unknown generator family {family!r}") from None
-    g = builder(params)
-    if family == "pareto":  # the user-facing parameters, not (coef, expo) = (a, 1/mu)
-        g.params = {"a": float(params["a"]), "mu": float(params["mu"])}
+        law, ratio = _arguments(params, ("law", "ratio"), "the mixing generator")
+        if not isinstance(law, MixingLaw):
+            law = MixingLaw(law["kind"], dict(law.get("params", {})))
+        return generator_from_mixing(law, ratio)
+    names, build = _entry(FAMILIES, family, "generator family")
+    g = build(*_arguments(params, names, f"the {family} generator"))
+    g.config = {"family": family, "params": dict(params)}
     return g
 
 
@@ -766,7 +755,7 @@ def multiplicativity_check(g: Generator, n_grid: int = 25) -> dict:
     else:
         empirical = "neither"
     met = False
-    if empirical != "neither" and g.has_second_third:
+    if empirical != "neither" and hasattr(g, "_h_pp"):
         grid = np.linspace(0.01, 0.99, 101)
         hpp = np.asarray(g._h_pp(grid))
         hppp = np.asarray(g._h_ppp(grid))

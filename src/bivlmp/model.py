@@ -24,7 +24,7 @@ from . import core as core_mod
 from . import generators as gen_mod
 from .core import CoreParams, gbar_log, require_valid, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
-from .generators import Generator, Mo15Generator
+from .generators import Generator, Mo15Generator, make_generator
 from .numerics import copula_edges, in_unit, integrate_upper, scalar_or_array
 
 
@@ -221,4 +221,4 @@ def mo15_bridge(q: Mo15Params, slack: float = core_mod.DEFAULT_SLACK, label: str
     core = CoreParams(
         lam=q.lam, alpha=1.0, gamma1=q.lam1, gamma2=q.lam2, alpha1=a1, alpha2=a2, slack=slack
     )
-    return Model(generator=Mo15Generator(xi=q.xi), core=core, label=label)
+    return Model(generator=make_generator("mo15", xi=q.xi), core=core, label=label)

@@ -26,9 +26,13 @@ def test_validate_ok(capsys):
 def test_validate_echo_round_trips(capsys):
     assert run(["validate", "-c", CFG, "--echo"]) == 0
     out = capsys.readouterr().out
-    doc = json.loads(out[out.index("{"):])
-    m = parse_config(doc)
-    assert m.describe() == builtin_model("identity_mu").describe()
+    m = parse_config(json.loads(out[out.index("{"):]))
+    ref = builtin_model("identity_mu")
+    z = np.linspace(0.0, 40.0, 21)
+    assert np.array_equal(fbar(m, z[:, None], z[None, :]), fbar(ref, z[:, None], z[None, :]))
+    u = np.linspace(0.0, 1.0, 41)
+    assert np.array_equal(m.generator.h(u), ref.generator.h(u))
+    assert m.core == ref.core and m.label == ref.label
 
 
 def test_validate_bad_config_names_inequality(tmp_path, capsys):
@@ -46,6 +50,12 @@ def test_validate_bad_config_names_inequality(tmp_path, capsys):
 def test_missing_file_is_error(capsys):
     assert run(["validate", "-c", "no/such/file.json"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_directory_as_config_is_error(capsys):
+    assert run(["validate", "-c", "configs"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_usage_error_exit_2(capsys):
