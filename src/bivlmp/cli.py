@@ -122,9 +122,8 @@ def cmd_taildep(args) -> int:
 def cmd_aging(args) -> int:
     m = _load(args)
     prof = generators.aging_profile(m.generator)
-    mult = generators.multiplicativity_check(m.generator)
     print(f"aging: {prof.nbu_nwu} / {prof.ifr_dfr}")
-    print(f"multiplicativity: {mult['empirical']}")
+    print(f"multiplicativity: {prof.multiplicativity}")
     return 0
 
 

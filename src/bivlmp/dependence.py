@@ -115,23 +115,20 @@ def _kendall_values(m: Model, t: float, s, j_method: str):
 
 
 def kendall_closed_form(m: Model, t: float, s):
-    """K_t via the fully closed route (closed J_i, closed inverse and derivative)."""
+    """K_t via the closed J_i; the generator's inverse is its own, closed or numeric."""
     g = m.generator
-    if not (g.has_closed_inverse and g.has_prime):
-        raise CapabilityError(f"{g.family}: closed-form Kendall needs a closed inverse and a derivative")
+    if not g.has_prime:
+        raise CapabilityError(f"{g.family}: closed-form Kendall needs a derivative")
     return _kendall_values(m, t, s, j_method="closed")
 
 
-def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "auto") -> KendallCurve:
+def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "closed_form") -> KendallCurve:
     """Kendall curve of C_t on s_grid.
 
-    source: 'auto' prefers the closed J_i route; 'quadrature' forces numerical
-    J_i integration (the independent pipeline).
+    source: 'closed_form' takes the closed J_i; 'quadrature' integrates J_i
+    numerically (the independent pipeline).  Both need the generator's derivative.
     """
     s_grid = tuple(float(s) for s in s_grid)
-    if source == "auto":
-        g = m.generator
-        source = "closed_form" if g.has_closed_inverse and g.has_prime else "quadrature"
     if source == "closed_form":
         k = kendall_closed_form(m, t, s_grid)
     elif source == "quadrature":

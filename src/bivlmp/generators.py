@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,36 @@ from .numerics import copula_edges, in_unit, scalar_or_array, solve_decreasing_b
 
 _SLACK = 1e-12  # rounding allowed outside [0, 1] in a generator's argument
 _DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The finite numbers in (lo, hi), or (lo, hi] when closed, less the point hole."""
+
+    lo: float
+    hi: float = math.inf
+    closed: bool = False
+    hole: float | None = None
+
+    def __contains__(self, v):
+        # isfinite first: NaN and +-inf are never inside, whatever the bounds
+        return math.isfinite(v) and self.lo < v and (v < self.hi or self.closed and v == self.hi) and v != self.hole
+
+    def __str__(self):
+        text = f"({self.lo:.17g}, {self.hi:.17g}{']' if self.closed else ')'}"
+        return text if self.hole is None else f"{text} less {self.hole:.17g}"
+
+
+POSITIVE = Interval(0.0)
+_UNIT = Interval(0.0, 1.0, closed=True)
+
+
+def _admit(owner: str, name: str, value, domain: Interval) -> float:
+    """value as a float, which must lie in domain; owner names the family or law in the message."""
+    v = float(value) if isinstance(value, numbers.Real) else math.nan
+    if v not in domain:
+        raise ValidationError(f"{owner}: {name} must lie in {domain}, not {value!r}")
+    return v
 
 
 def _in_unit(x, what="argument"):
@@ -79,7 +110,6 @@ class Generator:
     """
 
     family = "base"
-    has_closed_inverse = True
     has_prime = True
     # asymptotics: ("power", scale, exponent) | ("exponential", scale, exponent) | ("other",)
     zero_behavior = ("other",)
@@ -180,10 +210,8 @@ class StretchedExpGenerator(Generator):
     family = "weibull"
 
     def __init__(self, rate, shape):
-        if rate <= 0 or shape <= 0:
-            raise ValidationError("stretched-exponential generator needs rate > 0 and shape > 0")
-        self.rate = float(rate)
-        self.shape = float(shape)
+        self.rate = _admit(self.family, "rate", rate, POSITIVE)
+        self.shape = _admit(self.family, "shape", shape, POSITIVE)
         self.zero_behavior = ("power", 1.0, rate) if abs(shape - 1.0) < 1e-14 else ("other",)
         self.one_behavior = ("power", rate**shape, shape)
 
@@ -204,10 +232,8 @@ class GompertzGenerator(Generator):
     family = "gompertz"
 
     def __init__(self, xi, mu):
-        if xi <= 0 or mu <= 0:
-            raise ValidationError("gompertz generator needs xi > 0 and mu > 0")
-        self.xi = float(xi)
-        self.mu = float(mu)
+        self.xi = _admit(self.family, "xi", xi, POSITIVE)
+        self.mu = _admit(self.family, "mu", mu, POSITIVE)
         self.zero_behavior = ("exponential", self.xi, self.mu)
         self.one_behavior = ("power", self.xi * self.mu, 1.0)
         # C_t depends on t only through xi e^{mu t}, and what is left of that dependence is
@@ -254,10 +280,8 @@ class LogPowerGenerator(Generator):
     family = "pareto"
 
     def __init__(self, coef, expo):
-        if coef <= 0 or expo <= 0:
-            raise ValidationError("log-power generator needs positive parameters")
-        self.coef = float(coef)
-        self.expo = float(expo)
+        self.coef = _admit(self.family, "coef", coef, POSITIVE)
+        self.expo = _admit(self.family, "expo", expo, POSITIVE)
         self.one_behavior = ("power", self.coef * self.expo, 1.0)
 
     def _h_log_from_log(self, lw):
@@ -277,10 +301,8 @@ class LogisticGenerator(Generator):
     family = "logistic"
 
     def __init__(self, a, theta):
-        if a <= 0 or theta <= 0:
-            raise ValidationError("logistic generator needs a > 0 and theta > 0")
-        self.a = float(a)
-        self.theta = float(theta)
+        self.a = _admit(self.family, "a", a, POSITIVE)
+        self.theta = _admit(self.family, "theta", theta, POSITIVE)
         self.zero_behavior = ("power", 1.0 / self.theta, self.a)
         self.one_behavior = ("power", self.a * self.theta, 1.0)
 
@@ -302,12 +324,8 @@ class LogSeriesGenerator(Generator):
     family = "log_series"
 
     def __init__(self, a, theta):
-        if a <= 0:
-            raise ValidationError("log-series generator needs a > 0")
-        if theta <= -1.0 or theta == 0.0:
-            raise ValidationError("log-series generator needs theta in (-1, 0) or theta > 0")
-        self.a = float(a)
-        self.theta = float(theta)
+        self.a = _admit(self.family, "a", a, POSITIVE)
+        self.theta = _admit(self.family, "theta", theta, Interval(-1.0, hole=0.0))
         self.zero_behavior = ("power", self.theta / math.log1p(self.theta), self.a)
         self.one_behavior = ("power", self.a * self.theta / ((1.0 + self.theta) * math.log1p(self.theta)), 1.0)
 
@@ -334,9 +352,7 @@ class ArctanGenerator(Generator):
     family = "arctan"
 
     def __init__(self, a):
-        if a <= 0:
-            raise ValidationError("arctan generator needs a > 0")
-        self.a = float(a)
+        self.a = _admit(self.family, "a", a, POSITIVE)
         self.zero_behavior = ("power", 4.0 / math.pi, self.a)
         self.one_behavior = ("power", 2.0 * self.a / math.pi, 1.0)
 
@@ -361,10 +377,8 @@ class SibuyaMixingGenerator(Generator):
     _NEAR_0 = -40.0  # below this ln x^r, h = a x^r and h^-1(u) = (u/a)^(1/r) to double precision
 
     def __init__(self, a, ratio):
-        if a <= 0 or ratio <= 0:
-            raise ValidationError("sibuya-form generator needs a > 0 and ratio > 0")
-        self.a = float(a)
-        self.ratio = float(ratio)
+        self.a = _admit(self.family, "a", a, POSITIVE)
+        self.ratio = _admit(self.family, "ratio", ratio, POSITIVE)
         self.zero_behavior = ("power", self.a, self.ratio)
         self.one_behavior = ("power", self.ratio**self.a, self.a)
 
@@ -387,20 +401,20 @@ class PolynomialGenerator(Generator):
     """h(x) = sum c_k x^k with nonnegative coefficients summing to 1."""
 
     family = "polynomial"
-    has_closed_inverse = False
 
     def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=float)
         if c.ndim != 1 or c.size < 2:
             raise ValidationError("polynomial generator needs at least two coefficients")
-        if abs(c.sum() - 1.0) > 1e-12:
-            raise ValidationError("polynomial generator coefficients must sum to 1 (h(1)=1)")
-        if abs(c[0]) > 1e-12:
+        # written so that NaN fails; a non-finite coefficient makes the sum non-finite
+        if not abs(c.sum() - 1.0) <= 1e-12:
+            raise ValidationError("polynomial generator coefficients must be finite and sum to 1 (h(1)=1)")
+        if not abs(c[0]) <= 1e-12:
             raise ValidationError("polynomial generator needs zero constant term (h(0)=0)")
         self.coeffs = c
         grid = np.linspace(0.0, 1.0, 512)
         vals = np.polyval(c[::-1], grid)
-        if np.any(np.diff(vals) <= 0):
+        if not np.all(np.diff(vals) > 0):
             raise ValidationError("polynomial generator is not strictly increasing on [0, 1]")
         k0 = int(np.nonzero(np.abs(c) > 1e-12)[0][0])
         self.zero_behavior = ("power", float(c[k0]), float(k0))
@@ -436,9 +450,7 @@ class SineGenerator(Generator):
     family = "sine"
 
     def __init__(self, theta):
-        if not (0.0 < theta < math.pi / 2.0):
-            raise ValidationError("sine generator needs theta in (0, pi/2)")
-        self.theta = float(theta)
+        self.theta = _admit(self.family, "theta", theta, Interval(0.0, math.pi / 2.0))
         self.zero_behavior = ("power", self.theta / math.sin(self.theta), 1.0)
         self.one_behavior = ("power", self.theta * math.cos(self.theta) / math.sin(self.theta), 1.0)
 
@@ -465,14 +477,13 @@ class SurvivalGenerator(Generator):
     """h(x) = survival(-ln x) for a user-supplied survival function."""
 
     family = "from_survival"
-    has_closed_inverse = False
 
     def __init__(self, survival, density=None, z_max: float = 1e4):
-        if abs(survival(0.0) - 1.0) > 1e-9:
+        if not abs(survival(0.0) - 1.0) <= 1e-9:
             raise ValidationError("survival function must satisfy survival(0) = 1")
         grid = np.geomspace(1e-6, z_max, 64)
         vals = np.array([survival(z) for z in grid])
-        if np.any(np.diff(vals) > 1e-12):
+        if not np.all(np.diff(vals) <= 1e-12):
             raise ValidationError("survival function is not decreasing on the test grid")
         self.survival = np.vectorize(survival, otypes=[float])
         self.density = density
@@ -498,11 +509,8 @@ class PowerScaledGenerator(Generator):
     family = "power_scaled"
 
     def __init__(self, base: Generator, beta: float):
-        if beta <= 0:
-            raise ValidationError("beta must be positive")
         self.base = base
-        self.beta = float(beta)
-        self.has_closed_inverse = base.has_closed_inverse
+        self.beta = _admit(self.family, "beta", beta, POSITIVE)
         self.has_prime = base.has_prime
         zb = base.zero_behavior
         if zb[0] != "other":
@@ -542,10 +550,8 @@ def _arguments(params: dict, names: tuple, what: str) -> list:
 
 
 def _pareto(a, mu):
-    """Pareto survival (1 + a z)^(-1/mu) as a generator."""
-    if not mu > 0 or 1.0 / mu == math.inf:
-        raise ValidationError("pareto generator needs mu > 0 with 1/mu finite")
-    return LogPowerGenerator(a, 1.0 / mu)
+    """Pareto survival (1 + a z)^(-1/mu) as a generator; a mu whose inverse overflows fails as expo."""
+    return LogPowerGenerator(_admit("pareto", "a", a, POSITIVE), 1.0 / _admit("pareto", "mu", mu, POSITIVE))
 
 
 # family -> (its parameters in the builder's order, the builder)
@@ -562,15 +568,12 @@ FAMILIES = {
     "sine": (("theta",), SineGenerator),
 }
 
-# kind -> (its parameter, the parameter's admissible range, the message when it is outside,
-#          the generator from (parameter, ratio))
+# kind -> (its parameter, the parameter's domain, the generator from (parameter, ratio))
 MIXING_LAWS = {
-    "gamma": ("a", lambda a: a > 0.0, "gamma mixing needs a > 0", lambda a, ratio: LogPowerGenerator(ratio, a)),
-    "positive_stable": ("a", lambda a: 0.0 < a <= 1.0, "positive-stable mixing needs a in (0, 1]",
-                        lambda a, ratio: StretchedExpGenerator(ratio, a)),
-    "sibuya": ("a", lambda a: 0.0 < a <= 1.0, "sibuya mixing needs a in (0, 1]", SibuyaMixingGenerator),
-    "log_series": ("theta", lambda th: -1.0 < th < 0.0, "log-series mixing needs theta in (-1, 0)",
-                   lambda theta, ratio: LogSeriesGenerator(ratio, theta)),
+    "gamma": ("a", POSITIVE, lambda a, ratio: LogPowerGenerator(ratio, a)),
+    "positive_stable": ("a", _UNIT, lambda a, ratio: StretchedExpGenerator(ratio, a)),
+    "sibuya": ("a", _UNIT, SibuyaMixingGenerator),
+    "log_series": ("theta", Interval(-1.0, 0.0), lambda theta, ratio: LogSeriesGenerator(ratio, theta)),
 }
 
 
@@ -580,17 +583,15 @@ class MixingLaw:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        name, admissible, message, _ = _entry(MIXING_LAWS, self.kind, "mixing law")
+        name, domain, _ = _entry(MIXING_LAWS, self.kind, "mixing law")
         (value,) = _arguments(self.params, (name,), f"{self.kind} mixing")
-        if not admissible(value):
-            raise ValidationError(message)
+        _admit(f"{self.kind} mixing", name, value, domain)
 
 
 def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
     """Generator h(z) = M_Z(ratio * ln z) for a positive mixing factor Z; law and ratio are its config."""
-    if not ratio > 0:
-        raise ValidationError("mixing ratio must be positive")
-    name, _, _, build = MIXING_LAWS[law.kind]
+    _admit("mixing", "ratio", ratio, POSITIVE)
+    name, _, build = MIXING_LAWS[law.kind]
     g = build(law.params[name], ratio)
     g.config = {"family": "mixing", "law": {"kind": law.kind, "params": dict(law.params)}, "ratio": ratio}
     return g
@@ -693,8 +694,8 @@ def pseudo_product(g: Generator, a, b):
 # aging and multiplicativity classification
 # ---------------------------------------------------------------------------
 
-DEFAULT_T_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
-DEFAULT_X_GRID = tuple(np.linspace(0.05, 0.95, 19))
+T_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)  # no 0: d_0 is the identity and carries no sign information
+X_GRID = tuple(np.linspace(0.05, 0.95, 19))
 _SIGN_TOL = 1e-12
 _STRICT_FRACTION = 0.95
 
@@ -703,9 +704,12 @@ _STRICT_FRACTION = 0.95
 class AgingProfile:
     nbu_nwu: str  # "NBU" | "NWU" | "memoryless" | "neither"
     ifr_dfr: str  # "IFR" | "DFR" | "memoryless" | "neither"
-    t_grid: tuple
-    x_grid: tuple
-    margins: np.ndarray  # log d_t(x) - log x over the grid
+    margins: np.ndarray  # ln d_t(x) - ln x over T_GRID x X_GRID
+
+    @property
+    def multiplicativity(self) -> str:
+        """'sub' | 'super' | 'neither', from the margin ln h(e^-t y) - ln h(e^-t) - ln h(y), y = h^-1(x)."""
+        return {"NBU": "sub", "NWU": "super"}.get(self.nbu_nwu, "neither")
 
 
 def _classify(neg: np.ndarray, pos: np.ndarray, labels=("NBU", "NWU")):
@@ -719,41 +723,26 @@ def _classify(neg: np.ndarray, pos: np.ndarray, labels=("NBU", "NWU")):
     return "neither"
 
 
-def aging_profile(g: Generator, t_grid=DEFAULT_T_GRID, x_grid=DEFAULT_X_GRID) -> AgingProfile:
-    """Classify the aging class induced by d_t.
-
-    NBU <=> d_t(x) <= x; IFR <=> d_t(x) nonincreasing in t.  The t grid
-    excludes 0 because d_0 is the identity and carries no sign information.
-    """
-    t_grid = tuple(sorted(float(t) for t in t_grid if t > 0.0))
-    x_grid = tuple(float(x) for x in x_grid)
-    xs = np.asarray(x_grid)
+def aging_profile(g: Generator) -> AgingProfile:
+    """Classify the aging class induced by d_t: NBU <=> d_t(x) <= x; IFR <=> d_t(x) nonincreasing in t."""
+    xs = np.asarray(X_GRID)
     lv = -np.asarray(g.neg_log_h_inverse(xs))
-    log_d = np.array([residual_distortion_log(g, t, lv) for t in t_grid])  # ln d_t(x) = ln h_t(h^-1(x))
+    log_d = np.array([residual_distortion_log(g, t, lv) for t in T_GRID])  # ln d_t(x) = ln h_t(h^-1(x))
     margins = log_d - np.log(xs)[None, :]
     nbu = _classify(margins < -_SIGN_TOL, margins > _SIGN_TOL, ("NBU", "NWU"))
     diffs = np.diff(log_d, axis=0)  # log d_{t_{k+1}} - log d_{t_k}; IFR means nonpositive
     ifr = _classify(diffs < -_SIGN_TOL, diffs > _SIGN_TOL, ("IFR", "DFR"))
-    return AgingProfile(nbu_nwu=nbu, ifr_dfr=ifr, t_grid=t_grid, x_grid=x_grid, margins=margins)
+    return AgingProfile(nbu_nwu=nbu, ifr_dfr=ifr, margins=margins)
 
 
-def multiplicativity_check(g: Generator, n_grid: int = 25) -> dict:
-    """Empirical sub/super-multiplicativity verdict plus the sufficient condition.
+def multiplicativity_check(g: Generator) -> dict:
+    """Sub/super-multiplicativity read off the aging margin, plus the sufficient condition.
 
-    The sufficient condition (sign of h'', h''' and, for super, h(x) >= x^2)
-    needs second/third-derivative capability.
+    d_t(x) <= x is h(e^-t y) <= h(e^-t) h(y) with y = h^-1(x), so NBU is sub and
+    NWU super; a memoryless generator is neither.  The sufficient condition (sign
+    of h'', h''' and, for super, h(x) >= x^2) needs second/third-derivative capability.
     """
-    xs = np.linspace(0.02, 0.98, n_grid)
-    X, Y = np.meshgrid(xs, xs)
-    diff = np.asarray(g.h(X * Y)) - np.asarray(g.h(X)) * np.asarray(g.h(Y))
-    neg = diff < -_SIGN_TOL
-    pos = diff > _SIGN_TOL
-    if neg.any() and not pos.any():
-        empirical = "sub"
-    elif pos.any() and not neg.any():
-        empirical = "super"
-    else:
-        empirical = "neither"
+    empirical = aging_profile(g).multiplicativity
     met = False
     if empirical != "neither" and hasattr(g, "_h_pp"):
         grid = np.linspace(0.01, 0.99, 101)

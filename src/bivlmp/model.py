@@ -24,7 +24,7 @@ from . import core as core_mod
 from . import generators as gen_mod
 from .core import CoreParams, gbar_log, require_valid, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
-from .generators import Generator, Mo15Generator, make_generator
+from .generators import POSITIVE, Generator, Mo15Generator, make_generator
 from .numerics import copula_edges, in_unit, integrate_upper, scalar_or_array
 
 
@@ -194,14 +194,15 @@ class Mo15Params:
     xi2: float
 
     def __post_init__(self):
+        # each check is written so that NaN fails it
         for name in ("lam", "lam1", "lam2", "xi", "xi1", "xi2"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
-        if self.lam < max(self.lam1, self.lam2) - 1e-12:
+            if getattr(self, name) not in POSITIVE:
+                raise ValidationError(f"{name} must lie in {POSITIVE}, not {getattr(self, name)!r}")
+        if not self.lam >= max(self.lam1, self.lam2) - 1e-12:
             raise ValidationError("constraint lam >= max(lam1, lam2) violated")
-        if self.lam * (self.xi - 1.0) < max(self.lam1 * (self.xi1 - 1.0), self.lam2 * (self.xi2 - 1.0)) - 1e-12:
+        if not self.lam * (self.xi - 1.0) >= max(self.lam1 * (self.xi1 - 1.0), self.lam2 * (self.xi2 - 1.0)) - 1e-12:
             raise ValidationError("constraint lam (xi - 1) >= max(lam_i (xi_i - 1)) violated")
-        if self.lam1 * self.xi1 + self.lam2 * self.xi2 < self.lam * self.xi - 1e-12:
+        if not self.lam1 * self.xi1 + self.lam2 * self.xi2 >= self.lam * self.xi - 1e-12:
             raise ValidationError("constraint lam1 xi1 + lam2 xi2 >= lam xi violated")
 
 

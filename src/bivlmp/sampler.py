@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import CoreParams, _marg, _marginal_log, require_valid, singular_mass
 from .errors import CapabilityError, DomainError, ValidationError
-from .generators import IdentityGenerator, MixingLaw, generator_from_mixing
+from .generators import POSITIVE, IdentityGenerator, MixingLaw, generator_from_mixing
 from .model import Model
 from .numerics import solve_decreasing_batch
 
@@ -242,8 +242,8 @@ def sample_mixing_shortcut(
     require_valid(p)
     if not p.is_mu:
         raise DomainError("mixing shortcut needs gamma1 = gamma2 and lambda = gamma/alpha")
-    if ratio <= 0:
-        raise DomainError("ratio must be positive")
+    if ratio not in POSITIVE:
+        raise DomainError(f"ratio must lie in {POSITIVE}, not {ratio!r}")
     if n < 1:
         raise DomainError("n must be at least 1")
     rng = _rng(seed)

@@ -133,30 +133,38 @@ def test_kendall_gompertz_accurate_at_large_age():
 
 
 def test_closed_form_eligibility_follows_capabilities(models):
-    # power_scaled carries no family of its own: its closed inverse and derivative
-    # alone make the closed route eligible
+    # power_scaled carries no family of its own: its derivative alone makes the
+    # closed route eligible
     m = Model(generator=power_scaled(make_generator("identity"), 2.0), core=models["identity_mu"].core)
     for t in (0.0, 5.0):
-        auto = kendall_function(m, t, S_GRID)
+        closed = kendall_function(m, t, S_GRID)
         quad = kendall_function(m, t, S_GRID, source="quadrature")
-        assert auto.source == "closed_form"
-        assert np.max(np.abs(auto.k_values() - quad.k_values())) <= 1e-12
+        assert closed.source == "closed_form"
+        assert np.max(np.abs(closed.k_values() - quad.k_values())) <= 1e-12
 
 
 def test_closed_form_requires_capability(models):
-    m = models["identity_mu"]
-    g = generator_from_survival(
-        lambda z: float(np.exp(-(z**1.5))),
-        density=lambda z: float(1.5 * z**0.5 * np.exp(-(z**1.5))),
-    )
-    m2 = Model(generator=g, core=m.core, label="numeric-only")
+    core = models["identity_mu"].core
+
+    def survival(z):
+        return float(np.exp(-(z**1.5)))
+
+    # a numeric inverse is no obstacle: with a density the default is the closed route
+    g = generator_from_survival(survival, density=lambda z: float(1.5 * z**0.5 * np.exp(-(z**1.5))))
+    m = Model(generator=g, core=core, label="numeric-inverse")
+    for t in (0.0, 5.0):
+        closed = kendall_function(m, t, S_GRID)
+        quad = kendall_function(m, t, S_GRID, source="quadrature")
+        assert closed.source == "closed_form"
+        assert np.max(np.abs(closed.k_values() - quad.k_values())) <= 1e-12
+    # without one, every route needs the derivative it lacks
+    m = Model(generator=generator_from_survival(survival), core=core, label="no-density")
     with pytest.raises(CapabilityError):
-        kendall_closed_form(m2, 0.0, S_GRID)
-    # the quadrature route still works for such generators, and auto takes it
-    k = kendall_function(m2, 0.0, (0.3, 0.6), source="quadrature")
-    assert np.all(np.isfinite(k.k_values()))
-    auto = kendall_function(m2, 0.0, (0.3, 0.6))
-    assert auto.source == "quadrature" and auto.grid == k.grid
+        kendall_closed_form(m, 0.0, S_GRID)
+    with pytest.raises(CapabilityError):
+        kendall_function(m, 0.0, S_GRID)
+    with pytest.raises(CapabilityError):
+        kendall_function(m, 0.0, S_GRID, source="quadrature")
 
 
 def test_j_integral_dispatch(models):

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,10 @@ import pytest
 
 from bivlmp.errors import ValidationError
 from bivlmp.generators import (
+    MIXING_LAWS,
+    LogPowerGenerator,
     MixingLaw,
+    SibuyaMixingGenerator,
     aging_profile,
     generator_from_mixing,
     generator_from_survival,
@@ -180,15 +184,43 @@ def test_neg_log_inverse_survives_underflow():
     assert abs(g2.h_log(math.exp(-min(s, 700.0))) - math.log(1e-250)) < 1e-6 or s > 700.0
 
 
-def test_mixing_law_rejects_bad_parameters():
+BAD_NUMBERS = (math.nan, math.inf, -math.inf, 0.0, -2.0)
+
+
+def _bad_parameter_cases():
+    """(id, a call that must raise ValidationError): each parameter of each constructor at each bad number."""
+    for family, params in dict(CATALOG).items():  # one admissible parameter set per family
+        for name in (n for n in params if n != "coeffs"):
+            for v in BAD_NUMBERS:
+                yield f"{family}.{name}={v}", functools.partial(make_generator, family, **{**params, name: v})
+    for v in BAD_NUMBERS:
+        yield f"LogPowerGenerator.coef={v}", functools.partial(LogPowerGenerator, coef=v, expo=2.0)
+        yield f"LogPowerGenerator.expo={v}", functools.partial(LogPowerGenerator, coef=1.0, expo=v)
+        yield f"SibuyaMixingGenerator.a={v}", functools.partial(SibuyaMixingGenerator, v, 0.1)
+        yield f"SibuyaMixingGenerator.ratio={v}", functools.partial(SibuyaMixingGenerator, 0.5, v)
+        yield f"power_scaled.beta={v}", functools.partial(power_scaled, make_generator("identity"), v)
+        for kind, (name, _, _) in MIXING_LAWS.items():
+            yield f"MixingLaw.{kind}.{name}={v}", functools.partial(MixingLaw, kind, {name: v})
+        law = MixingLaw("gamma", {"a": 1.0})
+        yield f"mixing.ratio={v}", functools.partial(generator_from_mixing, law, v)
+    for theta in (-1.0, 0.0):
+        yield f"log_series.theta={theta}", functools.partial(make_generator, "log_series", a=1.0, theta=theta)
+    yield "sine.theta=pi/2", functools.partial(make_generator, "sine", theta=math.pi / 2)
+    for v in (math.nan, math.inf, -math.inf):
+        yield f"polynomial.coeffs.1={v}", functools.partial(make_generator, "polynomial", coeffs=[0.0, v, 1.0])
+    yield "MixingLaw.positive_stable.a=1.5", functools.partial(MixingLaw, "positive_stable", {"a": 1.5})
+    yield "MixingLaw.log_series.theta=0.5", functools.partial(MixingLaw, "log_series", {"theta": 0.5})
+    yield "MixingLaw.cauchy", functools.partial(MixingLaw, "cauchy", {})
+
+
+BAD_PARAMETER_CASES = list(_bad_parameter_cases())
+
+
+@pytest.mark.parametrize("build", [c for _, c in BAD_PARAMETER_CASES], ids=[i for i, _ in BAD_PARAMETER_CASES])
+def test_bad_parameter_raises_validation_error(build):
+    # NaN and +-inf fail like any value outside the domain, from the Python API as from a config
     with pytest.raises(ValidationError):
-        MixingLaw("gamma", {"a": -1.0})
-    with pytest.raises(ValidationError):
-        MixingLaw("positive_stable", {"a": 1.5})
-    with pytest.raises(ValidationError):
-        MixingLaw("log_series", {"theta": 0.5})
-    with pytest.raises(ValidationError):
-        MixingLaw("cauchy", {})
+        build()
 
 
 # arrays reaching both ends of (0, 1), where a numeric inverse loses digits first

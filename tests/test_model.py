@@ -172,6 +172,14 @@ def test_mo15_constraints_enforced():
         mo15_bridge(Mo15Params(lam=1.0, lam1=1.0, lam2=1.0, xi=2.0, xi1=2.0, xi2=1.5))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
+@pytest.mark.parametrize("name", ["lam", "lam1", "lam2", "xi", "xi1", "xi2"])
+def test_mo15_params_reject_non_finite(name, value):
+    # every comparison is false for NaN, so each check is written to fail it
+    with pytest.raises(ValidationError):
+        Mo15Params(**{**vars(Q), name: value})
+
+
 def test_mo15_generator_needs_xi_at_least_one():
     with pytest.raises(ValidationError):
         Model(generator=make_generator("mo15", xi=0.5), core=MU)

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from bivlmp.core import CoreParams, marginal_survival, mu_core, singular_mass
-from bivlmp.errors import CapabilityError, ValidationError
+from bivlmp.errors import CapabilityError, DomainError, ValidationError
 from bivlmp.generators import IdentityGenerator, MixingLaw, generator_from_survival, power_scaled
 from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
@@ -183,6 +183,13 @@ def test_mixing_shortcut_agrees_with_direct():
         se = math.sqrt(2.0 * p * (1 - p) / n)
         d = empirical_survival(direct, x, x) - empirical_survival(shortcut, x, x)
         assert abs(d) < 4.5 * se, mult
+
+
+@pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.0, -1.0], ids=str)
+def test_mixing_shortcut_rejects_bad_ratio(ratio):
+    # NaN used to pass ratio <= 0 and fail later as a malformed sample batch
+    with pytest.raises(DomainError):
+        sample_mixing_shortcut(MixingLaw("gamma", {"a": 2.0}), MU, ratio, 10, seed=1)
 
 
 @pytest.mark.parametrize(
