@@ -119,8 +119,17 @@ def copula_t(m: Model, t: float, u, v):
 
 
 def copula_t_diag_log(m: Model, t: float, log_u):
-    """log C_t(u, u) from log u; used by tail probes far below the smallest double."""
-    return _copula_t_log(m, m.tau(t), np.asarray(log_u, dtype=float), np.asarray(log_u, dtype=float))
+    """log C_t(u, u) from log u; used by tail probes far below the smallest double.
+
+    DomainError where ln h_tau^-1(u) overflows at a finite log u, whose C_t(u, u) is not 0.
+    """
+    g = m.generator
+    tau = min(m.tau(t), g._copula_age_cap)
+    lu = np.asarray(log_u, dtype=float)
+    la = gen_mod._residual_log_inverse_from_log(g, tau, lu)
+    if np.any(np.isfinite(lu) & ~np.isfinite(la)):
+        raise DomainError("ln h_t^-1(u) overflows at this log u")
+    return gen_mod.residual_distortion_log(g, tau, core_mod._core_copula_log(m.core, la, la))
 
 
 def singular_line_survival(m: Model, t: float, x):

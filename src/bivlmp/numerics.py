@@ -2,13 +2,9 @@
 
 Double-exponential quadrature on [0, inf) and (0, 1), one-sided limit
 estimation by Aitken extrapolation, and the package's one root finder, which
-inverts nonincreasing functions on [0, inf) elementwise with scipy's
-``bracket_root`` and ``find_root`` (Chandrupatla's method).  Everything here is
-a pure function of its inputs.
-
-SciPy is imported only inside the two functions that call it,
-``solve_decreasing_batch`` and ``invert_monotone``, so importing the package
-(and every command that never inverts numerically) does not load it.
+inverts nonincreasing functions on [0, inf) elementwise by Chandrupatla's
+method, in numpy, at scipy's default tolerances.  Everything here is a pure
+function of its inputs.
 
 The package's array conventions live here too: every public array function
 returns ``scalar_or_array(out)``, checks a probability argument with
@@ -29,7 +25,8 @@ DEFAULT_INVERT_TOL = 1e-8
 LIMIT_BUDGET = 40
 QUAD_LEVELS = 8  # quadrature steps 1, 1/2, ..., 2^-QUAD_LEVELS
 QUAD_T = 6.0  # nodes at t in [-QUAD_T, QUAD_T]: u down to 1e-275, z from 1e-138 to 1e138 over rate
-SOLVE_BLOCK = 8192  # elements per solver call: scipy keeps ~20 work arrays per element
+_EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_MAXITER = 2046  # log2(largest / smallest normal double): bisection's worst case
 
 
 def scalar_or_array(out):
@@ -137,15 +134,15 @@ def integrate_unit(f, tol: float = DEFAULT_QUAD_TOL) -> QuadratureResult:
 
 def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT_INVERT_TOL) -> float:
     """Solve f(x) = target for a scalar monotone f on [lo, hi], to |f(x) - target| <= tol."""
-    from scipy.optimize import elementwise
-
-    fv = np.vectorize(f, otypes=[float])
-    res = elementwise.find_root(lambda x: fv(x) - target, (lo, hi), tolerances={"fatol": tol})
-    if res.status == -1:
+    fv = np.vectorize(lambda x: f(x) - target, otypes=[float])
+    x1, x2 = np.array([lo], dtype=float), np.array([hi], dtype=float)
+    f1, f2 = fv(x1), fv(x2)
+    if not np.sign(f1) * np.sign(f2) <= 0:
         raise DomainError(f"target {target!r} is not bracketed by f on [{lo!r}, {hi!r}]")
-    if res.status != 0:
-        raise ConvergenceError("monotone inversion did not converge", estimate=float(res.x))
-    return float(res.x)
+    x = _chandrupatla(fv, x1, f1, x2, f2, (), tol)
+    if np.isnan(x[0]):
+        raise ConvergenceError("monotone inversion did not converge")
+    return float(x[0])
 
 
 def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BUDGET) -> LimitEstimate:
@@ -184,30 +181,76 @@ def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BU
     return LimitEstimate(value=value, sequence_tail=raw[-6:], converged=False)
 
 
+def _chandrupatla(residual, x1, f1, x2, f2, args, fatol: float) -> np.ndarray:
+    """Roots of residual(x, *args) in the brackets [x1, x2] (f1, f2 of opposite signs), NaN where it fails.
+
+    Chandrupatla's method: inverse quadratic interpolation through the last
+    three points where it is safe, bisection where it is not, each step kept
+    tol/2 inside the bracket.  An element stops at scipy's default tolerances,
+    |x2 - x1| < 4 eps |xmin| + 4 tiny, or at |residual(xmin)| <= fatol, and
+    leaves the active set; residual sees only the active elements and their
+    slices of args.  A NaN residual fails its element.
+    """
+    out = np.full(x1.shape, np.nan)
+    pos = np.arange(x1.size)
+    x3, f3 = x1, f1  # no third point yet: the interpolation test fails and the first step bisects
+    for _ in range(_MAXITER):
+        small = np.abs(f1) < np.abs(f2)
+        xmin = np.where(small, x1, x2)
+        dx, tol = np.abs(x2 - x1), 4.0 * _EPS * np.abs(xmin) + 4.0 * _TINY
+        nan = np.isnan(f1)
+        done = ~nan & ((np.abs(np.where(small, f1, f2)) <= fatol) | (dx < tol))
+        out[pos[done]] = xmin[done]
+        keep = ~done & ~nan
+        if not keep.any():
+            return out
+        if not keep.all():
+            x1, f1, x2, f2, x3, f3, dx, tol, pos = (a[keep] for a in (x1, f1, x2, f2, x3, f3, dx, tol, pos))
+            args = tuple(a[keep] for a in args)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            alpha = (x3 - x1) / (x2 - x1)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+        t = np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx)
+        x = x1 + t * (x2 - x1)
+        f = np.asarray(residual(x, *args), dtype=float)
+        same = np.sign(f) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, f
+    return out
+
+
 def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarray:
     """Solve fn(d, *args) = targets elementwise for fn nonincreasing in d on [0, inf).
 
-    The bracket [0, start] grows to the right until it holds the root, then
-    Chandrupatla's method refines it to double precision.  ``fn`` is handed
-    only the elements still being refined, so per-element constants must come
-    through ``args`` (arrays broadcastable with ``targets``), never a closure.
-    Elements are solved SOLVE_BLOCK at a time.
+    The bracket [0, start] grows x4 to the right until it holds the root, then
+    Chandrupatla's method refines it to double precision; a root at 0 comes
+    back as exactly 0.  ``fn`` is handed only the elements still being
+    refined, so per-element constants must come through ``args`` (arrays
+    broadcastable with ``targets``), never a closure.  A NaN, a target above
+    fn(0) or one past the largest double raises ConvergenceError.
     """
-    from scipy.optimize import elementwise
-
     targets = np.asarray(targets, dtype=float)
 
     def residual(d, target, *rest):
         return fn(d, *rest) - target
 
-    flat = [np.broadcast_to(a, targets.shape).ravel() for a in (targets,) + tuple(args)]
-    out = np.empty(targets.size)
-    for k in range(0, targets.size, SOLVE_BLOCK):
-        block = tuple(a[k:k + SOLVE_BLOCK] for a in flat)
-        bracket = elementwise.bracket_root(residual, 0.0, start, xmin=0.0, args=block)
-        res = elementwise.find_root(residual, bracket.bracket, args=block)
-        failed = (bracket.status != 0) | (res.status != 0)
-        if np.any(failed):
-            raise ConvergenceError(f"root finder failed on {np.count_nonzero(failed)} elements", estimate=res.x)
-        out[k:k + SOLVE_BLOCK] = res.x
+    flat = tuple(np.broadcast_to(a, targets.shape).ravel() for a in (targets, *args))
+    lo, hi = np.zeros(targets.size), np.full(targets.size, float(start))
+    f_lo, f_hi = residual(lo, *flat), residual(hi, *flat)
+    grow = np.flatnonzero((f_lo >= 0) & (f_hi > 0))
+    while grow.size:
+        lo[grow], f_lo[grow] = hi[grow], f_hi[grow]
+        grow = grow[hi[grow] <= np.finfo(float).max / 4.0]  # the rest stay unbracketed
+        hi[grow] *= 4.0
+        f_hi[grow] = residual(hi[grow], *(a[grow] for a in flat))
+        grow = grow[f_hi[grow] > 0]
+    ok = (f_lo >= 0) & (f_hi <= 0)
+    out = np.full(targets.size, np.nan)
+    out[ok] = _chandrupatla(residual, lo[ok], f_lo[ok], hi[ok], f_hi[ok], tuple(a[ok] for a in flat), _TINY)
+    failed = np.count_nonzero(np.isnan(out))
+    if failed:
+        raise ConvergenceError(f"root finder failed on {failed} elements", estimate=out.reshape(targets.shape))
     return out.reshape(targets.shape)

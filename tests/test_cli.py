@@ -144,9 +144,10 @@ def _fresh(code: str) -> str:
     return proc.stdout
 
 
-def test_queries_never_load_scipy():
-    # only the root finder imports scipy, and none of these commands inverts numerically
-    out = _fresh("""
+def test_queries_never_load_scipy(tmp_path):
+    # nothing in the package imports scipy, sampling with its root finder included
+    sample = ["sample", "-c", "configs/fig1_left.json", "-n", "200", "--seed", "5", "-o", str(tmp_path / "s.csv")]
+    out = _fresh(f"""
 import sys
 import bivlmp
 from bivlmp import cli
@@ -156,22 +157,12 @@ for argv in (["validate", "-c", "configs/fig1_right.json"],
              ["tau", "-c", "configs/mixing_stable.json", "--t", "0,1.3"],
              ["kendall", "-c", "configs/mo15.json", "--t", "0,1.3", "--points", "9"],
              ["price", "-c", "configs/fig1_left.json", "--t", "0,10,20"],
-             ["paper", "table1"]):
+             ["paper", "table1"],
+             {sample!r}):
     assert cli.run(argv) == 0, argv
 print("scipy loaded:", "scipy" in sys.modules)
 """)
     assert out.endswith("scipy loaded: False\n")
-
-
-def test_sample_loads_the_root_finder(tmp_path):
-    argv = ["sample", "-c", "configs/fig1_left.json", "-n", "200", "--seed", "5", "-o", str(tmp_path / "s.csv")]
-    out = _fresh(f"""
-import sys
-from bivlmp import cli
-assert cli.run({argv!r}) == 0
-print("scipy.optimize loaded:", "scipy.optimize" in sys.modules)
-""")
-    assert out.endswith("scipy.optimize loaded: True\n")
 
 
 def test_csv_bytes_match_row_by_row_format(tmp_path, models):

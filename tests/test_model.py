@@ -10,6 +10,7 @@ from bivlmp.model import (
     Mo15Params,
     Model,
     copula_t,
+    copula_t_diag_log,
     fbar,
     fbar_log,
     fbar_marginal,
@@ -94,6 +95,17 @@ def test_copula_t_margins(models):
 def test_copula_t_rejects_out_of_range(models):
     with pytest.raises(DomainError):
         copula_t(models["identity_mu"], 0.0, 1.5, 0.5)
+
+
+@pytest.mark.parametrize("name, lu, lu_ok", [("mixing_gamma", -2000.0, -1000.0), ("pareto_mu", -800.0, -700.0)])
+def test_copula_t_diag_log_refuses_an_overflowed_inverse(models, name, lu, lu_ok):
+    # ln h_t^-1(u) overflows past ln u ~ -1415 (gamma mixing) and ~ -710 (pareto_mu);
+    # C_t(u, u) is not 0 there, so -inf would be a silently wrong value
+    m = models[name]
+    with pytest.raises(DomainError):
+        copula_t_diag_log(m, 0.0, lu)
+    assert math.isfinite(copula_t_diag_log(m, 0.0, lu_ok))
+    assert copula_t_diag_log(m, 0.0, -math.inf) == -math.inf
 
 
 def test_singular_line_survival_known_value(models):

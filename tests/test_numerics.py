@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bivlmp import numerics
 from bivlmp.errors import ConvergenceError, DomainError
 from bivlmp.numerics import (
     integrate_unit,
@@ -14,6 +13,8 @@ from bivlmp.numerics import (
     limit_at_zero,
     solve_decreasing_batch,
 )
+
+import oracles
 
 
 def test_integrate_upper_exponential():
@@ -112,18 +113,49 @@ def test_solve_decreasing_batch():
     assert np.allclose(roots, -np.log(targets), atol=1e-10)
 
 
-@pytest.mark.parametrize("block", [2, numerics.SOLVE_BLOCK])
-def test_solve_decreasing_batch_per_element_args(block, monkeypatch):
+def test_solve_decreasing_batch_per_element_args():
     # the solver hands fn only the elements still active, so per-element rates
-    # must arrive through args; rate 1e-12 puts the root ~2^39 past start.
-    # A block of 2 splits the elements, and their args must split with them.
-    monkeypatch.setattr(numerics, "SOLVE_BLOCK", block)
+    # must arrive through args; rate 1e-12 puts the root ~2^39 past start, so
+    # the elements finish on different passes and their args shrink with them
     rates = np.array([1e-12, 0.5, 3.0, 1e-3, 40.0])
     targets = np.array([0.5, 0.9, 1e-8, 0.25, 0.999])
-    roots = solve_decreasing_batch(lambda z, r: np.exp(-r * z), targets, args=(rates,))
+    sizes = []
+
+    def fn(z, r):
+        assert z.shape == r.shape
+        sizes.append(z.size)
+        return np.exp(-r * z)
+
+    roots = solve_decreasing_batch(fn, targets, args=(rates,))
     expect = -np.log(targets) / rates
     assert expect[0] > 2.0**30
     assert np.allclose(roots, expect, rtol=1e-12, atol=0.0)
+    assert sizes[0] == 5 and len(set(sizes)) > 2
+
+
+def test_solve_decreasing_batch_root_at_zero_is_exact():
+    roots = solve_decreasing_batch(lambda z: np.exp(-z), np.array([1.0, 0.5, 1.0]))
+    assert roots[0] == 0.0 and roots[2] == 0.0
+    assert roots[1] == pytest.approx(math.log(2.0), rel=1e-15)
+
+
+@given(st.lists(st.tuples(st.floats(1e-12, 1e3), st.floats(1e-300, 1.0, exclude_max=True)), min_size=1, max_size=16))
+@settings(max_examples=100, deadline=None)
+def test_solve_decreasing_batch_matches_scipy(pairs):
+    rates, targets = np.array(pairs).T
+
+    def fn(z, r):
+        return np.exp(-r * z)
+
+    roots = solve_decreasing_batch(fn, targets, args=(rates,))
+    expect = oracles.solve_decreasing_batch(fn, targets, args=(rates,))
+    # each stops within 4 eps relative of a sign change of the rounded fn - target, or once
+    # |fn - target| <= tiny.  Past 8 eps relative the roots may differ only where that is
+    # loose: the rounded exp(-r z) is flat over eps / r near target 1, and the tiny stop
+    # leaves a band of tiny / |fn'| that matters only for targets below ~1e-290
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    tol = 8.0 * eps * np.abs(expect) + 4.0 * eps / rates + 2.0 * tiny / (rates * targets)
+    assert np.all(np.abs(roots - expect) <= tol)
 
 
 def test_solve_decreasing_batch_nan_raises():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from bivlmp import sampler
 from bivlmp.core import CoreParams, marginal_survival, mu_core, singular_mass
 from bivlmp.errors import CapabilityError, DomainError, ValidationError
 from bivlmp.generators import IdentityGenerator, MixingLaw, generator_from_survival, power_scaled
@@ -22,6 +23,7 @@ from bivlmp.sampler import (
     sample_mixing_shortcut,
     sample_model,
 )
+import oracles
 from oracles import mixing_mgf
 
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
@@ -48,6 +50,17 @@ def test_sample_model_numeric_generator_matches_closed(models, n):
     assert np.array_equal(got.atom, want.atom)
     assert np.allclose(got.x, want.x, rtol=1e-9, atol=1e-12)
     assert np.allclose(got.y, want.y, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["mixing_gamma", "mixing_sibuya", "mixing_stable", "mo15", "fig1_left", "pareto_mu"])
+def test_sample_model_matches_the_scipy_root_finder(models, name, monkeypatch):
+    # every built-in whose gaps go through the root finder, against scipy's bracket_root + find_root
+    got = sample_model(models[name], 20_000, seed=41)
+    monkeypatch.setattr(sampler, "solve_decreasing_batch", oracles.solve_decreasing_batch)
+    want = sample_model(models[name], 20_000, seed=41)
+    assert np.array_equal(got.atom, want.atom)
+    assert np.allclose(got.x, want.x, rtol=1e-12, atol=0.0)
+    assert np.allclose(got.y, want.y, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("p", [MU, NON_MU], ids=["mu", "non_mu"])
