@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bivlmp import numerics, sampler
 from bivlmp.cli import run
 from bivlmp.config import BUILTIN_CONFIGS, parse_config
 from bivlmp.model import fbar
@@ -163,6 +164,20 @@ for argv in (["validate", "-c", "configs/fig1_right.json"],
 print("scipy loaded:", "scipy" in sys.modules)
 """)
     assert out.endswith("scipy loaded: False\n")
+
+
+def test_sample_loads_the_root_finder(tmp_path, monkeypatch):
+    # fig1_left's gaps have no closed-form inverse, so sample inverts them with the numpy root finder
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[1]))
+        return numerics.solve_decreasing_batch(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "solve_decreasing_batch", counted)
+    argv = ["sample", "-c", "configs/fig1_left.json", "-n", "200", "--seed", "5", "-o", str(tmp_path / "s.csv")]
+    assert run(argv) == 0
+    assert sum(calls) > 0
 
 
 def test_csv_bytes_match_row_by_row_format(tmp_path, models):

@@ -113,12 +113,13 @@ def test_solve_decreasing_batch():
     assert np.allclose(roots, -np.log(targets), atol=1e-10)
 
 
-def test_solve_decreasing_batch_per_element_args():
+@pytest.mark.parametrize("n", [2, 8192])
+def test_solve_decreasing_batch_per_element_args(n):
     # the solver hands fn only the elements still active, so per-element rates
     # must arrive through args; rate 1e-12 puts the root ~2^39 past start, so
     # the elements finish on different passes and their args shrink with them
-    rates = np.array([1e-12, 0.5, 3.0, 1e-3, 40.0])
-    targets = np.array([0.5, 0.9, 1e-8, 0.25, 0.999])
+    rates = np.resize([1e-12, 0.5, 3.0, 1e-3, 40.0], n)
+    targets = np.resize([0.5, 0.9, 1e-8, 0.25, 0.999], n)
     sizes = []
 
     def fn(z, r):
@@ -130,7 +131,7 @@ def test_solve_decreasing_batch_per_element_args():
     expect = -np.log(targets) / rates
     assert expect[0] > 2.0**30
     assert np.allclose(roots, expect, rtol=1e-12, atol=0.0)
-    assert sizes[0] == 5 and len(set(sizes)) > 2
+    assert sizes[0] == n and len(set(sizes)) >= min(n, 3)
 
 
 def test_solve_decreasing_batch_root_at_zero_is_exact():
