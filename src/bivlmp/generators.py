@@ -88,15 +88,17 @@ def _quiet(fn, *args):
         return scalar_or_array(fn(*args))
 
 
-def _solved_log_inverse(fn, lw, targets):
-    """-z for the z >= 0 with fn(z) = target, fn nonincreasing; -inf where lw = -inf.
+def _solved_log_inverse(g, lw):
+    """ln h^-1(e^lw) = -z for the z >= 0 with ln h(e^-z) = lw; -inf where lw = -inf.
 
-    The inverse of a family without a closed one: ln h^-1(e^lw) = -z.
+    The inverse of a family without a closed one.  ln h(e^-z) decreases on
+    [0, inf), and solving it in logs for z = -ln x keeps the digits near x = 1
+    and where h(x) nears the smallest double.
     """
     lw = np.asarray(lw, dtype=float)
     out = np.where(lw == -np.inf, -np.inf, np.nan)
     finite = np.isfinite(lw)
-    out[finite] = -solve_decreasing_batch(fn, np.broadcast_to(targets, lw.shape)[finite])
+    out[finite] = -solve_decreasing_batch(lambda z: g._h_log_from_log(-z), lw[finite])
     return out
 
 
@@ -428,8 +430,7 @@ class PolynomialGenerator(Generator):
         return self._k0 * lw + np.log(np.polyval(self._p, np.exp(lw)))
 
     def _h_log_inv_from_log(self, lw):
-        # ln h(e^-z) decreases on [0, inf); solving for z = -ln x keeps digits near x = 1
-        return _solved_log_inverse(lambda z: self._h_log_from_log(-z), lw, lw)
+        return _solved_log_inverse(self, lw)
 
     def _h_elasticity(self, lx):
         x = np.exp(lx)
@@ -493,8 +494,7 @@ class SurvivalGenerator(Generator):
         return np.log(self.survival(-lw))
 
     def _h_log_inv_from_log(self, lw):
-        # survival(z) = u, solved where the user's function lives: on u itself
-        return _solved_log_inverse(self.survival, lw, np.exp(lw))
+        return _solved_log_inverse(self, lw)
 
     def _h_elasticity(self, lx):
         # x h'(x) / h(x) = density(z) / survival(z) at z = -ln x

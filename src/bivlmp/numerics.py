@@ -3,8 +3,8 @@
 Double-exponential quadrature on [0, inf) and (0, 1), one-sided limit
 estimation by Aitken extrapolation, and the package's one root finder, which
 inverts nonincreasing functions on [0, inf) elementwise by Chandrupatla's
-method, in numpy, at scipy's default tolerances.  Everything here is a pure
-function of its inputs.
+method, in numpy, until the bracket is down to a few ulps or the residual to
+its rounding level.  Everything here is a pure function of its inputs.
 
 The package's array conventions live here too: every public array function
 returns ``scalar_or_array(out)``, checks a probability argument with
@@ -139,7 +139,7 @@ def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT
     f1, f2 = fv(x1), fv(x2)
     if not np.sign(f1) * np.sign(f2) <= 0:
         raise DomainError(f"target {target!r} is not bracketed by f on [{lo!r}, {hi!r}]")
-    x = _chandrupatla(fv, x1, f1, x2, f2, (), tol)
+    x = _chandrupatla(fv, x1, f1, x2, f2, tol, ())
     if np.isnan(x[0]):
         raise ConvergenceError("monotone inversion did not converge")
     return float(x[0])
@@ -181,45 +181,55 @@ def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BU
     return LimitEstimate(value=value, sequence_tail=raw[-6:], converged=False)
 
 
-def _chandrupatla(residual, x1, f1, x2, f2, args, fatol: float) -> np.ndarray:
+def _chandrupatla(residual, x1, f1, x2, f2, fatol, args) -> np.ndarray:
     """Roots of residual(x, *args) in the brackets [x1, x2] (f1, f2 of opposite signs), NaN where it fails.
 
-    Chandrupatla's method: inverse quadratic interpolation through the last
-    three points where it is safe, bisection where it is not, each step kept
-    tol/2 inside the bracket.  An element stops at scipy's default tolerances,
-    |x2 - x1| < 4 eps |xmin| + 4 tiny, or at |residual(xmin)| <= fatol, and
-    leaves the active set; residual sees only the active elements and their
-    slices of args.  A NaN residual fails its element.
+    Chandrupatla's method (_chandrupatla_step).  An element stops once
+    |x2 - x1| < 4 eps |xmin| + 4 tiny, as in scipy, or once |residual(xmin)|
+    <= fatol (a scalar, or one bound per element), and leaves the active set;
+    residual sees only the active elements and their slices of args.  A NaN
+    residual fails its element.
     """
-    out = np.full(x1.shape, np.nan)
-    pos = np.arange(x1.size)
+    out = np.full(x1.size, np.nan)
     x3, f3 = x1, f1  # no third point yet: the interpolation test fails and the first step bisects
+    fatol, pos = np.broadcast_to(fatol, x1.shape), np.arange(x1.size)  # pos: each element's place in out
     for _ in range(_MAXITER):
         small = np.abs(f1) < np.abs(f2)
         xmin = np.where(small, x1, x2)
-        dx, tol = np.abs(x2 - x1), 4.0 * _EPS * np.abs(xmin) + 4.0 * _TINY
-        nan = np.isnan(f1)
-        done = ~nan & ((np.abs(np.where(small, f1, f2)) <= fatol) | (dx < tol))
+        tol = 4.0 * _EPS * np.abs(xmin) + 4.0 * _TINY
+        live = ~np.isnan(f1)
+        done = live & ((np.abs(np.where(small, f1, f2)) <= fatol) | (np.abs(x2 - x1) < tol))
         out[pos[done]] = xmin[done]
-        keep = ~done & ~nan
-        if not keep.any():
-            return out
+        keep = live ^ done
         if not keep.all():
-            x1, f1, x2, f2, x3, f3, dx, tol, pos = (a[keep] for a in (x1, f1, x2, f2, x3, f3, dx, tol, pos))
-            args = tuple(a[keep] for a in args)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = np.where(iqi, f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
-        t = np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx)
-        x = x1 + t * (x2 - x1)
+            if not keep.any():
+                return out
+            keep = np.flatnonzero(keep)
+            x1, f1, x2, f2, x3, f3, tol, fatol, pos = (a[keep] for a in (x1, f1, x2, f2, x3, f3, tol, fatol, pos))
+            args = [a[keep] for a in args]  # apart from the bracket: fewer old and new copies held at once
+        x = _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol)
         f = np.asarray(residual(x, *args), dtype=float)
-        same = np.sign(f) == np.sign(f1)
+        same = (f < 0) == (f1 < 0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, f
     return out
+
+
+def _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol):
+    """Chandrupatla's next point in the bracket [x1, x2], x1 the newest point and x3 the last one dropped.
+
+    Inverse quadratic interpolation through the three points where it is
+    safe, bisection where it is not, kept tol/2 inside the bracket.  A function
+    of its own, so that its temporaries are freed before the residual runs.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d12, d32 = f1 - f2, f3 - f2
+        xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
+        iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+        t = np.where(iqi, f1 / d32 * (f3 / d12 + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1)), 0.5)
+    half = 0.5 * tol / np.abs(x2 - x1)
+    return x1 + np.minimum(np.maximum(t, half), 1.0 - half) * (x2 - x1)
 
 
 def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarray:
@@ -227,7 +237,9 @@ def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarr
 
     The bracket [0, start] grows x4 to the right until it holds the root, then
     Chandrupatla's method refines it to double precision; a root at 0 comes
-    back as exactly 0.  ``fn`` is handed only the elements still being
+    back as exactly 0.  An element stops once its bracket is down to 4 eps
+    relative or once |fn - target| <= max(2 eps |target|, tiny), the rounding
+    level of fn near the root.  ``fn`` is handed only the elements still being
     refined, so per-element constants must come through ``args`` (arrays
     broadcastable with ``targets``), never a closure.  A NaN, a target above
     fn(0) or one past the largest double raises ConvergenceError.
@@ -249,7 +261,9 @@ def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarr
         grow = grow[f_hi[grow] > 0]
     ok = (f_lo >= 0) & (f_hi <= 0)
     out = np.full(targets.size, np.nan)
-    out[ok] = _chandrupatla(residual, lo[ok], f_lo[ok], hi[ok], f_hi[ok], tuple(a[ok] for a in flat), _TINY)
+    ok = slice(None) if ok.all() else ok  # views, not copies, when every element is bracketed
+    fatol = np.maximum(2.0 * _EPS * np.abs(flat[0][ok]), _TINY)
+    out[ok] = _chandrupatla(residual, lo[ok], f_lo[ok], hi[ok], f_hi[ok], fatol, tuple(a[ok] for a in flat))
     failed = np.count_nonzero(np.isnan(out))
     if failed:
         raise ConvergenceError(f"root finder failed on {failed} elements", estimate=out.reshape(targets.shape))

@@ -15,12 +15,14 @@ atom probability is unchanged while the conditional side-magnitude survival is
     q_t(d) = h'(e^{-lambda t} Gbar1(d)) (lambda Gbar1(d) - g1(d))
              / (lambda h'(e^{-lambda t})),
 
-obtained by differentiating Fbar along the second coordinate at x = y + d,
-and evaluated from ln Gbar1(d) - lambda t.  sample_model inverts q_t with the
-package's root finder, except where q_t has a closed-form inverse: for the
-identity generator q_t is the core's side law at every age, and on a side with
-gamma_i = alpha lambda that law inverts in closed form.  The core sampler and
-the frailty shortcut are this path with the identity generator.
+obtained by differentiating Fbar along the second coordinate at x = y + d.
+sample_model solves ln q_t(d) = ln target with the package's root finder;
+every term of ln q_t comes from ln Gbar1(d) - lambda t, so no factor of q_t
+has to be representable.  Where q_t has a closed-form inverse the root finder
+is skipped: for the identity generator q_t is the core's side law at every
+age, and on a side with gamma_i = alpha lambda that law inverts in closed
+form.  The core sampler and the frailty shortcut are this path with the
+identity generator.
 All draws come from a counter-based Philox stream, one batch per seed, so
 identical (model, n, seed) is bit-reproducible.
 """
@@ -38,6 +40,7 @@ from .generators import POSITIVE, IdentityGenerator, MixingLaw, generator_from_m
 from .model import Model
 from .numerics import solve_decreasing_batch
 
+_TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
 
 
@@ -62,8 +65,10 @@ class SampleBatch:
         with open(path, "w", newline="") as fh:
             fh.write("x,y,atom\n")
             for k in range(0, self.n, CSV_BLOCK):
-                rows = zip(*(a[k:k + CSV_BLOCK].tolist() for a in (self.x, self.y, self.atom)))
-                fh.write("".join(f"{x:.17g},{y:.17g},{int(a)}\n" for x, y, a in rows))
+                x, y, atom = (a[k:k + CSV_BLOCK].tolist() for a in (self.x, self.y, self.atom))
+                cells = [None] * (3 * len(x))  # x, y, atom of each row in turn, for one % per block
+                cells[::3], cells[1::3], cells[2::3] = x, y, atom
+                fh.write(("%.17g,%.17g,%d\n" * len(x)) % tuple(cells))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -109,27 +114,28 @@ def sample_core(p: CoreParams, n: int, seed: int, label: str = "core") -> Sample
     return sample_model(Model(generator=IdentityGenerator(), core=p, label=label), n, seed)
 
 
-def _q_t_batch(m: Model, i: int, d: np.ndarray, tau, lh_tau, el_tau) -> np.ndarray:
-    """Conditional side survival q_t(d) at per-draw ages tau, from the log of Gbar_i(d).
+def _ln_q_t(m: Model, i: int, d: np.ndarray, tau, lh_tau, lel_tau) -> np.ndarray:
+    """ln q_t(d), the log of the conditional side survival at per-draw ages tau, from ln Gbar_i(d).
 
     q_t(d) = h_tau(Gbar_i(d)) el(ln Gbar_i(d) - tau) / el(-tau) (1 - hazard_i(d) / lambda),
-    el the elasticity x h'(x) / h(x); lh_tau = ln h(e^-tau) and el_tau = el(-tau)
-    are constant per draw, so the caller computes them once.
+    el the elasticity x h'(x) / h(x); lh_tau = ln h(e^-tau) and lel_tau = ln el(-tau)
+    are constant per draw, so the caller computes them once.  -inf where q_t is 0.
     """
     g, p = m.generator, m.core
     lx = _marginal_log(p, i, d) - tau
     # 1 - hazard_i/lambda = (1 - gamma_i/(alpha lambda) + c) / (1 + c), c = alpha_i e^{-gamma_i d}/(1 - alpha_i):
-    # without the cancellation where hazard_i nears lambda, whose noise costs the root finder passes
+    # without the cancellation where hazard_i nears lambda, whose noise costs the root finder passes;
+    # clamped at 0 (ln = -inf) where a gamma_i / (alpha lambda) above 1 within the core's slack makes it negative
     gamma, aw = _marg(p, i)
     c = aw / (1.0 - aw) * np.exp(-gamma * d)
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        ratio = np.exp(np.asarray(g.h_log_from_log(lx)) - lh_tau) * g.h_elasticity_from_log(lx) / el_tau
-        return ratio * (1.0 - gamma / (p.alpha * p.lam) + c) / (1.0 + c)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (g.h_log_from_log(lx) - lh_tau + np.log(g.h_elasticity_from_log(lx)) - lel_tau
+                + np.log(np.maximum(1.0 - gamma / (p.alpha * p.lam) + c, 0.0)) - np.log1p(c))
 
 
 def _age_constants(g, tau):
-    """(ln h(e^-tau), el(-tau)): the per-draw constants of _q_t_batch."""
-    return g.h_log_from_log(-tau), g.h_elasticity_from_log(-tau)
+    """(ln h(e^-tau), ln el(-tau)): the per-draw constants of _ln_q_t."""
+    return g.h_log_from_log(-tau), np.log(g.h_elasticity_from_log(-tau))
 
 
 def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
@@ -138,21 +144,21 @@ def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
     A non-monotone q_t means h(Gbar) is not 2-increasing, i.e. the generator
     and core do not combine into a proper bivariate distribution.
     """
-    probes = np.quantile(tau, [0.0, 0.5, 1.0])
+    probes = np.quantile(tau, [0.0, 0.5, 1.0])[:, None]  # one row of the grid per probe age
     d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / m.core.lam])
     for i in (1, 2):
-        for tp in probes:
-            q = _q_t_batch(m, i, d_grid, tp, *_age_constants(m.generator, tp))
-            if np.any(np.diff(q) > 1e-9):
-                raise ValidationError(
-                    "conditional gap survival is not monotone: the generator/core pair "
-                    "is not a valid bivariate survival function, cannot sample"
-                )
+        q = np.exp(_ln_q_t(m, i, d_grid, probes, *_age_constants(m.generator, probes)))
+        if np.any(np.diff(q, axis=1) > 1e-9):
+            raise ValidationError(
+                "conditional gap survival is not monotone: the generator/core pair "
+                "is not a valid bivariate survival function, cannot sample"
+            )
 
 
 def _side_gap(m: Model, i: int, targets: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Solve q_t(d) = target per draw.
+    """Solve q_t(d) = target per draw, as ln q_t(d) = ln target.
 
+    A zero target solves ln q_t(d) = ln tiny, near where q_t itself underflows.
     For the identity generator q_t is the core's side law at every age, closed
     form on a side with gamma_i = alpha lambda.
     """
@@ -160,8 +166,8 @@ def _side_gap(m: Model, i: int, targets: np.ndarray, tau: np.ndarray) -> np.ndar
     gamma, aw = _marg(p, i)
     if isinstance(m.generator, IdentityGenerator) and abs(gamma / (p.alpha * p.lam) - 1.0) < 1e-12:
         return _mu_side_quantile(targets / aw, p.alpha, aw, gamma)
-    return solve_decreasing_batch(lambda d, *age: _q_t_batch(m, i, d, *age), targets, start=1.0 / p.lam,
-                                  args=(tau, *_age_constants(m.generator, tau)))
+    return solve_decreasing_batch(lambda d, *age: _ln_q_t(m, i, d, *age), np.log(np.maximum(targets, _TINY)),
+                                  start=1.0 / p.lam, args=(tau, *_age_constants(m.generator, tau)))
 
 
 def sample_model(m: Model, n: int, seed: int) -> SampleBatch:

@@ -238,6 +238,16 @@ def test_generator_from_survival_matches_closed_form():
     assert g.h_inverse(0.3) == pytest.approx(ref.h_inverse(0.3), rel=1e-12)
 
 
+def test_generator_from_survival_log_inverse_keeps_every_digit():
+    # survival e^-z gives ln h^-1(e^lw) = lw; a solve of survival(z) = e^lw would lose
+    # digits once e^lw nears tiny, where the root finder's floor |residual| <= tiny is loose
+    g = generator_from_survival(lambda z: math.exp(-z))
+    lw = np.array([-1.0, -100.0, -690.0, -700.0, -705.0, -708.0])
+    with np.errstate(divide="ignore"):  # ln survival is -inf far past the root, where the bracket grows
+        got = g._h_log_inv_from_log(lw)
+    assert np.allclose(got, lw, rtol=1e-13, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "coeffs", [[0.0, 1.5, 0.0, -0.5], [0.0, 0.25, 0.5, 0.25], [0.0, 0.0, 1.0]]
 )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from bivlmp import sampler
+from bivlmp import numerics, sampler
 from bivlmp.core import CoreParams, marginal_survival, mu_core, singular_mass
 from bivlmp.errors import CapabilityError, DomainError, ValidationError
 from bivlmp.generators import IdentityGenerator, MixingLaw, generator_from_survival, power_scaled
@@ -12,8 +12,8 @@ from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
     SampleBatch,
     _age_constants,
+    _ln_q_t,
     _mu_side_quantile,
-    _q_t_batch,
     empirical_atom,
     empirical_atom_survival,
     empirical_survival,
@@ -61,6 +61,41 @@ def test_sample_model_matches_the_scipy_root_finder(models, name, monkeypatch):
     assert np.array_equal(got.atom, want.atom)
     assert np.allclose(got.x, want.x, rtol=1e-12, atol=0.0)
     assert np.allclose(got.y, want.y, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("name", ["mixing_gamma", "mo15", "fig1_left", "pareto_mu"])
+def test_gap_solves_take_few_residual_evaluations(models, name, monkeypatch):
+    # the log-domain residual and the stop at its rounding level hold the work to 7-8
+    # residual evaluations per gap draw on these models
+    evaluated = []
+
+    def counted(fn, *args, **kwargs):
+        def wrapped(d, *rest):
+            evaluated.append(d.size)
+            return fn(d, *rest)
+
+        return numerics.solve_decreasing_batch(wrapped, *args, **kwargs)
+
+    monkeypatch.setattr(sampler, "solve_decreasing_batch", counted)
+    batch = sample_model(models[name], 10_000, seed=7)
+    assert sum(evaluated) <= 8.5 * np.count_nonzero(~batch.atom)
+
+
+@pytest.mark.parametrize("name", ["mixing_gamma", "fig1_left"])
+def test_zero_gap_target_gives_a_finite_gap(models, name):
+    # u_mag = 0 (probability 2^-53 per draw) makes a zero target, whose ln is -inf
+    m = models[name]
+    gaps = sampler._side_gap(m, 1, np.array([0.0, 0.1]), np.array([0.5, 0.5]))
+    assert np.all(np.isfinite(gaps))
+    assert gaps[0] >= sampler._side_gap(m, 1, np.array([1e-300]), np.array([0.5]))[0]
+
+
+def test_hazard_above_lambda_within_slack_still_samples():
+    # gamma_1 / (alpha lambda) = 1.0004 is admissible within the slack; far out it makes
+    # 1 - hazard_1 / lambda negative, where ln q_t must read -inf, not NaN
+    p = CoreParams(lam=0.1, alpha=1.0, gamma1=0.10004, gamma2=0.1, alpha1=0.3, alpha2=0.2, slack=5e-4)
+    batch = sample_model(mixing_model(MixingLaw("gamma", {"a": 2.0}), p, 0.1), 20_000, seed=3)
+    assert np.all(np.isfinite(batch.x)) and np.all(np.isfinite(batch.y))
 
 
 @pytest.mark.parametrize("p", [MU, NON_MU], ids=["mu", "non_mu"])
@@ -172,8 +207,8 @@ def test_gap_law_of_very_old_minima_matches_log_power_closed_form(models, name, 
         lg = np.log(marginal_survival(m.core, i, d))
         k = aw / (1.0 - aw) * np.exp(-m.core.gamma1 * d)
         want = ((1.0 + c * tau) / (1.0 + c * (tau - lg))) ** (e + 1.0) * k / (1.0 + k)
-        got = _q_t_batch(m, i, d, tau, *_age_constants(m.generator, tau))
-        assert np.allclose(got, want, rtol=1e-12, atol=0.0), i
+        got = _ln_q_t(m, i, d, tau, *_age_constants(m.generator, tau))
+        assert np.allclose(got, np.log(want), rtol=0.0, atol=1e-12), i
 
 
 def test_invalid_composition_rejected(models):
