@@ -267,21 +267,21 @@ def tail_upper(m: Model, t: float) -> TailReport:
 
 
 def tail_numeric(m: Model, t: float, which: str, tol: float = 1e-4) -> TailReport:
-    """Numeric tail limits via Aitken-accelerated sequences.
+    """Numeric tail limits via Aitken-accelerated sequences, each evaluated in one array call.
 
     Lower: lim C_t(u,u)/u as u -> 0 (log domain, so u may pass 1e-12).
     Upper: lim (C_t(u,u) - (2u - 1)) / (1-u) as u -> 1, in eps = 1-u.
     """
     if which == "lower":
         def g(u):
-            return math.exp(copula_t_diag_log(m, t, math.log(u)) - math.log(u))
+            lu = np.log(u)
+            return np.exp(copula_t_diag_log(m, t, lu) - lu)
 
         est = limit_at_zero(g, u0=2.0**-6, tol=tol, budget=36)
     elif which == "upper":
         def g(eps):
             u = 1.0 - eps
-            c = float(copula_t(m, t, u, u))
-            return (c - (2.0 * u - 1.0)) / eps
+            return (copula_t(m, t, u, u) - (2.0 * u - 1.0)) / eps
 
         est = limit_at_zero(g, u0=2.0**-6, tol=tol, budget=30)
     else:

@@ -148,28 +148,26 @@ def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT
 def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BUDGET) -> LimitEstimate:
     """Estimate lim_{u->0+} g(u) along u_k = u0 * 2^-k with Aitken acceleration.
 
-    Returns converged=False when the accelerated sequence is still drifting at
-    the smallest evaluated u.
+    g is called once, on the array of u_k > 0 for k < budget, and returns
+    their values.  The walk takes them in order and stops once an accelerated
+    step is <= tol and <= the step before plus tol, ignoring the values past
+    that point; a non-finite value it reaches raises DomainError.  Returns
+    converged=False when the accelerated sequence is still drifting at the
+    smallest evaluated u.
     """
-    raw = []
-    acc = []
-    for k in range(budget):
-        u = u0 * 2.0 ** (-k)
-        if u == 0.0:
-            break
-        v = g(u)
-        if math.isnan(v) or math.isinf(v):
+    u = u0 * 2.0 ** -np.arange(budget)
+    u = u[u > 0.0]
+    raw, acc = [], []
+    for uk, v in zip(u.tolist(), np.asarray(g(u), dtype=float).tolist()):
+        if not math.isfinite(v):
             raise DomainError(
-                f"g({u!r}) is not finite; evaluate the underlying survival in the log domain"
+                f"g({uk!r}) is not finite; evaluate the underlying survival in the log domain"
             )
         raw.append(v)
         if len(raw) >= 3:
             a0, a1, a2 = raw[-3], raw[-2], raw[-1]
             denom = a2 - 2.0 * a1 + a0
-            if denom != 0.0:
-                acc.append(a2 - (a2 - a1) ** 2 / denom)
-            else:
-                acc.append(a2)
+            acc.append(a2 - (a2 - a1) ** 2 / denom if denom != 0.0 else a2)
             if len(acc) >= 3:
                 d1 = abs(acc[-1] - acc[-2])
                 d2 = abs(acc[-2] - acc[-3])

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 
+from bivlmp.errors import DomainError
+from bivlmp.model import copula_t, copula_t_diag_log
+
 
 def mixing_mgf(law, u):
     """M_Z(u) = E[e^{uZ}], u <= 0, of a MixingLaw's factor Z."""
@@ -34,3 +37,47 @@ def solve_decreasing_batch(fn, targets, start=1.0, args=()):
     if np.any((bracket.status != 0) | (res.status != 0)):
         raise AssertionError("the scipy oracle failed to solve")
     return res.x.reshape(targets.shape)
+
+
+def limit_at_zero_scalar(g, u0, tol, budget):
+    """numerics.limit_at_zero as a scalar sequence: one g(u) per step, stopping at the first converged step.
+
+    Returns (value, sequence_tail, converged), or raises what g raises, or
+    DomainError for a non-finite g(u).
+    """
+    raw, acc = [], []
+    for k in range(budget):
+        u = u0 * 2.0 ** (-k)
+        if u == 0.0:
+            break
+        v = g(u)
+        if math.isnan(v) or math.isinf(v):
+            raise DomainError(f"g({u!r}) is not finite")
+        raw.append(v)
+        if len(raw) >= 3:
+            a0, a1, a2 = raw[-3], raw[-2], raw[-1]
+            denom = a2 - 2.0 * a1 + a0
+            acc.append(a2 - (a2 - a1) ** 2 / denom if denom != 0.0 else a2)
+            if len(acc) >= 3:
+                d1 = abs(acc[-1] - acc[-2])
+                d2 = abs(acc[-2] - acc[-3])
+                if d1 <= tol and d1 <= d2 + tol:
+                    return acc[-1], acc[-6:], True
+    if acc:
+        return acc[-1], acc[-6:], False
+    return (raw[-1] if raw else math.nan), raw[-6:], False
+
+
+def tail_numeric_scalar(m, t, which, tol=1e-4):
+    """dependence.tail_numeric's limit, unclipped, from one scalar copula call per point of the sequence."""
+    if which == "lower":
+        def g(u):
+            return math.exp(copula_t_diag_log(m, t, math.log(u)) - math.log(u))
+
+        return limit_at_zero_scalar(g, 2.0**-6, tol, 36)
+
+    def g(eps):
+        u = 1.0 - eps
+        return (float(copula_t(m, t, u, u)) - (2.0 * u - 1.0)) / eps
+
+    return limit_at_zero_scalar(g, 2.0**-6, tol, 30)

@@ -9,7 +9,8 @@ import pytest
 
 from bivlmp import numerics, sampler
 from bivlmp.cli import run
-from bivlmp.config import BUILTIN_CONFIGS, parse_config
+from bivlmp.config import BUILTIN_CONFIGS, load_model, parse_config
+from bivlmp.dependence import tail_numeric
 from bivlmp.model import fbar
 from bivlmp.config import builtin_model
 from bivlmp.sampler import CSV_BLOCK, sample_model
@@ -112,6 +113,19 @@ def test_taildep_json(capsys):
     assert len(rows) == 2
     assert rows[0]["lambda_L"] == pytest.approx(0.8 / 1.1, abs=1e-12)
     assert rows[0]["lambda_U"] == pytest.approx(0.625, abs=1e-12)
+
+
+def test_taildep_numeric_prints_tail_numeric(capsys):
+    cfg = "configs/mixing_sibuya.json"
+    assert run(["taildep", "-c", cfg, "--t", "0,5", "--numeric"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    m = load_model(cfg)
+    assert [row["t"] for row in rows] == [0.0, 5.0]
+    for row in rows:
+        lo, up = tail_numeric(m, row["t"], "lower"), tail_numeric(m, row["t"], "upper")
+        assert (row["lambda_L"], row["lambda_U"]) == (lo.value, up.value)
+        assert row["lambda_L_method"] == row["lambda_U_method"] == "numeric"
+        assert (row["lambda_L_converged"], row["lambda_U_converged"]) == (lo.converged, up.converged)
 
 
 def test_aging_output(capsys):

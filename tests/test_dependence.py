@@ -24,6 +24,8 @@ from bivlmp.generators import generator_from_survival, make_generator, power_sca
 from bivlmp.model import Model, Mo15Params, mo15_bridge
 from bivlmp.sampler import sample_model
 
+import oracles
+
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 CONFIG_NAMES = ("identity_mu", "mixing_gamma", "mixing_stable", "mixing_sibuya", "mixing_logseries", "mo15",
                 "fig1_left", "fig1_right", "weibull_mu", "pareto_mu")
@@ -222,6 +224,24 @@ def test_identity_tails_lemma_vs_numeric(models):
     nup = tail_numeric(m, 0.0, "upper")
     assert nlow.converged and abs(nlow.value - low.value) < 5e-3
     assert nup.converged and abs(nup.value - up.value) < 5e-3
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_tail_numeric_matches_the_scalar_sequence_oracle(models, name):
+    m = models[name]
+    for lam_t in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 100.0, 1000.0):
+        t = lam_t / m.lam
+        for which in ("lower", "upper"):
+            try:
+                value, tail, converged = oracles.tail_numeric_scalar(m, t, which)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    tail_numeric(m, t, which)
+                continue
+            rep = tail_numeric(m, t, which)
+            assert abs(rep.value - min(max(value, 0.0), 1.0)) <= 1e-12, (lam_t, which)
+            assert rep.converged == converged, (lam_t, which)
+            assert len(rep.classification["sequence_tail"]) == len(tail), (lam_t, which)
 
 
 def test_tail_report_properties(models):

@@ -96,15 +96,58 @@ def test_invert_monotone_increasing():
 
 
 def test_limit_at_zero_sinc():
-    est = limit_at_zero(lambda u: math.sin(u) / u)
+    est = limit_at_zero(lambda u: np.sin(u) / u)
     assert est.converged
     assert est.value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_limit_at_zero_half_angle():
-    est = limit_at_zero(lambda u: (1.0 - math.cos(u)) / u**2)
+    est = limit_at_zero(lambda u: (1.0 - np.cos(u)) / u**2)
     assert est.converged
     assert est.value == pytest.approx(0.5, abs=1e-6)
+
+
+def test_limit_at_zero_calls_g_once_on_the_whole_sequence():
+    calls = []
+
+    def g(u):
+        calls.append(np.array(u))
+        return np.sin(u) / u
+
+    limit_at_zero(g, u0=0.5, budget=12)
+    assert len(calls) == 1
+    assert calls[0].tolist() == [0.5 * 2.0**-k for k in range(12)]
+
+
+def test_limit_at_zero_ignores_values_past_convergence():
+    def sinc(u):
+        return np.sin(u) / u
+
+    def nan_at_the_end(u):
+        return np.where(u == u[-1], np.nan, sinc(u))
+
+    est = limit_at_zero(nan_at_the_end)
+    assert est == limit_at_zero(sinc)
+    assert est.converged
+
+
+def test_limit_at_zero_raises_on_a_non_finite_value_before_convergence():
+    def inf_at_the_third(u):
+        return np.where(u == u[2], np.inf, np.sin(u) / u)
+
+    with pytest.raises(DomainError):
+        limit_at_zero(inf_at_the_third)
+
+
+def test_limit_at_zero_drifting_returns_the_last_accelerated_value():
+    def g(u):
+        return np.sqrt(-np.log(u))
+
+    est = limit_at_zero(g, u0=0.25, budget=20)
+    a0, a1, a2 = g(0.25 * 2.0 ** -np.arange(17, 20)).tolist()
+    assert not est.converged
+    assert est.value == a2 - (a2 - a1) ** 2 / (a2 - 2.0 * a1 + a0)
+    assert est.sequence_tail[-1] == est.value and len(est.sequence_tail) == 6
 
 
 def test_solve_decreasing_batch():
