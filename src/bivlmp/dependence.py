@@ -27,7 +27,7 @@ import numpy as np
 
 from . import generators as gen_mod
 from .core import CoreParams, marginal_hazard, marginal_quantile_log
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .model import Model, copula_t, copula_t_diag_log
 from .numerics import in_unit, integrate_unit, limit_at_zero, scalar_or_array
 
@@ -49,7 +49,7 @@ class TailReport:
     t: float
     which: str  # lower | upper
     value: float
-    method: str  # lemma_power | lemma_exponential | closed_form_core | numeric
+    method: str  # lemma_power | lemma_exponential | numeric
     classification: dict = field(default_factory=dict)
     converged: bool = True
 
@@ -116,9 +116,6 @@ def _kendall_values(m: Model, t: float, s, j_method: str):
 
 def kendall_closed_form(m: Model, t: float, s):
     """K_t via the closed J_i; the generator's inverse is its own, closed or numeric."""
-    g = m.generator
-    if not g.has_prime:
-        raise CapabilityError(f"{g.family}: closed-form Kendall needs a derivative")
     return _kendall_values(m, t, s, j_method="closed")
 
 
@@ -221,49 +218,40 @@ def core_lambda_u(p: CoreParams) -> float:
 
 
 def tail_lower(m: Model, t: float) -> TailReport:
-    """lambda_L of C_t, classified by the generator's behavior at 0.
+    """lambda_L of C_t from the generator's exponent beta at 0, h(x) ~ a x^beta.
 
-    Power behavior h(x) ~ a x^beta gives lambda_L(C_t) = lambda_L(C_core)^beta
-    for every t; exponential behavior drives the coefficient to 0 whenever the
-    core coefficient is below 1.  Unclassified generators fall back to the
-    numeric limit.
+    lambda_L(C_t) = lambda_L(C_core)^beta for every t.  beta = inf (h vanishes
+    faster than every power) is the exponential lemma: 0 whenever the core
+    coefficient is below 1, which is what ** inf gives.  A generator with no
+    exponent (NaN) takes the numeric limit.
     """
     m.tau(t)  # the age check
+    beta = m.generator.zero_exponent
+    if math.isnan(beta):
+        return tail_numeric(m, t, "lower")
     base = core_lambda_l(m.core)
-    zb = m.generator.zero_behavior
-    if zb[0] == "power":
-        return TailReport(
-            t=float(t), which="lower", value=base ** zb[2], method="lemma_power",
-            classification={"scale": zb[1], "beta": zb[2], "core_value": base},
-        )
-    if zb[0] == "exponential":
-        value = 1.0 if base >= 1.0 else 0.0
-        return TailReport(
-            t=float(t), which="lower", value=value, method="lemma_exponential",
-            classification={"scale": zb[1], "beta": zb[2], "core_value": base},
-        )
-    return tail_numeric(m, t, "lower")
+    return TailReport(
+        t=float(t), which="lower", value=base**beta,
+        method="lemma_exponential" if beta == math.inf else "lemma_power",
+        classification={"beta": beta, "core_value": base},
+    )
 
 
 def tail_upper(m: Model, t: float) -> TailReport:
-    """lambda_U of C_t from the generator's behavior at 1.
+    """lambda_U of C_t from the generator's exponent beta at 1, 1 - h(x) ~ a (1-x)^beta.
 
-    Power behavior 1 - h(x) ~ a (1-x)^beta leaves the coefficient at the core
-    value for t > 0 but shifts it to 2 - (2 - core)^beta at t = 0.
+    The coefficient is the core value for t > 0 and 2 - (2 - core)^beta at
+    t = 0.  A generator with no exponent (NaN) takes the numeric limit.
     """
     m.tau(t)  # the age check
+    beta = m.generator.one_exponent
+    if math.isnan(beta):
+        return tail_numeric(m, t, "upper")
     base = core_lambda_u(m.core)
-    ob = m.generator.one_behavior
-    if ob[0] == "power":
-        if t > 0:
-            value = base
-        else:
-            value = 2.0 - (2.0 - base) ** ob[2]
-        return TailReport(
-            t=float(t), which="upper", value=value, method="lemma_power",
-            classification={"scale": ob[1], "beta": ob[2], "core_value": base},
-        )
-    return tail_numeric(m, t, "upper")
+    return TailReport(
+        t=float(t), which="upper", value=base if t > 0 else 2.0 - (2.0 - base) ** beta,
+        method="lemma_power", classification={"beta": beta, "core_value": base},
+    )
 
 
 def tail_numeric(m: Model, t: float, which: str, tol: float = 1e-4) -> TailReport:

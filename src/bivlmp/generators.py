@@ -112,10 +112,10 @@ class Generator:
     """
 
     family = "base"
-    has_prime = True
-    # asymptotics: ("power", scale, exponent) | ("exponential", scale, exponent) | ("other",)
-    zero_behavior = ("other",)
-    one_behavior = ("other",)
+    # the index b of h(x) ~ c x^b as x -> 0 and of 1 - h(x) ~ c (1 - x)^b as x -> 1: inf where h
+    # vanishes faster than every power, NaN where no lemma is known (the tails take the numeric limit)
+    zero_exponent = math.nan
+    one_exponent = math.nan
     # the age past which the residual copula C_t equals its limit to double precision
     _copula_age_cap = math.inf
     # the config document make_generator or generator_from_mixing built this from; None when built by hand
@@ -189,8 +189,7 @@ class Generator:
 
 class IdentityGenerator(Generator):
     family = "identity"
-    zero_behavior = ("power", 1.0, 1.0)
-    one_behavior = ("power", 1.0, 1.0)
+    zero_exponent = one_exponent = 1.0
 
     def _h_log_from_log(self, lw):
         return lw
@@ -214,8 +213,8 @@ class StretchedExpGenerator(Generator):
     def __init__(self, rate, shape):
         self.rate = _admit(self.family, "rate", rate, POSITIVE)
         self.shape = _admit(self.family, "shape", shape, POSITIVE)
-        self.zero_behavior = ("power", 1.0, rate) if abs(shape - 1.0) < 1e-14 else ("other",)
-        self.one_behavior = ("power", rate**shape, shape)
+        self.zero_exponent = self.rate if abs(self.shape - 1.0) < 1e-14 else math.nan  # h(x) = x^rate at shape 1
+        self.one_exponent = self.shape
 
     # np.power, not **: a scalar's ** can round apart from the array loop
     def _h_log_from_log(self, lw):
@@ -232,12 +231,12 @@ class GompertzGenerator(Generator):
     """h(x) = exp(-xi (x^-mu - 1)), from the Gompertz survival function."""
 
     family = "gompertz"
+    zero_exponent = math.inf
+    one_exponent = 1.0
 
     def __init__(self, xi, mu):
         self.xi = _admit(self.family, "xi", xi, POSITIVE)
         self.mu = _admit(self.family, "mu", mu, POSITIVE)
-        self.zero_behavior = ("exponential", self.xi, self.mu)
-        self.one_behavior = ("power", self.xi * self.mu, 1.0)
         # C_t depends on t only through xi e^{mu t}, and what is left of that dependence is
         # O(ln(u)^2 / (xi e^{mu t})): below rounding past xi e^{mu t} = e^230, long before the
         # scale overflows at e^709.  So the copula and K_t stop aging there.
@@ -280,11 +279,11 @@ class LogPowerGenerator(Generator):
     """
 
     family = "pareto"
+    one_exponent = 1.0  # none at 0: h falls like a power of -ln x there, slower than every power of x
 
     def __init__(self, coef, expo):
         self.coef = _admit(self.family, "coef", coef, POSITIVE)
         self.expo = _admit(self.family, "expo", expo, POSITIVE)
-        self.one_behavior = ("power", self.coef * self.expo, 1.0)
 
     def _h_log_from_log(self, lw):
         return -self.expo * np.log1p(-self.coef * lw)
@@ -301,12 +300,12 @@ class LogisticGenerator(Generator):
     """h(x) = (theta x^-a + 1 - theta)^-1."""
 
     family = "logistic"
+    one_exponent = 1.0
 
     def __init__(self, a, theta):
         self.a = _admit(self.family, "a", a, POSITIVE)
         self.theta = _admit(self.family, "theta", theta, POSITIVE)
-        self.zero_behavior = ("power", 1.0 / self.theta, self.a)
-        self.one_behavior = ("power", self.a * self.theta, 1.0)
+        self.zero_exponent = self.a
 
     def _h_log_from_log(self, lw):
         # h = x^a / (theta + (1 - theta) x^a)
@@ -324,12 +323,12 @@ class LogSeriesGenerator(Generator):
     """h(x) = ln(theta x^a + 1) / ln(theta + 1), theta in (-1, 0) or theta > 0."""
 
     family = "log_series"
+    one_exponent = 1.0
 
     def __init__(self, a, theta):
         self.a = _admit(self.family, "a", a, POSITIVE)
         self.theta = _admit(self.family, "theta", theta, Interval(-1.0, hole=0.0))
-        self.zero_behavior = ("power", self.theta / math.log1p(self.theta), self.a)
-        self.one_behavior = ("power", self.a * self.theta / ((1.0 + self.theta) * math.log1p(self.theta)), 1.0)
+        self.zero_exponent = self.a
 
     def _h_log_from_log(self, lw):
         # deep in the tail, ln(1 + theta y) = theta y to double precision
@@ -352,11 +351,11 @@ class ArctanGenerator(Generator):
     """h(x) = (4/pi) arctan(x^a)."""
 
     family = "arctan"
+    one_exponent = 1.0
 
     def __init__(self, a):
         self.a = _admit(self.family, "a", a, POSITIVE)
-        self.zero_behavior = ("power", 4.0 / math.pi, self.a)
-        self.one_behavior = ("power", 2.0 * self.a / math.pi, 1.0)
+        self.zero_exponent = self.a
 
     def _h_log_from_log(self, lw):
         ly = self.a * lw
@@ -381,8 +380,8 @@ class SibuyaMixingGenerator(Generator):
     def __init__(self, a, ratio):
         self.a = _admit(self.family, "a", a, POSITIVE)
         self.ratio = _admit(self.family, "ratio", ratio, POSITIVE)
-        self.zero_behavior = ("power", self.a, self.ratio)
-        self.one_behavior = ("power", self.ratio**self.a, self.a)
+        self.zero_exponent = self.ratio  # h(x) ~ a x^ratio at 0
+        self.one_exponent = self.a  # 1 - h(x) ~ (ratio (1 - x))^a at 1
 
     # ln(1 - e^x) at each step keeps the digits of h near 1 and near 0
     def _h_log_from_log(self, lw):
@@ -397,6 +396,11 @@ class SibuyaMixingGenerator(Generator):
         log_one_m = _log1mexp(ly)  # ln(1 - x^ratio)
         exact = self.a * self.ratio * np.exp(ly + (self.a - 1.0) * log_one_m) / -np.expm1(self.a * log_one_m)
         return np.where(ly > self._NEAR_0, exact, self.ratio)
+
+
+def _lowest_order(coeffs) -> int:
+    """The index of the first coefficient whose magnitude passes 1e-12."""
+    return int(np.nonzero(np.abs(coeffs) > 1e-12)[0][0])
 
 
 class PolynomialGenerator(Generator):
@@ -418,9 +422,11 @@ class PolynomialGenerator(Generator):
         vals = np.polyval(c[::-1], grid)
         if not np.all(np.diff(vals) > 0):
             raise ValidationError("polynomial generator is not strictly increasing on [0, 1]")
-        k0 = int(np.nonzero(np.abs(c) > 1e-12)[0][0])
-        self.zero_behavior = ("power", float(c[k0]), float(k0))
-        self.one_behavior = ("power", float(np.polyval(np.polyder(np.poly1d(c[::-1])).coeffs, 1.0)), 1.0)
+        # the exponents are the orders of the first coefficients of h(x) in x and of h(1 - e) - 1 in e
+        k0 = _lowest_order(c)
+        at_one = np.polynomial.Polynomial(c)(np.polynomial.Polynomial([1.0, -1.0])) - 1.0
+        self.zero_exponent = float(k0)
+        self.one_exponent = float(_lowest_order(at_one.coef))
         # h(x) = x^k0 p(x) with p(0) = c_k0 > 0, and x h'(x) = x^k0 q(x)
         self._k0 = k0
         self._p = c[k0:][::-1]
@@ -449,11 +455,10 @@ class SineGenerator(Generator):
     """h(x) = sin(theta x) / sin(theta), theta in (0, pi/2)."""
 
     family = "sine"
+    zero_exponent = one_exponent = 1.0
 
     def __init__(self, theta):
         self.theta = _admit(self.family, "theta", theta, Interval(0.0, math.pi / 2.0))
-        self.zero_behavior = ("power", self.theta / math.sin(self.theta), 1.0)
-        self.one_behavior = ("power", self.theta * math.cos(self.theta) / math.sin(self.theta), 1.0)
 
     def _h_log_from_log(self, lw):
         s = math.sin(self.theta)
@@ -488,7 +493,6 @@ class SurvivalGenerator(Generator):
             raise ValidationError("survival function is not decreasing on the test grid")
         self.survival = np.vectorize(survival, otypes=[float])
         self.density = density
-        self.has_prime = density is not None
 
     def _h_log_from_log(self, lw):
         return np.log(self.survival(-lw))
@@ -511,10 +515,9 @@ class PowerScaledGenerator(Generator):
     def __init__(self, base: Generator, beta: float):
         self.base = base
         self.beta = _admit(self.family, "beta", beta, POSITIVE)
-        self.has_prime = base.has_prime
-        zb = base.zero_behavior
-        if zb[0] != "other":
-            self.zero_behavior = (zb[0], zb[1], zb[2] * self.beta)
+        # h(x^beta) ~ c x^(beta b) at 0, and 1 - x^beta ~ beta (1 - x) at 1 keeps the index there
+        self.zero_exponent = self.beta * base.zero_exponent
+        self.one_exponent = base.one_exponent
         self._copula_age_cap = base._copula_age_cap / self.beta  # h_beta at age t is h at age beta t
 
     def _h_log_from_log(self, lw):

@@ -99,13 +99,6 @@ def premium_table(m: Model, ts, horizon=None) -> list:
     return quotes
 
 
-def table_csv(quotes) -> str:
-    lines = ["t,joint,independent"]
-    for q in quotes:
-        lines.append(f"{q.t:.17g},{q.premium_joint:.17g},{q.premium_independent:.17g}")
-    return "\n".join(lines) + "\n"
-
-
 def table_text(quotes) -> str:
     header = f"{'t':>6}  {'joint':>12}  {'independent':>12}"
     rows = [header]

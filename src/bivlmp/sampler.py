@@ -35,8 +35,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CoreParams, _marg, _marginal_log, require_valid, singular_mass
-from .errors import CapabilityError, DomainError, ValidationError
-from .generators import POSITIVE, IdentityGenerator, MixingLaw, generator_from_mixing
+from .errors import DomainError, ValidationError
+from .generators import POSITIVE, IdentityGenerator, MixingLaw
 from .model import Model
 from .numerics import solve_decreasing_batch
 
@@ -172,8 +172,6 @@ def _side_gap(m: Model, i: int, targets: np.ndarray, tau: np.ndarray) -> np.ndar
 
 def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
     """Draw n pairs from a distorted model, conditioning the gap law on the min."""
-    if not m.generator.has_prime:
-        raise CapabilityError(f"{m.generator.family}: sampling needs the derivative capability")
     if n < 1:
         raise DomainError("n must be at least 1")
     p = m.core
@@ -262,11 +260,6 @@ def sample_mixing_shortcut(
     for mask, aw, sign in ((side1, p.alpha1, 1.0), (side2, p.alpha2, -1.0)):
         d[mask] = sign * _mu_side_quantile(u_mag[mask], alpha[mask], aw, p.gamma1)
     return _batch(w, d, atom, seed, label)
-
-
-def mixing_model(law: MixingLaw, p: CoreParams, ratio: float, label: str = "mixing") -> Model:
-    """The distorted model matched by sample_mixing_shortcut."""
-    return Model(generator=generator_from_mixing(law, ratio), core=p, label=label)
 
 
 # ---------------------------------------------------------------------------

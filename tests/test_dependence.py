@@ -20,7 +20,13 @@ from bivlmp.dependence import (
     tail_upper,
 )
 from bivlmp.errors import CapabilityError
-from bivlmp.generators import generator_from_survival, make_generator, power_scaled
+from bivlmp.generators import (
+    MixingLaw,
+    generator_from_mixing,
+    generator_from_survival,
+    make_generator,
+    power_scaled,
+)
 from bivlmp.model import Model, Mo15Params, mo15_bridge
 from bivlmp.sampler import sample_model
 
@@ -214,16 +220,28 @@ def test_core_tail_closed_forms():
     assert core_lambda_l(swapped) == pytest.approx(core_lambda_l(MU), abs=1e-12)
 
 
-def test_identity_tails_lemma_vs_numeric(models):
-    m = models["identity_mu"]
-    low = tail_lower(m, 0.0)
-    up = tail_upper(m, 0.0)
-    assert low.value == pytest.approx(0.8 / 1.1, abs=1e-12)
-    assert up.value == pytest.approx(0.625, abs=1e-12)
-    nlow = tail_numeric(m, 0.0, "lower")
-    nup = tail_numeric(m, 0.0, "upper")
-    assert nlow.converged and abs(nlow.value - low.value) < 5e-3
-    assert nup.converged and abs(nup.value - up.value) < 5e-3
+FLAT_AT_1 = [0.0, 0.0, 3.0, -2.0]  # h'(1) = 0: 1 - h(x) = 3 (1 - x)^2 - 2 (1 - x)^3
+# model -> (its generator on MU, or None for the built-in, and the lemma's lambda_L and lambda_U at t = 0);
+# on MU the core has lambda_L = 0.8 / 1.1 and lambda_U = 0.625, so 2 - lambda_U = 1.375
+TAIL_LEMMA_CASES = {
+    "identity_mu": (None, 0.8 / 1.1, 0.625),
+    "polynomial_flat_at_1": (make_generator("polynomial", coeffs=FLAT_AT_1), (0.8 / 1.1) ** 2, 2.0 - 1.375**2),
+    "power_scaled_sibuya": (power_scaled(generator_from_mixing(MixingLaw("sibuya", {"a": 0.5}), 1.0), 2.0),
+                            (0.8 / 1.1) ** 2, 2.0 - 1.375**0.5),
+    "power_scaled_polynomial": (power_scaled(make_generator("polynomial", coeffs=FLAT_AT_1), 0.5),
+                                0.8 / 1.1, 2.0 - 1.375**2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_LEMMA_CASES))
+def test_tails_lemma_vs_numeric(models, name):
+    g, lower, upper = TAIL_LEMMA_CASES[name]
+    m = models[name] if g is None else Model(generator=g, core=MU)
+    for lemma, expect in ((tail_lower(m, 0.0), lower), (tail_upper(m, 0.0), upper)):
+        assert lemma.method == "lemma_power", lemma.which
+        assert lemma.value == pytest.approx(expect, abs=1e-12), lemma.which
+        numeric = tail_numeric(m, 0.0, lemma.which)
+        assert numeric.converged and abs(numeric.value - lemma.value) < 5e-3, lemma.which
 
 
 @pytest.mark.parametrize("name", CONFIG_NAMES)

@@ -16,7 +16,6 @@ from bivlmp.pricing import (
     reference_comparison,
     residual_independent_annuity,
     residual_joint_annuity,
-    table_csv,
     table_text,
 )
 from bivlmp.sampler import sample_model
@@ -119,18 +118,6 @@ def test_premium_table_structure(models):
     assert [q.t for q in quotes] == [0.0, 10.0]
     assert quotes[0].premium_joint > quotes[1].premium_joint
     assert all(q.model_label == "fig1_left" for q in quotes)
-
-
-def test_table_csv_round_trip(models):
-    quotes = premium_table(models["fig1_right"], [0.0, 5.0], horizon=REFERENCE_HORIZON)
-    text = table_csv(quotes)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,joint,independent"
-    parsed = [line.split(",") for line in lines[1:]]
-    for row, q in zip(parsed, quotes):
-        assert float(row[0]) == q.t
-        assert float(row[1]) == q.premium_joint
-        assert float(row[2]) == q.premium_independent
     assert "joint" in table_text(quotes)
 
 

@@ -7,7 +7,13 @@ from scipy.special import gammaln
 from bivlmp import numerics, sampler
 from bivlmp.core import CoreParams, marginal_survival, mu_core, singular_mass
 from bivlmp.errors import CapabilityError, DomainError, ValidationError
-from bivlmp.generators import IdentityGenerator, MixingLaw, generator_from_survival, power_scaled
+from bivlmp.generators import (
+    IdentityGenerator,
+    MixingLaw,
+    generator_from_mixing,
+    generator_from_survival,
+    power_scaled,
+)
 from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
     SampleBatch,
@@ -17,7 +23,6 @@ from bivlmp.sampler import (
     empirical_atom,
     empirical_atom_survival,
     empirical_survival,
-    mixing_model,
     sample_core,
     sample_mixing_factor,
     sample_mixing_shortcut,
@@ -94,7 +99,8 @@ def test_hazard_above_lambda_within_slack_still_samples():
     # gamma_1 / (alpha lambda) = 1.0004 is admissible within the slack; far out it makes
     # 1 - hazard_1 / lambda negative, where ln q_t must read -inf, not NaN
     p = CoreParams(lam=0.1, alpha=1.0, gamma1=0.10004, gamma2=0.1, alpha1=0.3, alpha2=0.2, slack=5e-4)
-    batch = sample_model(mixing_model(MixingLaw("gamma", {"a": 2.0}), p, 0.1), 20_000, seed=3)
+    m = Model(generator=generator_from_mixing(MixingLaw("gamma", {"a": 2.0}), 0.1), core=p)
+    batch = sample_model(m, 20_000, seed=3)
     assert np.all(np.isfinite(batch.x)) and np.all(np.isfinite(batch.y))
 
 
@@ -221,7 +227,7 @@ def test_invalid_composition_rejected(models):
 def test_mixing_shortcut_agrees_with_direct():
     law = MixingLaw("gamma", {"a": 2.0})
     ratio = 0.1
-    m = mixing_model(law, MU, ratio)
+    m = Model(generator=generator_from_mixing(law, ratio), core=MU)
     n = 60_000
     direct = sample_model(m, n, seed=57)
     shortcut = sample_mixing_shortcut(law, MU, ratio, n, seed=58)
