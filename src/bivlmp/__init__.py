@@ -23,8 +23,6 @@ from .dependence import (
     KendallCurve,
     TailReport,
     empirical_kendall,
-    j_integral,
-    kendall_closed_form,
     kendall_function,
     kendall_tau,
     tail_lower,

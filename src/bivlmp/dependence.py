@@ -53,14 +53,6 @@ class TailReport:
     classification: dict = field(default_factory=dict)
     converged: bool = True
 
-    @property
-    def lambda_l(self):
-        return self.value if self.which == "lower" else None
-
-    @property
-    def lambda_u(self):
-        return self.value if self.which == "upper" else None
-
 
 # ---------------------------------------------------------------------------
 # J integrals and Kendall functions
@@ -91,32 +83,26 @@ def j_integral_quadrature(p: CoreParams, i: int, lv, tol: float = 1e-10):
     return scalar_or_array(np.reshape(integrate_unit(hazard_sq, tol=tol).value, lv.shape))
 
 
-def j_integral(m: Model, i: int, v, method: str = "closed") -> float:
-    """J_i(v) for the core of m; method 'closed' or 'quadrature'."""
-    if method == "closed":
-        return j_integral_closed(m.core, i, v)
-    if method == "quadrature":
-        return j_integral_quadrature(m.core, i, np.log(in_unit(v, "v", open_at_0=True)))
-    raise DomainError(f"unknown method {method!r}")
+# the J_i route of each Kendall source, taking (core, i, ln v).  The lambdas look the functions up
+# at call time, so a wrapper installed over the module's name (bench/tracing.py) sees every call.
+_J_ROUTES = {
+    "closed_form": lambda p, i, lv: _j_closed_from_log(p, i, lv),
+    "quadrature": lambda p, i, lv: j_integral_quadrature(p, i, lv),
+}
 
 
-def _kendall_values(m: Model, t: float, s, j_method: str):
-    """Evaluate K_t pointwise; s may be scalar or array."""
+def _kendall_values(m: Model, t: float, s, source: str):
+    """Evaluate K_t pointwise by the J_i route source; s may be scalar or array."""
     g = m.generator
     tau = min(m.tau(t), g._copula_age_cap)  # K_t is a function of C_t alone
     s = in_unit(s, "s", open_at_0=True)
     lv = gen_mod.residual_distortion_log_inverse(g, tau, s)
-    j_route = _j_closed_from_log if j_method == "closed" else j_integral_quadrature
+    j_route = _J_ROUTES[source]
     bracket = 2.0 * lv + (j_route(m.core, 1, lv) + j_route(m.core, 2, lv)) / m.lam
     # h_t'(v) v = s x h'(x)/h(x) at ln x = ln v - tau
     with np.errstate(invalid="ignore"):
         k = s * (1.0 - g.h_elasticity_from_log(lv - tau) * bracket)
     return scalar_or_array(np.where(s >= 1.0, 1.0, k))
-
-
-def kendall_closed_form(m: Model, t: float, s):
-    """K_t via the closed J_i; the generator's inverse is its own, closed or numeric."""
-    return _kendall_values(m, t, s, j_method="closed")
 
 
 def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "closed_form") -> KendallCurve:
@@ -125,19 +111,16 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     source: 'closed_form' takes the closed J_i; 'quadrature' integrates J_i
     numerically (the independent pipeline).  Both need the generator's derivative.
     """
-    s_grid = tuple(float(s) for s in s_grid)
-    if source == "closed_form":
-        k = kendall_closed_form(m, t, s_grid)
-    elif source == "quadrature":
-        k = _kendall_values(m, t, s_grid, j_method="quadrature")
-    else:
+    if source not in _J_ROUTES:
         raise DomainError(f"unknown source {source!r}")
+    s_grid = tuple(float(s) for s in s_grid)
+    k = _kendall_values(m, t, s_grid, source)
     return KendallCurve(t=float(t), grid=tuple(zip(s_grid, np.atleast_1d(k))), source=source)
 
 
 def kendall_tau(m: Model, t: float, tol: float = 1e-9) -> float:
     """tau = 3 - 4 integral_0^1 K_t(s) ds."""
-    return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, t, s, j_method="closed"), tol=tol).value
+    return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, t, s, "closed_form"), tol=tol).value
 
 
 # ---------------------------------------------------------------------------

@@ -153,19 +153,9 @@ class Generator:
         """h'(x) for x in (0, 1]."""
         return residual_distortion_prime(self, 0.0, x)
 
-    def h_log(self, x):
-        return _quiet(self._h_log_from_log, _log_arg(x))
-
-    def h_log_prime(self, x):
-        return _quiet(lambda v: self._h_elasticity(_log_arg(v)) / v, np.asarray(x, dtype=float))
-
     def h_elasticity_from_log(self, lx):
         """x h'(x) / h(x) at x = e^lx, lx <= 0: the slope of ln h against ln x."""
         return _quiet(self._h_elasticity, np.minimum(np.asarray(lx, dtype=float), 0.0))
-
-    def h_inverse_from_log(self, lw):
-        out = _quiet(lambda v: np.exp(self._h_log_inv_from_log(v)), np.minimum(lw, 0.0))
-        return scalar_or_array(np.clip(out, 0.0, 1.0))
 
     def h_from_log(self, lw):
         """h(e^lw), with lw clamped to <= 0."""
@@ -528,6 +518,13 @@ class PowerScaledGenerator(Generator):
 
     def _h_elasticity(self, lx):
         return self.beta * self.base._h_elasticity(self.beta * lx)
+
+    # h_beta at age t is h at age beta t, of x^beta: the base's own age-t forms, closed ones included
+    def _residual_log(self, t, lw):
+        return self.base._residual_log(self.beta * t, self.beta * lw)
+
+    def _residual_log_inverse(self, t, lu):
+        return self.base._residual_log_inverse(self.beta * t, lu) / self.beta
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,14 @@ def copula_t_diag_log(m: Model, t: float, log_u):
 
 def singular_line_survival(m: Model, t: float, x):
     """S_t(x) = P(X = Y) h_tau(e^{-lambda x}): residual mass beyond x on the diagonal."""
-    if not x >= 0:
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0):
         raise DomainError("x must be nonnegative")
+    tau = m.tau(t)  # the age check, on both branches
     p0 = singular_mass(m.core)
     if p0 == 0.0:
-        return 0.0
-    return p0 * _residual_from_log(m.generator, m.tau(t), -m.lam * x)
+        return scalar_or_array(np.zeros_like(x))
+    return scalar_or_array(p0 * _residual_from_log(m.generator, tau, -m.lam * x))
 
 
 def decay_rate(m: Model, t: float) -> float:

@@ -1,5 +1,6 @@
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from bivlmp.generators import (
 from bivlmp.model import Model, Mo15Params, fbar, mo15_bridge
 from test_generators import CATALOG
 
-CONFIG_DIR = "configs"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 LAWS = [("gamma", {"a": 2.0}), ("positive_stable", {"a": 0.5}), ("sibuya", {"a": 0.5}), ("log_series", {"theta": -0.5})]
 UNIT = np.linspace(0.0, 1.0, 41)
@@ -60,8 +61,14 @@ def test_emit_parse_round_trip_of_every_mixing_law(kind, params):
 
 @pytest.mark.parametrize("name", sorted(BUILTIN_CONFIGS))
 def test_shipped_config_files_match_builtins(name):
-    m = load_model(f"{CONFIG_DIR}/{name}.json")
-    assert m.describe() == builtin_model(name).describe()
+    # the CLI and the benchmark read the files, the tests read BUILTIN_CONFIGS: the two copies must agree
+    path = CONFIG_DIR / f"{name}.json"
+    assert json.loads(path.read_text()) == BUILTIN_CONFIGS[name]
+    assert load_model(str(path)).describe() == builtin_model(name).describe()
+
+
+def test_shipped_config_names_match_builtins():
+    assert {path.stem for path in CONFIG_DIR.glob("*.json")} == set(BUILTIN_CONFIGS)
 
 
 def test_unknown_top_level_key_rejected():

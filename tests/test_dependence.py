@@ -9,10 +9,8 @@ from bivlmp.dependence import (
     core_lambda_l,
     core_lambda_u,
     empirical_kendall,
-    j_integral,
     j_integral_closed,
     j_integral_quadrature,
-    kendall_closed_form,
     kendall_function,
     kendall_tau,
     tail_lower,
@@ -27,7 +25,7 @@ from bivlmp.generators import (
     make_generator,
     power_scaled,
 )
-from bivlmp.model import Model, Mo15Params, mo15_bridge
+from bivlmp.model import Model, Mo15Params, copula_t, mo15_bridge
 from bivlmp.sampler import sample_model
 
 import oracles
@@ -112,7 +110,7 @@ def test_kendall_gompertz_accurate_at_large_age():
     m = mo15_bridge(q)
     t = 10.0
     routes = {
-        "closed_form": (kendall_closed_form(m, t, S_GRID), 1e-12),
+        "closed_form": (kendall_function(m, t, S_GRID).k_values(), 1e-12),
         "quadrature": (kendall_function(m, t, S_GRID, source="quadrature").k_values(), 1e-9),
     }
 
@@ -138,6 +136,23 @@ def test_kendall_gompertz_accurate_at_large_age():
         expect = np.array([ref(s) for s in S_GRID])
     for route, (k, tol) in routes.items():
         assert np.max(np.abs(k - expect)) <= tol, route
+
+
+@pytest.mark.parametrize("lam_t", (0.0, 10.0, 20.0, 30.0, 100.0, 1000.0))
+def test_power_scaled_gompertz_is_gompertz_at_every_age(lam_t):
+    # h(x^2) for the Gompertz h(x) = exp(-xi (x^-1 - 1)) is the Gompertz with mu = 2.  The wrapper's
+    # age-t forms are its base's at age 2t; the generic ln h(e^{lw - t}) - ln h(e^-t) would cancel
+    # at old ages, where both terms are of size xi e^{2 t}
+    scaled = Model(generator=power_scaled(make_generator("gompertz", xi=1.5, mu=1.0), 2.0), core=MU)
+    plain = Model(generator=make_generator("gompertz", xi=1.5, mu=2.0), core=MU)
+    t = lam_t / MU.lam
+    u = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
+    grid = (u[:, None], u[None, :])
+    assert np.array_equal(copula_t(scaled, t, *grid), copula_t(plain, t, *grid))
+    assert kendall_tau(scaled, t) == kendall_tau(plain, t)
+    for source in ("closed_form", "quadrature"):
+        assert np.array_equal(kendall_function(scaled, t, S_GRID, source).k_values(),
+                              kendall_function(plain, t, S_GRID, source).k_values()), source
 
 
 def test_closed_form_eligibility_follows_capabilities(models):
@@ -168,18 +183,9 @@ def test_closed_form_requires_capability(models):
     # without one, every route needs the derivative it lacks
     m = Model(generator=generator_from_survival(survival), core=core, label="no-density")
     with pytest.raises(CapabilityError):
-        kendall_closed_form(m, 0.0, S_GRID)
-    with pytest.raises(CapabilityError):
         kendall_function(m, 0.0, S_GRID)
     with pytest.raises(CapabilityError):
         kendall_function(m, 0.0, S_GRID, source="quadrature")
-
-
-def test_j_integral_dispatch(models):
-    m = models["identity_mu"]
-    assert j_integral(m, 1, 0.5, method="closed") == pytest.approx(
-        j_integral(m, 1, 0.5, method="quadrature"), abs=1e-9
-    )
 
 
 # -- empirical Kendall ------------------------------------------------------
@@ -262,11 +268,6 @@ def test_tail_numeric_matches_the_scalar_sequence_oracle(models, name):
             assert len(rep.classification["sequence_tail"]) == len(tail), (lam_t, which)
 
 
-def test_tail_report_properties(models):
-    rep = tail_lower(models["identity_mu"], 1.0)
-    assert rep.lambda_l == rep.value and rep.lambda_u is None
-
-
 def test_kendall_tau_pinned(models):
     # 30-digit mpmath integrals of the closed K_t over (0, 1)
     for name, lam_t, expect in (("pareto_mu", 2.0, 0.88041544590071118), ("mixing_gamma", 2.0, 0.90435354875805561),
@@ -293,7 +294,7 @@ EXTREME_S = (1e-300, 1e-100, 1e-30, 1e-15, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12)
 def test_kendall_finite_at_extreme_s(models, name, lam_t, s):
     # the quadrature of tau evaluates K_t at nodes down to ~1e-275 and within 1e-16 of 1
     m = models[name]
-    k = kendall_closed_form(m, lam_t / m.lam, s)
+    k = kendall_function(m, lam_t / m.lam, (s,)).k_values()[0]
     assert math.isfinite(k) and s <= k <= 1.0
 
 

@@ -115,6 +115,24 @@ def test_singular_line_survival_known_value(models):
     assert singular_line_survival(m, 0.0, x) == pytest.approx(0.25, rel=1e-12)
 
 
+def test_singular_line_survival_on_arrays(models):
+    x = np.array([[0.0, 1.0], [2.0, 30.0]])
+    m = models["identity_mu"]
+    got = singular_line_survival(m, 1.0, x)
+    assert got.shape == x.shape
+    assert np.array_equal(got, [[singular_line_survival(m, 1.0, float(v)) for v in row] for row in x])
+    with pytest.raises(DomainError):
+        singular_line_survival(m, 1.0, np.array([1.0, -1.0]))
+    # no mass on the diagonal: zeros of the shape of x
+    m0 = mo15_bridge(Mo15Params(lam=2.0, lam1=1.5, lam2=1.5, xi=3.0, xi1=1.5, xi2=2.5))
+    assert singular_mass(m0.core) == 0.0
+    zeros = singular_line_survival(m0, 1.0, x)
+    assert isinstance(zeros, np.ndarray) and zeros.shape == x.shape and not zeros.any()
+    assert type(singular_line_survival(m0, 1.0, 2.0)) is float
+    with pytest.raises(DomainError):
+        singular_line_survival(m0, math.nan, 2.0)
+
+
 def test_mean_excess_finite_and_infinite(models):
     e = mean_excess(models["identity_mu"], 1, 0.0)
     assert e == pytest.approx(-math.log(0.7) / (0.1 * 0.3), rel=1e-8)
