@@ -34,15 +34,13 @@ def _load(args):
 
 def cmd_validate(args) -> int:
     m = _load(args)
-    rep = validate_core(m.core)
-    print(f"model {m.label or '(unlabeled)'}: {'ok' if rep.ok else 'INVALID'}")
-    for name, margin in rep.margins.items():
+    # load_model builds a Model, which refuses an inadmissible core, so every margin here is within the slack
+    print(f"model {m.label or '(unlabeled)'}: ok")
+    for name, margin in validate_core(m.core).margins.items():
         print(f"  {name}: margin {_fmt(margin)}")
-    for v in rep.violations:
-        print(f"  violation: {v}")
     if args.echo:
         print(json.dumps(emit_config(m), indent=2, sort_keys=True))
-    return 0 if rep.ok else 1
+    return 0
 
 
 def cmd_eval(args) -> int:
@@ -143,8 +141,6 @@ def cmd_price(args) -> int:
 
 
 def cmd_paper(args) -> int:
-    if args.what != "table1":
-        raise BivlmpError(f"unknown reproduction target {args.what!r}")
     models = {"left": builtin_model("fig1_left"), "right": builtin_model("fig1_right")}
     rows = pricing.reference_comparison(models)
     all_ok = True

@@ -69,12 +69,9 @@ class CoreParams:
         }
 
 
-def mu_core(alpha: float, gamma: float, alpha1: float, alpha2: float, slack: float = DEFAULT_SLACK) -> CoreParams:
+def mu_core(alpha: float, gamma: float, alpha1: float, alpha2: float) -> CoreParams:
     """Convenience constructor for the gamma1=gamma2=gamma, lambda=gamma/alpha subfamily."""
-    return CoreParams(
-        lam=gamma / alpha, alpha=alpha, gamma1=gamma, gamma2=gamma,
-        alpha1=alpha1, alpha2=alpha2, slack=slack,
-    )
+    return CoreParams(lam=gamma / alpha, alpha=alpha, gamma1=gamma, gamma2=gamma, alpha1=alpha1, alpha2=alpha2)
 
 
 @dataclass(frozen=True)
@@ -82,9 +79,6 @@ class ValidationReport:
     ok: bool
     violations: tuple = ()
     margins: dict = field(default_factory=dict)
-
-    def __bool__(self):
-        return self.ok
 
 
 def validate_core(p: CoreParams) -> ValidationReport:

@@ -26,12 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators as gen_mod
-from .core import CoreParams, marginal_hazard, marginal_quantile_log
+from .core import CoreParams, _marg, marginal_hazard, marginal_quantile_log
 from .errors import DomainError
 from .model import Model, copula_t, copula_t_diag_log
 from .numerics import in_unit, integrate_unit, limit_at_zero, scalar_or_array
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
+TAU_TOL = 1e-9  # relative accuracy of Kendall's tau
+TAIL_TOL = 1e-4  # absolute accuracy of a numeric tail limit
 
 
 @dataclass(frozen=True)
@@ -59,34 +61,38 @@ class TailReport:
 # ---------------------------------------------------------------------------
 
 
-def j_integral_closed(p: CoreParams, i: int, v) -> float:
-    return scalar_or_array(_j_closed_from_log(p, i, np.log(in_unit(v, "v", open_at_0=True))))
-
-
-def _j_closed_from_log(p: CoreParams, i: int, lv):
-    """J_i(v) from lv = ln v: (gamma_i / alpha^2)(alpha_i expm1(alpha lv) - alpha lv)."""
-    gamma, aw = (p.gamma1, p.alpha1) if i == 1 else (p.gamma2, p.alpha2)
-    return (gamma / p.alpha**2) * (aw * np.expm1(p.alpha * lv) - p.alpha * lv)
-
-
-def j_integral_quadrature(p: CoreParams, i: int, lv, tol: float = 1e-10):
-    """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
+def _log_v(lv) -> np.ndarray:
+    """lv = ln v as a float array, or DomainError unless all of it lies in (-inf, 0]."""
     lv = np.asarray(lv, dtype=float)
-    if not np.all((lv > -math.inf) & (lv <= 0.0)):
+    # a min and a max, cheaper than a mask on this path of every K_t evaluation; NaN fails both
+    if not (-math.inf < lv.min(initial=0.0) and lv.max(initial=0.0) <= 0.0):
         raise DomainError("ln v must lie in (-inf, 0]")
+    return lv
+
+
+def j_integral_closed(p: CoreParams, i: int, lv):
+    """J_i(v) from lv = ln v (any shape): (gamma_i / alpha^2)(alpha_i expm1(alpha lv) - alpha lv)."""
+    lv = _log_v(lv)
+    gamma, aw = _marg(p, i)
+    return scalar_or_array((gamma / p.alpha**2) * (aw * np.expm1(p.alpha * lv) - p.alpha * lv))
+
+
+def j_integral_quadrature(p: CoreParams, i: int, lv):
+    """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
+    lv = _log_v(lv)
     z_max = np.ravel(marginal_quantile_log(p, i, lv))
 
     def hazard_sq(u):
         haz = marginal_hazard(p, i, z_max * u)
         return z_max * haz * haz
 
-    return scalar_or_array(np.reshape(integrate_unit(hazard_sq, tol=tol).value, lv.shape))
+    return scalar_or_array(np.reshape(integrate_unit(hazard_sq).value, lv.shape))
 
 
 # the J_i route of each Kendall source, taking (core, i, ln v).  The lambdas look the functions up
 # at call time, so a wrapper installed over the module's name (bench/tracing.py) sees every call.
 _J_ROUTES = {
-    "closed_form": lambda p, i, lv: _j_closed_from_log(p, i, lv),
+    "closed_form": lambda p, i, lv: j_integral_closed(p, i, lv),
     "quadrature": lambda p, i, lv: j_integral_quadrature(p, i, lv),
 }
 
@@ -118,9 +124,9 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     return KendallCurve(t=float(t), grid=tuple(zip(s_grid, np.atleast_1d(k))), source=source)
 
 
-def kendall_tau(m: Model, t: float, tol: float = 1e-9) -> float:
+def kendall_tau(m: Model, t: float) -> float:
     """tau = 3 - 4 integral_0^1 K_t(s) ds."""
-    return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, t, s, "closed_form"), tol=tol).value
+    return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, t, s, "closed_form"), tol=TAU_TOL).value
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +243,7 @@ def tail_upper(m: Model, t: float) -> TailReport:
     )
 
 
-def tail_numeric(m: Model, t: float, which: str, tol: float = 1e-4) -> TailReport:
+def tail_numeric(m: Model, t: float, which: str) -> TailReport:
     """Numeric tail limits via Aitken-accelerated sequences, each evaluated in one array call.
 
     Lower: lim C_t(u,u)/u as u -> 0 (log domain, so u may pass 1e-12).
@@ -248,13 +254,13 @@ def tail_numeric(m: Model, t: float, which: str, tol: float = 1e-4) -> TailRepor
             lu = np.log(u)
             return np.exp(copula_t_diag_log(m, t, lu) - lu)
 
-        est = limit_at_zero(g, u0=2.0**-6, tol=tol, budget=36)
+        est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=36)
     elif which == "upper":
         def g(eps):
             u = 1.0 - eps
             return (copula_t(m, t, u, u) - (2.0 * u - 1.0)) / eps
 
-        est = limit_at_zero(g, u0=2.0**-6, tol=tol, budget=30)
+        est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=30)
     else:
         raise DomainError("which must be 'lower' or 'upper'")
     value = min(max(est.value, 0.0), 1.0)

@@ -474,10 +474,10 @@ class SurvivalGenerator(Generator):
 
     family = "from_survival"
 
-    def __init__(self, survival, density=None, z_max: float = 1e4):
+    def __init__(self, survival, density=None):
         if not abs(survival(0.0) - 1.0) <= 1e-9:
             raise ValidationError("survival function must satisfy survival(0) = 1")
-        grid = np.geomspace(1e-6, z_max, 64)
+        grid = np.geomspace(1e-6, 1e4, 64)
         vals = np.array([survival(z) for z in grid])
         if not np.all(np.diff(vals) <= 1e-12):
             raise ValidationError("survival function is not decreasing on the test grid")

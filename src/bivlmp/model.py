@@ -25,7 +25,7 @@ from . import generators as gen_mod
 from .core import CoreParams, gbar_log, require_valid, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import POSITIVE, Generator, Mo15Generator, make_generator
-from .numerics import copula_edges, in_unit, integrate_upper, scalar_or_array
+from .numerics import DEFAULT_QUAD_TOL, copula_edges, in_unit, integrate_upper, scalar_or_array
 
 
 @dataclass(frozen=True)
@@ -181,11 +181,11 @@ def survival_integral(m: Model, t: float, surv, tol: float) -> float:
         raise
 
 
-def mean_excess(m: Model, i: int, t: float, tol: float = 1e-10) -> float:
+def mean_excess(m: Model, i: int, t: float) -> float:
     """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz, +inf if heavy tailed."""
     if i not in (1, 2):
         raise DomainError("margin index must be 1 or 2")
-    return survival_integral(m, t, functools.partial(residual_marginal, m, i, t), tol)
+    return survival_integral(m, t, functools.partial(residual_marginal, m, i, t), DEFAULT_QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +217,7 @@ class Mo15Params:
             raise ValidationError("constraint lam1 xi1 + lam2 xi2 >= lam xi violated")
 
 
-def mo15_bridge(q: Mo15Params, slack: float = core_mod.DEFAULT_SLACK, label: str = "mo15") -> Model:
+def mo15_bridge(q: Mo15Params) -> Model:
     """Express the bivariate Gompertz family as h(Gbar).
 
     Generator h(x) = exp(-xi (1/x - 1)); core alpha = 1, gamma_i = lam_i,
@@ -230,7 +230,5 @@ def mo15_bridge(q: Mo15Params, slack: float = core_mod.DEFAULT_SLACK, label: str
         raise ValidationError(
             f"bridge weights 1 - xi_i/xi = ({a1:.6g}, {a2:.6g}) must lie in (0, 1); need xi_i < xi"
         )
-    core = CoreParams(
-        lam=q.lam, alpha=1.0, gamma1=q.lam1, gamma2=q.lam2, alpha1=a1, alpha2=a2, slack=slack
-    )
-    return Model(generator=make_generator("mo15", xi=q.xi), core=core, label=label)
+    core = CoreParams(lam=q.lam, alpha=1.0, gamma1=q.lam1, gamma2=q.lam2, alpha1=a1, alpha2=a2)
+    return Model(generator=make_generator("mo15", xi=q.xi), core=core, label="mo15")

@@ -104,8 +104,8 @@ def _de_integrate(f, levels, scale: float, tol: float, what: str) -> QuadratureR
         if np.isnan(fx).any():
             raise DomainError(f"{what}: integrand returned NaN")
         evaluations += fx.size
-        with np.errstate(invalid="ignore", over="ignore"):
-            part = (w * scale * fx).sum(axis=0)
+        with np.errstate(invalid="ignore", over="ignore"):  # Fortran order: each column sums on its own, pairwise
+            part = np.multiply(w * scale, fx, order="F").sum(axis=0)
         prev, total = total, part if total is None else 0.5 * total + part
         value = scalar_or_array(total.squeeze())
         if not np.all(np.isfinite(total)):

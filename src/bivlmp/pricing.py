@@ -34,55 +34,55 @@ class PricingQuote:
     model_label: str = ""
 
 
-def _integrate(surv, m: Model, t: float, horizon, tol: float, what: str) -> float:
-    """Integral of surv over [0, horizon), or over [0, inf) on the decay scale of m at age t.
+def _integrate(surv, m: Model, t: float, horizon, what: str) -> float:
+    """Integral of surv over [0, horizon), or over [0, inf) on the decay scale of m at age t, to PRICING_TOL.
 
     A half-line integral that does not converge reads +inf when the tail of surv is heavy.
     """
     try:
         if horizon is None:
-            return survival_integral(m, t, surv, tol)
-        if horizon <= 0:
-            raise DomainError("horizon must be positive")
-        return integrate_unit(lambda u: horizon * surv(horizon * u), tol=tol).value
+            return survival_integral(m, t, surv, PRICING_TOL)
+        if horizon <= 0:  # horizon is counted from the age t here
+            raise DomainError(f"horizon must exceed the age t = {t!r}")
+        return integrate_unit(lambda u: horizon * surv(horizon * u), tol=PRICING_TOL).value
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate
         ) from exc
 
 
-def joint_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) -> float:
+def joint_annuity(m: Model, t: float, horizon=None) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
     m.tau(t)  # the age check
     return _integrate(lambda z: m.generator.h_from_log(-m.lam * (z + t)), m, t,
-                      None if horizon is None else horizon - t, tol, "joint annuity integral")
+                      None if horizon is None else horizon - t, "joint annuity integral")
 
 
-def residual_joint_annuity(m: Model, t: float, tol: float = PRICING_TOL) -> float:
+def residual_joint_annuity(m: Model, t: float) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
     tau = m.tau(t)
-    return _integrate(lambda z: _residual_from_log(m.generator, tau, -m.lam * z), m, t, None, tol,
+    return _integrate(lambda z: _residual_from_log(m.generator, tau, -m.lam * z), m, t, None,
                       "conditional joint annuity integral")
 
 
-def independent_annuity(m: Model, t: float, horizon=None, tol: float = PRICING_TOL) -> float:
+def independent_annuity(m: Model, t: float, horizon=None) -> float:
     """Deferred premium under independence with the same marginals."""
     m.tau(t)  # the age check
     return _integrate(lambda z: fbar_marginal(m, 1, z + t) * fbar_marginal(m, 2, z + t), m, t,
-                      None if horizon is None else horizon - t, tol, "independent annuity integral")
+                      None if horizon is None else horizon - t, "independent annuity integral")
 
 
-def residual_independent_annuity(m: Model, t: float, tol: float = PRICING_TOL) -> float:
+def residual_independent_annuity(m: Model, t: float) -> float:
     """Conditional independence benchmark: product of the residual marginals."""
-    return _integrate(lambda z: residual_marginal(m, 1, t, z) * residual_marginal(m, 2, t, z), m, t, None, tol,
+    return _integrate(lambda z: residual_marginal(m, 1, t, z) * residual_marginal(m, 2, t, z), m, t, None,
                       "conditional independent annuity integral")
 
 
-def life_expectancy(m: Model, i: int, horizon=None, tol: float = PRICING_TOL) -> float:
+def life_expectancy(m: Model, i: int, horizon=None) -> float:
     """Mean of lifetime i: integral of h(Gbar_i), optionally up to a limiting age."""
     if i not in (1, 2):
         raise DomainError("margin index must be 1 or 2")
-    return _integrate(lambda z: fbar_marginal(m, i, z), m, 0.0, horizon, tol, "life expectancy integral")
+    return _integrate(lambda z: fbar_marginal(m, i, z), m, 0.0, horizon, "life expectancy integral")
 
 
 def premium_table(m: Model, ts, horizon=None) -> list:

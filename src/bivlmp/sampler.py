@@ -109,9 +109,9 @@ def _batch(w, d, atom, seed, label) -> SampleBatch:
                        model_label=label)
 
 
-def sample_core(p: CoreParams, n: int, seed: int, label: str = "core") -> SampleBatch:
+def sample_core(p: CoreParams, n: int, seed: int) -> SampleBatch:
     """Draw n pairs from the undistorted core: the model with the identity generator."""
-    return sample_model(Model(generator=IdentityGenerator(), core=p, label=label), n, seed)
+    return sample_model(Model(generator=IdentityGenerator(), core=p, label="core"), n, seed)
 
 
 def _ln_q_t(m: Model, i: int, d: np.ndarray, tau, lh_tau, lel_tau) -> np.ndarray:
@@ -233,9 +233,7 @@ def sample_mixing_factor(law: MixingLaw, rng: np.random.Generator, n: int) -> np
     raise DomainError(f"no sampler for mixing law {law.kind!r}")
 
 
-def sample_mixing_shortcut(
-    law: MixingLaw, p: CoreParams, ratio: float, n: int, seed: int, label: str = "mixing"
-) -> SampleBatch:
+def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, seed: int) -> SampleBatch:
     """Sample the frailty model E[Gbar^{ratio Z}] by conditioning on Z.
 
     Given Z = z, Gbar^{ratio z} is again a member of the family with
@@ -259,7 +257,7 @@ def sample_mixing_shortcut(
     d = np.zeros(n)
     for mask, aw, sign in ((side1, p.alpha1, 1.0), (side2, p.alpha2, -1.0)):
         d[mask] = sign * _mu_side_quantile(u_mag[mask], alpha[mask], aw, p.gamma1)
-    return _batch(w, d, atom, seed, label)
+    return _batch(w, d, atom, seed, "mixing")
 
 
 # ---------------------------------------------------------------------------

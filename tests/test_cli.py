@@ -60,6 +60,16 @@ def test_directory_as_config_is_error(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [lambda bad: ["tau", "-c", CFG, "--t", "0,abc"], lambda bad: ["validate", "-c", bad]],
+                         ids=["tau_bad_time_list", "validate_not_json"])
+def test_refusal_is_one_error_line(argv, tmp_path, capsys):
+    bad = tmp_path / "not.json"
+    bad.write_text("not json {")
+    assert run(argv(str(bad))) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_usage_error_exit_2(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2

@@ -1,9 +1,10 @@
 """The array contract of the public numeric functions.
 
 Every array function returns a Python float for a scalar input and a float64
-array of the input's shape otherwise.  Copulas take their exact boundary
-values.  A NaN argument to a function that checks its domain raises
-DomainError, and so does an age below 0 or an argument outside the domain.
+array of the input's shape otherwise, each entry equal to the scalar result.
+Copulas take their exact boundary values.  A NaN argument to a function that
+checks its domain raises DomainError, and so does an age below 0 or an
+argument outside the domain.
 The generator methods that take a log argument (h_from_log, h_log_from_log,
 h_elasticity_from_log) and the log argument of residual_distortion_log are
 not checked: they are the inner loop of the quadratures and the root finder.
@@ -116,7 +117,7 @@ ARRAY_FUNCTIONS = [
     ("generators.residual_distortion_prime", lambda x: generators.residual_distortion_prime(G, 0.5, x), 0.4),
     ("generators.residual_distortion_log", lambda x: generators.residual_distortion_log(G, 0.5, x), -0.4),
     ("generators.pseudo_product", lambda x: generators.pseudo_product(G, x, 0.6), 0.4),
-    ("dependence.j_integral_closed", lambda x: dependence.j_integral_closed(P, 1, x), 0.4),
+    ("dependence.j_integral_closed", lambda x: dependence.j_integral_closed(P, 1, x), -0.9),
     ("dependence.j_integral_quadrature", lambda x: dependence.j_integral_quadrature(P, 1, x), -0.9),
 ] + [
     (f"{family}.{meth}", lambda x, g=g, meth=meth: getattr(g, meth)(x), point)
@@ -128,9 +129,10 @@ ARRAY_FUNCTIONS = [
 def _assert_contract(fn, point):
     out = fn(point)
     assert type(out) is float
-    arr = fn(np.array([point]))
-    assert isinstance(arr, np.ndarray) and arr.shape == (1,) and arr.dtype == np.float64
-    assert arr[0] == out
+    for x in (np.array([point]), np.full((2, 2), point)):
+        arr = fn(x)
+        assert isinstance(arr, np.ndarray) and arr.shape == x.shape and arr.dtype == np.float64
+        assert np.all(arr == out)  # each entry as if alone: its value does not depend on its neighbours
 
 
 @pytest.mark.parametrize("name,fn,point", ARRAY_FUNCTIONS, ids=[c[0] for c in ARRAY_FUNCTIONS])
