@@ -16,7 +16,6 @@ from .core import (
     marginal_survival,
     mu_core,
     singular_mass,
-    validate_core,
     weak_lmp_residual,
 )
 from .dependence import (

@@ -13,7 +13,6 @@ import numpy as np
 
 from . import dependence, generators, model as model_mod, pricing, sampler
 from .config import builtin_model, emit_config, load_model
-from .core import validate_core
 from .errors import BivlmpError
 
 
@@ -23,9 +22,23 @@ def _fmt(x) -> str:
 
 def _parse_ts(text: str):
     try:
-        return [float(v) for v in text.split(",") if v != ""]
+        ts = [float(v) for v in text.split(",") if v != ""]
     except ValueError:
         raise BivlmpError(f"could not parse time list {text!r}") from None
+    if not ts:
+        raise BivlmpError(f"time list {text!r} names no age")
+    return ts
+
+
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return n
 
 
 def _load(args):
@@ -34,9 +47,9 @@ def _load(args):
 
 def cmd_validate(args) -> int:
     m = _load(args)
-    # load_model builds a Model, which refuses an inadmissible core, so every margin here is within the slack
+    # load_model builds a CoreParams, which refuses an inadmissible core, so every margin here is within the slack
     print(f"model {m.label or '(unlabeled)'}: ok")
-    for name, margin in validate_core(m.core).margins.items():
+    for name, margin in m.core.margins.items():
         print(f"  {name}: margin {_fmt(margin)}")
     if args.echo:
         print(json.dumps(emit_config(m), indent=2, sort_keys=True))
@@ -181,12 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_eval)
 
     p = with_config(sub.add_parser("check", help="max functional-equation residual over a grid"))
-    p.add_argument("--grid", type=int, default=10)
+    p.add_argument("--grid", type=_count, default=10)
     p.set_defaults(fn=cmd_check)
 
     p = with_config(sub.add_parser("kendall", help="Kendall curves as CSV"))
     p.add_argument("--t", required=True, help="comma-separated ages")
-    p.add_argument("--points", type=int, default=49)
+    p.add_argument("--points", type=_count, default=49)
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=cmd_kendall)
 

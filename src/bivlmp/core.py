@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +48,31 @@ class CoreParams:
             raise ValidationError("alpha1 and alpha2 must lie in the open interval (0, 1)")
         if self.slack < 0:
             raise ValidationError("slack must be nonnegative")
+        # a margin inside the slack still validates (rounded published parameter sets need this)
+        lower, upper = self._window()
+        low, up, mass = self.margins.values()
+        violations = [text for bad, text in (
+            (low < -self.slack, f"lower bound violated: lambda={self.lam} < max(gamma1,gamma2)/alpha={lower} "
+                                f"(margin {low:.3e})"),
+            (up < -self.slack, f"upper bound violated: lambda={self.lam} > (gamma1(1-alpha1)+gamma2(1-alpha2))/alpha="
+                               f"{upper} (margin {up:.3e})"),
+            (mass < -self.slack, f"singular mass {mass:.3e} is negative beyond slack {self.slack:.1e}"),
+            (mass > 1.0, f"singular mass {mass:.3e} exceeds 1"),
+        ) if bad]
+        if violations:
+            raise ValidationError("; ".join(violations))
+
+    def _window(self):
+        """The bounds (lower, upper) of the admissible lambdas, as in the module docstring."""
+        return (max(self.gamma1, self.gamma2) / self.alpha,
+                (self.gamma1 * (1.0 - self.alpha1) + self.gamma2 * (1.0 - self.alpha2)) / self.alpha)
+
+    @property
+    def margins(self) -> dict:
+        """Signed distances of lambda to the lower and upper bound, and the singular mass; each is >= -slack."""
+        lower, upper = self._window()
+        return {"lower_bound": self.lam - lower, "upper_bound": upper - self.lam,
+                "singular_mass": singular_mass_raw(self)}
 
     @property
     def is_mu(self) -> bool:
@@ -74,57 +99,10 @@ def mu_core(alpha: float, gamma: float, alpha1: float, alpha2: float) -> CorePar
     return CoreParams(lam=gamma / alpha, alpha=alpha, gamma1=gamma, gamma2=gamma, alpha1=alpha1, alpha2=alpha2)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple = ()
-    margins: dict = field(default_factory=dict)
-
-
-def validate_core(p: CoreParams) -> ValidationReport:
-    """Check the two admissibility inequalities, reporting named margins.
-
-    Margins are signed distances to each bound; a negative margin inside the
-    slack still validates (rounded published parameter sets need this).
-    """
-    lower = max(p.gamma1, p.gamma2) / p.alpha
-    upper = (p.gamma1 * (1.0 - p.alpha1) + p.gamma2 * (1.0 - p.alpha2)) / p.alpha
-    mass = singular_mass_raw(p)
-    margins = {
-        "lower_bound": p.lam - lower,          # need >= -slack
-        "upper_bound": upper - p.lam,          # need >= -slack
-        "singular_mass": mass,                 # need >= -slack
-    }
-    violations = []
-    if margins["lower_bound"] < -p.slack:
-        violations.append(
-            f"lower bound violated: lambda={p.lam} < max(gamma1,gamma2)/alpha={lower} "
-            f"(margin {margins['lower_bound']:.3e})"
-        )
-    if margins["upper_bound"] < -p.slack:
-        violations.append(
-            f"upper bound violated: lambda={p.lam} > (gamma1(1-alpha1)+gamma2(1-alpha2))/alpha={upper} "
-            f"(margin {margins['upper_bound']:.3e})"
-        )
-    if mass < -p.slack:
-        violations.append(f"singular mass {mass:.3e} below -slack")
-    if mass > 1.0:
-        violations.append(f"singular mass {mass:.3e} exceeds 1")
-    return ValidationReport(ok=not violations, violations=tuple(violations), margins=margins)
-
-
-def require_valid(p: CoreParams) -> None:
-    rep = validate_core(p)
-    if not rep.ok:
-        raise ValidationError("; ".join(rep.violations))
-
-
 def gbar_log(p: CoreParams, x, y):
     """log Gbar(x, y), vectorized; the diagonal uses the exact -lambda*t form."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not np.all((x >= 0) & (y >= 0)):
-        raise DomainError("x and y must be nonnegative")
+    x = _nonnegative(x)
+    y = _nonnegative(y)
     d = x - y
     m = np.minimum(x, y)
     gamma = np.where(d >= 0, p.gamma1, p.gamma2)
@@ -137,7 +115,6 @@ def gbar_log(p: CoreParams, x, y):
 
 def gbar_eval(p: CoreParams, x, y):
     """Gbar(x, y)."""
-    require_valid(p)
     return scalar_or_array(np.exp(gbar_log(p, x, y)))
 
 
@@ -192,9 +169,10 @@ def _log_a(p: CoreParams, i: int, lu):
 
 
 def _nonnegative(z):
+    """z as a float array, or DomainError unless all of it is >= 0, which NaN fails."""
     z = np.asarray(z, dtype=float)
     if not np.all(z >= 0):
-        raise DomainError("z must be nonnegative")
+        raise DomainError("lifetime arguments must be nonnegative")
     return z
 
 
@@ -214,10 +192,6 @@ def singular_mass_raw(p: CoreParams) -> float:
 def singular_mass(p: CoreParams) -> float:
     """P(X = Y) of the core; negative-within-slack values clamp to 0 with a warning."""
     mass = singular_mass_raw(p)
-    if mass < -p.slack:
-        raise ValidationError(
-            f"singular mass {mass:.6e} is negative beyond slack {p.slack:.1e}; parameters inconsistent"
-        )
     if mass < 0.0:
         warnings.warn(
             f"singular mass {mass:.3e} slightly negative (rounded parameters); clamped to 0",
@@ -225,14 +199,11 @@ def singular_mass(p: CoreParams) -> float:
             stacklevel=2,
         )
         return 0.0
-    if mass > 1.0:
-        raise ValidationError(f"singular mass {mass:.6e} exceeds 1")
     return mass
 
 
 def core_copula(p: CoreParams, u, v):
     """Survival copula of Gbar, the exp of _core_copula_log with exact edges."""
-    require_valid(p)
     u = in_unit(u, "u")
     v = in_unit(v, "v")
     with np.errstate(all="ignore"):  # u or v = 0 gives ln 0; copula_edges sets those points

@@ -102,7 +102,7 @@ def _kendall_values(m: Model, t: float, s, source: str):
     g = m.generator
     tau = min(m.tau(t), g._copula_age_cap)  # K_t is a function of C_t alone
     s = in_unit(s, "s", open_at_0=True)
-    lv = gen_mod.residual_distortion_log_inverse(g, tau, s)
+    lv = gen_mod._residual_log_inverse_from_log(g, tau, np.log(s))
     j_route = _J_ROUTES[source]
     bracket = 2.0 * lv + (j_route(m.core, 1, lv) + j_route(m.core, 2, lv)) / m.lam
     # h_t'(v) v = s x h'(x)/h(x) at ln x = ln v - tau

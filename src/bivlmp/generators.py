@@ -624,9 +624,9 @@ def power_scaled(g: Generator, beta: float) -> Generator:
 
 
 def _check_age(t) -> float:
-    """The one age check: t >= 0, which NaN fails."""
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
+    """The one age check: 0 <= t < inf, which NaN fails."""
+    if not 0 <= t < math.inf:
+        raise DomainError("t must be a finite nonnegative number")
     return float(t)
 
 

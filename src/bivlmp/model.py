@@ -22,7 +22,7 @@ import numpy as np
 
 from . import core as core_mod
 from . import generators as gen_mod
-from .core import CoreParams, gbar_log, require_valid, singular_mass
+from .core import CoreParams, gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import POSITIVE, Generator, Mo15Generator, make_generator
 from .numerics import DEFAULT_QUAD_TOL, copula_edges, in_unit, integrate_upper, scalar_or_array
@@ -35,7 +35,6 @@ class Model:
     label: str = ""
 
     def __post_init__(self):
-        require_valid(self.core)
         if isinstance(self.generator, Mo15Generator) and self.generator.xi < 1.0:
             raise ValidationError("mo15 generator requires xi >= 1 in a model")
 
@@ -66,7 +65,7 @@ def fbar(m: Model, x, y):
 
 def fbar_marginal(m: Model, i: int, z):
     """Marginal survival of the model: h(Gbar_i(z))."""
-    return fbar(m, z, 0.0) if i == 1 else fbar(m, 0.0, z)
+    return m.generator.h_from_log(core_mod._marginal_log(m.core, i, core_mod._nonnegative(z)))
 
 
 def _residual_from_log(g: Generator, tau: float, lw):
@@ -81,7 +80,7 @@ def fbar_residual(m: Model, t: float, x, y):
 
 def residual_marginal(m: Model, i: int, t: float, x):
     """Margin of Fbar_t: h_tau(Gbar_i(x))."""
-    return fbar_residual(m, t, x, 0.0) if i == 1 else fbar_residual(m, t, 0.0, x)
+    return _residual_from_log(m.generator, m.tau(t), core_mod._marginal_log(m.core, i, core_mod._nonnegative(x)))
 
 
 def generalized_weak_residual(m: Model, t: float, x, y):
@@ -126,6 +125,8 @@ def copula_t_diag_log(m: Model, t: float, log_u):
     g = m.generator
     tau = min(m.tau(t), g._copula_age_cap)
     lu = np.asarray(log_u, dtype=float)
+    if not lu.max(initial=-math.inf) <= 0.0:  # NaN fails it too
+        raise DomainError("ln u must lie in [-inf, 0]")
     la = gen_mod._residual_log_inverse_from_log(g, tau, lu)
     if np.any(np.isfinite(lu) & ~np.isfinite(la)):
         raise DomainError("ln h_t^-1(u) overflows at this log u")
@@ -134,9 +135,7 @@ def copula_t_diag_log(m: Model, t: float, log_u):
 
 def singular_line_survival(m: Model, t: float, x):
     """S_t(x) = P(X = Y) h_tau(e^{-lambda x}): residual mass beyond x on the diagonal."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(x >= 0):
-        raise DomainError("x must be nonnegative")
+    x = core_mod._nonnegative(x)
     tau = m.tau(t)  # the age check, on both branches
     p0 = singular_mass(m.core)
     if p0 == 0.0:
@@ -183,8 +182,6 @@ def survival_integral(m: Model, t: float, surv, tol: float) -> float:
 
 def mean_excess(m: Model, i: int, t: float) -> float:
     """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz, +inf if heavy tailed."""
-    if i not in (1, 2):
-        raise DomainError("margin index must be 1 or 2")
     return survival_integral(m, t, functools.partial(residual_marginal, m, i, t), DEFAULT_QUAD_TOL)
 
 

@@ -80,8 +80,6 @@ def residual_independent_annuity(m: Model, t: float) -> float:
 
 def life_expectancy(m: Model, i: int, horizon=None) -> float:
     """Mean of lifetime i: integral of h(Gbar_i), optionally up to a limiting age."""
-    if i not in (1, 2):
-        raise DomainError("margin index must be 1 or 2")
     return _integrate(lambda z: fbar_marginal(m, i, z), m, 0.0, horizon, "life expectancy integral")
 
 

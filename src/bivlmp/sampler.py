@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoreParams, _marg, _marginal_log, require_valid, singular_mass
+from .core import CoreParams, _marg, _marginal_log, singular_mass
 from .errors import DomainError, ValidationError
 from .generators import POSITIVE, IdentityGenerator, MixingLaw
 from .model import Model
@@ -241,7 +241,6 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
     Requires the gamma1 = gamma2, lambda = gamma/alpha specialization (so the
     side probabilities alpha1, alpha2 do not depend on z).
     """
-    require_valid(p)
     if not p.is_mu:
         raise DomainError("mixing shortcut needs gamma1 = gamma2 and lambda = gamma/alpha")
     if ratio not in POSITIVE:

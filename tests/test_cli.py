@@ -60,8 +60,12 @@ def test_directory_as_config_is_error(capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [lambda bad: ["tau", "-c", CFG, "--t", "0,abc"], lambda bad: ["validate", "-c", bad]],
-                         ids=["tau_bad_time_list", "validate_not_json"])
+@pytest.mark.parametrize("argv", [
+    lambda bad: ["tau", "-c", CFG, "--t", "0,abc"],
+    lambda bad: ["validate", "-c", bad],
+    lambda bad: ["tau", "-c", CFG, "--t", ","],
+    lambda bad: ["eval", "-c", "configs/mixing_gamma.json", "--x", "1", "--y", "1", "--t", "inf"],
+], ids=["tau_bad_time_list", "validate_not_json", "tau_empty_time_list", "eval_infinite_age"])
 def test_refusal_is_one_error_line(argv, tmp_path, capsys):
     bad = tmp_path / "not.json"
     bad.write_text("not json {")
@@ -73,6 +77,17 @@ def test_refusal_is_one_error_line(argv, tmp_path, capsys):
 def test_usage_error_exit_2(capsys):
     assert run(["frobnicate"]) == 2
     assert run([]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "-c", CFG, "--grid", "0"],
+    ["check", "-c", CFG, "--grid", "-3"],
+    ["kendall", "-c", CFG, "--t", "0", "--points", "-1"],
+], ids=["check_grid_0", "check_grid_negative", "kendall_points_negative"])
+def test_size_below_one_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must be an integer >= 1" in out.err and "Traceback" not in out.err
 
 
 def test_eval_matches_library(capsys):
@@ -190,6 +205,7 @@ print("scipy loaded:", "scipy" in sys.modules)
     assert out.endswith("scipy loaded: False\n")
 
 
+@pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")  # fig1_left's rounded core clamps its mass
 def test_sample_loads_the_root_finder(tmp_path, monkeypatch):
     # fig1_left's gaps have no closed-form inverse, so sample inverts them with the numpy root finder
     calls = []

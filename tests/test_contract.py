@@ -169,11 +169,14 @@ NAN_CALLS = [
     ("model.fbar_log", lambda: model.fbar_log(M, 1.0, NAN)),
     ("model.fbar_marginal", lambda: model.fbar_marginal(M, 1, NAN)),
     ("model.fbar_residual.t", lambda: model.fbar_residual(M, NAN, 1.0, 1.0)),
+    ("model.fbar_residual.t_inf", lambda: model.fbar_residual(M, math.inf, 1.0, 1.0)),
     ("model.fbar_residual.x", lambda: model.fbar_residual(M, 1.0, NAN, 1.0)),
     ("model.residual_marginal", lambda: model.residual_marginal(M, 1, 1.0, NAN)),
     ("model.generalized_weak_residual", lambda: model.generalized_weak_residual(M, NAN, 1.0, 1.0)),
     ("model.copula_t.t", lambda: model.copula_t(M, NAN, 0.5, 0.5)),
+    ("model.copula_t.t_inf", lambda: model.copula_t(M, math.inf, 0.5, 0.5)),
     ("model.copula_t.u", lambda: model.copula_t(M, 1.0, NAN, 0.5)),
+    ("model.copula_t_diag_log", lambda: model.copula_t_diag_log(M, 1.0, np.array([-2.0, NAN]))),
     ("model.singular_line_survival", lambda: model.singular_line_survival(M, 1.0, NAN)),
     ("model.mean_excess", lambda: model.mean_excess(M, 1, NAN)),
     ("model.decay_rate", lambda: model.decay_rate(M, NAN)),
@@ -186,6 +189,7 @@ NAN_CALLS = [
     ("generators.residual_distortion_prime", lambda: generators.residual_distortion_prime(G, NAN, 0.5)),
     ("generators.residual_distortion_log.t", lambda: generators.residual_distortion_log(G, NAN, -0.5)),
     # out of the domain, not NaN: these returned a number
+    ("model.copula_t_diag_log.log_u_above_0", lambda: model.copula_t_diag_log(M, 1.0, 0.5)),
     ("generators.residual_distortion_log.negative_t",
      lambda: generators.residual_distortion_log(M.generator, -1.0, -0.5)),
     ("generators.residual_distortion_prime.x_above_1",
@@ -198,9 +202,11 @@ NAN_CALLS = [
     ("dependence.kendall_function.s", lambda: dependence.kendall_function(M, 1.0, (0.5, NAN))),
     ("dependence.kendall_function.t", lambda: dependence.kendall_function(M, NAN, (0.5,))),
     ("dependence.kendall_tau", lambda: dependence.kendall_tau(M, NAN)),
+    ("dependence.kendall_tau.t_inf", lambda: dependence.kendall_tau(M, math.inf)),
     ("dependence.tail_lower", lambda: dependence.tail_lower(M, NAN)),
     ("dependence.tail_upper", lambda: dependence.tail_upper(M, NAN)),
     ("pricing.joint_annuity", lambda: pricing.joint_annuity(M, NAN)),
+    ("pricing.joint_annuity.t_inf", lambda: pricing.joint_annuity(M, math.inf)),
     ("pricing.independent_annuity", lambda: pricing.independent_annuity(M, NAN)),
     ("pricing.residual_joint_annuity", lambda: pricing.residual_joint_annuity(M, NAN)),
     ("pricing.residual_independent_annuity", lambda: pricing.residual_independent_annuity(M, NAN)),

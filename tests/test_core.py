@@ -15,10 +15,8 @@ from bivlmp.core import (
     marginal_quantile_log,
     marginal_survival,
     mu_core,
-    require_valid,
     singular_mass,
     singular_mass_raw,
-    validate_core,
     weak_lmp_residual,
 )
 from bivlmp.errors import DomainError, ValidationError
@@ -31,30 +29,22 @@ NON_MU = CoreParams(lam=0.12, alpha=1.0, gamma1=0.1, gamma2=0.08, alpha1=0.3, al
 
 
 def test_mu_core_is_valid_and_flagged():
-    rep = validate_core(MU)
-    assert rep.ok and not rep.violations
+    assert all(margin >= -MU.slack for margin in MU.margins.values())
     assert MU.is_mu
 
 
 def test_lambda_below_lower_bound_rejected():
-    p = CoreParams(lam=0.05, alpha=1.0, gamma1=0.1, gamma2=0.1, alpha1=0.3, alpha2=0.2)
-    rep = validate_core(p)
-    assert not rep.ok
-    assert any("lower bound" in v for v in rep.violations)
-    with pytest.raises(ValidationError):
-        require_valid(p)
+    with pytest.raises(ValidationError, match="lower bound"):
+        CoreParams(lam=0.05, alpha=1.0, gamma1=0.1, gamma2=0.1, alpha1=0.3, alpha2=0.2)
 
 
 def test_lambda_above_upper_bound_rejected():
-    p = CoreParams(lam=0.5, alpha=1.0, gamma1=0.1, gamma2=0.1, alpha1=0.3, alpha2=0.2)
-    rep = validate_core(p)
-    assert not rep.ok
-    assert any("upper bound" in v for v in rep.violations)
+    with pytest.raises(ValidationError, match="upper bound"):
+        CoreParams(lam=0.5, alpha=1.0, gamma1=0.1, gamma2=0.1, alpha1=0.3, alpha2=0.2)
 
 
 def test_validation_report_margins_present():
-    rep = validate_core(MU)
-    assert {"lower_bound", "upper_bound", "singular_mass"} <= set(rep.margins)
+    assert {"lower_bound", "upper_bound", "singular_mass"} <= set(MU.margins)
 
 
 # -- survival surface and marginals ----------------------------------------

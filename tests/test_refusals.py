@@ -29,10 +29,9 @@ REFUSALS = [
     ("CoreParams.alpha1_one", ValidationError, "open interval",
      lambda: CoreParams(lam=0.1, **{**MU, "alpha1": 1.0})),
     ("CoreParams.slack_negative", ValidationError, "slack", lambda: CoreParams(lam=0.1, **MU, slack=-1.0)),
-    ("core.singular_mass.negative", ValidationError, "negative beyond slack",
-     lambda: core.singular_mass(CoreParams(lam=0.5, **MU))),
-    ("core.singular_mass.above_one", ValidationError, "exceeds 1",
-     lambda: core.singular_mass(CoreParams(lam=0.05, **MU))),
+    ("CoreParams.singular_mass_negative", ValidationError, "negative beyond slack",
+     lambda: CoreParams(lam=0.5, **MU)),
+    ("CoreParams.singular_mass_above_one", ValidationError, "exceeds 1", lambda: CoreParams(lam=0.05, **MU)),
     ("polynomial.one_coefficient", ValidationError, "two coefficients",
      lambda: make_generator("polynomial", coeffs=[1.0])),
     ("polynomial.constant_term", ValidationError, "zero constant term",
@@ -46,10 +45,35 @@ REFUSALS = [
     ("SampleBatch.atom_off_diagonal", ValidationError, "x == y",
      lambda: sampler.SampleBatch(x=np.array([1.0]), y=np.array([2.0]), atom=np.array([True]), seed=0)),
     ("core.marginal_survival.margin", DomainError, "margin index", lambda: core.marginal_survival(P, 3, 1.0)),
+    ("core.marginal_survival.margin_0", DomainError, "margin index", lambda: core.marginal_survival(P, 0, 1.0)),
+    ("core.marginal_density.margin_0", DomainError, "margin index", lambda: core.marginal_density(P, 0, 1.0)),
+    ("core.marginal_density.margin_3", DomainError, "margin index", lambda: core.marginal_density(P, 3, 1.0)),
+    ("core.marginal_hazard.margin_0", DomainError, "margin index", lambda: core.marginal_hazard(P, 0, 1.0)),
+    ("core.marginal_hazard.margin_3", DomainError, "margin index", lambda: core.marginal_hazard(P, 3, 1.0)),
+    ("core.marginal_quantile.margin_0", DomainError, "margin index", lambda: core.marginal_quantile(P, 0, 0.5)),
+    ("core.marginal_quantile.margin_3", DomainError, "margin index", lambda: core.marginal_quantile(P, 3, 0.5)),
+    ("core.marginal_quantile_log.margin_0", DomainError, "margin index",
+     lambda: core.marginal_quantile_log(P, 0, -0.5)),
+    ("core.marginal_quantile_log.margin_3", DomainError, "margin index",
+     lambda: core.marginal_quantile_log(P, 3, -0.5)),
+    ("model.fbar_marginal.margin_0", DomainError, "margin index", lambda: model.fbar_marginal(M, 0, 1.0)),
+    ("model.fbar_marginal.margin_3", DomainError, "margin index", lambda: model.fbar_marginal(M, 3, 1.0)),
+    ("model.residual_marginal.margin_0", DomainError, "margin index",
+     lambda: model.residual_marginal(M, 0, 1.0, 1.0)),
+    ("model.residual_marginal.margin_3", DomainError, "margin index",
+     lambda: model.residual_marginal(M, 3, 1.0, 1.0)),
     ("model.mean_excess.margin", DomainError, "margin index", lambda: model.mean_excess(M, 3, 0.0)),
+    ("model.mean_excess.margin_0", DomainError, "margin index", lambda: model.mean_excess(M, 0, 0.0)),
     ("pricing.life_expectancy.margin", DomainError, "margin index", lambda: pricing.life_expectancy(M, 3)),
+    ("pricing.life_expectancy.margin_0", DomainError, "margin index", lambda: pricing.life_expectancy(M, 0)),
     ("dependence.j_integral_closed.margin", DomainError, "margin index",
      lambda: dependence.j_integral_closed(P, 3, -0.5)),
+    ("dependence.j_integral_closed.margin_0", DomainError, "margin index",
+     lambda: dependence.j_integral_closed(P, 0, -0.5)),
+    ("dependence.j_integral_quadrature.margin_0", DomainError, "margin index",
+     lambda: dependence.j_integral_quadrature(P, 0, -0.5)),
+    ("dependence.j_integral_quadrature.margin_3", DomainError, "margin index",
+     lambda: dependence.j_integral_quadrature(P, 3, -0.5)),
     ("dependence.kendall_function.source", DomainError, "unknown source",
      lambda: dependence.kendall_function(M, 0.0, source="bogus")),
     ("dependence.tail_numeric.which", DomainError, "lower' or 'upper",

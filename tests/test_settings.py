@@ -16,7 +16,6 @@ import bivlmp
 SETTINGS = {
     "cli.run": ("argv",),
     "core.CoreParams": ("slack",),
-    "core.ValidationReport": ("violations", "margins"),
     "dependence.TailReport": ("classification", "converged"),
     "dependence.empirical_kendall": ("s_grid",),
     "dependence.kendall_function": ("s_grid", "source"),
