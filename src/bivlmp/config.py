@@ -1,7 +1,9 @@
 """Strict JSON model configuration.
 
-Schema (an unknown or missing field or parameter is rejected at every level,
-and every value must be a finite JSON number; only polynomial "coeffs" is a list):
+Schema (an unknown or missing field or parameter is rejected at every level;
+only polynomial "coeffs" is a list).  This module checks the document's shape;
+each value goes unchanged to its constructor, whose rule admits a finite
+number inside the parameter's interval and refuses a bool, a string or null:
 
     {
       "label": "text",                     # optional
@@ -17,61 +19,31 @@ and every value must be a finite JSON number; only polynomial "coeffs" is a list
 from __future__ import annotations
 
 import json
-import sys
 
 from .core import CoreParams, DEFAULT_SLACK
 from .errors import ValidationError
 from .generators import Generator, make_generator
 from .model import Model
+from .numerics import _fields
 
 _CORE_FIELDS = ("lambda", "alpha", "gamma1", "gamma2", "alpha1", "alpha2")
 
 
-def _fields(doc, required: tuple, where: str, optional: tuple = ()):
-    """doc, which must be an object with every required field and no field outside required + optional."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    unknown = set(doc) - set(required) - set(optional)
-    if unknown:
-        raise ValidationError(f"unknown field(s) in {where}: {', '.join(sorted(unknown))}")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ValidationError(f"{where} missing field(s): {', '.join(missing)}")
-    return doc
-
-
-def _number(value, where: str, list_ok: bool = False):
-    """value as a float, or as a list of floats where list_ok; bools, strings, null and non-finite values fail."""
-    if list_ok and isinstance(value, list):
-        return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= sys.float_info.max:
-        raise ValidationError(f"{where} must be a finite number, not {value!r}")
-    return float(value)
-
-
-def _params(doc, where: str) -> dict:
-    """A params object with each value checked by _number; the generator layer checks the names."""
-    if not isinstance(doc, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    return {k: _number(v, f"{where}.{k}", list_ok=k == "coeffs") for k, v in doc.items()}
-
-
 def parse_config(doc: dict) -> Model:
-    _fields(doc, ("generator", "core"), "config", ("label", "validation_slack"))
-    cdoc = _fields(doc["core"], _CORE_FIELDS, "core")
-    core = CoreParams(*(_number(cdoc[k], f"core.{k}") for k in _CORE_FIELDS),
-                      slack=_number(doc.get("validation_slack", DEFAULT_SLACK), "validation_slack"))
-    return Model(generator=_parse_generator(doc["generator"]), core=core, label=str(doc.get("label", "")))
+    gdoc, cdoc = _fields(doc, ("generator", "core"), "config", ("label", "validation_slack"))
+    core = CoreParams(*_fields(cdoc, _CORE_FIELDS, "core"), slack=doc.get("validation_slack", DEFAULT_SLACK))
+    return Model(generator=_parse_generator(gdoc), core=core, label=str(doc.get("label", "")))
 
 
 def _parse_generator(gdoc) -> Generator:
     if isinstance(gdoc, dict) and gdoc.get("family") == "mixing":
-        _fields(gdoc, ("family", "law", "ratio"), "generator")
-        law = _fields(gdoc["law"], ("kind",), "generator.law", ("params",))
-        law = {"kind": law["kind"], "params": _params(law.get("params", {}), "generator.law.params")}
-        return make_generator("mixing", law=law, ratio=_number(gdoc["ratio"], "generator.ratio"))
-    _fields(gdoc, ("family",), "generator", ("params",))
-    return make_generator(gdoc["family"], **_params(gdoc.get("params", {}), "generator.params"))
+        _, law, ratio = _fields(gdoc, ("family", "law", "ratio"), "generator")
+        return make_generator("mixing", law=law, ratio=ratio)
+    (family,) = _fields(gdoc, ("family",), "generator", ("params",))
+    params = gdoc.get("params", {})
+    if not isinstance(params, dict):
+        raise ValidationError("generator.params must be a JSON object")
+    return make_generator(family, **params)
 
 
 def emit_config(m: Model) -> dict:

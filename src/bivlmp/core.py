@@ -15,16 +15,19 @@ Muliere-Scarsini style subfamily with absolutely explicit copula.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import copula_edges, in_unit, scalar_or_array
+from .numerics import POSITIVE, _FINITE, Interval, _admit, copula_edges, in_unit, scalar_or_array
 
 DEFAULT_SLACK = 1e-9
+_WEIGHT = Interval(0.0, 1.0)
+# each field of CoreParams and its domain; slack, any finite number here, must also be >= 0
+_DOMAINS = {"lam": POSITIVE, "alpha": POSITIVE, "gamma1": POSITIVE, "gamma2": POSITIVE,
+            "alpha1": _WEIGHT, "alpha2": _WEIGHT, "slack": _FINITE}
 
 
 @dataclass(frozen=True)
@@ -38,14 +41,8 @@ class CoreParams:
     slack: float = DEFAULT_SLACK
 
     def __post_init__(self):
-        for name in ("lam", "alpha", "gamma1", "gamma2", "alpha1", "alpha2", "slack"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise ValidationError(f"{name} must be a finite number, got {v!r}")
-        if self.alpha <= 0 or self.gamma1 <= 0 or self.gamma2 <= 0 or self.lam <= 0:
-            raise ValidationError("lam, alpha, gamma1, gamma2 must all be positive")
-        if not (0.0 < self.alpha1 < 1.0 and 0.0 < self.alpha2 < 1.0):
-            raise ValidationError("alpha1 and alpha2 must lie in the open interval (0, 1)")
+        for name, domain in _DOMAINS.items():
+            object.__setattr__(self, name, _admit("core", name, getattr(self, name), domain))
         if self.slack < 0:
             raise ValidationError("slack must be nonnegative")
         # a margin inside the slack still validates (rounded published parameter sets need this)

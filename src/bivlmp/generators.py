@@ -20,46 +20,17 @@ from __future__ import annotations
 
 import copy
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError, ValidationError
-from .numerics import copula_edges, in_unit, scalar_or_array, solve_decreasing_batch
+from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, copula_edges, in_unit, scalar_or_array,
+                       solve_decreasing_batch)
 
 _SLACK = 1e-12  # rounding allowed outside [0, 1] in a generator's argument
 _DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
-
-
-@dataclass(frozen=True)
-class Interval:
-    """The finite numbers in (lo, hi), or (lo, hi] when closed, less the point hole."""
-
-    lo: float
-    hi: float = math.inf
-    closed: bool = False
-    hole: float | None = None
-
-    def __contains__(self, v):
-        # isfinite first: NaN and +-inf are never inside, whatever the bounds
-        return math.isfinite(v) and self.lo < v and (v < self.hi or self.closed and v == self.hi) and v != self.hole
-
-    def __str__(self):
-        text = f"({self.lo:.17g}, {self.hi:.17g}{']' if self.closed else ')'}"
-        return text if self.hole is None else f"{text} less {self.hole:.17g}"
-
-
-POSITIVE = Interval(0.0)
 _UNIT = Interval(0.0, 1.0, closed=True)
-
-
-def _admit(owner: str, name: str, value, domain: Interval) -> float:
-    """value as a float, which must lie in domain; owner names the family or law in the message."""
-    v = float(value) if isinstance(value, numbers.Real) else math.nan
-    if v not in domain:
-        raise ValidationError(f"{owner}: {name} must lie in {domain}, not {value!r}")
-    return v
 
 
 def _in_unit(x, what="argument"):
@@ -399,12 +370,13 @@ class PolynomialGenerator(Generator):
     family = "polynomial"
 
     def __init__(self, coeffs):
-        c = np.asarray(coeffs, dtype=float)
-        if c.ndim != 1 or c.size < 2:
-            raise ValidationError("polynomial generator needs at least two coefficients")
-        # written so that NaN fails; a non-finite coefficient makes the sum non-finite
+        if isinstance(coeffs, np.ndarray) and coeffs.ndim == 1:
+            coeffs = coeffs.tolist()
+        if not isinstance(coeffs, (list, tuple)) or len(coeffs) < 2:
+            raise ValidationError(f"polynomial generator needs a list of at least two coefficients, not {coeffs!r}")
+        c = np.array([_admit(self.family, f"coeffs[{k}]", v, _FINITE) for k, v in enumerate(coeffs)])
         if not abs(c.sum() - 1.0) <= 1e-12:
-            raise ValidationError("polynomial generator coefficients must be finite and sum to 1 (h(1)=1)")
+            raise ValidationError("polynomial generator coefficients must sum to 1 (h(1)=1)")
         if not abs(c[0]) <= 1e-12:
             raise ValidationError("polynomial generator needs zero constant term (h(0)=0)")
         self.coeffs = c
@@ -538,17 +510,6 @@ def _entry(table: dict, key, what: str):
     return table[key]
 
 
-def _arguments(params: dict, names: tuple, what: str) -> list:
-    """The values of params in the order of names, which must be exactly its keys."""
-    unknown = set(params) - set(names)
-    if unknown:
-        raise ValidationError(f"unknown parameter(s) of {what}: {', '.join(sorted(unknown))}")
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise ValidationError(f"{what} is missing parameter(s): {', '.join(missing)}")
-    return [params[k] for k in names]
-
-
 def _pareto(a, mu):
     """Pareto survival (1 + a z)^(-1/mu) as a generator; a mu whose inverse overflows fails as expo."""
     return LogPowerGenerator(_admit("pareto", "a", a, POSITIVE), 1.0 / _admit("pareto", "mu", mu, POSITIVE))
@@ -584,13 +545,13 @@ class MixingLaw:
 
     def __post_init__(self):
         name, domain, _ = _entry(MIXING_LAWS, self.kind, "mixing law")
-        (value,) = _arguments(self.params, (name,), f"{self.kind} mixing")
-        _admit(f"{self.kind} mixing", name, value, domain)
+        (value,) = _fields(self.params, (name,), f"{self.kind} mixing params")
+        object.__setattr__(self, "params", {name: _admit(f"{self.kind} mixing", name, value, domain)})
 
 
 def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
     """Generator h(z) = M_Z(ratio * ln z) for a positive mixing factor Z; law and ratio are its config."""
-    _admit("mixing", "ratio", ratio, POSITIVE)
+    ratio = _admit("mixing", "ratio", ratio, POSITIVE)
     name, _, build = MIXING_LAWS[law.kind]
     g = build(law.params[name], ratio)
     g.config = {"family": "mixing", "law": {"kind": law.kind, "params": dict(law.params)}, "ratio": ratio}
@@ -604,13 +565,15 @@ def generator_from_survival(survival, density=None) -> Generator:
 def make_generator(family: str, /, **params) -> Generator:
     """The generator a config document names, which keeps the document as its config."""
     if family == "mixing":
-        law, ratio = _arguments(params, ("law", "ratio"), "the mixing generator")
+        law, ratio = _fields(params, ("law", "ratio"), "mixing generator")
         if not isinstance(law, MixingLaw):
-            law = MixingLaw(law["kind"], dict(law.get("params", {})))
+            (kind,) = _fields(law, ("kind",), "mixing law", ("params",))
+            law = MixingLaw(kind, law.get("params", {}))
         return generator_from_mixing(law, ratio)
     names, build = _entry(FAMILIES, family, "generator family")
-    g = build(*_arguments(params, names, f"the {family} generator"))
-    g.config = {"family": family, "params": dict(params)}
+    g = build(*_fields(params, names, f"{family} params"))
+    # the builder admitted every value, so each converts: a float, or the list of coeffs
+    g.config = {"family": family, "params": {k: np.asarray(v, dtype=float).tolist() for k, v in params.items()}}
     return g
 
 

@@ -24,8 +24,8 @@ from . import core as core_mod
 from . import generators as gen_mod
 from .core import CoreParams, gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
-from .generators import POSITIVE, Generator, Mo15Generator, make_generator
-from .numerics import DEFAULT_QUAD_TOL, copula_edges, in_unit, integrate_upper, scalar_or_array
+from .generators import Generator, Mo15Generator, make_generator
+from .numerics import DEFAULT_QUAD_TOL, POSITIVE, _admit, copula_edges, in_unit, integrate_upper, scalar_or_array
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,12 @@ class Model:
         return self.core.lam
 
     def tau(self, t: float) -> float:
-        return self.core.lam * gen_mod._check_age(t)
+        """The rescaled age lambda t, which must be finite."""
+        t = gen_mod._check_age(t)
+        tau = self.core.lam * t
+        if tau == math.inf:
+            raise DomainError(f"lambda t = {self.core.lam!r} * {t!r} overflows")
+        return tau
 
     def describe(self):
         return {
@@ -202,10 +207,8 @@ class Mo15Params:
     xi2: float
 
     def __post_init__(self):
-        # each check is written so that NaN fails it
         for name in ("lam", "lam1", "lam2", "xi", "xi1", "xi2"):
-            if getattr(self, name) not in POSITIVE:
-                raise ValidationError(f"{name} must lie in {POSITIVE}, not {getattr(self, name)!r}")
+            object.__setattr__(self, name, _admit("mo15 bridge", name, getattr(self, name), POSITIVE))
         if not self.lam >= max(self.lam1, self.lam2) - 1e-12:
             raise ValidationError("constraint lam >= max(lam1, lam2) violated")
         if not self.lam * (self.xi - 1.0) >= max(self.lam1 * (self.xi1 - 1.0), self.lam2 * (self.xi2 - 1.0)) - 1e-12:

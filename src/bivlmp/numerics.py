@@ -6,19 +6,22 @@ inverts nonincreasing functions on [0, inf) elementwise by Chandrupatla's
 method, in numpy, until the bracket is down to a few ulps or the residual to
 its rounding level.  Everything here is a pure function of its inputs.
 
-The package's array conventions live here too: every public array function
-returns ``scalar_or_array(out)``, checks a probability argument with
-``in_unit`` and sets a copula's boundary values with ``copula_edges``.
+The package's argument conventions live here too: every public array
+function returns ``scalar_or_array(out)``, checks a probability argument with
+``in_unit`` and sets a copula's boundary values with ``copula_edges``; every
+constructor admits each number it is given with ``_admit``, and each
+parameter object with exactly its keys through ``_fields``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, ValidationError
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_INVERT_TOL = 1e-8
@@ -27,6 +30,56 @@ QUAD_LEVELS = 8  # quadrature steps 1, 1/2, ..., 2^-QUAD_LEVELS
 QUAD_T = 6.0  # nodes at t in [-QUAD_T, QUAD_T]: u down to 1e-275, z from 1e-138 to 1e138 over rate
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _MAXITER = 2046  # log2(largest / smallest normal double): bisection's worst case
+
+
+@dataclass(frozen=True)
+class Interval:
+    """The finite numbers in (lo, hi), or (lo, hi] when closed, less the point hole."""
+
+    lo: float
+    hi: float = math.inf
+    closed: bool = False
+    hole: float | None = None
+
+    def __contains__(self, v):
+        # isfinite first: NaN and +-inf are never inside, whatever the bounds
+        return math.isfinite(v) and self.lo < v and (v < self.hi or self.closed and v == self.hi) and v != self.hole
+
+    def __str__(self):
+        text = f"({self.lo:.17g}, {self.hi:.17g}{']' if self.closed else ')'}"
+        return text if self.hole is None else f"{text} less {self.hole:.17g}"
+
+
+POSITIVE = Interval(0.0)
+_FINITE = Interval(-math.inf)
+
+
+def _admit(owner: str, name: str, value, domain: Interval) -> float:
+    """value as a Python float: a real number, not a bool, finite and inside domain.
+
+    The package's one rule for a number a caller passes; owner names the
+    family, law or parameter set in the ValidationError.
+    """
+    try:
+        v = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+    except OverflowError:  # an int past the largest double
+        v = math.nan
+    if v not in domain:
+        raise ValidationError(f"{owner}: {name} must lie in {domain}, not {value!r}")
+    return v
+
+
+def _fields(doc, required: tuple, where: str, optional: tuple = ()) -> list:
+    """The values of required in doc, which must be an object with those fields and none outside optional."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise ValidationError(f"unknown field(s) in {where}: {', '.join(sorted(map(str, unknown)))}")
+    missing = [k for k in required if k not in doc]
+    if missing:
+        raise ValidationError(f"{where} missing field(s): {', '.join(missing)}")
+    return [doc[k] for k in required]
 
 
 def scalar_or_array(out):

@@ -36,9 +36,9 @@ import numpy as np
 
 from .core import CoreParams, _marg, _marginal_log, singular_mass
 from .errors import DomainError, ValidationError
-from .generators import POSITIVE, IdentityGenerator, MixingLaw
+from .generators import IdentityGenerator, MixingLaw
 from .model import Model
-from .numerics import solve_decreasing_batch
+from .numerics import POSITIVE, _admit, solve_decreasing_batch
 
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
@@ -243,8 +243,7 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
     """
     if not p.is_mu:
         raise DomainError("mixing shortcut needs gamma1 = gamma2 and lambda = gamma/alpha")
-    if ratio not in POSITIVE:
-        raise DomainError(f"ratio must lie in {POSITIVE}, not {ratio!r}")
+    ratio = _admit("mixing", "ratio", ratio, POSITIVE)
     if n < 1:
         raise DomainError("n must be at least 1")
     rng = _rng(seed)

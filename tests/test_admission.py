@@ -1,0 +1,94 @@
+"""One admission rule for every number a caller passes.
+
+Each parameter of every generator family, mixing law, core and bivariate
+Gompertz parameter set must refuse a bool, a string and None with
+ValidationError, and accept a numpy scalar of a valid value.  The tables are
+built from generators.FAMILIES, generators.MIXING_LAWS and the dataclass
+fields, so a new family or field joins them without an edit here.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from bivlmp.core import CoreParams
+from bivlmp.errors import ValidationError
+from bivlmp.generators import FAMILIES, MIXING_LAWS, IdentityGenerator, MixingLaw, make_generator, power_scaled
+from bivlmp.model import Mo15Params
+from bivlmp.sampler import sample_mixing_shortcut
+from test_generators import CATALOG
+
+# a valid value of each family's parameters, all of them exact in float32
+FAMILY_PARAMS = dict(reversed(CATALOG))  # the first entry of each family
+CORE = dict(lam=1.0, alpha=1.0, gamma1=1.0, gamma2=1.0, alpha1=0.25, alpha2=0.25, slack=0.0)
+MO15 = dict(lam=1.0, lam1=1.0, lam2=1.0, xi=2.0, xi1=1.5, xi2=1.5)
+SHORTCUT_CORE = CoreParams(**CORE)
+
+
+def _law_value(domain):
+    """A point of a mixing law's domain: its closed end, its midpoint, or lo + 1 on a half-line."""
+    if domain.closed:
+        return domain.hi
+    return (domain.lo + domain.hi) / 2 if domain.hi < np.inf else domain.lo + 1.0
+
+
+def _cases():
+    """(id, build, valid value): build(v) constructs with one parameter set to v, the rest valid."""
+    for family, params in FAMILY_PARAMS.items():
+        for name, value in params.items():
+            if name == "coeffs":
+                for k, c in enumerate(value):
+                    yield (f"{family}.coeffs[{k}]", lambda v, f=family, p=params, k=k: make_generator(
+                        f, coeffs=[*p["coeffs"][:k], v, *p["coeffs"][k + 1:]]), c)
+            else:
+                yield f"{family}.{name}", lambda v, f=family, p=params, n=name: make_generator(f, **{**p, n: v}), value
+    for kind, (name, domain, _) in MIXING_LAWS.items():
+        yield f"{kind} mixing.{name}", lambda v, k=kind, n=name: MixingLaw(k, {n: v}), _law_value(domain)
+        yield f"{kind} mixing.ratio", lambda v, k=kind, n=name, d=domain: make_generator(
+            "mixing", law=MixingLaw(k, {n: _law_value(d)}), ratio=v), 0.5
+    yield "power_scaled.beta", lambda v: power_scaled(IdentityGenerator(), v), 2.0
+    yield "sample_mixing_shortcut.ratio", lambda v: sample_mixing_shortcut(
+        MixingLaw("gamma", {"a": 2.0}), SHORTCUT_CORE, v, 4, 1), 0.5
+    for f in dataclasses.fields(CoreParams):
+        yield f"CoreParams.{f.name}", lambda v, n=f.name: CoreParams(**{**CORE, n: v}), CORE[f.name]
+    for f in dataclasses.fields(Mo15Params):
+        yield f"Mo15Params.{f.name}", lambda v, n=f.name: Mo15Params(**{**MO15, n: v}), MO15[f.name]
+
+
+CASES = list(_cases())
+
+
+def test_catalog_covers_every_family():
+    assert set(FAMILY_PARAMS) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("bad", [True, "1", None], ids=repr)
+@pytest.mark.parametrize("case,build,value", CASES, ids=[c[0] for c in CASES])
+def test_a_non_number_is_refused(case, build, value, bad):
+    with pytest.raises(ValidationError, match="must lie in"):
+        build(bad)
+
+
+@pytest.mark.parametrize("case,build,value", CASES, ids=[c[0] for c in CASES])
+def test_a_numpy_scalar_of_a_valid_value_is_accepted(case, build, value):
+    build(np.float32(value))
+    if float(value).is_integer():
+        build(np.int64(value))
+
+
+@pytest.mark.parametrize("coeffs", [True, "01", None, 0.5, {"0": 0.0, "1": 1.0}, np.eye(2)], ids=repr)
+def test_polynomial_coefficients_must_be_a_list(coeffs):
+    with pytest.raises(ValidationError, match="list of at least two coefficients"):
+        make_generator("polynomial", coeffs=coeffs)
+
+
+def test_admitted_values_are_python_floats():
+    g = make_generator("gompertz", xi=np.float32(2.0), mu=np.int64(1))
+    assert type(g.xi) is float and type(g.mu) is float
+    assert g.describe()["params"] == {"xi": 2.0, "mu": 1.0}
+    assert all(type(v) is float for v in g.describe()["params"].values())
+    core = CoreParams(**{**CORE, "lam": np.float32(1.0), "alpha": np.int64(1)})
+    assert all(type(v) is float for v in core.describe().values())
+    q = Mo15Params(**{**MO15, "xi": np.int64(2)})
+    assert type(q.xi) is float

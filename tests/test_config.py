@@ -153,6 +153,17 @@ def test_emit_refuses_generators_without_a_config_form(generator):
         emit_config(m)
 
 
+def test_numpy_and_int_parameters_round_trip():
+    # the document holds the admitted floats, so json can write it and it reparses
+    g = make_generator("gompertz", xi=np.float32(2.5), mu=np.int64(1))
+    _assert_round_trip_is_exact(Model(generator=g, core=MU))
+    m = Model(generator=make_generator("polynomial", coeffs=[0, np.float32(0.5), np.int64(0), 0.5]), core=MU)
+    _assert_round_trip_is_exact(m)
+    assert emit_config(m)["generator"]["params"] == {"coeffs": [0.0, 0.5, 0.0, 0.5]}
+    law = MixingLaw("gamma", {"a": np.int64(2)})
+    _assert_round_trip_is_exact(Model(generator=generator_from_mixing(law, np.float32(0.125)), core=MU))
+
+
 def test_pareto_round_trips_its_parameters():
     # h(x) = (1 - ln x)^-2 is the pareto family with a = 1 and mu = 1/2
     m = Model(generator=make_generator("pareto", a=1.0, mu=0.5), core=MU)

@@ -20,13 +20,14 @@ M = MODELS["identity_mu"]
 P = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 MU = dict(alpha=1.0, gamma1=0.1, gamma2=0.1, alpha1=0.3, alpha2=0.2)  # P without its lam
 GAMMA = MixingLaw("gamma", {"a": 2.0})
+FAST = model.Model(generator=M.generator, core=mu_core(alpha=1.0, gamma=4.0, alpha1=0.3, alpha2=0.2))  # lambda 4
 
 
 # (name, error, a fragment of its message, the call)
 REFUSALS = [
-    ("CoreParams.lam_nan", ValidationError, "finite", lambda: CoreParams(lam=math.nan, **MU)),
-    ("CoreParams.lam_negative", ValidationError, "positive", lambda: CoreParams(lam=-1.0, **MU)),
-    ("CoreParams.alpha1_one", ValidationError, "open interval",
+    ("CoreParams.lam_nan", ValidationError, "lam must lie in", lambda: CoreParams(lam=math.nan, **MU)),
+    ("CoreParams.lam_negative", ValidationError, "lam must lie in", lambda: CoreParams(lam=-1.0, **MU)),
+    ("CoreParams.alpha1_one", ValidationError, r"alpha1 must lie in \(0, 1\)",
      lambda: CoreParams(lam=0.1, **{**MU, "alpha1": 1.0})),
     ("CoreParams.slack_negative", ValidationError, "slack", lambda: CoreParams(lam=0.1, **MU, slack=-1.0)),
     ("CoreParams.singular_mass_negative", ValidationError, "negative beyond slack",
@@ -90,6 +91,19 @@ REFUSALS = [
      lambda: sampler.sample_mixing_shortcut(GAMMA, P, 0.1, 0, 1)),
     ("sampler.sample_mixing_shortcut.non_mu_core", DomainError, "gamma1 = gamma2",
      lambda: sampler.sample_mixing_shortcut(GAMMA, MODELS["fig1_left"].core, 0.1, 10, 1)),
+    ("model.fbar_residual.lambda_t_overflows", DomainError, "lambda t",
+     lambda: model.fbar_residual(FAST, 1e308, 1, 1)),
+    ("model.copula_t.lambda_t_overflows", DomainError, "lambda t", lambda: model.copula_t(FAST, 1e308, 0.5, 0.5)),
+    ("dependence.kendall_tau.lambda_t_overflows", DomainError, "lambda t",
+     lambda: dependence.kendall_tau(FAST, 1e308)),
+    ("polynomial.string_coefficient", ValidationError, "coeffs\\[0\\] must lie in",
+     lambda: make_generator("polynomial", coeffs=["a", 1])),
+    ("Mo15Params.string", ValidationError, "xi must lie in", lambda: model.Mo15Params(1, 1, 1, "2", 1, 1)),
+    ("sampler.sample_mixing_shortcut.string_ratio", ValidationError, "ratio must lie in",
+     lambda: sampler.sample_mixing_shortcut(GAMMA, P, "0.1", 10, 1)),
+    ("MixingLaw.params_list", ValidationError, "must be a JSON object", lambda: MixingLaw("gamma", [1])),
+    ("make_generator.mixing_law_number", ValidationError, "mixing law must be a JSON object",
+     lambda: make_generator("mixing", law=5, ratio=0.1)),
     ("numerics.invert_monotone.not_bracketed", DomainError, "not bracketed",
      lambda: numerics.invert_monotone(lambda x: math.exp(-x), 2.0, 0.0, 1.0)),
 ]

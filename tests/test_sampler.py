@@ -244,7 +244,7 @@ def test_mixing_shortcut_agrees_with_direct():
 @pytest.mark.parametrize("ratio", [math.nan, math.inf, 0.0, -1.0], ids=str)
 def test_mixing_shortcut_rejects_bad_ratio(ratio):
     # NaN used to pass ratio <= 0 and fail later as a malformed sample batch
-    with pytest.raises(DomainError):
+    with pytest.raises(ValidationError):
         sample_mixing_shortcut(MixingLaw("gamma", {"a": 2.0}), MU, ratio, 10, seed=1)
 
 

@@ -20,11 +20,11 @@ SETTINGS = {
     "dependence.empirical_kendall": ("s_grid",),
     "dependence.kendall_function": ("s_grid", "source"),
     "errors.ConvergenceError": ("estimate",),
-    "generators.Interval": ("hi", "closed", "hole"),
     "generators.MixingLaw": ("params",),
     "generators.SurvivalGenerator": ("density",),
     "generators.generator_from_survival": ("density",),
     "model.Model": ("label",),
+    "numerics.Interval": ("hi", "closed", "hole"),
     "numerics.LimitEstimate": ("sequence_tail", "converged"),
     "numerics.in_unit": ("slack", "open_at_0"),
     "numerics.integrate_unit": ("tol",),
