@@ -93,6 +93,7 @@ class CoreParams:
 
 def mu_core(alpha: float, gamma: float, alpha1: float, alpha2: float) -> CoreParams:
     """Convenience constructor for the gamma1=gamma2=gamma, lambda=gamma/alpha subfamily."""
+    alpha, gamma = _admit("core", "alpha", alpha, POSITIVE), _admit("core", "gamma", gamma, POSITIVE)
     return CoreParams(lam=gamma / alpha, alpha=alpha, gamma1=gamma, gamma2=gamma, alpha1=alpha1, alpha2=alpha2)
 
 

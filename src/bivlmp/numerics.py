@@ -9,8 +9,9 @@ its rounding level.  Everything here is a pure function of its inputs.
 The package's argument conventions live here too: every public array
 function returns ``scalar_or_array(out)``, checks a probability argument with
 ``in_unit`` and sets a copula's boundary values with ``copula_edges``; every
-constructor admits each number it is given with ``_admit``, and each
-parameter object with exactly its keys through ``_fields``.
+constructor admits each number it is given with ``_admit`` (a count or a seed
+with ``_admit_count``), and each parameter object with exactly its keys
+through ``_fields``.
 """
 
 from __future__ import annotations
@@ -67,6 +68,16 @@ def _admit(owner: str, name: str, value, domain: Interval) -> float:
     if v not in domain:
         raise ValidationError(f"{owner}: {name} must lie in {domain}, not {value!r}")
     return v
+
+
+def _admit_count(owner: str, name: str, value) -> int:
+    """value as a Python int: an integer (a numpy one too), not a bool, and not negative.
+
+    The counterpart of _admit for a count or a seed.
+    """
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise ValidationError(f"{owner}: {name} must be an integer >= 0, not {value!r}")
+    return int(value)
 
 
 def _fields(doc, required: tuple, where: str, optional: tuple = ()) -> list:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
 from .model import Model, _residual_from_log, fbar_marginal, residual_marginal, survival_integral
-from .numerics import integrate_unit, integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
+from .numerics import _FINITE, _admit, integrate_unit
+from .numerics import integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
 
 PRICING_TOL = 1e-8
 
@@ -35,16 +36,17 @@ class PricingQuote:
 
 
 def _integrate(surv, m: Model, t: float, horizon, what: str) -> float:
-    """Integral of surv over [0, horizon), or over [0, inf) on the decay scale of m at age t, to PRICING_TOL.
+    """Integral of surv over [0, horizon - t), or over [0, inf) on the decay scale of m at age t, to PRICING_TOL.
 
     A half-line integral that does not converge reads +inf when the tail of surv is heavy.
     """
     try:
         if horizon is None:
             return survival_integral(m, t, surv, PRICING_TOL)
-        if horizon <= 0:  # horizon is counted from the age t here
+        span = _admit("pricing", "horizon", horizon, _FINITE) - t
+        if span <= 0:
             raise DomainError(f"horizon must exceed the age t = {t!r}")
-        return integrate_unit(lambda u: horizon * surv(horizon * u), tol=PRICING_TOL).value
+        return integrate_unit(lambda u: span * surv(span * u), tol=PRICING_TOL).value
     except ConvergenceError as exc:
         raise ConvergenceError(
             f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate
@@ -54,8 +56,7 @@ def _integrate(surv, m: Model, t: float, horizon, what: str) -> float:
 def joint_annuity(m: Model, t: float, horizon=None) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
     m.tau(t)  # the age check
-    return _integrate(lambda z: m.generator.h_from_log(-m.lam * (z + t)), m, t,
-                      None if horizon is None else horizon - t, "joint annuity integral")
+    return _integrate(lambda z: m.generator.h_from_log(-m.lam * (z + t)), m, t, horizon, "joint annuity integral")
 
 
 def residual_joint_annuity(m: Model, t: float) -> float:
@@ -68,8 +69,8 @@ def residual_joint_annuity(m: Model, t: float) -> float:
 def independent_annuity(m: Model, t: float, horizon=None) -> float:
     """Deferred premium under independence with the same marginals."""
     m.tau(t)  # the age check
-    return _integrate(lambda z: fbar_marginal(m, 1, z + t) * fbar_marginal(m, 2, z + t), m, t,
-                      None if horizon is None else horizon - t, "independent annuity integral")
+    return _integrate(lambda z: fbar_marginal(m, 1, z + t) * fbar_marginal(m, 2, z + t), m, t, horizon,
+                      "independent annuity integral")
 
 
 def residual_independent_annuity(m: Model, t: float) -> float:

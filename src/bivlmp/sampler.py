@@ -38,7 +38,7 @@ from .core import CoreParams, _marg, _marginal_log, singular_mass
 from .errors import DomainError, ValidationError
 from .generators import IdentityGenerator, MixingLaw
 from .model import Model
-from .numerics import POSITIVE, _admit, solve_decreasing_batch
+from .numerics import POSITIVE, _admit, _admit_count, solve_decreasing_batch
 
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
@@ -72,7 +72,7 @@ class SampleBatch:
 
 
 def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return np.random.Generator(np.random.Philox(seed))
 
 
 def _side_probs(p: CoreParams):
@@ -105,7 +105,7 @@ def _split(u_cat, p0, q1):
 
 def _batch(w, d, atom, seed, label) -> SampleBatch:
     """The pairs (W + max(D, 0), W + max(-D, 0))."""
-    return SampleBatch(x=w + np.maximum(d, 0.0), y=w + np.maximum(-d, 0.0), atom=atom, seed=int(seed),
+    return SampleBatch(x=w + np.maximum(d, 0.0), y=w + np.maximum(-d, 0.0), atom=atom, seed=seed,
                        model_label=label)
 
 
@@ -172,6 +172,7 @@ def _side_gap(m: Model, i: int, targets: np.ndarray, tau: np.ndarray) -> np.ndar
 
 def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
     """Draw n pairs from a distorted model, conditioning the gap law on the min."""
+    n, seed = _admit_count("sampler", "n", n), _admit_count("sampler", "seed", seed)
     if n < 1:
         raise DomainError("n must be at least 1")
     p = m.core
@@ -244,6 +245,7 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
     if not p.is_mu:
         raise DomainError("mixing shortcut needs gamma1 = gamma2 and lambda = gamma/alpha")
     ratio = _admit("mixing", "ratio", ratio, POSITIVE)
+    n, seed = _admit_count("sampler", "n", n), _admit_count("sampler", "seed", seed)
     if n < 1:
         raise DomainError("n must be at least 1")
     rng = _rng(seed)

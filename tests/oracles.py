@@ -81,3 +81,29 @@ def tail_numeric_scalar(m, t, which, tol=1e-4):
         return (float(copula_t(m, t, u, u)) - (2.0 * u - 1.0)) / eps
 
     return limit_at_zero_scalar(g, 2.0**-6, tol, 30)
+
+
+def concordance_counts_by_search(x, y):
+    """dependence._concordance_counts by the block-pair merge with one searchsorted per level.
+
+    In descending x, ties broken by ascending y, the count of a point is the
+    number of earlier points with a higher y rank.  Level by level, each point
+    in the right half of a block pair counts them in the left half by
+    searchsorted on the ranks sorted within blocks (keys block * n + rank).
+    """
+    n = x.size
+    order = np.lexsort((y, -x))
+    rank = np.unique(y, return_inverse=True)[1][order]
+    pos = np.arange(n)
+    counts = np.zeros(n, dtype=np.int64)
+    size = 1
+    while size < n:
+        block = pos // size
+        keys = np.sort(block * n + rank)
+        right = block % 2 == 1
+        left = block[right] - 1
+        counts[right] += (left + 1) * size - np.searchsorted(keys, left * n + rank[right], side="right")
+        size *= 2
+    out = np.empty(n, dtype=np.int64)
+    out[order] = counts
+    return out

@@ -4,19 +4,23 @@ Each parameter of every generator family, mixing law, core and bivariate
 Gompertz parameter set must refuse a bool, a string and None with
 ValidationError, and accept a numpy scalar of a valid value.  The tables are
 built from generators.FAMILIES, generators.MIXING_LAWS and the dataclass
-fields, so a new family or field joins them without an edit here.
+fields, so a new family or field joins them without an edit here.  Each count
+and seed of the samplers, and each pricing horizon, follows the same rule.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from bivlmp.config import builtin_model
 from bivlmp.core import CoreParams
 from bivlmp.errors import ValidationError
 from bivlmp.generators import FAMILIES, MIXING_LAWS, IdentityGenerator, MixingLaw, make_generator, power_scaled
 from bivlmp.model import Mo15Params
-from bivlmp.sampler import sample_mixing_shortcut
+from bivlmp.pricing import independent_annuity, joint_annuity, life_expectancy, premium_table
+from bivlmp.sampler import sample_core, sample_mixing_shortcut, sample_model
 from test_generators import CATALOG
 
 # a valid value of each family's parameters, all of them exact in float32
@@ -92,3 +96,50 @@ def test_admitted_values_are_python_floats():
     assert all(type(v) is float for v in core.describe().values())
     q = Mo15Params(**{**MO15, "xi": np.int64(2)})
     assert type(q.xi) is float
+
+
+M = builtin_model("identity_mu")
+# (id, call(v)) for each count and seed, the other arguments valid
+COUNTS = [
+    ("sample_model.n", lambda v: sample_model(M, v, 1)),
+    ("sample_model.seed", lambda v: sample_model(M, 4, v)),
+    ("sample_core.n", lambda v: sample_core(SHORTCUT_CORE, v, 1)),
+    ("sample_core.seed", lambda v: sample_core(SHORTCUT_CORE, 4, v)),
+    ("sample_mixing_shortcut.n", lambda v: sample_mixing_shortcut(MixingLaw("gamma", {"a": 2.0}), SHORTCUT_CORE,
+                                                                   0.5, v, 1)),
+    ("sample_mixing_shortcut.seed", lambda v: sample_mixing_shortcut(MixingLaw("gamma", {"a": 2.0}), SHORTCUT_CORE,
+                                                                      0.5, 4, v)),
+]
+# (id, call(v)) for each horizon keyword
+HORIZONS = [
+    ("joint_annuity", lambda v: joint_annuity(M, 0.0, horizon=v)),
+    ("independent_annuity", lambda v: independent_annuity(M, 0.0, horizon=v)),
+    ("life_expectancy", lambda v: life_expectancy(M, 1, horizon=v)),
+    ("premium_table", lambda v: premium_table(M, [0.0], horizon=v)[0].premium_joint),
+]
+
+
+@pytest.mark.parametrize("bad", [True, "4", 4.0, None, -1], ids=repr)
+@pytest.mark.parametrize("case,call", COUNTS, ids=[c[0] for c in COUNTS])
+def test_a_non_count_is_refused(case, call, bad):
+    with pytest.raises(ValidationError, match="must be an integer >= 0"):
+        call(bad)
+
+
+@pytest.mark.parametrize("case,call", COUNTS, ids=[c[0] for c in COUNTS])
+def test_a_numpy_integer_count_is_accepted(case, call):
+    got, want = call(np.int64(4)), call(4)
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y) and got.seed == want.seed
+    assert type(got.seed) is int
+
+
+@pytest.mark.parametrize("bad", [True, "50", math.nan], ids=repr)
+@pytest.mark.parametrize("case,call", HORIZONS, ids=[c[0] for c in HORIZONS])
+def test_a_non_number_horizon_is_refused(case, call, bad):
+    with pytest.raises(ValidationError, match="horizon must lie in"):
+        call(bad)
+
+
+@pytest.mark.parametrize("case,call", HORIZONS, ids=[c[0] for c in HORIZONS])
+def test_a_numpy_horizon_is_accepted(case, call):
+    assert call(np.float32(50.0)) == call(50.0)

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bivlmp.core import mu_core
 from bivlmp.dependence import (
+    KendallCurve,
     _concordance_counts,
     core_lambda_l,
     core_lambda_u,
@@ -205,6 +207,43 @@ def test_concordance_counts_match_brute_force():
     samples += [(rng.random(257), rng.random(257)), (np.full(40, 3.0), np.full(40, 3.0))]  # the last all tied
     for x, y in samples:
         assert np.array_equal(_concordance_counts(x, y), _brute_counts(x, y)), x.size
+
+
+# sizes around the dense blocks and the merge levels
+ORACLE_SIZES = (1, 2, 31, 32, 33, 63, 64, 65, 1023, 1025, 4097)
+
+
+@pytest.mark.parametrize("n", ORACLE_SIZES)
+def test_concordance_counts_match_the_search_kernel(n):
+    rng = np.random.default_rng(n)
+    samples = [(rng.random(n), rng.random(n)), (np.full(n, 2.0), np.full(n, 2.0)),  # the second all tied
+               (rng.integers(0, 7, n).astype(float), rng.integers(0, 5, n).astype(float))]  # ties on both axes
+    for x, y in samples:
+        assert np.array_equal(_concordance_counts(x, y), oracles.concordance_counts_by_search(x, y))
+
+
+def test_empirical_kendall_matches_the_search_kernel(models):
+    batch = sample_model(models["identity_mu"], 30_000, seed=202)
+    assert np.any(batch.atom)  # ties x == y
+    n = batch.n
+    counts = oracles.concordance_counts_by_search(batch.x, batch.y)
+    assert np.array_equal(_concordance_counts(batch.x, batch.y), counts)
+    w = counts / (n - 1.0)
+    # the default grid, shares that some W_i equals exactly, and the ends
+    grid = [*S_GRID, *(np.unique(counts)[::97] / (n - 1.0)), -math.inf, -1.0, 0.0, 1.0, 2.0, math.inf]
+    want = KendallCurve(t=0.0, grid=tuple((float(s), float(np.mean(w <= s))) for s in grid), source="empirical")
+    assert empirical_kendall(batch, grid) == want
+
+
+def test_concordance_counts_peak_memory(models):
+    batch = sample_model(models["identity_mu"], 200_000, seed=5)
+    tracemalloc.start()
+    try:
+        _concordance_counts(batch.x, batch.y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * batch.n
 
 
 def test_empirical_kendall_tracks_closed_form(models):

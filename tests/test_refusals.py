@@ -82,6 +82,28 @@ REFUSALS = [
     ("dependence.empirical_kendall.one_point", DomainError, "at least two",
      lambda: dependence.empirical_kendall(
          sampler.SampleBatch(x=np.array([1.0]), y=np.array([2.0]), atom=np.array([False]), seed=0))),
+    ("dependence.empirical_kendall.x_nan", DomainError, "finite", lambda: dependence.empirical_kendall(
+        sampler.SampleBatch(x=np.array([1.0, math.nan, 2.0]), y=np.ones(3), atom=np.zeros(3, bool), seed=0))),
+    ("dependence.empirical_kendall.y_inf", DomainError, "finite", lambda: dependence.empirical_kendall(
+        sampler.SampleBatch(x=np.ones(3), y=np.array([1.0, math.inf, 2.0]), atom=np.zeros(3, bool), seed=0))),
+    ("dependence.empirical_kendall.s_nan", DomainError, "s must not be NaN", lambda: dependence.empirical_kendall(
+        sampler.SampleBatch(x=np.ones(3), y=np.ones(3), atom=np.zeros(3, bool), seed=0), (0.5, math.nan))),
+    # a broadcast view: 2**31 points that take no memory
+    ("dependence._concordance_counts.too_many_points", DomainError, r"fewer than 2\*\*31",
+     lambda: dependence._concordance_counts(np.broadcast_to(0.0, (2**31,)), np.broadcast_to(0.0, (2**31,)))),
+    ("core.mu_core.string_alpha", ValidationError, "alpha must lie in",
+     lambda: mu_core(alpha="1", gamma=0.1, alpha1=0.3, alpha2=0.2)),
+    ("core.mu_core.string_gamma", ValidationError, "gamma must lie in",
+     lambda: mu_core(alpha=1.0, gamma="0.1", alpha1=0.3, alpha2=0.2)),
+    ("sampler.sample_model.string_n", ValidationError, "n must be an integer", lambda: sampler.sample_model(M, "5", 1)),
+    ("sampler.sample_model.float_n", ValidationError, "n must be an integer", lambda: sampler.sample_model(M, 5.5, 1)),
+    ("sampler.sample_model.bool_n", ValidationError, "n must be an integer", lambda: sampler.sample_model(M, True, 1)),
+    ("sampler.sample_model.string_seed", ValidationError, "seed must be an integer",
+     lambda: sampler.sample_model(M, 5, "x")),
+    ("sampler.sample_model.negative_seed", ValidationError, "seed must be an integer",
+     lambda: sampler.sample_model(M, 5, -1)),
+    ("pricing.joint_annuity.string_horizon", ValidationError, "horizon must lie in",
+     lambda: pricing.joint_annuity(M, 0.0, horizon="10")),
     ("pricing.joint_annuity.horizon_zero", DomainError, "horizon must exceed the age t = 0",
      lambda: pricing.joint_annuity(M, 0.0, horizon=0.0)),
     ("pricing.joint_annuity.horizon_before_t", DomainError, "horizon must exceed the age t = 10",
