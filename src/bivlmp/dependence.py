@@ -29,7 +29,7 @@ from . import generators as gen_mod
 from .core import CoreParams, _marg, marginal_hazard, marginal_quantile_log
 from .errors import DomainError
 from .model import Model, copula_t, copula_t_diag_log
-from .numerics import in_unit, integrate_unit, limit_at_zero, scalar_or_array
+from .numerics import _is_real, in_unit, integrate_unit, limit_at_zero, scalar_or_array
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
 TAU_TOL = 1e-9  # relative accuracy of Kendall's tau
@@ -111,6 +111,17 @@ def _kendall_values(m: Model, t: float, s, source: str):
     return scalar_or_array(np.where(s >= 1.0, 1.0, k))
 
 
+def _s_grid(s_grid) -> tuple:
+    """s_grid as a tuple of Python floats, or DomainError for an entry that is not a real number or is NaN."""
+    s_grid = tuple(s_grid)
+    for s in s_grid:
+        if not _is_real(s):
+            raise DomainError(f"s must be a real number, not {s!r}")
+        if math.isnan(s):
+            raise DomainError("s must not be NaN")
+    return tuple(map(float, s_grid))
+
+
 def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "closed_form") -> KendallCurve:
     """Kendall curve of C_t on s_grid.
 
@@ -119,7 +130,7 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     """
     if source not in _J_ROUTES:
         raise DomainError(f"unknown source {source!r}")
-    s_grid = tuple(float(s) for s in s_grid)
+    s_grid = _s_grid(s_grid)
     k = _kendall_values(m, t, s_grid, source)
     return KendallCurve(t=float(t), grid=tuple(zip(s_grid, np.atleast_1d(k))), source=source)
 
@@ -224,9 +235,7 @@ def empirical_kendall(batch, s_grid=DEFAULT_S_GRID) -> KendallCurve:
     n = x.size
     if n < 2:
         raise DomainError("need at least two sample points")
-    s_grid = tuple(float(s) for s in s_grid)
-    if any(math.isnan(s) for s in s_grid):
-        raise DomainError("s must not be NaN")
+    s_grid = _s_grid(s_grid)
     w = np.sort(_concordance_counts(x, y)) / (n - 1.0)
     # count / n, as the mean of w <= s is
     ks = (np.searchsorted(w, s_grid, side="right") / n).tolist()

@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CapabilityError, DomainError, ValidationError
-from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, copula_edges, in_unit, scalar_or_array,
-                       solve_decreasing_batch)
+from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, copula_edges, in_unit,
+                       scalar_or_array, solve_decreasing_batch)
 
 _SLACK = 1e-12  # rounding allowed outside [0, 1] in a generator's argument
 _DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
@@ -587,8 +588,10 @@ def power_scaled(g: Generator, beta: float) -> Generator:
 
 
 def _check_age(t) -> float:
-    """The one age check: 0 <= t < inf, which NaN fails."""
-    if not 0 <= t < math.inf:
+    """The one age check: a real number (ValidationError) that is 0 <= t <= the largest double (DomainError)."""
+    if not _is_real(t):
+        raise ValidationError(f"t must be a real number, not {t!r}")
+    if not 0 <= t <= sys.float_info.max:  # NaN fails, and so does an int past the largest double
         raise DomainError("t must be a finite nonnegative number")
     return float(t)
 

@@ -5,6 +5,8 @@ estimation by Aitken extrapolation, and the package's one root finder, which
 inverts nonincreasing functions on [0, inf) elementwise by Chandrupatla's
 method, in numpy, until the bracket is down to a few ulps or the residual to
 its rounding level.  Everything here is a pure function of its inputs.
+The quadrature hands its integrand the nodes of levels 0-4 in one call,
+then one level per call, and sums and tests the levels one at a time.
 
 The package's argument conventions live here too: every public array
 function returns ``scalar_or_array(out)``, checks a probability argument with
@@ -28,6 +30,7 @@ DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_INVERT_TOL = 1e-8
 LIMIT_BUDGET = 40
 QUAD_LEVELS = 8  # quadrature steps 1, 1/2, ..., 2^-QUAD_LEVELS
+FIRST_CHUNK = 5  # levels 0-4 share one integrand call: nearly every integral sums them all
 QUAD_T = 6.0  # nodes at t in [-QUAD_T, QUAD_T]: u down to 1e-275, z from 1e-138 to 1e138 over rate
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
 _MAXITER = 2046  # log2(largest / smallest normal double): bisection's worst case
@@ -55,6 +58,11 @@ POSITIVE = Interval(0.0)
 _FINITE = Interval(-math.inf)
 
 
+def _is_real(value) -> bool:
+    """The admission test for a number: a real (a numpy one too), not a bool, a str or an array."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _admit(owner: str, name: str, value, domain: Interval) -> float:
     """value as a Python float: a real number, not a bool, finite and inside domain.
 
@@ -62,7 +70,7 @@ def _admit(owner: str, name: str, value, domain: Interval) -> float:
     family, law or parameter set in the ValidationError.
     """
     try:
-        v = float(value) if isinstance(value, numbers.Real) and not isinstance(value, bool) else math.nan
+        v = float(value) if _is_real(value) else math.nan
     except OverflowError:  # an int past the largest double
         v = math.nan
     if v not in domain:
@@ -119,6 +127,12 @@ def copula_edges(u, v, out):
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """An integral, the change of its last level, and evaluations: every node x column handed to f.
+
+    The first call takes levels 0 to FIRST_CHUNK - 1 at once, so evaluations
+    counts the nodes of levels past the stop in that call too.
+    """
+
     value: float
     abs_error_estimate: float
     evaluations: int
@@ -132,10 +146,13 @@ class LimitEstimate:
 
 
 def _de_levels(unit: bool):
-    """Nodes (a column) and weights of the double-exponential rule at t in [-QUAD_T, QUAD_T], per level.
+    """Evaluation chunks of the double-exponential rule at t in [-QUAD_T, QUAD_T].
 
     Level k holds only the nodes new at step 2^-k, with the step folded into
-    their weights.  Unit-interval nodes that round to 1 are dropped.
+    their weights.  Unit-interval nodes that round to 1 are dropped.  A chunk
+    is (nodes as a column, [(start, stop, weights as a column) per level]):
+    the first chunk holds levels 0 to FIRST_CHUNK - 1 end to end, and each
+    later level is a chunk of its own.
     """
     levels = []
     for k in range(QUAD_LEVELS + 1):
@@ -150,33 +167,47 @@ def _de_levels(unit: bool):
         else:
             x = np.exp(a / 2)
             w = 0.5 * np.pi * np.cosh(t) * x
-        levels.append((x[:, None], step * w[:, None]))
-    return levels
+        levels.append((x, step * w))
+    chunks = []
+    for group in (levels[:FIRST_CHUNK], *([level] for level in levels[FIRST_CHUNK:])):
+        spans, stop = [], 0
+        for x, w in group:
+            spans.append((stop, stop + x.size, w[:, None]))
+            stop += x.size
+        chunks.append((np.concatenate([x for x, _ in group])[:, None], spans))
+    return chunks
 
 
 _HALF_LINE, _UNIT = _de_levels(unit=False), _de_levels(unit=True)
 
 
-def _de_integrate(f, levels, scale: float, tol: float, what: str) -> QuadratureResult:
-    """Sum f over the nodes times scale, level by level, until two successive sums agree to tol in every column."""
+def _de_integrate(f, chunks, scale: float, tol: float, what: str) -> QuadratureResult:
+    """Sum f over the nodes times scale, level by level, until two successive sums agree to tol in every column.
+
+    f is called once per chunk; the levels of a chunk past the stop are
+    computed but never checked or summed.
+    """
     if not tol > 0:
         raise DomainError("tol must be positive")
     total = prev = None
     evaluations = 0
-    for x, w in levels:
+    for x, spans in chunks:
         fx = np.broadcast_arrays(x, np.asarray(f(x * scale), dtype=float))[1]
-        if np.isnan(fx).any():
-            raise DomainError(f"{what}: integrand returned NaN")
         evaluations += fx.size
-        with np.errstate(invalid="ignore", over="ignore"):  # Fortran order: each column sums on its own, pairwise
-            part = np.multiply(w * scale, fx, order="F").sum(axis=0)
-        prev, total = total, part if total is None else 0.5 * total + part
-        value = scalar_or_array(total.squeeze())
-        if not np.all(np.isfinite(total)):
-            raise ConvergenceError(f"{what} is not finite", estimate=value)
-        if prev is not None and np.all(np.abs(total - prev) <= tol * np.abs(total)):
-            return QuadratureResult(value, float(np.max(np.abs(total - prev))), evaluations)
-    raise ConvergenceError(f"{what}: levels still differ by {np.max(np.abs(total - prev)):.3e}", estimate=value)
+        for start, stop, w in spans:
+            fk = fx[start:stop]
+            if np.isnan(fk).any():
+                raise DomainError(f"{what}: integrand returned NaN")
+            with np.errstate(invalid="ignore", over="ignore"):  # Fortran order: each column sums on its own, pairwise
+                part = np.multiply(w * scale, fk, order="F").sum(axis=0)
+            prev, total = total, part if total is None else 0.5 * total + part
+            if not np.all(np.isfinite(total)):
+                raise ConvergenceError(f"{what} is not finite", estimate=scalar_or_array(total.squeeze()))
+            if prev is not None and np.all(np.abs(total - prev) <= tol * np.abs(total)):
+                return QuadratureResult(scalar_or_array(total.squeeze()), float(np.max(np.abs(total - prev))),
+                                        evaluations)
+    raise ConvergenceError(f"{what}: levels still differ by {np.max(np.abs(total - prev)):.3e}",
+                           estimate=scalar_or_array(total.squeeze()))
 
 
 def integrate_upper(f, tol: float = DEFAULT_QUAD_TOL, rate: float = 1.0) -> QuadratureResult:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError
+from .generators import _check_age
 from .model import Model, _residual_from_log, fbar_marginal, residual_marginal, survival_integral
 from .numerics import _FINITE, _admit, integrate_unit
 from .numerics import integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
@@ -86,12 +87,12 @@ def life_expectancy(m: Model, i: int, horizon=None) -> float:
 
 def premium_table(m: Model, ts, horizon=None) -> list:
     quotes = []
-    for t in ts:
+    for t in map(_check_age, ts):
         quotes.append(
             PricingQuote(
-                t=float(t),
-                premium_joint=joint_annuity(m, float(t), horizon=horizon),
-                premium_independent=independent_annuity(m, float(t), horizon=horizon),
+                t=t,
+                premium_joint=joint_annuity(m, t, horizon=horizon),
+                premium_independent=independent_annuity(m, t, horizon=horizon),
                 model_label=m.label,
             )
         )

@@ -53,6 +53,9 @@ class SampleBatch:
     model_label: str = ""
 
     def __post_init__(self):
+        shapes = [np.shape(a) for a in (self.x, self.y, self.atom)]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+            raise ValidationError(f"x, y and atom must be 1-D and of one length, not of shapes {shapes}")
         if not np.all(self.x[self.atom] == self.y[self.atom]):
             raise ValidationError("atom rows must have x == y exactly")
 

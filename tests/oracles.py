@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 
-from bivlmp.errors import DomainError
+from bivlmp.errors import ConvergenceError, DomainError
 from bivlmp.model import copula_t, copula_t_diag_log
+from bivlmp.numerics import QUAD_LEVELS, QUAD_T, QuadratureResult, scalar_or_array
 
 
 def mixing_mgf(law, u):
@@ -20,6 +21,56 @@ def mixing_mgf(law, u):
         return 1.0 - (-np.expm1(u)) ** p["a"]
     theta = p["theta"]
     return np.log1p(theta * np.exp(u)) / math.log1p(theta)
+
+
+def de_levels(unit):
+    """Nodes (a column) and weights of the double-exponential rule at t in [-QUAD_T, QUAD_T], per level.
+
+    Level k holds only the nodes new at step 2^-k, with the step folded into
+    their weights.  Unit-interval nodes that round to 1 are dropped.
+    """
+    levels = []
+    for k in range(QUAD_LEVELS + 1):
+        step = 2.0**-k
+        t = np.arange(-QUAD_T, QUAD_T + step / 2, step)
+        t = t[1::2] if k else t  # after level 0, only the nodes new at this step
+        a = np.pi * np.sinh(t)
+        if unit:
+            x = 1.0 / (1.0 + np.exp(-a))
+            w = np.pi * np.cosh(t) * x / (1.0 + np.exp(a))  # du/dt = pi cosh t u (1 - u)
+            x, w = x[x < 1.0], w[x < 1.0]
+        else:
+            x = np.exp(a / 2)
+            w = 0.5 * np.pi * np.cosh(t) * x
+        levels.append((x[:, None], step * w[:, None]))
+    return levels
+
+
+def de_integrate(f, levels, scale, tol, what):
+    """numerics._de_integrate with one integrand call per level of de_levels.
+
+    Sums f over the nodes times scale, level by level, until two successive
+    sums agree to tol in every column.  evaluations counts the nodes x
+    columns of the levels summed.
+    """
+    if not tol > 0:
+        raise DomainError("tol must be positive")
+    total = prev = None
+    evaluations = 0
+    for x, w in levels:
+        fx = np.broadcast_arrays(x, np.asarray(f(x * scale), dtype=float))[1]
+        if np.isnan(fx).any():
+            raise DomainError(f"{what}: integrand returned NaN")
+        evaluations += fx.size
+        with np.errstate(invalid="ignore", over="ignore"):  # Fortran order: each column sums on its own, pairwise
+            part = np.multiply(w * scale, fx, order="F").sum(axis=0)
+        prev, total = total, part if total is None else 0.5 * total + part
+        value = scalar_or_array(total.squeeze())
+        if not np.all(np.isfinite(total)):
+            raise ConvergenceError(f"{what} is not finite", estimate=value)
+        if prev is not None and np.all(np.abs(total - prev) <= tol * np.abs(total)):
+            return QuadratureResult(value, float(np.max(np.abs(total - prev))), evaluations)
+    raise ConvergenceError(f"{what}: levels still differ by {np.max(np.abs(total - prev)):.3e}", estimate=value)
 
 
 def solve_decreasing_batch(fn, targets, start=1.0, args=()):

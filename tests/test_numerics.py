@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bivlmp.config import builtin_models
+from bivlmp.core import marginal_hazard, marginal_quantile_log
 from bivlmp.errors import ConvergenceError, DomainError
+from bivlmp.model import _residual_from_log
 from bivlmp.numerics import (
+    _HALF_LINE,
+    _UNIT,
+    FIRST_CHUNK,
+    QuadratureResult,
     integrate_unit,
     integrate_upper,
     invert_monotone,
@@ -82,6 +89,137 @@ def test_integrate_rejects_bad_tol_and_rate(bad):
         integrate_unit(lambda u: u, tol=bad)
     with pytest.raises(DomainError):
         integrate_upper(lambda z: np.exp(-z), rate=bad)
+
+
+# ---------------------------------------------------------------------------
+# the chunked rule against the level-by-level one (oracles.de_integrate)
+# ---------------------------------------------------------------------------
+
+ORACLE_UNIT, ORACLE_HALF_LINE = oracles.de_levels(unit=True), oracles.de_levels(unit=False)
+MODELS = builtin_models()
+
+
+def _quadrature(unit, f, tol, rate=1.0):
+    """The outcome of integrate_unit / integrate_upper and of the oracle on f: result or error, bit for bit."""
+    if unit:
+        return _outcome(lambda: integrate_unit(f, tol=tol)), _outcome(
+            lambda: oracles.de_integrate(f, ORACLE_UNIT, 1.0, tol, "unit-interval integral"))
+    return _outcome(lambda: integrate_upper(f, tol=tol, rate=rate)), _outcome(
+        lambda: oracles.de_integrate(f, ORACLE_HALF_LINE, 1.0 / rate, tol, "semi-infinite integral"))
+
+
+def _bits(v):
+    return type(v), np.asarray(v, dtype=float).tobytes()
+
+
+def _outcome(run):
+    """(result class or error class, the value or estimate's type and bytes, the error estimate)."""
+    try:
+        res = run()
+    except (DomainError, ConvergenceError) as exc:
+        return type(exc), _bits(getattr(exc, "estimate", None)), None
+    return type(res), _bits(res.value), res.abs_error_estimate
+
+
+def _j_integrand(m, i, columns):
+    """The J_i integrand of j_integral_quadrature on the core of m, at one ln v or at 49 of them."""
+    lv = np.array(-0.3) if columns == 1 else np.linspace(-5.0, -1e-9, 49)
+    z_max = np.ravel(marginal_quantile_log(m.core, i, lv))
+    return lambda u: z_max * marginal_hazard(m.core, i, z_max * u) ** 2
+
+
+def _survival_integrand(m, columns):
+    """The residual joint survival of m at lambda t = 0.5 along z, at one scale of z or at 49 of them."""
+    tau, c = m.tau(0.5 / m.lam), np.array(1.0) if columns == 1 else np.geomspace(0.5, 2.0, 49)
+    return lambda z: _residual_from_log(m.generator, tau, -m.lam * z * c)
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
+@pytest.mark.parametrize("columns", [1, 49])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_chunked_rule_matches_the_level_rule_on_model_integrands(name, columns, tol):
+    m = MODELS[name]
+    for i in (1, 2):
+        new, old = _quadrature(True, _j_integrand(m, i, columns), tol)
+        assert new == old
+    new, old = _quadrature(False, _survival_integrand(m, columns), tol, rate=m.lam)
+    assert new == old
+
+
+POWERS = np.linspace(-0.5, 3.0, 49)
+RATES = np.geomspace(1e-3, 40.0, 49)
+GENERIC = {  # (unit, f, rate)
+    "unit_powers": (True, lambda u: u**POWERS, 1.0),
+    "unit_square": (True, lambda u: u * u, 1.0),
+    "upper_rates": (False, lambda z: np.exp(-RATES * z), 1e-2),
+    "upper_exp": (False, lambda z: np.exp(-z), 1.0),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
+@pytest.mark.parametrize("name", sorted(GENERIC))
+def test_chunked_rule_matches_the_level_rule_on_closed_integrands(name, tol):
+    unit, f, rate = GENERIC[name]
+    new, old = _quadrature(unit, f, tol, rate)
+    assert new[0] is old[0] is QuadratureResult
+    assert new == old
+
+
+@pytest.mark.parametrize("unit, f, tol, stop, calls", [
+    (True, lambda u: u * u, 1e-10, 3, [147]),
+    (False, lambda z: np.exp(-z), 1e-9, 4, [193]),
+    (False, lambda z: z * np.exp(-z), 1e-10, 5, [193, 192]),
+])
+def test_chunked_rule_matches_the_level_rule_at_each_stop(unit, f, tol, stop, calls):
+    # an integral that stops by level 4 calls f once, on levels 0-4; evaluations counts every node f got
+    levels = ORACLE_UNIT if unit else ORACLE_HALF_LINE
+    seen = []
+
+    def counted(x):
+        seen.append(x.size)
+        return f(x)
+
+    res = integrate_unit(counted, tol=tol) if unit else integrate_upper(counted, tol=tol)
+    old = oracles.de_integrate(f, levels, 1.0, tol, "")
+    assert old.evaluations == sum(x.size for x, _ in levels[: stop + 1])  # the oracle stops at this level
+    assert _bits(res.value) == _bits(old.value) and res.abs_error_estimate == old.abs_error_estimate
+    assert seen == calls and res.evaluations == sum(calls)
+
+
+def test_the_chunks_hold_the_levels_of_the_rule():
+    # levels 0..FIRST_CHUNK-1 end to end in the first chunk, then one chunk per level, nodes and
+    # weights bit for bit those of the level-by-level rule
+    for chunks, levels, first in ((_UNIT, ORACLE_UNIT, 147), (_HALF_LINE, ORACLE_HALF_LINE, 193)):
+        assert chunks[0][0].shape == (first, 1)
+        assert [len(spans) for _, spans in chunks] == [FIRST_CHUNK] + [1] * (len(levels) - FIRST_CHUNK)
+        flat = [(x[start:stop], w) for x, spans in chunks for start, stop, w in spans]
+        assert len(flat) == len(levels)
+        for (x, w), (x_old, w_old) in zip(flat, levels):
+            assert x.tobytes() == x_old.tobytes() and w.tobytes() == w_old.tobytes() and w.shape == w_old.shape
+
+
+def test_a_nan_past_the_stop_is_not_seen():
+    # u^2 stops at level 3; its level-4 nodes share the first call, and NaN there changes nothing
+    past = ORACLE_UNIT[4][0][:, 0]
+
+    def f(u):
+        return np.where(np.isin(u, past), np.nan, u * u)
+
+    new, old = _quadrature(True, f, 1e-10)
+    assert new[0] is QuadratureResult and new == old
+    assert new == _quadrature(True, lambda u: u * u, 1e-10)[0]
+
+
+def test_a_nan_at_a_summed_level_raises_as_the_level_rule_does():
+    level_2 = ORACLE_HALF_LINE[2][0][:, 0]
+    new, old = _quadrature(False, lambda z: np.where(np.isin(z, level_2[:1]), np.nan, np.exp(-z)), 1e-10)
+    assert new[0] is DomainError and new == old
+
+
+@pytest.mark.parametrize("unit, f", [(True, lambda u: 1.0 / u), (False, lambda z: 1.0 / (1.0 + z))])
+def test_a_divergent_integral_raises_the_level_rule_estimate(unit, f):
+    new, old = _quadrature(unit, f, 1e-10)
+    assert new[0] is ConvergenceError and new == old
 
 
 def test_invert_monotone_decreasing():

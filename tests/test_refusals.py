@@ -20,6 +20,7 @@ M = MODELS["identity_mu"]
 P = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 MU = dict(alpha=1.0, gamma1=0.1, gamma2=0.1, alpha1=0.3, alpha2=0.2)  # P without its lam
 GAMMA = MixingLaw("gamma", {"a": 2.0})
+GAMMA_MODEL = MODELS["mixing_gamma"]
 FAST = model.Model(generator=M.generator, core=mu_core(alpha=1.0, gamma=4.0, alpha1=0.3, alpha2=0.2))  # lambda 4
 
 
@@ -128,6 +129,29 @@ REFUSALS = [
      lambda: make_generator("mixing", law=5, ratio=0.1)),
     ("numerics.invert_monotone.not_bracketed", DomainError, "not bracketed",
      lambda: numerics.invert_monotone(lambda x: math.exp(-x), 2.0, 0.0, 1.0)),
+    ("SampleBatch.lengths_differ", ValidationError, "1-D and of one length",
+     lambda: sampler.SampleBatch(x=np.ones(3), y=np.ones(2), atom=np.zeros(3, bool), seed=0)),
+    ("SampleBatch.two_dimensional", ValidationError, "1-D and of one length",
+     lambda: sampler.SampleBatch(x=np.ones((2, 2)), y=np.ones((2, 2)), atom=np.zeros((2, 2), bool), seed=0)),
+    ("dependence.kendall_function.string_s", DomainError, "s must be a real number, not 'a'",
+     lambda: dependence.kendall_function(M, 0.0, ["a"])),
+    ("dependence.empirical_kendall.string_s", DomainError, "s must be a real number, not 'a'",
+     lambda: dependence.empirical_kendall(
+         sampler.SampleBatch(x=np.arange(3.0), y=np.ones(3), atom=np.zeros(3, bool), seed=0), ["a"])),
+    ("model.copula_t.array_t", ValidationError, "t must be a real number",
+     lambda: model.copula_t(GAMMA_MODEL, np.array([0.0, 1.0]), 0.5, 0.5)),
+    ("dependence.kendall_tau.array_t", ValidationError, "t must be a real number",
+     lambda: dependence.kendall_tau(GAMMA_MODEL, np.array([0.0, 1.0]))),
+    ("model.fbar_residual.list_t", ValidationError, "t must be a real number",
+     lambda: model.fbar_residual(GAMMA_MODEL, [0.0, 1.0], 0.5, 0.5)),
+    ("dependence.kendall_tau.string_t", ValidationError, "t must be a real number",
+     lambda: dependence.kendall_tau(GAMMA_MODEL, "1")),
+    ("dependence.kendall_tau.bool_t", ValidationError, "t must be a real number",
+     lambda: dependence.kendall_tau(GAMMA_MODEL, True)),
+    ("dependence.kendall_tau.int_t_past_the_largest_double", DomainError, "finite nonnegative",
+     lambda: dependence.kendall_tau(GAMMA_MODEL, 10**400)),
+    ("pricing.premium_table.string_t", ValidationError, "t must be a real number, not 'a'",
+     lambda: pricing.premium_table(GAMMA_MODEL, [0, "a"])),
 ]
 
 
