@@ -30,7 +30,6 @@ from .dependence import (
 )
 from .errors import (
     BivlmpError,
-    CapabilityError,
     ConvergenceError,
     DomainError,
     ValidationError,
@@ -41,7 +40,6 @@ from .generators import (
     MixingLaw,
     aging_profile,
     generator_from_mixing,
-    generator_from_survival,
     make_generator,
     multiplicativity_check,
     power_scaled,

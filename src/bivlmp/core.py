@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import POSITIVE, _FINITE, Interval, _admit, copula_edges, in_unit, scalar_or_array
+from .numerics import POSITIVE, _FINITE, Interval, _admit, _real_array, copula_edges, in_unit, scalar_or_array
 
 DEFAULT_SLACK = 1e-9
 _WEIGHT = Interval(0.0, 1.0)
@@ -99,8 +99,8 @@ def mu_core(alpha: float, gamma: float, alpha1: float, alpha2: float) -> CorePar
 
 def gbar_log(p: CoreParams, x, y):
     """log Gbar(x, y), vectorized; the diagonal uses the exact -lambda*t form."""
-    x = _nonnegative(x)
-    y = _nonnegative(y)
+    x = _nonnegative(x, "x")
+    y = _nonnegative(y, "y")
     d = x - y
     m = np.minimum(x, y)
     gamma = np.where(d >= 0, p.gamma1, p.gamma2)
@@ -123,13 +123,13 @@ def _marginal_log(p: CoreParams, i: int, z):
 
 
 def marginal_survival(p: CoreParams, i: int, z):
-    return scalar_or_array(np.exp(_marginal_log(p, i, _nonnegative(z))))
+    return scalar_or_array(np.exp(_marginal_log(p, i, _nonnegative(z, "z"))))
 
 
 def marginal_density(p: CoreParams, i: int, z):
     """g_i(z) = -d/dz Gbar_i(z), closed form."""
     gamma, aw = _marg(p, i)
-    z = _nonnegative(z)
+    z = _nonnegative(z, "z")
     base = aw + (1.0 - aw) * np.exp(gamma * z)
     out = (gamma * (1.0 - aw) / p.alpha) * np.exp(gamma * z) * base ** (-1.0 / p.alpha - 1.0)
     return scalar_or_array(out)
@@ -138,7 +138,7 @@ def marginal_density(p: CoreParams, i: int, z):
 def marginal_hazard(p: CoreParams, i: int, z):
     """Hazard g_i / Gbar_i = (gamma_i / alpha) / (1 + alpha_i e^{-gamma_i z} / (1 - alpha_i)), finite at every z."""
     gamma, aw = _marg(p, i)
-    return scalar_or_array((gamma / p.alpha) / (1.0 + aw * np.exp(-gamma * _nonnegative(z)) / (1.0 - aw)))
+    return scalar_or_array((gamma / p.alpha) / (1.0 + aw * np.exp(-gamma * _nonnegative(z, "z")) / (1.0 - aw)))
 
 
 def marginal_quantile(p: CoreParams, i: int, u):
@@ -152,7 +152,7 @@ def marginal_quantile_log(p: CoreParams, i: int, lu):
     Working from lu keeps the digits of u near 1.  Where e^{-alpha lu}
     overflows, z = (-alpha lu - ln(1 - alpha_i))/gamma_i to double precision.
     """
-    lu = np.asarray(lu, dtype=float)
+    lu = _real_array(lu, "ln u")
     if not np.all(lu <= 0.0):
         raise DomainError("ln u must be nonpositive")
     return scalar_or_array(_log_a(p, i, lu) / _marg(p, i)[0])
@@ -166,9 +166,9 @@ def _log_a(p: CoreParams, i: int, lu):
         return np.where(a < 700.0, np.log1p(np.expm1(a) / (1.0 - aw)), a - np.log1p(-aw))
 
 
-def _nonnegative(z):
-    """z as a float array, or DomainError unless all of it is >= 0, which NaN fails."""
-    z = np.asarray(z, dtype=float)
+def _nonnegative(z, what: str):
+    """z as a float array (by _real_array), or DomainError unless all of it is >= 0, which NaN fails."""
+    z = _real_array(z, what)
     if not np.all(z >= 0):
         raise DomainError("lifetime arguments must be nonnegative")
     return z

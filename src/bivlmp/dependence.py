@@ -21,6 +21,7 @@ of 1, and ln v of the rounded v loses ~7 digits.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,7 @@ from . import generators as gen_mod
 from .core import CoreParams, _marg, marginal_hazard, marginal_quantile_log
 from .errors import DomainError
 from .model import Model, copula_t, copula_t_diag_log
-from .numerics import _is_real, in_unit, integrate_unit, limit_at_zero, scalar_or_array
+from .numerics import _is_real, _real_array, in_unit, integrate_unit, limit_at_zero, scalar_or_array
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
 TAU_TOL = 1e-9  # relative accuracy of Kendall's tau
@@ -62,8 +63,8 @@ class TailReport:
 
 
 def _log_v(lv) -> np.ndarray:
-    """lv = ln v as a float array, or DomainError unless all of it lies in (-inf, 0]."""
-    lv = np.asarray(lv, dtype=float)
+    """lv = ln v as a float array (by _real_array), or DomainError unless all of it lies in (-inf, 0]."""
+    lv = _real_array(lv, "ln v")
     # a min and a max, cheaper than a mask on this path of every K_t evaluation; NaN fails both
     if not (-math.inf < lv.min(initial=0.0) and lv.max(initial=0.0) <= 0.0):
         raise DomainError("ln v must lie in (-inf, 0]")
@@ -112,13 +113,16 @@ def _kendall_values(m: Model, t: float, s, source: str):
 
 
 def _s_grid(s_grid) -> tuple:
-    """s_grid as a tuple of Python floats, or DomainError for an entry that is not a real number or is NaN."""
+    """s_grid as a tuple of Python floats, or DomainError for an entry that is not a real number or is NaN.
+
+    An int past the largest double is refused too; +-inf pass, as empirical_kendall takes them.
+    """
     s_grid = tuple(s_grid)
     for s in s_grid:
         if not _is_real(s):
             raise DomainError(f"s must be a real number, not {s!r}")
-        if math.isnan(s):
-            raise DomainError("s must not be NaN")
+        if not (abs(s) <= sys.float_info.max or abs(s) == math.inf):  # NaN fails both
+            raise DomainError("s must not be NaN, nor an int past the largest double")
     return tuple(map(float, s_grid))
 
 
@@ -126,7 +130,8 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     """Kendall curve of C_t on s_grid.
 
     source: 'closed_form' takes the closed J_i; 'quadrature' integrates J_i
-    numerically (the independent pipeline).  Both need the generator's derivative.
+    numerically (the independent pipeline).  Every generator states its
+    elasticity, so both routes serve every model.
     """
     if source not in _J_ROUTES:
         raise DomainError(f"unknown source {source!r}")

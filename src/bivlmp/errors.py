@@ -9,10 +9,6 @@ class DomainError(BivlmpError, ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
-class CapabilityError(BivlmpError):
-    """A generator lacks the capability (inverse/derivative) that was requested."""
-
-
 class ValidationError(BivlmpError, ValueError):
     """Parameter set violates the admissibility constraints of a family."""
 

@@ -11,9 +11,9 @@ ln h^-1(e^lw) for lw <= 0, and everything else derives from them.  An age t
 enters only as the shift lw - t: no formula forms e^-t x, which underflows
 (and drags h(e^-t x) and h(e^-t) to 0 with it) long before their ratio does.
 
-The catalog below covers the closed-form families plus generators built from a
-moment generating function (mixing construction) or from an arbitrary
-univariate survival function.
+The catalog below covers the closed-form families plus the generators built
+from a moment generating function (mixing construction).  Every family states
+all three of its formulas, so every generator serves every route.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapabilityError, DomainError, ValidationError
+from .errors import DomainError, ValidationError
 from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, copula_edges, in_unit,
                        scalar_or_array, solve_decreasing_batch)
 
@@ -60,20 +60,6 @@ def _quiet(fn, *args):
         return scalar_or_array(fn(*args))
 
 
-def _solved_log_inverse(g, lw):
-    """ln h^-1(e^lw) = -z for the z >= 0 with ln h(e^-z) = lw; -inf where lw = -inf.
-
-    The inverse of a family without a closed one.  ln h(e^-z) decreases on
-    [0, inf), and solving it in logs for z = -ln x keeps the digits near x = 1
-    and where h(x) nears the smallest double.
-    """
-    lw = np.asarray(lw, dtype=float)
-    out = np.where(lw == -np.inf, -np.inf, np.nan)
-    finite = np.isfinite(lw)
-    out[finite] = -solve_decreasing_batch(lambda z: g._h_log_from_log(-z), lw[finite])
-    return out
-
-
 class Generator:
     """Base class.
 
@@ -102,7 +88,7 @@ class Generator:
 
     def _h_elasticity(self, lx):
         """x h'(x) / h(x) at x = e^lx, from lx so that neither x nor h(x) has to be representable."""
-        raise CapabilityError(f"{self.family}: derivative capability missing")
+        raise NotImplementedError
 
     def _residual_log_inverse(self, t, lu):
         """ln h_t^-1(e^lu) = t + ln h^-1(w) with ln w = lu + ln h(e^-t), for lu <= 0."""
@@ -399,7 +385,17 @@ class PolynomialGenerator(Generator):
         return self._k0 * lw + np.log(np.polyval(self._p, np.exp(lw)))
 
     def _h_log_inv_from_log(self, lw):
-        return _solved_log_inverse(self, lw)
+        """-z for the z >= 0 with ln h(e^-z) = lw; -inf where lw = -inf.
+
+        No closed inverse.  ln h(e^-z) decreases on [0, inf), and solving it in
+        logs for z = -ln x keeps the digits near x = 1 and where h(x) nears the
+        smallest double.
+        """
+        lw = np.asarray(lw, dtype=float)
+        out = np.where(lw == -np.inf, -np.inf, np.nan)
+        finite = np.isfinite(lw)
+        out[finite] = -solve_decreasing_batch(lambda z: self._h_log_from_log(-z), lw[finite])
+        return out
 
     def _h_elasticity(self, lx):
         x = np.exp(lx)
@@ -440,34 +436,6 @@ class SineGenerator(Generator):
 
     def _h_ppp(self, x):
         return -self.theta**3 * np.cos(self.theta * x) / math.sin(self.theta)
-
-
-class SurvivalGenerator(Generator):
-    """h(x) = survival(-ln x) for a user-supplied survival function."""
-
-    family = "from_survival"
-
-    def __init__(self, survival, density=None):
-        if not abs(survival(0.0) - 1.0) <= 1e-9:
-            raise ValidationError("survival function must satisfy survival(0) = 1")
-        grid = np.geomspace(1e-6, 1e4, 64)
-        vals = np.array([survival(z) for z in grid])
-        if not np.all(np.diff(vals) <= 1e-12):
-            raise ValidationError("survival function is not decreasing on the test grid")
-        self.survival = np.vectorize(survival, otypes=[float])
-        self.density = density
-
-    def _h_log_from_log(self, lw):
-        return np.log(self.survival(-lw))
-
-    def _h_log_inv_from_log(self, lw):
-        return _solved_log_inverse(self, lw)
-
-    def _h_elasticity(self, lx):
-        # x h'(x) / h(x) = density(z) / survival(z) at z = -ln x
-        if self.density is None:
-            return super()._h_elasticity(lx)
-        return np.vectorize(self.density, otypes=[float])(-lx) / self.survival(-lx)
 
 
 class PowerScaledGenerator(Generator):
@@ -557,10 +525,6 @@ def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
     g = build(law.params[name], ratio)
     g.config = {"family": "mixing", "law": {"kind": law.kind, "params": dict(law.params)}, "ratio": ratio}
     return g
-
-
-def generator_from_survival(survival, density=None) -> Generator:
-    return SurvivalGenerator(survival, density=density)
 
 
 def make_generator(family: str, /, **params) -> Generator:

@@ -25,7 +25,8 @@ from . import generators as gen_mod
 from .core import CoreParams, gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import Generator, Mo15Generator, make_generator
-from .numerics import DEFAULT_QUAD_TOL, POSITIVE, _admit, copula_edges, in_unit, integrate_upper, scalar_or_array
+from .numerics import (DEFAULT_QUAD_TOL, POSITIVE, _admit, _real_array, copula_edges, in_unit, integrate_upper,
+                       scalar_or_array)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,7 @@ def fbar(m: Model, x, y):
 
 def fbar_marginal(m: Model, i: int, z):
     """Marginal survival of the model: h(Gbar_i(z))."""
-    return m.generator.h_from_log(core_mod._marginal_log(m.core, i, core_mod._nonnegative(z)))
+    return m.generator.h_from_log(core_mod._marginal_log(m.core, i, core_mod._nonnegative(z, "z")))
 
 
 def _residual_from_log(g: Generator, tau: float, lw):
@@ -85,7 +86,7 @@ def fbar_residual(m: Model, t: float, x, y):
 
 def residual_marginal(m: Model, i: int, t: float, x):
     """Margin of Fbar_t: h_tau(Gbar_i(x))."""
-    return _residual_from_log(m.generator, m.tau(t), core_mod._marginal_log(m.core, i, core_mod._nonnegative(x)))
+    return _residual_from_log(m.generator, m.tau(t), core_mod._marginal_log(m.core, i, core_mod._nonnegative(x, "x")))
 
 
 def generalized_weak_residual(m: Model, t: float, x, y):
@@ -97,7 +98,7 @@ def generalized_weak_residual(m: Model, t: float, x, y):
     den = fbar_log(m, t, t)
     if den == -math.inf:
         raise DomainError("ln Fbar(t, t) is below the most negative double at this age")
-    lhs = np.exp(fbar_log(m, np.asarray(x, dtype=float) + t, np.asarray(y, dtype=float) + t) - den)
+    lhs = np.exp(fbar_log(m, _real_array(x, "x") + t, _real_array(y, "y") + t) - den)
     return scalar_or_array(lhs - gen_mod.time_distortion(m.generator, tau, fbar(m, x, y)))
 
 
@@ -129,7 +130,7 @@ def copula_t_diag_log(m: Model, t: float, log_u):
     """
     g = m.generator
     tau = min(m.tau(t), g._copula_age_cap)
-    lu = np.asarray(log_u, dtype=float)
+    lu = _real_array(log_u, "ln u")
     if not lu.max(initial=-math.inf) <= 0.0:  # NaN fails it too
         raise DomainError("ln u must lie in [-inf, 0]")
     la = gen_mod._residual_log_inverse_from_log(g, tau, lu)
@@ -140,7 +141,7 @@ def copula_t_diag_log(m: Model, t: float, log_u):
 
 def singular_line_survival(m: Model, t: float, x):
     """S_t(x) = P(X = Y) h_tau(e^{-lambda x}): residual mass beyond x on the diagonal."""
-    x = core_mod._nonnegative(x)
+    x = core_mod._nonnegative(x, "x")
     tau = m.tau(t)  # the age check, on both branches
     p0 = singular_mass(m.core)
     if p0 == 0.0:

@@ -9,11 +9,11 @@ The quadrature hands its integrand the nodes of levels 0-4 in one call,
 then one level per call, and sums and tests the levels one at a time.
 
 The package's argument conventions live here too: every public array
-function returns ``scalar_or_array(out)``, checks a probability argument with
-``in_unit`` and sets a copula's boundary values with ``copula_edges``; every
-constructor admits each number it is given with ``_admit`` (a count or a seed
-with ``_admit_count``), and each parameter object with exactly its keys
-through ``_fields``.
+function returns ``scalar_or_array(out)``, converts an array argument with
+``_real_array`` (a probability argument through ``in_unit``) and sets a
+copula's boundary values with ``copula_edges``; every constructor admits each
+number it is given with ``_admit`` (a count or a seed with ``_admit_count``),
+and each parameter object with exactly its keys through ``_fields``.
 """
 
 from __future__ import annotations
@@ -107,12 +107,30 @@ def scalar_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
+def _real_array(x, what: str) -> np.ndarray:
+    """x as a float array, or ValidationError naming what unless it is real numbers.
+
+    The one conversion rule for an array argument: the converted array must be
+    of ints, unsigned ints or floats.  A Python or numpy int or float converts
+    to one of those; a bool, a str, a complex, an int past the largest double,
+    any other object and a ragged list do not.
+    """
+    try:
+        x = np.asarray(x)
+        real = x.dtype.kind in "iuf"
+    except ValueError:  # a ragged nested list
+        real = False
+    if not real:
+        raise ValidationError(f"{what} must be a real number or an array of them, within the range of a double")
+    return x.astype(float, copy=False)
+
+
 def in_unit(x, what: str, slack: float = 0.0, open_at_0: bool = False) -> np.ndarray:
-    """x as a float array, or DomainError unless all of it lies in [-slack, 1 + slack].
+    """x as a float array (by _real_array), or DomainError unless all of it lies in [-slack, 1 + slack].
 
     With open_at_0 the interval is (0, 1 + slack].  NaN fails the check.
     """
-    x = np.asarray(x, dtype=float)
+    x = _real_array(x, what)
     above = x > 0.0 if open_at_0 else x >= -slack
     if not np.all(above & (x <= 1.0 + slack)):
         raise DomainError(f"{what} must lie in {'(0' if open_at_0 else '[0'}, 1]")

@@ -21,7 +21,6 @@ from bivlmp.generators import (
     MixingLaw,
     SibuyaMixingGenerator,
     generator_from_mixing,
-    generator_from_survival,
     make_generator,
     power_scaled,
 )
@@ -139,11 +138,10 @@ def test_mo15_bridge_has_a_config_form():
     "generator",
     [
         power_scaled(IdentityGenerator(), 2.0),
-        generator_from_survival(lambda z: 1.0 / (1.0 + z)),
         LogPowerGenerator(coef=1.0, expo=2.0),
         SibuyaMixingGenerator(0.5, 0.1),
     ],
-    ids=["power_scaled", "from_survival", "log_power", "sibuya"],
+    ids=["power_scaled", "log_power", "sibuya"],
 )
 def test_emit_refuses_generators_without_a_config_form(generator):
     # only a generator built from a config document has one; a hand-built LogPowerGenerator

@@ -22,7 +22,6 @@ from bivlmp.errors import DomainError
 from bivlmp.generators import (
     MixingLaw,
     generator_from_mixing,
-    generator_from_survival,
     make_generator,
     power_scaled,
 )
@@ -46,9 +45,6 @@ GENERATORS = {
     "mixing_stable": generator_from_mixing(MixingLaw("positive_stable", {"a": 0.5}), 0.1),
     "mixing_sibuya": generator_from_mixing(MixingLaw("sibuya", {"a": 0.5}), 0.1),
     "mixing_log_series": generator_from_mixing(MixingLaw("log_series", {"theta": -0.5}), 0.1),
-    "from_survival": generator_from_survival(
-        lambda z: math.exp(-(z**1.5)), density=lambda z: 1.5 * z**0.5 * math.exp(-(z**1.5))
-    ),
     "power_scaled": power_scaled(make_generator("gompertz", xi=1.5, mu=1.0), 2.0),
 }
 INF, NAN = math.inf, math.nan
@@ -69,9 +65,20 @@ EXPONENTS = {
     "mixing_stable": (NAN, 0.5),
     "mixing_sibuya": (0.1, 0.5),
     "mixing_log_series": (0.1, 1.0),
-    "from_survival": (NAN, NAN),
     "power_scaled": (INF, 1.0),
 }
+
+
+FAMILY_CLASSES = [c for c in vars(generators).values()
+                  if isinstance(c, type) and issubclass(c, generators.Generator) and c is not generators.Generator]
+
+
+@pytest.mark.parametrize("cls", FAMILY_CLASSES, ids=[c.__name__ for c in FAMILY_CLASSES])
+def test_every_generator_states_its_three_formulas(cls):
+    # the base class only raises NotImplementedError, so every route serves every generator
+    for name in ("_h_log_from_log", "_h_log_inv_from_log", "_h_elasticity"):
+        owner = next(k for k in cls.__mro__ if name in vars(k))
+        assert owner is not generators.Generator, (cls.__name__, name)
 
 
 def test_generator_exponents():

@@ -19,11 +19,9 @@ from bivlmp.dependence import (
     tail_numeric,
     tail_upper,
 )
-from bivlmp.errors import CapabilityError
 from bivlmp.generators import (
     MixingLaw,
     generator_from_mixing,
-    generator_from_survival,
     make_generator,
     power_scaled,
 )
@@ -168,26 +166,15 @@ def test_closed_form_eligibility_follows_capabilities(models):
         assert np.max(np.abs(closed.k_values() - quad.k_values())) <= 1e-12
 
 
-def test_closed_form_requires_capability(models):
-    core = models["identity_mu"].core
-
-    def survival(z):
-        return float(np.exp(-(z**1.5)))
-
-    # a numeric inverse is no obstacle: with a density the default is the closed route
-    g = generator_from_survival(survival, density=lambda z: float(1.5 * z**0.5 * np.exp(-(z**1.5))))
-    m = Model(generator=g, core=core, label="numeric-inverse")
-    for t in (0.0, 5.0):
-        closed = kendall_function(m, t, S_GRID)
-        quad = kendall_function(m, t, S_GRID, source="quadrature")
-        assert closed.source == "closed_form"
-        assert np.max(np.abs(closed.k_values() - quad.k_values())) <= 1e-12
-    # without one, every route needs the derivative it lacks
-    m = Model(generator=generator_from_survival(survival), core=core, label="no-density")
-    with pytest.raises(CapabilityError):
-        kendall_function(m, 0.0, S_GRID)
-    with pytest.raises(CapabilityError):
-        kendall_function(m, 0.0, S_GRID, source="quadrature")
+def test_numeric_inverse_takes_both_kendall_routes(models):
+    # a numeric inverse is no obstacle: the default is the closed route, and it agrees with quadrature
+    for coeffs in ([0.0, 0.25, 0.5, 0.25], [0.0, 1.5, 0.0, -0.5]):
+        m = Model(generator=make_generator("polynomial", coeffs=coeffs), core=models["identity_mu"].core)
+        for t in (0.0, 5.0):
+            closed = kendall_function(m, t, S_GRID)
+            quad = kendall_function(m, t, S_GRID, source="quadrature")
+            assert closed.source == "closed_form"
+            assert np.max(np.abs(closed.k_values() - quad.k_values())) <= 1e-12
 
 
 # -- empirical Kendall ------------------------------------------------------

@@ -12,7 +12,6 @@ from bivlmp.generators import (
     SibuyaMixingGenerator,
     aging_profile,
     generator_from_mixing,
-    generator_from_survival,
     make_generator,
     multiplicativity_check,
     power_scaled,
@@ -225,25 +224,24 @@ def test_bad_parameter_raises_validation_error(build):
 NEAR_ENDPOINTS = np.array([1e-200, 1e-12, 1e-6, 0.3, 1.0 - 1e-6, 1.0 - 1e-12])
 
 
-def test_generator_from_survival_matches_closed_form():
-    # survival e^{-z^2}: h(x) = exp(-(ln x)^2) reproduced through quadrature-free wrap
-    g = generator_from_survival(lambda z: math.exp(-(z**2)))
-    ref = make_generator("weibull", a=1.0, alpha=2.0)
+# the polynomial h(x) = x: the identity, its inverse solved numerically
+NUMERIC_IDENTITY = make_generator("polynomial", coeffs=[0.0, 1.0])
+
+
+def test_numeric_inverse_matches_closed_form():
+    g, ref = NUMERIC_IDENTITY, make_generator("identity")
     x = np.linspace(0.05, 0.95, 19)
-    assert np.allclose(g.h(x), ref.h(x), atol=1e-9)
+    assert np.array_equal(g.h(x), ref.h(x))
     # the numeric inverse against the closed one, relative, near 0 and near 1
     assert np.allclose(g.h_inverse(NEAR_ENDPOINTS), ref.h_inverse(NEAR_ENDPOINTS), rtol=1e-10, atol=0.0)
     assert g.h_inverse(0.3) == pytest.approx(ref.h_inverse(0.3), rel=1e-12)
 
 
-def test_generator_from_survival_log_inverse_keeps_every_digit():
-    # survival e^-z gives ln h^-1(e^lw) = lw; a solve of survival(z) = e^lw would lose
-    # digits once e^lw nears tiny, where the root finder's floor |residual| <= tiny is loose
-    g = generator_from_survival(lambda z: math.exp(-z))
+def test_numeric_log_inverse_keeps_every_digit():
+    # ln h^-1(e^lw) = lw; a solve of h(x) = e^lw would lose digits once e^lw nears
+    # tiny, where the root finder's floor |residual| <= tiny is loose
     lw = np.array([-1.0, -100.0, -690.0, -700.0, -705.0, -708.0])
-    with np.errstate(divide="ignore"):  # ln survival is -inf far past the root, where the bracket grows
-        got = g._h_log_inv_from_log(lw)
-    assert np.allclose(got, lw, rtol=1e-13, atol=0.0)
+    assert np.array_equal(NUMERIC_IDENTITY._h_log_inv_from_log(lw), lw)
 
 
 @pytest.mark.parametrize(

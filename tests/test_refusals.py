@@ -13,7 +13,7 @@ from bivlmp import core, dependence, model, numerics, pricing, sampler
 from bivlmp.config import builtin_models
 from bivlmp.core import CoreParams, mu_core
 from bivlmp.errors import DomainError, ValidationError
-from bivlmp.generators import MixingLaw, generator_from_survival, make_generator
+from bivlmp.generators import MixingLaw, make_generator
 
 MODELS = builtin_models()
 M = MODELS["identity_mu"]
@@ -40,10 +40,6 @@ REFUSALS = [
      lambda: make_generator("polynomial", coeffs=[0.5, 0.5])),
     ("polynomial.not_increasing", ValidationError, "not strictly increasing",
      lambda: make_generator("polynomial", coeffs=[0.0, 3.0, -2.0])),
-    ("generator_from_survival.not_one_at_zero", ValidationError, "survival\\(0\\) = 1",
-     lambda: generator_from_survival(lambda z: 0.5 * math.exp(-z))),
-    ("generator_from_survival.increasing", ValidationError, "not decreasing",
-     lambda: generator_from_survival(lambda z: 1.0 + z)),
     ("SampleBatch.atom_off_diagonal", ValidationError, "x == y",
      lambda: sampler.SampleBatch(x=np.array([1.0]), y=np.array([2.0]), atom=np.array([True]), seed=0)),
     ("core.marginal_survival.margin", DomainError, "margin index", lambda: core.marginal_survival(P, 3, 1.0)),
@@ -152,6 +148,26 @@ REFUSALS = [
      lambda: dependence.kendall_tau(GAMMA_MODEL, 10**400)),
     ("pricing.premium_table.string_t", ValidationError, "t must be a real number, not 'a'",
      lambda: pricing.premium_table(GAMMA_MODEL, [0, "a"])),
+    ("model.fbar.string_x", ValidationError, "x must be a real number or an array of them",
+     lambda: model.fbar(GAMMA_MODEL, "1", 1.0)),
+    ("model.fbar.int_x_past_the_largest_double", ValidationError, "x must be a real number or an array of them",
+     lambda: model.fbar(GAMMA_MODEL, 10**400, 1.0)),
+    ("model.copula_t.complex_u", ValidationError, "u must be a real number or an array of them",
+     lambda: model.copula_t(GAMMA_MODEL, 0, np.array([0.5 + 1j]), 0.5)),
+    ("model.copula_t.string_u", ValidationError, "u must be a real number or an array of them",
+     lambda: model.copula_t(GAMMA_MODEL, 0.0, "a", 0.5)),
+    ("model.copula_t.ragged_u", ValidationError, "u must be a real number or an array of them",
+     lambda: model.copula_t(GAMMA_MODEL, 0.0, [[0.5], [0.5, 0.6]], 0.5)),
+    ("model.copula_t_diag_log.string_log_u", ValidationError, "ln u must be a real number or an array of them",
+     lambda: model.copula_t_diag_log(GAMMA_MODEL, 1.0, "a")),
+    ("model.generalized_weak_residual.string_x", ValidationError, "x must be a real number or an array of them",
+     lambda: model.generalized_weak_residual(GAMMA_MODEL, 0.0, "a", 1.0)),
+    ("core.marginal_quantile_log.string_log_u", ValidationError, "ln u must be a real number or an array of them",
+     lambda: core.marginal_quantile_log(P, 1, "a")),
+    ("dependence.j_integral_closed.string_log_v", ValidationError, "ln v must be a real number or an array of them",
+     lambda: dependence.j_integral_closed(P, 1, "a")),
+    ("dependence.kendall_function.int_s_past_the_largest_double", DomainError, "int past the largest double",
+     lambda: dependence.kendall_function(GAMMA_MODEL, 0.0, [10**400])),
 ]
 
 

@@ -6,12 +6,12 @@ from scipy.special import gammaln
 
 from bivlmp import numerics, sampler
 from bivlmp.core import CoreParams, marginal_survival, mu_core, singular_mass
-from bivlmp.errors import CapabilityError, DomainError, ValidationError
+from bivlmp.errors import DomainError, ValidationError
 from bivlmp.generators import (
     IdentityGenerator,
     MixingLaw,
     generator_from_mixing,
-    generator_from_survival,
+    make_generator,
     power_scaled,
 )
 from bivlmp.model import Model, fbar
@@ -49,9 +49,9 @@ def test_sample_model_deterministic(models):
 
 @pytest.mark.parametrize("n", [1, 1_000])
 def test_sample_model_numeric_generator_matches_closed(models, n):
-    # survival e^-z gives h(x) = x, so draws match the identity model's up to the root finder
+    # the polynomial h(x) = x is the identity with a numeric inverse, so draws match up to the root finder
     m = models["identity_mu"]
-    g = generator_from_survival(lambda z: math.exp(-z), density=lambda z: math.exp(-z))
+    g = make_generator("polynomial", coeffs=[0.0, 1.0])
     got = sample_model(Model(generator=g, core=m.core, label="numeric identity"), n, seed=3)
     want = sample_model(m, n, seed=3)
     assert np.array_equal(got.atom, want.atom)
@@ -136,12 +136,6 @@ def test_mu_side_quantile_first_order_at_tiny_alpha():
     alpha = 1e-20
     want = alpha * -np.log(s) / (0.7 * 0.1)
     assert np.allclose(_mu_side_quantile(s, alpha, 0.3, 0.1), want, rtol=1e-12, atol=0.0)
-
-
-def test_sampling_needs_the_derivative_capability():
-    g = generator_from_survival(lambda z: math.exp(-z))
-    with pytest.raises(CapabilityError):
-        sample_model(Model(generator=g, core=MU), 10, seed=1)
 
 
 def test_csv_round_trip(tmp_path, models):

@@ -21,8 +21,6 @@ SETTINGS = {
     "dependence.kendall_function": ("s_grid", "source"),
     "errors.ConvergenceError": ("estimate",),
     "generators.MixingLaw": ("params",),
-    "generators.SurvivalGenerator": ("density",),
-    "generators.generator_from_survival": ("density",),
     "model.Model": ("label",),
     "numerics.Interval": ("hi", "closed", "hole"),
     "numerics.LimitEstimate": ("sequence_tail", "converged"),
