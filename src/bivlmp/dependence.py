@@ -11,8 +11,10 @@ the v-quantile.  J_i has the closed form
 
     J_i(v) = (gamma_i / alpha^2) (alpha_i v^alpha - alpha ln v - alpha_i)
 
-on the whole parametric core family; the quadrature route recomputes it by
-integrating (g_i / Gbar_i)^2 numerically and serves as the independent check.
+on the whole parametric core family; the quadrature route recomputes
+J_1 + J_2 as one numerical integral over u in (0, 1) of
+z_1 haz_1(z_1 u)^2 + z_2 haz_2(z_2 u)^2, with z_i the v-quantile of margin i
+and haz_i = g_i / Gbar_i, and serves as the independent check.
 Both routes work from ln v throughout (v^alpha - 1 as expm1, the quadrature's
 upper limit from expm1(-alpha ln v)): at large ages v rounds to within ~1e-9
 of 1, and ln v of the rounded v loses ~7 digits.
@@ -30,7 +32,7 @@ from . import generators as gen_mod
 from .core import CoreParams, _marg, marginal_hazard, marginal_quantile_log
 from .errors import DomainError
 from .model import Model, copula_t, copula_t_diag_log
-from .numerics import _is_real, _real_array, in_unit, integrate_unit, limit_at_zero, scalar_or_array
+from .numerics import _is_real, _real_array, _sequence, in_unit, integrate_unit, limit_at_zero, scalar_or_array
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
 TAU_TOL = 1e-9  # relative accuracy of Kendall's tau
@@ -78,23 +80,34 @@ def j_integral_closed(p: CoreParams, i: int, lv):
     return scalar_or_array((gamma / p.alpha**2) * (aw * np.expm1(p.alpha * lv) - p.alpha * lv))
 
 
-def j_integral_quadrature(p: CoreParams, i: int, lv):
-    """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
-    lv = _log_v(lv)
+def _hazard_sq(p: CoreParams, i: int, lv: np.ndarray):
+    """The J_i integrand on (0, 1), z_i haz_i(z_i u)^2 with z_i the v-quantiles of margin i, a column per ln v."""
     z_max = np.ravel(marginal_quantile_log(p, i, lv))
 
     def hazard_sq(u):
         haz = marginal_hazard(p, i, z_max * u)
         return z_max * haz * haz
 
-    return scalar_or_array(np.reshape(integrate_unit(hazard_sq).value, lv.shape))
+    return hazard_sq
 
 
-# the J_i route of each Kendall source, taking (core, i, ln v).  The lambdas look the functions up
-# at call time, so a wrapper installed over the module's name (bench/tracing.py) sees every call.
+def j_integral_quadrature(p: CoreParams, i: int, lv):
+    """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
+    lv = _log_v(lv)
+    return scalar_or_array(np.reshape(integrate_unit(_hazard_sq(p, i, lv)).value, lv.shape))
+
+
+def _j_sum_quadrature(p: CoreParams, lv):
+    """J_1(v) + J_2(v) by one quadrature of the summed integrand."""
+    lv = _log_v(lv)
+    j1, j2 = _hazard_sq(p, 1, lv), _hazard_sq(p, 2, lv)
+    return np.reshape(integrate_unit(lambda u: j1(u) + j2(u)).value, lv.shape)
+
+
+# J_1 + J_2 by the route of each Kendall source, taking (core, ln v)
 _J_ROUTES = {
-    "closed_form": lambda p, i, lv: j_integral_closed(p, i, lv),
-    "quadrature": lambda p, i, lv: j_integral_quadrature(p, i, lv),
+    "closed_form": lambda p, lv: j_integral_closed(p, 1, lv) + j_integral_closed(p, 2, lv),
+    "quadrature": _j_sum_quadrature,
 }
 
 
@@ -104,8 +117,7 @@ def _kendall_values(m: Model, t: float, s, source: str):
     tau = min(m.tau(t), g._copula_age_cap)  # K_t is a function of C_t alone
     s = in_unit(s, "s", open_at_0=True)
     lv = gen_mod._residual_log_inverse_from_log(g, tau, np.log(s))
-    j_route = _J_ROUTES[source]
-    bracket = 2.0 * lv + (j_route(m.core, 1, lv) + j_route(m.core, 2, lv)) / m.lam
+    bracket = 2.0 * lv + _J_ROUTES[source](m.core, lv) / m.lam
     # h_t'(v) v = s x h'(x)/h(x) at ln x = ln v - tau
     with np.errstate(invalid="ignore"):
         k = s * (1.0 - g.h_elasticity_from_log(lv - tau) * bracket)
@@ -116,8 +128,9 @@ def _s_grid(s_grid) -> tuple:
     """s_grid as a tuple of Python floats, or DomainError for an entry that is not a real number or is NaN.
 
     An int past the largest double is refused too; +-inf pass, as empirical_kendall takes them.
+    A single number is not a grid (ValidationError).
     """
-    s_grid = tuple(s_grid)
+    s_grid = _sequence(s_grid, "s_grid")
     for s in s_grid:
         if not _is_real(s):
             raise DomainError(f"s must be a real number, not {s!r}")

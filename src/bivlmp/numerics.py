@@ -6,7 +6,8 @@ inverts nonincreasing functions on [0, inf) elementwise by Chandrupatla's
 method, in numpy, until the bracket is down to a few ulps or the residual to
 its rounding level.  Everything here is a pure function of its inputs.
 The quadrature hands its integrand the nodes of levels 0-4 in one call,
-then one level per call, and sums and tests the levels one at a time.
+then one level per call, weights each call's values in one product, and
+sums and tests the levels one at a time, each a row slice of that product.
 
 The package's argument conventions live here too: every public array
 function returns ``scalar_or_array(out)``, converts an array argument with
@@ -56,11 +57,13 @@ class Interval:
 
 POSITIVE = Interval(0.0)
 _FINITE = Interval(-math.inf)
+_FLOATS = (float, np.float64)
 
 
 def _is_real(value) -> bool:
     """The admission test for a number: a real (a numpy one too), not a bool, a str or an array."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # the exact type first: nearly every number is a float, and the ABC check costs a microsecond
+    return type(value) in _FLOATS or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _admit(owner: str, name: str, value, domain: Interval) -> float:
@@ -107,6 +110,18 @@ def scalar_or_array(out):
     return float(out) if out.ndim == 0 else out
 
 
+def _array_of(x, kinds: str, what: str, noun: str) -> np.ndarray:
+    """np.asarray(x), or ValidationError that what must be noun unless its dtype kind is one of kinds."""
+    try:
+        x = np.asarray(x)
+        typed = x.dtype.kind in kinds
+    except ValueError:  # a ragged nested list
+        typed = False
+    if not typed:
+        raise ValidationError(f"{what} must be {noun}")
+    return x
+
+
 def _real_array(x, what: str) -> np.ndarray:
     """x as a float array, or ValidationError naming what unless it is real numbers.
 
@@ -115,14 +130,16 @@ def _real_array(x, what: str) -> np.ndarray:
     to one of those; a bool, a str, a complex, an int past the largest double,
     any other object and a ragged list do not.
     """
-    try:
-        x = np.asarray(x)
-        real = x.dtype.kind in "iuf"
-    except ValueError:  # a ragged nested list
-        real = False
-    if not real:
-        raise ValidationError(f"{what} must be a real number or an array of them, within the range of a double")
+    x = _array_of(x, "iuf", what, "a real number or an array of them, within the range of a double")
     return x.astype(float, copy=False)
+
+
+def _sequence(x, what: str) -> tuple:
+    """x as a tuple, or ValidationError naming what when it is one value (a number, a 0-d array), not a sequence."""
+    try:
+        return tuple(x)
+    except TypeError:
+        raise ValidationError(f"{what} must be a sequence, not {x!r}") from None
 
 
 def in_unit(x, what: str, slack: float = 0.0, open_at_0: bool = False) -> np.ndarray:
@@ -168,9 +185,9 @@ def _de_levels(unit: bool):
 
     Level k holds only the nodes new at step 2^-k, with the step folded into
     their weights.  Unit-interval nodes that round to 1 are dropped.  A chunk
-    is (nodes as a column, [(start, stop, weights as a column) per level]):
-    the first chunk holds levels 0 to FIRST_CHUNK - 1 end to end, and each
-    later level is a chunk of its own.
+    is (nodes as a column, their weights as a column, [(start, stop) of each
+    level]): the first chunk holds levels 0 to FIRST_CHUNK - 1 end to end, and
+    each later level is a chunk of its own.
     """
     levels = []
     for k in range(QUAD_LEVELS + 1):
@@ -188,11 +205,9 @@ def _de_levels(unit: bool):
         levels.append((x, step * w))
     chunks = []
     for group in (levels[:FIRST_CHUNK], *([level] for level in levels[FIRST_CHUNK:])):
-        spans, stop = [], 0
-        for x, w in group:
-            spans.append((stop, stop + x.size, w[:, None]))
-            stop += x.size
-        chunks.append((np.concatenate([x for x, _ in group])[:, None], spans))
+        x, w = (np.concatenate(a)[:, None] for a in zip(*group))
+        stops = np.cumsum([a.size for a, _ in group]).tolist()
+        chunks.append((x, w, list(zip([0, *stops], stops))))
     return chunks
 
 
@@ -202,28 +217,35 @@ _HALF_LINE, _UNIT = _de_levels(unit=False), _de_levels(unit=True)
 def _de_integrate(f, chunks, scale: float, tol: float, what: str) -> QuadratureResult:
     """Sum f over the nodes times scale, level by level, until two successive sums agree to tol in every column.
 
-    f is called once per chunk; the levels of a chunk past the stop are
-    computed but never checked or summed.
+    f is called once per chunk, and its values are weighted in one product;
+    a level's sum is its row slice of that product, which numpy sums column
+    by column, pairwise, as it would the level's own product.  A NaN raises
+    at the first level that holds it; the levels past the stop are computed
+    but never checked or summed.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
     total = prev = None
     evaluations = 0
-    for x, spans in chunks:
-        fx = np.broadcast_arrays(x, np.asarray(f(x * scale), dtype=float))[1]
+    for x, w, bounds in chunks:
+        fx = np.asarray(f(x * scale), dtype=float)
+        if fx.ndim < 2 or fx.shape[0] != x.shape[0]:  # a constant, or one value per column
+            fx = np.broadcast_arrays(x, fx)[1]
         evaluations += fx.size
-        for start, stop, w in spans:
-            fk = fx[start:stop]
-            if np.isnan(fk).any():
-                raise DomainError(f"{what}: integrand returned NaN")
-            with np.errstate(invalid="ignore", over="ignore"):  # Fortran order: each column sums on its own, pairwise
-                part = np.multiply(w * scale, fk, order="F").sum(axis=0)
-            prev, total = total, part if total is None else 0.5 * total + part
-            if not np.all(np.isfinite(total)):
-                raise ConvergenceError(f"{what} is not finite", estimate=scalar_or_array(total.squeeze()))
-            if prev is not None and np.all(np.abs(total - prev) <= tol * np.abs(total)):
-                return QuadratureResult(scalar_or_array(total.squeeze()), float(np.max(np.abs(total - prev))),
-                                        evaluations)
+        nan = np.isnan(fx)
+        first_nan = int(nan.any(axis=1).argmax()) if nan.any() else x.shape[0]
+        with np.errstate(invalid="ignore", over="ignore"):  # Fortran order: each column sums on its own, pairwise
+            prod = np.multiply(w * scale, fx, order="F")
+            for start, stop in bounds:
+                if first_nan < stop:
+                    raise DomainError(f"{what}: integrand returned NaN")
+                part = prod[start:stop].sum(axis=0)
+                prev, total = total, part if total is None else 0.5 * total + part
+                if not np.isfinite(total).all():
+                    raise ConvergenceError(f"{what} is not finite", estimate=scalar_or_array(total.squeeze()))
+                if prev is not None and (np.abs(total - prev) <= tol * np.abs(total)).all():
+                    return QuadratureResult(scalar_or_array(total.squeeze()), float(np.max(np.abs(total - prev))),
+                                            evaluations)
     raise ConvergenceError(f"{what}: levels still differ by {np.max(np.abs(total - prev)):.3e}",
                            estimate=scalar_or_array(total.squeeze()))
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .errors import ConvergenceError, DomainError
 from .generators import _check_age
 from .model import Model, _residual_from_log, fbar_marginal, residual_marginal, survival_integral
-from .numerics import _FINITE, _admit, integrate_unit
+from .numerics import _FINITE, _admit, _sequence, integrate_unit
 from .numerics import integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
 
 PRICING_TOL = 1e-8
@@ -86,8 +86,9 @@ def life_expectancy(m: Model, i: int, horizon=None) -> float:
 
 
 def premium_table(m: Model, ts, horizon=None) -> list:
+    """A quote per age of the sequence ts."""
     quotes = []
-    for t in map(_check_age, ts):
+    for t in map(_check_age, _sequence(ts, "ts")):
         quotes.append(
             PricingQuote(
                 t=t,

@@ -38,7 +38,7 @@ from .core import CoreParams, _marg, _marginal_log, singular_mass
 from .errors import DomainError, ValidationError
 from .generators import IdentityGenerator, MixingLaw
 from .model import Model
-from .numerics import POSITIVE, _admit, _admit_count, solve_decreasing_batch
+from .numerics import POSITIVE, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
 
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
@@ -53,6 +53,10 @@ class SampleBatch:
     model_label: str = ""
 
     def __post_init__(self):
+        x, y = _real_array(self.x, "x"), _real_array(self.y, "y")
+        atom = _array_of(self.atom, "b", "atom", "a bool or an array of bools")
+        for name, a in (("x", x), ("y", y), ("atom", atom)):  # the sampler's float and bool arrays, uncopied
+            object.__setattr__(self, name, a)
         shapes = [np.shape(a) for a in (self.x, self.y, self.atom)]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
             raise ValidationError(f"x, y and atom must be 1-D and of one length, not of shapes {shapes}")

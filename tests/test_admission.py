@@ -9,6 +9,7 @@ and seed of the samplers, and each pricing horizon, follows the same rule.
 """
 
 import dataclasses
+import fractions
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from bivlmp.core import CoreParams
 from bivlmp.errors import ValidationError
 from bivlmp.generators import FAMILIES, MIXING_LAWS, IdentityGenerator, MixingLaw, make_generator, power_scaled
 from bivlmp.model import Mo15Params
+from bivlmp.numerics import _is_real
 from bivlmp.pricing import independent_annuity, joint_annuity, life_expectancy, premium_table
 from bivlmp.sampler import sample_core, sample_mixing_shortcut, sample_model
 from test_generators import CATALOG
@@ -143,3 +145,15 @@ def test_a_non_number_horizon_is_refused(case, call, bad):
 @pytest.mark.parametrize("case,call", HORIZONS, ids=[c[0] for c in HORIZONS])
 def test_a_numpy_horizon_is_accepted(case, call):
     assert call(np.float32(50.0)) == call(50.0)
+
+
+IS_REAL = [  # (value, a real number in the sense of the admission rule)
+    (1.5, True), (np.float64(1.5), True), (np.float32(1.5), True), (math.nan, True), (2, True),
+    (np.int64(2), True), (fractions.Fraction(1, 3), True), (True, False), (np.bool_(True), False),
+    ("1", False), (1 + 0j, False), (None, False), (np.array(1.0), False),
+]
+
+
+@pytest.mark.parametrize("value, real", IS_REAL, ids=[repr(v) for v, _ in IS_REAL])
+def test_what_is_a_real_number(value, real):
+    assert _is_real(value) is real

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from bivlmp.core import mu_core
+from bivlmp import generators as gen_mod
 from bivlmp.dependence import (
     KendallCurve,
     _concordance_counts,
+    _j_sum_quadrature,
     core_lambda_l,
     core_lambda_u,
     empirical_kendall,
@@ -54,6 +56,17 @@ def test_j_integral_routes_agree_on_grid():
                 assert j_integral_quadrature(p, i, math.log(v)) == pytest.approx(
                     j_integral_closed(p, i, math.log(v)), abs=1e-9
                 )
+
+
+@pytest.mark.parametrize("lam_t", (0.0, 0.5, 2.0, 10.0))
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_summed_j_quadrature_is_the_sum_of_the_two(models, name, lam_t):
+    # the quadrature K_t route integrates J_1 + J_2 in one call, at the ln v of a 49-point K_t grid
+    m = models[name]
+    tau = min(m.tau(lam_t / m.lam), m.generator._copula_age_cap)
+    lv = gen_mod._residual_log_inverse_from_log(m.generator, tau, np.log(np.linspace(0.02, 0.98, 49)))
+    two = j_integral_quadrature(m.core, 1, lv) + j_integral_quadrature(m.core, 2, lv)
+    np.testing.assert_allclose(_j_sum_quadrature(m.core, lv), two, rtol=1e-14, atol=0.0)
 
 
 # -- Kendall functions ------------------------------------------------------

@@ -146,6 +146,15 @@ def test_chunked_rule_matches_the_level_rule_on_model_integrands(name, columns, 
     assert new == old
 
 
+@pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_chunked_rule_matches_the_level_rule_on_the_summed_j_integrand(name, tol):
+    # the integrand of the quadrature K_t route: J_1 + J_2 at 49 values of ln v
+    j1, j2 = (_j_integrand(MODELS[name], i, 49) for i in (1, 2))
+    new, old = _quadrature(True, lambda u: j1(u) + j2(u), tol)
+    assert new[0] is QuadratureResult and new == old
+
+
 POWERS = np.linspace(-0.5, 3.0, 49)
 RATES = np.geomspace(1e-3, 40.0, 49)
 GENERIC = {  # (unit, f, rate)
@@ -190,9 +199,10 @@ def test_the_chunks_hold_the_levels_of_the_rule():
     # levels 0..FIRST_CHUNK-1 end to end in the first chunk, then one chunk per level, nodes and
     # weights bit for bit those of the level-by-level rule
     for chunks, levels, first in ((_UNIT, ORACLE_UNIT, 147), (_HALF_LINE, ORACLE_HALF_LINE, 193)):
-        assert chunks[0][0].shape == (first, 1)
-        assert [len(spans) for _, spans in chunks] == [FIRST_CHUNK] + [1] * (len(levels) - FIRST_CHUNK)
-        flat = [(x[start:stop], w) for x, spans in chunks for start, stop, w in spans]
+        assert chunks[0][0].shape == chunks[0][1].shape == (first, 1)
+        assert [len(bounds) for _, _, bounds in chunks] == [FIRST_CHUNK] + [1] * (len(levels) - FIRST_CHUNK)
+        assert all(bounds[0][0] == 0 and bounds[-1][1] == x.shape[0] for x, _, bounds in chunks)
+        flat = [(x[start:stop], w[start:stop]) for x, w, bounds in chunks for start, stop in bounds]
         assert len(flat) == len(levels)
         for (x, w), (x_old, w_old) in zip(flat, levels):
             assert x.tobytes() == x_old.tobytes() and w.tobytes() == w_old.tobytes() and w.shape == w_old.shape

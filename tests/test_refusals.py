@@ -168,6 +168,17 @@ REFUSALS = [
      lambda: dependence.j_integral_closed(P, 1, "a")),
     ("dependence.kendall_function.int_s_past_the_largest_double", DomainError, "int past the largest double",
      lambda: dependence.kendall_function(GAMMA_MODEL, 0.0, [10**400])),
+    ("dependence.kendall_function.scalar_s", ValidationError, "s_grid must be a sequence, not 0.5",
+     lambda: dependence.kendall_function(GAMMA_MODEL, 0.0, 0.5)),
+    ("dependence.empirical_kendall.scalar_s", ValidationError, "s_grid must be a sequence, not 0.5",
+     lambda: dependence.empirical_kendall(
+         sampler.SampleBatch(x=np.arange(3.0), y=np.ones(3), atom=np.zeros(3, bool), seed=0), 0.5)),
+    ("pricing.premium_table.scalar_ts", ValidationError, "ts must be a sequence, not 5.0",
+     lambda: pricing.premium_table(GAMMA_MODEL, 5.0)),
+    ("SampleBatch.string_x", ValidationError, "x must be a real number or an array of them",
+     lambda: sampler.SampleBatch(x=["a", "b"], y=[1.0, 2.0], atom=[False, False], seed=0)),
+    ("SampleBatch.int_atom", ValidationError, "atom must be a bool or an array of bools",
+     lambda: sampler.SampleBatch(x=np.ones(2), y=np.ones(2), atom=np.array([0, 1]), seed=0)),
 ]
 
 
