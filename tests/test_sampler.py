@@ -32,7 +32,6 @@ import oracles
 from oracles import mixing_mgf
 
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
-MODEL_FOR_COPIES = Model(generator=IdentityGenerator(), core=MU)
 NON_MU = CoreParams(lam=0.15, alpha=1.0, gamma1=0.1, gamma2=0.12, alpha1=0.3, alpha2=0.2)
 # fig1_left's rounded core clamps its singular mass to 0, which warns
 FIG1_LEFT = pytest.param("fig1_left", marks=pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning"))
@@ -152,11 +151,11 @@ def test_csv_round_trip(tmp_path, models):
     assert np.array_equal(data[:, 2].astype(bool), batch.atom)
 
 
-def test_a_batch_converts_lists_and_keeps_the_sampler_arrays():
+def test_a_batch_converts_lists_and_keeps_the_sampler_arrays(models):
     batch = SampleBatch(x=[1.0, 2.0], y=[1.0, 3], atom=[True, False], seed=0)
     assert batch.x.dtype == batch.y.dtype == np.float64 and batch.atom.dtype == bool
     assert batch.y.tolist() == [1.0, 3.0] and batch.n == 2
-    drawn = sample_model(MODEL_FOR_COPIES, 10, seed=1)
+    drawn = sample_model(models["identity_mu"], 10, seed=1)
     again = SampleBatch(x=drawn.x, y=drawn.y, atom=drawn.atom, seed=1)
     assert again.x is drawn.x and again.y is drawn.y and again.atom is drawn.atom
 
