@@ -31,7 +31,7 @@ import numpy as np
 from . import generators as gen_mod
 from .core import CoreParams, _marg, marginal_hazard, marginal_quantile_log
 from .errors import DomainError
-from .model import Model, copula_t, copula_t_diag_log
+from .model import Model, copula_t_diag_log
 from .numerics import _is_real, _real_array, _sequence, in_unit, integrate_unit, limit_at_zero, scalar_or_array
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
@@ -342,7 +342,7 @@ def tail_numeric(m: Model, t: float, which: str) -> TailReport:
     elif which == "upper":
         def g(eps):
             u = 1.0 - eps
-            return (copula_t(m, t, u, u) - (2.0 * u - 1.0)) / eps
+            return (np.exp(copula_t_diag_log(m, t, np.log(u))) - (2.0 * u - 1.0)) / eps
 
         est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=30)
     else:

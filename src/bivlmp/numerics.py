@@ -3,8 +3,9 @@
 Double-exponential quadrature on [0, inf) and (0, 1), one-sided limit
 estimation by Aitken extrapolation, and the package's one root finder, which
 inverts nonincreasing functions on [0, inf) elementwise by Chandrupatla's
-method, in numpy, until the bracket is down to a few ulps or the residual to
-its rounding level.  Everything here is a pure function of its inputs.
+method with a secant first step, in numpy, until the bracket is down to a few
+ulps or the residual to the rounding level of its target.  Everything here is
+a pure function of its inputs.
 The quadrature hands its integrand the nodes of levels 0-4 in one call,
 then one level per call, weights each call's values in one product, and
 sums and tests the levels one at a time, each a row slice of that product.
@@ -135,8 +136,10 @@ def _real_array(x, what: str) -> np.ndarray:
 
 
 def _sequence(x, what: str) -> tuple:
-    """x as a tuple, or ValidationError naming what when it is one value (a number, a 0-d array), not a sequence."""
+    """x as a tuple, or ValidationError naming what when it is one value (a number, a 0-d array, a str)."""
     try:
+        if isinstance(x, str):  # iterable, but as its characters
+            raise TypeError
         return tuple(x)
     except TypeError:
         raise ValidationError(f"{what} must be a sequence, not {x!r}") from None
@@ -229,6 +232,8 @@ def _de_integrate(f, chunks, scale: float, tol: float, what: str) -> QuadratureR
     evaluations = 0
     for x, w, bounds in chunks:
         fx = np.asarray(f(x * scale), dtype=float)
+        if fx.shape == x.shape[:1]:  # would broadcast to one column per node
+            raise DomainError(f"{what}: integrand returned one flat value per node, not a column")
         if fx.ndim < 2 or fx.shape[0] != x.shape[0]:  # a constant, or one value per column
             fx = np.broadcast_arrays(x, fx)[1]
         evaluations += fx.size
@@ -317,16 +322,16 @@ def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BU
 def _chandrupatla(residual, x1, f1, x2, f2, fatol, args) -> np.ndarray:
     """Roots of residual(x, *args) in the brackets [x1, x2] (f1, f2 of opposite signs), NaN where it fails.
 
-    Chandrupatla's method (_chandrupatla_step).  An element stops once
-    |x2 - x1| < 4 eps |xmin| + 4 tiny, as in scipy, or once |residual(xmin)|
-    <= fatol (a scalar, or one bound per element), and leaves the active set;
-    residual sees only the active elements and their slices of args.  A NaN
-    residual fails its element.
+    Chandrupatla's method, its first step a secant step (_chandrupatla_step).
+    An element stops once |x2 - x1| < 4 eps |xmin| + 4 tiny, as in scipy, or
+    once |residual(xmin)| <= fatol (a scalar, or one bound per element), and
+    leaves the active set; residual sees only the active elements and their
+    slices of args.  A NaN residual fails its element.
     """
     out = np.full(x1.size, np.nan)
-    x3, f3 = x1, f1  # no third point yet: the interpolation test fails and the first step bisects
+    x3, f3 = x1, f1  # no third point yet: the first step is a secant step (_chandrupatla_step)
     fatol, pos = np.broadcast_to(fatol, x1.shape), np.arange(x1.size)  # pos: each element's place in out
-    for _ in range(_MAXITER):
+    for k in range(_MAXITER):
         small = np.abs(f1) < np.abs(f2)
         xmin = np.where(small, x1, x2)
         tol = 4.0 * _EPS * np.abs(xmin) + 4.0 * _TINY
@@ -340,7 +345,7 @@ def _chandrupatla(residual, x1, f1, x2, f2, fatol, args) -> np.ndarray:
             keep = np.flatnonzero(keep)
             x1, f1, x2, f2, x3, f3, tol, fatol, pos = (a[keep] for a in (x1, f1, x2, f2, x3, f3, tol, fatol, pos))
             args = [a[keep] for a in args]  # apart from the bracket: fewer old and new copies held at once
-        x = _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol)
+        x = _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol, first=not k)
         f = np.asarray(residual(x, *args), dtype=float)
         same = (f < 0) == (f1 < 0)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
@@ -349,18 +354,24 @@ def _chandrupatla(residual, x1, f1, x2, f2, fatol, args) -> np.ndarray:
     return out
 
 
-def _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol):
+def _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol, first):
     """Chandrupatla's next point in the bracket [x1, x2], x1 the newest point and x3 the last one dropped.
 
     Inverse quadratic interpolation through the three points where it is
-    safe, bisection where it is not, kept tol/2 inside the bracket.  A function
-    of its own, so that its temporaries are freed before the residual runs.
+    safe, bisection where it is not, kept tol/2 inside the bracket.  The first
+    step, with no third point yet, is the secant (regula falsi) point of the
+    bracket where both end values are finite and bisects where one is not, so
+    an infinite end never stalls an element.  A function of its own, so that
+    its temporaries are freed before the residual runs.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
-        d12, d32 = f1 - f2, f3 - f2
-        xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
-        iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-        t = np.where(iqi, f1 / d32 * (f3 / d12 + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1)), 0.5)
+        if first:
+            t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
+        else:
+            d12, d32 = f1 - f2, f3 - f2
+            xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            t = np.where(iqi, f1 / d32 * (f3 / d12 + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1)), 0.5)
     half = 0.5 * tol / np.abs(x2 - x1)
     return x1 + np.minimum(np.maximum(t, half), 1.0 - half) * (x2 - x1)
 
@@ -369,11 +380,13 @@ def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarr
     """Solve fn(d, *args) = targets elementwise for fn nonincreasing in d on [0, inf).
 
     The bracket [0, start] grows x4 to the right until it holds the root, then
-    Chandrupatla's method refines it to double precision; a root at 0 comes
-    back as exactly 0.  An element stops once its bracket is down to 4 eps
-    relative or once |fn - target| <= max(2 eps |target|, tiny), the rounding
-    level of fn near the root.  ``fn`` is handed only the elements still being
-    refined, so per-element constants must come through ``args`` (arrays
+    Chandrupatla's method, from a secant step, refines it to double precision;
+    a root at 0 comes back as exactly 0.  An element stops once its bracket is
+    down to 4 eps relative or once |fn - target| <= max(2 eps |target|, tiny),
+    the rounding level of fn near the root as long as fn sums no terms larger
+    than the target: a caller whose fn would subtract per-element constants
+    adds them to the target instead.  ``fn`` is handed only the elements still
+    being refined, so per-element constants must come through ``args`` (arrays
     broadcastable with ``targets``), never a closure.  A NaN, a target above
     fn(0) or one past the largest double raises ConvergenceError.
     """

@@ -18,8 +18,11 @@ atom probability is unchanged while the conditional side-magnitude survival is
 obtained by differentiating Fbar along the second coordinate at x = y + d.
 sample_model solves ln q_t(d) = ln target with the package's root finder;
 every term of ln q_t comes from ln Gbar1(d) - lambda t, so no factor of q_t
-has to be representable.  Where q_t has a closed-form inverse the root finder
-is skipped: for the identity generator q_t is the core's side law at every
+has to be representable.  The per-draw constants of ln q_t, ln h(e^{-lambda t})
+and the log elasticity at -lambda t, are added to the target instead of
+subtracted at every pass, so the solver's stop, relative to the target, sits
+at the rounding level of the terms the residual sums.  Where q_t has a
+closed-form inverse the root finder is skipped: for the identity generator q_t is the core's side law at every
 age, and on a side with gamma_i = alpha lambda that law inverts in closed
 form.  The core sampler and the frailty shortcut are this path with the
 identity generator.
@@ -121,12 +124,14 @@ def sample_core(p: CoreParams, n: int, seed: int) -> SampleBatch:
     return sample_model(Model(generator=IdentityGenerator(), core=p, label="core"), n, seed)
 
 
-def _ln_q_t(m: Model, i: int, d: np.ndarray, tau, lh_tau, lel_tau) -> np.ndarray:
-    """ln q_t(d), the log of the conditional side survival at per-draw ages tau, from ln Gbar_i(d).
+def _ln_q_t_unscaled(m: Model, i: int, d: np.ndarray, tau) -> np.ndarray:
+    """ln q_t(d) + ln h(e^-tau) + ln el(-tau): the conditional side survival at per-draw ages tau, from ln Gbar_i(d).
 
     q_t(d) = h_tau(Gbar_i(d)) el(ln Gbar_i(d) - tau) / el(-tau) (1 - hazard_i(d) / lambda),
-    el the elasticity x h'(x) / h(x); lh_tau = ln h(e^-tau) and lel_tau = ln el(-tau)
-    are constant per draw, so the caller computes them once.  -inf where q_t is 0.
+    el the elasticity x h'(x) / h(x).  The per-draw constants ln h(e^-tau) and
+    ln el(-tau) (_age_constants) are left out: the gap solve adds them to its
+    target instead, once per draw, and the monotonicity probe subtracts them.
+    -inf where q_t is 0.
     """
     g, p = m.generator, m.core
     lx = _marginal_log(p, i, d) - tau
@@ -136,12 +141,12 @@ def _ln_q_t(m: Model, i: int, d: np.ndarray, tau, lh_tau, lel_tau) -> np.ndarray
     gamma, aw = _marg(p, i)
     c = aw / (1.0 - aw) * np.exp(-gamma * d)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (g.h_log_from_log(lx) - lh_tau + np.log(g.h_elasticity_from_log(lx)) - lel_tau
+        return (g.h_log_from_log(lx) + np.log(g.h_elasticity_from_log(lx))
                 + np.log(np.maximum(1.0 - gamma / (p.alpha * p.lam) + c, 0.0)) - np.log1p(c))
 
 
 def _age_constants(g, tau):
-    """(ln h(e^-tau), ln el(-tau)): the per-draw constants of _ln_q_t."""
+    """(ln h(e^-tau), ln el(-tau)): the per-draw constants that _ln_q_t_unscaled leaves out of ln q_t."""
     return g.h_log_from_log(-tau), np.log(g.h_elasticity_from_log(-tau))
 
 
@@ -153,8 +158,9 @@ def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
     """
     probes = np.quantile(tau, [0.0, 0.5, 1.0])[:, None]  # one row of the grid per probe age
     d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / m.core.lam])
+    lh_tau, lel_tau = _age_constants(m.generator, probes)
     for i in (1, 2):
-        q = np.exp(_ln_q_t(m, i, d_grid, probes, *_age_constants(m.generator, probes)))
+        q = np.exp(_ln_q_t_unscaled(m, i, d_grid, probes) - lh_tau - lel_tau)
         if np.any(np.diff(q, axis=1) > 1e-9):
             raise ValidationError(
                 "conditional gap survival is not monotone: the generator/core pair "
@@ -163,18 +169,22 @@ def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
 
 
 def _side_gap(m: Model, i: int, targets: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Solve q_t(d) = target per draw, as ln q_t(d) = ln target.
+    """Solve q_t(d) = target per draw, as ln q_t(d) + ln h(e^-tau) + ln el(-tau) = ln target + the same constants.
 
-    A zero target solves ln q_t(d) = ln tiny, near where q_t itself underflows.
-    For the identity generator q_t is the core's side law at every age, closed
-    form on a side with gamma_i = alpha lambda.
+    With the age constants on the target's side, the solver's stop at
+    2 eps |target| sits at the rounding level of the terms that ln q_t sums,
+    not of ln q_t alone.  A zero target solves ln q_t(d) = ln tiny, near where
+    q_t itself underflows.  For the identity generator q_t is the core's side
+    law at every age, closed form on a side with gamma_i = alpha lambda.
     """
     p = m.core
     gamma, aw = _marg(p, i)
     if isinstance(m.generator, IdentityGenerator) and abs(gamma / (p.alpha * p.lam) - 1.0) < 1e-12:
         return _mu_side_quantile(targets / aw, p.alpha, aw, gamma)
-    return solve_decreasing_batch(lambda d, *age: _ln_q_t(m, i, d, *age), np.log(np.maximum(targets, _TINY)),
-                                  start=1.0 / p.lam, args=(tau, *_age_constants(m.generator, tau)))
+    lh_tau, lel_tau = _age_constants(m.generator, tau)
+    ln_targets = np.log(np.maximum(targets, _TINY)) + lh_tau + lel_tau
+    return solve_decreasing_batch(lambda d, tau: _ln_q_t_unscaled(m, i, d, tau), ln_targets, start=1.0 / p.lam,
+                                  args=(tau,))
 
 
 def sample_model(m: Model, n: int, seed: int) -> SampleBatch:

@@ -350,6 +350,31 @@ def test_solve_decreasing_batch_matches_scipy(pairs):
     assert np.all(np.abs(roots - expect) <= tol)
 
 
+def _first_steps(fn, target):
+    """The points solve_decreasing_batch hands fn for one target: the bracket [0, 1], then the refinement's."""
+    points = []
+
+    def recorded(z):
+        points.extend(z.tolist())
+        return fn(z)
+
+    return solve_decreasing_batch(recorded, np.array([target])), points
+
+
+def test_first_step_is_the_secant_point_of_a_finite_bracket():
+    # on a line the regula-falsi point is the root; Chandrupatla's first step would bisect to 0.5
+    root, points = _first_steps(lambda z: 1.0 - z, 0.75)
+    assert points == [0.0, 1.0, 0.25] and root[0] == 0.25
+
+
+def test_first_step_bisects_a_bracket_with_an_infinite_end():
+    # ln(1 - z) is -inf at the bracket's end 1, where the secant point would sit on 0 and stall
+    with np.errstate(divide="ignore"):
+        root, points = _first_steps(lambda z: np.log(np.maximum(1.0 - z, 0.0)), math.log(0.9))
+    assert points[:3] == [0.0, 1.0, 0.5]
+    assert root[0] == pytest.approx(0.1, rel=1e-14)
+
+
 def test_solve_decreasing_batch_nan_raises():
     with pytest.raises(ConvergenceError):
         solve_decreasing_batch(lambda z: np.full_like(z, np.nan), np.array([0.5, 0.2]))

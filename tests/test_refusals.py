@@ -175,6 +175,19 @@ REFUSALS = [
          sampler.SampleBatch(x=np.arange(3.0), y=np.ones(3), atom=np.zeros(3, bool), seed=0), 0.5)),
     ("pricing.premium_table.scalar_ts", ValidationError, "ts must be a sequence, not 5.0",
      lambda: pricing.premium_table(GAMMA_MODEL, 5.0)),
+    # a str iterates as its characters, which the caller never passed
+    ("dependence.kendall_function.string_grid", ValidationError, "s_grid must be a sequence, not '0.5'",
+     lambda: dependence.kendall_function(GAMMA_MODEL, 0.0, "0.5")),
+    ("dependence.empirical_kendall.string_grid", ValidationError, "s_grid must be a sequence, not '0.5'",
+     lambda: dependence.empirical_kendall(
+         sampler.SampleBatch(x=np.arange(3.0), y=np.ones(3), atom=np.zeros(3, bool), seed=0), "0.5")),
+    ("pricing.premium_table.string_grid", ValidationError, "ts must be a sequence, not '1'",
+     lambda: pricing.premium_table(GAMMA_MODEL, "1")),
+    # one flat value per node would broadcast against the column of nodes into a square
+    ("numerics.integrate_unit.flat_values", DomainError, "one flat value per node",
+     lambda: numerics.integrate_unit(lambda u: np.ravel(u) ** 2, tol=1e-3)),
+    ("numerics.integrate_upper.flat_values", DomainError, "one flat value per node",
+     lambda: numerics.integrate_upper(lambda z: np.exp(-np.ravel(z)))),
     ("SampleBatch.string_x", ValidationError, "x must be a real number or an array of them",
      lambda: sampler.SampleBatch(x=["a", "b"], y=[1.0, 2.0], atom=[False, False], seed=0)),
     ("SampleBatch.int_atom", ValidationError, "atom must be a bool or an array of bools",

@@ -18,7 +18,7 @@ from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
     SampleBatch,
     _age_constants,
-    _ln_q_t,
+    _ln_q_t_unscaled,
     _mu_side_quantile,
     empirical_atom,
     empirical_atom_survival,
@@ -35,6 +35,12 @@ MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 NON_MU = CoreParams(lam=0.15, alpha=1.0, gamma1=0.1, gamma2=0.12, alpha1=0.3, alpha2=0.2)
 # fig1_left's rounded core clamps its singular mass to 0, which warns
 FIG1_LEFT = pytest.param("fig1_left", marks=pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning"))
+
+
+def _ln_q_t(m, i, d, tau):
+    """ln q_t(d) itself: the sampler's residual less its per-draw age constants."""
+    lh_tau, lel_tau = _age_constants(m.generator, tau)
+    return _ln_q_t_unscaled(m, i, d, tau) - lh_tau - lel_tau
 
 
 def test_sample_model_deterministic(models):
@@ -70,10 +76,8 @@ def test_sample_model_matches_the_scipy_root_finder(models, name, monkeypatch):
     assert np.allclose(got.y, want.y, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("name", ["mixing_gamma", "mo15", FIG1_LEFT, "pareto_mu"])
-def test_gap_solves_take_few_residual_evaluations(models, name, monkeypatch):
-    # the log-domain residual and the stop at its rounding level hold the work to 7-8
-    # residual evaluations per gap draw on these models
+def _counted_sample(m, monkeypatch):
+    """sample_model(m, 10^4, seed=7) and the size of each residual pass of its gap solves."""
     evaluated = []
 
     def counted(fn, *args, **kwargs):
@@ -84,8 +88,58 @@ def test_gap_solves_take_few_residual_evaluations(models, name, monkeypatch):
         return numerics.solve_decreasing_batch(wrapped, *args, **kwargs)
 
     monkeypatch.setattr(sampler, "solve_decreasing_batch", counted)
-    batch = sample_model(models[name], 10_000, seed=7)
+    return sample_model(m, 10_000, seed=7), evaluated
+
+
+@pytest.mark.parametrize("name", ["mixing_gamma", "mo15", FIG1_LEFT, "pareto_mu"])
+def test_gap_solves_take_few_residual_evaluations(models, name, monkeypatch):
+    # the log-domain residual and the stop at its rounding level hold the work to 7-8
+    # residual evaluations per gap draw on these models
+    batch, evaluated = _counted_sample(models[name], monkeypatch)
     assert sum(evaluated) <= 8.5 * np.count_nonzero(~batch.atom)
+
+
+@pytest.mark.parametrize("name,budget", [("mixing_gamma", 18), ("mo15", 24),
+                                         pytest.param("fig1_left", 21, marks=FIG1_LEFT.marks), ("pareto_mu", 18)])
+def test_gap_solves_stay_within_their_pass_budget(models, name, budget, monkeypatch):
+    # the age constants in the target put the stop at the rounding level of the terms summed,
+    # and the secant first step starts close to a nearly linear residual: both solves of a
+    # sample take at most budget residual passes, bracket passes included
+    _, evaluated = _counted_sample(models[name], monkeypatch)
+    assert len(evaluated) <= budget
+
+
+@pytest.mark.parametrize("name", ["mixing_gamma", "mixing_sibuya", "mixing_stable", "mo15", FIG1_LEFT, "pareto_mu"])
+def test_gap_residuals_sit_at_the_rounding_level_of_ln_q_t(models, name, monkeypatch):
+    # ln q_t sums terms the size of ln h(e^-tau) and ln el(-tau), so its rounding level is eps times their
+    # sizes and ln target's: each gap solves ln q_t(d) = ln target to 4 times that, or the root lies within
+    # 4 ulps of it, and it lies within that bound over the slope (plus 8 ulps) of scipy's root
+    m, solves = models[name], []
+    side_gap = sampler._side_gap
+
+    def recorded(m, i, targets, tau):
+        d = side_gap(m, i, targets, tau)
+        solves.append((i, targets, tau, d))
+        return d
+
+    monkeypatch.setattr(sampler, "_side_gap", recorded)
+    sample_model(m, 20_000, seed=41)
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    for i, targets, tau, d in solves:
+        lh_tau, lel_tau = _age_constants(m.generator, tau)
+        lt = np.log(np.maximum(targets, tiny))
+        bound = 4.0 * eps * (np.abs(lt) + np.abs(lh_tau) + np.abs(lel_tau))
+
+        def residual(x):
+            return _ln_q_t(m, i, x, tau) - lt
+
+        ulps = 4.0 * eps * d + 4.0 * tiny
+        closed = (residual(np.maximum(d - ulps, 0.0)) >= -bound) & (residual(d + ulps) <= bound)
+        assert np.all((np.abs(residual(d)) <= bound) | closed), i
+        lo, hi = np.maximum(d - 1e-6 / m.lam, 0.0), d + 1e-6 / m.lam
+        slope = (residual(hi) - residual(lo)) / (hi - lo)
+        want = oracles.solve_decreasing_batch(lambda x, t: _ln_q_t(m, i, x, t), lt, start=1.0 / m.lam, args=(tau,))
+        assert np.all(np.abs(d - want) <= bound / np.abs(slope) + 8.0 * eps * d), i
 
 
 @pytest.mark.parametrize("name", ["mixing_gamma", "fig1_left"])
@@ -218,7 +272,7 @@ def test_gap_law_of_very_old_minima_matches_log_power_closed_form(models, name, 
         lg = np.log(marginal_survival(m.core, i, d))
         k = aw / (1.0 - aw) * np.exp(-m.core.gamma1 * d)
         want = ((1.0 + c * tau) / (1.0 + c * (tau - lg))) ** (e + 1.0) * k / (1.0 + k)
-        got = _ln_q_t(m, i, d, tau, *_age_constants(m.generator, tau))
+        got = _ln_q_t(m, i, d, tau)
         assert np.allclose(got, np.log(want), rtol=0.0, atol=1e-12), i
 
 
