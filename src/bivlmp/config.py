@@ -144,11 +144,9 @@ BUILTIN_CONFIGS = {
 
 
 def builtin_model(name: str) -> Model:
-    try:
-        doc = BUILTIN_CONFIGS[name]
-    except KeyError:
-        raise ValidationError(f"unknown built-in model {name!r}") from None
-    return parse_config(doc)
+    if not isinstance(name, str) or name not in BUILTIN_CONFIGS:
+        raise ValidationError(f"unknown built-in model {name!r}")
+    return parse_config(BUILTIN_CONFIGS[name])
 
 
 def builtin_models() -> dict:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import POSITIVE, _FINITE, Interval, _admit, _real_array, copula_edges, in_unit, scalar_or_array
+from .numerics import (POSITIVE, _FINITE, Interval, _admit, _is_real, _real_array, copula_edges, in_unit,
+                       scalar_or_array)
 
 DEFAULT_SLACK = 1e-9
 _WEIGHT = Interval(0.0, 1.0)
@@ -101,14 +102,31 @@ def gbar_log(p: CoreParams, x, y):
     """log Gbar(x, y), vectorized; the diagonal uses the exact -lambda*t form."""
     x = _nonnegative(x, "x")
     y = _nonnegative(y, "y")
-    d = x - y
-    m = np.minimum(x, y)
-    gamma = np.where(d >= 0, p.gamma1, p.gamma2)
-    aw = np.where(d >= 0, p.alpha1, p.alpha2)
-    z = np.abs(d)
+    with np.errstate(all="ignore"):
+        return scalar_or_array(_gbar_log(p, x, y))
+
+
+def _gbar_log(p: CoreParams, x, y):
+    """log Gbar(x, y) for float arrays x, y >= 0 (NaN-free), unchecked, under the caller's error state.
+
+    At x = y = inf it is the limit -inf, where x - y is NaN.
+    """
+    d = np.asarray(x - y)  # an array even from numpy scalars, for the in-place steps
+    first = d >= 0  # x >= y: the branch of margin 1
+    gz = np.abs(d, out=d)
+    np.fmin(gz, np.inf, out=gz)  # x = y = inf: NaN becomes inf, which leads to -inf below
+    gz *= np.where(first, p.gamma1, p.gamma2)
     # log(alpha_i + (1-alpha_i) e^{gamma z}), overflow-safe and without cancellation as z -> 0
-    inner = gamma * z + np.log1p(aw * np.expm1(-gamma * z))
-    return scalar_or_array(-p.lam * m - inner / p.alpha)
+    inner = np.negative(gz, out=np.empty_like(gz))
+    np.expm1(inner, out=inner)
+    inner *= np.where(first, p.alpha1, p.alpha2)
+    np.log1p(inner, out=inner)
+    inner += gz
+    inner /= p.alpha
+    out = np.minimum(x, y)
+    out *= -p.lam
+    out -= inner
+    return out
 
 
 def gbar_eval(p: CoreParams, x, y):
@@ -127,18 +145,20 @@ def marginal_survival(p: CoreParams, i: int, z):
 
 
 def marginal_density(p: CoreParams, i: int, z):
-    """g_i(z) = -d/dz Gbar_i(z), closed form."""
-    gamma, aw = _marg(p, i)
+    """g_i(z) = -d/dz Gbar_i(z), the hazard times Gbar_i: it underflows to 0 where e^{gamma_i z} overflows."""
     z = _nonnegative(z, "z")
-    base = aw + (1.0 - aw) * np.exp(gamma * z)
-    out = (gamma * (1.0 - aw) / p.alpha) * np.exp(gamma * z) * base ** (-1.0 / p.alpha - 1.0)
-    return scalar_or_array(out)
+    return scalar_or_array(_marginal_hazard(p, i, z) * np.exp(_marginal_log(p, i, z)))
 
 
 def marginal_hazard(p: CoreParams, i: int, z):
+    """Hazard g_i / Gbar_i of margin i, finite at every z."""
+    return scalar_or_array(_marginal_hazard(p, i, _nonnegative(z, "z")))
+
+
+def _marginal_hazard(p: CoreParams, i: int, z):
     """Hazard g_i / Gbar_i = (gamma_i / alpha) / (1 + alpha_i e^{-gamma_i z} / (1 - alpha_i)), finite at every z."""
     gamma, aw = _marg(p, i)
-    return scalar_or_array((gamma / p.alpha) / (1.0 + aw * np.exp(-gamma * _nonnegative(z, "z")) / (1.0 - aw)))
+    return (gamma / p.alpha) / (1.0 + aw * np.exp(-gamma * z) / (1.0 - aw))
 
 
 def marginal_quantile(p: CoreParams, i: int, u):
@@ -153,32 +173,37 @@ def marginal_quantile_log(p: CoreParams, i: int, lu):
     overflows, z = (-alpha lu - ln(1 - alpha_i))/gamma_i to double precision.
     """
     lu = _real_array(lu, "ln u")
-    if not np.all(lu <= 0.0):
+    if not lu.max(initial=-np.inf) <= 0.0:  # NaN fails it too
         raise DomainError("ln u must be nonpositive")
-    return scalar_or_array(_log_a(p, i, lu) / _marg(p, i)[0])
+    with np.errstate(all="ignore"):
+        return scalar_or_array(_log_a(p, i, lu) / _marg(p, i)[0])
 
 
 def _log_a(p: CoreParams, i: int, lu):
-    """ln((u^-alpha - alpha_i)/(1 - alpha_i)) = gamma_i Gbar_i^-1(u) from lu = ln u <= 0, unchecked."""
+    """ln((u^-alpha - alpha_i)/(1 - alpha_i)) = gamma_i Gbar_i^-1(u) from lu = ln u <= 0.
+
+    Unchecked, under the caller's error state: the branch np.where drops overflows.
+    """
     aw = _marg(p, i)[1]
     a = -p.alpha * lu
-    with np.errstate(over="ignore"):
-        return np.where(a < 700.0, np.log1p(np.expm1(a) / (1.0 - aw)), a - np.log1p(-aw))
+    return np.where(a < 700.0, np.log1p(np.expm1(a) / (1.0 - aw)), a - np.log1p(-aw))
 
 
 def _nonnegative(z, what: str):
     """z as a float array (by _real_array), or DomainError unless all of it is >= 0, which NaN fails."""
     z = _real_array(z, what)
-    if not np.all(z >= 0):
+    if not z.min(initial=np.inf) >= 0:  # one reduction; NaN propagates through it and fails
         raise DomainError("lifetime arguments must be nonnegative")
     return z
 
 
 def _marg(p: CoreParams, i: int):
-    if i == 1:
-        return p.gamma1, p.alpha1
-    if i == 2:
-        return p.gamma2, p.alpha2
+    """(gamma_i, alpha_i) of margin i, which must be the number 1 or 2 (not a bool, not an array)."""
+    if _is_real(i):
+        if i == 1:
+            return p.gamma1, p.alpha1
+        if i == 2:
+            return p.gamma2, p.alpha2
     raise DomainError("margin index must be 1 or 2")
 
 
@@ -220,21 +245,23 @@ def _core_copula_log(p: CoreParams, lu, lv):
     bracket is A ((1 - alpha1) + alpha1 B/A), taken as ln A +
     log1p(alpha1 expm1(ln B - ln A)).  Otherwise the copula is composed as
     Gbar(Gbar1^-1(u), Gbar2^-1(v)), with gamma_i Gbar_i^-1 = ln A, ln B.
+    Unchecked, under the caller's error state: the branch np.where drops may overflow.
     """
     la = _log_a(p, 1, lu)
     lb = _log_a(p, 2, lv)
-    with np.errstate(over="ignore", invalid="ignore"):  # the branch np.where drops may overflow
-        if p.is_mu:
-            lc = -np.where(la >= lb, la + np.log1p(p.alpha1 * np.expm1(lb - la)),
-                           lb + np.log1p(p.alpha2 * np.expm1(la - lb))) / p.alpha
-        else:
-            lc = gbar_log(p, la / p.gamma1, lb / p.gamma2)
+    if p.is_mu:
+        lc = -np.where(la >= lb, la + np.log1p(p.alpha1 * np.expm1(lb - la)),
+                       lb + np.log1p(p.alpha2 * np.expm1(la - lb))) / p.alpha
+    else:  # the quantiles are >= 0, and NaN only where ln u or ln v is
+        lc = _gbar_log(p, la / p.gamma1, lb / p.gamma2)
     # C <= min(u, v); this also gives -inf where ln A = ln B = inf leaves inf - inf
     return np.fmin(lc, np.minimum(lu, lv))
 
 
 def weak_lmp_residual(p: CoreParams, x, y, t):
     """Gbar(x+t, y+t) - Gbar(x, y) Gbar(t, t); zero for every member of the family."""
-    lhs = np.exp(gbar_log(p, np.asarray(x) + t, np.asarray(y) + t))
-    rhs = np.exp(gbar_log(p, x, y) + gbar_log(p, t, t))
-    return scalar_or_array(lhs - rhs)
+    x, y, t = _nonnegative(x, "x"), _nonnegative(y, "y"), _nonnegative(t, "t")
+    with np.errstate(all="ignore"):
+        lhs = np.exp(_gbar_log(p, x + t, y + t))
+        rhs = np.exp(_gbar_log(p, x, y) + _gbar_log(p, t, t))
+        return scalar_or_array(lhs - rhs)

@@ -116,7 +116,8 @@ def _kendall_values(m: Model, t: float, s, source: str):
     g = m.generator
     tau = min(m.tau(t), g._copula_age_cap)  # K_t is a function of C_t alone
     s = in_unit(s, "s", open_at_0=True)
-    lv = gen_mod._residual_log_inverse_from_log(g, tau, np.log(s))
+    with np.errstate(all="ignore"):
+        lv = gen_mod._residual_log_inverse_from_log(g, tau, np.log(s))
     bracket = 2.0 * lv + _J_ROUTES[source](m.core, lv) / m.lam
     # h_t'(v) v = s x h'(x)/h(x) at ln x = ln v - tau
     with np.errstate(invalid="ignore"):
@@ -146,7 +147,7 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     numerically (the independent pipeline).  Every generator states its
     elasticity, so both routes serve every model.
     """
-    if source not in _J_ROUTES:
+    if not isinstance(source, str) or source not in _J_ROUTES:
         raise DomainError(f"unknown source {source!r}")
     s_grid = _s_grid(s_grid)
     k = _kendall_values(m, t, s_grid, source)
@@ -333,20 +334,20 @@ def tail_numeric(m: Model, t: float, which: str) -> TailReport:
     Lower: lim C_t(u,u)/u as u -> 0 (log domain, so u may pass 1e-12).
     Upper: lim (C_t(u,u) - (2u - 1)) / (1-u) as u -> 1, in eps = 1-u.
     """
+    if not isinstance(which, str) or which not in ("lower", "upper"):
+        raise DomainError("which must be 'lower' or 'upper'")
     if which == "lower":
         def g(u):
             lu = np.log(u)
             return np.exp(copula_t_diag_log(m, t, lu) - lu)
 
         est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=36)
-    elif which == "upper":
+    else:
         def g(eps):
             u = 1.0 - eps
             return (np.exp(copula_t_diag_log(m, t, np.log(u))) - (2.0 * u - 1.0)) / eps
 
         est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=30)
-    else:
-        raise DomainError("which must be 'lower' or 'upper'")
     value = min(max(est.value, 0.0), 1.0)
     return TailReport(
         t=float(t), which=which, value=value, method="numeric",

@@ -44,9 +44,8 @@ def _unit_edges(x, out):
 
 
 def _log_arg(x):
-    """ln x for x in [0, 1] (0 gives -inf), clamped to <= 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.minimum(np.log(x), 0.0)
+    """ln x for x in [0, 1] (0 gives -inf), clamped to <= 0; under the caller's error state."""
+    return np.minimum(np.log(x), 0.0)
 
 
 def _log1mexp(x):
@@ -101,11 +100,13 @@ class Generator:
     # public, endpoint-safe surface ------------------------------------------
     def h(self, x):
         x = _in_unit(x)
-        return _unit_edges(x, _quiet(lambda lx: np.exp(self._h_log_from_log(lx)), _log_arg(x)))
+        with np.errstate(all="ignore"):
+            return _unit_edges(x, np.exp(self._h_log_from_log(_log_arg(x))))
 
     def h_inverse(self, u):
         u = _in_unit(u)
-        return _unit_edges(u, _quiet(lambda lu: np.exp(self._h_log_inv_from_log(lu)), _log_arg(u)))
+        with np.errstate(all="ignore"):
+            return _unit_edges(u, np.exp(self._h_log_inv_from_log(_log_arg(u))))
 
     def h_prime(self, x):
         """h'(x) for x in (0, 1]."""
@@ -125,7 +126,9 @@ class Generator:
 
     def neg_log_h_inverse(self, u):
         """-ln h^-1(u), finite where h^-1(u) underflows."""
-        return _quiet(lambda lu: -self._h_log_inv_from_log(lu), _log_arg(_in_unit(u)))
+        u = _in_unit(u)
+        with np.errstate(all="ignore"):
+            return scalar_or_array(-self._h_log_inv_from_log(_log_arg(u)))
 
     def describe(self):
         """A copy of the config document, or only the family of a generator built by hand."""
@@ -529,7 +532,7 @@ def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
 
 def make_generator(family: str, /, **params) -> Generator:
     """The generator a config document names, which keeps the document as its config."""
-    if family == "mixing":
+    if isinstance(family, str) and family == "mixing":
         law, ratio = _fields(params, ("law", "ratio"), "mixing generator")
         if not isinstance(law, MixingLaw):
             (kind,) = _fields(law, ("kind",), "mixing law", ("params",))
@@ -561,9 +564,8 @@ def _check_age(t) -> float:
 
 
 def _residual_log_inverse_from_log(g: Generator, t: float, lu):
-    """ln h_t^-1(e^lu) for lu <= 0: exactly 0 at lu = 0 and never above it."""
-    with np.errstate(all="ignore"):
-        return np.where(lu == 0.0, 0.0, np.minimum(g._residual_log_inverse(t, lu), 0.0))
+    """ln h_t^-1(e^lu) for lu <= 0: exactly 0 at lu = 0 and never above it; under the caller's error state."""
+    return np.where(lu == 0.0, 0.0, np.minimum(g._residual_log_inverse(t, lu), 0.0))
 
 
 def time_distortion(g: Generator, t: float, x):
@@ -571,8 +573,12 @@ def time_distortion(g: Generator, t: float, x):
     x = _in_unit(x, "x")
     t = _check_age(t)
     with np.errstate(all="ignore"):
-        out = np.exp(g._residual_log(t, np.minimum(g._h_log_inv_from_log(_log_arg(x)), 0.0)))
-    return _unit_edges(x, out)
+        return _time_distortion(g, t, x)
+
+
+def _time_distortion(g: Generator, t: float, x):
+    """d_t(x) for a float array x in [0, 1], unchecked, under the caller's error state."""
+    return _unit_edges(x, np.exp(g._residual_log(t, np.minimum(g._h_log_inv_from_log(_log_arg(x)), 0.0))))
 
 
 def residual_distortion(g: Generator, t: float, x):
@@ -587,13 +593,17 @@ def residual_distortion(g: Generator, t: float, x):
 def residual_distortion_inverse(g: Generator, t: float, u):
     """h_t^-1(u) = e^t h^-1(u h(e^-t))."""
     u = _in_unit(u, "u")
-    return _unit_edges(u, np.exp(_residual_log_inverse_from_log(g, _check_age(t), _log_arg(u))))
+    t = _check_age(t)
+    with np.errstate(all="ignore"):
+        return _unit_edges(u, np.exp(_residual_log_inverse_from_log(g, t, _log_arg(u))))
 
 
 def residual_distortion_log_inverse(g: Generator, t: float, u):
     """ln h_t^-1(u) for u in (0, 1], accurate where h_t^-1(u) is within rounding of 1."""
     u = in_unit(u, "u", _SLACK, open_at_0=True)
-    return scalar_or_array(_residual_log_inverse_from_log(g, _check_age(t), _log_arg(u)))
+    t = _check_age(t)
+    with np.errstate(all="ignore"):
+        return scalar_or_array(_residual_log_inverse_from_log(g, t, _log_arg(u)))
 
 
 def residual_distortion_log(g: Generator, t: float, lw):
@@ -605,9 +615,10 @@ def residual_distortion_log(g: Generator, t: float, lw):
 
 def residual_distortion_prime(g: Generator, t: float, x):
     """h_t'(x) = h_t(x) el(ln x - t) / x for x in (0, 1], el the elasticity x h'(x) / h(x)."""
-    lx = _log_arg(in_unit(x, "x", _SLACK, open_at_0=True))
+    x = in_unit(x, "x", _SLACK, open_at_0=True)
     t = _check_age(t)
     with np.errstate(all="ignore"):
+        lx = _log_arg(x)
         return scalar_or_array(np.exp(g._residual_log(t, lx) - lx) * g._h_elasticity(lx - t))
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import core as core_mod
 from . import generators as gen_mod
-from .core import CoreParams, gbar_log, singular_mass
+from .core import CoreParams, _gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import Generator, Mo15Generator, make_generator
 from .numerics import (DEFAULT_QUAD_TOL, POSITIVE, _admit, _real_array, copula_edges, in_unit, integrate_upper,
@@ -59,56 +59,79 @@ class Model:
         }
 
 
+def _lifetimes(x, y):
+    """The one check of a pair of lifetime arguments: both as float arrays >= 0."""
+    return core_mod._nonnegative(x, "x"), core_mod._nonnegative(y, "y")
+
+
+def _h_log(g: Generator, lw):
+    """ln h(e^lw) with lw clamped to <= 0, as Generator.h_log_from_log, under the caller's error state."""
+    return g._h_log_from_log(np.minimum(lw, 0.0))
+
+
 def fbar_log(m: Model, x, y):
     """log Fbar(x, y) = ln h(Gbar(x, y)) from log Gbar, finite where Fbar underflows."""
-    return m.generator.h_log_from_log(gbar_log(m.core, x, y))
+    x, y = _lifetimes(x, y)
+    with np.errstate(all="ignore"):
+        return scalar_or_array(_h_log(m.generator, _gbar_log(m.core, x, y)))
 
 
 def fbar(m: Model, x, y):
     """Fbar(x, y) = h(Gbar(x, y)), evaluated from log Gbar to keep heavy tails."""
-    return m.generator.h_from_log(gbar_log(m.core, x, y))
+    x, y = _lifetimes(x, y)
+    with np.errstate(all="ignore"):
+        return scalar_or_array(np.exp(_h_log(m.generator, _gbar_log(m.core, x, y))))
 
 
 def fbar_marginal(m: Model, i: int, z):
     """Marginal survival of the model: h(Gbar_i(z))."""
-    return m.generator.h_from_log(core_mod._marginal_log(m.core, i, core_mod._nonnegative(z, "z")))
+    z = core_mod._nonnegative(z, "z")
+    with np.errstate(all="ignore"):
+        return scalar_or_array(np.exp(_h_log(m.generator, core_mod._marginal_log(m.core, i, z))))
 
 
 def _residual_from_log(g: Generator, tau: float, lw):
-    """h_tau(e^lw) = h(e^{lw - tau}) / h(e^-tau), as the exp of its log."""
-    return scalar_or_array(np.exp(gen_mod.residual_distortion_log(g, tau, lw)))
+    """h_tau(e^lw) = h(e^{lw - tau}) / h(e^-tau), as the exp of its log; under the caller's error state."""
+    return scalar_or_array(np.exp(g._residual_log(tau, np.minimum(lw, 0.0))))
 
 
 def fbar_residual(m: Model, t: float, x, y):
     """Fbar_t(x, y) = Fbar(x+t, y+t) / Fbar(t, t) = h_tau(Gbar(x, y))."""
-    return _residual_from_log(m.generator, m.tau(t), gbar_log(m.core, x, y))
+    tau = m.tau(t)
+    x, y = _lifetimes(x, y)
+    with np.errstate(all="ignore"):
+        return _residual_from_log(m.generator, tau, _gbar_log(m.core, x, y))
 
 
 def residual_marginal(m: Model, i: int, t: float, x):
     """Margin of Fbar_t: h_tau(Gbar_i(x))."""
-    return _residual_from_log(m.generator, m.tau(t), core_mod._marginal_log(m.core, i, core_mod._nonnegative(x, "x")))
+    tau = m.tau(t)
+    x = core_mod._nonnegative(x, "x")
+    with np.errstate(all="ignore"):
+        return _residual_from_log(m.generator, tau, core_mod._marginal_log(m.core, i, x))
 
 
 def generalized_weak_residual(m: Model, t: float, x, y):
     """Fbar(x+t, y+t)/Fbar(t, t) - d_tau(Fbar(x, y)); identically zero for h(Gbar) models.
 
-    The ratio is the exp of a difference of fbar_log, so it stays exact where both factors underflow.
+    The ratio is the exp of a difference of ln Fbar, so it stays exact where both factors underflow.
     """
-    tau = m.tau(t)
-    den = fbar_log(m, t, t)
-    if den == -math.inf:
-        raise DomainError("ln Fbar(t, t) is below the most negative double at this age")
-    lhs = np.exp(fbar_log(m, _real_array(x, "x") + t, _real_array(y, "y") + t) - den)
-    return scalar_or_array(lhs - gen_mod.time_distortion(m.generator, tau, fbar(m, x, y)))
-
-
-def _copula_t_log(m: Model, tau: float, lu, lv):
-    """ln C_t(e^lu, e^lv) = ln h_tau(C(h_tau^-1(u), h_tau^-1(v))), every step from logs."""
     g = m.generator
-    tau = min(tau, g._copula_age_cap)
-    la = gen_mod._residual_log_inverse_from_log(g, tau, lu)
-    lb = gen_mod._residual_log_inverse_from_log(g, tau, lv)
-    return gen_mod.residual_distortion_log(g, tau, core_mod._core_copula_log(m.core, la, lb))
+    tau = m.tau(t)
+    x, y = _lifetimes(x, y)
+    with np.errstate(all="ignore"):
+        den = g._h_log_from_log(-tau)  # ln Fbar(t, t): ln Gbar(t, t) is -lambda t exactly
+        if den == -math.inf:
+            raise DomainError("ln Fbar(t, t) is below the most negative double at this age")
+        lhs = np.exp(_h_log(g, _gbar_log(m.core, x + t, y + t)) - den)
+        rhs = gen_mod._time_distortion(g, tau, np.exp(_h_log(g, _gbar_log(m.core, x, y))))
+        return scalar_or_array(lhs - rhs)
+
+
+def _copula_t_log(m: Model, tau: float, la, lb):
+    """ln C_t = ln h_tau(C(h_tau^-1(u), h_tau^-1(v))) from la, lb = ln h_tau^-1(u), ln h_tau^-1(v), every step
+    from logs; unchecked, under the caller's error state."""
+    return m.generator._residual_log(tau, np.minimum(core_mod._core_copula_log(m.core, la, lb), 0.0))
 
 
 def copula_t(m: Model, t: float, u, v):
@@ -116,11 +139,14 @@ def copula_t(m: Model, t: float, u, v):
 
     C_t(u, v) = h_tau(C_Gbar(h_tau^-1(u), h_tau^-1(v))).
     """
-    tau = m.tau(t)
+    g = m.generator
+    tau = min(m.tau(t), g._copula_age_cap)
     u = in_unit(u, "u")
     v = in_unit(v, "v")
     with np.errstate(all="ignore"):  # u or v = 0 gives ln 0; copula_edges sets those points
-        return copula_edges(u, v, np.exp(_copula_t_log(m, tau, np.log(u), np.log(v))))
+        la = gen_mod._residual_log_inverse_from_log(g, tau, np.log(u))
+        lb = gen_mod._residual_log_inverse_from_log(g, tau, np.log(v))
+        return copula_edges(u, v, np.exp(_copula_t_log(m, tau, la, lb)))
 
 
 def copula_t_diag_log(m: Model, t: float, log_u):
@@ -133,10 +159,11 @@ def copula_t_diag_log(m: Model, t: float, log_u):
     lu = _real_array(log_u, "ln u")
     if not lu.max(initial=-math.inf) <= 0.0:  # NaN fails it too
         raise DomainError("ln u must lie in [-inf, 0]")
-    la = gen_mod._residual_log_inverse_from_log(g, tau, lu)
-    if np.any(np.isfinite(lu) & ~np.isfinite(la)):
-        raise DomainError("ln h_t^-1(u) overflows at this log u")
-    return gen_mod.residual_distortion_log(g, tau, core_mod._core_copula_log(m.core, la, la))
+    with np.errstate(all="ignore"):
+        la = gen_mod._residual_log_inverse_from_log(g, tau, lu)
+        if np.any(np.isfinite(lu) & ~np.isfinite(la)):
+            raise DomainError("ln h_t^-1(u) overflows at this log u")
+        return scalar_or_array(_copula_t_log(m, tau, la, la))
 
 
 def singular_line_survival(m: Model, t: float, x):
@@ -146,7 +173,8 @@ def singular_line_survival(m: Model, t: float, x):
     p0 = singular_mass(m.core)
     if p0 == 0.0:
         return scalar_or_array(np.zeros_like(x))
-    return scalar_or_array(p0 * _residual_from_log(m.generator, tau, -m.lam * x))
+    with np.errstate(all="ignore"):
+        return scalar_or_array(p0 * _residual_from_log(m.generator, tau, -m.lam * x))
 
 
 def decay_rate(m: Model, t: float) -> float:

@@ -151,8 +151,8 @@ def in_unit(x, what: str, slack: float = 0.0, open_at_0: bool = False) -> np.nda
     With open_at_0 the interval is (0, 1 + slack].  NaN fails the check.
     """
     x = _real_array(x, what)
-    above = x > 0.0 if open_at_0 else x >= -slack
-    if not np.all(above & (x <= 1.0 + slack)):
+    low = x.min(initial=np.inf)  # two reductions; NaN propagates through both and fails
+    if not ((low > 0.0 if open_at_0 else low >= -slack) and x.max(initial=-np.inf) <= 1.0 + slack):
         raise DomainError(f"{what} must lie in {'(0' if open_at_0 else '[0'}, 1]")
     return x
 

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConvergenceError, DomainError
 from .generators import _check_age
 from .model import Model, _residual_from_log, fbar_marginal, residual_marginal, survival_integral
@@ -63,8 +65,12 @@ def joint_annuity(m: Model, t: float, horizon=None) -> float:
 def residual_joint_annuity(m: Model, t: float) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
     tau = m.tau(t)
-    return _integrate(lambda z: _residual_from_log(m.generator, tau, -m.lam * z), m, t, None,
-                      "conditional joint annuity integral")
+
+    def surv(z):
+        with np.errstate(all="ignore"):
+            return _residual_from_log(m.generator, tau, -m.lam * z)
+
+    return _integrate(surv, m, t, None, "conditional joint annuity integral")
 
 
 def independent_annuity(m: Model, t: float, horizon=None) -> float:

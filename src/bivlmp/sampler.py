@@ -282,8 +282,18 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
 # ---------------------------------------------------------------------------
 
 
+def _threshold(value, what: str) -> float:
+    """value as a float: one real number (ValidationError) that is not NaN (DomainError); +-inf pass."""
+    v = _real_array(value, what)
+    if v.ndim:
+        raise ValidationError(f"{what} must be one number")
+    if np.isnan(v):
+        raise DomainError(f"{what} must not be NaN")
+    return float(v)
+
+
 def empirical_survival(b: SampleBatch, x: float, y: float) -> float:
-    return float(np.mean((b.x > x) & (b.y > y)))
+    return float(np.mean((b.x > _threshold(x, "x")) & (b.y > _threshold(y, "y"))))
 
 
 def empirical_atom(b: SampleBatch) -> float:
@@ -291,4 +301,4 @@ def empirical_atom(b: SampleBatch) -> float:
 
 
 def empirical_atom_survival(b: SampleBatch, x: float) -> float:
-    return float(np.mean(b.atom & (b.x > x)))
+    return float(np.mean(b.atom & (b.x > _threshold(x, "x"))))

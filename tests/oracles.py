@@ -4,9 +4,9 @@ import math
 
 import numpy as np
 
+from bivlmp import core, generators, model
 from bivlmp.errors import ConvergenceError, DomainError
-from bivlmp.model import copula_t, copula_t_diag_log
-from bivlmp.numerics import QUAD_LEVELS, QUAD_T, QuadratureResult, scalar_or_array
+from bivlmp.numerics import QUAD_LEVELS, QUAD_T, QuadratureResult, _real_array, copula_edges, in_unit, scalar_or_array
 
 
 def mixing_mgf(law, u):
@@ -123,13 +123,13 @@ def tail_numeric_scalar(m, t, which, tol=1e-4):
     """dependence.tail_numeric's limit, unclipped, from one scalar copula call per point of the sequence."""
     if which == "lower":
         def g(u):
-            return math.exp(copula_t_diag_log(m, t, math.log(u)) - math.log(u))
+            return math.exp(model.copula_t_diag_log(m, t, math.log(u)) - math.log(u))
 
         return limit_at_zero_scalar(g, 2.0**-6, tol, 36)
 
     def g(eps):
         u = 1.0 - eps
-        return (float(copula_t(m, t, u, u)) - (2.0 * u - 1.0)) / eps
+        return (float(model.copula_t(m, t, u, u)) - (2.0 * u - 1.0)) / eps
 
     return limit_at_zero_scalar(g, 2.0**-6, tol, 30)
 
@@ -158,3 +158,74 @@ def concordance_counts_by_search(x, y):
     out = np.empty(n, dtype=np.int64)
     out[order] = counts
     return out
+
+
+# The surface functions of bivlmp.model composed of the public helpers, each
+# checking its arguments and opening its own error state: model.py's forms
+# before its public functions checked each argument once and ran their
+# kernels under one error state.
+
+
+def fbar_log(m, x, y):
+    return m.generator.h_log_from_log(core.gbar_log(m.core, x, y))
+
+
+def fbar(m, x, y):
+    return m.generator.h_from_log(core.gbar_log(m.core, x, y))
+
+
+def fbar_residual(m, t, x, y):
+    return scalar_or_array(np.exp(generators.residual_distortion_log(m.generator, m.tau(t),
+                                                                     core.gbar_log(m.core, x, y))))
+
+
+def generalized_weak_residual(m, t, x, y):
+    tau = m.tau(t)
+    den = fbar_log(m, t, t)
+    if den == -math.inf:
+        raise DomainError("ln Fbar(t, t) is below the most negative double at this age")
+    lhs = np.exp(fbar_log(m, _real_array(x, "x") + t, _real_array(y, "y") + t) - den)
+    return scalar_or_array(lhs - generators.time_distortion(m.generator, tau, fbar(m, x, y)))
+
+
+def _residual_log_inverse(g, tau, lu):
+    with np.errstate(all="ignore"):
+        return generators._residual_log_inverse_from_log(g, tau, lu)
+
+
+def _core_copula_log(p, lu, lv):
+    """core._core_copula_log with the public gbar_log on the quantiles of a core off the mu subfamily."""
+    with np.errstate(all="ignore"):
+        la, lb = core._log_a(p, 1, lu), core._log_a(p, 2, lv)
+        if p.is_mu:
+            lc = -np.where(la >= lb, la + np.log1p(p.alpha1 * np.expm1(lb - la)),
+                           lb + np.log1p(p.alpha2 * np.expm1(la - lb))) / p.alpha
+        else:
+            lc = core.gbar_log(p, la / p.gamma1, lb / p.gamma2)
+    return np.fmin(lc, np.minimum(lu, lv))
+
+
+def _copula_t_log(m, tau, lu, lv):
+    g = m.generator
+    tau = min(tau, g._copula_age_cap)
+    la, lb = _residual_log_inverse(g, tau, lu), _residual_log_inverse(g, tau, lv)
+    return generators.residual_distortion_log(g, tau, _core_copula_log(m.core, la, lb))
+
+
+def copula_t(m, t, u, v):
+    tau = m.tau(t)
+    u, v = in_unit(u, "u"), in_unit(v, "v")
+    with np.errstate(all="ignore"):
+        return copula_edges(u, v, np.exp(_copula_t_log(m, tau, np.log(u), np.log(v))))
+
+
+def copula_t_diag_log(m, t, log_u):
+    g = m.generator
+    tau = min(m.tau(t), g._copula_age_cap)
+    lu = _real_array(log_u, "ln u")
+    if not lu.max(initial=-math.inf) <= 0.0:
+        raise DomainError("ln u must lie in [-inf, 0]")
+    la = _residual_log_inverse(g, tau, lu)
+    if np.any(np.isfinite(lu) & ~np.isfinite(la)):
+        raise DomainError("ln h_t^-1(u) overflows at this log u")
+    return generators.residual_distortion_log(g, tau, _core_copula_log(m.core, la, la))

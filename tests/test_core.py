@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from bivlmp.config import builtin_model
 from bivlmp.core import (
     CoreParams,
     core_copula,
@@ -89,6 +90,21 @@ def test_marginal_density_matches_finite_differences():
     for i in (1, 2):
         fd = (marginal_survival(NON_MU, i, z - eps) - marginal_survival(NON_MU, i, z + eps)) / (2 * eps)
         assert np.allclose(marginal_density(NON_MU, i, z), fd, rtol=1e-6)
+
+
+def test_marginal_density_past_the_overflow_of_the_exponential():
+    # e^{gamma z} overflows past gamma z = 709.8; the density is hazard x survival, not inf x 0 = NaN
+    mpmath = pytest.importorskip("mpmath")
+    p = builtin_model("mixing_gamma").core
+    for i, (gamma, aw) in ((1, (p.gamma1, p.alpha1)), (2, (p.gamma2, p.alpha2))):
+        for z in (720.0 / gamma, 2000.0, 3684.8):
+            with mpmath.workdps(50):
+                g, a, al = mpmath.mpf(gamma), mpmath.mpf(aw), mpmath.mpf(p.alpha)
+                e = mpmath.exp(g * z)
+                exact = g * (1 - a) / al * e * (a + (1 - a) * e) ** (-1 / al - 1)
+            assert marginal_density(p, i, z) == pytest.approx(float(exact), rel=1e-13)
+        assert marginal_density(p, i, 1e4) == 0.0  # below the smallest double
+        assert marginal_density(p, i, np.inf) == 0.0
 
 
 # -- singular component -----------------------------------------------------

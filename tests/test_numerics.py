@@ -131,7 +131,12 @@ def _j_integrand(m, i, columns):
 def _survival_integrand(m, columns):
     """The residual joint survival of m at lambda t = 0.5 along z, at one scale of z or at 49 of them."""
     tau, c = m.tau(0.5 / m.lam), np.array(1.0) if columns == 1 else np.geomspace(0.5, 2.0, 49)
-    return lambda z: _residual_from_log(m.generator, tau, -m.lam * z * c)
+
+    def surv(z):
+        with np.errstate(all="ignore"):  # the kernel runs under its caller's error state
+            return _residual_from_log(m.generator, tau, -m.lam * z * c)
+
+    return surv
 
 
 @pytest.mark.parametrize("tol", [1e-8, 1e-9, 1e-10])
