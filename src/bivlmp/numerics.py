@@ -12,10 +12,15 @@ sums and tests the levels one at a time, each a row slice of that product.
 
 The package's argument conventions live here too: every public array
 function returns ``scalar_or_array(out)``, converts an array argument with
-``_real_array`` (a probability argument through ``in_unit``) and sets a
-copula's boundary values with ``copula_edges``; every constructor admits each
-number it is given with ``_admit`` (a count or a seed with ``_admit_count``),
-and each parameter object with exactly its keys through ``_fields``.
+``_real_array`` (a probability argument through ``in_unit``, a lifetime
+through ``core._nonnegative``) and sets a copula's boundary values with
+``copula_edges``; every constructor admits each number it is given with
+``_admit`` (a count or a seed with ``_admit_count``), and each parameter
+object with exactly its keys through ``_fields``.  A public function checks
+and converts each argument once, then does all its work under one
+``np.errstate``: the private ``_``-kernels it calls take the checked float
+arrays, never check again a value the same call produced, and run under
+their caller's error state.
 """
 
 from __future__ import annotations

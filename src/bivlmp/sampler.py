@@ -41,7 +41,7 @@ from .core import CoreParams, _marg, _marginal_log, singular_mass
 from .errors import DomainError, ValidationError
 from .generators import IdentityGenerator, MixingLaw
 from .model import Model
-from .numerics import POSITIVE, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
+from .numerics import POSITIVE, _FINITE, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
 
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
@@ -282,18 +282,9 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
 # ---------------------------------------------------------------------------
 
 
-def _threshold(value, what: str) -> float:
-    """value as a float: one real number (ValidationError) that is not NaN (DomainError); +-inf pass."""
-    v = _real_array(value, what)
-    if v.ndim:
-        raise ValidationError(f"{what} must be one number")
-    if np.isnan(v):
-        raise DomainError(f"{what} must not be NaN")
-    return float(v)
-
-
 def empirical_survival(b: SampleBatch, x: float, y: float) -> float:
-    return float(np.mean((b.x > _threshold(x, "x")) & (b.y > _threshold(y, "y"))))
+    return float(np.mean((b.x > _admit("empirical survival", "x", x, _FINITE))
+                         & (b.y > _admit("empirical survival", "y", y, _FINITE))))
 
 
 def empirical_atom(b: SampleBatch) -> float:
@@ -301,4 +292,4 @@ def empirical_atom(b: SampleBatch) -> float:
 
 
 def empirical_atom_survival(b: SampleBatch, x: float) -> float:
-    return float(np.mean(b.atom & (b.x > _threshold(x, "x"))))
+    return float(np.mean(b.atom & (b.x > _admit("empirical atom survival", "x", x, _FINITE))))

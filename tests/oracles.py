@@ -166,17 +166,28 @@ def concordance_counts_by_search(x, y):
 # kernels under one error state.
 
 
+def gbar_log(p, x, y):
+    """core.gbar_log as one expression, without the in-place steps (NaN at x = y = inf)."""
+    x = core._nonnegative(x, "x")
+    y = core._nonnegative(y, "y")
+    d = x - y
+    gamma = np.where(d >= 0, p.gamma1, p.gamma2)
+    aw = np.where(d >= 0, p.alpha1, p.alpha2)
+    z = np.abs(d)
+    inner = gamma * z + np.log1p(aw * np.expm1(-gamma * z))
+    return scalar_or_array(-p.lam * np.minimum(x, y) - inner / p.alpha)
+
+
 def fbar_log(m, x, y):
-    return m.generator.h_log_from_log(core.gbar_log(m.core, x, y))
+    return m.generator.h_log_from_log(gbar_log(m.core, x, y))
 
 
 def fbar(m, x, y):
-    return m.generator.h_from_log(core.gbar_log(m.core, x, y))
+    return m.generator.h_from_log(gbar_log(m.core, x, y))
 
 
 def fbar_residual(m, t, x, y):
-    return scalar_or_array(np.exp(generators.residual_distortion_log(m.generator, m.tau(t),
-                                                                     core.gbar_log(m.core, x, y))))
+    return scalar_or_array(np.exp(generators.residual_distortion_log(m.generator, m.tau(t), gbar_log(m.core, x, y))))
 
 
 def generalized_weak_residual(m, t, x, y):
@@ -201,7 +212,7 @@ def _core_copula_log(p, lu, lv):
             lc = -np.where(la >= lb, la + np.log1p(p.alpha1 * np.expm1(lb - la)),
                            lb + np.log1p(p.alpha2 * np.expm1(la - lb))) / p.alpha
         else:
-            lc = core.gbar_log(p, la / p.gamma1, lb / p.gamma2)
+            lc = gbar_log(p, la / p.gamma1, lb / p.gamma2)
     return np.fmin(lc, np.minimum(lu, lv))
 
 

@@ -14,8 +14,17 @@ import pytest
 import oracles
 from bivlmp import core, generators, model, numerics
 from bivlmp.config import builtin_models
+from bivlmp.core import CoreParams, mu_core
+from bivlmp.generators import make_generator
 
 MODELS = builtin_models()
+# every config's core has alpha = 1; these two cores, off and on the mu subfamily, divide by another alpha
+ALPHA_CORES = {
+    "logistic_alpha_0.7": model.Model(make_generator("logistic", a=2.0, theta=0.5), CoreParams(
+        lam=0.16, alpha=0.7, gamma1=0.1, gamma2=0.08, alpha1=0.3, alpha2=0.25)),
+    "gompertz_mu_alpha_1.5": model.Model(make_generator("gompertz", xi=0.5, mu=1.2),
+                                         mu_core(alpha=1.5, gamma=0.2, alpha1=0.3, alpha2=0.2)),
+}
 AGES = (0.0, 0.5, 2.0, 10.0)  # lambda t
 
 
@@ -34,9 +43,9 @@ def _same_bits(got, want):
 
 
 @pytest.mark.parametrize("lam_t", AGES)
-@pytest.mark.parametrize("name", sorted(MODELS))
+@pytest.mark.parametrize("name", sorted(MODELS) + sorted(ALPHA_CORES))
 def test_surface_functions_equal_their_composed_forms(name, lam_t):
-    m = MODELS[name]
+    m = {**MODELS, **ALPHA_CORES}[name]
     t = lam_t / m.lam
     (X, Y), (U, V), lus = _grids(m, 101 + len(name))
     with np.errstate(all="ignore"):  # the composed forms warn where a helper computes outside its error state
@@ -47,6 +56,8 @@ def test_surface_functions_equal_their_composed_forms(name, lam_t):
 
 def _pairs(m, t, X, Y, U, V, lus):
     return [
+        (core.gbar_log(m.core, X, Y), oracles.gbar_log(m.core, X, Y)),
+        (core.gbar_log(m.core, X[1, 7], Y[1, 7]), oracles.gbar_log(m.core, X[1, 7], Y[1, 7])),
         (model.fbar(m, X, Y), oracles.fbar(m, X, Y)),
         (model.fbar(m, X[3, 4], Y[3, 4]), oracles.fbar(m, X[3, 4], Y[3, 4])),
         (model.fbar_log(m, X, Y), oracles.fbar_log(m, X, Y)),
