@@ -129,8 +129,10 @@ def generalized_weak_residual(m: Model, t: float, x, y):
 
 
 def _copula_t_log(m: Model, tau: float, la, lb):
-    """ln C_t = ln h_tau(C(h_tau^-1(u), h_tau^-1(v))) from la, lb = ln h_tau^-1(u), ln h_tau^-1(v), every step
-    from logs; unchecked, under the caller's error state."""
+    """ln C_t = ln h_tau(C(h_tau^-1(u), h_tau^-1(v))) from la, lb = ln h_tau^-1(u), ln h_tau^-1(v).
+
+    Every step from logs; unchecked, under the caller's error state.
+    """
     return m.generator._residual_log(tau, np.minimum(core_mod._core_copula_log(m.core, la, lb), 0.0))
 
 
