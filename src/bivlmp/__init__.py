@@ -10,7 +10,6 @@ time-indexed distortion d_t induced by h.
 from .core import (
     CoreParams,
     core_copula,
-    gbar_eval,
     marginal_density,
     marginal_quantile,
     marginal_survival,
@@ -71,8 +70,6 @@ from .pricing import (
 from .sampler import (
     SampleBatch,
     empirical_atom,
-    empirical_atom_survival,
-    empirical_survival,
     sample_core,
     sample_mixing_shortcut,
     sample_model,

@@ -129,11 +129,6 @@ def _gbar_log(p: CoreParams, x, y):
     return out
 
 
-def gbar_eval(p: CoreParams, x, y):
-    """Gbar(x, y)."""
-    return scalar_or_array(np.exp(gbar_log(p, x, y)))
-
-
 def _marginal_log(p: CoreParams, i: int, z):
     """ln Gbar_i(z) for z >= 0, unchecked."""
     gamma, aw = _marg(p, i)

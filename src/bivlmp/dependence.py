@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import generators as gen_mod
-from .core import CoreParams, _marg, marginal_hazard, marginal_quantile_log
+from .core import CoreParams, _log_a, _marg, _marginal_hazard
 from .errors import DomainError
 from .model import Model, copula_t_diag_log
 from .numerics import _is_real, _real_array, _sequence, in_unit, integrate_unit, limit_at_zero, scalar_or_array
@@ -75,17 +75,21 @@ def _log_v(lv) -> np.ndarray:
 
 def j_integral_closed(p: CoreParams, i: int, lv):
     """J_i(v) from lv = ln v (any shape): (gamma_i / alpha^2)(alpha_i expm1(alpha lv) - alpha lv)."""
-    lv = _log_v(lv)
+    return scalar_or_array(_j_closed(p, i, _log_v(lv)))
+
+
+def _j_closed(p: CoreParams, i: int, lv):
+    """j_integral_closed for a float array lv in (-inf, 0], unchecked."""
     gamma, aw = _marg(p, i)
-    return scalar_or_array((gamma / p.alpha**2) * (aw * np.expm1(p.alpha * lv) - p.alpha * lv))
+    return (gamma / p.alpha**2) * (aw * np.expm1(p.alpha * lv) - p.alpha * lv)
 
 
 def _hazard_sq(p: CoreParams, i: int, lv: np.ndarray):
     """The J_i integrand on (0, 1), z_i haz_i(z_i u)^2 with z_i the v-quantiles of margin i, a column per ln v."""
-    z_max = np.ravel(marginal_quantile_log(p, i, lv))
+    z_max = np.ravel(_log_a(p, i, lv) / _marg(p, i)[0])
 
     def hazard_sq(u):
-        haz = marginal_hazard(p, i, z_max * u)
+        haz = _marginal_hazard(p, i, z_max * u)
         return z_max * haz * haz
 
     return hazard_sq
@@ -94,35 +98,31 @@ def _hazard_sq(p: CoreParams, i: int, lv: np.ndarray):
 def j_integral_quadrature(p: CoreParams, i: int, lv):
     """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
     lv = _log_v(lv)
-    return scalar_or_array(np.reshape(integrate_unit(_hazard_sq(p, i, lv)).value, lv.shape))
+    with np.errstate(all="ignore"):
+        return scalar_or_array(np.reshape(integrate_unit(_hazard_sq(p, i, lv)).value, lv.shape))
 
 
 def _j_sum_quadrature(p: CoreParams, lv):
     """J_1(v) + J_2(v) by one quadrature of the summed integrand."""
-    lv = _log_v(lv)
     j1, j2 = _hazard_sq(p, 1, lv), _hazard_sq(p, 2, lv)
     return np.reshape(integrate_unit(lambda u: j1(u) + j2(u)).value, lv.shape)
 
 
-# J_1 + J_2 by the route of each Kendall source, taking (core, ln v)
+# J_1 + J_2 by the route of each Kendall source, taking (core, ln v), ln v a float array in (-inf, 0]
 _J_ROUTES = {
-    "closed_form": lambda p, lv: j_integral_closed(p, 1, lv) + j_integral_closed(p, 2, lv),
+    "closed_form": lambda p, lv: _j_closed(p, 1, lv) + _j_closed(p, 2, lv),
     "quadrature": _j_sum_quadrature,
 }
 
 
-def _kendall_values(m: Model, t: float, s, source: str):
-    """Evaluate K_t pointwise by the J_i route source; s may be scalar or array."""
+def _kendall_values(m: Model, tau: float, s, source: str):
+    """K_t(s) by the J_i route source, for a float array s in (0, 1] at tau = lambda t capped as C_t is."""
     g = m.generator
-    tau = min(m.tau(t), g._copula_age_cap)  # K_t is a function of C_t alone
-    s = in_unit(s, "s", open_at_0=True)
-    with np.errstate(all="ignore"):
-        lv = gen_mod._residual_log_inverse_from_log(g, tau, np.log(s))
+    lv = _log_v(gen_mod._residual_log_inverse_from_log(g, tau, np.log(s)))  # the one check of ln v
     bracket = 2.0 * lv + _J_ROUTES[source](m.core, lv) / m.lam
     # h_t'(v) v = s x h'(x)/h(x) at ln x = ln v - tau
-    with np.errstate(invalid="ignore"):
-        k = s * (1.0 - g.h_elasticity_from_log(lv - tau) * bracket)
-    return scalar_or_array(np.where(s >= 1.0, 1.0, k))
+    k = s * (1.0 - g._h_elasticity(np.minimum(lv - tau, 0.0)) * bracket)
+    return np.where(s >= 1.0, 1.0, k)
 
 
 def _s_grid(s_grid) -> tuple:
@@ -150,13 +150,18 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     if not isinstance(source, str) or source not in _J_ROUTES:
         raise DomainError(f"unknown source {source!r}")
     s_grid = _s_grid(s_grid)
-    k = _kendall_values(m, t, s_grid, source)
-    return KendallCurve(t=float(t), grid=tuple(zip(s_grid, np.atleast_1d(k))), source=source)
+    tau = min(m.tau(t), m.generator._copula_age_cap)  # K_t is a function of C_t alone
+    s = in_unit(s_grid, "s", open_at_0=True)
+    with np.errstate(all="ignore"):
+        k = _kendall_values(m, tau, s, source)
+    return KendallCurve(t=float(t), grid=tuple(zip(s_grid, k)), source=source)
 
 
 def kendall_tau(m: Model, t: float) -> float:
     """tau = 3 - 4 integral_0^1 K_t(s) ds."""
-    return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, t, s, "closed_form"), tol=TAU_TOL).value
+    tau = min(m.tau(t), m.generator._copula_age_cap)
+    with np.errstate(all="ignore"):
+        return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, tau, s, "closed_form"), tol=TAU_TOL).value
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, copula_edges, in_unit,
+from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, _real_array, copula_edges, in_unit,
                        scalar_or_array, solve_decreasing_batch)
 
 _SLACK = 1e-12  # rounding allowed outside [0, 1] in a generator's argument
@@ -53,10 +53,12 @@ def _log1mexp(x):
     return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
 
 
-def _quiet(fn, *args):
-    """fn(*args) with floating-point warnings off, under the return convention."""
-    with np.errstate(all="ignore"):
-        return scalar_or_array(fn(*args))
+def _log_argument(lw, what: str):
+    """The one check of a log argument: a float array (by _real_array), DomainError where NaN, clamped to <= 0."""
+    lw = np.minimum(_real_array(lw, what), 0.0)
+    if np.isnan(lw.min(initial=0.0)):  # one reduction; NaN propagates through it
+        raise DomainError(f"{what} must not be NaN")
+    return lw
 
 
 class Generator:
@@ -108,21 +110,20 @@ class Generator:
         with np.errstate(all="ignore"):
             return _unit_edges(u, np.exp(self._h_log_inv_from_log(_log_arg(u))))
 
-    def h_prime(self, x):
-        """h'(x) for x in (0, 1]."""
-        return residual_distortion_prime(self, 0.0, x)
-
     def h_elasticity_from_log(self, lx):
         """x h'(x) / h(x) at x = e^lx, lx <= 0: the slope of ln h against ln x."""
-        return _quiet(self._h_elasticity, np.minimum(np.asarray(lx, dtype=float), 0.0))
+        with np.errstate(all="ignore"):
+            return scalar_or_array(self._h_elasticity(_log_argument(lx, "lx")))
 
     def h_from_log(self, lw):
         """h(e^lw), with lw clamped to <= 0."""
-        return _quiet(lambda v: np.exp(self._h_log_from_log(v)), np.minimum(lw, 0.0))
+        with np.errstate(all="ignore"):
+            return scalar_or_array(np.exp(self._h_log_from_log(_log_argument(lw, "lw"))))
 
     def h_log_from_log(self, lw):
         """ln h(e^lw), with lw clamped to <= 0; finite where h(e^lw) underflows."""
-        return _quiet(self._h_log_from_log, np.minimum(lw, 0.0))
+        with np.errstate(all="ignore"):
+            return scalar_or_array(self._h_log_from_log(_log_argument(lw, "lw")))
 
     def neg_log_h_inverse(self, u):
         """-ln h^-1(u), finite where h^-1(u) underflows."""
@@ -610,7 +611,7 @@ def residual_distortion_log(g: Generator, t: float, lw):
     """ln h_t(e^lw) for lw <= 0, finite where h(e^-t) underflows."""
     t = _check_age(t)
     with np.errstate(all="ignore"):
-        return scalar_or_array(g._residual_log(t, np.minimum(lw, 0.0)))
+        return scalar_or_array(g._residual_log(t, _log_argument(lw, "lw")))
 
 
 def residual_distortion_prime(g: Generator, t: float, x):
@@ -667,8 +668,9 @@ def _classify(neg: np.ndarray, pos: np.ndarray, labels=("NBU", "NWU")):
 def aging_profile(g: Generator) -> AgingProfile:
     """Classify the aging class induced by d_t: NBU <=> d_t(x) <= x; IFR <=> d_t(x) nonincreasing in t."""
     xs = np.asarray(X_GRID)
-    lv = -np.asarray(g.neg_log_h_inverse(xs))
-    log_d = np.array([residual_distortion_log(g, t, lv) for t in T_GRID])  # ln d_t(x) = ln h_t(h^-1(x))
+    with np.errstate(all="ignore"):
+        lv = np.minimum(g._h_log_inv_from_log(_log_arg(xs)), 0.0)
+        log_d = np.array([g._residual_log(t, lv) for t in T_GRID])  # ln d_t(x) = ln h_t(h^-1(x))
     margins = log_d - np.log(xs)[None, :]
     nbu = _classify(margins < -_SIGN_TOL, margins > _SIGN_TOL, ("NBU", "NWU"))
     diffs = np.diff(log_d, axis=0)  # log d_{t_{k+1}} - log d_{t_k}; IFR means nonpositive

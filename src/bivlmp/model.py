@@ -14,7 +14,6 @@ argument: e^{-tau} is never formed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -87,7 +86,12 @@ def fbar_marginal(m: Model, i: int, z):
     """Marginal survival of the model: h(Gbar_i(z))."""
     z = core_mod._nonnegative(z, "z")
     with np.errstate(all="ignore"):
-        return scalar_or_array(np.exp(_h_log(m.generator, core_mod._marginal_log(m.core, i, z))))
+        return scalar_or_array(_fbar_marginal(m, i, z))
+
+
+def _fbar_marginal(m: Model, i: int, z):
+    """h(Gbar_i(z)) for a float array z >= 0."""
+    return np.exp(_h_log(m.generator, core_mod._marginal_log(m.core, i, z)))
 
 
 def _residual_from_log(g: Generator, tau: float, lw):
@@ -108,7 +112,12 @@ def residual_marginal(m: Model, i: int, t: float, x):
     tau = m.tau(t)
     x = core_mod._nonnegative(x, "x")
     with np.errstate(all="ignore"):
-        return _residual_from_log(m.generator, tau, core_mod._marginal_log(m.core, i, x))
+        return _residual_marginal(m, i, tau, x)
+
+
+def _residual_marginal(m: Model, i: int, tau: float, x):
+    """h_tau(Gbar_i(x)) for a float array x >= 0."""
+    return _residual_from_log(m.generator, tau, core_mod._marginal_log(m.core, i, x))
 
 
 def generalized_weak_residual(m: Model, t: float, x, y):
@@ -179,11 +188,10 @@ def singular_line_survival(m: Model, t: float, x):
         return scalar_or_array(p0 * _residual_from_log(m.generator, tau, -m.lam * x))
 
 
-def decay_rate(m: Model, t: float) -> float:
-    """1/z for the z where Fbar_t(z, z) = 1/e: the scale every half-line quadrature at age t runs on."""
-    lv = gen_mod.residual_distortion_log_inverse(m.generator, m.tau(t), math.exp(-1.0))
-    with np.errstate(divide="ignore", over="ignore"):
-        rate = m.lam / -np.float64(lv)
+def _decay_rate(m: Model, tau: float) -> float:
+    """1/z for the z where Fbar_t(z, z) = 1/e, tau = lambda t: the scale every half-line quadrature at age t runs on."""
+    lv = gen_mod._residual_log_inverse_from_log(m.generator, tau, -1.0)  # ln h_tau^-1(1/e)
+    rate = m.lam / -np.float64(lv)
     if not 0.0 < rate < math.inf:
         raise DomainError("the residual lifetime scale underflows at this age")
     return float(rate)
@@ -203,13 +211,13 @@ def _heavy_tailed(m: Model, surv) -> bool:
     return False
 
 
-def survival_integral(m: Model, t: float, surv, tol: float) -> float:
-    """Integral of surv over [0, inf) on the decay scale of m at age t, +inf if it fails on a heavy tail.
+def _survival_integral(m: Model, tau: float, surv, tol: float) -> float:
+    """Integral of surv over [0, inf) on the decay scale of m at tau = lambda t, +inf if it fails on a heavy tail.
 
     A quadrature that does not converge on a tail the probe finds light raises its ConvergenceError.
     """
     try:
-        return integrate_upper(surv, tol=tol, rate=decay_rate(m, t)).value
+        return integrate_upper(surv, tol=tol, rate=_decay_rate(m, tau)).value
     except ConvergenceError:
         if _heavy_tailed(m, surv):
             return math.inf
@@ -218,7 +226,9 @@ def survival_integral(m: Model, t: float, surv, tol: float) -> float:
 
 def mean_excess(m: Model, i: int, t: float) -> float:
     """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz, +inf if heavy tailed."""
-    return survival_integral(m, t, functools.partial(residual_marginal, m, i, t), DEFAULT_QUAD_TOL)
+    tau = m.tau(t)
+    with np.errstate(all="ignore"):
+        return _survival_integral(m, tau, lambda z: _residual_marginal(m, i, tau, z), DEFAULT_QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------

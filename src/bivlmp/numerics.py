@@ -18,9 +18,9 @@ through ``core._nonnegative``) and sets a copula's boundary values with
 ``_admit`` (a count or a seed with ``_admit_count``), and each parameter
 object with exactly its keys through ``_fields``.  A public function checks
 and converts each argument once, then does all its work under one
-``np.errstate``: the private ``_``-kernels it calls take the checked float
-arrays, never check again a value the same call produced, and run under
-their caller's error state.
+``np.errstate``: the private ``_``-kernels it calls, quadrature integrands
+and root-finder residuals included, take the checked float arrays, never
+check again a value the same call produced, and run under that state.
 """
 
 from __future__ import annotations

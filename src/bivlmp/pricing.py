@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .generators import _check_age
-from .model import Model, _residual_from_log, fbar_marginal, residual_marginal, survival_integral
+from .model import Model, _fbar_marginal, _h_log, _residual_from_log, _residual_marginal, _survival_integral
 from .numerics import _FINITE, _admit, _sequence, integrate_unit
 from .numerics import integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
 
@@ -38,14 +37,15 @@ class PricingQuote:
     model_label: str = ""
 
 
-def _integrate(surv, m: Model, t: float, horizon, what: str) -> float:
-    """Integral of surv over [0, horizon - t), or over [0, inf) on the decay scale of m at age t, to PRICING_TOL.
+def _integrate(surv, m: Model, t: float, tau: float, horizon, what: str) -> float:
+    """Integral of surv over [0, horizon - t), or over [0, inf) on the decay scale of m at tau = lambda t.
 
-    A half-line integral that does not converge reads +inf when the tail of surv is heavy.
+    To PRICING_TOL; a half-line integral that does not converge reads +inf
+    when the tail of surv is heavy.  Under the caller's error state.
     """
     try:
         if horizon is None:
-            return survival_integral(m, t, surv, PRICING_TOL)
+            return _survival_integral(m, tau, surv, PRICING_TOL)
         span = _admit("pricing", "horizon", horizon, _FINITE) - t
         if span <= 0:
             raise DomainError(f"horizon must exceed the age t = {t!r}")
@@ -58,52 +58,60 @@ def _integrate(surv, m: Model, t: float, horizon, what: str) -> float:
 
 def joint_annuity(m: Model, t: float, horizon=None) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
-    m.tau(t)  # the age check
-    return _integrate(lambda z: m.generator.h_from_log(-m.lam * (z + t)), m, t, horizon, "joint annuity integral")
+    with np.errstate(all="ignore"):
+        return _joint_annuity(m, t, m.tau(t), horizon)
+
+
+def _joint_annuity(m: Model, t: float, tau: float, horizon) -> float:
+    """joint_annuity at an age t checked as tau = m.tau(t)."""
+    return _integrate(lambda z: np.exp(_h_log(m.generator, -m.lam * (z + t))), m, t, tau, horizon,
+                      "joint annuity integral")
 
 
 def residual_joint_annuity(m: Model, t: float) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
     tau = m.tau(t)
-
-    def surv(z):
-        with np.errstate(all="ignore"):
-            return _residual_from_log(m.generator, tau, -m.lam * z)
-
-    return _integrate(surv, m, t, None, "conditional joint annuity integral")
+    with np.errstate(all="ignore"):
+        return _integrate(lambda z: _residual_from_log(m.generator, tau, -m.lam * z), m, t, tau, None,
+                          "conditional joint annuity integral")
 
 
 def independent_annuity(m: Model, t: float, horizon=None) -> float:
     """Deferred premium under independence with the same marginals."""
-    m.tau(t)  # the age check
-    return _integrate(lambda z: fbar_marginal(m, 1, z + t) * fbar_marginal(m, 2, z + t), m, t, horizon,
+    with np.errstate(all="ignore"):
+        return _independent_annuity(m, t, m.tau(t), horizon)
+
+
+def _independent_annuity(m: Model, t: float, tau: float, horizon) -> float:
+    """independent_annuity at an age t checked as tau = m.tau(t)."""
+    return _integrate(lambda z: _fbar_marginal(m, 1, z + t) * _fbar_marginal(m, 2, z + t), m, t, tau, horizon,
                       "independent annuity integral")
 
 
 def residual_independent_annuity(m: Model, t: float) -> float:
     """Conditional independence benchmark: product of the residual marginals."""
-    return _integrate(lambda z: residual_marginal(m, 1, t, z) * residual_marginal(m, 2, t, z), m, t, None,
-                      "conditional independent annuity integral")
+    tau = m.tau(t)
+    with np.errstate(all="ignore"):
+        return _integrate(lambda z: _residual_marginal(m, 1, tau, z) * _residual_marginal(m, 2, tau, z), m, t, tau,
+                          None, "conditional independent annuity integral")
 
 
 def life_expectancy(m: Model, i: int, horizon=None) -> float:
     """Mean of lifetime i: integral of h(Gbar_i), optionally up to a limiting age."""
-    return _integrate(lambda z: fbar_marginal(m, i, z), m, 0.0, horizon, "life expectancy integral")
+    with np.errstate(all="ignore"):
+        return _integrate(lambda z: _fbar_marginal(m, i, z), m, 0.0, 0.0, horizon, "life expectancy integral")
 
 
 def premium_table(m: Model, ts, horizon=None) -> list:
     """A quote per age of the sequence ts."""
-    quotes = []
-    for t in map(_check_age, _sequence(ts, "ts")):
-        quotes.append(
-            PricingQuote(
-                t=t,
-                premium_joint=joint_annuity(m, t, horizon=horizon),
-                premium_independent=independent_annuity(m, t, horizon=horizon),
-                model_label=m.label,
-            )
-        )
-    return quotes
+    with np.errstate(all="ignore"):
+        return [_quote(m, t, horizon) for t in _sequence(ts, "ts")]
+
+
+def _quote(m: Model, t: float, horizon) -> PricingQuote:
+    """The quote at age t, checked once by m.tau."""
+    tau, t = m.tau(t), float(t)  # float(t): the age m.tau admitted
+    return PricingQuote(t, _joint_annuity(m, t, tau, horizon), _independent_annuity(m, t, tau, horizon), m.label)
 
 
 def table_text(quotes) -> str:
@@ -141,23 +149,13 @@ def reference_comparison(models: dict) -> list:
     the reference, the relative error, and a pass flag at 1%.
     """
     rows = []
-    for side in ("left", "right"):
-        m = models[side]
-        ref = REFERENCE_PREMIUMS[side]
-        for ti, rj, rind in zip(ref["ts"], ref["joint"], ref["independent"]):
-            cj = joint_annuity(m, ti, horizon=REFERENCE_HORIZON)
-            ci = independent_annuity(m, ti, horizon=REFERENCE_HORIZON)
-            for kind, comp, refv in (("joint", cj, rj), ("independent", ci, rind)):
-                rel = abs(comp - refv) / abs(refv)
-                rows.append(
-                    {
-                        "side": side,
-                        "t": ti,
-                        "kind": kind,
-                        "computed": comp,
-                        "reference": refv,
-                        "rel_err": rel,
-                        "ok": bool(rel <= REFERENCE_TOLERANCE),
-                    }
-                )
+    with np.errstate(all="ignore"):
+        for side in ("left", "right"):
+            ref = REFERENCE_PREMIUMS[side]
+            quotes = (_quote(models[side], t, REFERENCE_HORIZON) for t in ref["ts"])
+            for q, rj, rind in zip(quotes, ref["joint"], ref["independent"]):
+                for kind, comp, refv in (("joint", q.premium_joint, rj), ("independent", q.premium_independent, rind)):
+                    rel = abs(comp - refv) / abs(refv)
+                    rows.append({"side": side, "t": q.t, "kind": kind, "computed": comp, "reference": refv,
+                                 "rel_err": rel, "ok": bool(rel <= REFERENCE_TOLERANCE)})
     return rows

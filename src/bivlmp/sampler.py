@@ -41,7 +41,7 @@ from .core import CoreParams, _marg, _marginal_log, singular_mass
 from .errors import DomainError, ValidationError
 from .generators import IdentityGenerator, MixingLaw
 from .model import Model
-from .numerics import POSITIVE, _FINITE, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
+from .numerics import POSITIVE, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
 
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
@@ -134,20 +134,20 @@ def _ln_q_t_unscaled(m: Model, i: int, d: np.ndarray, tau) -> np.ndarray:
     -inf where q_t is 0.
     """
     g, p = m.generator, m.core
-    lx = _marginal_log(p, i, d) - tau
+    lx = np.minimum(_marginal_log(p, i, d) - tau, 0.0)
     # 1 - hazard_i/lambda = (1 - gamma_i/(alpha lambda) + c) / (1 + c), c = alpha_i e^{-gamma_i d}/(1 - alpha_i):
     # without the cancellation where hazard_i nears lambda, whose noise costs the root finder passes;
     # clamped at 0 (ln = -inf) where a gamma_i / (alpha lambda) above 1 within the core's slack makes it negative
     gamma, aw = _marg(p, i)
     c = aw / (1.0 - aw) * np.exp(-gamma * d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (g.h_log_from_log(lx) + np.log(g.h_elasticity_from_log(lx))
-                + np.log(np.maximum(1.0 - gamma / (p.alpha * p.lam) + c, 0.0)) - np.log1p(c))
+    return (g._h_log_from_log(lx) + np.log(g._h_elasticity(lx))
+            + np.log(np.maximum(1.0 - gamma / (p.alpha * p.lam) + c, 0.0)) - np.log1p(c))
 
 
 def _age_constants(g, tau):
     """(ln h(e^-tau), ln el(-tau)): the per-draw constants that _ln_q_t_unscaled leaves out of ln q_t."""
-    return g.h_log_from_log(-tau), np.log(g.h_elasticity_from_log(-tau))
+    ltau = np.minimum(-tau, 0.0)
+    return g._h_log_from_log(ltau), np.log(g._h_elasticity(ltau))
 
 
 def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
@@ -196,13 +196,14 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
     u_min, u_cat, u_mag = _rng(seed).random((3, n))
     w = np.asarray(m.generator.neg_log_h_inverse(u_min)) / p.lam
     tau = p.lam * w
-    _check_q_monotone(m, tau)
-    p0, q1, q2 = _side_probs(p)
-    atom, side1, side2 = _split(u_cat, p0, q1)
-    d = np.zeros(n)
-    for i, mask, q, sign in ((1, side1, q1, 1.0), (2, side2, q2, -1.0)):
-        if np.any(mask):
-            d[mask] = sign * _side_gap(m, i, u_mag[mask] * q, tau[mask])
+    with np.errstate(all="ignore"):
+        _check_q_monotone(m, tau)
+        p0, q1, q2 = _side_probs(p)
+        atom, side1, side2 = _split(u_cat, p0, q1)
+        d = np.zeros(n)
+        for i, mask, q, sign in ((1, side1, q1, 1.0), (2, side2, q2, -1.0)):
+            if np.any(mask):
+                d[mask] = sign * _side_gap(m, i, u_mag[mask] * q, tau[mask])
     return _batch(w, d, atom, seed, m.label)
 
 
@@ -282,14 +283,5 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
 # ---------------------------------------------------------------------------
 
 
-def empirical_survival(b: SampleBatch, x: float, y: float) -> float:
-    return float(np.mean((b.x > _admit("empirical survival", "x", x, _FINITE))
-                         & (b.y > _admit("empirical survival", "y", y, _FINITE))))
-
-
 def empirical_atom(b: SampleBatch) -> float:
     return float(np.mean(b.atom))
-
-
-def empirical_atom_survival(b: SampleBatch, x: float) -> float:
-    return float(np.mean(b.atom & (b.x > _admit("empirical atom survival", "x", x, _FINITE))))

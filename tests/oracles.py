@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from bivlmp import core, generators, model
+from bivlmp import core, dependence, generators, model, numerics, pricing
 from bivlmp.errors import ConvergenceError, DomainError
 from bivlmp.numerics import QUAD_LEVELS, QUAD_T, QuadratureResult, _real_array, copula_edges, in_unit, scalar_or_array
 
@@ -21,6 +21,21 @@ def mixing_mgf(law, u):
         return 1.0 - (-np.expm1(u)) ** p["a"]
     theta = p["theta"]
     return np.log1p(theta * np.exp(u)) / math.log1p(theta)
+
+
+def gbar_eval(p, x, y):
+    """Gbar(x, y), the exp of core.gbar_log."""
+    return scalar_or_array(np.exp(core.gbar_log(p, x, y)))
+
+
+def empirical_survival(b, x, y):
+    """The share of the pairs of a SampleBatch with X > x and Y > y."""
+    return float(np.mean((b.x > x) & (b.y > y)))
+
+
+def empirical_atom_survival(b, x):
+    """The share of the pairs of a SampleBatch on the diagonal past x."""
+    return float(np.mean(b.atom & (b.x > x)))
 
 
 def de_levels(unit):
@@ -240,3 +255,115 @@ def copula_t_diag_log(m, t, log_u):
     if np.any(np.isfinite(lu) & ~np.isfinite(la)):
         raise DomainError("ln h_t^-1(u) overflows at this log u")
     return generators.residual_distortion_log(g, tau, _core_copula_log(m.core, la, la))
+
+
+# The integrands and solver residuals composed of the public helpers, each
+# checking its arguments and opening its own error state: the forms before
+# they called the kernels under their public caller's one error state.
+
+
+def ln_q_t_unscaled(m, i, d, tau):
+    """sampler._ln_q_t_unscaled through the generator's public log methods."""
+    g, p = m.generator, m.core
+    lx = core._marginal_log(p, i, d) - tau
+    gamma, aw = core._marg(p, i)
+    c = aw / (1.0 - aw) * np.exp(-gamma * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (g.h_log_from_log(lx) + np.log(g.h_elasticity_from_log(lx))
+                + np.log(np.maximum(1.0 - gamma / (p.alpha * p.lam) + c, 0.0)) - np.log1p(c))
+
+
+def age_constants(g, tau):
+    """sampler._age_constants through the generator's public log methods."""
+    return g.h_log_from_log(-tau), np.log(g.h_elasticity_from_log(-tau))
+
+
+def _hazard_sq(p, i, lv):
+    z_max = np.ravel(core.marginal_quantile_log(p, i, lv))
+
+    def hazard_sq(u):
+        haz = core.marginal_hazard(p, i, z_max * u)
+        return z_max * haz * haz
+
+    return hazard_sq
+
+
+def kendall_values(m, t, s, source):
+    """K_t(s) by the J_i route source, each step a checked public helper."""
+    g = m.generator
+    tau = min(m.tau(t), g._copula_age_cap)
+    s = in_unit(s, "s", open_at_0=True)
+    with np.errstate(all="ignore"):
+        lv = generators._residual_log_inverse_from_log(g, tau, np.log(s))
+    if source == "closed_form":
+        j = dependence.j_integral_closed(m.core, 1, lv) + dependence.j_integral_closed(m.core, 2, lv)
+    else:
+        j1, j2 = _hazard_sq(m.core, 1, lv), _hazard_sq(m.core, 2, lv)
+        j = np.reshape(numerics.integrate_unit(lambda u: j1(u) + j2(u)).value, lv.shape)
+    bracket = 2.0 * lv + j / m.lam
+    with np.errstate(invalid="ignore"):
+        k = s * (1.0 - g.h_elasticity_from_log(lv - tau) * bracket)
+    return scalar_or_array(np.where(s >= 1.0, 1.0, k))
+
+
+def kendall_tau(m, t):
+    return 3.0 - 4.0 * numerics.integrate_unit(lambda s: kendall_values(m, t, s, "closed_form"),
+                                               tol=dependence.TAU_TOL).value
+
+
+def decay_rate(m, t):
+    lv = generators.residual_distortion_log_inverse(m.generator, m.tau(t), math.exp(-1.0))
+    with np.errstate(divide="ignore", over="ignore"):
+        rate = m.lam / -np.float64(lv)
+    if not 0.0 < rate < math.inf:
+        raise DomainError("the residual lifetime scale underflows at this age")
+    return float(rate)
+
+
+def survival_integral(m, t, surv, tol):
+    try:
+        return numerics.integrate_upper(surv, tol=tol, rate=decay_rate(m, t)).value
+    except ConvergenceError:
+        if model._heavy_tailed(m, surv):
+            return math.inf
+        raise
+
+
+def _integrate(surv, m, t, horizon):
+    if horizon is None:
+        return survival_integral(m, t, surv, pricing.PRICING_TOL)
+    span = horizon - t
+    return numerics.integrate_unit(lambda u: span * surv(span * u), tol=pricing.PRICING_TOL).value
+
+
+def joint_annuity(m, t, horizon=None):
+    m.tau(t)
+    return _integrate(lambda z: m.generator.h_from_log(-m.lam * (z + t)), m, t, horizon)
+
+
+def residual_joint_annuity(m, t):
+    tau = m.tau(t)
+
+    def surv(z):
+        with np.errstate(all="ignore"):
+            return model._residual_from_log(m.generator, tau, -m.lam * z)
+
+    return _integrate(surv, m, t, None)
+
+
+def independent_annuity(m, t, horizon=None):
+    m.tau(t)
+    return _integrate(lambda z: model.fbar_marginal(m, 1, z + t) * model.fbar_marginal(m, 2, z + t), m, t, horizon)
+
+
+def residual_independent_annuity(m, t):
+    return _integrate(lambda z: model.residual_marginal(m, 1, t, z) * model.residual_marginal(m, 2, t, z), m, t,
+                      None)
+
+
+def life_expectancy(m, i, horizon=None):
+    return _integrate(lambda z: model.fbar_marginal(m, i, z), m, 0.0, horizon)
+
+
+def mean_excess(m, i, t):
+    return survival_integral(m, t, lambda z: model.residual_marginal(m, i, t, z), numerics.DEFAULT_QUAD_TOL)

@@ -29,11 +29,11 @@ from bivlmp.pricing import (
 )
 from bivlmp.sampler import (
     empirical_atom,
-    empirical_survival,
     sample_mixing_shortcut,
     sample_model,
 )
 from bivlmp.generators import MixingLaw
+from oracles import empirical_survival
 
 MODELS = builtin_models()
 

@@ -1,6 +1,8 @@
 """Every argument of every public callable, swept with bad values.
 
-For each callable in bivlmp.__all__ and each of its parameters, the other
+For each callable in bivlmp.__all__, each public method of Generator on every
+family of test_contract.GENERATORS, Model.tau and each public module function
+outside __all__ (MODULE_FUNCTIONS), and each of its parameters, the other
 arguments hold a valid value from VALID and the parameter takes each of BAD
 in turn: the call must return a result or raise a BivlmpError, never a bare
 Python error.  A parameter that holds a bivlmp object (a model, core,
@@ -18,7 +20,9 @@ import pytest
 import bivlmp
 from bivlmp import (CoreParams, Generator, MixingLaw, Mo15Params, Model, SampleBatch, builtin_model, emit_config,
                     sample_model)
+from bivlmp import core, dependence, generators, model
 from bivlmp.errors import BivlmpError
+from test_contract import GENERATORS
 
 M = builtin_model("mixing_gamma")
 BATCH = sample_model(M, 64, 1)
@@ -38,6 +42,7 @@ VALID = {
     "classification": {}, "converged": True, "premium_joint": 1.0, "premium_independent": 1.0,
     "nbu_nwu": "NBU", "ifr_dfr": "IFR", "margins": np.zeros((1, 1)), "message": "m", "estimate": None,
     "path": Path(__file__).parents[1] / "configs" / "mo15.json",
+    "lw": -0.5, "lx": -0.5, "lu": -0.5, "lv": -0.5, "log_u": -0.5,
 }
 VALID_FOR = {
     "SampleBatch": {"x": np.ones(2), "y": np.ones(2)},
@@ -52,11 +57,33 @@ BAD = {
 SKIP = {("load_model", "path")}  # a path goes to open(): True would read from file descriptor 1
 
 
+# the public functions of each module that bivlmp.__all__ does not export
+MODULE_FUNCTIONS = {
+    generators: ("residual_distortion_log", "residual_distortion_log_inverse", "residual_distortion_inverse",
+                 "residual_distortion_prime"),
+    core: ("marginal_quantile_log", "marginal_hazard"),
+    model: ("fbar_log", "fbar_marginal", "copula_t_diag_log"),
+    dependence: ("j_integral_closed", "j_integral_quadrature"),
+}
+GENERATOR_METHODS = [name for name, fn in vars(Generator).items() if callable(fn) and not name.startswith("_")]
+
+
 def _callables():
     for name in sorted(bivlmp.__all__):
         obj = getattr(bivlmp, name)
         if callable(obj) and not (isinstance(obj, type) and issubclass(obj, BaseException)):
             yield name, obj
+
+
+def _more_callables():
+    """The bound public Generator methods of every family, Model.tau, and MODULE_FUNCTIONS."""
+    for family, g in GENERATORS.items():
+        for meth in GENERATOR_METHODS:
+            yield f"{family}.{meth}", getattr(g, meth)
+    yield "Model.tau", M.tau
+    for mod, names in MODULE_FUNCTIONS.items():
+        for name in names:
+            yield f"{mod.__name__.split('.')[-1]}.{name}", getattr(mod, name)
 
 
 def _arguments(name, fn):
@@ -80,7 +107,7 @@ def _call(fn, arguments, k, bad):
 
 
 def _cases():
-    for name, fn in _callables():
+    for name, fn in [*_callables(), *_more_callables()]:
         arguments = _arguments(name, fn)
         for k, (param, value, _) in enumerate(arguments):
             if isinstance(value, OBJECTS) or (name, param) in SKIP:
@@ -109,3 +136,12 @@ def test_a_bad_argument_gives_a_result_or_a_bivlmp_error(case, fn, arguments, k)
         except Exception as exc:  # noqa: BLE001  (the point: no other error class)
             bare.append(f"{what}: {type(exc).__name__}: {exc}")
     assert not bare, "\n".join(bare)
+
+
+def test_the_sweep_reaches_every_public_generator_method_and_the_functions_outside_all():
+    swept = {case.rsplit(".", 1)[0] for case, *_ in CASES}
+    assert {f"{family}.{meth}" for family in GENERATORS for meth in GENERATOR_METHODS if meth != "describe"} <= swept
+    assert {"Model.tau", *(f"{mod.__name__.split('.')[-1]}.{name}" for mod, names in MODULE_FUNCTIONS.items()
+                           for name in names)} <= swept
+    assert set(GENERATOR_METHODS) == {"h", "h_inverse", "h_elasticity_from_log", "h_from_log", "h_log_from_log",
+                                      "neg_log_h_inverse", "describe"}

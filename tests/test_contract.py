@@ -7,7 +7,8 @@ checks its domain raises DomainError, and so does an age below 0 or an
 argument outside the domain.
 The generator methods that take a log argument (h_from_log, h_log_from_log,
 h_elasticity_from_log) and the log argument of residual_distortion_log are
-not checked: they are the inner loop of the quadratures and the root finder.
+checked once too: NaN raises DomainError, and a log above 0 is clamped to 0.
+The quadratures and the root finder call the unchecked kernels instead.
 """
 
 import math
@@ -91,7 +92,7 @@ def test_generator_exponents():
 
 # each public generator method with a point of its domain
 METHODS = {
-    "h": 0.3, "h_inverse": 0.3, "h_prime": 0.3, "h_from_log": -0.7, "h_log_from_log": -0.7,
+    "h": 0.3, "h_inverse": 0.3, "h_from_log": -0.7, "h_log_from_log": -0.7,
     "neg_log_h_inverse": 0.3, "h_elasticity_from_log": -0.7,
 }
 G = GENERATORS["log_series"]
@@ -99,7 +100,6 @@ G = GENERATORS["log_series"]
 # (name, function of one argument, a point of its domain)
 ARRAY_FUNCTIONS = [
     ("core.gbar_log", lambda x: core.gbar_log(P, x, 2.0), 3.0),
-    ("core.gbar_eval", lambda x: core.gbar_eval(P, 1.0, x), 3.0),
     ("core.marginal_survival", lambda x: core.marginal_survival(P, 1, x), 3.0),
     ("core.marginal_density", lambda x: core.marginal_density(P, 2, x), 3.0),
     ("core.marginal_hazard", lambda x: core.marginal_hazard(P, 2, x), 3.0),
@@ -130,6 +130,9 @@ ARRAY_FUNCTIONS = [
     (f"{family}.{meth}", lambda x, g=g, meth=meth: getattr(g, meth)(x), point)
     for family, g in GENERATORS.items()
     for meth, point in METHODS.items()
+] + [
+    (f"{family}.residual_distortion_prime_at_0", lambda x, g=g: generators.residual_distortion_prime(g, 0.0, x), 0.3)
+    for family, g in GENERATORS.items()
 ]
 
 
@@ -163,7 +166,6 @@ def test_copula_edges_exact(name):
 
 NAN_CALLS = [
     ("core.gbar_log", lambda: core.gbar_log(P, NAN, 1.0)),
-    ("core.gbar_eval", lambda: core.gbar_eval(P, 1.0, NAN)),
     ("core.marginal_survival", lambda: core.marginal_survival(P, 1, NAN)),
     ("core.marginal_density", lambda: core.marginal_density(P, 2, np.array([1.0, NAN]))),
     ("core.marginal_hazard", lambda: core.marginal_hazard(P, 1, NAN)),
@@ -186,7 +188,6 @@ NAN_CALLS = [
     ("model.copula_t_diag_log", lambda: model.copula_t_diag_log(M, 1.0, np.array([-2.0, NAN]))),
     ("model.singular_line_survival", lambda: model.singular_line_survival(M, 1.0, NAN)),
     ("model.mean_excess", lambda: model.mean_excess(M, 1, NAN)),
-    ("model.decay_rate", lambda: model.decay_rate(M, NAN)),
     ("generators.time_distortion", lambda: generators.time_distortion(G, 0.5, NAN)),
     ("generators.residual_distortion.t", lambda: generators.residual_distortion(G, NAN, 0.5)),
     ("generators.residual_distortion.x", lambda: generators.residual_distortion(G, 0.5, NAN)),
@@ -195,6 +196,7 @@ NAN_CALLS = [
      lambda: generators.residual_distortion_log_inverse(G, 0.5, NAN)),
     ("generators.residual_distortion_prime", lambda: generators.residual_distortion_prime(G, NAN, 0.5)),
     ("generators.residual_distortion_log.t", lambda: generators.residual_distortion_log(G, NAN, -0.5)),
+    ("generators.residual_distortion_log.lw", lambda: generators.residual_distortion_log(G, 0.5, NAN)),
     # out of the domain, not NaN: these returned a number
     ("model.copula_t_diag_log.log_u_above_0", lambda: model.copula_t_diag_log(M, 1.0, 0.5)),
     ("generators.residual_distortion_log.negative_t",
@@ -220,7 +222,10 @@ NAN_CALLS = [
 ] + [
     (f"{family}.{meth}", lambda g=g, meth=meth: getattr(g, meth)(NAN))
     for family, g in GENERATORS.items()
-    for meth in ("h", "h_inverse", "h_prime", "neg_log_h_inverse")
+    for meth in ("h", "h_inverse", "neg_log_h_inverse", "h_from_log", "h_log_from_log", "h_elasticity_from_log")
+] + [
+    (f"{family}.residual_distortion_prime_at_0", lambda g=g: generators.residual_distortion_prime(g, 0.0, NAN))
+    for family, g in GENERATORS.items()
 ]
 
 

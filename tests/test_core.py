@@ -9,7 +9,6 @@ from bivlmp.config import builtin_model
 from bivlmp.core import (
     CoreParams,
     core_copula,
-    gbar_eval,
     gbar_log,
     marginal_density,
     marginal_quantile,
@@ -21,6 +20,7 @@ from bivlmp.core import (
     weak_lmp_residual,
 )
 from bivlmp.errors import DomainError, ValidationError
+from oracles import gbar_eval
 
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 NON_MU = CoreParams(lam=0.12, alpha=1.0, gamma1=0.1, gamma2=0.08, alpha1=0.3, alpha2=0.25)

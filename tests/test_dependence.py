@@ -6,6 +6,7 @@ import pytest
 
 from bivlmp.core import mu_core
 from bivlmp import generators as gen_mod
+from bivlmp.errors import DomainError
 from bivlmp.dependence import (
     KendallCurve,
     _concordance_counts,
@@ -66,8 +67,20 @@ def test_summed_j_quadrature_is_the_sum_of_the_two(models, name, lam_t):
     tau = min(m.tau(lam_t / m.lam), m.generator._copula_age_cap)
     with np.errstate(all="ignore"):  # the kernel runs under its caller's error state
         lv = gen_mod._residual_log_inverse_from_log(m.generator, tau, np.log(np.linspace(0.02, 0.98, 49)))
+        summed = _j_sum_quadrature(m.core, lv)
     two = j_integral_quadrature(m.core, 1, lv) + j_integral_quadrature(m.core, 2, lv)
-    np.testing.assert_allclose(_j_sum_quadrature(m.core, lv), two, rtol=1e-14, atol=0.0)
+    np.testing.assert_allclose(summed, two, rtol=1e-14, atol=0.0)
+
+
+def test_an_ln_v_that_overflows_raises_domain_error():
+    # at Weibull shape 0.005, ln h^-1(1e-300) = -(ln 1e300)^200 overflows to -inf: K_t has no value there,
+    # and the one check of ln v, as the K_t kernel forms it, says so on both routes and in tau
+    m = Model(make_generator("weibull", a=1.0, alpha=0.005), MU)
+    for source in ("closed_form", "quadrature"):
+        with pytest.raises(DomainError, match="ln v"):
+            kendall_function(m, 0.0, (0.5, 1e-300), source=source)
+    with pytest.raises(DomainError, match="ln v"):
+        kendall_tau(m, 0.0)
 
 
 # -- Kendall functions ------------------------------------------------------

@@ -19,6 +19,7 @@ from bivlmp.generators import (
     residual_distortion,
     residual_distortion_inverse,
     residual_distortion_log_inverse,
+    residual_distortion_prime,
     time_distortion,
 )
 from oracles import mixing_mgf
@@ -76,7 +77,7 @@ def test_prime_matches_finite_differences(family, params):
     x = np.linspace(0.1, 0.9, 17)
     eps = 1e-6
     fd = (np.asarray(g.h(x + eps)) - np.asarray(g.h(x - eps))) / (2 * eps)
-    assert np.allclose(g.h_prime(x), fd, rtol=5e-5, atol=5e-8)
+    assert np.allclose(residual_distortion_prime(g, 0.0, x), fd, rtol=5e-5, atol=5e-8)
 
 
 @pytest.mark.parametrize("family,params", CATALOG)

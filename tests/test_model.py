@@ -21,6 +21,7 @@ from bivlmp.model import (
     residual_marginal,
     singular_line_survival,
 )
+from oracles import gbar_eval
 
 MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 
@@ -28,15 +29,11 @@ MU = mu_core(alpha=1.0, gamma=0.1, alpha1=0.3, alpha2=0.2)
 def test_fbar_is_generator_of_core(models):
     m = models["mixing_gamma"]
     x, y = 7.0, 3.0
-    from bivlmp.core import gbar_eval
-
     assert fbar(m, x, y) == pytest.approx(m.generator.h(gbar_eval(m.core, x, y)), rel=1e-13)
 
 
 def test_identity_model_reduces_to_core(models):
     m = models["identity_mu"]
-    from bivlmp.core import gbar_eval
-
     xs = np.linspace(0.0, 25.0, 7)
     assert np.allclose(fbar(m, xs, xs[::-1]), gbar_eval(m.core, xs, xs[::-1]), rtol=1e-14)
 
