@@ -158,7 +158,9 @@ def _marginal_hazard(p: CoreParams, i: int, z):
 
 def marginal_quantile(p: CoreParams, i: int, u):
     """Solve Gbar_i(z) = u; closed form z = (1/gamma_i) ln((u^-alpha - alpha_i)/(1 - alpha_i))."""
-    return marginal_quantile_log(p, i, np.log(in_unit(u, "u", open_at_0=True)))
+    lu = np.log(in_unit(u, "u", open_at_0=True))
+    with np.errstate(all="ignore"):
+        return scalar_or_array(_log_a(p, i, lu) / _marg(p, i)[0])
 
 
 def marginal_quantile_log(p: CoreParams, i: int, lu):

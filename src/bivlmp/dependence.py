@@ -31,7 +31,7 @@ import numpy as np
 from . import generators as gen_mod
 from .core import CoreParams, _log_a, _marg, _marginal_hazard
 from .errors import DomainError
-from .model import Model, copula_t_diag_log
+from .model import Model, _copula_t_diag_log
 from .numerics import _is_real, _real_array, _sequence, in_unit, integrate_unit, limit_at_zero, scalar_or_array
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
@@ -304,10 +304,10 @@ def tail_lower(m: Model, t: float) -> TailReport:
     coefficient is below 1, which is what ** inf gives.  A generator with no
     exponent (NaN) takes the numeric limit.
     """
-    m.tau(t)  # the age check
     beta = m.generator.zero_exponent
     if math.isnan(beta):
-        return tail_numeric(m, t, "lower")
+        return tail_numeric(m, t, "lower")  # which checks t
+    m.tau(t)  # the age check
     base = core_lambda_l(m.core)
     return TailReport(
         t=float(t), which="lower", value=base**beta,
@@ -322,10 +322,10 @@ def tail_upper(m: Model, t: float) -> TailReport:
     The coefficient is the core value for t > 0 and 2 - (2 - core)^beta at
     t = 0.  A generator with no exponent (NaN) takes the numeric limit.
     """
-    m.tau(t)  # the age check
     beta = m.generator.one_exponent
     if math.isnan(beta):
-        return tail_numeric(m, t, "upper")
+        return tail_numeric(m, t, "upper")  # which checks t
+    m.tau(t)  # the age check
     base = core_lambda_u(m.core)
     return TailReport(
         t=float(t), which="upper", value=base if t > 0 else 2.0 - (2.0 - base) ** beta,
@@ -341,18 +341,20 @@ def tail_numeric(m: Model, t: float, which: str) -> TailReport:
     """
     if not isinstance(which, str) or which not in ("lower", "upper"):
         raise DomainError("which must be 'lower' or 'upper'")
-    if which == "lower":
-        def g(u):
-            lu = np.log(u)
-            return np.exp(copula_t_diag_log(m, t, lu) - lu)
+    tau = min(m.tau(t), m.generator._copula_age_cap)
+    with np.errstate(all="ignore"):
+        if which == "lower":
+            def g(u):
+                lu = np.log(u)
+                return np.exp(_copula_t_diag_log(m, tau, lu) - lu)
 
-        est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=36)
-    else:
-        def g(eps):
-            u = 1.0 - eps
-            return (np.exp(copula_t_diag_log(m, t, np.log(u))) - (2.0 * u - 1.0)) / eps
+            est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=36)
+        else:
+            def g(eps):
+                u = 1.0 - eps
+                return (np.exp(_copula_t_diag_log(m, tau, np.log(u))) - (2.0 * u - 1.0)) / eps
 
-        est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=30)
+            est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=30)
     value = min(max(est.value, 0.0), 1.0)
     return TailReport(
         t=float(t), which=which, value=value, method="numeric",

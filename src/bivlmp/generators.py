@@ -689,15 +689,16 @@ def multiplicativity_check(g: Generator) -> dict:
     met = False
     if empirical != "neither" and hasattr(g, "_h_pp"):
         grid = np.linspace(0.01, 0.99, 101)
-        hpp = np.asarray(g._h_pp(grid))
-        hppp = np.asarray(g._h_ppp(grid))
-        if empirical == "sub":
-            met = bool(np.all(hpp <= _SIGN_TOL) and np.all(hppp <= _SIGN_TOL))
-        else:
-            hv = np.asarray(g.h(grid))
-            met = bool(
-                np.all(hpp >= -_SIGN_TOL)
-                and np.all(hppp >= -_SIGN_TOL)
-                and np.all(hv >= grid**2 - _SIGN_TOL)
-            )
+        with np.errstate(all="ignore"):
+            hpp = np.asarray(g._h_pp(grid))
+            hppp = np.asarray(g._h_ppp(grid))
+            if empirical == "sub":
+                met = bool(np.all(hpp <= _SIGN_TOL) and np.all(hppp <= _SIGN_TOL))
+            else:
+                hv = np.exp(g._h_log_from_log(np.log(grid)))  # h on the grid, inside (0, 1)
+                met = bool(
+                    np.all(hpp >= -_SIGN_TOL)
+                    and np.all(hppp >= -_SIGN_TOL)
+                    and np.all(hv >= grid**2 - _SIGN_TOL)
+                )
     return {"empirical": empirical, "sufficient_condition_met": met}

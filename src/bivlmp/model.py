@@ -171,10 +171,15 @@ def copula_t_diag_log(m: Model, t: float, log_u):
     if not lu.max(initial=-math.inf) <= 0.0:  # NaN fails it too
         raise DomainError("ln u must lie in [-inf, 0]")
     with np.errstate(all="ignore"):
-        la = gen_mod._residual_log_inverse_from_log(g, tau, lu)
-        if np.any(np.isfinite(lu) & ~np.isfinite(la)):
-            raise DomainError("ln h_t^-1(u) overflows at this log u")
-        return scalar_or_array(_copula_t_log(m, tau, la, la))
+        return scalar_or_array(_copula_t_diag_log(m, tau, lu))
+
+
+def _copula_t_diag_log(m: Model, tau: float, lu):
+    """ln C_t(u, u) from lu = ln u <= 0, DomainError where ln h_tau^-1(u) overflows; under the caller's error state."""
+    la = gen_mod._residual_log_inverse_from_log(m.generator, tau, lu)
+    if np.any(np.isfinite(lu) & ~np.isfinite(la)):
+        raise DomainError("ln h_t^-1(u) overflows at this log u")
+    return _copula_t_log(m, tau, la, la)
 
 
 def singular_line_survival(m: Model, t: float, x):

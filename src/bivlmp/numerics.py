@@ -9,6 +9,16 @@ a pure function of its inputs.
 The quadrature hands its integrand the nodes of levels 0-4 in one call,
 then one level per call, weights each call's values in one product, and
 sums and tests the levels one at a time, each a row slice of that product.
+A level costs one reduction of its slice.  A one-column integral, as most
+integrals of the package are, then tests the level in Python floats: the
+running sum, the finiteness test and the stop test are the same double
+operations a 1-element array makes, in the same order, so no bit moves,
+and a level makes no other numpy call.  A NaN node value makes its level's
+sum NaN, since the weights are positive and finite, so only a level whose
+sum is not finite is scanned for NaN.  On mixing_gamma at t = 1 this took
+joint_annuity from 78 to 26 us and kendall_tau from 104 to 54 us per call
+(2-core x86-64 VM, Python 3.11.7, numpy 2.4.6; notes/decisions.md,
+"Quadrature").
 
 The package's argument conventions live here too: every public array
 function returns ``scalar_or_array(out)``, converts an array argument with
@@ -226,10 +236,14 @@ def _de_integrate(f, chunks, scale: float, tol: float, what: str) -> QuadratureR
     """Sum f over the nodes times scale, level by level, until two successive sums agree to tol in every column.
 
     f is called once per chunk, and its values are weighted in one product;
-    a level's sum is its row slice of that product, which numpy sums column
-    by column, pairwise, as it would the level's own product.  A NaN raises
-    at the first level that holds it; the levels past the stop are computed
-    but never checked or summed.
+    a level's sum is one reduction of its row slice of that product, which
+    numpy sums column by column, pairwise, as it would the level's own
+    product.  One column (one integral) keeps its running sum and stop test
+    in Python floats, the same double operations as on a 1-element array.
+    The weights are positive and finite, so a NaN value makes its level's
+    sum NaN: only a level whose sum is not finite is scanned for NaN, which
+    then raises at the first level that holds it.  The levels past the stop
+    are computed but never checked or summed.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -242,22 +256,27 @@ def _de_integrate(f, chunks, scale: float, tol: float, what: str) -> QuadratureR
         if fx.ndim < 2 or fx.shape[0] != x.shape[0]:  # a constant, or one value per column
             fx = np.broadcast_arrays(x, fx)[1]
         evaluations += fx.size
-        nan = np.isnan(fx)
-        first_nan = int(nan.any(axis=1).argmax()) if nan.any() else x.shape[0]
         with np.errstate(invalid="ignore", over="ignore"):  # Fortran order: each column sums on its own, pairwise
             prod = np.multiply(w * scale, fx, order="F")
+            one = prod.shape[1:] == (1,)
+            if one:  # its contiguous column: the same pairwise sums, one level at a time
+                prod = prod[:, 0]
             for start, stop in bounds:
-                if first_nan < stop:
-                    raise DomainError(f"{what}: integrand returned NaN")
-                part = prod[start:stop].sum(axis=0)
+                part = np.add.reduce(prod[start:stop], axis=0)  # ndarray.sum's reduction, without its wrapper
+                if one:
+                    part = float(part)
                 prev, total = total, part if total is None else 0.5 * total + part
-                if not np.isfinite(total).all():
-                    raise ConvergenceError(f"{what} is not finite", estimate=scalar_or_array(total.squeeze()))
-                if prev is not None and (np.abs(total - prev) <= tol * np.abs(total)).all():
-                    return QuadratureResult(scalar_or_array(total.squeeze()), float(np.max(np.abs(total - prev))),
-                                            evaluations)
+                if not (math.isfinite(total) if one else np.isfinite(total).all()):
+                    if np.isnan(fx[start:stop]).any():
+                        raise DomainError(f"{what}: integrand returned NaN")
+                    raise ConvergenceError(f"{what} is not finite", estimate=scalar_or_array(np.squeeze(total)))
+                if prev is not None:
+                    change = abs(total - prev)
+                    if change <= tol * abs(total) if one else (change <= tol * abs(total)).all():
+                        return QuadratureResult(total if one else scalar_or_array(total.squeeze()),
+                                                change if one else float(change.max()), evaluations)
     raise ConvergenceError(f"{what}: levels still differ by {np.max(np.abs(total - prev)):.3e}",
-                           estimate=scalar_or_array(total.squeeze()))
+                           estimate=scalar_or_array(np.squeeze(total)))
 
 
 def integrate_upper(f, tol: float = DEFAULT_QUAD_TOL, rate: float = 1.0) -> QuadratureResult:

@@ -15,6 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).parents[1] / "src" / "bivlmp"
 REASONS = {"paper", "cli", "bench-bound"}
 KEPT = {
+    "Generator.h": "paper",
     "Generator.h_inverse": "paper",
     "Generator.h_from_log": "paper",
     "Generator.h_log_from_log": "paper",
@@ -24,6 +25,7 @@ KEPT = {
     "core.gbar_log": "paper",
     "core.marginal_density": "paper",
     "core.marginal_hazard": "paper",
+    "core.marginal_quantile_log": "paper",
     "core.marginal_survival": "paper",
     "core.mu_core": "paper",
     "core.weak_lmp_residual": "paper",
@@ -52,6 +54,7 @@ KEPT = {
     "sampler.sample_core": "paper",
     "sampler.sample_mixing_shortcut": "paper",
     "core.marginal_quantile": "bench-bound",
+    "model.copula_t_diag_log": "bench-bound",
     "generators.residual_distortion_inverse": "bench-bound",
     "generators.residual_distortion_prime": "bench-bound",
     "numerics.invert_monotone": "bench-bound",

@@ -77,15 +77,17 @@ def _pairs(m, t, X, Y, U, V, lus):
     ]
 
 
-GENERATOR_METHODS = ("h_from_log", "h_log_from_log", "h_elasticity_from_log", "neg_log_h_inverse")
+GENERATOR_METHODS = ("h", "h_from_log", "h_log_from_log", "h_elasticity_from_log", "neg_log_h_inverse")
+PUBLIC_HELPERS = (core.marginal_quantile_log, model.copula_t_diag_log)  # checked public functions other calls used
 
 
 def _counting(monkeypatch):
-    """Count np.errstate blocks, the argument checks and the calls of the generator's public log methods.
+    """Count np.errstate blocks, the argument checks and the calls of the generator's public methods and helpers.
 
-    in_unit is replaced in every module that binds it.
+    in_unit and each of PUBLIC_HELPERS are replaced in every module that binds them.
     """
-    counts = dict.fromkeys(("errstate", "_nonnegative", "in_unit", "_check_age", *GENERATOR_METHODS), 0)
+    helpers = {fn.__name__: fn for fn in PUBLIC_HELPERS}
+    counts = dict.fromkeys(("errstate", "_nonnegative", "in_unit", "_check_age", *GENERATOR_METHODS, *helpers), 0)
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
@@ -97,10 +99,10 @@ def _counting(monkeypatch):
     monkeypatch.setattr(np, "errstate", counted(np.errstate, "errstate"))
     monkeypatch.setattr(core, "_nonnegative", counted(core._nonnegative, "_nonnegative"))
     monkeypatch.setattr(generators, "_check_age", counted(generators._check_age, "_check_age"))
-    in_unit = numerics.in_unit
-    for mod in (numerics, core, generators, model, dependence, pricing, sampler):
-        if getattr(mod, "in_unit", None) is in_unit:
-            monkeypatch.setattr(mod, "in_unit", counted(in_unit, "in_unit"))
+    for key, fn in {"in_unit": numerics.in_unit, **helpers}.items():
+        for mod in (numerics, core, generators, model, dependence, pricing, sampler):
+            if getattr(mod, key, None) is fn:
+                monkeypatch.setattr(mod, key, counted(fn, key))
     for name in GENERATOR_METHODS:
         monkeypatch.setattr(generators.Generator, name, counted(getattr(generators.Generator, name), name))
     return counts
@@ -169,6 +171,28 @@ def test_integrands_and_residuals_check_nothing_again(monkeypatch, call, name):
     counts = _counting(monkeypatch)
     fn(m, 1.0 / m.lam)
     assert counts.pop("errstate") >= 1
+    assert counts == {**dict.fromkeys(counts, 0), **want}
+
+
+# (call, its counts): one check per argument, and no checked public function run inside
+SUPER = make_generator("polynomial", coeffs=[0.0, 0.25, 0.5, 0.25])  # (x + 2x^2 + x^3)/4: super, with h''
+NESTED = {
+    "tail_numeric.lower": (lambda m: dependence.tail_numeric(m, 1.0 / m.lam, "lower"), dict(_check_age=1)),
+    "tail_numeric.upper": (lambda m: dependence.tail_numeric(m, 1.0 / m.lam, "upper"), dict(_check_age=1)),
+    "tail_lower": (lambda m: dependence.tail_lower(m, 1.0 / m.lam), dict(_check_age=1)),
+    "tail_upper": (lambda m: dependence.tail_upper(m, 1.0 / m.lam), dict(_check_age=1)),
+    "marginal_quantile": (lambda m: core.marginal_quantile(m.core, 1, [0.3, 0.6]), dict(in_unit=1)),
+    "multiplicativity_check": (lambda m: generators.multiplicativity_check(SUPER), {}),
+}
+
+
+@pytest.mark.parametrize("name", ["identity_mu", "mixing_gamma"])  # tail_lower by the lemma, and by the limit
+@pytest.mark.parametrize("call", sorted(NESTED))
+def test_public_calls_run_no_checked_public_call(monkeypatch, call, name):
+    fn, want = NESTED[call]
+    counts = _counting(monkeypatch)
+    fn(MODELS[name])
+    counts.pop("errstate")
     assert counts == {**dict.fromkeys(counts, 0), **want}
 
 

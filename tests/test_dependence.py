@@ -360,3 +360,13 @@ def test_mo15_kendall_free_of_age(models):
         t = lam_t / m.lam
         assert np.allclose(kendall_function(m, t, S_GRID).k_values(), k0, rtol=0.0, atol=1e-12), lam_t
         assert kendall_tau(m, t) == pytest.approx(0.2, abs=1e-12), lam_t
+
+
+def test_numeric_lower_tail_raises_where_the_inverse_overflows():
+    # Pareto with mu = 30: ln h^-1(u) = -(u^-1/30 - 1) overflows by u = 2^-41, the limit's last point,
+    # where C_t(u, u) is not 0; the upper tail never goes below u = 1 - 2^-6 and converges
+    m = Model(generator=make_generator("pareto", a=1.0, mu=30.0), core=MU)
+    for call in (lambda: tail_numeric(m, 0.0, "lower"), lambda: tail_lower(m, 2.0)):
+        with pytest.raises(DomainError, match="overflows"):
+            call()
+    assert tail_numeric(m, 0.0, "upper").converged

@@ -237,6 +237,77 @@ def test_a_divergent_integral_raises_the_level_rule_estimate(unit, f):
     assert new[0] is ConvergenceError and new == old
 
 
+# ---------------------------------------------------------------------------
+# one column (Python-float sums and tests) against two (array sums and tests)
+# ---------------------------------------------------------------------------
+
+def _run(unit, f, tol, columns):
+    """integrate_unit / integrate_upper on f, with f's column repeated columns times."""
+    g = f if columns == 1 else lambda x: np.repeat(f(x), columns, axis=1)
+    return integrate_unit(g, tol=tol) if unit else integrate_upper(g, tol=tol)
+
+
+def _level_nodes(unit, k):
+    return (ORACLE_UNIT if unit else ORACLE_HALF_LINE)[k][0][:, 0]
+
+
+@pytest.mark.parametrize("unit, f, tol, stop", [
+    (True, lambda u: u * u, 1e-10, 3),  # inside the first chunk
+    (False, lambda z: z * np.exp(-z), 1e-10, 5),  # the first later chunk
+    (False, lambda z: np.exp(-z * z), 1e-16, 6),  # the second later chunk
+])
+def test_one_column_and_two_give_the_same_bits(unit, f, tol, stop):
+    levels = ORACLE_UNIT if unit else ORACLE_HALF_LINE
+    one, two = _run(unit, f, tol, 1), _run(unit, f, tol, 2)
+    assert one.evaluations == sum(x.size for x, _ in levels[: max(stop, FIRST_CHUNK - 1) + 1])
+    assert oracles.de_integrate(f, levels, 1.0, tol, "").evaluations == sum(x.size for x, _ in levels[: stop + 1])
+    assert type(one.value) is float and two.value.shape == (2,)
+    assert _bits(two.value) == _bits(np.array([one.value, one.value]))
+    assert _bits(two.abs_error_estimate) == _bits(one.abs_error_estimate)
+    assert two.evaluations == 2 * one.evaluations
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_infinities_of_both_signs_in_one_level_do_not_read_as_nan(columns):
+    # +inf and -inf nodes sum to NaN, but no node value is NaN: the integral is not finite
+    level_2 = _level_nodes(False, 2)
+
+    def f(z):
+        return np.where(z == level_2[0], np.inf, np.where(z == level_2[1], -np.inf, np.exp(-z)))
+
+    with pytest.raises(ConvergenceError):
+        _run(False, f, 1e-10, columns)
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_a_nan_at_level_6_raises_only_when_the_rule_reaches_it(columns):
+    # exp(-z^2) stops at level 5 with tol 1e-10 and at level 6 with tol 1e-16
+    level_6 = _level_nodes(False, 6)
+
+    def f(z):
+        return np.where(np.isin(z, level_6), np.nan, np.exp(-z * z))
+
+    clean = _run(False, lambda z: np.exp(-z * z), 1e-10, columns)
+    assert _bits(_run(False, f, 1e-10, columns).value) == _bits(clean.value)
+    with pytest.raises(DomainError):
+        _run(False, f, 1e-16, columns)
+
+
+@pytest.mark.parametrize("columns", [1, 2])
+def test_a_running_total_that_overflows_raises(columns):
+    # levels 0 and 1 each sum to a finite double, 1e308 and 1.5e308, but 0.5 * 1e308 + 1.5e308 overflows
+    (x0, w0), (x1, w1) = ORACLE_HALF_LINE[:2]
+    c0, c1 = 1e308 / w0.sum(), 1.5e308 / w1.sum()
+    assert np.isfinite([np.sum(w0 * c0), np.sum(w1 * c1)]).all()
+
+    def f(z):
+        return np.where(np.isin(z, x0), c0, np.where(np.isin(z, x1), c1, 0.0))
+
+    with pytest.raises(ConvergenceError) as exc:
+        _run(False, f, 1e-10, columns)
+    assert np.all(np.asarray(exc.value.estimate) == np.inf)
+
+
 def test_invert_monotone_decreasing():
     f = lambda z: math.exp(-0.3 * z)
     z = invert_monotone(f, 0.25, 0.0, 100.0, tol=1e-12)
