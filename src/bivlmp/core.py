@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import (POSITIVE, _FINITE, Interval, _admit, _is_real, _real_array, copula_edges, in_unit,
-                       scalar_or_array)
+from .numerics import (POSITIVE, _FINITE, Interval, _admit, _is_real, _real_array, copula_edges, in_log_unit,
+                       in_unit, scalar_or_array)
 
 DEFAULT_SLACK = 1e-9
 _WEIGHT = Interval(0.0, 1.0)
@@ -169,9 +169,7 @@ def marginal_quantile_log(p: CoreParams, i: int, lu):
     Working from lu keeps the digits of u near 1.  Where e^{-alpha lu}
     overflows, z = (-alpha lu - ln(1 - alpha_i))/gamma_i to double precision.
     """
-    lu = _real_array(lu, "ln u")
-    if not lu.max(initial=-np.inf) <= 0.0:  # NaN fails it too
-        raise DomainError("ln u must be nonpositive")
+    lu = in_log_unit(lu, "ln u")
     with np.errstate(all="ignore"):
         return scalar_or_array(_log_a(p, i, lu) / _marg(p, i)[0])
 

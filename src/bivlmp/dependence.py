@@ -121,7 +121,7 @@ def _kendall_values(m: Model, tau: float, s, source: str):
     lv = _log_v(gen_mod._residual_log_inverse_from_log(g, tau, np.log(s)))  # the one check of ln v
     bracket = 2.0 * lv + _J_ROUTES[source](m.core, lv) / m.lam
     # h_t'(v) v = s x h'(x)/h(x) at ln x = ln v - tau
-    k = s * (1.0 - g._h_elasticity(np.minimum(lv - tau, 0.0)) * bracket)
+    k = s * (1.0 - g._h_elasticity(lv - tau) * bracket)
     return np.where(s >= 1.0, 1.0, k)
 
 
@@ -150,7 +150,7 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     if not isinstance(source, str) or source not in _J_ROUTES:
         raise DomainError(f"unknown source {source!r}")
     s_grid = _s_grid(s_grid)
-    tau = min(m.tau(t), m.generator._copula_age_cap)  # K_t is a function of C_t alone
+    tau = m.copula_age(t)  # K_t is a function of C_t alone
     s = in_unit(s_grid, "s", open_at_0=True)
     with np.errstate(all="ignore"):
         k = _kendall_values(m, tau, s, source)
@@ -159,7 +159,7 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
 
 def kendall_tau(m: Model, t: float) -> float:
     """tau = 3 - 4 integral_0^1 K_t(s) ds."""
-    tau = min(m.tau(t), m.generator._copula_age_cap)
+    tau = m.copula_age(t)
     with np.errstate(all="ignore"):
         return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, tau, s, "closed_form"), tol=TAU_TOL).value
 
@@ -341,7 +341,7 @@ def tail_numeric(m: Model, t: float, which: str) -> TailReport:
     """
     if not isinstance(which, str) or which not in ("lower", "upper"):
         raise DomainError("which must be 'lower' or 'upper'")
-    tau = min(m.tau(t), m.generator._copula_age_cap)
+    tau = m.copula_age(t)
     with np.errstate(all="ignore"):
         if which == "lower":
             def g(u):

@@ -26,16 +26,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, _real_array, copula_edges, in_unit,
+from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, copula_edges, in_log_unit, in_unit,
                        scalar_or_array, solve_decreasing_batch)
 
-_SLACK = 1e-12  # rounding allowed outside [0, 1] in a generator's argument
 _DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
 _UNIT = Interval(0.0, 1.0, closed=True)
-
-
-def _in_unit(x, what="argument"):
-    return in_unit(x, what, _SLACK)
 
 
 def _unit_edges(x, out):
@@ -43,22 +38,9 @@ def _unit_edges(x, out):
     return scalar_or_array(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)))
 
 
-def _log_arg(x):
-    """ln x for x in [0, 1] (0 gives -inf), clamped to <= 0; under the caller's error state."""
-    return np.minimum(np.log(x), 0.0)
-
-
 def _log1mexp(x):
     """ln(1 - e^x) for x <= 0, without cancellation at either end."""
     return np.where(x > -math.log(2.0), np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
-
-
-def _log_argument(lw, what: str):
-    """The one check of a log argument: a float array (by _real_array), DomainError where NaN, clamped to <= 0."""
-    lw = np.minimum(_real_array(lw, what), 0.0)
-    if np.isnan(lw.min(initial=0.0)):  # one reduction; NaN propagates through it
-        raise DomainError(f"{what} must not be NaN")
-    return lw
 
 
 class Generator:
@@ -101,35 +83,38 @@ class Generator:
 
     # public, endpoint-safe surface ------------------------------------------
     def h(self, x):
-        x = _in_unit(x)
+        x = in_unit(x, "argument")
         with np.errstate(all="ignore"):
-            return _unit_edges(x, np.exp(self._h_log_from_log(_log_arg(x))))
+            return _unit_edges(x, np.exp(self._h_log_from_log(np.log(x))))
 
     def h_inverse(self, u):
-        u = _in_unit(u)
+        u = in_unit(u, "argument")
         with np.errstate(all="ignore"):
-            return _unit_edges(u, np.exp(self._h_log_inv_from_log(_log_arg(u))))
+            return _unit_edges(u, np.exp(self._h_log_inv_from_log(np.log(u))))
 
     def h_elasticity_from_log(self, lx):
-        """x h'(x) / h(x) at x = e^lx, lx <= 0: the slope of ln h against ln x."""
+        """x h'(x) / h(x) at x = e^lx, lx in [-inf, 0]: the slope of ln h against ln x."""
+        lx = in_log_unit(lx, "lx")
         with np.errstate(all="ignore"):
-            return scalar_or_array(self._h_elasticity(_log_argument(lx, "lx")))
+            return scalar_or_array(self._h_elasticity(lx))
 
     def h_from_log(self, lw):
-        """h(e^lw), with lw clamped to <= 0."""
+        """h(e^lw) for lw in [-inf, 0]."""
+        lw = in_log_unit(lw, "lw")
         with np.errstate(all="ignore"):
-            return scalar_or_array(np.exp(self._h_log_from_log(_log_argument(lw, "lw"))))
+            return scalar_or_array(np.exp(self._h_log_from_log(lw)))
 
     def h_log_from_log(self, lw):
-        """ln h(e^lw), with lw clamped to <= 0; finite where h(e^lw) underflows."""
+        """ln h(e^lw) for lw in [-inf, 0]; finite where h(e^lw) underflows."""
+        lw = in_log_unit(lw, "lw")
         with np.errstate(all="ignore"):
-            return scalar_or_array(self._h_log_from_log(_log_argument(lw, "lw")))
+            return scalar_or_array(self._h_log_from_log(lw))
 
     def neg_log_h_inverse(self, u):
         """-ln h^-1(u), finite where h^-1(u) underflows."""
-        u = _in_unit(u)
+        u = in_unit(u, "argument")
         with np.errstate(all="ignore"):
-            return scalar_or_array(-self._h_log_inv_from_log(_log_arg(u)))
+            return scalar_or_array(-self._h_log_inv_from_log(np.log(u)))
 
     def describe(self):
         """A copy of the config document, or only the family of a generator built by hand."""
@@ -571,7 +556,7 @@ def _residual_log_inverse_from_log(g: Generator, t: float, lu):
 
 def time_distortion(g: Generator, t: float, x):
     """d_t(x) = h(e^-t h^-1(x)) / h(e^-t) = h_t(h^-1(x))."""
-    x = _in_unit(x, "x")
+    x = in_unit(x, "x")
     t = _check_age(t)
     with np.errstate(all="ignore"):
         return _time_distortion(g, t, x)
@@ -579,56 +564,57 @@ def time_distortion(g: Generator, t: float, x):
 
 def _time_distortion(g: Generator, t: float, x):
     """d_t(x) for a float array x in [0, 1], unchecked, under the caller's error state."""
-    return _unit_edges(x, np.exp(g._residual_log(t, np.minimum(g._h_log_inv_from_log(_log_arg(x)), 0.0))))
+    return _unit_edges(x, np.exp(g._residual_log(t, np.minimum(g._h_log_inv_from_log(np.log(x)), 0.0))))
 
 
 def residual_distortion(g: Generator, t: float, x):
     """h_t(x) = h(e^-t x) / h(e^-t)."""
-    x = _in_unit(x, "x")
+    x = in_unit(x, "x")
     t = _check_age(t)
     with np.errstate(all="ignore"):
-        out = np.exp(g._residual_log(t, _log_arg(x)))
+        out = np.exp(g._residual_log(t, np.log(x)))
     return _unit_edges(x, out)
 
 
 def residual_distortion_inverse(g: Generator, t: float, u):
     """h_t^-1(u) = e^t h^-1(u h(e^-t))."""
-    u = _in_unit(u, "u")
+    u = in_unit(u, "u")
     t = _check_age(t)
     with np.errstate(all="ignore"):
-        return _unit_edges(u, np.exp(_residual_log_inverse_from_log(g, t, _log_arg(u))))
+        return _unit_edges(u, np.exp(_residual_log_inverse_from_log(g, t, np.log(u))))
 
 
 def residual_distortion_log_inverse(g: Generator, t: float, u):
     """ln h_t^-1(u) for u in (0, 1], accurate where h_t^-1(u) is within rounding of 1."""
-    u = in_unit(u, "u", _SLACK, open_at_0=True)
+    u = in_unit(u, "u", open_at_0=True)
     t = _check_age(t)
     with np.errstate(all="ignore"):
-        return scalar_or_array(_residual_log_inverse_from_log(g, t, _log_arg(u)))
+        return scalar_or_array(_residual_log_inverse_from_log(g, t, np.log(u)))
 
 
 def residual_distortion_log(g: Generator, t: float, lw):
-    """ln h_t(e^lw) for lw <= 0, finite where h(e^-t) underflows."""
+    """ln h_t(e^lw) for lw in [-inf, 0], finite where h(e^-t) underflows."""
     t = _check_age(t)
+    lw = in_log_unit(lw, "lw")
     with np.errstate(all="ignore"):
-        return scalar_or_array(g._residual_log(t, _log_argument(lw, "lw")))
+        return scalar_or_array(g._residual_log(t, lw))
 
 
 def residual_distortion_prime(g: Generator, t: float, x):
     """h_t'(x) = h_t(x) el(ln x - t) / x for x in (0, 1], el the elasticity x h'(x) / h(x)."""
-    x = in_unit(x, "x", _SLACK, open_at_0=True)
+    x = in_unit(x, "x", open_at_0=True)
     t = _check_age(t)
     with np.errstate(all="ignore"):
-        lx = _log_arg(x)
+        lx = np.log(x)
         return scalar_or_array(np.exp(g._residual_log(t, lx) - lx) * g._h_elasticity(lx - t))
 
 
 def pseudo_product(g: Generator, a, b):
     """a (x)_h b = h(h^-1(a) h^-1(b)), added as logs."""
-    a = _in_unit(a, "pseudo-product argument")
-    b = _in_unit(b, "pseudo-product argument")
+    a = in_unit(a, "pseudo-product argument")
+    b = in_unit(b, "pseudo-product argument")
     with np.errstate(all="ignore"):
-        out = np.exp(g._h_log_from_log(g._h_log_inv_from_log(_log_arg(a)) + g._h_log_inv_from_log(_log_arg(b))))
+        out = np.exp(g._h_log_from_log(g._h_log_inv_from_log(np.log(a)) + g._h_log_inv_from_log(np.log(b))))
     return copula_edges(a, b, out)
 
 
@@ -669,7 +655,7 @@ def aging_profile(g: Generator) -> AgingProfile:
     """Classify the aging class induced by d_t: NBU <=> d_t(x) <= x; IFR <=> d_t(x) nonincreasing in t."""
     xs = np.asarray(X_GRID)
     with np.errstate(all="ignore"):
-        lv = np.minimum(g._h_log_inv_from_log(_log_arg(xs)), 0.0)
+        lv = np.minimum(g._h_log_inv_from_log(np.log(xs)), 0.0)
         log_d = np.array([g._residual_log(t, lv) for t in T_GRID])  # ln d_t(x) = ln h_t(h^-1(x))
     margins = log_d - np.log(xs)[None, :]
     nbu = _classify(margins < -_SIGN_TOL, margins > _SIGN_TOL, ("NBU", "NWU"))

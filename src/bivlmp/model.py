@@ -24,7 +24,7 @@ from . import generators as gen_mod
 from .core import CoreParams, _gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import Generator, Mo15Generator, make_generator
-from .numerics import (DEFAULT_QUAD_TOL, POSITIVE, _admit, _real_array, copula_edges, in_unit, integrate_upper,
+from .numerics import (DEFAULT_QUAD_TOL, POSITIVE, _admit, copula_edges, in_log_unit, in_unit, integrate_upper,
                        scalar_or_array)
 
 
@@ -50,6 +50,10 @@ class Model:
             raise DomainError(f"lambda t = {self.core.lam!r} * {t!r} overflows")
         return tau
 
+    def copula_age(self, t: float) -> float:
+        """tau(t), capped at the age past which the residual copula C_t, and so K_t, equals its limit."""
+        return min(self.tau(t), self.generator._copula_age_cap)
+
     def describe(self):
         return {
             "label": self.label,
@@ -63,23 +67,18 @@ def _lifetimes(x, y):
     return core_mod._nonnegative(x, "x"), core_mod._nonnegative(y, "y")
 
 
-def _h_log(g: Generator, lw):
-    """ln h(e^lw) with lw clamped to <= 0, as Generator.h_log_from_log, under the caller's error state."""
-    return g._h_log_from_log(np.minimum(lw, 0.0))
-
-
 def fbar_log(m: Model, x, y):
     """log Fbar(x, y) = ln h(Gbar(x, y)) from log Gbar, finite where Fbar underflows."""
     x, y = _lifetimes(x, y)
     with np.errstate(all="ignore"):
-        return scalar_or_array(_h_log(m.generator, _gbar_log(m.core, x, y)))
+        return scalar_or_array(m.generator._h_log_from_log(_gbar_log(m.core, x, y)))
 
 
 def fbar(m: Model, x, y):
     """Fbar(x, y) = h(Gbar(x, y)), evaluated from log Gbar to keep heavy tails."""
     x, y = _lifetimes(x, y)
     with np.errstate(all="ignore"):
-        return scalar_or_array(np.exp(_h_log(m.generator, _gbar_log(m.core, x, y))))
+        return scalar_or_array(np.exp(m.generator._h_log_from_log(_gbar_log(m.core, x, y))))
 
 
 def fbar_marginal(m: Model, i: int, z):
@@ -91,12 +90,7 @@ def fbar_marginal(m: Model, i: int, z):
 
 def _fbar_marginal(m: Model, i: int, z):
     """h(Gbar_i(z)) for a float array z >= 0."""
-    return np.exp(_h_log(m.generator, core_mod._marginal_log(m.core, i, z)))
-
-
-def _residual_from_log(g: Generator, tau: float, lw):
-    """h_tau(e^lw) = h(e^{lw - tau}) / h(e^-tau), as the exp of its log; under the caller's error state."""
-    return scalar_or_array(np.exp(g._residual_log(tau, np.minimum(lw, 0.0))))
+    return np.exp(m.generator._h_log_from_log(core_mod._marginal_log(m.core, i, z)))
 
 
 def fbar_residual(m: Model, t: float, x, y):
@@ -104,7 +98,7 @@ def fbar_residual(m: Model, t: float, x, y):
     tau = m.tau(t)
     x, y = _lifetimes(x, y)
     with np.errstate(all="ignore"):
-        return _residual_from_log(m.generator, tau, _gbar_log(m.core, x, y))
+        return scalar_or_array(np.exp(m.generator._residual_log(tau, _gbar_log(m.core, x, y))))
 
 
 def residual_marginal(m: Model, i: int, t: float, x):
@@ -112,12 +106,12 @@ def residual_marginal(m: Model, i: int, t: float, x):
     tau = m.tau(t)
     x = core_mod._nonnegative(x, "x")
     with np.errstate(all="ignore"):
-        return _residual_marginal(m, i, tau, x)
+        return scalar_or_array(_residual_marginal(m, i, tau, x))
 
 
 def _residual_marginal(m: Model, i: int, tau: float, x):
     """h_tau(Gbar_i(x)) for a float array x >= 0."""
-    return _residual_from_log(m.generator, tau, core_mod._marginal_log(m.core, i, x))
+    return np.exp(m.generator._residual_log(tau, core_mod._marginal_log(m.core, i, x)))
 
 
 def generalized_weak_residual(m: Model, t: float, x, y):
@@ -132,8 +126,8 @@ def generalized_weak_residual(m: Model, t: float, x, y):
         den = g._h_log_from_log(-tau)  # ln Fbar(t, t): ln Gbar(t, t) is -lambda t exactly
         if den == -math.inf:
             raise DomainError("ln Fbar(t, t) is below the most negative double at this age")
-        lhs = np.exp(_h_log(g, _gbar_log(m.core, x + t, y + t)) - den)
-        rhs = gen_mod._time_distortion(g, tau, np.exp(_h_log(g, _gbar_log(m.core, x, y))))
+        lhs = np.exp(g._h_log_from_log(_gbar_log(m.core, x + t, y + t)) - den)
+        rhs = gen_mod._time_distortion(g, tau, np.exp(g._h_log_from_log(_gbar_log(m.core, x, y))))
         return scalar_or_array(lhs - rhs)
 
 
@@ -142,7 +136,7 @@ def _copula_t_log(m: Model, tau: float, la, lb):
 
     Every step from logs; unchecked, under the caller's error state.
     """
-    return m.generator._residual_log(tau, np.minimum(core_mod._core_copula_log(m.core, la, lb), 0.0))
+    return m.generator._residual_log(tau, core_mod._core_copula_log(m.core, la, lb))
 
 
 def copula_t(m: Model, t: float, u, v):
@@ -151,7 +145,7 @@ def copula_t(m: Model, t: float, u, v):
     C_t(u, v) = h_tau(C_Gbar(h_tau^-1(u), h_tau^-1(v))).
     """
     g = m.generator
-    tau = min(m.tau(t), g._copula_age_cap)
+    tau = m.copula_age(t)
     u = in_unit(u, "u")
     v = in_unit(v, "v")
     with np.errstate(all="ignore"):  # u or v = 0 gives ln 0; copula_edges sets those points
@@ -165,11 +159,8 @@ def copula_t_diag_log(m: Model, t: float, log_u):
 
     DomainError where ln h_tau^-1(u) overflows at a finite log u, whose C_t(u, u) is not 0.
     """
-    g = m.generator
-    tau = min(m.tau(t), g._copula_age_cap)
-    lu = _real_array(log_u, "ln u")
-    if not lu.max(initial=-math.inf) <= 0.0:  # NaN fails it too
-        raise DomainError("ln u must lie in [-inf, 0]")
+    tau = m.copula_age(t)
+    lu = in_log_unit(log_u, "ln u")
     with np.errstate(all="ignore"):
         return scalar_or_array(_copula_t_diag_log(m, tau, lu))
 
@@ -190,7 +181,7 @@ def singular_line_survival(m: Model, t: float, x):
     if p0 == 0.0:
         return scalar_or_array(np.zeros_like(x))
     with np.errstate(all="ignore"):
-        return scalar_or_array(p0 * _residual_from_log(m.generator, tau, -m.lam * x))
+        return scalar_or_array(p0 * np.exp(m.generator._residual_log(tau, -m.lam * x)))
 
 
 def _decay_rate(m: Model, tau: float) -> float:

@@ -15,22 +15,24 @@ running sum, the finiteness test and the stop test are the same double
 operations a 1-element array makes, in the same order, so no bit moves,
 and a level makes no other numpy call.  A NaN node value makes its level's
 sum NaN, since the weights are positive and finite, so only a level whose
-sum is not finite is scanned for NaN.  On mixing_gamma at t = 1 this took
-joint_annuity from 78 to 26 us and kendall_tau from 104 to 54 us per call
-(2-core x86-64 VM, Python 3.11.7, numpy 2.4.6; notes/decisions.md,
-"Quadrature").
+sum is not finite is scanned for NaN.
 
 The package's argument conventions live here too: every public array
 function returns ``scalar_or_array(out)``, converts an array argument with
-``_real_array`` (a probability argument through ``in_unit``, a lifetime
-through ``core._nonnegative``) and sets a copula's boundary values with
-``copula_edges``; every constructor admits each number it is given with
-``_admit`` (a count or a seed with ``_admit_count``), and each parameter
-object with exactly its keys through ``_fields``.  A public function checks
-and converts each argument once, then does all its work under one
-``np.errstate``: the private ``_``-kernels it calls, quadrature integrands
-and root-finder residuals included, take the checked float arrays, never
-check again a value the same call produced, and run under that state.
+``_real_array`` (a probability argument through ``in_unit``, a log of one
+through ``in_log_unit``, a lifetime through ``core._nonnegative``) and sets
+a copula's boundary values with ``copula_edges``; every constructor admits
+each number it is given with ``_admit`` (a count or a seed with
+``_admit_count``), and each parameter object with exactly its keys through
+``_fields``.  A public function checks and converts each argument once, then
+does all its work under one ``np.errstate``: the private ``_``-kernels it
+calls, quadrature integrands and root-finder residuals included, take the
+checked float arrays, never check again a value the same call produced, and
+run under that state.  Each value has one range, checked once at the door: a
+probability lies in exactly [0, 1] and its log in [-inf, 0], NaN in neither.
+A kernel that takes a log it or another kernel produced does not clamp it
+again; only where ln h^-1 is formed, whose rounding can pass 0 by an ulp, is
+it clamped.
 """
 
 from __future__ import annotations
@@ -73,13 +75,13 @@ class Interval:
 
 POSITIVE = Interval(0.0)
 _FINITE = Interval(-math.inf)
-_FLOATS = (float, np.float64)
+_REALS = (float, int, np.float64)  # bool is a type of its own, so it is not among them
 
 
 def _is_real(value) -> bool:
     """The admission test for a number: a real (a numpy one too), not a bool, a str or an array."""
-    # the exact type first: nearly every number is a float, and the ABC check costs a microsecond
-    return type(value) in _FLOATS or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # the exact type first: nearly every number is a float or an int, and the ABC check costs a microsecond
+    return type(value) in _REALS or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _admit(owner: str, name: str, value, domain: Interval) -> float:
@@ -160,15 +162,26 @@ def _sequence(x, what: str) -> tuple:
         raise ValidationError(f"{what} must be a sequence, not {x!r}") from None
 
 
-def in_unit(x, what: str, slack: float = 0.0, open_at_0: bool = False) -> np.ndarray:
-    """x as a float array (by _real_array), or DomainError unless all of it lies in [-slack, 1 + slack].
+def in_unit(x, what: str, open_at_0: bool = False) -> np.ndarray:
+    """x as a float array (by _real_array), or DomainError unless all of it lies in [0, 1], (0, 1] with open_at_0.
 
-    With open_at_0 the interval is (0, 1 + slack].  NaN fails the check.
+    NaN fails the check.
     """
     x = _real_array(x, what)
     low = x.min(initial=np.inf)  # two reductions; NaN propagates through both and fails
-    if not ((low > 0.0 if open_at_0 else low >= -slack) and x.max(initial=-np.inf) <= 1.0 + slack):
+    if not ((low > 0.0 if open_at_0 else low >= 0.0) and x.max(initial=-np.inf) <= 1.0):
         raise DomainError(f"{what} must lie in {'(0' if open_at_0 else '[0'}, 1]")
+    return x
+
+
+def in_log_unit(x, what: str) -> np.ndarray:
+    """x as a float array (by _real_array), or DomainError unless all of it lies in [-inf, 0], the logs of [0, 1].
+
+    NaN fails the check.
+    """
+    x = _real_array(x, what)
+    if not x.max(initial=-np.inf) <= 0.0:  # one reduction; NaN propagates through it and fails
+        raise DomainError(f"{what} must lie in [-inf, 0]")
     return x
 
 

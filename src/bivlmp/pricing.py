@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import Model, _fbar_marginal, _h_log, _residual_from_log, _residual_marginal, _survival_integral
+from .model import Model, _fbar_marginal, _residual_marginal, _survival_integral
 from .numerics import _FINITE, _admit, _sequence, integrate_unit
 from .numerics import integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
 
@@ -64,7 +64,7 @@ def joint_annuity(m: Model, t: float, horizon=None) -> float:
 
 def _joint_annuity(m: Model, t: float, tau: float, horizon) -> float:
     """joint_annuity at an age t checked as tau = m.tau(t)."""
-    return _integrate(lambda z: np.exp(_h_log(m.generator, -m.lam * (z + t))), m, t, tau, horizon,
+    return _integrate(lambda z: np.exp(m.generator._h_log_from_log(-m.lam * (z + t))), m, t, tau, horizon,
                       "joint annuity integral")
 
 
@@ -72,7 +72,7 @@ def residual_joint_annuity(m: Model, t: float) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
     tau = m.tau(t)
     with np.errstate(all="ignore"):
-        return _integrate(lambda z: _residual_from_log(m.generator, tau, -m.lam * z), m, t, tau, None,
+        return _integrate(lambda z: np.exp(m.generator._residual_log(tau, -m.lam * z)), m, t, tau, None,
                           "conditional joint annuity integral")
 
 

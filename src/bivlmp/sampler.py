@@ -134,7 +134,7 @@ def _ln_q_t_unscaled(m: Model, i: int, d: np.ndarray, tau) -> np.ndarray:
     -inf where q_t is 0.
     """
     g, p = m.generator, m.core
-    lx = np.minimum(_marginal_log(p, i, d) - tau, 0.0)
+    lx = _marginal_log(p, i, d) - tau
     # 1 - hazard_i/lambda = (1 - gamma_i/(alpha lambda) + c) / (1 + c), c = alpha_i e^{-gamma_i d}/(1 - alpha_i):
     # without the cancellation where hazard_i nears lambda, whose noise costs the root finder passes;
     # clamped at 0 (ln = -inf) where a gamma_i / (alpha lambda) above 1 within the core's slack makes it negative
@@ -146,8 +146,7 @@ def _ln_q_t_unscaled(m: Model, i: int, d: np.ndarray, tau) -> np.ndarray:
 
 def _age_constants(g, tau):
     """(ln h(e^-tau), ln el(-tau)): the per-draw constants that _ln_q_t_unscaled leaves out of ln q_t."""
-    ltau = np.minimum(-tau, 0.0)
-    return g._h_log_from_log(ltau), np.log(g._h_elasticity(ltau))
+    return g._h_log_from_log(-tau), np.log(g._h_elasticity(-tau))
 
 
 def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
@@ -216,8 +215,10 @@ def _sample_sibuya(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
     """Sibuya(a) variates as the mixture Z | P ~ Geometric(P) on {1, 2, ...}, P ~ Beta(a, 1 - a).
 
     Exact: P(Z > k) = E[(1 - P)^k] = prod_{j<=k}(1 - a/j).  Z = 1 + floor(E / -ln(1 - P)) with E
-    standard exponential, in floats, since a small a puts mass far past the int64 range.
+    standard exponential, in floats, since a small a puts mass far past the int64 range.  At a = 1, Z = 1.
     """
+    if a >= 1.0:
+        return np.ones(n)
     p = rng.beta(a, 1.0 - a, n)
     return np.floor(rng.standard_exponential(n) / -np.log1p(-p)) + 1.0
 
@@ -237,19 +238,18 @@ def _sample_positive_stable(rng: np.random.Generator, a: float, n: int) -> np.nd
     return factor
 
 
+# kind of a generators.MIXING_LAWS entry -> its factor's sampler, of (rng, the law's one parameter, n)
+_MIXING_SAMPLERS = {
+    "gamma": lambda rng, a, n: rng.gamma(a, 1.0, n),
+    "positive_stable": _sample_positive_stable,
+    "sibuya": _sample_sibuya,
+    "log_series": lambda rng, theta, n: rng.logseries(-theta, n).astype(float),
+}
+
+
 def sample_mixing_factor(law: MixingLaw, rng: np.random.Generator, n: int) -> np.ndarray:
-    if law.kind == "gamma":
-        return rng.gamma(law.params["a"], 1.0, n)
-    if law.kind == "positive_stable":
-        return _sample_positive_stable(rng, law.params["a"], n)
-    if law.kind == "sibuya":
-        a = law.params["a"]
-        if a >= 1.0:
-            return np.ones(n)
-        return _sample_sibuya(rng, a, n)
-    if law.kind == "log_series":
-        return rng.logseries(-law.params["theta"], n).astype(float)
-    raise DomainError(f"no sampler for mixing law {law.kind!r}")
+    (value,) = law.params.values()
+    return _MIXING_SAMPLERS[law.kind](rng, value, n)
 
 
 def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, seed: int) -> SampleBatch:

@@ -345,8 +345,7 @@ def residual_joint_annuity(m, t):
     tau = m.tau(t)
 
     def surv(z):
-        with np.errstate(all="ignore"):
-            return model._residual_from_log(m.generator, tau, -m.lam * z)
+        return np.exp(generators.residual_distortion_log(m.generator, tau, -m.lam * z))
 
     return _integrate(surv, m, t, None)
 

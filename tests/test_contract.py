@@ -5,10 +5,12 @@ array of the input's shape otherwise, each entry equal to the scalar result.
 Copulas take their exact boundary values.  A NaN argument to a function that
 checks its domain raises DomainError, and so does an age below 0 or an
 argument outside the domain.
-The generator methods that take a log argument (h_from_log, h_log_from_log,
-h_elasticity_from_log) and the log argument of residual_distortion_log are
-checked once too: NaN raises DomainError, and a log above 0 is clamped to 0.
-The quadratures and the root finder call the unchecked kernels instead.
+A probability argument must lie in exactly [0, 1]: a value a rounding error
+outside raises DomainError too.  The generator methods that take a log
+argument (h_from_log, h_log_from_log, h_elasticity_from_log) and the log
+argument of residual_distortion_log are checked once, against [-inf, 0]: NaN
+and a log above 0 raise DomainError.  The quadratures and the root finder
+call the unchecked kernels instead.
 """
 
 import math
@@ -164,6 +166,25 @@ def test_copula_edges_exact(name):
     assert np.array_equal(core.core_copula(m.core, 1.0, u), u)
 
 
+# the calls of a generator g that take a log argument lw, and those that take a probability x
+LOG_CALLS = {
+    "h_from_log": lambda g, lw: g.h_from_log(lw),
+    "h_log_from_log": lambda g, lw: g.h_log_from_log(lw),
+    "h_elasticity_from_log": lambda g, lw: g.h_elasticity_from_log(lw),
+    "residual_distortion_log": lambda g, lw: generators.residual_distortion_log(g, 0.5, lw),
+}
+UNIT_CALLS = {
+    "h": lambda g, x: g.h(x),
+    "h_inverse": lambda g, x: g.h_inverse(x),
+    "neg_log_h_inverse": lambda g, x: g.neg_log_h_inverse(x),
+    "time_distortion": lambda g, x: generators.time_distortion(g, 0.5, x),
+    "residual_distortion": lambda g, x: generators.residual_distortion(g, 0.5, x),
+    "residual_distortion_inverse": lambda g, x: generators.residual_distortion_inverse(g, 0.5, x),
+    "residual_distortion_log_inverse": lambda g, x: generators.residual_distortion_log_inverse(g, 0.5, x),
+    "residual_distortion_prime": lambda g, x: generators.residual_distortion_prime(g, 0.5, x),
+    "pseudo_product": lambda g, x: generators.pseudo_product(g, x, 0.5),
+}
+
 NAN_CALLS = [
     ("core.gbar_log", lambda: core.gbar_log(P, NAN, 1.0)),
     ("core.marginal_survival", lambda: core.marginal_survival(P, 1, NAN)),
@@ -226,6 +247,15 @@ NAN_CALLS = [
 ] + [
     (f"{family}.residual_distortion_prime_at_0", lambda g=g: generators.residual_distortion_prime(g, 0.0, NAN))
     for family, g in GENERATORS.items()
+] + [  # a log above 0: these clamped it to 0 and returned a number
+    (f"{family}.{name}.log_above_0", lambda g=g, call=call: call(g, 0.5))
+    for family, g in GENERATORS.items()
+    for name, call in LOG_CALLS.items()
+] + [  # a rounding error outside [0, 1]: these admitted 1e-12 of it
+    (f"{family}.{name}.{side}", lambda g=g, call=call, x=x: call(g, x))
+    for family, g in GENERATORS.items()
+    for name, call in UNIT_CALLS.items()
+    for side, x in (("above_1", 1.0 + 1e-13), ("below_0", -1e-13))
 ]
 
 

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from bivlmp.config import builtin_model
 from bivlmp.core import (
     CoreParams,
+    _gbar_log,
+    _marginal_log,
     core_copula,
     gbar_log,
     marginal_density,
@@ -217,3 +219,34 @@ def test_core_two_increasing_property(raw):
         + gbar_eval(p, b[:, 0], b[:, 1])
     )
     assert np.min(mass) > -1e-9
+
+
+@st.composite
+def cores_at_the_weight_edge(draw):
+    """Admissible cores with one weight up to 1 - 2^-53, the other small enough for the lambda window to hold."""
+    a_big = draw(st.one_of(st.just(1.0 - 2.0**-53), st.floats(0.0, 1.0 - 2.0**-53, exclude_min=True)))
+    g_big = draw(st.floats(1e-3, 1e2))
+    g_other = g_big * draw(st.floats(max(a_big, 1e-2), 1e2))  # at least a_big g_big: room for the other weight
+    # the window g_big (1 - a_big) + g_other (1 - a_other) >= max(g_big, g_other) bounds the other weight
+    room = (g_big * (1.0 - a_big) - max(g_big - g_other, 0.0)) / g_other
+    a_other = room * draw(st.floats(0.0, 1.0, exclude_min=True))
+    assume(0.0 < a_other < 1.0)
+    alpha = draw(st.floats(0.1, 10.0))
+    lower, upper = max(g_big, g_other) / alpha, (g_big * (1.0 - a_big) + g_other * (1.0 - a_other)) / alpha
+    lam = lower + draw(st.floats(0.0, 1.0)) * max(upper - lower, 0.0)
+    g1, g2, a1, a2 = (g_big, g_other, a_big, a_other) if draw(st.booleans()) else (g_other, g_big, a_other, a_big)
+    return CoreParams(lam=lam, alpha=alpha, gamma1=g1, gamma2=g2, alpha1=a1, alpha2=a2)
+
+
+LIFETIMES = st.lists(st.one_of(st.sampled_from([0.0, math.inf]), st.floats(1e-300, 1e300)), min_size=1, max_size=8)
+
+
+@given(p=cores_at_the_weight_edge(), x=LIFETIMES, y=LIFETIMES)
+@settings(max_examples=100, derandomize=True, **CORE_SETTINGS)
+def test_log_survivals_are_never_above_0(p, x, y):
+    # the kernels that take ln Gbar and ln Gbar_i (h's log formulas, the age shifts) rest on this: none clamps it
+    X, Y = np.meshgrid(np.array(x), np.array(y))
+    with np.errstate(all="ignore"):
+        logs = [_gbar_log(p, X, Y), _gbar_log(p, Y, X), _marginal_log(p, 1, X), _marginal_log(p, 2, X)]
+    for k, log in enumerate(logs):
+        assert np.all(log <= 0.0), k  # NaN fails it too

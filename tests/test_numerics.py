@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bivlmp.config import builtin_models
 from bivlmp.core import marginal_hazard, marginal_quantile_log
 from bivlmp.errors import ConvergenceError, DomainError
-from bivlmp.model import _residual_from_log
 from bivlmp.numerics import (
     _HALF_LINE,
     _UNIT,
@@ -134,7 +133,7 @@ def _survival_integrand(m, columns):
 
     def surv(z):
         with np.errstate(all="ignore"):  # the kernel runs under its caller's error state
-            return _residual_from_log(m.generator, tau, -m.lam * z * c)
+            return np.exp(m.generator._residual_log(tau, -m.lam * z * c))
 
     return surv
 

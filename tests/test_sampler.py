@@ -8,6 +8,7 @@ from bivlmp import numerics, sampler
 from bivlmp.core import CoreParams, marginal_survival, mu_core, singular_mass
 from bivlmp.errors import DomainError, ValidationError
 from bivlmp.generators import (
+    MIXING_LAWS,
     IdentityGenerator,
     MixingLaw,
     generator_from_mixing,
@@ -325,6 +326,11 @@ def test_mixing_factor_matches_mgf(law):
     vals = np.exp(u * z)
     se = float(np.std(vals) / math.sqrt(n))
     assert abs(float(np.mean(vals)) - float(mixing_mgf(law, u))) < 4.5 * se
+
+
+def test_every_mixing_law_has_one_sampler():
+    # MixingLaw admits exactly the kinds of MIXING_LAWS, so a factor sampler never meets an unknown kind
+    assert sampler._MIXING_SAMPLERS.keys() == MIXING_LAWS.keys()
 
 
 def test_sibuya_factor_support():
