@@ -63,7 +63,7 @@ class SampleBatch:
         shapes = [np.shape(a) for a in (self.x, self.y, self.atom)]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
             raise ValidationError(f"x, y and atom must be 1-D and of one length, not of shapes {shapes}")
-        if not np.all(self.x[self.atom] == self.y[self.atom]):
+        if np.any((self.x != self.y) & self.atom):  # NaN != NaN: a NaN atom row is refused too
             raise ValidationError("atom rows must have x == y exactly")
 
     @property
@@ -111,12 +111,6 @@ def _split(u_cat, p0, q1):
     atom = u_cat < p0
     side1 = (~atom) & (u_cat < p0 + q1)
     return atom, side1, ~(atom | side1)
-
-
-def _batch(w, d, atom, seed, label) -> SampleBatch:
-    """The pairs (W + max(D, 0), W + max(-D, 0))."""
-    return SampleBatch(x=w + np.maximum(d, 0.0), y=w + np.maximum(-d, 0.0), atom=atom, seed=seed,
-                       model_label=label)
 
 
 def sample_core(p: CoreParams, n: int, seed: int) -> SampleBatch:
@@ -203,7 +197,7 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
         for i, mask, q, sign in ((1, side1, q1, 1.0), (2, side2, q2, -1.0)):
             if np.any(mask):
                 d[mask] = sign * _side_gap(m, i, u_mag[mask] * q, tau[mask])
-    return _batch(w, d, atom, seed, m.label)
+    return SampleBatch(x=w + np.maximum(d, 0.0), y=w + np.maximum(-d, 0.0), atom=atom, seed=seed, model_label=m.label)
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +261,19 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
     if n < 1:
         raise DomainError("n must be at least 1")
     rng = _rng(seed)
-    c = ratio * sample_mixing_factor(law, rng, n)  # per-draw power of Gbar
-    u_min, u_cat, u_mag = rng.random((3, n))
-    w = -np.log(u_min) / (c * p.lam)
-    atom, side1, side2 = _split(u_cat, 1.0 - p.alpha1 - p.alpha2, p.alpha1)
-    alpha = p.alpha / c
-    d = np.zeros(n)
-    for mask, aw, sign in ((side1, p.alpha1, 1.0), (side2, p.alpha2, -1.0)):
-        d[mask] = sign * _mu_side_quantile(u_mag[mask], alpha[mask], aw, p.gamma1)
-    return _batch(w, d, atom, seed, "mixing")
+    with np.errstate(all="ignore"):
+        c = ratio * sample_mixing_factor(law, rng, n)  # per-draw power of Gbar
+        u_min, u_cat, u_mag = rng.random((3, n))
+        w = -np.log(u_min) / (c * p.lam)
+        atom, side1, side2 = _split(u_cat, 1.0 - p.alpha1 - p.alpha2, p.alpha1)
+        # alpha at most the largest double, so that alpha / (alpha + 1) is not inf / inf where c underflows to 0:
+        # such a row draws w = inf and a finite gap, the pair (inf, inf) of Gbar^0 = 1
+        alpha = np.minimum(p.alpha / c, np.finfo(float).max)
+        # every row's gap magnitude q >= 0 on its side's weight (unused on atom rows), so W + max(+-D, 0)
+        # is w + q on the gap's side and w on the other, and w on both for an atom
+        wq = w + _mu_side_quantile(u_mag, alpha, np.where(side1, p.alpha1, p.alpha2), p.gamma1)
+        x, y = np.where(side1, wq, w), np.where(side2, wq, w)
+    return SampleBatch(x=x, y=y, atom=atom, seed=seed, model_label="mixing")
 
 
 # ---------------------------------------------------------------------------

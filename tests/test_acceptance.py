@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bivlmp.cli import run
-from bivlmp.config import builtin_model, builtin_models
+from bivlmp.config import builtin_models
 from bivlmp.core import singular_mass
 from bivlmp.dependence import kendall_function, tail_lower, tail_numeric, tail_upper
 from bivlmp.generators import aging_profile, make_generator, multiplicativity_check
@@ -22,8 +22,6 @@ from bivlmp.model import Mo15Params, fbar, generalized_weak_residual, mo15_bridg
 from bivlmp.model import copula_t
 from bivlmp.pricing import (
     REFERENCE_HORIZON,
-    independent_annuity,
-    joint_annuity,
     life_expectancy,
     reference_comparison,
 )

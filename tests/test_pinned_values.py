@@ -4,15 +4,21 @@ A change meant to leave every value as it was (a faster kernel, a reordered
 check) must keep these bits; a change meant to move a value changes this file
 with it.  The values cover every integral route: the quadrature tau_t, K_t by
 the closed and the quadrature route, the four annuities, the mean residual
-lives, the life expectancies and a premium row.
+lives, the life expectancies and a premium row.  The samplers' draws are
+pinned as sha256 digests of the bytes of x, y and atom, at one fixed seed.
 """
+
+import hashlib
 
 import pytest
 
 from bivlmp import dependence, model, pricing
 from bivlmp.config import builtin_models
+from bivlmp.generators import MixingLaw
+from bivlmp.sampler import sample_mixing_shortcut, sample_model
 
-M = builtin_models()["mixing_gamma"]
+MODELS = builtin_models()
+M = MODELS["mixing_gamma"]
 T = 2.0 / M.lam  # lambda t = 2
 
 PINNED = {
@@ -42,3 +48,38 @@ def test_premium_row_keeps_its_bits():
     row = pricing.premium_table(M, [0.5 / M.lam])[0]  # lambda t = 0.5
     assert [v.hex() for v in (row.t, row.premium_joint, row.premium_independent)] == [
         "0x1.4000000000000p+2", "0x1.7cf3cf3cf3cf3p+6", "0x1.eda4bcca1c36cp+4"]
+
+
+SEED = 41
+
+# sample_mixing_shortcut on each mixing config, its law and ratio read from the config, n = 5e4
+SHORTCUT_DIGESTS = {
+    "mixing_gamma": "7dc9c77e2243a24e6c23f94e4cacf82ba09872e74174f34e27b76042a154e2f2",
+    "mixing_stable": "b4890a1fdc8296af8d026ea32f6de3dcb1e6672a6795f3420006d57a60935435",
+    "mixing_sibuya": "9688c5a6acd48688aed24373e162274e982b77368801a9fe1172eaf7aad3eae0",
+    "mixing_logseries": "b10e7dbd782cebf6991fb9d71df8b15a0b66de372f37e9b8977253bec59c6130",
+}
+
+# sample_model at n = 1e4, whose gaps the root finder solves on both models
+MODEL_DIGESTS = {
+    "mixing_gamma": "01f21f559eac282d3d9af5ecfea871581dad487f8abfeafd19a901a198495cf2",
+    "fig1_left": "3fe5476e0411d9efc0f6bb0943051712ea2ce5bc3aeed63d3d3f560360e17961",
+}
+
+
+def _digest(b):
+    return hashlib.sha256(b.x.tobytes() + b.y.tobytes() + b.atom.tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(SHORTCUT_DIGESTS))
+def test_shortcut_draws_keep_their_bits(name):
+    m = MODELS[name]
+    cfg = m.generator.config
+    law = MixingLaw(cfg["law"]["kind"], cfg["law"]["params"])
+    assert _digest(sample_mixing_shortcut(law, m.core, cfg["ratio"], 50_000, SEED)) == SHORTCUT_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+@pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")  # fig1_left's rounded core clamps its mass to 0
+def test_model_draws_keep_their_bits(name):
+    assert _digest(sample_model(MODELS[name], 10_000, SEED)) == MODEL_DIGESTS[name]

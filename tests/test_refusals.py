@@ -42,6 +42,9 @@ REFUSALS = [
      lambda: make_generator("polynomial", coeffs=[0.0, 3.0, -2.0])),
     ("SampleBatch.atom_off_diagonal", ValidationError, "x == y",
      lambda: sampler.SampleBatch(x=np.array([1.0]), y=np.array([2.0]), atom=np.array([True]), seed=0)),
+    ("SampleBatch.atom_nan", ValidationError, "x == y",  # NaN != NaN: a NaN atom row is off the diagonal
+     lambda: sampler.SampleBatch(x=np.array([1.0, math.nan]), y=np.array([2.0, math.nan]),
+                                 atom=np.array([False, True]), seed=0)),
     ("core.marginal_survival.margin", DomainError, "margin index", lambda: core.marginal_survival(P, 3, 1.0)),
     ("core.marginal_survival.margin_0", DomainError, "margin index", lambda: core.marginal_survival(P, 0, 1.0)),
     ("core.marginal_density.margin_0", DomainError, "margin index", lambda: core.marginal_density(P, 0, 1.0)),

@@ -6,7 +6,7 @@ from scipy.special import gammaln
 
 from bivlmp import numerics, sampler
 from bivlmp.core import CoreParams, marginal_survival, mu_core, singular_mass
-from bivlmp.errors import DomainError, ValidationError
+from bivlmp.errors import ValidationError
 from bivlmp.generators import (
     MIXING_LAWS,
     IdentityGenerator,
@@ -184,6 +184,20 @@ def test_shortcut_keeps_the_gap_at_tiny_per_draw_alpha():
     # Sibuya(0.05) frailties reach Z past 1e16, where the per-draw alpha/Z rounds s^(-alpha/(alpha+1)) to 1
     b = sample_mixing_shortcut(MixingLaw("sibuya", {"a": 0.05}), MU, 0.1, 100_000, seed=3)
     assert np.count_nonzero((b.x == b.y) & ~b.atom) == 0
+
+
+def test_shortcut_draws_infinite_lifetimes_at_zero_frailty():
+    # Gamma(0.01) frailties underflow to 0 on about 4e-4 of the draws: Gbar^0 = 1, so both lifetimes are inf, not NaN
+    b = sample_mixing_shortcut(MixingLaw("gamma", {"a": 0.01}), MU, 0.1, 50_000, seed=5)
+    assert not np.any(np.isnan(b.x) | np.isnan(b.y))
+    assert np.count_nonzero(np.isinf(b.x) & np.isinf(b.y) & ~b.atom) > 0
+
+
+def test_batch_takes_infinite_atoms_and_off_diagonal_gaps():
+    # only atom rows must have x == y: inf == inf holds, and a non-atom row may have any x and y
+    b = SampleBatch(x=np.array([math.inf, 1.0, 3.0]), y=np.array([math.inf, 2.0, 0.5]),
+                    atom=np.array([True, False, False]), seed=0)
+    assert b.n == 3 and b.atom.tolist() == [True, False, False]
 
 
 def test_mu_side_quantile_first_order_at_tiny_alpha():
