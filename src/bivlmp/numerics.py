@@ -316,7 +316,8 @@ def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT
     f1, f2 = fv(x1), fv(x2)
     if not np.sign(f1) * np.sign(f2) <= 0:
         raise DomainError(f"target {target!r} is not bracketed by f on [{lo!r}, {hi!r}]")
-    x = _chandrupatla(fv, x1, f1, x2, f2, tol, ())
+    with np.errstate(divide="ignore", invalid="ignore"):  # the steps divide by differences that may be 0
+        x = _chandrupatla(fv, x1, f1, x2, f2, tol, ())
     if np.isnan(x[0]):
         raise ConvergenceError("monotone inversion did not converge")
     return float(x[0])
@@ -401,18 +402,18 @@ def _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol, first):
     an infinite end never stalls an element.  A function of its own, so that
     its temporaries are freed before the residual runs.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if first:
-            t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
-        else:
-            d12, d32 = f1 - f2, f3 - f2
-            xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = np.where(iqi, f1 / d32 * (f3 / d12 + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1)), 0.5)
+    if first:
+        t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
+    else:
+        d12, d32 = f1 - f2, f3 - f2
+        xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
+        iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+        t = np.where(iqi, f1 / d32 * (f3 / d12 + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1)), 0.5)
     half = 0.5 * tol / np.abs(x2 - x1)
     return x1 + np.minimum(np.maximum(t, half), 1.0 - half) * (x2 - x1)
 
 
+@np.errstate(all="ignore")
 def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarray:
     """Solve fn(d, *args) = targets elementwise for fn nonincreasing in d on [0, inf).
 
@@ -425,7 +426,8 @@ def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarr
     adds them to the target instead.  ``fn`` is handed only the elements still
     being refined, so per-element constants must come through ``args`` (arrays
     broadcastable with ``targets``), never a closure.  A NaN, a target above
-    fn(0) or one past the largest double raises ConvergenceError.
+    fn(0) or one past the largest double raises ConvergenceError.  The solve,
+    fn's passes included, runs under one ``np.errstate(all="ignore")``.
     """
     targets = np.asarray(targets, dtype=float)
 

@@ -16,16 +16,15 @@ atom probability is unchanged while the conditional side-magnitude survival is
              / (lambda h'(e^{-lambda t})),
 
 obtained by differentiating Fbar along the second coordinate at x = y + d.
-sample_model solves ln q_t(d) = ln target with the package's root finder;
-every term of ln q_t comes from ln Gbar1(d) - lambda t, so no factor of q_t
-has to be representable.  The per-draw constants of ln q_t, ln h(e^{-lambda t})
-and the log elasticity at -lambda t, are added to the target instead of
-subtracted at every pass, so the solver's stop, relative to the target, sits
-at the rounding level of the terms the residual sums.  Where q_t has a
-closed-form inverse the root finder is skipped: for the identity generator q_t is the core's side law at every
-age, and on a side with gamma_i = alpha lambda that law inverts in closed
-form.  The core sampler and the frailty shortcut are this path with the
-identity generator.
+sample_model solves ln q_t(d) = ln target with the package's root finder, the
+draws of both sides in one call per GAP_BLOCK rows, each draw's margin
+constants (gamma_i, alpha_i) passed with its age; every term of ln q_t comes
+from ln Gbar_i(d) - lambda t, so no factor of q_t has to be representable.
+The per-draw constants, ln h and the log elasticity at e^{-lambda t}, join the
+target, so the solver's stop sits at the rounding level of the terms the
+residual sums.  A side whose q_t inverts in closed form, the identity
+generator's side with gamma_i = alpha lambda, skips the root finder; the core
+sampler and the frailty shortcut are this path with the identity generator.
 All draws come from a counter-based Philox stream, one batch per seed, so
 identical (model, n, seed) is bit-reproducible.
 """
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoreParams, _marg, _marginal_log, singular_mass
+from .core import CoreParams, singular_mass
 from .errors import DomainError, ValidationError
 from .generators import IdentityGenerator, MixingLaw
 from .model import Model
@@ -45,6 +44,7 @@ from .numerics import POSITIVE, _admit, _admit_count, _array_of, _real_array, so
 
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
+GAP_BLOCK = 16384  # rows per gap solve in sample_model: one solve over every row would raise peak memory
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,20 @@ def sample_core(p: CoreParams, n: int, seed: int) -> SampleBatch:
     return sample_model(Model(generator=IdentityGenerator(), core=p, label="core"), n, seed)
 
 
-def _ln_q_t_unscaled(m: Model, i: int, d: np.ndarray, tau) -> np.ndarray:
+def _ln_q_t_unscaled(m: Model, d: np.ndarray, tau, gamma, aw) -> np.ndarray:
     """ln q_t(d) + ln h(e^-tau) + ln el(-tau): the conditional side survival at per-draw ages tau, from ln Gbar_i(d).
 
     q_t(d) = h_tau(Gbar_i(d)) el(ln Gbar_i(d) - tau) / el(-tau) (1 - hazard_i(d) / lambda),
-    el the elasticity x h'(x) / h(x).  The per-draw constants ln h(e^-tau) and
-    ln el(-tau) (_age_constants) are left out: the gap solve adds them to its
-    target instead, once per draw, and the monotonicity probe subtracts them.
-    -inf where q_t is 0.
+    el the elasticity x h'(x) / h(x), on the side of margin constants (gamma_i, alpha_i) = (gamma, aw), one
+    pair per draw or one for all.  The per-draw constants ln h(e^-tau) and ln el(-tau) (_age_constants) are
+    left out: the gap solve adds them to its target instead, once per draw, and the monotonicity probe
+    subtracts them.  -inf where q_t is 0.
     """
     g, p = m.generator, m.core
-    lx = _marginal_log(p, i, d) - tau
+    lx = -(gamma * d + np.log1p(aw * np.expm1(-gamma * d))) / p.alpha - tau  # core._marginal_log, less tau
     # 1 - hazard_i/lambda = (1 - gamma_i/(alpha lambda) + c) / (1 + c), c = alpha_i e^{-gamma_i d}/(1 - alpha_i):
     # without the cancellation where hazard_i nears lambda, whose noise costs the root finder passes;
     # clamped at 0 (ln = -inf) where a gamma_i / (alpha lambda) above 1 within the core's slack makes it negative
-    gamma, aw = _marg(p, i)
     c = aw / (1.0 - aw) * np.exp(-gamma * d)
     return (g._h_log_from_log(lx) + np.log(g._h_elasticity(lx))
             + np.log(np.maximum(1.0 - gamma / (p.alpha * p.lam) + c, 0.0)) - np.log1p(c))
@@ -149,35 +148,17 @@ def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
     A non-monotone q_t means h(Gbar) is not 2-increasing, i.e. the generator
     and core do not combine into a proper bivariate distribution.
     """
-    probes = np.quantile(tau, [0.0, 0.5, 1.0])[:, None]  # one row of the grid per probe age
-    d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / m.core.lam])
-    lh_tau, lel_tau = _age_constants(m.generator, probes)
-    for i in (1, 2):
-        q = np.exp(_ln_q_t_unscaled(m, i, d_grid, probes) - lh_tau - lel_tau)
-        if np.any(np.diff(q, axis=1) > 1e-9):
-            raise ValidationError(
-                "conditional gap survival is not monotone: the generator/core pair "
-                "is not a valid bivariate survival function, cannot sample"
-            )
-
-
-def _side_gap(m: Model, i: int, targets: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    """Solve q_t(d) = target per draw, as ln q_t(d) + ln h(e^-tau) + ln el(-tau) = ln target + the same constants.
-
-    With the age constants on the target's side, the solver's stop at
-    2 eps |target| sits at the rounding level of the terms that ln q_t sums,
-    not of ln q_t alone.  A zero target solves ln q_t(d) = ln tiny, near where
-    q_t itself underflows.  For the identity generator q_t is the core's side
-    law at every age, closed form on a side with gamma_i = alpha lambda.
-    """
     p = m.core
-    gamma, aw = _marg(p, i)
-    if isinstance(m.generator, IdentityGenerator) and abs(gamma / (p.alpha * p.lam) - 1.0) < 1e-12:
-        return _mu_side_quantile(targets / aw, p.alpha, aw, gamma)
-    lh_tau, lel_tau = _age_constants(m.generator, tau)
-    ln_targets = np.log(np.maximum(targets, _TINY)) + lh_tau + lel_tau
-    return solve_decreasing_batch(lambda d, tau: _ln_q_t_unscaled(m, i, d, tau), ln_targets, start=1.0 / p.lam,
-                                  args=(tau,))
+    probes = np.quantile(tau, [0.0, 0.5, 1.0])[:, None]  # one row of the grid per probe age
+    d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / p.lam])
+    lh_tau, lel_tau = _age_constants(m.generator, probes)
+    sides = np.reshape([p.gamma1, p.gamma2, p.alpha1, p.alpha2], (2, 2, 1, 1))  # (gamma_i, alpha_i) on axis 0
+    q = np.exp(_ln_q_t_unscaled(m, d_grid, probes, *sides) - lh_tau - lel_tau)  # side x probe age x d
+    if np.any(np.diff(q, axis=-1) > 1e-9):
+        raise ValidationError(
+            "conditional gap survival is not monotone: the generator/core pair "
+            "is not a valid bivariate survival function, cannot sample"
+        )
 
 
 def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
@@ -193,11 +174,26 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
         _check_q_monotone(m, tau)
         p0, q1, q2 = _side_probs(p)
         atom, side1, side2 = _split(u_cat, p0, q1)
-        d = np.zeros(n)
-        for i, mask, q, sign in ((1, side1, q1, 1.0), (2, side2, q2, -1.0)):
-            if np.any(mask):
-                d[mask] = sign * _side_gap(m, i, u_mag[mask] * q, tau[mask])
-    return SampleBatch(x=w + np.maximum(d, 0.0), y=w + np.maximum(-d, 0.0), atom=atom, seed=seed, model_label=m.label)
+        gamma, aw = np.where(side1, p.gamma1, p.gamma2), np.where(side1, p.alpha1, p.alpha2)
+        targets = u_mag * np.where(side1, q1, q2)
+        # for the identity generator q_t is the core's side law, closed form on a side with gamma_i = alpha lambda
+        identity = isinstance(m.generator, IdentityGenerator)
+        closed = np.where(side1, *(identity and abs(g / (p.alpha * p.lam) - 1.0) < 1e-12 for g in (p.gamma1, p.gamma2)))
+        gap = np.zeros(n)
+        k = np.flatnonzero(closed & ~atom)
+        # clamped at 0: a target that rounds above its side's weight makes s > 1 and a gap of order -eps/gamma_i
+        gap[k] = np.maximum(_mu_side_quantile(targets[k] / aw[k], p.alpha, aw[k], gamma[k]), 0.0)
+        solved = np.flatnonzero(~(closed | atom))
+        for first in range(0, solved.size, GAP_BLOCK):
+            k = solved[first:first + GAP_BLOCK]
+            lh_tau, lel_tau = _age_constants(m.generator, tau[k])
+            ln_targets = np.log(np.maximum(targets[k], _TINY)) + lh_tau + lel_tau
+            gap[k] = solve_decreasing_batch(lambda d, *rest: _ln_q_t_unscaled(m, d, *rest), ln_targets,
+                                            start=1.0 / p.lam, args=(tau[k], gamma[k], aw[k]))
+        # a gap >= 0 lengthens its side's lifetime only: the other side's, and both of an atom, are w
+        wq = w + gap
+        x, y = np.where(side1, wq, w), np.where(side2, wq, w)
+    return SampleBatch(x=x, y=y, atom=atom, seed=seed, model_label=m.label)
 
 
 # ---------------------------------------------------------------------------

@@ -262,11 +262,16 @@ def copula_t_diag_log(m, t, log_u):
 # they called the kernels under their public caller's one error state.
 
 
-def ln_q_t_unscaled(m, i, d, tau):
-    """sampler._ln_q_t_unscaled through the generator's public log methods."""
+def side_constants(m, i):
+    """(gamma_i, alpha_i) of side i: the margin constants sampler._ln_q_t_unscaled takes for that side."""
+    return core._marg(m.core, i)
+
+
+def ln_q_t_unscaled(m, d, tau, gamma, aw):
+    """sampler._ln_q_t_unscaled through the core's ln Gbar_i of each draw's side and the public log methods."""
     g, p = m.generator, m.core
-    lx = core._marginal_log(p, i, d) - tau
-    gamma, aw = core._marg(p, i)
+    side1 = (gamma == p.gamma1) & (aw == p.alpha1)
+    lx = np.where(side1, core._marginal_log(p, 1, d), core._marginal_log(p, 2, d)) - tau
     c = aw / (1.0 - aw) * np.exp(-gamma * d)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (g.h_log_from_log(lx) + np.log(g.h_elasticity_from_log(lx))

@@ -14,8 +14,9 @@ import pytest
 
 from bivlmp import dependence, model, pricing
 from bivlmp.config import builtin_models
+from bivlmp.core import CoreParams
 from bivlmp.generators import MixingLaw
-from bivlmp.sampler import sample_mixing_shortcut, sample_model
+from bivlmp.sampler import sample_core, sample_mixing_shortcut, sample_model
 
 MODELS = builtin_models()
 M = MODELS["mixing_gamma"]
@@ -83,3 +84,17 @@ def test_shortcut_draws_keep_their_bits(name):
 @pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")  # fig1_left's rounded core clamps its mass to 0
 def test_model_draws_keep_their_bits(name):
     assert _digest(sample_model(MODELS[name], 10_000, SEED)) == MODEL_DIGESTS[name]
+
+
+@pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")
+def test_model_draws_over_several_gap_blocks_keep_their_bits():
+    # fig1_left's core clamps its singular mass to 0, so all 40,000 gaps go through the root finder: three blocks
+    digest = "f721ea9cb62c5388a0d348d2257063bca2f9e55a89cc87bdd7e4513b9121dda7"
+    assert _digest(sample_model(MODELS["fig1_left"], 40_000, SEED)) == digest
+
+
+def test_core_draws_of_a_closed_and_a_solved_side_keep_their_bits():
+    # gamma1 = alpha lambda inverts side 1 in closed form; side 2's gaps go through the root finder
+    p = CoreParams(lam=1.0, alpha=1.0, gamma1=1.0, gamma2=0.8, alpha1=0.3, alpha2=0.2)
+    digest = "cf492eb9f88b0bea143389deffe2e06588a41401c6eeb72f9d3bc27ee5d496a0"
+    assert _digest(sample_core(p, 20_000, 3)) == digest

@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bivlmp.generators import (
 )
 from bivlmp.model import Model, fbar
 from bivlmp.sampler import (
+    GAP_BLOCK,
     SampleBatch,
     _age_constants,
     _ln_q_t_unscaled,
@@ -37,10 +39,21 @@ FIG1_LEFT = pytest.param("fig1_left", marks=pytest.mark.filterwarnings("ignore:s
 
 
 def _ln_q_t(m, i, d, tau):
-    """ln q_t(d) itself: the sampler's residual less its per-draw age constants, under an error state of its own."""
+    """ln q_t(d) itself on side i: the sampler's residual less its age constants, under an error state of its own."""
+    return _ln_q_t_of(m, d, tau, *oracles.side_constants(m, i))
+
+
+def _ln_q_t_of(m, d, tau, gamma, aw):
+    """ln q_t(d) itself on the side of margin constants (gamma, aw), one pair per draw or one for all."""
     with np.errstate(all="ignore"):
         lh_tau, lel_tau = _age_constants(m.generator, tau)
-        return _ln_q_t_unscaled(m, i, d, tau) - lh_tau - lel_tau
+        return _ln_q_t_unscaled(m, d, tau, gamma, aw) - lh_tau - lel_tau
+
+
+def _draw_uniforms(monkeypatch, uniforms):
+    """Make sample_model draw the given rows of (u_min, u_cat, u_mag) in place of its Philox uniforms."""
+    uniforms = np.array(uniforms)
+    monkeypatch.setattr(sampler, "_rng", lambda seed: types.SimpleNamespace(random=lambda shape: uniforms))
 
 
 def test_sample_model_deterministic(models):
@@ -99,14 +112,29 @@ def test_gap_solves_take_few_residual_evaluations(models, name, monkeypatch):
     assert sum(evaluated) <= 8.5 * np.count_nonzero(~batch.atom)
 
 
-@pytest.mark.parametrize("name,budget", [("mixing_gamma", 18), ("mo15", 24),
-                                         pytest.param("fig1_left", 21, marks=FIG1_LEFT.marks), ("pareto_mu", 18)])
+@pytest.mark.parametrize("name,budget", [("mixing_gamma", 9), ("mo15", 12),
+                                         pytest.param("fig1_left", 11, marks=FIG1_LEFT.marks), ("pareto_mu", 9)])
 def test_gap_solves_stay_within_their_pass_budget(models, name, budget, monkeypatch):
     # the age constants in the target put the stop at the rounding level of the terms summed,
-    # and the secant first step starts close to a nearly linear residual: both solves of a
-    # sample take at most budget residual passes, bracket passes included
+    # and the secant first step starts close to a nearly linear residual: the one solve of a
+    # sample, both sides' draws in it, takes at most budget residual passes, bracket passes included
     _, evaluated = _counted_sample(models[name], monkeypatch)
     assert len(evaluated) <= budget
+
+
+@pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")
+def test_no_gap_solve_takes_more_than_a_block(models, monkeypatch):
+    # fig1_left's core has no atom mass, so every draw's gap goes through the root finder, GAP_BLOCK at a time
+    sizes = []
+
+    def counted(fn, targets, **kwargs):
+        sizes.append(targets.size)
+        return numerics.solve_decreasing_batch(fn, targets, **kwargs)
+
+    monkeypatch.setattr(sampler, "solve_decreasing_batch", counted)
+    batch = sample_model(models["fig1_left"], 2 * GAP_BLOCK + 5, seed=3)
+    assert sizes == [GAP_BLOCK, GAP_BLOCK, 5]
+    assert np.count_nonzero(~batch.atom) == sum(sizes)
 
 
 @pytest.mark.parametrize("name", ["mixing_gamma", "mixing_sibuya", "mixing_stable", "mo15", FIG1_LEFT, "pareto_mu"])
@@ -114,43 +142,65 @@ def test_gap_residuals_sit_at_the_rounding_level_of_ln_q_t(models, name, monkeyp
     # ln q_t sums terms the size of ln h(e^-tau) and ln el(-tau), so its rounding level is eps times their
     # sizes and ln target's: each gap solves ln q_t(d) = ln target to 4 times that, or the root lies within
     # 4 ulps of it, and it lies within that bound over the slope (plus 8 ulps) of scipy's root
-    m, solves = models[name], []
-    side_gap = sampler._side_gap
+    m, n, seed, solves = models[name], 20_000, 41, []
 
-    def recorded(m, i, targets, tau):
-        d = side_gap(m, i, targets, tau)
-        solves.append((i, targets, tau, d))
+    def recorded(fn, ln_targets, start, args):
+        d = numerics.solve_decreasing_batch(fn, ln_targets, start=start, args=args)
+        solves.append((ln_targets, *args, d))
         return d
 
-    monkeypatch.setattr(sampler, "_side_gap", recorded)
-    sample_model(m, 20_000, seed=41)
+    monkeypatch.setattr(sampler, "solve_decreasing_batch", recorded)
+    batch = sample_model(m, n, seed)
+    # the targets u_mag q_i of the non-atom draws, in the order the solves take them: none of these models
+    # has a closed-form side
+    _, u_cat, u_mag = sampler._rng(seed).random((3, n))
+    p0, q1, q2 = sampler._side_probs(m.core)
+    side1 = u_cat[~batch.atom] < p0 + q1
+    targets = u_mag[~batch.atom] * np.where(side1, q1, q2)
+    ln_targets, tau, gamma, aw, d = (np.concatenate(a) for a in zip(*solves))
     eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
-    for i, targets, tau, d in solves:
-        with np.errstate(all="ignore"):
-            lh_tau, lel_tau = _age_constants(m.generator, tau)
-        lt = np.log(np.maximum(targets, tiny))
-        bound = 4.0 * eps * (np.abs(lt) + np.abs(lh_tau) + np.abs(lel_tau))
+    with np.errstate(all="ignore"):
+        lh_tau, lel_tau = _age_constants(m.generator, tau)
+    lt = np.log(np.maximum(targets, tiny))
+    assert np.array_equal(ln_targets, lt + lh_tau + lel_tau)  # the solves took the targets above, in order
+    bound = 4.0 * eps * (np.abs(lt) + np.abs(lh_tau) + np.abs(lel_tau))
 
-        def residual(x):
-            return _ln_q_t(m, i, x, tau) - lt
+    def residual(x):
+        return _ln_q_t_of(m, x, tau, gamma, aw) - lt
 
-        ulps = 4.0 * eps * d + 4.0 * tiny
-        closed = (residual(np.maximum(d - ulps, 0.0)) >= -bound) & (residual(d + ulps) <= bound)
-        assert np.all((np.abs(residual(d)) <= bound) | closed), i
-        lo, hi = np.maximum(d - 1e-6 / m.lam, 0.0), d + 1e-6 / m.lam
-        slope = (residual(hi) - residual(lo)) / (hi - lo)
-        want = oracles.solve_decreasing_batch(lambda x, t: _ln_q_t(m, i, x, t), lt, start=1.0 / m.lam, args=(tau,))
-        assert np.all(np.abs(d - want) <= bound / np.abs(slope) + 8.0 * eps * d), i
+    ulps = 4.0 * eps * d + 4.0 * tiny
+    closed = (residual(np.maximum(d - ulps, 0.0)) >= -bound) & (residual(d + ulps) <= bound)
+    assert np.all((np.abs(residual(d)) <= bound) | closed)
+    lo, hi = np.maximum(d - 1e-6 / m.lam, 0.0), d + 1e-6 / m.lam
+    slope = (residual(hi) - residual(lo)) / (hi - lo)
+    want = oracles.solve_decreasing_batch(lambda x, *rest: _ln_q_t_of(m, x, *rest), lt, start=1.0 / m.lam,
+                                          args=(tau, gamma, aw))
+    assert np.all(np.abs(d - want) <= bound / np.abs(slope) + 8.0 * eps * d)
 
 
-@pytest.mark.parametrize("name", ["mixing_gamma", "fig1_left"])
-def test_zero_gap_target_gives_a_finite_gap(models, name):
-    # u_mag = 0 (probability 2^-53 per draw) makes a zero target, whose ln is -inf
+@pytest.mark.parametrize("name", ["mixing_gamma", FIG1_LEFT])
+def test_zero_gap_target_gives_a_finite_gap(models, name, monkeypatch):
+    # u_mag = 0 (probability 2^-53 per draw) makes a zero target, whose ln is -inf; three side-1 draws at one
+    # age, of targets 0, 0.1 and 1e-300
     m = models[name]
-    with np.errstate(all="ignore"):  # the kernels run under their caller's error state
-        gaps = sampler._side_gap(m, 1, np.array([0.0, 0.1]), np.array([0.5, 0.5]))
-        assert np.all(np.isfinite(gaps))
-        assert gaps[0] >= sampler._side_gap(m, 1, np.array([1e-300]), np.array([0.5]))[0]
+    p0, q1, _ = sampler._side_probs(m.core)
+    _draw_uniforms(monkeypatch, [[0.6] * 3, [p0 + q1 / 2.0] * 3, [0.0, 0.1 / q1, 1e-300 / q1]])
+    batch = sample_model(m, 3, seed=0)
+    assert not batch.atom.any() and np.all(batch.x >= batch.y)
+    assert np.all(np.isfinite(batch.x))
+    assert batch.x[0] >= batch.x[2]
+
+
+def test_closed_form_gap_is_never_negative(models, monkeypatch):
+    # on identity_mu the side-1 target u_mag q_1 rounds above alpha_1 at the largest uniform below 1, so
+    # s = target / alpha_1 > 1: its gap is 0, not a negative one that would put y above x on a side-1 draw
+    m = models["identity_mu"]
+    p0, q1, _ = sampler._side_probs(m.core)
+    top = np.nextafter(1.0, 0.0)
+    assert top * q1 > m.core.alpha1
+    _draw_uniforms(monkeypatch, [[0.6], [p0 + q1 / 2.0], [top]])
+    batch = sample_model(m, 1, seed=0)
+    assert not batch.atom[0] and batch.x[0] >= batch.y[0]
 
 
 def test_hazard_above_lambda_within_slack_still_samples():
