@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -231,6 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as its message alone, as run prints an error."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     try:
@@ -238,7 +244,9 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():  # the filters stay; only how a shown warning prints changes
+            warnings.showwarning = _show_warning
+            return args.fn(args)
     except (BivlmpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,6 +47,94 @@ CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file
 GAP_BLOCK = 16384  # rows per gap solve in sample_model: one solve over every row would raise peak memory
 
 
+# ---------------------------------------------------------------------------
+# CSV: "%.17g" for a block of floats at once, the same characters (notes/decisions.md, "An exact .17g kernel")
+# ---------------------------------------------------------------------------
+
+_POW10 = 10.0 ** np.arange(21)  # 10^k for the fast range's k = 16 - e in [1, 20], exact doubles
+_UPOW10 = 10 ** np.arange(18, dtype=np.uint64)
+_ONES = 0x0101010101010101  # 1 in every byte of a word
+_WORDS = 5  # 8-byte words per value: 16 integer digits, the point word, 16 more fraction digits
+# by e + 4: the ASCII offset of the integer digits written, the last e + 1 of the 16
+_INTEGER = ((np.arange(16) >= 15 - np.arange(-4, 16)[:, None]) * np.uint8(0x30)).view("<u8")
+# by e + 4: the point word's fixed bytes, "0" in byte 0 and zeros from byte 2 on for e < 0; byte 1 takes the
+# point and byte 7 the first fraction digit
+_POINT = np.array([int.from_bytes(b"0\0" + b"0" * (-e - 1), "little") for e in range(-4, 0)] + [0] * 16, np.uint64)
+
+
+def _veltkamp(a):
+    """Veltkamp's split: a = hi + lo exactly, each of at most 26 significant bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _round17(v, e):
+    """round(v 10^(16 - e)), ties to even, as int64: from p + err = v 10^(16 - e) exactly (Dekker's two-product)."""
+    b = _POW10[16 - e]
+    p = v * b  # an integer, being at least 1e16 > 2^53
+    (vh, vl), (bh, bl) = _veltkamp(v), _veltkamp(b)
+    err = ((vh * bh - p) + vh * bl + vl * bh) + vl * bl
+    floor = np.floor(err)
+    d = p.astype(np.int64) + floor.astype(np.int64)
+    frac = err - floor
+    return d + ((frac > 0.5) | ((frac == 0.5) & (d % 2 == 1)))
+
+
+def _digits8(x):
+    """The 8 decimal digits of uint64 x < 10^8 as the bytes of a word, the first digit in the lowest byte."""
+    x = x // 10000 | (x % 10000) << 32  # 4-digit halves in 32-bit lanes
+    hi = (x * 5243 >> 19) & 0x0000007F0000007F  # x // 100 in each lane
+    x = hi | (x - hi * 100) << 16
+    hi = (x * 103 >> 10) & 0x000F000F000F000F  # x // 10 in each 16-bit lane
+    return hi | (x - hi * 10) << 8
+
+
+def _written(w):
+    """0x30, the ASCII offset, in each byte of digit word w at or before its last nonzero digit."""
+    w = w + (w >> 8)
+    w = w + (w >> 16)
+    w = w + (w >> 32)  # in each byte, the sum of the digits from it on: at most 72, so no carry
+    return ((w + 0x7F7F7F7F7F7F7F7F) >> 7 & _ONES) * 0x30
+
+
+def _g17(v, out):
+    """Write "%.17g" % t for each t of v into its row of _WORDS words of out, NUL bytes where no character is."""
+    fast = (v >= 1e-4) & (v < 1e16)  # fixed notation with 16 - e in [1, 20]; NaN is not fast
+    f = np.where(fast, v, 1.0)
+    e = np.clip(np.floor(np.log10(f)), -4, 15).astype(np.intp)
+    d = _round17(f, e)
+    step = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)  # e is settled on the rounded d, not on p
+    if step.any():
+        e += step
+        redo = np.flatnonzero(step)
+        d[redo] = _round17(f[redo], e[redo])
+    d = d.astype(np.uint64)
+    scale = _UPOW10[16 - np.maximum(e, -1)]
+    i = d // scale  # the integer part, 0 below 1
+    frac = (d - i * scale) * _UPOW10[np.maximum(e, -1) + 1]  # the fraction digits, the first at 10^16
+    out[:, :2] = np.stack([_digits8(i // 10 ** 8), _digits8(i % 10 ** 8)], axis=1) | _INTEGER[e + 4]
+    out[:, 2] = _POINT[e + 4] | np.where(frac != 0, ord(".") << 8 | (frac // 10 ** 16 + 0x30) << 56, 0)
+    frac %= 10 ** 16
+    hi, lo = _digits8(frac // 10 ** 8), _digits8(frac % 10 ** 8)
+    out[:, 3] = hi | np.where(lo != 0, _ONES * 0x30, _written(hi))
+    out[:, 4] = lo | _written(lo)
+    slow = np.flatnonzero(~fast)  # 0, negatives, below 1e-4, from 1e16 up, inf and NaN
+    if slow.size:
+        cells = np.array(["%.17g" % t for t in v[slow].tolist()], f"S{8 * _WORDS}")
+        out[slow] = cells.view("<u8").reshape(-1, _WORDS)
+
+
+def _csv_block(x, y, atom) -> bytes:
+    """The bytes of "%.17g,%.17g,%d\\n" % row for each row of x, y, atom."""
+    rows = np.empty((x.size, 2 * _WORDS + 2), "<u8")
+    _g17(x, rows[:, :_WORDS])
+    rows[:, _WORDS] = ord(",")
+    _g17(y, rows[:, _WORDS + 1:-1])
+    rows[:, -1] = ord(",") | (atom + ord("0")) << 8 | ord("\n") << 16
+    return rows.tobytes().translate(None, b"\0")
+
+
 @dataclass(frozen=True)
 class SampleBatch:
     x: np.ndarray
@@ -71,14 +159,15 @@ class SampleBatch:
         return int(self.x.size)
 
     def to_csv(self, path):
-        """Write x, y, atom rows with .17g floats, CSV_BLOCK rows per write."""
-        with open(path, "w", newline="") as fh:
-            fh.write("x,y,atom\n")
+        """Write x, y, atom rows with .17g floats, CSV_BLOCK rows per write.
+
+        The bytes are those of "%.17g,%.17g,%d\\n" on each row, LF-terminated under an "x,y,atom" header;
+        one numpy kernel writes each block, and only values outside [1e-4, 1e16) go through "%.17g" one by one.
+        """
+        with open(path, "wb") as fh:
+            fh.write(b"x,y,atom\n")
             for k in range(0, self.n, CSV_BLOCK):
-                x, y, atom = (a[k:k + CSV_BLOCK].tolist() for a in (self.x, self.y, self.atom))
-                cells = [None] * (3 * len(x))  # x, y, atom of each row in turn, for one % per block
-                cells[::3], cells[1::3], cells[2::3] = x, y, atom
-                fh.write(("%.17g,%.17g,%d\n" * len(x)) % tuple(cells))
+                fh.write(_csv_block(self.x[k:k + CSV_BLOCK], self.y[k:k + CSV_BLOCK], self.atom[k:k + CSV_BLOCK]))
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -149,7 +238,8 @@ def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
     and core do not combine into a proper bivariate distribution.
     """
     p = m.core
-    probes = np.quantile(tau, [0.0, 0.5, 1.0])[:, None]  # one row of the grid per probe age
+    ranks = [0, tau.size // 2, -1]  # the youngest, a middle and the oldest age: one row of the grid each
+    probes = np.partition(tau, ranks)[ranks, None]
     d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / p.lam])
     lh_tau, lel_tau = _age_constants(m.generator, probes)
     sides = np.reshape([p.gamma1, p.gamma2, p.alpha1, p.alpha2], (2, 2, 1, 1))  # (gamma_i, alpha_i) on axis 0

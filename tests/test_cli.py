@@ -220,6 +220,19 @@ def test_sample_loads_the_root_finder(tmp_path, monkeypatch):
     assert sum(calls) > 0
 
 
+def test_sample_prints_the_mass_clamp_as_its_message(tmp_path):
+    # fig1_left's rounded core clamps its singular mass to 0: stderr holds the message, not a path or a source line
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    path = tmp_path / "s.csv"
+    argv = ["sample", "-c", "configs/fig1_left.json", "-n", "200", "--seed", "5", "-o", str(path)]
+    proc = subprocess.run([sys.executable, "-m", "bivlmp.cli", *argv], cwd=ROOT, env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout == f"wrote 200 samples to {path} (atom fraction 0.0)\n"
+    assert proc.stderr == "warning: singular mass -2.953e-04 slightly negative (rounded parameters); clamped to 0\n"
+    assert ".py" not in proc.stderr and "singular_mass(" not in proc.stderr
+
+
 def test_csv_bytes_match_row_by_row_format(tmp_path, models):
     # past two block boundaries, with atom rows
     batch = sample_model(models["identity_mu"], 2 * CSV_BLOCK + 3, seed=11)

@@ -5,19 +5,23 @@ check) must keep these bits; a change meant to move a value changes this file
 with it.  The values cover every integral route: the quadrature tau_t, K_t by
 the closed and the quadrature route, the four annuities, the mean residual
 lives, the life expectancies and a premium row.  The samplers' draws are
-pinned as sha256 digests of the bytes of x, y and atom, at one fixed seed.
+pinned as sha256 digests of the bytes of x, y and atom, at one fixed seed,
+and the CSV that `bivlmp sample` writes as the sha256 of the file.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
 from bivlmp import dependence, model, pricing
+from bivlmp.cli import run
 from bivlmp.config import builtin_models
 from bivlmp.core import CoreParams
 from bivlmp.generators import MixingLaw
 from bivlmp.sampler import sample_core, sample_mixing_shortcut, sample_model
 
+ROOT = Path(__file__).resolve().parent.parent
 MODELS = builtin_models()
 M = MODELS["mixing_gamma"]
 T = 2.0 / M.lam  # lambda t = 2
@@ -98,3 +102,19 @@ def test_core_draws_of_a_closed_and_a_solved_side_keep_their_bits():
     p = CoreParams(lam=1.0, alpha=1.0, gamma1=1.0, gamma2=0.8, alpha1=0.3, alpha2=0.2)
     digest = "cf492eb9f88b0bea143389deffe2e06588a41401c6eeb72f9d3bc27ee5d496a0"
     assert _digest(sample_core(p, 20_000, 3)) == digest
+
+
+# `bivlmp sample -n 100000 --seed 4242` to CSV: sha256 of the published file's bytes
+CSV_DIGESTS = {
+    "fig1_left": "26b6c488fae5b33772bade1a46400990c276bcf019a0b2af03b31db211f9002a",
+    "mixing_gamma": "d045d1f6c771d65adba27e7c450bd4beecc9951d06717c78e10c17601232825c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CSV_DIGESTS))
+@pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")
+def test_sample_csv_keeps_its_bytes(name, tmp_path, capsys):
+    path = tmp_path / "s.csv"
+    assert run(["sample", "-c", str(ROOT / "configs" / f"{name}.json"), "-n", "100000", "--seed", "4242",
+                "-o", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_DIGESTS[name]

@@ -1,5 +1,6 @@
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -269,6 +270,84 @@ def test_csv_round_trip(tmp_path, models):
     assert np.array_equal(data[:, 0], batch.x)
     assert np.array_equal(data[:, 1], batch.y)
     assert np.array_equal(data[:, 2].astype(bool), batch.atom)
+
+
+def _rows_17g(x, y, atom) -> bytes:
+    """The CSV rows of x, y, atom, each row formatted on its own with "%.17g"."""
+    return "".join("%.17g,%.17g,%d\n" % row for row in zip(x.tolist(), y.tolist(), atom.tolist())).encode()
+
+
+def _assert_csv_kernel_exact(values):
+    # every value on both axes, in two orders, so that a row's x and y differ
+    x = np.asarray(values, dtype=float)
+    y, atom = x[::-1].copy(), np.arange(x.size) % 3 == 0
+    assert sampler._csv_block(x, y, atom) == _rows_17g(x, y, atom)
+
+
+# values outside the kernel's fixed-notation range [1e-4, 1e16), which "%.17g" writes one by one
+SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
+            1.7976931348623157e308, -1.5, -1e300, 9.9999999999999991e-5, 1e16, 1e17, 2.0 ** 60]
+
+
+def _ties(rng, per_exponent):
+    """Doubles halfway between two 17-digit decimals, per_exponent of them at each decimal exponent e in [-4, 15].
+
+    With k = 16 - e, v = m / 2^(k+1) for an odd m makes v 10^k = m 5^k / 2 half an odd integer;
+    m < 2^53 keeps v exact.
+    """
+    out = []
+    for e in range(-4, 16):
+        k = 16 - e
+        lo = math.ceil(Fraction(2 ** (k + 1)) * Fraction(10) ** e)
+        hi = min(math.ceil(Fraction(2 ** (k + 1)) * Fraction(10) ** (e + 1)), 2 ** 53)
+        m = rng.integers(lo // 2, (hi - 1) // 2, per_exponent) * 2 + 1  # odd, in [lo, hi)
+        out.append(m / 2.0 ** (k + 1))
+    return np.concatenate(out)
+
+
+def test_csv_kernel_matches_17g_on_random_bit_patterns():
+    # uint64 bits read as doubles: NaNs, subnormals, negatives and every binary exponent, about 3% in the fast range
+    bits = np.random.default_rng(31).integers(0, 2 ** 64 - 1, 60_000, dtype=np.uint64, endpoint=True)
+    values = np.concatenate([bits.view(float), SPECIALS])
+    assert np.isnan(values).sum() > 10 and (np.abs(values) < np.finfo(float).tiny).sum() > 10
+    _assert_csv_kernel_exact(values)
+
+
+def test_csv_kernel_rounds_exact_ties_to_even():
+    ties = _ties(np.random.default_rng(32), 1000)
+    for v in ties.tolist():
+        e = math.floor(math.log10(v))
+        assert 10.0 ** e <= v < 10.0 ** (e + 1) and (Fraction(v) * 10 ** (16 - e)).denominator == 2
+    assert set(np.floor(np.log10(ties)).astype(int)) == set(range(-4, 16))
+    _assert_csv_kernel_exact(ties)
+
+
+def test_csv_kernel_matches_17g_at_powers_of_ten_and_the_range_edges():
+    p = 10.0 ** np.arange(-6, 18)
+    edges = np.array([1e-4, 1e16, 0.09999999999999999])  # the last: fl(v 1e17) is 1e16, round(v 1e17) below it
+    values = np.concatenate([p, edges])
+    _assert_csv_kernel_exact(np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)]))
+
+
+def test_csv_kernel_matches_17g_on_lifetime_like_values():
+    rng = np.random.default_rng(33)
+    values = [rng.random(20_000), rng.exponential(30.0, 20_000), np.exp(rng.uniform(-12.0, 40.0, 20_000)),
+              rng.integers(1, 2 ** 53, 20_000).astype(float),
+              rng.integers(1, 2 ** 20, 20_000) / 2.0 ** rng.integers(1, 40, 20_000)]
+    _assert_csv_kernel_exact(np.concatenate(values))
+
+
+def test_csv_bytes_of_special_values_across_two_block_boundaries(tmp_path):
+    rng = np.random.default_rng(34)
+    pool = np.concatenate([SPECIALS, _ties(rng, 20), 10.0 ** np.arange(-6, 18), rng.exponential(30.0, 500)])
+    n = 2 * sampler.CSV_BLOCK + 5
+    x, y = rng.choice(pool, n), rng.choice(pool, n)
+    atom = (np.arange(n) % 4 == 0) & ~np.isnan(x)
+    y[atom] = x[atom]
+    batch = SampleBatch(x=x, y=y, atom=atom, seed=0)
+    path = tmp_path / "s.csv"
+    batch.to_csv(path)
+    assert path.read_bytes() == b"x,y,atom\n" + _rows_17g(x, y, atom)
 
 
 def test_a_batch_converts_lists_and_keeps_the_sampler_arrays(models):
