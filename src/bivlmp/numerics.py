@@ -377,9 +377,9 @@ def _chandrupatla(residual, x1, f1, x2, f2, fatol, args) -> np.ndarray:
         done = live & ((np.abs(np.where(small, f1, f2)) <= fatol) | (np.abs(x2 - x1) < tol))
         out[pos[done]] = xmin[done]
         keep = live ^ done
+        if not keep.any():  # checked first: keep.all() holds on no elements too
+            return out
         if not keep.all():
-            if not keep.any():
-                return out
             keep = np.flatnonzero(keep)
             x1, f1, x2, f2, x3, f3, tol, fatol, pos = (a[keep] for a in (x1, f1, x2, f2, x3, f3, tol, fatol, pos))
             args = [a[keep] for a in args]  # apart from the bracket: fewer old and new copies held at once

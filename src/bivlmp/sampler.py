@@ -17,7 +17,7 @@ atom probability is unchanged while the conditional side-magnitude survival is
 
 obtained by differentiating Fbar along the second coordinate at x = y + d.
 sample_model solves ln q_t(d) = ln target with the package's root finder, the
-draws of both sides in one call per GAP_BLOCK rows, each draw's margin
+draws of both sides in one call per block of GAP_BLOCK draws, each draw's margin
 constants (gamma_i, alpha_i) passed with its age; every term of ln q_t comes
 from ln Gbar_i(d) - lambda t, so no factor of q_t has to be representable.
 The per-draw constants, ln h and the log elasticity at e^{-lambda t}, join the
@@ -25,8 +25,12 @@ target, so the solver's stop sits at the rounding level of the terms the
 residual sums.  A side whose q_t inverts in closed form, the identity
 generator's side with gamma_i = alpha lambda, skips the root finder; the core
 sampler and the frailty shortcut are this path with the identity generator.
-All draws come from a counter-based Philox stream, one batch per seed, so
-identical (model, n, seed) is bit-reproducible.
+All draws come from a counter-based Philox stream, one per seed, so identical
+(model, n, seed) is bit-reproducible.  sample_model reads it in three passes of
+GAP_BLOCK draws at a time, in the order one (3, n) batch would lay it out
+(every u_min, then every u_cat, then every u_mag), and keeps about 18 bytes per
+draw between them: x, which holds W until its gap is drawn, y, and the atom
+and side flags.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .numerics import POSITIVE, _admit, _admit_count, _array_of, _real_array, so
 
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
-GAP_BLOCK = 16384  # rows per gap solve in sample_model: one solve over every row would raise peak memory
+GAP_BLOCK = 16384  # draws per block of sample_model's passes: whole-sample passes would raise peak memory
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +235,17 @@ def _age_constants(g, tau):
     return g._h_log_from_log(-tau), np.log(g._h_elasticity(-tau))
 
 
-def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
-    """Reject models whose conditional gap survival q_t is not nonincreasing.
+def _check_q_monotone(m: Model, w: np.ndarray) -> None:
+    """Reject models whose conditional gap survival q_t is not nonincreasing, probed at three of the mins w.
 
     A non-monotone q_t means h(Gbar) is not 2-increasing, i.e. the generator
     and core do not combine into a proper bivariate distribution.
     """
     p = m.core
-    ranks = [0, tau.size // 2, -1]  # the youngest, a middle and the oldest age: one row of the grid each
-    probes = np.partition(tau, ranks)[ranks, None]
+    # the youngest, a middle and the oldest age, one row of the grid each: lambda w rounds monotonically,
+    # so these are the order statistics of the ages tau = lambda w
+    mid = np.partition(w, w.size // 2)[w.size // 2]
+    probes = p.lam * np.array([w.min(), mid, w.max()])[:, None]
     d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / p.lam])
     lh_tau, lel_tau = _age_constants(m.generator, probes)
     sides = np.reshape([p.gamma1, p.gamma2, p.alpha1, p.alpha2], (2, 2, 1, 1))  # (gamma_i, alpha_i) on axis 0
@@ -252,37 +258,51 @@ def _check_q_monotone(m: Model, tau: np.ndarray) -> None:
 
 
 def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
-    """Draw n pairs from a distorted model, conditioning the gap law on the min."""
+    """Draw n pairs from a distorted model, conditioning the gap law on the min.
+
+    The uniforms are read GAP_BLOCK draws at a time in the order of one (3, n) batch: every u_min, then
+    every u_cat, then every u_mag.  Between the passes only x (holding w until the last pass), y and two
+    flags per draw are kept.
+    """
     n, seed = _admit_count("sampler", "n", n), _admit_count("sampler", "seed", seed)
     if n < 1:
         raise DomainError("n must be at least 1")
-    p = m.core
-    u_min, u_cat, u_mag = _rng(seed).random((3, n))
-    w = np.asarray(m.generator.neg_log_h_inverse(u_min)) / p.lam
-    tau = p.lam * w
+    g, p = m.generator, m.core
+    rng = _rng(seed)
+    blocks = [slice(k, min(k + GAP_BLOCK, n)) for k in range(0, n, GAP_BLOCK)]
+    x = np.empty(n)
+    for b in blocks:  # u_min: the min w, held in x until its gaps are drawn
+        np.divide(g.neg_log_h_inverse(rng.random(b.stop - b.start)), p.lam, out=x[b])
     with np.errstate(all="ignore"):
-        _check_q_monotone(m, tau)
+        _check_q_monotone(m, x)
         p0, q1, q2 = _side_probs(p)
-        atom, side1, side2 = _split(u_cat, p0, q1)
-        gamma, aw = np.where(side1, p.gamma1, p.gamma2), np.where(side1, p.alpha1, p.alpha2)
-        targets = u_mag * np.where(side1, q1, q2)
+        y, atom, side1 = np.empty(n), np.empty(n, bool), np.empty(n, bool)  # after the probe's copy of w is freed
+        for b in blocks:  # u_cat: the atom and side-1 flags
+            atom[b], side1[b], _ = _split(rng.random(b.stop - b.start), p0, q1)
         # for the identity generator q_t is the core's side law, closed form on a side with gamma_i = alpha lambda
-        identity = isinstance(m.generator, IdentityGenerator)
-        closed = np.where(side1, *(identity and abs(g / (p.alpha * p.lam) - 1.0) < 1e-12 for g in (p.gamma1, p.gamma2)))
-        gap = np.zeros(n)
-        k = np.flatnonzero(closed & ~atom)
-        # clamped at 0: a target that rounds above its side's weight makes s > 1 and a gap of order -eps/gamma_i
-        gap[k] = np.maximum(_mu_side_quantile(targets[k] / aw[k], p.alpha, aw[k], gamma[k]), 0.0)
-        solved = np.flatnonzero(~(closed | atom))
-        for first in range(0, solved.size, GAP_BLOCK):
-            k = solved[first:first + GAP_BLOCK]
-            lh_tau, lel_tau = _age_constants(m.generator, tau[k])
-            ln_targets = np.log(np.maximum(targets[k], _TINY)) + lh_tau + lel_tau
-            gap[k] = solve_decreasing_batch(lambda d, *rest: _ln_q_t_unscaled(m, d, *rest), ln_targets,
-                                            start=1.0 / p.lam, args=(tau[k], gamma[k], aw[k]))
-        # a gap >= 0 lengthens its side's lifetime only: the other side's, and both of an atom, are w
-        wq = w + gap
-        x, y = np.where(side1, wq, w), np.where(side2, wq, w)
+        identity = isinstance(g, IdentityGenerator)
+        closed_sides = [identity and abs(gi / (p.alpha * p.lam) - 1.0) < 1e-12 for gi in (p.gamma1, p.gamma2)]
+        for b in blocks:  # u_mag: each block's gaps, then its x and y
+            u_mag, w, atom_b, side1_b = rng.random(b.stop - b.start), x[b], atom[b], side1[b]
+            gamma, aw = np.where(side1_b, p.gamma1, p.gamma2), np.where(side1_b, p.alpha1, p.alpha2)
+            targets = u_mag * np.where(side1_b, q1, q2)
+            closed = np.where(side1_b, *closed_sides)
+            gap = np.zeros(w.size)
+            k = np.flatnonzero(closed & ~atom_b)
+            # clamped at 0: a target that rounds above its side's weight makes s > 1 and a gap of order -eps/gamma_i
+            gap[k] = np.maximum(_mu_side_quantile(targets[k] / aw[k], p.alpha, aw[k], gamma[k]), 0.0)
+            k = np.flatnonzero(~(closed | atom_b))
+            if k.size:
+                tau = p.lam * w[k]
+                lh_tau, lel_tau = _age_constants(g, tau)
+                ln_targets = np.log(np.maximum(targets[k], _TINY)) + lh_tau + lel_tau
+                gap[k] = solve_decreasing_batch(lambda d, *rest: _ln_q_t_unscaled(m, d, *rest), ln_targets,
+                                                start=1.0 / p.lam, args=(tau, gamma[k], aw[k]))
+            # a gap >= 0 lengthens its side's lifetime only: the other side's, and both of an atom, are w;
+            # y first, since x[b] still holds w
+            wq = w + gap
+            y[b] = np.where(side1_b | atom_b, w, wq)
+            x[b] = np.where(side1_b, wq, w)
     return SampleBatch(x=x, y=y, atom=atom, seed=seed, model_label=m.label)
 
 

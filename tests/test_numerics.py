@@ -406,6 +406,18 @@ def test_solve_decreasing_batch_root_at_zero_is_exact():
     assert roots[1] == pytest.approx(math.log(2.0), rel=1e-15)
 
 
+def test_empty_solve_returns_at_once():
+    # no element is live from the start: the bracket's two passes and no refinement pass
+    calls = []
+
+    def fn(z):
+        calls.append(z.size)
+        return np.exp(-z)
+
+    roots = solve_decreasing_batch(fn, np.array([]))
+    assert roots.shape == (0,) and len(calls) <= 2
+
+
 @given(st.lists(st.tuples(st.floats(1e-12, 1e3), st.floats(1e-300, 1.0, exclude_max=True)), min_size=1, max_size=16))
 @settings(max_examples=100, deadline=None)
 def test_solve_decreasing_batch_matches_scipy(pairs):

@@ -19,7 +19,7 @@ from bivlmp.cli import run
 from bivlmp.config import builtin_models
 from bivlmp.core import CoreParams
 from bivlmp.generators import MixingLaw
-from bivlmp.sampler import sample_core, sample_mixing_shortcut, sample_model
+from bivlmp.sampler import GAP_BLOCK, sample_core, sample_mixing_shortcut, sample_model
 
 ROOT = Path(__file__).resolve().parent.parent
 MODELS = builtin_models()
@@ -95,6 +95,21 @@ def test_model_draws_over_several_gap_blocks_keep_their_bits():
     # fig1_left's core clamps its singular mass to 0, so all 40,000 gaps go through the root finder: three blocks
     digest = "f721ea9cb62c5388a0d348d2257063bca2f9e55a89cc87bdd7e4513b9121dda7"
     assert _digest(sample_model(MODELS["fig1_left"], 40_000, SEED)) == digest
+
+
+# sample_model over block edges, with atoms: (n, digest)
+BLOCK_EDGE_DIGESTS = {
+    # both sides' gaps solved, over two edges
+    "mixing_gamma": (2 * GAP_BLOCK + 5, "2c9afaa27099df15dcac4a5f1cc41858bb0b82ff120f94be9c88c2670cbeff58"),
+    # closed-form sides, no solve, over one edge
+    "identity_mu": (GAP_BLOCK + 1, "c02188ef0c4a41b1cc460d0b5acdb3e08fc8c0f15c2b97126069d35d307d0ee6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BLOCK_EDGE_DIGESTS))
+def test_model_draws_with_atoms_across_block_edges_keep_their_bits(name):
+    n, digest = BLOCK_EDGE_DIGESTS[name]
+    assert _digest(sample_model(MODELS[name], n, SEED)) == digest
 
 
 def test_core_draws_of_a_closed_and_a_solved_side_keep_their_bits():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -52,9 +53,14 @@ def _ln_q_t_of(m, d, tau, gamma, aw):
 
 
 def _draw_uniforms(monkeypatch, uniforms):
-    """Make sample_model draw the given rows of (u_min, u_cat, u_mag) in place of its Philox uniforms."""
-    uniforms = np.array(uniforms)
-    monkeypatch.setattr(sampler, "_rng", lambda seed: types.SimpleNamespace(random=lambda shape: uniforms))
+    """Make sample_model draw the given rows of (u_min, u_cat, u_mag) in place of its Philox uniforms.
+
+    sample_model reads its stream in calls of random(k), in the order one (3, n) batch lays it out, so the
+    rows are served flattened: every u_min, then every u_cat, then every u_mag.
+    """
+    stream = iter(np.ravel(uniforms))
+    monkeypatch.setattr(sampler, "_rng", lambda seed: types.SimpleNamespace(
+        random=lambda k: np.fromiter(stream, float, count=k)))
 
 
 def test_sample_model_deterministic(models):
@@ -136,6 +142,39 @@ def test_no_gap_solve_takes_more_than_a_block(models, monkeypatch):
     batch = sample_model(models["fig1_left"], 2 * GAP_BLOCK + 5, seed=3)
     assert sizes == [GAP_BLOCK, GAP_BLOCK, 5]
     assert np.count_nonzero(~batch.atom) == sum(sizes)
+
+
+@pytest.mark.parametrize("name", ["identity_mu", "mixing_gamma"])
+def test_memory_per_draw_is_bounded(models, name):
+    # past one block's working set, a draw keeps x, y, atom and its side flag: 18 bytes, read off the
+    # traced peaks at two sizes (identity_mu solves no gap, mixing_gamma solves both sides'); a float
+    # array more per draw, 26 bytes, fails
+    m = models[name]
+    sample_model(m, 2_000, seed=5)  # first-call allocations out of the way
+    peaks = []
+    for n in (200_000, 400_000):
+        tracemalloc.start()
+        try:
+            sample_model(m, n, seed=5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 200_000 <= 24.0
+
+
+def test_refused_model_reads_only_its_mins(models, monkeypatch):
+    # the probe takes its ages from the mins w, so weibull_mu is refused before a u_cat or u_mag is drawn
+    reads, philox = [], sampler._rng
+
+    def rng(seed):
+        g = philox(seed)
+        return types.SimpleNamespace(random=lambda k: reads.append(k) or g.random(k))
+
+    monkeypatch.setattr(sampler, "_rng", rng)
+    with pytest.raises(ValidationError, match="^conditional gap survival is not monotone: the generator/core pair "
+                                              "is not a valid bivariate survival function, cannot sample$"):
+        sample_model(models["weibull_mu"], 2 * GAP_BLOCK + 5, seed=1)
+    assert reads == [GAP_BLOCK, GAP_BLOCK, 5]
 
 
 @pytest.mark.parametrize("name", ["mixing_gamma", "mixing_sibuya", "mixing_stable", "mo15", FIG1_LEFT, "pareto_mu"])
