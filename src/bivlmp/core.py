@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import (POSITIVE, _FINITE, Interval, _admit, _is_real, _real_array, copula_edges, in_log_unit,
-                       in_unit, scalar_or_array)
+from .numerics import POSITIVE, _FINITE, Interval, _admit, _is_real, _least, _real_array, copula_edges, entry
 
 DEFAULT_SLACK = 1e-9
 _WEIGHT = Interval(0.0, 1.0)
@@ -98,16 +97,9 @@ def mu_core(alpha: float, gamma: float, alpha1: float, alpha2: float) -> CorePar
     return CoreParams(lam=gamma / alpha, alpha=alpha, gamma1=gamma, gamma2=gamma, alpha1=alpha1, alpha2=alpha2)
 
 
+@entry(x="lifetime", y="lifetime")
 def gbar_log(p: CoreParams, x, y):
-    """log Gbar(x, y), vectorized; the diagonal uses the exact -lambda*t form."""
-    x = _nonnegative(x, "x")
-    y = _nonnegative(y, "y")
-    with np.errstate(all="ignore"):
-        return scalar_or_array(_gbar_log(p, x, y))
-
-
-def _gbar_log(p: CoreParams, x, y):
-    """log Gbar(x, y) for float arrays x, y >= 0 (NaN-free), unchecked, under the caller's error state.
+    """log Gbar(x, y), vectorized; the diagonal uses the exact -lambda*t form.
 
     At x = y = inf it is the limit -inf, where x - y is NaN.
     """
@@ -135,43 +127,38 @@ def _marginal_log(p: CoreParams, i: int, z):
     return -(gamma * z + np.log1p(aw * np.expm1(-gamma * z))) / p.alpha
 
 
+@entry(z="lifetime")
 def marginal_survival(p: CoreParams, i: int, z):
-    return scalar_or_array(np.exp(_marginal_log(p, i, _nonnegative(z, "z"))))
+    return np.exp(_marginal_log(p, i, z))
 
 
+@entry(z="lifetime")
 def marginal_density(p: CoreParams, i: int, z):
     """g_i(z) = -d/dz Gbar_i(z), the hazard times Gbar_i: it underflows to 0 where e^{gamma_i z} overflows."""
-    z = _nonnegative(z, "z")
-    return scalar_or_array(_marginal_hazard(p, i, z) * np.exp(_marginal_log(p, i, z)))
+    return marginal_hazard.kernel(p, i, z) * np.exp(_marginal_log(p, i, z))
 
 
+@entry(z="lifetime")
 def marginal_hazard(p: CoreParams, i: int, z):
-    """Hazard g_i / Gbar_i of margin i, finite at every z."""
-    return scalar_or_array(_marginal_hazard(p, i, _nonnegative(z, "z")))
-
-
-def _marginal_hazard(p: CoreParams, i: int, z):
     """Hazard g_i / Gbar_i = (gamma_i / alpha) / (1 + alpha_i e^{-gamma_i z} / (1 - alpha_i)), finite at every z."""
     gamma, aw = _marg(p, i)
     return (gamma / p.alpha) / (1.0 + aw * np.exp(-gamma * z) / (1.0 - aw))
 
 
+@entry(u="probability open at 0")
 def marginal_quantile(p: CoreParams, i: int, u):
     """Solve Gbar_i(z) = u; closed form z = (1/gamma_i) ln((u^-alpha - alpha_i)/(1 - alpha_i))."""
-    lu = np.log(in_unit(u, "u", open_at_0=True))
-    with np.errstate(all="ignore"):
-        return scalar_or_array(_log_a(p, i, lu) / _marg(p, i)[0])
+    return _log_a(p, i, np.log(u)) / _marg(p, i)[0]
 
 
+@entry(lu=("log probability", "ln u"))
 def marginal_quantile_log(p: CoreParams, i: int, lu):
     """Solve ln Gbar_i(z) = lu for lu <= 0: z = (1/gamma_i) ln(1 + expm1(-alpha lu)/(1 - alpha_i)).
 
     Working from lu keeps the digits of u near 1.  Where e^{-alpha lu}
     overflows, z = (-alpha lu - ln(1 - alpha_i))/gamma_i to double precision.
     """
-    lu = in_log_unit(lu, "ln u")
-    with np.errstate(all="ignore"):
-        return scalar_or_array(_log_a(p, i, lu) / _marg(p, i)[0])
+    return _log_a(p, i, lu) / _marg(p, i)[0]
 
 
 def _log_a(p: CoreParams, i: int, lu):
@@ -187,7 +174,7 @@ def _log_a(p: CoreParams, i: int, lu):
 def _nonnegative(z, what: str):
     """z as a float array (by _real_array), or DomainError unless all of it is >= 0, which NaN fails."""
     z = _real_array(z, what)
-    if not z.min(initial=np.inf) >= 0:  # one reduction; NaN propagates through it and fails
+    if not _least(z) >= 0:  # NaN propagates through it and fails
         raise DomainError("lifetime arguments must be nonnegative")
     return z
 
@@ -220,13 +207,10 @@ def singular_mass(p: CoreParams) -> float:
     return mass
 
 
+@entry(u="probability", v="probability")
 def core_copula(p: CoreParams, u, v):
-    """Survival copula of Gbar, the exp of _core_copula_log with exact edges."""
-    u = in_unit(u, "u")
-    v = in_unit(v, "v")
-    with np.errstate(all="ignore"):  # u or v = 0 gives ln 0; copula_edges sets those points
-        lc = _core_copula_log(p, np.log(u), np.log(v))
-    return copula_edges(u, v, np.exp(lc))
+    """Survival copula of Gbar, the exp of _core_copula_log with exact edges, which set the points of ln 0."""
+    return copula_edges(u, v, np.exp(_core_copula_log(p, np.log(u), np.log(v))))
 
 
 def _core_copula_log(p: CoreParams, lu, lv):
@@ -248,15 +232,13 @@ def _core_copula_log(p: CoreParams, lu, lv):
         lc = -np.where(la >= lb, la + np.log1p(p.alpha1 * np.expm1(lb - la)),
                        lb + np.log1p(p.alpha2 * np.expm1(la - lb))) / p.alpha
     else:  # the quantiles are >= 0, and NaN only where ln u or ln v is
-        lc = _gbar_log(p, la / p.gamma1, lb / p.gamma2)
+        lc = gbar_log.kernel(p, la / p.gamma1, lb / p.gamma2)
     # C <= min(u, v); this also gives -inf where ln A = ln B = inf leaves inf - inf
     return np.fmin(lc, np.minimum(lu, lv))
 
 
+@entry(x="lifetime", y="lifetime", t="lifetime")
 def weak_lmp_residual(p: CoreParams, x, y, t):
     """Gbar(x+t, y+t) - Gbar(x, y) Gbar(t, t); zero for every member of the family."""
-    x, y, t = _nonnegative(x, "x"), _nonnegative(y, "y"), _nonnegative(t, "t")
-    with np.errstate(all="ignore"):
-        lhs = np.exp(_gbar_log(p, x + t, y + t))
-        rhs = np.exp(_gbar_log(p, x, y) + _gbar_log(p, t, t))
-        return scalar_or_array(lhs - rhs)
+    lhs = np.exp(gbar_log.kernel(p, x + t, y + t))
+    return lhs - np.exp(gbar_log.kernel(p, x, y) + gbar_log.kernel(p, t, t))

@@ -23,18 +23,19 @@ of 1, and ln v of the rounded v loses ~7 digits.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import generators as gen_mod
-from .core import CoreParams, _log_a, _marg, _marginal_hazard
+from .core import CoreParams, _log_a, _marg, marginal_hazard
 from .errors import DomainError
-from .model import Model, _copula_t_diag_log
-from .numerics import _is_real, _real_array, _sequence, in_unit, integrate_unit, limit_at_zero, scalar_or_array
+from .model import Model, copula_t_diag_log
+from .numerics import _log_v, _s_grid, entry, integrate_unit, limit_at_zero
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
+# ln C_t(u, u), bound when the module loads: the tail limits call the kernel of the entry, not the entry
+_diag_log = copula_t_diag_log.kernel
 TAU_TOL = 1e-9  # relative accuracy of Kendall's tau
 TAIL_TOL = 1e-4  # absolute accuracy of a numeric tail limit
 
@@ -64,22 +65,9 @@ class TailReport:
 # ---------------------------------------------------------------------------
 
 
-def _log_v(lv) -> np.ndarray:
-    """lv = ln v as a float array (by _real_array), or DomainError unless all of it lies in (-inf, 0]."""
-    lv = _real_array(lv, "ln v")
-    # a min and a max, cheaper than a mask on this path of every K_t evaluation; NaN fails both
-    if not (-math.inf < lv.min(initial=0.0) and lv.max(initial=0.0) <= 0.0):
-        raise DomainError("ln v must lie in (-inf, 0]")
-    return lv
-
-
+@entry(lv="ln v")
 def j_integral_closed(p: CoreParams, i: int, lv):
     """J_i(v) from lv = ln v (any shape): (gamma_i / alpha^2)(alpha_i expm1(alpha lv) - alpha lv)."""
-    return scalar_or_array(_j_closed(p, i, _log_v(lv)))
-
-
-def _j_closed(p: CoreParams, i: int, lv):
-    """j_integral_closed for a float array lv in (-inf, 0], unchecked."""
     gamma, aw = _marg(p, i)
     return (gamma / p.alpha**2) * (aw * np.expm1(p.alpha * lv) - p.alpha * lv)
 
@@ -89,17 +77,16 @@ def _hazard_sq(p: CoreParams, i: int, lv: np.ndarray):
     z_max = np.ravel(_log_a(p, i, lv) / _marg(p, i)[0])
 
     def hazard_sq(u):
-        haz = _marginal_hazard(p, i, z_max * u)
+        haz = marginal_hazard.kernel(p, i, z_max * u)
         return z_max * haz * haz
 
     return hazard_sq
 
 
+@entry(lv="ln v")
 def j_integral_quadrature(p: CoreParams, i: int, lv):
     """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
-    lv = _log_v(lv)
-    with np.errstate(all="ignore"):
-        return scalar_or_array(np.reshape(integrate_unit(_hazard_sq(p, i, lv)).value, lv.shape))
+    return np.reshape(integrate_unit(_hazard_sq(p, i, lv)).value, lv.shape)
 
 
 def _j_sum_quadrature(p: CoreParams, lv):
@@ -110,7 +97,7 @@ def _j_sum_quadrature(p: CoreParams, lv):
 
 # J_1 + J_2 by the route of each Kendall source, taking (core, ln v), ln v a float array in (-inf, 0]
 _J_ROUTES = {
-    "closed_form": lambda p, lv: _j_closed(p, 1, lv) + _j_closed(p, 2, lv),
+    "closed_form": lambda p, lv: j_integral_closed.kernel(p, 1, lv) + j_integral_closed.kernel(p, 2, lv),
     "quadrature": _j_sum_quadrature,
 }
 
@@ -125,21 +112,7 @@ def _kendall_values(m: Model, tau: float, s, source: str):
     return np.where(s >= 1.0, 1.0, k)
 
 
-def _s_grid(s_grid) -> tuple:
-    """s_grid as a tuple of Python floats, or DomainError for an entry that is not a real number or is NaN.
-
-    An int past the largest double is refused too; +-inf pass, as empirical_kendall takes them.
-    A single number is not a grid (ValidationError).
-    """
-    s_grid = _sequence(s_grid, "s_grid")
-    for s in s_grid:
-        if not _is_real(s):
-            raise DomainError(f"s must be a real number, not {s!r}")
-        if not (abs(s) <= sys.float_info.max or abs(s) == math.inf):  # NaN fails both
-            raise DomainError("s must not be NaN, nor an int past the largest double")
-    return tuple(map(float, s_grid))
-
-
+@entry(s_grid=("s grid", "s"), t="model age")
 def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "closed_form") -> KendallCurve:
     """Kendall curve of C_t on s_grid.
 
@@ -149,19 +122,15 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     """
     if not isinstance(source, str) or source not in _J_ROUTES:
         raise DomainError(f"unknown source {source!r}")
-    s_grid = _s_grid(s_grid)
-    tau = m.copula_age(t)  # K_t is a function of C_t alone
-    s = in_unit(s_grid, "s", open_at_0=True)
-    with np.errstate(all="ignore"):
-        k = _kendall_values(m, tau, s, source)
-    return KendallCurve(t=float(t), grid=tuple(zip(s_grid, k)), source=source)
+    k = _kendall_values(m, m._copula_age(t), s_grid, source)  # K_t is a function of C_t alone
+    return KendallCurve(t=t, grid=tuple(zip(s_grid.tolist(), k)), source=source)
 
 
+@entry(t="model age")
 def kendall_tau(m: Model, t: float) -> float:
     """tau = 3 - 4 integral_0^1 K_t(s) ds."""
-    tau = m.copula_age(t)
-    with np.errstate(all="ignore"):
-        return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, tau, s, "closed_form"), tol=TAU_TOL).value
+    tau = m._copula_age(t)
+    return 3.0 - 4.0 * integrate_unit(lambda s: _kendall_values(m, tau, s, "closed_form"), tol=TAU_TOL).value
 
 
 # ---------------------------------------------------------------------------
@@ -296,6 +265,7 @@ def core_lambda_u(p: CoreParams) -> float:
     return min(max(val, 0.0), 1.0)
 
 
+@entry(t="model age")
 def tail_lower(m: Model, t: float) -> TailReport:
     """lambda_L of C_t from the generator's exponent beta at 0, h(x) ~ a x^beta.
 
@@ -306,16 +276,16 @@ def tail_lower(m: Model, t: float) -> TailReport:
     """
     beta = m.generator.zero_exponent
     if math.isnan(beta):
-        return tail_numeric(m, t, "lower")  # which checks t
-    m.tau(t)  # the age check
+        return tail_numeric.kernel(m, t, "lower")
     base = core_lambda_l(m.core)
     return TailReport(
-        t=float(t), which="lower", value=base**beta,
+        t=t, which="lower", value=base**beta,
         method="lemma_exponential" if beta == math.inf else "lemma_power",
         classification={"beta": beta, "core_value": base},
     )
 
 
+@entry(t="model age")
 def tail_upper(m: Model, t: float) -> TailReport:
     """lambda_U of C_t from the generator's exponent beta at 1, 1 - h(x) ~ a (1-x)^beta.
 
@@ -324,15 +294,15 @@ def tail_upper(m: Model, t: float) -> TailReport:
     """
     beta = m.generator.one_exponent
     if math.isnan(beta):
-        return tail_numeric(m, t, "upper")  # which checks t
-    m.tau(t)  # the age check
+        return tail_numeric.kernel(m, t, "upper")
     base = core_lambda_u(m.core)
     return TailReport(
-        t=float(t), which="upper", value=base if t > 0 else 2.0 - (2.0 - base) ** beta,
+        t=t, which="upper", value=base if t > 0 else 2.0 - (2.0 - base) ** beta,
         method="lemma_power", classification={"beta": beta, "core_value": base},
     )
 
 
+@entry(t="model age")
 def tail_numeric(m: Model, t: float, which: str) -> TailReport:
     """Numeric tail limits via Aitken-accelerated sequences, each evaluated in one array call.
 
@@ -341,23 +311,21 @@ def tail_numeric(m: Model, t: float, which: str) -> TailReport:
     """
     if not isinstance(which, str) or which not in ("lower", "upper"):
         raise DomainError("which must be 'lower' or 'upper'")
-    tau = m.copula_age(t)
-    with np.errstate(all="ignore"):
-        if which == "lower":
-            def g(u):
-                lu = np.log(u)
-                return np.exp(_copula_t_diag_log(m, tau, lu) - lu)
+    if which == "lower":
+        def g(u):
+            lu = np.log(u)
+            return np.exp(_diag_log(m, t, lu) - lu)
 
-            est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=36)
-        else:
-            def g(eps):
-                u = 1.0 - eps
-                return (np.exp(_copula_t_diag_log(m, tau, np.log(u))) - (2.0 * u - 1.0)) / eps
+        est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=36)
+    else:
+        def g(eps):
+            u = 1.0 - eps
+            return (np.exp(_diag_log(m, t, np.log(u))) - (2.0 * u - 1.0)) / eps
 
-            est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=30)
+        est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=30)
     value = min(max(est.value, 0.0), 1.0)
     return TailReport(
-        t=float(t), which=which, value=value, method="numeric",
+        t=t, which=which, value=value, method="numeric",
         classification={"sequence_tail": [float(v) for v in est.sequence_tail]},
         converged=est.converged,
     )

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ValidationError
-from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, copula_edges, in_log_unit, in_unit,
-                       scalar_or_array, solve_decreasing_batch)
+from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, copula_edges, entry,
+                       solve_decreasing_batch)
 
 _DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
 _UNIT = Interval(0.0, 1.0, closed=True)
@@ -35,7 +35,7 @@ _UNIT = Interval(0.0, 1.0, closed=True)
 
 def _unit_edges(x, out):
     """out with the exact values 0 at x <= 0 and 1 at x >= 1."""
-    return scalar_or_array(np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out)))
+    return np.where(x <= 0.0, 0.0, np.where(x >= 1.0, 1.0, out))
 
 
 def _log1mexp(x):
@@ -82,39 +82,33 @@ class Generator:
         return self._h_log_from_log(lw - t) - self._h_log_from_log(-t)
 
     # public, endpoint-safe surface ------------------------------------------
+    @entry(x=("probability", "argument"))
     def h(self, x):
-        x = in_unit(x, "argument")
-        with np.errstate(all="ignore"):
-            return _unit_edges(x, np.exp(self._h_log_from_log(np.log(x))))
+        return _unit_edges(x, np.exp(self._h_log_from_log(np.log(x))))
 
+    @entry(u=("probability", "argument"))
     def h_inverse(self, u):
-        u = in_unit(u, "argument")
-        with np.errstate(all="ignore"):
-            return _unit_edges(u, np.exp(self._h_log_inv_from_log(np.log(u))))
+        return _unit_edges(u, np.exp(self._h_log_inv_from_log(np.log(u))))
 
+    @entry(lx="log probability")
     def h_elasticity_from_log(self, lx):
         """x h'(x) / h(x) at x = e^lx, lx in [-inf, 0]: the slope of ln h against ln x."""
-        lx = in_log_unit(lx, "lx")
-        with np.errstate(all="ignore"):
-            return scalar_or_array(self._h_elasticity(lx))
+        return self._h_elasticity(lx)
 
+    @entry(lw="log probability")
     def h_from_log(self, lw):
         """h(e^lw) for lw in [-inf, 0]."""
-        lw = in_log_unit(lw, "lw")
-        with np.errstate(all="ignore"):
-            return scalar_or_array(np.exp(self._h_log_from_log(lw)))
+        return np.exp(self._h_log_from_log(lw))
 
+    @entry(lw="log probability")
     def h_log_from_log(self, lw):
         """ln h(e^lw) for lw in [-inf, 0]; finite where h(e^lw) underflows."""
-        lw = in_log_unit(lw, "lw")
-        with np.errstate(all="ignore"):
-            return scalar_or_array(self._h_log_from_log(lw))
+        return self._h_log_from_log(lw)
 
+    @entry(u=("probability", "argument"))
     def neg_log_h_inverse(self, u):
         """-ln h^-1(u), finite where h^-1(u) underflows."""
-        u = in_unit(u, "argument")
-        with np.errstate(all="ignore"):
-            return scalar_or_array(-self._h_log_inv_from_log(np.log(u)))
+        return -self._h_log_inv_from_log(np.log(u))
 
     def describe(self):
         """A copy of the config document, or only the family of a generator built by hand."""
@@ -554,67 +548,47 @@ def _residual_log_inverse_from_log(g: Generator, t: float, lu):
     return np.where(lu == 0.0, 0.0, np.minimum(g._residual_log_inverse(t, lu), 0.0))
 
 
+@entry(x="probability", t="age")
 def time_distortion(g: Generator, t: float, x):
     """d_t(x) = h(e^-t h^-1(x)) / h(e^-t) = h_t(h^-1(x))."""
-    x = in_unit(x, "x")
-    t = _check_age(t)
-    with np.errstate(all="ignore"):
-        return _time_distortion(g, t, x)
-
-
-def _time_distortion(g: Generator, t: float, x):
-    """d_t(x) for a float array x in [0, 1], unchecked, under the caller's error state."""
     return _unit_edges(x, np.exp(g._residual_log(t, np.minimum(g._h_log_inv_from_log(np.log(x)), 0.0))))
 
 
+@entry(x="probability", t="age")
 def residual_distortion(g: Generator, t: float, x):
     """h_t(x) = h(e^-t x) / h(e^-t)."""
-    x = in_unit(x, "x")
-    t = _check_age(t)
-    with np.errstate(all="ignore"):
-        out = np.exp(g._residual_log(t, np.log(x)))
-    return _unit_edges(x, out)
+    return _unit_edges(x, np.exp(g._residual_log(t, np.log(x))))
 
 
+@entry(u="probability", t="age")
 def residual_distortion_inverse(g: Generator, t: float, u):
     """h_t^-1(u) = e^t h^-1(u h(e^-t))."""
-    u = in_unit(u, "u")
-    t = _check_age(t)
-    with np.errstate(all="ignore"):
-        return _unit_edges(u, np.exp(_residual_log_inverse_from_log(g, t, np.log(u))))
+    return _unit_edges(u, np.exp(_residual_log_inverse_from_log(g, t, np.log(u))))
 
 
+@entry(u="probability open at 0", t="age")
 def residual_distortion_log_inverse(g: Generator, t: float, u):
     """ln h_t^-1(u) for u in (0, 1], accurate where h_t^-1(u) is within rounding of 1."""
-    u = in_unit(u, "u", open_at_0=True)
-    t = _check_age(t)
-    with np.errstate(all="ignore"):
-        return scalar_or_array(_residual_log_inverse_from_log(g, t, np.log(u)))
+    return _residual_log_inverse_from_log(g, t, np.log(u))
 
 
+@entry(t="age", lw="log probability")
 def residual_distortion_log(g: Generator, t: float, lw):
     """ln h_t(e^lw) for lw in [-inf, 0], finite where h(e^-t) underflows."""
-    t = _check_age(t)
-    lw = in_log_unit(lw, "lw")
-    with np.errstate(all="ignore"):
-        return scalar_or_array(g._residual_log(t, lw))
+    return g._residual_log(t, lw)
 
 
+@entry(x="probability open at 0", t="age")
 def residual_distortion_prime(g: Generator, t: float, x):
     """h_t'(x) = h_t(x) el(ln x - t) / x for x in (0, 1], el the elasticity x h'(x) / h(x)."""
-    x = in_unit(x, "x", open_at_0=True)
-    t = _check_age(t)
-    with np.errstate(all="ignore"):
-        lx = np.log(x)
-        return scalar_or_array(np.exp(g._residual_log(t, lx) - lx) * g._h_elasticity(lx - t))
+    lx = np.log(x)
+    return np.exp(g._residual_log(t, lx) - lx) * g._h_elasticity(lx - t)
 
 
+@entry(a=("probability", "pseudo-product argument"), b=("probability", "pseudo-product argument"))
 def pseudo_product(g: Generator, a, b):
     """a (x)_h b = h(h^-1(a) h^-1(b)), added as logs."""
-    a = in_unit(a, "pseudo-product argument")
-    b = in_unit(b, "pseudo-product argument")
-    with np.errstate(all="ignore"):
-        out = np.exp(g._h_log_from_log(g._h_log_inv_from_log(np.log(a)) + g._h_log_inv_from_log(np.log(b))))
+    out = np.exp(g._h_log_from_log(g._h_log_inv_from_log(np.log(a)) + g._h_log_inv_from_log(np.log(b))))
     return copula_edges(a, b, out)
 
 
@@ -651,12 +625,12 @@ def _classify(neg: np.ndarray, pos: np.ndarray, labels=("NBU", "NWU")):
     return "neither"
 
 
+@entry()
 def aging_profile(g: Generator) -> AgingProfile:
     """Classify the aging class induced by d_t: NBU <=> d_t(x) <= x; IFR <=> d_t(x) nonincreasing in t."""
     xs = np.asarray(X_GRID)
-    with np.errstate(all="ignore"):
-        lv = np.minimum(g._h_log_inv_from_log(np.log(xs)), 0.0)
-        log_d = np.array([g._residual_log(t, lv) for t in T_GRID])  # ln d_t(x) = ln h_t(h^-1(x))
+    lv = np.minimum(g._h_log_inv_from_log(np.log(xs)), 0.0)
+    log_d = np.array([g._residual_log(t, lv) for t in T_GRID])  # ln d_t(x) = ln h_t(h^-1(x))
     margins = log_d - np.log(xs)[None, :]
     nbu = _classify(margins < -_SIGN_TOL, margins > _SIGN_TOL, ("NBU", "NWU"))
     diffs = np.diff(log_d, axis=0)  # log d_{t_{k+1}} - log d_{t_k}; IFR means nonpositive
@@ -664,6 +638,7 @@ def aging_profile(g: Generator) -> AgingProfile:
     return AgingProfile(nbu_nwu=nbu, ifr_dfr=ifr, margins=margins)
 
 
+@entry()
 def multiplicativity_check(g: Generator) -> dict:
     """Sub/super-multiplicativity read off the aging margin, plus the sufficient condition.
 
@@ -671,20 +646,19 @@ def multiplicativity_check(g: Generator) -> dict:
     NWU super; a memoryless generator is neither.  The sufficient condition (sign
     of h'', h''' and, for super, h(x) >= x^2) needs second/third-derivative capability.
     """
-    empirical = aging_profile(g).multiplicativity
+    empirical = aging_profile.kernel(g).multiplicativity
     met = False
     if empirical != "neither" and hasattr(g, "_h_pp"):
         grid = np.linspace(0.01, 0.99, 101)
-        with np.errstate(all="ignore"):
-            hpp = np.asarray(g._h_pp(grid))
-            hppp = np.asarray(g._h_ppp(grid))
-            if empirical == "sub":
-                met = bool(np.all(hpp <= _SIGN_TOL) and np.all(hppp <= _SIGN_TOL))
-            else:
-                hv = np.exp(g._h_log_from_log(np.log(grid)))  # h on the grid, inside (0, 1)
-                met = bool(
-                    np.all(hpp >= -_SIGN_TOL)
-                    and np.all(hppp >= -_SIGN_TOL)
-                    and np.all(hv >= grid**2 - _SIGN_TOL)
-                )
+        hpp = np.asarray(g._h_pp(grid))
+        hppp = np.asarray(g._h_ppp(grid))
+        if empirical == "sub":
+            met = bool(np.all(hpp <= _SIGN_TOL) and np.all(hppp <= _SIGN_TOL))
+        else:
+            hv = np.exp(g._h_log_from_log(np.log(grid)))  # h on the grid, inside (0, 1)
+            met = bool(
+                np.all(hpp >= -_SIGN_TOL)
+                and np.all(hppp >= -_SIGN_TOL)
+                and np.all(hv >= grid**2 - _SIGN_TOL)
+            )
     return {"empirical": empirical, "sufficient_condition_met": met}

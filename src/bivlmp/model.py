@@ -21,11 +21,10 @@ import numpy as np
 
 from . import core as core_mod
 from . import generators as gen_mod
-from .core import CoreParams, _gbar_log, singular_mass
+from .core import CoreParams, gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
-from .generators import Generator, Mo15Generator, make_generator
-from .numerics import (DEFAULT_QUAD_TOL, POSITIVE, _admit, copula_edges, in_log_unit, in_unit, integrate_upper,
-                       scalar_or_array)
+from .generators import Generator, Mo15Generator, make_generator, time_distortion
+from .numerics import DEFAULT_QUAD_TOL, POSITIVE, _admit, copula_edges, entry, integrate_upper
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,10 @@ class Model:
         """tau(t), capped at the age past which the residual copula C_t, and so K_t, equals its limit."""
         return min(self.tau(t), self.generator._copula_age_cap)
 
+    def _copula_age(self, t: float) -> float:
+        """copula_age of an age t that tau admitted, unchecked: an entry's body forms lambda t as m.lam * t."""
+        return min(self.core.lam * t, self.generator._copula_age_cap)
+
     def describe(self):
         return {
             "label": self.label,
@@ -62,73 +65,48 @@ class Model:
         }
 
 
-def _lifetimes(x, y):
-    """The one check of a pair of lifetime arguments: both as float arrays >= 0."""
-    return core_mod._nonnegative(x, "x"), core_mod._nonnegative(y, "y")
-
-
+@entry(x="lifetime", y="lifetime")
 def fbar_log(m: Model, x, y):
     """log Fbar(x, y) = ln h(Gbar(x, y)) from log Gbar, finite where Fbar underflows."""
-    x, y = _lifetimes(x, y)
-    with np.errstate(all="ignore"):
-        return scalar_or_array(m.generator._h_log_from_log(_gbar_log(m.core, x, y)))
+    return m.generator._h_log_from_log(gbar_log.kernel(m.core, x, y))
 
 
+@entry(x="lifetime", y="lifetime")
 def fbar(m: Model, x, y):
     """Fbar(x, y) = h(Gbar(x, y)), evaluated from log Gbar to keep heavy tails."""
-    x, y = _lifetimes(x, y)
-    with np.errstate(all="ignore"):
-        return scalar_or_array(np.exp(m.generator._h_log_from_log(_gbar_log(m.core, x, y))))
+    return np.exp(m.generator._h_log_from_log(gbar_log.kernel(m.core, x, y)))
 
 
+@entry(z="lifetime")
 def fbar_marginal(m: Model, i: int, z):
     """Marginal survival of the model: h(Gbar_i(z))."""
-    z = core_mod._nonnegative(z, "z")
-    with np.errstate(all="ignore"):
-        return scalar_or_array(_fbar_marginal(m, i, z))
-
-
-def _fbar_marginal(m: Model, i: int, z):
-    """h(Gbar_i(z)) for a float array z >= 0."""
     return np.exp(m.generator._h_log_from_log(core_mod._marginal_log(m.core, i, z)))
 
 
+@entry(t="model age", x="lifetime", y="lifetime")
 def fbar_residual(m: Model, t: float, x, y):
     """Fbar_t(x, y) = Fbar(x+t, y+t) / Fbar(t, t) = h_tau(Gbar(x, y))."""
-    tau = m.tau(t)
-    x, y = _lifetimes(x, y)
-    with np.errstate(all="ignore"):
-        return scalar_or_array(np.exp(m.generator._residual_log(tau, _gbar_log(m.core, x, y))))
+    return np.exp(m.generator._residual_log(m.lam * t, gbar_log.kernel(m.core, x, y)))
 
 
+@entry(t="model age", x="lifetime")
 def residual_marginal(m: Model, i: int, t: float, x):
     """Margin of Fbar_t: h_tau(Gbar_i(x))."""
-    tau = m.tau(t)
-    x = core_mod._nonnegative(x, "x")
-    with np.errstate(all="ignore"):
-        return scalar_or_array(_residual_marginal(m, i, tau, x))
+    return np.exp(m.generator._residual_log(m.lam * t, core_mod._marginal_log(m.core, i, x)))
 
 
-def _residual_marginal(m: Model, i: int, tau: float, x):
-    """h_tau(Gbar_i(x)) for a float array x >= 0."""
-    return np.exp(m.generator._residual_log(tau, core_mod._marginal_log(m.core, i, x)))
-
-
+@entry(t="model age", x="lifetime", y="lifetime")
 def generalized_weak_residual(m: Model, t: float, x, y):
     """Fbar(x+t, y+t)/Fbar(t, t) - d_tau(Fbar(x, y)); identically zero for h(Gbar) models.
 
     The ratio is the exp of a difference of ln Fbar, so it stays exact where both factors underflow.
     """
-    g = m.generator
-    tau = m.tau(t)
-    x, y = _lifetimes(x, y)
-    with np.errstate(all="ignore"):
-        den = g._h_log_from_log(-tau)  # ln Fbar(t, t): ln Gbar(t, t) is -lambda t exactly
-        if den == -math.inf:
-            raise DomainError("ln Fbar(t, t) is below the most negative double at this age")
-        lhs = np.exp(g._h_log_from_log(_gbar_log(m.core, x + t, y + t)) - den)
-        rhs = gen_mod._time_distortion(g, tau, np.exp(g._h_log_from_log(_gbar_log(m.core, x, y))))
-        return scalar_or_array(lhs - rhs)
+    g, tau = m.generator, m.lam * t
+    den = g._h_log_from_log(-tau)  # ln Fbar(t, t): ln Gbar(t, t) is -lambda t exactly
+    if den == -math.inf:
+        raise DomainError("ln Fbar(t, t) is below the most negative double at this age")
+    lhs = np.exp(g._h_log_from_log(gbar_log.kernel(m.core, x + t, y + t)) - den)
+    return lhs - time_distortion.kernel(g, tau, np.exp(g._h_log_from_log(gbar_log.kernel(m.core, x, y))))
 
 
 def _copula_t_log(m: Model, tau: float, la, lb):
@@ -139,49 +117,38 @@ def _copula_t_log(m: Model, tau: float, la, lb):
     return m.generator._residual_log(tau, core_mod._core_copula_log(m.core, la, lb))
 
 
+@entry(t="model age", u="probability", v="probability")
 def copula_t(m: Model, t: float, u, v):
     """Survival copula of the residual vector at age t.
 
-    C_t(u, v) = h_tau(C_Gbar(h_tau^-1(u), h_tau^-1(v))).
+    C_t(u, v) = h_tau(C_Gbar(h_tau^-1(u), h_tau^-1(v))); u or v = 0 gives ln 0, and copula_edges sets those points.
     """
-    g = m.generator
-    tau = m.copula_age(t)
-    u = in_unit(u, "u")
-    v = in_unit(v, "v")
-    with np.errstate(all="ignore"):  # u or v = 0 gives ln 0; copula_edges sets those points
-        la = gen_mod._residual_log_inverse_from_log(g, tau, np.log(u))
-        lb = gen_mod._residual_log_inverse_from_log(g, tau, np.log(v))
-        return copula_edges(u, v, np.exp(_copula_t_log(m, tau, la, lb)))
+    g, tau = m.generator, m._copula_age(t)
+    la = gen_mod._residual_log_inverse_from_log(g, tau, np.log(u))
+    lb = gen_mod._residual_log_inverse_from_log(g, tau, np.log(v))
+    return copula_edges(u, v, np.exp(_copula_t_log(m, tau, la, lb)))
 
 
+@entry(t="model age", log_u=("log probability", "ln u"))
 def copula_t_diag_log(m: Model, t: float, log_u):
     """log C_t(u, u) from log u; used by tail probes far below the smallest double.
 
     DomainError where ln h_tau^-1(u) overflows at a finite log u, whose C_t(u, u) is not 0.
     """
-    tau = m.copula_age(t)
-    lu = in_log_unit(log_u, "ln u")
-    with np.errstate(all="ignore"):
-        return scalar_or_array(_copula_t_diag_log(m, tau, lu))
-
-
-def _copula_t_diag_log(m: Model, tau: float, lu):
-    """ln C_t(u, u) from lu = ln u <= 0, DomainError where ln h_tau^-1(u) overflows; under the caller's error state."""
-    la = gen_mod._residual_log_inverse_from_log(m.generator, tau, lu)
-    if np.any(np.isfinite(lu) & ~np.isfinite(la)):
+    tau = m._copula_age(t)
+    la = gen_mod._residual_log_inverse_from_log(m.generator, tau, log_u)
+    if np.any(np.isfinite(log_u) & ~np.isfinite(la)):
         raise DomainError("ln h_t^-1(u) overflows at this log u")
     return _copula_t_log(m, tau, la, la)
 
 
+@entry(x="lifetime", t="model age")
 def singular_line_survival(m: Model, t: float, x):
     """S_t(x) = P(X = Y) h_tau(e^{-lambda x}): residual mass beyond x on the diagonal."""
-    x = core_mod._nonnegative(x, "x")
-    tau = m.tau(t)  # the age check, on both branches
     p0 = singular_mass(m.core)
     if p0 == 0.0:
-        return scalar_or_array(np.zeros_like(x))
-    with np.errstate(all="ignore"):
-        return scalar_or_array(p0 * np.exp(m.generator._residual_log(tau, -m.lam * x)))
+        return np.zeros_like(x)
+    return p0 * np.exp(m.generator._residual_log(m.lam * t, -m.lam * x))
 
 
 def _decay_rate(m: Model, tau: float) -> float:
@@ -220,11 +187,10 @@ def _survival_integral(m: Model, tau: float, surv, tol: float) -> float:
         raise
 
 
+@entry(t="model age")
 def mean_excess(m: Model, i: int, t: float) -> float:
     """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz, +inf if heavy tailed."""
-    tau = m.tau(t)
-    with np.errstate(all="ignore"):
-        return _survival_integral(m, tau, lambda z: _residual_marginal(m, i, tau, z), DEFAULT_QUAD_TOL)
+    return _survival_integral(m, m.lam * t, lambda z: residual_marginal.kernel(m, i, t, z), DEFAULT_QUAD_TOL)
 
 
 # ---------------------------------------------------------------------------

@@ -17,28 +17,24 @@ and a level makes no other numpy call.  A NaN node value makes its level's
 sum NaN, since the weights are positive and finite, so only a level whose
 sum is not finite is scanned for NaN.
 
-The package's argument conventions live here too: every public array
-function returns ``scalar_or_array(out)``, converts an array argument with
-``_real_array`` (a probability argument through ``in_unit``, a log of one
-through ``in_log_unit``, a lifetime through ``core._nonnegative``) and sets
-a copula's boundary values with ``copula_edges``; every constructor admits
-each number it is given with ``_admit`` (a count or a seed with
-``_admit_count``), and each parameter object with exactly its keys through
-``_fields``.  A public function checks and converts each argument once, then
-does all its work under one ``np.errstate``: the private ``_``-kernels it
-calls, quadrature integrands and root-finder residuals included, take the
-checked float arrays, never check again a value the same call produced, and
-run under that state.  Each value has one range, checked once at the door: a
-probability lies in exactly [0, 1] and its log in [-inf, 0], NaN in neither.
-A kernel that takes a log it or another kernel produced does not clamp it
-again; only where ln h^-1 is formed, whose rounding can pass 0 by an ulp, is
-it clamped.
+Every public numeric function of the package is an ``entry``: its
+docstring states the argument and return conventions that each call keeps.
+Every constructor admits each number it is given with ``_admit`` (a count or
+a seed with ``_admit_count``), and each parameter object with exactly its
+keys through ``_fields``.
+The primitives here that take a callable (the quadratures, ``limit_at_zero``
+and ``solve_decreasing_batch``) open no error state: they run under their
+caller's entry, as the callable does.  Only ``invert_monotone``, which no
+entry calls, opens its own.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +48,7 @@ QUAD_LEVELS = 8  # quadrature steps 1, 1/2, ..., 2^-QUAD_LEVELS
 FIRST_CHUNK = 5  # levels 0-4 share one integrand call: nearly every integral sums them all
 QUAD_T = 6.0  # nodes at t in [-QUAD_T, QUAD_T]: u down to 1e-275, z from 1e-138 to 1e138 over rate
 _EPS, _TINY = np.finfo(float).eps, np.finfo(float).tiny
+_EXACT = 2**53  # every int up to this in magnitude is a double
 _MAXITER = 2046  # log2(largest / smallest normal double): bisection's worst case
 
 
@@ -124,6 +121,8 @@ def _fields(doc, required: tuple, where: str, optional: tuple = ()) -> list:
 
 def scalar_or_array(out):
     """The return convention: a 0-d result as a Python float, anything else as a float array."""
+    if isinstance(out, float):  # a Python float or a numpy float64: no array to build
+        return float(out)
     out = np.asarray(out, dtype=float)
     return float(out) if out.ndim == 0 else out
 
@@ -146,8 +145,12 @@ def _real_array(x, what: str) -> np.ndarray:
     The one conversion rule for an array argument: the converted array must be
     of ints, unsigned ints or floats.  A Python or numpy int or float converts
     to one of those; a bool, a str, a complex, an int past the largest double,
-    any other object and a ragged list do not.
+    any other object and a ragged list do not.  A Python float, or an int that
+    a double holds exactly, comes back as a numpy float64, the 0-d value whose
+    arithmetic skips the array machinery.
     """
+    if type(x) is float or type(x) is int and -_EXACT <= x <= _EXACT:  # a number the double holds exactly
+        return np.float64(x)
     x = _array_of(x, "iuf", what, "a real number or an array of them, within the range of a double")
     return x.astype(float, copy=False)
 
@@ -162,14 +165,24 @@ def _sequence(x, what: str) -> tuple:
         raise ValidationError(f"{what} must be a sequence, not {x!r}") from None
 
 
+def _least(x: np.ndarray):
+    """min(x): +inf when x is empty and NaN when it holds one; a 0-d x is read without a reduction."""
+    return x.item() if x.ndim == 0 else x.min(initial=np.inf)
+
+
+def _most(x: np.ndarray):
+    """max(x): -inf when x is empty and NaN when it holds one; a 0-d x is read without a reduction."""
+    return x.item() if x.ndim == 0 else x.max(initial=-np.inf)
+
+
 def in_unit(x, what: str, open_at_0: bool = False) -> np.ndarray:
     """x as a float array (by _real_array), or DomainError unless all of it lies in [0, 1], (0, 1] with open_at_0.
 
     NaN fails the check.
     """
     x = _real_array(x, what)
-    low = x.min(initial=np.inf)  # two reductions; NaN propagates through both and fails
-    if not ((low > 0.0 if open_at_0 else low >= 0.0) and x.max(initial=-np.inf) <= 1.0):
+    low = _least(x)  # NaN propagates through the least and the most value and fails
+    if not ((low > 0.0 if open_at_0 else low >= 0.0) and _most(x) <= 1.0):
         raise DomainError(f"{what} must lie in {'(0' if open_at_0 else '[0'}, 1]")
     return x
 
@@ -180,15 +193,111 @@ def in_log_unit(x, what: str) -> np.ndarray:
     NaN fails the check.
     """
     x = _real_array(x, what)
-    if not x.max(initial=-np.inf) <= 0.0:  # one reduction; NaN propagates through it and fails
+    if not _most(x) <= 0.0:  # NaN propagates through it and fails
         raise DomainError(f"{what} must lie in [-inf, 0]")
     return x
 
 
-def copula_edges(u, v, out):
+def _log_v(lv) -> np.ndarray:
+    """lv = ln v as a float array (by _real_array), or DomainError unless all of it lies in (-inf, 0]."""
+    lv = _real_array(lv, "ln v")
+    # the least and the most value, cheaper than a mask on this path of every K_t evaluation; NaN fails both
+    if not (-math.inf < _least(lv) and _most(lv) <= 0.0):
+        raise DomainError("ln v must lie in (-inf, 0]")
+    return lv
+
+
+def _s_grid(s_grid) -> tuple:
+    """s_grid as a tuple of Python floats, or DomainError for an entry that is not a real number or is NaN.
+
+    An int past the largest double is refused too; +-inf pass, as empirical_kendall takes them.
+    A single number is not a grid (ValidationError).
+    """
+    s_grid = _sequence(s_grid, "s_grid")
+    for s in s_grid:
+        if not _is_real(s):
+            raise DomainError(f"s must be a real number, not {s!r}")
+        if not (abs(s) <= sys.float_info.max or abs(s) == math.inf):  # NaN fails both
+            raise DomainError("s must not be NaN, nor an int past the largest double")
+    return tuple(map(float, s_grid))
+
+
+def copula_edges(u, v, out) -> np.ndarray:
     """out with a copula's exact boundary values: C(u, 0) = C(0, v) = 0, C(u, 1) = u, C(1, v) = v."""
     out = np.where((u <= 0) | (v <= 0), 0.0, out)
-    return scalar_or_array(np.where(u >= 1, v, np.where(v >= 1, u, out)))
+    return np.where(u >= 1, v, np.where(v >= 1, u, out))
+
+
+def _model_age(t, what: str, m) -> float:
+    """t as a float, once m.tau(t) has checked it; the body forms lambda t again, unchecked."""
+    m.tau(t)
+    return float(t)
+
+
+_CORE, _GENERATORS = f"{__package__}.core", f"{__package__}.generators"
+_NUMERIC = (float, np.ndarray, np.generic)  # the results an entry returns through scalar_or_array
+# kind -> its admission, of (the value, the name its errors give it, the call's first argument); a check that
+# lives in another module is looked up there at each call, so that the check the module holds is the one that runs
+_ADMISSIONS = {
+    "lifetime": lambda z, what, first: sys.modules[_CORE]._nonnegative(z, what),  # a float array >= 0
+    "probability": lambda x, what, first: in_unit(x, what),  # a float array in [0, 1]
+    "probability open at 0": lambda x, what, first: in_unit(x, what, True),  # a float array in (0, 1]
+    "log probability": lambda x, what, first: in_log_unit(x, what),  # a float array in [-inf, 0]
+    "ln v": lambda x, what, first: _log_v(x),  # a float array in (-inf, 0]
+    "s grid": lambda s, what, first: in_unit(_s_grid(s), what, True),  # a sequence of reals, then in (0, 1]
+    "age": lambda t, what, first: sys.modules[_GENERATORS]._check_age(t),  # a float in [0, the largest double]
+    "model age": _model_age,  # a float whose lambda t, the first argument's m.tau(t), is finite
+}
+
+
+def entry(**admissions):
+    """Decorate a public numeric function: each argument admitted once, the body run under one error state.
+
+    The package's one convention for a public call.  Each keyword names a
+    parameter of the body and its kind in ``_ADMISSIONS``, or (its kind, the
+    name its errors give it).  A call runs the admissions in the order of the
+    keywords, on the argument or its default, and hands the body what they
+    admit: a float array (a Python number as a numpy float64), an age as a
+    float.  Each value has one range, checked once here: a probability lies
+    in exactly [0, 1] and its log in [-inf, 0], NaN in neither.  The body runs
+    under one ``np.errstate(all="ignore")``; a numeric result (a float or a
+    numpy one) returns through ``scalar_or_array``, anything else as it is.
+
+    The body is the kernel, ``fn.kernel``.  Kernels, quadrature integrands and
+    root-finder residuals call kernels, never an entry: they run under their
+    caller's error state and never check again a value the call produced.  A
+    log that a kernel produced is not clamped again; only where ln h^-1 is
+    formed, whose rounding can pass 0 by an ulp, is it clamped.  The plan is
+    built once, here: a call passes the admitted parameters to the body by
+    position, and the rest as the caller did.
+    """
+
+    def decorate(kernel):
+        sig = inspect.signature(kernel)
+        names = list(sig.parameters)
+        defaults = {name: p.default for name, p in sig.parameters.items() if p.default is not p.empty}
+        specs = {name: spec if isinstance(spec, tuple) else (spec, name) for name, spec in admissions.items()}
+        plan = [(names.index(name), _ADMISSIONS[kind], what) for name, (kind, what) in specs.items()]
+        need = max((i + 1 for i, _, _ in plan), default=0)
+
+        @functools.wraps(kernel)
+        def call(*args, **kwargs):
+            if len(args) < need:  # the admitted parameters by position: each from its keyword, else its default
+                head = names[len(args):need]
+                if not all(name in kwargs or name in defaults for name in head):
+                    sig.bind(*args, **kwargs)  # raises the TypeError of the missing argument
+                args += tuple(kwargs.pop(name) if name in kwargs else defaults[name] for name in head)
+            args = list(args)
+            for i, admit, what in plan:
+                args[i] = admit(args[i], what, args[0])
+            with np.errstate(all="ignore"):
+                out = kernel(*args, **kwargs)
+            return scalar_or_array(out) if isinstance(out, _NUMERIC) else out
+
+        call.kernel = kernel
+        return call
+
+    return decorate
 
 
 @dataclass(frozen=True)
@@ -256,7 +365,7 @@ def _de_integrate(f, chunks, scale: float, tol: float, what: str) -> QuadratureR
     The weights are positive and finite, so a NaN value makes its level's
     sum NaN: only a level whose sum is not finite is scanned for NaN, which
     then raises at the first level that holds it.  The levels past the stop
-    are computed but never checked or summed.
+    are computed but never checked or summed.  Under the caller's error state.
     """
     if not tol > 0:
         raise DomainError("tol must be positive")
@@ -269,25 +378,25 @@ def _de_integrate(f, chunks, scale: float, tol: float, what: str) -> QuadratureR
         if fx.ndim < 2 or fx.shape[0] != x.shape[0]:  # a constant, or one value per column
             fx = np.broadcast_arrays(x, fx)[1]
         evaluations += fx.size
-        with np.errstate(invalid="ignore", over="ignore"):  # Fortran order: each column sums on its own, pairwise
-            prod = np.multiply(w * scale, fx, order="F")
-            one = prod.shape[1:] == (1,)
-            if one:  # its contiguous column: the same pairwise sums, one level at a time
-                prod = prod[:, 0]
-            for start, stop in bounds:
-                part = np.add.reduce(prod[start:stop], axis=0)  # ndarray.sum's reduction, without its wrapper
-                if one:
-                    part = float(part)
-                prev, total = total, part if total is None else 0.5 * total + part
-                if not (math.isfinite(total) if one else np.isfinite(total).all()):
-                    if np.isnan(fx[start:stop]).any():
-                        raise DomainError(f"{what}: integrand returned NaN")
-                    raise ConvergenceError(f"{what} is not finite", estimate=scalar_or_array(np.squeeze(total)))
-                if prev is not None:
-                    change = abs(total - prev)
-                    if change <= tol * abs(total) if one else (change <= tol * abs(total)).all():
-                        return QuadratureResult(total if one else scalar_or_array(total.squeeze()),
-                                                change if one else float(change.max()), evaluations)
+        # Fortran order: each column sums on its own, pairwise
+        prod = np.multiply(w * scale, fx, order="F")
+        one = prod.shape[1:] == (1,)
+        if one:  # its contiguous column: the same pairwise sums, one level at a time
+            prod = prod[:, 0]
+        for start, stop in bounds:
+            part = np.add.reduce(prod[start:stop], axis=0)  # ndarray.sum's reduction, without its wrapper
+            if one:
+                part = float(part)
+            prev, total = total, part if total is None else 0.5 * total + part
+            if not (math.isfinite(total) if one else np.isfinite(total).all()):
+                if np.isnan(fx[start:stop]).any():
+                    raise DomainError(f"{what}: integrand returned NaN")
+                raise ConvergenceError(f"{what} is not finite", estimate=scalar_or_array(np.squeeze(total)))
+            if prev is not None:
+                change = abs(total - prev)
+                if change <= tol * abs(total) if one else (change <= tol * abs(total)).all():
+                    return QuadratureResult(total if one else scalar_or_array(total.squeeze()),
+                                            change if one else float(change.max()), evaluations)
     raise ConvergenceError(f"{what}: levels still differ by {np.max(np.abs(total - prev)):.3e}",
                            estimate=scalar_or_array(np.squeeze(total)))
 
@@ -316,7 +425,8 @@ def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT
     f1, f2 = fv(x1), fv(x2)
     if not np.sign(f1) * np.sign(f2) <= 0:
         raise DomainError(f"target {target!r} is not bracketed by f on [{lo!r}, {hi!r}]")
-    with np.errstate(divide="ignore", invalid="ignore"):  # the steps divide by differences that may be 0
+    # its own error state, not an entry's: no entry calls it, and the steps divide by differences that may be 0
+    with np.errstate(divide="ignore", invalid="ignore"):
         x = _chandrupatla(fv, x1, f1, x2, f2, tol, ())
     if np.isnan(x[0]):
         raise ConvergenceError("monotone inversion did not converge")
@@ -413,7 +523,6 @@ def _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol, first):
     return x1 + np.minimum(np.maximum(t, half), 1.0 - half) * (x2 - x1)
 
 
-@np.errstate(all="ignore")
 def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarray:
     """Solve fn(d, *args) = targets elementwise for fn nonincreasing in d on [0, inf).
 
@@ -427,7 +536,7 @@ def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarr
     being refined, so per-element constants must come through ``args`` (arrays
     broadcastable with ``targets``), never a closure.  A NaN, a target above
     fn(0) or one past the largest double raises ConvergenceError.  The solve,
-    fn's passes included, runs under one ``np.errstate(all="ignore")``.
+    fn's passes included, runs under the caller's error state.
     """
     targets = np.asarray(targets, dtype=float)
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .model import Model, _fbar_marginal, _residual_marginal, _survival_integral
-from .numerics import _FINITE, _admit, _sequence, integrate_unit
+from .model import Model, _survival_integral, fbar_marginal, residual_marginal
+from .numerics import _FINITE, _admit, _sequence, entry, integrate_unit
 from .numerics import integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
 
 PRICING_TOL = 1e-8
@@ -56,62 +56,54 @@ def _integrate(surv, m: Model, t: float, tau: float, horizon, what: str) -> floa
         ) from exc
 
 
+@entry(t="model age")
 def joint_annuity(m: Model, t: float, horizon=None) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
-    with np.errstate(all="ignore"):
-        return _joint_annuity(m, t, m.tau(t), horizon)
-
-
-def _joint_annuity(m: Model, t: float, tau: float, horizon) -> float:
-    """joint_annuity at an age t checked as tau = m.tau(t)."""
-    return _integrate(lambda z: np.exp(m.generator._h_log_from_log(-m.lam * (z + t))), m, t, tau, horizon,
+    return _integrate(lambda z: np.exp(m.generator._h_log_from_log(-m.lam * (z + t))), m, t, m.lam * t, horizon,
                       "joint annuity integral")
 
 
+@entry(t="model age")
 def residual_joint_annuity(m: Model, t: float) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
-    tau = m.tau(t)
-    with np.errstate(all="ignore"):
-        return _integrate(lambda z: np.exp(m.generator._residual_log(tau, -m.lam * z)), m, t, tau, None,
-                          "conditional joint annuity integral")
+    tau = m.lam * t
+    return _integrate(lambda z: np.exp(m.generator._residual_log(tau, -m.lam * z)), m, t, tau, None,
+                      "conditional joint annuity integral")
 
 
+@entry(t="model age")
 def independent_annuity(m: Model, t: float, horizon=None) -> float:
     """Deferred premium under independence with the same marginals."""
-    with np.errstate(all="ignore"):
-        return _independent_annuity(m, t, m.tau(t), horizon)
-
-
-def _independent_annuity(m: Model, t: float, tau: float, horizon) -> float:
-    """independent_annuity at an age t checked as tau = m.tau(t)."""
-    return _integrate(lambda z: _fbar_marginal(m, 1, z + t) * _fbar_marginal(m, 2, z + t), m, t, tau, horizon,
+    margin = fbar_marginal.kernel
+    return _integrate(lambda z: margin(m, 1, z + t) * margin(m, 2, z + t), m, t, m.lam * t, horizon,
                       "independent annuity integral")
 
 
+@entry(t="model age")
 def residual_independent_annuity(m: Model, t: float) -> float:
     """Conditional independence benchmark: product of the residual marginals."""
-    tau = m.tau(t)
-    with np.errstate(all="ignore"):
-        return _integrate(lambda z: _residual_marginal(m, 1, tau, z) * _residual_marginal(m, 2, tau, z), m, t, tau,
-                          None, "conditional independent annuity integral")
+    margin = residual_marginal.kernel
+    return _integrate(lambda z: margin(m, 1, t, z) * margin(m, 2, t, z), m, t, m.lam * t, None,
+                      "conditional independent annuity integral")
 
 
+@entry()
 def life_expectancy(m: Model, i: int, horizon=None) -> float:
     """Mean of lifetime i: integral of h(Gbar_i), optionally up to a limiting age."""
-    with np.errstate(all="ignore"):
-        return _integrate(lambda z: _fbar_marginal(m, i, z), m, 0.0, 0.0, horizon, "life expectancy integral")
+    return _integrate(lambda z: fbar_marginal.kernel(m, i, z), m, 0.0, 0.0, horizon, "life expectancy integral")
 
 
+@entry()
 def premium_table(m: Model, ts, horizon=None) -> list:
     """A quote per age of the sequence ts."""
-    with np.errstate(all="ignore"):
-        return [_quote(m, t, horizon) for t in _sequence(ts, "ts")]
+    return [_quote(m, t, horizon) for t in _sequence(ts, "ts")]
 
 
 def _quote(m: Model, t: float, horizon) -> PricingQuote:
     """The quote at age t, checked once by m.tau."""
-    tau, t = m.tau(t), float(t)  # float(t): the age m.tau admitted
-    return PricingQuote(t, _joint_annuity(m, t, tau, horizon), _independent_annuity(m, t, tau, horizon), m.label)
+    m.tau(t)
+    t = float(t)  # the age m.tau admitted
+    return PricingQuote(t, joint_annuity.kernel(m, t, horizon), independent_annuity.kernel(m, t, horizon), m.label)
 
 
 def table_text(quotes) -> str:
@@ -142,6 +134,7 @@ REFERENCE_TOLERANCE = 0.01
 REFERENCE_HORIZON = 100.0
 
 
+@entry()
 def reference_comparison(models: dict) -> list:
     """Compare {'left': Model, 'right': Model} against the benchmark premiums.
 
@@ -149,13 +142,12 @@ def reference_comparison(models: dict) -> list:
     the reference, the relative error, and a pass flag at 1%.
     """
     rows = []
-    with np.errstate(all="ignore"):
-        for side in ("left", "right"):
-            ref = REFERENCE_PREMIUMS[side]
-            quotes = (_quote(models[side], t, REFERENCE_HORIZON) for t in ref["ts"])
-            for q, rj, rind in zip(quotes, ref["joint"], ref["independent"]):
-                for kind, comp, refv in (("joint", q.premium_joint, rj), ("independent", q.premium_independent, rind)):
-                    rel = abs(comp - refv) / abs(refv)
-                    rows.append({"side": side, "t": q.t, "kind": kind, "computed": comp, "reference": refv,
-                                 "rel_err": rel, "ok": bool(rel <= REFERENCE_TOLERANCE)})
+    for side in ("left", "right"):
+        ref = REFERENCE_PREMIUMS[side]
+        quotes = (_quote(models[side], t, REFERENCE_HORIZON) for t in ref["ts"])
+        for q, rj, rind in zip(quotes, ref["joint"], ref["independent"]):
+            for kind, comp, refv in (("joint", q.premium_joint, rj), ("independent", q.premium_independent, rind)):
+                rel = abs(comp - refv) / abs(refv)
+                rows.append({"side": side, "t": q.t, "kind": kind, "computed": comp, "reference": refv,
+                             "rel_err": rel, "ok": bool(rel <= REFERENCE_TOLERANCE)})
     return rows

@@ -49,6 +49,9 @@ from .numerics import POSITIVE, _admit, _admit_count, _array_of, _real_array, so
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
 GAP_BLOCK = 16384  # draws per block of sample_model's passes: whole-sample passes would raise peak memory
+# ages lambda t that the monotonicity probe takes besides the sample's: a model whose q_t fails only at young
+# ages (weibull_mu fails at lambda t <= 0.3) is refused whatever its draws
+YOUNG = (1e-6, 1e-2, 0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +239,17 @@ def _age_constants(g, tau):
 
 
 def _check_q_monotone(m: Model, w: np.ndarray) -> None:
-    """Reject models whose conditional gap survival q_t is not nonincreasing, probed at three of the mins w.
+    """Reject models whose conditional gap survival q_t is not nonincreasing, probed at three of the mins w and YOUNG.
 
     A non-monotone q_t means h(Gbar) is not 2-increasing, i.e. the generator
-    and core do not combine into a proper bivariate distribution.
+    and core do not combine into a proper bivariate distribution.  The fixed
+    young ages make the verdict the same for every draw of a small sample.
     """
     p = m.core
     # the youngest, a middle and the oldest age, one row of the grid each: lambda w rounds monotonically,
     # so these are the order statistics of the ages tau = lambda w
     mid = np.partition(w, w.size // 2)[w.size // 2]
-    probes = p.lam * np.array([w.min(), mid, w.max()])[:, None]
+    probes = np.concatenate([p.lam * np.array([w.min(), mid, w.max()]), YOUNG])[:, None]
     d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / p.lam])
     lh_tau, lel_tau = _age_constants(m.generator, probes)
     sides = np.reshape([p.gamma1, p.gamma2, p.alpha1, p.alpha2], (2, 2, 1, 1))  # (gamma_i, alpha_i) on axis 0
@@ -273,6 +277,8 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
     x = np.empty(n)
     for b in blocks:  # u_min: the min w, held in x until its gaps are drawn
         np.divide(g.neg_log_h_inverse(rng.random(b.stop - b.start)), p.lam, out=x[b])
+    # not an entry: sample_model admits a count and a seed, no number of the entry's table, and calls the
+    # entry neg_log_h_inverse above; the probe and the gap solve run under this one state
     with np.errstate(all="ignore"):
         _check_q_monotone(m, x)
         p0, q1, q2 = _side_probs(p)
@@ -367,7 +373,7 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
     if n < 1:
         raise DomainError("n must be at least 1")
     rng = _rng(seed)
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # not an entry: it admits a ratio, a count and a seed, as a constructor does
         c = ratio * sample_mixing_factor(law, rng, n)  # per-draw power of Gbar
         u_min, u_cat, u_mag = rng.random((3, n))
         w = -np.log(u_min) / (c * p.lam)

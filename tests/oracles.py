@@ -242,7 +242,7 @@ def copula_t(m, t, u, v):
     tau = m.tau(t)
     u, v = in_unit(u, "u"), in_unit(v, "v")
     with np.errstate(all="ignore"):
-        return copula_edges(u, v, np.exp(_copula_t_log(m, tau, np.log(u), np.log(v))))
+        return scalar_or_array(copula_edges(u, v, np.exp(_copula_t_log(m, tau, np.log(u), np.log(v)))))
 
 
 def copula_t_diag_log(m, t, log_u):

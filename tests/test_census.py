@@ -1,12 +1,20 @@
-"""No public name that nothing reaches.
+"""No public name that nothing reaches, and one entry per public numeric call.
 
 A static scan of src/bivlmp/*.py.  Each public top-level function and each
 public method of Generator must be referenced in the package somewhere other
-than its own definition and __init__.py, or be listed in KEPT with the reason
-it stays: the paper names it (paper), a command of the CLI needs it (cli), or
-bench/tracing.py binds it by name with no default, so that deleting it breaks
-the benchmark (bench-bound).  A new public name that nothing reaches fails
-here, and so does a row of KEPT whose name is reached or gone.
+than its own definition and __init__.py (its kernel, fn.kernel, counts), or
+be listed in KEPT with the reason it stays: the paper names it (paper), a
+command of the CLI needs it (cli), or bench/tracing.py binds it by name with
+no default, so that deleting it breaks the benchmark (bench-bound).  A new
+public name that nothing reaches fails here, and so does a row of KEPT whose
+name is reached or gone.
+
+Each public function of ENTRY_MODULES and each public method of Generator is
+decorated with numerics.entry, or is listed in NOT_ENTRIES with its reason.
+No kernel calls an entry: a kernel is a _ function or method, an entry's
+body, or a function or lambda nested in a function (a quadrature integrand,
+a root-finder residual).  So each public call checks each argument once and
+opens one error state by construction.
 """
 
 import ast
@@ -22,15 +30,12 @@ KEPT = {
     "Generator.h_elasticity_from_log": "paper",
     "config.builtin_models": "paper",
     "core.core_copula": "paper",
-    "core.gbar_log": "paper",
     "core.marginal_density": "paper",
-    "core.marginal_hazard": "paper",
     "core.marginal_quantile_log": "paper",
     "core.marginal_survival": "paper",
     "core.mu_core": "paper",
     "core.weak_lmp_residual": "paper",
     "dependence.empirical_kendall": "paper",
-    "dependence.j_integral_closed": "paper",
     "dependence.j_integral_quadrature": "paper",
     "generators.multiplicativity_check": "paper",
     "generators.power_scaled": "paper",
@@ -38,26 +43,44 @@ KEPT = {
     "generators.residual_distortion": "paper",
     "generators.residual_distortion_log": "paper",
     "generators.residual_distortion_log_inverse": "paper",
-    "generators.time_distortion": "paper",
     "model.copula_t": "paper",
     "model.fbar_log": "paper",
-    "model.fbar_marginal": "paper",
     "model.mean_excess": "paper",
     "model.mo15_bridge": "paper",
-    "model.residual_marginal": "paper",
     "model.singular_line_survival": "paper",
-    "pricing.independent_annuity": "paper",
-    "pricing.joint_annuity": "paper",
     "pricing.life_expectancy": "paper",
     "pricing.residual_independent_annuity": "paper",
     "pricing.residual_joint_annuity": "paper",
     "sampler.sample_core": "paper",
     "sampler.sample_mixing_shortcut": "paper",
     "core.marginal_quantile": "bench-bound",
-    "model.copula_t_diag_log": "bench-bound",
     "generators.residual_distortion_inverse": "bench-bound",
     "generators.residual_distortion_prime": "bench-bound",
     "numerics.invert_monotone": "bench-bound",
+}
+
+
+ENTRY_MODULES = ("core", "model", "generators", "dependence", "pricing")
+KERNEL_MODULES = (*ENTRY_MODULES, "numerics", "sampler")  # cli's _ functions are commands, not kernels
+NOT_ENTRY_REASONS = {
+    "constructor": "admits its numbers with _admit and returns an object",
+    "parameters": "a function of a parameter object alone, with no caller number",
+    "sample": "counts a sample batch; its s grid takes +-inf, so it is no probability",
+    "text": "takes no number",
+}
+NOT_ENTRIES = {
+    "Generator.describe": "text",
+    "core.mu_core": "constructor",
+    "core.singular_mass": "parameters",
+    "core.singular_mass_raw": "parameters",
+    "dependence.core_lambda_l": "parameters",
+    "dependence.core_lambda_u": "parameters",
+    "dependence.empirical_kendall": "sample",
+    "generators.generator_from_mixing": "constructor",
+    "generators.make_generator": "constructor",
+    "generators.power_scaled": "constructor",
+    "model.mo15_bridge": "constructor",
+    "pricing.table_text": "text",
 }
 
 
@@ -96,3 +119,70 @@ def test_every_public_name_is_reached_or_kept_for_a_reason():
     unreached = {key for key in public if not refs.get(key.rsplit(".", 1)[1], set()) - {key}}
     assert unreached == set(KEPT), (sorted(unreached - set(KEPT)), sorted(set(KEPT) - unreached))
     assert set(KEPT.values()) <= REASONS
+
+
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+
+
+def _is_entry(node) -> bool:
+    """Whether a function is decorated with entry(...)."""
+    return any(isinstance(d, ast.Call) and getattr(d.func, "id", getattr(d.func, "attr", None)) == "entry"
+               for d in node.decorator_list)
+
+
+def _functions(tree, module):
+    """(qualified name, node) of each top-level function and each method, as _places names them."""
+    return [(place, node) for place, node in _places(tree, module) if isinstance(node, ast.FunctionDef)]
+
+
+def _entry_calls(trees) -> set:
+    """(the kernel, the entry it calls) for each call of an entry by name in a kernel of KERNEL_MODULES.
+
+    A kernel is a _ function or method (not a dunder), an entry's body, or a
+    function or lambda nested in a function; a call of fn.kernel calls no entry.
+    """
+    entries = {node.name for module, tree in trees.items() for _, node in _functions(tree, module) if _is_entry(node)}
+    found = set()
+    for module, tree in trees.items():
+        if module not in KERNEL_MODULES:
+            continue
+        for place, node in _functions(tree, module):
+            name = node.name
+            kernel = _is_entry(node) or name.startswith("_") and not name.endswith("__")
+            nested = [sub for sub in ast.walk(node)
+                      if isinstance(sub, (ast.FunctionDef, ast.Lambda)) and sub is not node]
+            for body in [node] * kernel + nested:
+                for call in ast.walk(body):
+                    if isinstance(call, ast.Call):
+                        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+                        if callee in entries:
+                            found.add((place, callee))
+    return found
+
+
+def test_every_public_numeric_function_is_an_entry_or_says_why_not():
+    trees = _trees()
+    plain = {place for module, tree in trees.items() if module in ENTRY_MODULES
+             for place, node in _functions(tree, module)
+             if not node.name.startswith("_") and place.split(".")[0] in (module, "Generator") and not _is_entry(node)}
+    assert plain == set(NOT_ENTRIES), (sorted(plain - set(NOT_ENTRIES)), sorted(set(NOT_ENTRIES) - plain))
+    assert set(NOT_ENTRIES.values()) <= set(NOT_ENTRY_REASONS)
+
+
+def test_no_kernel_calls_an_entry():
+    assert _entry_calls(_trees()) == set()
+
+
+def test_the_scan_finds_a_kernel_that_calls_an_entry():
+    trees = _trees()
+    injected = ast.parse("""
+def _kernel(p, x):
+    return gbar_log(p, x, x) + gbar_log.kernel(p, x, x)
+
+
+def integral(p):
+    return integrate_unit(lambda u: marginal_survival(p, 1, u))
+""")
+    trees["core"].body.extend(injected.body)
+    assert _entry_calls(trees) == {("core._kernel", "gbar_log"), ("core.integral", "marginal_survival")}

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from bivlmp.config import builtin_model
 from bivlmp.core import (
     CoreParams,
-    _gbar_log,
     _marginal_log,
     core_copula,
     gbar_log,
@@ -247,6 +246,6 @@ def test_log_survivals_are_never_above_0(p, x, y):
     # the kernels that take ln Gbar and ln Gbar_i (h's log formulas, the age shifts) rest on this: none clamps it
     X, Y = np.meshgrid(np.array(x), np.array(y))
     with np.errstate(all="ignore"):
-        logs = [_gbar_log(p, X, Y), _gbar_log(p, Y, X), _marginal_log(p, 1, X), _marginal_log(p, 2, X)]
+        logs = [gbar_log.kernel(p, X, Y), gbar_log.kernel(p, Y, X), _marginal_log(p, 1, X), _marginal_log(p, 2, X)]
     for k, log in enumerate(logs):
         assert np.all(log <= 0.0), k  # NaN fails it too

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bivlmp import core, generators, model
 from bivlmp.config import builtin_models
 from bivlmp.core import marginal_hazard, marginal_quantile_log
 from bivlmp.errors import ConvergenceError, DomainError
@@ -13,6 +15,7 @@ from bivlmp.numerics import (
     _UNIT,
     FIRST_CHUNK,
     QuadratureResult,
+    entry,
     integrate_unit,
     integrate_upper,
     invert_monotone,
@@ -478,3 +481,41 @@ def test_solve_decreasing_batch_nan_raises():
 def test_invert_monotone_recovers_exponential_quantile(rate, target):
     z = invert_monotone(lambda z: math.exp(-rate * z), target, 0.0, 1000.0, tol=1e-12)
     assert math.exp(-rate * z) == pytest.approx(target, abs=1e-9)
+
+
+@entry(x="probability", t="age")
+def _shifted(g, t, x=0.5):
+    return x + t
+
+
+def test_an_entry_admits_each_argument_by_position_keyword_or_default():
+    assert _shifted(None, 1, 0.25) == _shifted(None, x=0.25, t=1) == _shifted(g=None, t=1, x=0.25) == 1.25
+    assert type(_shifted(None, 2)) is float and _shifted(None, 2) == 2.5  # the default is admitted too
+    assert np.array_equal(_shifted(None, 1, [0.0, 1.0]), [1.0, 2.0])
+    assert _shifted.kernel(None, 1.0, 0.25) == 1.25  # the body, unchecked
+    with pytest.raises(DomainError, match="^x must lie in"):
+        _shifted(None, 1, 2.0)
+    with pytest.raises(DomainError, match="^t must be"):
+        _shifted(None, -1.0)
+    with pytest.raises(TypeError):
+        _shifted(None)
+    with pytest.raises(TypeError):
+        _shifted(None, 1, 0.25, x=0.5)
+
+
+M = builtin_models()["mixing_gamma"]
+# public calls whose bodies form ln 0, overflow or 0/0 on the way to an exact value
+EDGE_CALLS = {
+    "copula_t at u = 0": lambda: model.copula_t(M, 1.0, 0.0, 0.5),
+    "h at 0": lambda: M.generator.h(0.0),
+    "time_distortion at 0": lambda: generators.time_distortion(M.generator, 1.0, [0.0, 0.5]),
+    "marginal_quantile_log where e^{-alpha ln u} overflows": lambda: core.marginal_quantile_log(M.core, 1, -1e300),
+    "fbar at inf": lambda: model.fbar(M, math.inf, math.inf),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CALLS))
+def test_an_entry_runs_its_body_with_floating_point_warnings_off(name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        EDGE_CALLS[name]()

@@ -467,6 +467,16 @@ def test_invalid_composition_rejected(models):
         sample_model(models["weibull_mu"], 100, seed=1)
 
 
+@pytest.mark.parametrize("seed", [0, 41, 4242])
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_a_small_sample_of_weibull_mu_is_refused_whatever_its_draws(models, n, seed):
+    # weibull_mu's q_t fails only at young ages (lambda t <= 0.3): the probe takes sampler.YOUNG besides the
+    # sample's own mins, which a small sample may all draw older
+    with pytest.raises(ValidationError, match="^conditional gap survival is not monotone: the generator/core pair "
+                                              "is not a valid bivariate survival function, cannot sample$"):
+        sample_model(models["weibull_mu"], n, seed)
+
+
 def test_mixing_shortcut_agrees_with_direct():
     law = MixingLaw("gamma", {"a": 2.0})
     ratio = 0.1
