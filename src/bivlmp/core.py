@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
-from .numerics import POSITIVE, _FINITE, Interval, _admit, _is_real, _least, _real_array, copula_edges, entry
+from .errors import ValidationError
+from .numerics import POSITIVE, _FINITE, Interval, _admit, copula_edges, entry
 
 DEFAULT_SLACK = 1e-9
 _WEIGHT = Interval(0.0, 1.0)
@@ -127,31 +127,31 @@ def _marginal_log(p: CoreParams, i: int, z):
     return -(gamma * z + np.log1p(aw * np.expm1(-gamma * z))) / p.alpha
 
 
-@entry(z="lifetime")
+@entry(z="lifetime", i="margin")
 def marginal_survival(p: CoreParams, i: int, z):
     return np.exp(_marginal_log(p, i, z))
 
 
-@entry(z="lifetime")
+@entry(z="lifetime", i="margin")
 def marginal_density(p: CoreParams, i: int, z):
     """g_i(z) = -d/dz Gbar_i(z), the hazard times Gbar_i: it underflows to 0 where e^{gamma_i z} overflows."""
     return marginal_hazard.kernel(p, i, z) * np.exp(_marginal_log(p, i, z))
 
 
-@entry(z="lifetime")
+@entry(z="lifetime", i="margin")
 def marginal_hazard(p: CoreParams, i: int, z):
     """Hazard g_i / Gbar_i = (gamma_i / alpha) / (1 + alpha_i e^{-gamma_i z} / (1 - alpha_i)), finite at every z."""
     gamma, aw = _marg(p, i)
     return (gamma / p.alpha) / (1.0 + aw * np.exp(-gamma * z) / (1.0 - aw))
 
 
-@entry(u="probability open at 0")
+@entry(u="probability open at 0", i="margin")
 def marginal_quantile(p: CoreParams, i: int, u):
     """Solve Gbar_i(z) = u; closed form z = (1/gamma_i) ln((u^-alpha - alpha_i)/(1 - alpha_i))."""
     return _log_a(p, i, np.log(u)) / _marg(p, i)[0]
 
 
-@entry(lu=("log probability", "ln u"))
+@entry(lu=("log probability", "ln u"), i="margin")
 def marginal_quantile_log(p: CoreParams, i: int, lu):
     """Solve ln Gbar_i(z) = lu for lu <= 0: z = (1/gamma_i) ln(1 + expm1(-alpha lu)/(1 - alpha_i)).
 
@@ -171,22 +171,9 @@ def _log_a(p: CoreParams, i: int, lu):
     return np.where(a < 700.0, np.log1p(np.expm1(a) / (1.0 - aw)), a - np.log1p(-aw))
 
 
-def _nonnegative(z, what: str):
-    """z as a float array (by _real_array), or DomainError unless all of it is >= 0, which NaN fails."""
-    z = _real_array(z, what)
-    if not _least(z) >= 0:  # NaN propagates through it and fails
-        raise DomainError("lifetime arguments must be nonnegative")
-    return z
-
-
 def _marg(p: CoreParams, i: int):
-    """(gamma_i, alpha_i) of margin i, which must be the number 1 or 2 (not a bool, not an array)."""
-    if _is_real(i):
-        if i == 1:
-            return p.gamma1, p.alpha1
-        if i == 2:
-            return p.gamma2, p.alpha2
-    raise DomainError("margin index must be 1 or 2")
+    """(gamma_i, alpha_i) of margin i, the int 1 or 2 that the entry admitted."""
+    return (p.gamma1, p.alpha1) if i == 1 else (p.gamma2, p.alpha2)
 
 
 def singular_mass_raw(p: CoreParams) -> float:

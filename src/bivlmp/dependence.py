@@ -65,7 +65,7 @@ class TailReport:
 # ---------------------------------------------------------------------------
 
 
-@entry(lv="ln v")
+@entry(lv="ln v", i="margin")
 def j_integral_closed(p: CoreParams, i: int, lv):
     """J_i(v) from lv = ln v (any shape): (gamma_i / alpha^2)(alpha_i expm1(alpha lv) - alpha lv)."""
     gamma, aw = _marg(p, i)
@@ -83,7 +83,7 @@ def _hazard_sq(p: CoreParams, i: int, lv: np.ndarray):
     return hazard_sq
 
 
-@entry(lv="ln v")
+@entry(lv="ln v", i="margin")
 def j_integral_quadrature(p: CoreParams, i: int, lv):
     """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
     return np.reshape(integrate_unit(_hazard_sq(p, i, lv)).value, lv.shape)

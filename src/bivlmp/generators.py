@@ -20,14 +20,12 @@ from __future__ import annotations
 
 import copy
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
-from .numerics import (POSITIVE, _FINITE, Interval, _admit, _fields, _is_real, copula_edges, entry,
-                       solve_decreasing_batch)
+from .errors import ValidationError
+from .numerics import POSITIVE, _FINITE, Interval, _admit, _fields, copula_edges, entry, solve_decreasing_batch
 
 _DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
 _UNIT = Interval(0.0, 1.0, closed=True)
@@ -532,15 +530,6 @@ def power_scaled(g: Generator, beta: float) -> Generator:
 # ---------------------------------------------------------------------------
 # time distortions and pseudo-product
 # ---------------------------------------------------------------------------
-
-
-def _check_age(t) -> float:
-    """The one age check: a real number (ValidationError) that is 0 <= t <= the largest double (DomainError)."""
-    if not _is_real(t):
-        raise ValidationError(f"t must be a real number, not {t!r}")
-    if not 0 <= t <= sys.float_info.max:  # NaN fails, and so does an int past the largest double
-        raise DomainError("t must be a finite nonnegative number")
-    return float(t)
 
 
 def _residual_log_inverse_from_log(g: Generator, t: float, lu):

@@ -19,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import core as core_mod
-from . import generators as gen_mod
-from .core import CoreParams, gbar_log, singular_mass
+from .core import CoreParams, _core_copula_log, _marginal_log, gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
-from .generators import Generator, Mo15Generator, make_generator, time_distortion
-from .numerics import DEFAULT_QUAD_TOL, POSITIVE, _admit, copula_edges, entry, integrate_upper
+from .generators import Generator, Mo15Generator, _residual_log_inverse_from_log, make_generator, time_distortion
+from .numerics import DEFAULT_QUAD_TOL, POSITIVE, _admit, _check_age, copula_edges, entry, integrate_upper
 
 
 @dataclass(frozen=True)
@@ -43,18 +41,14 @@ class Model:
 
     def tau(self, t: float) -> float:
         """The rescaled age lambda t, which must be finite."""
-        t = gen_mod._check_age(t)
+        t = _check_age(t)
         tau = self.core.lam * t
         if tau == math.inf:
             raise DomainError(f"lambda t = {self.core.lam!r} * {t!r} overflows")
         return tau
 
-    def copula_age(self, t: float) -> float:
-        """tau(t), capped at the age past which the residual copula C_t, and so K_t, equals its limit."""
-        return min(self.tau(t), self.generator._copula_age_cap)
-
     def _copula_age(self, t: float) -> float:
-        """copula_age of an age t that tau admitted, unchecked: an entry's body forms lambda t as m.lam * t."""
+        """lambda t of an age t that tau admitted, unchecked, capped where C_t, and so K_t, reaches its limit."""
         return min(self.core.lam * t, self.generator._copula_age_cap)
 
     def describe(self):
@@ -77,10 +71,10 @@ def fbar(m: Model, x, y):
     return np.exp(m.generator._h_log_from_log(gbar_log.kernel(m.core, x, y)))
 
 
-@entry(z="lifetime")
+@entry(z="lifetime", i="margin")
 def fbar_marginal(m: Model, i: int, z):
     """Marginal survival of the model: h(Gbar_i(z))."""
-    return np.exp(m.generator._h_log_from_log(core_mod._marginal_log(m.core, i, z)))
+    return np.exp(m.generator._h_log_from_log(_marginal_log(m.core, i, z)))
 
 
 @entry(t="model age", x="lifetime", y="lifetime")
@@ -89,10 +83,10 @@ def fbar_residual(m: Model, t: float, x, y):
     return np.exp(m.generator._residual_log(m.lam * t, gbar_log.kernel(m.core, x, y)))
 
 
-@entry(t="model age", x="lifetime")
+@entry(t="model age", x="lifetime", i="margin")
 def residual_marginal(m: Model, i: int, t: float, x):
     """Margin of Fbar_t: h_tau(Gbar_i(x))."""
-    return np.exp(m.generator._residual_log(m.lam * t, core_mod._marginal_log(m.core, i, x)))
+    return np.exp(m.generator._residual_log(m.lam * t, _marginal_log(m.core, i, x)))
 
 
 @entry(t="model age", x="lifetime", y="lifetime")
@@ -114,7 +108,7 @@ def _copula_t_log(m: Model, tau: float, la, lb):
 
     Every step from logs; unchecked, under the caller's error state.
     """
-    return m.generator._residual_log(tau, core_mod._core_copula_log(m.core, la, lb))
+    return m.generator._residual_log(tau, _core_copula_log(m.core, la, lb))
 
 
 @entry(t="model age", u="probability", v="probability")
@@ -124,8 +118,8 @@ def copula_t(m: Model, t: float, u, v):
     C_t(u, v) = h_tau(C_Gbar(h_tau^-1(u), h_tau^-1(v))); u or v = 0 gives ln 0, and copula_edges sets those points.
     """
     g, tau = m.generator, m._copula_age(t)
-    la = gen_mod._residual_log_inverse_from_log(g, tau, np.log(u))
-    lb = gen_mod._residual_log_inverse_from_log(g, tau, np.log(v))
+    la = _residual_log_inverse_from_log(g, tau, np.log(u))
+    lb = _residual_log_inverse_from_log(g, tau, np.log(v))
     return copula_edges(u, v, np.exp(_copula_t_log(m, tau, la, lb)))
 
 
@@ -136,7 +130,7 @@ def copula_t_diag_log(m: Model, t: float, log_u):
     DomainError where ln h_tau^-1(u) overflows at a finite log u, whose C_t(u, u) is not 0.
     """
     tau = m._copula_age(t)
-    la = gen_mod._residual_log_inverse_from_log(m.generator, tau, log_u)
+    la = _residual_log_inverse_from_log(m.generator, tau, log_u)
     if np.any(np.isfinite(log_u) & ~np.isfinite(la)):
         raise DomainError("ln h_t^-1(u) overflows at this log u")
     return _copula_t_log(m, tau, la, la)
@@ -153,7 +147,7 @@ def singular_line_survival(m: Model, t: float, x):
 
 def _decay_rate(m: Model, tau: float) -> float:
     """1/z for the z where Fbar_t(z, z) = 1/e, tau = lambda t: the scale every half-line quadrature at age t runs on."""
-    lv = gen_mod._residual_log_inverse_from_log(m.generator, tau, -1.0)  # ln h_tau^-1(1/e)
+    lv = _residual_log_inverse_from_log(m.generator, tau, -1.0)  # ln h_tau^-1(1/e)
     rate = m.lam / -np.float64(lv)
     if not 0.0 < rate < math.inf:
         raise DomainError("the residual lifetime scale underflows at this age")
@@ -187,7 +181,7 @@ def _survival_integral(m: Model, tau: float, surv, tol: float) -> float:
         raise
 
 
-@entry(t="model age")
+@entry(t="model age", i="margin")
 def mean_excess(m: Model, i: int, t: float) -> float:
     """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz, +inf if heavy tailed."""
     return _survival_integral(m, m.lam * t, lambda z: residual_marginal.kernel(m, i, t, z), DEFAULT_QUAD_TOL)

@@ -72,7 +72,7 @@ class Interval:
 
 POSITIVE = Interval(0.0)
 _FINITE = Interval(-math.inf)
-_REALS = (float, int, np.float64)  # bool is a type of its own, so it is not among them
+_REALS = frozenset((float, int, np.float64))  # bool is a type of its own, so it is not among them
 
 
 def _is_real(value) -> bool:
@@ -222,10 +222,48 @@ def _s_grid(s_grid) -> tuple:
     return tuple(map(float, s_grid))
 
 
+def _s_unit(s_grid, what: str) -> np.ndarray:
+    """s_grid as a float array in (0, 1] (by in_unit), or the refusal of _s_grid, which comes first.
+
+    _s_grid checks each entry of a grid of any type but float and int (np.array reads a bool as a float).
+    """
+    s_grid = _sequence(s_grid, "s_grid")
+    s_grid = s_grid if _REALS.issuperset(map(type, s_grid)) else _s_grid(s_grid)
+    try:
+        return in_unit(np.array(s_grid, dtype=float), what, True)
+    except (OverflowError, DomainError):  # an int past the largest double, or a value outside (0, 1]
+        _s_grid(s_grid)  # a NaN or an int past the largest double is named first
+        raise
+
+
 def copula_edges(u, v, out) -> np.ndarray:
     """out with a copula's exact boundary values: C(u, 0) = C(0, v) = 0, C(u, 1) = u, C(1, v) = v."""
     out = np.where((u <= 0) | (v <= 0), 0.0, out)
     return np.where(u >= 1, v, np.where(v >= 1, u, out))
+
+
+def _nonnegative(z, what: str) -> np.ndarray:
+    """z as a float array (by _real_array), or DomainError unless all of it is >= 0, which NaN fails."""
+    z = _real_array(z, what)
+    if not _least(z) >= 0:  # NaN propagates through it and fails
+        raise DomainError("lifetime arguments must be nonnegative")
+    return z
+
+
+def _check_age(t) -> float:
+    """The one age check: a real number (ValidationError) that is 0 <= t <= the largest double (DomainError)."""
+    if not _is_real(t):
+        raise ValidationError(f"t must be a real number, not {t!r}")
+    if not 0 <= t <= sys.float_info.max:  # NaN fails, and so does an int past the largest double
+        raise DomainError("t must be a finite nonnegative number")
+    return float(t)
+
+
+def _margin(i, what: str, first) -> int:
+    """i as the int 1 or 2: the number 1 or 2 (not a bool, not an array), or DomainError."""
+    if _is_real(i) and (i == 1 or i == 2):
+        return int(i)
+    raise DomainError("margin index must be 1 or 2")
 
 
 def _model_age(t, what: str, m) -> float:
@@ -234,19 +272,20 @@ def _model_age(t, what: str, m) -> float:
     return float(t)
 
 
-_CORE, _GENERATORS = f"{__package__}.core", f"{__package__}.generators"
 _NUMERIC = (float, np.ndarray, np.generic)  # the results an entry returns through scalar_or_array
-# kind -> its admission, of (the value, the name its errors give it, the call's first argument); a check that
-# lives in another module is looked up there at each call, so that the check the module holds is the one that runs
+# kind -> its admission, of (the value, the name its errors give it, the call's first argument)
 _ADMISSIONS = {
-    "lifetime": lambda z, what, first: sys.modules[_CORE]._nonnegative(z, what),  # a float array >= 0
+    "lifetime": lambda z, what, first: _nonnegative(z, what),  # a float array >= 0
     "probability": lambda x, what, first: in_unit(x, what),  # a float array in [0, 1]
     "probability open at 0": lambda x, what, first: in_unit(x, what, True),  # a float array in (0, 1]
     "log probability": lambda x, what, first: in_log_unit(x, what),  # a float array in [-inf, 0]
     "ln v": lambda x, what, first: _log_v(x),  # a float array in (-inf, 0]
-    "s grid": lambda s, what, first: in_unit(_s_grid(s), what, True),  # a sequence of reals, then in (0, 1]
-    "age": lambda t, what, first: sys.modules[_GENERATORS]._check_age(t),  # a float in [0, the largest double]
+    "s grid": lambda s, what, first: _s_unit(s, what),  # a sequence of reals, as a float array in (0, 1]
+    "age": lambda t, what, first: _check_age(t),  # a float in [0, the largest double]
     "model age": _model_age,  # a float whose lambda t, the first argument's m.tau(t), is finite
+    "model ages": lambda ts, what, m: tuple(_model_age(t, what, m) for t in _sequence(ts, what)),  # a tuple of floats
+    "margin": _margin,  # the int 1 or 2
+    "horizon": lambda x, what, first: None if x is None else _admit("pricing", what, x, _FINITE),  # None or a float
 }
 
 
@@ -258,7 +297,8 @@ def entry(**admissions):
     name its errors give it).  A call runs the admissions in the order of the
     keywords, on the argument or its default, and hands the body what they
     admit: a float array (a Python number as a numpy float64), an age as a
-    float.  Each value has one range, checked once here: a probability lies
+    float, a margin index as the int 1 or 2.  Each value has one range,
+    checked once here and never in a kernel: a probability lies
     in exactly [0, 1] and its log in [-inf, 0], NaN in neither.  The body runs
     under one ``np.errstate(all="ignore")``; a numeric result (a float or a
     numpy one) returns through ``scalar_or_array``, anything else as it is.
@@ -282,12 +322,12 @@ def entry(**admissions):
 
         @functools.wraps(kernel)
         def call(*args, **kwargs):
-            if len(args) < need:  # the admitted parameters by position: each from its keyword, else its default
-                head = names[len(args):need]
-                if not all(name in kwargs or name in defaults for name in head):
-                    sig.bind(*args, **kwargs)  # raises the TypeError of the missing argument
-                args += tuple(kwargs.pop(name) if name in kwargs else defaults[name] for name in head)
             args = list(args)
+            if len(args) < need:  # the admitted parameters by position: each from its keyword, else its default
+                for name in names[len(args):need]:
+                    if name not in kwargs and name not in defaults:
+                        sig.bind(*args, **kwargs)  # raises the TypeError of the missing argument
+                    args.append(kwargs.pop(name) if name in kwargs else defaults[name])
             for i, admit, what in plan:
                 args[i] = admit(args[i], what, args[0])
             with np.errstate(all="ignore"):

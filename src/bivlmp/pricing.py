@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import Model, _survival_integral, fbar_marginal, residual_marginal
-from .numerics import _FINITE, _admit, _sequence, entry, integrate_unit
-from .numerics import integrate_upper  # noqa: F401  (bench/test_checks.py looks integrate_upper up here)
+from .numerics import entry, integrate_unit, integrate_upper  # noqa: F401  (bench/test_checks.py reads integrate_upper)
 
 PRICING_TOL = 1e-8
 
@@ -46,17 +45,15 @@ def _integrate(surv, m: Model, t: float, tau: float, horizon, what: str) -> floa
     try:
         if horizon is None:
             return _survival_integral(m, tau, surv, PRICING_TOL)
-        span = _admit("pricing", "horizon", horizon, _FINITE) - t
+        span = horizon - t
         if span <= 0:
             raise DomainError(f"horizon must exceed the age t = {t!r}")
         return integrate_unit(lambda u: span * surv(span * u), tol=PRICING_TOL).value
     except ConvergenceError as exc:
-        raise ConvergenceError(
-            f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate
-        ) from exc
+        raise ConvergenceError(f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate) from exc
 
 
-@entry(t="model age")
+@entry(t="model age", horizon="horizon")
 def joint_annuity(m: Model, t: float, horizon=None) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
     return _integrate(lambda z: np.exp(m.generator._h_log_from_log(-m.lam * (z + t))), m, t, m.lam * t, horizon,
@@ -71,7 +68,7 @@ def residual_joint_annuity(m: Model, t: float) -> float:
                       "conditional joint annuity integral")
 
 
-@entry(t="model age")
+@entry(t="model age", horizon="horizon")
 def independent_annuity(m: Model, t: float, horizon=None) -> float:
     """Deferred premium under independence with the same marginals."""
     margin = fbar_marginal.kernel
@@ -87,30 +84,22 @@ def residual_independent_annuity(m: Model, t: float) -> float:
                       "conditional independent annuity integral")
 
 
-@entry()
+@entry(horizon="horizon", i="margin")
 def life_expectancy(m: Model, i: int, horizon=None) -> float:
     """Mean of lifetime i: integral of h(Gbar_i), optionally up to a limiting age."""
     return _integrate(lambda z: fbar_marginal.kernel(m, i, z), m, 0.0, 0.0, horizon, "life expectancy integral")
 
 
-@entry()
+@entry(ts="model ages", horizon="horizon")
 def premium_table(m: Model, ts, horizon=None) -> list:
     """A quote per age of the sequence ts."""
-    return [_quote(m, t, horizon) for t in _sequence(ts, "ts")]
-
-
-def _quote(m: Model, t: float, horizon) -> PricingQuote:
-    """The quote at age t, checked once by m.tau."""
-    m.tau(t)
-    t = float(t)  # the age m.tau admitted
-    return PricingQuote(t, joint_annuity.kernel(m, t, horizon), independent_annuity.kernel(m, t, horizon), m.label)
+    return [PricingQuote(t, joint_annuity.kernel(m, t, horizon), independent_annuity.kernel(m, t, horizon), m.label)
+            for t in ts]
 
 
 def table_text(quotes) -> str:
-    header = f"{'t':>6}  {'joint':>12}  {'independent':>12}"
-    rows = [header]
-    for q in quotes:
-        rows.append(f"{q.t:>6.1f}  {q.premium_joint:>12.4f}  {q.premium_independent:>12.4f}")
+    rows = [f"{'t':>6}  {'joint':>12}  {'independent':>12}"]
+    rows += [f"{q.t:>6.1f}  {q.premium_joint:>12.4f}  {q.premium_independent:>12.4f}" for q in quotes]
     return "\n".join(rows) + "\n"
 
 
@@ -144,7 +133,7 @@ def reference_comparison(models: dict) -> list:
     rows = []
     for side in ("left", "right"):
         ref = REFERENCE_PREMIUMS[side]
-        quotes = (_quote(models[side], t, REFERENCE_HORIZON) for t in ref["ts"])
+        quotes = premium_table.kernel(models[side], ref["ts"], REFERENCE_HORIZON)
         for q, rj, rind in zip(quotes, ref["joint"], ref["independent"]):
             for kind, comp, refv in (("joint", q.premium_joint, rj), ("independent", q.premium_independent, rind)):
                 rel = abs(comp - refv) / abs(refv)

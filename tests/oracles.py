@@ -183,8 +183,8 @@ def concordance_counts_by_search(x, y):
 
 def gbar_log(p, x, y):
     """core.gbar_log as one expression, without the in-place steps (NaN at x = y = inf)."""
-    x = core._nonnegative(x, "x")
-    y = core._nonnegative(y, "y")
+    x = numerics._nonnegative(x, "x")
+    y = numerics._nonnegative(y, "y")
     d = x - y
     gamma = np.where(d >= 0, p.gamma1, p.gamma2)
     aw = np.where(d >= 0, p.alpha1, p.alpha2)

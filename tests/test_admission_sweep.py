@@ -1,9 +1,9 @@
 """Every argument of every public callable, swept with bad values.
 
 For each callable in bivlmp.__all__, each public method of Generator on
-every family of test_contract.GENERATORS, Model.tau, Model.copula_age and
-each public module function outside __all__ (MODULE_FUNCTIONS), and each of
-its parameters, the other arguments hold a valid value from VALID and the
+every family of test_contract.GENERATORS, Model.tau and each public module
+function outside __all__ (MODULE_FUNCTIONS), and each of its parameters,
+the other arguments hold a valid value from VALID and the
 parameter takes each of BAD in turn: the call must return a result or raise
 a BivlmpError, never a bare Python error.  A parameter that holds a bivlmp
 object (a model, core, generator, mixing law, sample batch or bridge
@@ -77,12 +77,11 @@ def _callables():
 
 
 def _more_callables():
-    """The bound public Generator methods of every family, Model.tau, Model.copula_age and MODULE_FUNCTIONS."""
+    """The bound public Generator methods of every family, Model.tau and MODULE_FUNCTIONS."""
     for family, g in GENERATORS.items():
         for meth in GENERATOR_METHODS:
             yield f"{family}.{meth}", getattr(g, meth)
     yield "Model.tau", M.tau
-    yield "Model.copula_age", M.copula_age
     for mod, names in MODULE_FUNCTIONS.items():
         for name in names:
             yield f"{mod.__name__.split('.')[-1]}.{name}", getattr(mod, name)
@@ -143,7 +142,7 @@ def test_a_bad_argument_gives_a_result_or_a_bivlmp_error(case, fn, arguments, k)
 def test_the_sweep_reaches_every_public_generator_method_and_the_functions_outside_all():
     swept = {case.rsplit(".", 1)[0] for case, *_ in CASES}
     assert {f"{family}.{meth}" for family in GENERATORS for meth in GENERATOR_METHODS if meth != "describe"} <= swept
-    assert {"Model.tau", "Model.copula_age", *(f"{mod.__name__.split('.')[-1]}.{name}"
-                                               for mod, names in MODULE_FUNCTIONS.items() for name in names)} <= swept
+    assert {"Model.tau", *(f"{mod.__name__.split('.')[-1]}.{name}"
+                           for mod, names in MODULE_FUNCTIONS.items() for name in names)} <= swept
     assert set(GENERATOR_METHODS) == {"h", "h_inverse", "h_elasticity_from_log", "h_from_log", "h_log_from_log",
                                       "neg_log_h_inverse", "describe"}

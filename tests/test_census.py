@@ -13,8 +13,10 @@ Each public function of ENTRY_MODULES and each public method of Generator is
 decorated with numerics.entry, or is listed in NOT_ENTRIES with its reason.
 No kernel calls an entry: a kernel is a _ function or method, an entry's
 body, or a function or lambda nested in a function (a quadrature integrand,
-a root-finder residual).  So each public call checks each argument once and
-opens one error state by construction.
+a root-finder residual).  Outside numerics, no kernel calls an admission
+helper either, but where EXEMPT says why; and each kind of
+numerics._ADMISSIONS is declared by some entry.  So each public call checks
+each argument once, at its entry, and opens one error state by construction.
 """
 
 import ast
@@ -125,10 +127,15 @@ def _trees():
     return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
+def _entry_decorators(node) -> list:
+    """The entry(...) calls that decorate a function."""
+    return [d for d in node.decorator_list
+            if isinstance(d, ast.Call) and getattr(d.func, "id", getattr(d.func, "attr", None)) == "entry"]
+
+
 def _is_entry(node) -> bool:
     """Whether a function is decorated with entry(...)."""
-    return any(isinstance(d, ast.Call) and getattr(d.func, "id", getattr(d.func, "attr", None)) == "entry"
-               for d in node.decorator_list)
+    return bool(_entry_decorators(node))
 
 
 def _functions(tree, module):
@@ -136,16 +143,14 @@ def _functions(tree, module):
     return [(place, node) for place, node in _places(tree, module) if isinstance(node, ast.FunctionDef)]
 
 
-def _entry_calls(trees) -> set:
-    """(the kernel, the entry it calls) for each call of an entry by name in a kernel of KERNEL_MODULES.
+def _kernel_calls(trees, modules):
+    """(the kernel, the name it calls) for each call by name in a kernel of modules.
 
     A kernel is a _ function or method (not a dunder), an entry's body, or a
-    function or lambda nested in a function; a call of fn.kernel calls no entry.
+    function or lambda nested in a function.
     """
-    entries = {node.name for module, tree in trees.items() for _, node in _functions(tree, module) if _is_entry(node)}
-    found = set()
     for module, tree in trees.items():
-        if module not in KERNEL_MODULES:
+        if module not in modules:
             continue
         for place, node in _functions(tree, module):
             name = node.name
@@ -155,10 +160,16 @@ def _entry_calls(trees) -> set:
             for body in [node] * kernel + nested:
                 for call in ast.walk(body):
                     if isinstance(call, ast.Call):
-                        callee = getattr(call.func, "id", getattr(call.func, "attr", None))
-                        if callee in entries:
-                            found.add((place, callee))
-    return found
+                        yield place, getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def _entry_calls(trees) -> set:
+    """(the kernel, the entry it calls) for each call of an entry by name in a kernel of KERNEL_MODULES.
+
+    A call of fn.kernel calls no entry.
+    """
+    entries = {node.name for module, tree in trees.items() for _, node in _functions(tree, module) if _is_entry(node)}
+    return {(place, callee) for place, callee in _kernel_calls(trees, KERNEL_MODULES) if callee in entries}
 
 
 def test_every_public_numeric_function_is_an_entry_or_says_why_not():
@@ -186,3 +197,68 @@ def integral(p):
 """)
     trees["core"].body.extend(injected.body)
     assert _entry_calls(trees) == {("core._kernel", "gbar_log"), ("core.integral", "marginal_survival")}
+
+
+# the checks of numerics that admit an argument, and Model.tau; numerics calls them from its _ADMISSIONS
+ADMISSION_HELPERS = {"_admit", "_admit_count", "_sequence", "_real_array", "_is_real", "in_unit", "in_log_unit",
+                     "_log_v", "_s_grid", "_nonnegative", "_check_age", "tau"}
+CONSTRUCTORS = {"__init__", "__post_init__", "_pareto"}  # each admits the numbers it is given, with _admit
+EXEMPT = {("dependence._kendall_values", "_log_v"): "guards a computed ln v, not an argument"}
+
+
+def _admission_calls(trees) -> set:
+    """(the kernel, the helper it calls) for each call of an admission helper in a kernel outside numerics.
+
+    A constructor's calls and those of EXEMPT are left out.
+    """
+    return {(place, callee) for place, callee in _kernel_calls(trees, set(KERNEL_MODULES) - {"numerics"})
+            if callee in ADMISSION_HELPERS and place.rsplit(".", 1)[1] not in CONSTRUCTORS} - set(EXEMPT)
+
+
+def _admissions_table(trees) -> ast.Dict:
+    """The dict literal of numerics._ADMISSIONS."""
+    return next(node.value for node in trees["numerics"].body
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_ADMISSIONS")
+
+
+def _undeclared_kinds(trees) -> set:
+    """The kinds of numerics._ADMISSIONS that no entry(...) declares, by itself or as (kind, name)."""
+    specs = [keyword.value for module, tree in trees.items() for _, node in _functions(tree, module)
+             for d in _entry_decorators(node) for keyword in d.keywords]
+    declared = {(spec.elts[0] if isinstance(spec, ast.Tuple) else spec).value for spec in specs}
+    return {key.value for key in _admissions_table(trees).keys} - declared
+
+
+def test_no_kernel_outside_numerics_checks_an_argument():
+    assert _admission_calls(_trees()) == set()
+
+
+def test_every_kind_of_admission_is_declared_by_an_entry():
+    assert _undeclared_kinds(_trees()) == set()
+
+
+def test_the_scan_finds_a_kernel_that_checks_an_argument():
+    trees = _trees()
+    injected = ast.parse("""
+def _kernel(p, z):
+    return gbar_log.kernel(p, _nonnegative(z, "z"), z)
+
+
+def integral(m, t):
+    return integrate_unit(lambda u: m.tau(t) * u)
+
+
+class Law:
+    def __init__(self, a):
+        self.a = _admit("law", "a", a, POSITIVE)
+""")
+    trees["core"].body.extend(injected.body)
+    assert _admission_calls(trees) == {("core._kernel", "_nonnegative"), ("core.integral", "tau")}
+
+
+def test_the_scan_finds_a_kind_that_no_entry_declares():
+    trees = _trees()
+    table = _admissions_table(trees)
+    table.keys.append(ast.Constant("unused kind"))
+    table.values.append(ast.parse("lambda x, what, first: x", mode="eval").body)
+    assert _undeclared_kinds(trees) == {"unused kind"}

@@ -17,7 +17,7 @@ import oracles
 from bivlmp import core, dependence, generators, model, numerics, pricing, sampler
 from bivlmp.config import builtin_models
 from bivlmp.core import CoreParams, mu_core
-from bivlmp.errors import BivlmpError
+from bivlmp.errors import BivlmpError, DomainError
 from bivlmp.generators import make_generator
 
 MODELS = builtin_models()
@@ -29,6 +29,7 @@ ALPHA_CORES = {
                                          mu_core(alpha=1.5, gamma=0.2, alpha1=0.3, alpha2=0.2)),
 }
 AGES = (0.0, 0.5, 2.0, 10.0)  # lambda t
+MODULES = (numerics, core, generators, model, dependence, pricing, sampler)  # where a counter replaces a check
 
 
 def _grids(m, seed):
@@ -84,7 +85,7 @@ PUBLIC_HELPERS = (core.marginal_quantile_log, model.copula_t_diag_log)  # checke
 def _counting(monkeypatch):
     """Count np.errstate blocks, the argument checks and the calls of the generator's public methods and helpers.
 
-    in_unit and each of PUBLIC_HELPERS are replaced in every module that binds them.
+    The checks and each of PUBLIC_HELPERS are replaced in every module that binds them.
     """
     helpers = {fn.__name__: fn for fn in PUBLIC_HELPERS}
     counts = dict.fromkeys(("errstate", "_nonnegative", "in_unit", "_check_age", *GENERATOR_METHODS, *helpers), 0)
@@ -97,10 +98,9 @@ def _counting(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np, "errstate", counted(np.errstate, "errstate"))
-    monkeypatch.setattr(core, "_nonnegative", counted(core._nonnegative, "_nonnegative"))
-    monkeypatch.setattr(generators, "_check_age", counted(generators._check_age, "_check_age"))
-    for key, fn in {"in_unit": numerics.in_unit, **helpers}.items():
-        for mod in (numerics, core, generators, model, dependence, pricing, sampler):
+    checks = {key: getattr(numerics, key) for key in ("_nonnegative", "in_unit", "_check_age")}
+    for key, fn in {**checks, **helpers}.items():
+        for mod in MODULES:
             if getattr(mod, key, None) is fn:
                 monkeypatch.setattr(mod, key, counted(fn, key))
     for name in GENERATOR_METHODS:
@@ -194,6 +194,46 @@ def test_public_calls_run_no_checked_public_call(monkeypatch, call, name):
     fn(MODELS[name])
     counts.pop("errstate")
     assert counts == {**dict.fromkeys(counts, 0), **want}
+
+
+def _counted_calls(monkeypatch, fn, mods, key=lambda *args: True) -> list:
+    """A list of fn's name, once per call of fn for which key holds; fn is replaced in each of mods that binds it."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        if key(*args):
+            calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    for mod in mods:
+        if getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, wrapper)
+    return calls
+
+
+# a refused argument is refused at the entry, before the first quadrature
+REFUSED = {
+    "life_expectancy": lambda m: pricing.life_expectancy(m, 3),
+    "mean_excess": lambda m: model.mean_excess(m, 3, 0.0),
+    "premium_table": lambda m: pricing.premium_table(m, [0, 5, -1]),
+}
+
+
+@pytest.mark.parametrize("call", sorted(REFUSED))
+def test_a_refused_argument_runs_no_quadrature(monkeypatch, call):
+    quadratures = _counted_calls(monkeypatch, numerics._de_integrate, [numerics])
+    with pytest.raises(DomainError):
+        REFUSED[call](MODELS["identity_mu"])
+    assert quadratures == []
+
+
+def test_the_horizon_is_admitted_once_per_call(monkeypatch):
+    horizons = _counted_calls(monkeypatch, numerics._admit, MODULES, key=lambda owner, name, *rest: name == "horizon")
+    pricing.premium_table(MODELS["identity_mu"], [0, 5, 10], horizon=100.0)
+    assert len(horizons) == 1
+    horizons.clear()
+    pricing.reference_comparison({"left": MODELS["fig1_left"], "right": MODELS["fig1_right"]})
+    assert horizons == []  # its horizon is the constant REFERENCE_HORIZON
 
 
 def _outcome(fn):
