@@ -16,12 +16,11 @@ Muliere-Scarsini style subfamily with absolutely explicit copula.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import POSITIVE, _FINITE, Interval, _admit, copula_edges, entry
+from .numerics import POSITIVE, _FINITE, Interval, Record, _admit, copula_edges, entry
 
 DEFAULT_SLACK = 1e-9
 _WEIGHT = Interval(0.0, 1.0)
@@ -30,19 +29,13 @@ _DOMAINS = {"lam": POSITIVE, "alpha": POSITIVE, "gamma1": POSITIVE, "gamma2": PO
             "alpha1": _WEIGHT, "alpha2": _WEIGHT, "slack": _FINITE}
 
 
-@dataclass(frozen=True)
-class CoreParams:
-    lam: float
-    alpha: float
-    gamma1: float
-    gamma2: float
-    alpha1: float
-    alpha2: float
-    slack: float = DEFAULT_SLACK
+class CoreParams(Record):
+    __slots__ = tuple(_DOMAINS)  # lam, alpha, gamma1, gamma2, alpha1, alpha2, slack
 
-    def __post_init__(self):
-        for name, domain in _DOMAINS.items():
-            object.__setattr__(self, name, _admit("core", name, getattr(self, name), domain))
+    def __init__(self, lam: float, alpha: float, gamma1: float, gamma2: float, alpha1: float, alpha2: float,
+                 slack: float = DEFAULT_SLACK):
+        for (name, domain), value in zip(_DOMAINS.items(), (lam, alpha, gamma1, gamma2, alpha1, alpha2, slack)):
+            object.__setattr__(self, name, _admit("core", name, value, domain))
         if self.slack < 0:
             raise ValidationError("slack must be nonnegative")
         # a margin inside the slack still validates (rounded published parameter sets need this)

@@ -23,7 +23,6 @@ of 1, and ln v of the rounded v loses ~7 digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from . import generators as gen_mod
 from .core import CoreParams, _log_a, _marg, marginal_hazard
 from .errors import DomainError
 from .model import Model, copula_t_diag_log
-from .numerics import _log_v, _s_grid, entry, integrate_unit, limit_at_zero
+from .numerics import FRESH, Record, _log_v, _s_grid, entry, integrate_unit, limit_at_zero
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
 # ln C_t(u, u), bound when the module loads: the tail limits call the kernel of the entry, not the entry
@@ -40,24 +39,29 @@ TAU_TOL = 1e-9  # relative accuracy of Kendall's tau
 TAIL_TOL = 1e-4  # absolute accuracy of a numeric tail limit
 
 
-@dataclass(frozen=True)
-class KendallCurve:
-    t: float
-    grid: tuple  # of (s, K) pairs
-    source: str  # closed_form | quadrature | empirical
+class KendallCurve(Record):
+    __slots__ = ("t", "grid", "source")
+
+    def __init__(self, t: float, grid: tuple, source: str):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "grid", grid)  # of (s, K) pairs
+        object.__setattr__(self, "source", source)  # closed_form | quadrature | empirical
 
     def k_values(self):
         return np.array([k for _, k in self.grid])
 
 
-@dataclass(frozen=True)
-class TailReport:
-    t: float
-    which: str  # lower | upper
-    value: float
-    method: str  # lemma_power | lemma_exponential | numeric
-    classification: dict = field(default_factory=dict)
-    converged: bool = True
+class TailReport(Record):
+    __slots__ = ("t", "which", "value", "method", "classification", "converged")
+
+    def __init__(self, t: float, which: str, value: float, method: str, classification: dict = FRESH,
+                 converged: bool = True):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "which", which)  # lower | upper
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "method", method)  # lemma_power | lemma_exponential | numeric
+        object.__setattr__(self, "classification", {} if classification is FRESH else classification)
+        object.__setattr__(self, "converged", converged)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +116,7 @@ def _kendall_values(m: Model, tau: float, s, source: str):
     return np.where(s >= 1.0, 1.0, k)
 
 
-@entry(s_grid=("s grid", "s"), t="model age")
+@entry(s_grid=("s grid", "s"), t="model age", source="Kendall source")
 def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "closed_form") -> KendallCurve:
     """Kendall curve of C_t on s_grid.
 
@@ -120,8 +124,6 @@ def kendall_function(m: Model, t: float, s_grid=DEFAULT_S_GRID, source: str = "c
     numerically (the independent pipeline).  Every generator states its
     elasticity, so both routes serve every model.
     """
-    if not isinstance(source, str) or source not in _J_ROUTES:
-        raise DomainError(f"unknown source {source!r}")
     k = _kendall_values(m, m._copula_age(t), s_grid, source)  # K_t is a function of C_t alone
     return KendallCurve(t=t, grid=tuple(zip(s_grid.tolist(), k)), source=source)
 
@@ -302,15 +304,13 @@ def tail_upper(m: Model, t: float) -> TailReport:
     )
 
 
-@entry(t="model age")
+@entry(t="model age", which="tail side")
 def tail_numeric(m: Model, t: float, which: str) -> TailReport:
     """Numeric tail limits via Aitken-accelerated sequences, each evaluated in one array call.
 
     Lower: lim C_t(u,u)/u as u -> 0 (log domain, so u may pass 1e-12).
     Upper: lim (C_t(u,u) - (2u - 1)) / (1-u) as u -> 1, in eps = 1-u.
     """
-    if not isinstance(which, str) or which not in ("lower", "upper"):
-        raise DomainError("which must be 'lower' or 'upper'")
     if which == "lower":
         def g(u):
             lu = np.log(u)

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import POSITIVE, _FINITE, Interval, _admit, _fields, copula_edges, entry, solve_decreasing_batch
+from .numerics import (FRESH, POSITIVE, _FINITE, Interval, Record, _admit, _fields, copula_edges, entry,
+                       solve_decreasing_batch)
 
 _DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
 _UNIT = Interval(0.0, 1.0, closed=True)
@@ -488,15 +488,14 @@ MIXING_LAWS = {
 }
 
 
-@dataclass(frozen=True)
-class MixingLaw:
-    kind: str
-    params: dict = field(default_factory=dict)
+class MixingLaw(Record):
+    __slots__ = ("kind", "params")
 
-    def __post_init__(self):
-        name, domain, _ = _entry(MIXING_LAWS, self.kind, "mixing law")
-        (value,) = _fields(self.params, (name,), f"{self.kind} mixing params")
-        object.__setattr__(self, "params", {name: _admit(f"{self.kind} mixing", name, value, domain)})
+    def __init__(self, kind: str, params: dict = FRESH):
+        name, domain, _ = _entry(MIXING_LAWS, kind, "mixing law")
+        (value,) = _fields({} if params is FRESH else params, (name,), f"{kind} mixing params")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", {name: _admit(f"{kind} mixing", name, value, domain)})
 
 
 def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
@@ -591,11 +590,13 @@ _SIGN_TOL = 1e-12
 _STRICT_FRACTION = 0.95
 
 
-@dataclass(frozen=True)
-class AgingProfile:
-    nbu_nwu: str  # "NBU" | "NWU" | "memoryless" | "neither"
-    ifr_dfr: str  # "IFR" | "DFR" | "memoryless" | "neither"
-    margins: np.ndarray  # ln d_t(x) - ln x over T_GRID x X_GRID
+class AgingProfile(Record):
+    __slots__ = ("nbu_nwu", "ifr_dfr", "margins")
+
+    def __init__(self, nbu_nwu: str, ifr_dfr: str, margins: np.ndarray):
+        object.__setattr__(self, "nbu_nwu", nbu_nwu)  # "NBU" | "NWU" | "memoryless" | "neither"
+        object.__setattr__(self, "ifr_dfr", ifr_dfr)  # "IFR" | "DFR" | "memoryless" | "neither"
+        object.__setattr__(self, "margins", margins)  # ln d_t(x) - ln x over T_GRID x X_GRID
 
     @property
     def multiplicativity(self) -> str:

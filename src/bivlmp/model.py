@@ -15,25 +15,24 @@ argument: e^{-tau} is never formed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import CoreParams, _core_copula_log, _marginal_log, gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import Generator, Mo15Generator, _residual_log_inverse_from_log, make_generator, time_distortion
-from .numerics import DEFAULT_QUAD_TOL, POSITIVE, _admit, _check_age, copula_edges, entry, integrate_upper
+from .numerics import DEFAULT_QUAD_TOL, POSITIVE, Record, _admit, _check_age, copula_edges, entry, integrate_upper
 
 
-@dataclass(frozen=True)
-class Model:
-    generator: Generator
-    core: CoreParams
-    label: str = ""
+class Model(Record):
+    __slots__ = ("generator", "core", "label")
 
-    def __post_init__(self):
-        if isinstance(self.generator, Mo15Generator) and self.generator.xi < 1.0:
+    def __init__(self, generator: Generator, core: CoreParams, label: str = ""):
+        if isinstance(generator, Mo15Generator) and generator.xi < 1.0:
             raise ValidationError("mo15 generator requires xi >= 1 in a model")
+        object.__setattr__(self, "generator", generator)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "label", label)
 
     @property
     def lam(self) -> float:
@@ -192,20 +191,14 @@ def mean_excess(m: Model, i: int, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mo15Params:
+class Mo15Params(Record):
     """Six-parameter bivariate Gompertz: rates lam, lam1, lam2 and shapes xi, xi1, xi2."""
 
-    lam: float
-    lam1: float
-    lam2: float
-    xi: float
-    xi1: float
-    xi2: float
+    __slots__ = ("lam", "lam1", "lam2", "xi", "xi1", "xi2")
 
-    def __post_init__(self):
-        for name in ("lam", "lam1", "lam2", "xi", "xi1", "xi2"):
-            object.__setattr__(self, name, _admit("mo15 bridge", name, getattr(self, name), POSITIVE))
+    def __init__(self, lam: float, lam1: float, lam2: float, xi: float, xi1: float, xi2: float):
+        for name, value in zip(self.__slots__, (lam, lam1, lam2, xi, xi1, xi2)):
+            object.__setattr__(self, name, _admit("mo15 bridge", name, value, POSITIVE))
         if not self.lam >= max(self.lam1, self.lam2) - 1e-12:
             raise ValidationError("constraint lam >= max(lam1, lam2) violated")
         if not self.lam * (self.xi - 1.0) >= max(self.lam1 * (self.xi1 - 1.0), self.lam2 * (self.xi2 - 1.0)) - 1e-12:

@@ -35,7 +35,6 @@ import inspect
 import math
 import numbers
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,14 +51,67 @@ _EXACT = 2**53  # every int up to this in magnitude is a double
 _MAXITER = 2046  # log2(largest / smallest normal double): bisection's worst case
 
 
-@dataclass(frozen=True)
-class Interval:
+class Record:
+    """A frozen record: its fields are its ``__slots__``, in order, each set once by its ``__init__``.
+
+    Equality and hash take the fields as one tuple, the repr reads as a
+    dataclass's does, and a field can be neither assigned nor deleted.  Copy
+    and pickle restore the fields without running ``__init__`` again.  The
+    package's records are written on it, not with ``dataclasses``, whose
+    decorator generates and compiles their methods at every start.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        return self._values() == other._values() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return self._values()
+
+    def __setstate__(self, values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+
+class _Fresh:
+    """The default of a record field that gets a new empty container in each record."""
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "<factory>"
+
+
+FRESH = _Fresh()
+
+
+class Interval(Record):
     """The finite numbers in (lo, hi), or (lo, hi] when closed, less the point hole."""
 
-    lo: float
-    hi: float = math.inf
-    closed: bool = False
-    hole: float | None = None
+    __slots__ = ("lo", "hi", "closed", "hole")
+
+    def __init__(self, lo: float, hi: float = math.inf, closed: bool = False, hole: float | None = None):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "hole", hole)
 
     def __contains__(self, v):
         # isfinite first: NaN and +-inf are never inside, whatever the bounds
@@ -266,6 +318,13 @@ def _margin(i, what: str, first) -> int:
     raise DomainError("margin index must be 1 or 2")
 
 
+def _one_of(x, names: tuple, refusal: str) -> str:
+    """x, a str among names, or DomainError with refusal, which may name x as {x!r}."""
+    if isinstance(x, str) and x in names:
+        return x
+    raise DomainError(refusal.format(x=x))
+
+
 def _model_age(t, what: str, m) -> float:
     """t as a float, once m.tau(t) has checked it; the body forms lambda t again, unchecked."""
     m.tau(t)
@@ -286,6 +345,9 @@ _ADMISSIONS = {
     "model ages": lambda ts, what, m: tuple(_model_age(t, what, m) for t in _sequence(ts, what)),  # a tuple of floats
     "margin": _margin,  # the int 1 or 2
     "horizon": lambda x, what, first: None if x is None else _admit("pricing", what, x, _FINITE),  # None or a float
+    # the J route of a Kendall function, a key of dependence._J_ROUTES
+    "Kendall source": lambda x, what, first: _one_of(x, ("closed_form", "quadrature"), "unknown source {x!r}"),
+    "tail side": lambda x, what, first: _one_of(x, ("lower", "upper"), "which must be 'lower' or 'upper'"),
 }
 
 
@@ -308,17 +370,22 @@ def entry(**admissions):
     caller's error state and never check again a value the call produced.  A
     log that a kernel produced is not clamped again; only where ln h^-1 is
     formed, whose rounding can pass 0 by an ulp, is it clamped.  The plan is
-    built once, here: a call passes the admitted parameters to the body by
-    position, and the rest as the caller did.
+    built once, here, from the body's code object: a call passes the admitted
+    parameters to the body by position, and the rest as the caller did.  A
+    left-out parameter whose default admits as itself (None as a horizon, a
+    source's name) reaches the body as that default, with no admission.
     """
 
     def decorate(kernel):
-        sig = inspect.signature(kernel)
-        names = list(sig.parameters)
-        defaults = {name: p.default for name, p in sig.parameters.items() if p.default is not p.empty}
+        code = kernel.__code__
+        names = code.co_varnames[:code.co_argcount]
+        values = kernel.__defaults__ or ()
+        defaults = dict(zip(names[len(names) - len(values):], values))
         specs = {name: spec if isinstance(spec, tuple) else (spec, name) for name, spec in admissions.items()}
-        plan = [(names.index(name), _ADMISSIONS[kind], what) for name, (kind, what) in specs.items()]
-        need = max((i + 1 for i, _, _ in plan), default=0)
+        plan = [(names.index(name), name, _ADMISSIONS[kind], what) for name, (kind, what) in specs.items()]
+        # past need come only parameters whose default admits as itself: each is admitted when the caller passes it
+        need = max((i + 1 for i, name, admit, what in plan
+                    if name not in defaults or admit(defaults[name], what, None) is not defaults[name]), default=0)
 
         @functools.wraps(kernel)
         def call(*args, **kwargs):
@@ -326,10 +393,14 @@ def entry(**admissions):
             if len(args) < need:  # the admitted parameters by position: each from its keyword, else its default
                 for name in names[len(args):need]:
                     if name not in kwargs and name not in defaults:
-                        sig.bind(*args, **kwargs)  # raises the TypeError of the missing argument
+                        inspect.signature(kernel).bind(*args, **kwargs)  # raises the TypeError of the missing one
                     args.append(kwargs.pop(name) if name in kwargs else defaults[name])
-            for i, admit, what in plan:
-                args[i] = admit(args[i], what, args[0])
+            given = len(args)
+            for i, name, admit, what in plan:
+                if i < given:
+                    args[i] = admit(args[i], what, args[0])
+                elif name in kwargs:
+                    kwargs[name] = admit(kwargs[name], what, args[0])
             with np.errstate(all="ignore"):
                 out = kernel(*args, **kwargs)
             return scalar_or_array(out) if isinstance(out, _NUMERIC) else out
@@ -340,24 +411,28 @@ def entry(**admissions):
     return decorate
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
+class QuadratureResult(Record):
     """An integral, the change of its last level, and evaluations: every node x column handed to f.
 
     The first call takes levels 0 to FIRST_CHUNK - 1 at once, so evaluations
     counts the nodes of levels past the stop in that call too.
     """
 
-    value: float
-    abs_error_estimate: float
-    evaluations: int
+    __slots__ = ("value", "abs_error_estimate", "evaluations")
+
+    def __init__(self, value: float, abs_error_estimate: float, evaluations: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "abs_error_estimate", abs_error_estimate)
+        object.__setattr__(self, "evaluations", evaluations)
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
-    value: float
-    sequence_tail: list = field(default_factory=list)
-    converged: bool = False
+class LimitEstimate(Record):
+    __slots__ = ("value", "sequence_tail", "converged")
+
+    def __init__(self, value: float, sequence_tail: list = FRESH, converged: bool = False):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "sequence_tail", [] if sequence_tail is FRESH else sequence_tail)
+        object.__setattr__(self, "converged", converged)
 
 
 def _de_levels(unit: bool):

@@ -17,23 +17,23 @@ the published benchmark table uses horizon = 100 years.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
 from .model import Model, _survival_integral, fbar_marginal, residual_marginal
-from .numerics import entry, integrate_unit, integrate_upper  # noqa: F401  (bench/test_checks.py reads integrate_upper)
+from .numerics import Record, entry, integrate_unit, integrate_upper  # noqa: F401  (bench/test_checks.py reads integrate_upper)
 
 PRICING_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PricingQuote:
-    t: float
-    premium_joint: float
-    premium_independent: float
-    model_label: str = ""
+class PricingQuote(Record):
+    __slots__ = ("t", "premium_joint", "premium_independent", "model_label")
+
+    def __init__(self, t: float, premium_joint: float, premium_independent: float, model_label: str = ""):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "premium_joint", premium_joint)
+        object.__setattr__(self, "premium_independent", premium_independent)
+        object.__setattr__(self, "model_label", model_label)
 
 
 def _integrate(surv, m: Model, t: float, tau: float, horizon, what: str) -> float:

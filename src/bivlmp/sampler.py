@@ -36,7 +36,6 @@ and side flags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from .core import CoreParams, singular_mass
 from .errors import DomainError, ValidationError
 from .generators import IdentityGenerator, MixingLaw
 from .model import Model
-from .numerics import POSITIVE, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
+from .numerics import POSITIVE, Record, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
 
 _TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
@@ -142,24 +141,19 @@ def _csv_block(x, y, atom) -> bytes:
     return rows.tobytes().translate(None, b"\0")
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    x: np.ndarray
-    y: np.ndarray
-    atom: np.ndarray
-    seed: int
-    model_label: str = ""
+class SampleBatch(Record):
+    __slots__ = ("x", "y", "atom", "seed", "model_label")
 
-    def __post_init__(self):
-        x, y = _real_array(self.x, "x"), _real_array(self.y, "y")
-        atom = _array_of(self.atom, "b", "atom", "a bool or an array of bools")
-        for name, a in (("x", x), ("y", y), ("atom", atom)):  # the sampler's float and bool arrays, uncopied
-            object.__setattr__(self, name, a)
-        shapes = [np.shape(a) for a in (self.x, self.y, self.atom)]
+    def __init__(self, x: np.ndarray, y: np.ndarray, atom: np.ndarray, seed: int, model_label: str = ""):
+        x, y = _real_array(x, "x"), _real_array(y, "y")  # the sampler's float and bool arrays, uncopied
+        atom = _array_of(atom, "b", "atom", "a bool or an array of bools")
+        shapes = [np.shape(a) for a in (x, y, atom)]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
             raise ValidationError(f"x, y and atom must be 1-D and of one length, not of shapes {shapes}")
-        if np.any((self.x != self.y) & self.atom):  # NaN != NaN: a NaN atom row is refused too
+        if np.any((x != y) & atom):  # NaN != NaN: a NaN atom row is refused too
             raise ValidationError("atom rows must have x == y exactly")
+        for name, value in zip(self.__slots__, (x, y, atom, seed, model_label)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:

@@ -3,12 +3,11 @@
 Each parameter of every generator family, mixing law, core and bivariate
 Gompertz parameter set must refuse a bool, a string and None with
 ValidationError, and accept a numpy scalar of a valid value.  The tables are
-built from generators.FAMILIES, generators.MIXING_LAWS and the dataclass
-fields, so a new family or field joins them without an edit here.  Each count
+built from generators.FAMILIES, generators.MIXING_LAWS and the records'
+fields (their __slots__), so a new family or field joins them without an edit here.  Each count
 and seed of the samplers, and each pricing horizon, follows the same rule.
 """
 
-import dataclasses
 import fractions
 import math
 
@@ -56,10 +55,10 @@ def _cases():
     yield "power_scaled.beta", lambda v: power_scaled(IdentityGenerator(), v), 2.0
     yield "sample_mixing_shortcut.ratio", lambda v: sample_mixing_shortcut(
         MixingLaw("gamma", {"a": 2.0}), SHORTCUT_CORE, v, 4, 1), 0.5
-    for f in dataclasses.fields(CoreParams):
-        yield f"CoreParams.{f.name}", lambda v, n=f.name: CoreParams(**{**CORE, n: v}), CORE[f.name]
-    for f in dataclasses.fields(Mo15Params):
-        yield f"Mo15Params.{f.name}", lambda v, n=f.name: Mo15Params(**{**MO15, n: v}), MO15[f.name]
+    for name in CoreParams.__slots__:
+        yield f"CoreParams.{name}", lambda v, n=name: CoreParams(**{**CORE, n: v}), CORE[name]
+    for name in Mo15Params.__slots__:
+        yield f"Mo15Params.{name}", lambda v, n=name: Mo15Params(**{**MO15, n: v}), MO15[name]
 
 
 CASES = list(_cases())

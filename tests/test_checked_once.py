@@ -236,6 +236,31 @@ def test_the_horizon_is_admitted_once_per_call(monkeypatch):
     assert horizons == []  # its horizon is the constant REFERENCE_HORIZON
 
 
+@pytest.mark.parametrize("kind,default,given", [("horizon", None, 5.0), ("Kendall source", "closed_form", "quadrature")])
+def test_a_left_out_default_that_admits_as_itself_runs_no_admission(monkeypatch, kind, default, given):
+    admitted = []
+    admit = numerics._ADMISSIONS[kind]
+    monkeypatch.setitem(numerics._ADMISSIONS, kind, lambda x, what, first: admitted.append(x) or admit(x, what, first))
+
+    @numerics.entry(t="age", x=kind)
+    def body(m, t, x=default):
+        return x
+
+    admitted.clear()  # the decorator admits the default once, to see that it admits as itself
+    assert body(None, 1.0) == default and admitted == []
+    assert body(None, 1.0, given) == given and body(None, t=1.0, x=given) == given and admitted == [given, given]
+
+
+@pytest.mark.parametrize("call", ["joint_annuity", "independent_annuity", "life_expectancy"])
+def test_a_left_out_horizon_reads_none_and_a_given_one_is_admitted_once(monkeypatch, call):
+    horizons = _counted_calls(monkeypatch, numerics._admit, MODULES, key=lambda owner, name, *rest: name == "horizon")
+    fn, m = getattr(pricing, call), MODELS["identity_mu"]
+    assert fn(m, 1) == fn(m, 1, None)
+    assert horizons == []
+    assert fn(m, 1, 50.0) == fn(m, 1, horizon=50.0)
+    assert len(horizons) == 2
+
+
 def _outcome(fn):
     """fn(), or the class and the text of the BivlmpError it raised."""
     try:

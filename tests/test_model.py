@@ -204,7 +204,7 @@ def test_mo15_constraints_enforced():
 def test_mo15_params_reject_non_finite(name, value):
     # every comparison is false for NaN, so each check is written to fail it
     with pytest.raises(ValidationError):
-        Mo15Params(**{**vars(Q), name: value})
+        Mo15Params(**{**{field: getattr(Q, field) for field in Mo15Params.__slots__}, name: value})
 
 
 def test_mo15_generator_needs_xi_at_least_one():
