@@ -22,7 +22,7 @@ import json
 
 from .core import CoreParams, DEFAULT_SLACK
 from .errors import ValidationError
-from .generators import Generator, make_generator
+from .generators import Generator, _entry, make_generator
 from .model import Model
 from .numerics import _fields
 
@@ -144,9 +144,7 @@ BUILTIN_CONFIGS = {
 
 
 def builtin_model(name: str) -> Model:
-    if not isinstance(name, str) or name not in BUILTIN_CONFIGS:
-        raise ValidationError(f"unknown built-in model {name!r}")
-    return parse_config(BUILTIN_CONFIGS[name])
+    return parse_config(_entry(BUILTIN_CONFIGS, name, "built-in model"))
 
 
 def builtin_models() -> dict:

@@ -34,8 +34,8 @@ class CoreParams(Record):
 
     def __init__(self, lam: float, alpha: float, gamma1: float, gamma2: float, alpha1: float, alpha2: float,
                  slack: float = DEFAULT_SLACK):
-        for (name, domain), value in zip(_DOMAINS.items(), (lam, alpha, gamma1, gamma2, alpha1, alpha2, slack)):
-            object.__setattr__(self, name, _admit("core", name, value, domain))
+        values = (lam, alpha, gamma1, gamma2, alpha1, alpha2, slack)
+        self._fill(*[_admit("core", name, value, domain) for (name, domain), value in zip(_DOMAINS.items(), values)])
         if self.slack < 0:
             raise ValidationError("slack must be nonnegative")
         # a margin inside the slack still validates (rounded published parameter sets need this)

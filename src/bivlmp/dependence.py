@@ -30,7 +30,7 @@ from . import generators as gen_mod
 from .core import CoreParams, _log_a, _marg, marginal_hazard
 from .errors import DomainError
 from .model import Model, copula_t_diag_log
-from .numerics import FRESH, Record, _log_v, _s_grid, entry, integrate_unit, limit_at_zero
+from .numerics import FRESH, _RANGES, Record, _in_range, _s_grid, entry, integrate_unit, limit_at_zero
 
 DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
 # ln C_t(u, u), bound when the module loads: the tail limits call the kernel of the entry, not the entry
@@ -43,9 +43,8 @@ class KendallCurve(Record):
     __slots__ = ("t", "grid", "source")
 
     def __init__(self, t: float, grid: tuple, source: str):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "grid", grid)  # of (s, K) pairs
-        object.__setattr__(self, "source", source)  # closed_form | quadrature | empirical
+        # grid: (s, K) pairs; source: closed_form | quadrature | empirical
+        self._fill(t, grid, source)
 
     def k_values(self):
         return np.array([k for _, k in self.grid])
@@ -56,12 +55,8 @@ class TailReport(Record):
 
     def __init__(self, t: float, which: str, value: float, method: str, classification: dict = FRESH,
                  converged: bool = True):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "which", which)  # lower | upper
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "method", method)  # lemma_power | lemma_exponential | numeric
-        object.__setattr__(self, "classification", {} if classification is FRESH else classification)
-        object.__setattr__(self, "converged", converged)
+        # which: lower | upper; method: lemma_power | lemma_exponential | numeric
+        self._fill(t, which, value, method, {} if classification is FRESH else classification, converged)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +64,7 @@ class TailReport(Record):
 # ---------------------------------------------------------------------------
 
 
-@entry(lv="ln v", i="margin")
+@entry(lv=("ln v", "ln v"), i="margin")
 def j_integral_closed(p: CoreParams, i: int, lv):
     """J_i(v) from lv = ln v (any shape): (gamma_i / alpha^2)(alpha_i expm1(alpha lv) - alpha lv)."""
     gamma, aw = _marg(p, i)
@@ -87,7 +82,7 @@ def _hazard_sq(p: CoreParams, i: int, lv: np.ndarray):
     return hazard_sq
 
 
-@entry(lv="ln v", i="margin")
+@entry(lv=("ln v", "ln v"), i="margin")
 def j_integral_quadrature(p: CoreParams, i: int, lv):
     """J_i(v) by one quadrature up to the v-quantiles, from lv = ln v (any shape) to keep its digits near v = 1."""
     return np.reshape(integrate_unit(_hazard_sq(p, i, lv)).value, lv.shape)
@@ -109,7 +104,7 @@ _J_ROUTES = {
 def _kendall_values(m: Model, tau: float, s, source: str):
     """K_t(s) by the J_i route source, for a float array s in (0, 1] at tau = lambda t capped as C_t is."""
     g = m.generator
-    lv = _log_v(gen_mod._residual_log_inverse_from_log(g, tau, np.log(s)))  # the one check of ln v
+    lv = _in_range(gen_mod._residual_log_inverse_from_log(g, tau, np.log(s)), "ln v", _RANGES["ln v"])  # its one check
     bracket = 2.0 * lv + _J_ROUTES[source](m.core, lv) / m.lam
     # h_t'(v) v = s x h'(x)/h(x) at ln x = ln v - tau
     k = s * (1.0 - g._h_elasticity(lv - tau) * bracket)

@@ -494,8 +494,7 @@ class MixingLaw(Record):
     def __init__(self, kind: str, params: dict = FRESH):
         name, domain, _ = _entry(MIXING_LAWS, kind, "mixing law")
         (value,) = _fields({} if params is FRESH else params, (name,), f"{kind} mixing params")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "params", {name: _admit(f"{kind} mixing", name, value, domain)})
+        self._fill(kind, {name: _admit(f"{kind} mixing", name, value, domain)})
 
 
 def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
@@ -594,9 +593,9 @@ class AgingProfile(Record):
     __slots__ = ("nbu_nwu", "ifr_dfr", "margins")
 
     def __init__(self, nbu_nwu: str, ifr_dfr: str, margins: np.ndarray):
-        object.__setattr__(self, "nbu_nwu", nbu_nwu)  # "NBU" | "NWU" | "memoryless" | "neither"
-        object.__setattr__(self, "ifr_dfr", ifr_dfr)  # "IFR" | "DFR" | "memoryless" | "neither"
-        object.__setattr__(self, "margins", margins)  # ln d_t(x) - ln x over T_GRID x X_GRID
+        # nbu_nwu: "NBU" | "NWU" | "memoryless" | "neither"; ifr_dfr: "IFR" | "DFR" | "memoryless" | "neither";
+        # margins: ln d_t(x) - ln x over T_GRID x X_GRID
+        self._fill(nbu_nwu, ifr_dfr, margins)
 
     @property
     def multiplicativity(self) -> str:

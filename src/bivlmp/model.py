@@ -30,9 +30,7 @@ class Model(Record):
     def __init__(self, generator: Generator, core: CoreParams, label: str = ""):
         if isinstance(generator, Mo15Generator) and generator.xi < 1.0:
             raise ValidationError("mo15 generator requires xi >= 1 in a model")
-        object.__setattr__(self, "generator", generator)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "label", label)
+        self._fill(generator, core, label)
 
     @property
     def lam(self) -> float:
@@ -197,8 +195,8 @@ class Mo15Params(Record):
     __slots__ = ("lam", "lam1", "lam2", "xi", "xi1", "xi2")
 
     def __init__(self, lam: float, lam1: float, lam2: float, xi: float, xi1: float, xi2: float):
-        for name, value in zip(self.__slots__, (lam, lam1, lam2, xi, xi1, xi2)):
-            object.__setattr__(self, name, _admit("mo15 bridge", name, value, POSITIVE))
+        self._fill(*[_admit("mo15 bridge", name, value, POSITIVE)
+                     for name, value in zip(self.__slots__, (lam, lam1, lam2, xi, xi1, xi2))])
         if not self.lam >= max(self.lam1, self.lam2) - 1e-12:
             raise ValidationError("constraint lam >= max(lam1, lam2) violated")
         if not self.lam * (self.xi - 1.0) >= max(self.lam1 * (self.xi1 - 1.0), self.lam2 * (self.xi2 - 1.0)) - 1e-12:

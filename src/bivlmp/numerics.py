@@ -85,9 +85,13 @@ class Record:
     def __getstate__(self):
         return self._values()
 
-    def __setstate__(self, values):
+    def _fill(self, *values):
+        """Set the fields to values, in the order of __slots__: the last step of each __init__."""
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
+
+    def __setstate__(self, values):
+        self._fill(*values)
 
 
 class _Fresh:
@@ -108,10 +112,7 @@ class Interval(Record):
     __slots__ = ("lo", "hi", "closed", "hole")
 
     def __init__(self, lo: float, hi: float = math.inf, closed: bool = False, hole: float | None = None):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "hole", hole)
+        self._fill(lo, hi, closed, hole)
 
     def __contains__(self, v):
         # isfinite first: NaN and +-inf are never inside, whatever the bounds
@@ -227,36 +228,28 @@ def _most(x: np.ndarray):
     return x.item() if x.ndim == 0 else x.max(initial=-np.inf)
 
 
-def in_unit(x, what: str, open_at_0: bool = False) -> np.ndarray:
-    """x as a float array (by _real_array), or DomainError unless all of it lies in [0, 1], (0, 1] with open_at_0.
+# an array kind -> (its least value, whether that value is excluded, its most value, its refusal); the refusal
+# may name the value as {what}, and a bound of None is not read
+_RANGES = {
+    "lifetime": (0.0, False, None, "lifetime arguments must be nonnegative"),
+    "probability": (0.0, False, 1.0, "{what} must lie in [0, 1]"),
+    "probability open at 0": (0.0, True, 1.0, "{what} must lie in (0, 1]"),
+    "log probability": (None, False, 0.0, "{what} must lie in [-inf, 0]"),  # the logs of [0, 1]
+    "ln v": (-math.inf, True, 0.0, "ln v must lie in (-inf, 0]"),
+}
 
-    NaN fails the check.
+
+def _in_range(x, what: str, row: tuple) -> np.ndarray:
+    """x as a float array (by _real_array), or DomainError with row's refusal unless all of it lies in row's range.
+
+    row is a row of _RANGES.  Each bound read costs one reduction; NaN propagates through it and fails.
     """
+    least, excluded, most, refusal = row
     x = _real_array(x, what)
-    low = _least(x)  # NaN propagates through the least and the most value and fails
-    if not ((low > 0.0 if open_at_0 else low >= 0.0) and _most(x) <= 1.0):
-        raise DomainError(f"{what} must lie in {'(0' if open_at_0 else '[0'}, 1]")
+    if not ((least is None or (_least(x) > least if excluded else _least(x) >= least))
+            and (most is None or _most(x) <= most)):
+        raise DomainError(refusal.format(what=what))
     return x
-
-
-def in_log_unit(x, what: str) -> np.ndarray:
-    """x as a float array (by _real_array), or DomainError unless all of it lies in [-inf, 0], the logs of [0, 1].
-
-    NaN fails the check.
-    """
-    x = _real_array(x, what)
-    if not _most(x) <= 0.0:  # NaN propagates through it and fails
-        raise DomainError(f"{what} must lie in [-inf, 0]")
-    return x
-
-
-def _log_v(lv) -> np.ndarray:
-    """lv = ln v as a float array (by _real_array), or DomainError unless all of it lies in (-inf, 0]."""
-    lv = _real_array(lv, "ln v")
-    # the least and the most value, cheaper than a mask on this path of every K_t evaluation; NaN fails both
-    if not (-math.inf < _least(lv) and _most(lv) <= 0.0):
-        raise DomainError("ln v must lie in (-inf, 0]")
-    return lv
 
 
 def _s_grid(s_grid) -> tuple:
@@ -275,14 +268,14 @@ def _s_grid(s_grid) -> tuple:
 
 
 def _s_unit(s_grid, what: str) -> np.ndarray:
-    """s_grid as a float array in (0, 1] (by in_unit), or the refusal of _s_grid, which comes first.
+    """s_grid as a float array in (0, 1] (by _in_range), or the refusal of _s_grid, which comes first.
 
     _s_grid checks each entry of a grid of any type but float and int (np.array reads a bool as a float).
     """
     s_grid = _sequence(s_grid, "s_grid")
     s_grid = s_grid if _REALS.issuperset(map(type, s_grid)) else _s_grid(s_grid)
     try:
-        return in_unit(np.array(s_grid, dtype=float), what, True)
+        return _in_range(np.array(s_grid, dtype=float), what, _RANGES["probability open at 0"])
     except (OverflowError, DomainError):  # an int past the largest double, or a value outside (0, 1]
         _s_grid(s_grid)  # a NaN or an int past the largest double is named first
         raise
@@ -292,14 +285,6 @@ def copula_edges(u, v, out) -> np.ndarray:
     """out with a copula's exact boundary values: C(u, 0) = C(0, v) = 0, C(u, 1) = u, C(1, v) = v."""
     out = np.where((u <= 0) | (v <= 0), 0.0, out)
     return np.where(u >= 1, v, np.where(v >= 1, u, out))
-
-
-def _nonnegative(z, what: str) -> np.ndarray:
-    """z as a float array (by _real_array), or DomainError unless all of it is >= 0, which NaN fails."""
-    z = _real_array(z, what)
-    if not _least(z) >= 0:  # NaN propagates through it and fails
-        raise DomainError("lifetime arguments must be nonnegative")
-    return z
 
 
 def _check_age(t) -> float:
@@ -332,13 +317,9 @@ def _model_age(t, what: str, m) -> float:
 
 
 _NUMERIC = (float, np.ndarray, np.generic)  # the results an entry returns through scalar_or_array
-# kind -> its admission, of (the value, the name its errors give it, the call's first argument)
+# kind -> its admission, of (the value, the name its errors give it, the call's first argument); the kinds of
+# _RANGES are admitted by _in_range
 _ADMISSIONS = {
-    "lifetime": lambda z, what, first: _nonnegative(z, what),  # a float array >= 0
-    "probability": lambda x, what, first: in_unit(x, what),  # a float array in [0, 1]
-    "probability open at 0": lambda x, what, first: in_unit(x, what, True),  # a float array in (0, 1]
-    "log probability": lambda x, what, first: in_log_unit(x, what),  # a float array in [-inf, 0]
-    "ln v": lambda x, what, first: _log_v(x),  # a float array in (-inf, 0]
     "s grid": lambda s, what, first: _s_unit(s, what),  # a sequence of reals, as a float array in (0, 1]
     "age": lambda t, what, first: _check_age(t),  # a float in [0, the largest double]
     "model age": _model_age,  # a float whose lambda t, the first argument's m.tau(t), is finite
@@ -355,13 +336,14 @@ def entry(**admissions):
     """Decorate a public numeric function: each argument admitted once, the body run under one error state.
 
     The package's one convention for a public call.  Each keyword names a
-    parameter of the body and its kind in ``_ADMISSIONS``, or (its kind, the
-    name its errors give it).  A call runs the admissions in the order of the
-    keywords, on the argument or its default, and hands the body what they
-    admit: a float array (a Python number as a numpy float64), an age as a
-    float, a margin index as the int 1 or 2.  Each value has one range,
-    checked once here and never in a kernel: a probability lies
-    in exactly [0, 1] and its log in [-inf, 0], NaN in neither.  The body runs
+    parameter of the body and its kind in ``_RANGES`` or ``_ADMISSIONS``, or
+    (its kind, the name its errors give it).  A call runs the admissions in
+    the order of the keywords, on the argument or its default, and hands the
+    body what they admit: a float array (a Python number as a numpy
+    float64), an age as a float, a margin index as the int 1 or 2.  Each
+    value has one range, checked once here and never in a kernel: a
+    probability lies in exactly [0, 1] and its log in [-inf, 0], NaN in
+    neither.  The body runs
     under one ``np.errstate(all="ignore")``; a numeric result (a float or a
     numpy one) returns through ``scalar_or_array``, anything else as it is.
 
@@ -382,7 +364,10 @@ def entry(**admissions):
         values = kernel.__defaults__ or ()
         defaults = dict(zip(names[len(names) - len(values):], values))
         specs = {name: spec if isinstance(spec, tuple) else (spec, name) for name, spec in admissions.items()}
-        plan = [(names.index(name), name, _ADMISSIONS[kind], what) for name, (kind, what) in specs.items()]
+        # a kind of _RANGES binds its row here, so that a call reads no table
+        plan = [(names.index(name), name, _ADMISSIONS[kind] if kind not in _RANGES else
+                 lambda x, what, first, row=_RANGES[kind]: _in_range(x, what, row), what)
+                for name, (kind, what) in specs.items()]
         # past need come only parameters whose default admits as itself: each is admitted when the caller passes it
         need = max((i + 1 for i, name, admit, what in plan
                     if name not in defaults or admit(defaults[name], what, None) is not defaults[name]), default=0)
@@ -421,18 +406,14 @@ class QuadratureResult(Record):
     __slots__ = ("value", "abs_error_estimate", "evaluations")
 
     def __init__(self, value: float, abs_error_estimate: float, evaluations: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "abs_error_estimate", abs_error_estimate)
-        object.__setattr__(self, "evaluations", evaluations)
+        self._fill(value, abs_error_estimate, evaluations)
 
 
 class LimitEstimate(Record):
     __slots__ = ("value", "sequence_tail", "converged")
 
     def __init__(self, value: float, sequence_tail: list = FRESH, converged: bool = False):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "sequence_tail", [] if sequence_tail is FRESH else sequence_tail)
-        object.__setattr__(self, "converged", converged)
+        self._fill(value, [] if sequence_tail is FRESH else sequence_tail, converged)
 
 
 def _de_levels(unit: bool):

@@ -30,10 +30,7 @@ class PricingQuote(Record):
     __slots__ = ("t", "premium_joint", "premium_independent", "model_label")
 
     def __init__(self, t: float, premium_joint: float, premium_independent: float, model_label: str = ""):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "premium_joint", premium_joint)
-        object.__setattr__(self, "premium_independent", premium_independent)
-        object.__setattr__(self, "model_label", model_label)
+        self._fill(t, premium_joint, premium_independent, model_label)
 
 
 def _integrate(surv, m: Model, t: float, tau: float, horizon, what: str) -> float:

@@ -43,9 +43,8 @@ from .core import CoreParams, singular_mass
 from .errors import DomainError, ValidationError
 from .generators import IdentityGenerator, MixingLaw
 from .model import Model
-from .numerics import POSITIVE, Record, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
+from .numerics import POSITIVE, _TINY, Record, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
 
-_TINY = np.finfo(float).tiny  # the floor of a gap target, so that its ln is finite
 CSV_BLOCK = 8192  # rows per write in SampleBatch.to_csv: joining the whole file at once would raise peak memory
 GAP_BLOCK = 16384  # draws per block of sample_model's passes: whole-sample passes would raise peak memory
 # ages lambda t that the monotonicity probe takes besides the sample's: a model whose q_t fails only at young
@@ -152,8 +151,7 @@ class SampleBatch(Record):
             raise ValidationError(f"x, y and atom must be 1-D and of one length, not of shapes {shapes}")
         if np.any((x != y) & atom):  # NaN != NaN: a NaN atom row is refused too
             raise ValidationError("atom rows must have x == y exactly")
-        for name, value in zip(self.__slots__, (x, y, atom, seed, model_label)):
-            object.__setattr__(self, name, value)
+        self._fill(x, y, atom, seed, model_label)
 
     @property
     def n(self) -> int:
@@ -173,6 +171,14 @@ class SampleBatch(Record):
 
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _draws(n, seed) -> tuple:
+    """(n, seed, the seed's Philox generator): n and seed admitted as counts, and n at least 1."""
+    n, seed = _admit_count("sampler", "n", n), _admit_count("sampler", "seed", seed)
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    return n, seed, _rng(seed)
 
 
 def _side_probs(p: CoreParams):
@@ -262,11 +268,8 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
     every u_cat, then every u_mag.  Between the passes only x (holding w until the last pass), y and two
     flags per draw are kept.
     """
-    n, seed = _admit_count("sampler", "n", n), _admit_count("sampler", "seed", seed)
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    n, seed, rng = _draws(n, seed)
     g, p = m.generator, m.core
-    rng = _rng(seed)
     blocks = [slice(k, min(k + GAP_BLOCK, n)) for k in range(0, n, GAP_BLOCK)]
     x = np.empty(n)
     for b in blocks:  # u_min: the min w, held in x until its gaps are drawn
@@ -295,6 +298,7 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
             if k.size:
                 tau = p.lam * w[k]
                 lh_tau, lel_tau = _age_constants(g, tau)
+                # each target floored at the least normal double, so that its ln is finite
                 ln_targets = np.log(np.maximum(targets[k], _TINY)) + lh_tau + lel_tau
                 gap[k] = solve_decreasing_batch(lambda d, *rest: _ln_q_t_unscaled(m, d, *rest), ln_targets,
                                                 start=1.0 / p.lam, args=(tau, gamma[k], aw[k]))
@@ -363,10 +367,7 @@ def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, 
     if not p.is_mu:
         raise DomainError("mixing shortcut needs gamma1 = gamma2 and lambda = gamma/alpha")
     ratio = _admit("mixing", "ratio", ratio, POSITIVE)
-    n, seed = _admit_count("sampler", "n", n), _admit_count("sampler", "seed", seed)
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    rng = _rng(seed)
+    n, seed, rng = _draws(n, seed)
     with np.errstate(all="ignore"):  # not an entry: it admits a ratio, a count and a seed, as a constructor does
         c = ratio * sample_mixing_factor(law, rng, n)  # per-draw power of Gbar
         u_min, u_cat, u_mag = rng.random((3, n))

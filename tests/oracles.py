@@ -6,7 +6,8 @@ import numpy as np
 
 from bivlmp import core, dependence, generators, model, numerics, pricing
 from bivlmp.errors import ConvergenceError, DomainError
-from bivlmp.numerics import QUAD_LEVELS, QUAD_T, QuadratureResult, _real_array, copula_edges, in_unit, scalar_or_array
+from bivlmp.numerics import (QUAD_LEVELS, QUAD_T, _RANGES, QuadratureResult, _in_range, _real_array, copula_edges,
+                             scalar_or_array)
 
 
 def mixing_mgf(law, u):
@@ -183,8 +184,8 @@ def concordance_counts_by_search(x, y):
 
 def gbar_log(p, x, y):
     """core.gbar_log as one expression, without the in-place steps (NaN at x = y = inf)."""
-    x = numerics._nonnegative(x, "x")
-    y = numerics._nonnegative(y, "y")
+    x = _in_range(x, "x", _RANGES["lifetime"])
+    y = _in_range(y, "y", _RANGES["lifetime"])
     d = x - y
     gamma = np.where(d >= 0, p.gamma1, p.gamma2)
     aw = np.where(d >= 0, p.alpha1, p.alpha2)
@@ -240,7 +241,7 @@ def _copula_t_log(m, tau, lu, lv):
 
 def copula_t(m, t, u, v):
     tau = m.tau(t)
-    u, v = in_unit(u, "u"), in_unit(v, "v")
+    u, v = _in_range(u, "u", _RANGES["probability"]), _in_range(v, "v", _RANGES["probability"])
     with np.errstate(all="ignore"):
         return scalar_or_array(copula_edges(u, v, np.exp(_copula_t_log(m, tau, np.log(u), np.log(v)))))
 
@@ -297,7 +298,7 @@ def kendall_values(m, t, s, source):
     """K_t(s) by the J_i route source, each step a checked public helper."""
     g = m.generator
     tau = min(m.tau(t), g._copula_age_cap)
-    s = in_unit(s, "s", open_at_0=True)
+    s = _in_range(s, "s", _RANGES["probability open at 0"])
     with np.errstate(all="ignore"):
         lv = generators._residual_log_inverse_from_log(g, tau, np.log(s))
     if source == "closed_form":

@@ -15,8 +15,9 @@ No kernel calls an entry: a kernel is a _ function or method, an entry's
 body, or a function or lambda nested in a function (a quadrature integrand,
 a root-finder residual).  Outside numerics, no kernel calls an admission
 helper either, but where EXEMPT says why; and each kind of
-numerics._ADMISSIONS is declared by some entry.  So each public call checks
-each argument once, at its entry, and opens one error state by construction.
+numerics._RANGES and numerics._ADMISSIONS is declared by some entry.  So each
+public call checks each argument once, at its entry, and opens one error
+state by construction.  And only numerics.Record sets a record's field.
 """
 
 import ast
@@ -199,11 +200,12 @@ def integral(p):
     assert _entry_calls(trees) == {("core._kernel", "gbar_log"), ("core.integral", "marginal_survival")}
 
 
-# the checks of numerics that admit an argument, and Model.tau; numerics calls them from its _ADMISSIONS
-ADMISSION_HELPERS = {"_admit", "_admit_count", "_sequence", "_real_array", "_is_real", "in_unit", "in_log_unit",
-                     "_log_v", "_s_grid", "_nonnegative", "_check_age", "tau"}
+# the checks of numerics that admit an argument, and Model.tau; numerics calls them from its entries
+ADMISSION_HELPERS = {"_admit", "_admit_count", "_sequence", "_real_array", "_is_real", "_in_range", "_s_grid",
+                     "_check_age", "tau"}
 CONSTRUCTORS = {"__init__", "__post_init__", "_pareto"}  # each admits the numbers it is given, with _admit
-EXEMPT = {("dependence._kendall_values", "_log_v"): "guards a computed ln v, not an argument"}
+EXEMPT = {("dependence._kendall_values", "_in_range"): "guards a computed ln v, not an argument",
+          ("sampler._draws", "_admit_count"): "admits a sampler's count and seed, as a constructor does"}
 
 
 def _admission_calls(trees) -> set:
@@ -215,18 +217,18 @@ def _admission_calls(trees) -> set:
             if callee in ADMISSION_HELPERS and place.rsplit(".", 1)[1] not in CONSTRUCTORS} - set(EXEMPT)
 
 
-def _admissions_table(trees) -> ast.Dict:
-    """The dict literal of numerics._ADMISSIONS."""
+def _kinds_table(trees, name: str) -> ast.Dict:
+    """The dict literal of numerics.<name>, a table of kinds."""
     return next(node.value for node in trees["numerics"].body
-                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_ADMISSIONS")
+                if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name)
 
 
 def _undeclared_kinds(trees) -> set:
-    """The kinds of numerics._ADMISSIONS that no entry(...) declares, by itself or as (kind, name)."""
+    """The kinds of numerics._RANGES and _ADMISSIONS that no entry(...) declares, by itself or as (kind, name)."""
     specs = [keyword.value for module, tree in trees.items() for _, node in _functions(tree, module)
              for d in _entry_decorators(node) for keyword in d.keywords]
     declared = {(spec.elts[0] if isinstance(spec, ast.Tuple) else spec).value for spec in specs}
-    return {key.value for key in _admissions_table(trees).keys} - declared
+    return {key.value for table in ("_RANGES", "_ADMISSIONS") for key in _kinds_table(trees, table).keys} - declared
 
 
 def test_no_kernel_outside_numerics_checks_an_argument():
@@ -241,7 +243,7 @@ def test_the_scan_finds_a_kernel_that_checks_an_argument():
     trees = _trees()
     injected = ast.parse("""
 def _kernel(p, z):
-    return gbar_log.kernel(p, _nonnegative(z, "z"), z)
+    return gbar_log.kernel(p, _in_range(z, "z", _RANGES["lifetime"]), z)
 
 
 def integral(m, t):
@@ -253,12 +255,35 @@ class Law:
         self.a = _admit("law", "a", a, POSITIVE)
 """)
     trees["core"].body.extend(injected.body)
-    assert _admission_calls(trees) == {("core._kernel", "_nonnegative"), ("core.integral", "tau")}
+    assert _admission_calls(trees) == {("core._kernel", "_in_range"), ("core.integral", "tau")}
 
 
 def test_the_scan_finds_a_kind_that_no_entry_declares():
     trees = _trees()
-    table = _admissions_table(trees)
-    table.keys.append(ast.Constant("unused kind"))
-    table.values.append(ast.parse("lambda x, what, first: x", mode="eval").body)
-    assert _undeclared_kinds(trees) == {"unused kind"}
+    for table, kind, value in (("_ADMISSIONS", "unused kind", "lambda x, what, first: x"),
+                               ("_RANGES", "unused range", "(0.0, False, None, '{what} must be nonnegative')")):
+        _kinds_table(trees, table).keys.append(ast.Constant(kind))
+        _kinds_table(trees, table).values.append(ast.parse(value, mode="eval").body)
+    assert _undeclared_kinds(trees) == {"unused kind", "unused range"}
+
+
+def _field_setters(trees) -> set:
+    """(module, the function or method, None elsewhere) of each object.__setattr__ in the package."""
+    return {(module, place) for module, tree in trees.items() for place, node in _places(tree, module)
+            for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and sub.attr == "__setattr__"
+            and getattr(sub.value, "id", None) == "object"}
+
+
+def test_only_record_sets_a_field():
+    assert _field_setters(_trees()) == {("numerics", "Record._fill")}
+
+
+def test_the_scan_finds_a_field_set_outside_record():
+    trees = _trees()
+    injected = ast.parse("""
+class Quote(Record):
+    def __init__(self, t):
+        object.__setattr__(self, "t", t)
+""")
+    trees["pricing"].body.extend(injected.body)
+    assert _field_setters(trees) == {("numerics", "Record._fill"), ("pricing", "Quote.__init__")}

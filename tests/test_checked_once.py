@@ -85,21 +85,24 @@ PUBLIC_HELPERS = (core.marginal_quantile_log, model.copula_t_diag_log)  # checke
 def _counting(monkeypatch):
     """Count np.errstate blocks, the argument checks and the calls of the generator's public methods and helpers.
 
-    The checks and each of PUBLIC_HELPERS are replaced in every module that binds them.
+    A range check counts under its kind, the key of its row in numerics._RANGES.  The age check and each of
+    PUBLIC_HELPERS are replaced in every module that binds them, the range check in numerics, where every
+    entry calls it: dependence._kendall_values binds its own, to guard the ln v it computes, not an argument.
     """
     helpers = {fn.__name__: fn for fn in PUBLIC_HELPERS}
-    counts = dict.fromkeys(("errstate", "_nonnegative", "in_unit", "_check_age", *GENERATOR_METHODS, *helpers), 0)
+    counts = dict.fromkeys(("errstate", *numerics._RANGES, "_check_age", *GENERATOR_METHODS, *helpers), 0)
+    kinds = {row: kind for kind, row in numerics._RANGES.items()}
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            counts[kinds[args[2]] if key == "_in_range" else key] += 1
             return fn(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(np, "errstate", counted(np.errstate, "errstate"))
-    checks = {key: getattr(numerics, key) for key in ("_nonnegative", "in_unit", "_check_age")}
-    for key, fn in {**checks, **helpers}.items():
+    monkeypatch.setattr(numerics, "_in_range", counted(numerics._in_range, "_in_range"))
+    for key, fn in {"_check_age": numerics._check_age, **helpers}.items():
         for mod in MODULES:
             if getattr(mod, key, None) is fn:
                 monkeypatch.setattr(mod, key, counted(fn, key))
@@ -110,11 +113,11 @@ def _counting(monkeypatch):
 
 # (call, its counts): one error state per call, one check per argument
 CALLS = {
-    "copula_t": (lambda m, a, b: model.copula_t(m, 0.5 / m.lam, a, b), dict(in_unit=2, _check_age=1)),
-    "fbar_residual": (lambda m, a, b: model.fbar_residual(m, 0.5 / m.lam, a, b), dict(_nonnegative=2, _check_age=1)),
+    "copula_t": (lambda m, a, b: model.copula_t(m, 0.5 / m.lam, a, b), dict(probability=2, _check_age=1)),
+    "fbar_residual": (lambda m, a, b: model.fbar_residual(m, 0.5 / m.lam, a, b), dict(lifetime=2, _check_age=1)),
     "generalized_weak_residual": (lambda m, a, b: model.generalized_weak_residual(m, 0.5 / m.lam, a, b),
-                                  dict(_nonnegative=2, _check_age=1)),
-    "fbar": (lambda m, a, b: model.fbar(m, a, b), dict(_nonnegative=2)),
+                                  dict(lifetime=2, _check_age=1)),
+    "fbar": (lambda m, a, b: model.fbar(m, a, b), dict(lifetime=2)),
 }
 
 
@@ -142,22 +145,22 @@ def test_both_lifetimes_infinite_read_the_limit(name):
     assert model.fbar_log(m, inf, inf) == -inf
 
 
-# (call at an age t, its counts): one age check per age argument, an in_unit or _nonnegative only on an
-# argument the caller passed, and no generator method called from inside, but sample_model's one
-# neg_log_h_inverse of its uniforms (with its in_unit)
+# (call at an age t, its counts): one age check per age argument, a range check only on an argument the
+# caller passed, and no generator method called from inside, but sample_model's one neg_log_h_inverse of
+# its uniforms (with its probability check)
 INTEGRALS = {
     "kendall_tau": (dependence.kendall_tau, dict(_check_age=1)),
     "kendall_function.closed_form": (lambda m, t: dependence.kendall_function(m, t, source="closed_form"),
-                                     dict(_check_age=1, in_unit=1)),
+                                     {"_check_age": 1, "probability open at 0": 1}),
     "kendall_function.quadrature": (lambda m, t: dependence.kendall_function(m, t, source="quadrature"),
-                                    dict(_check_age=1, in_unit=1)),
+                                    {"_check_age": 1, "probability open at 0": 1}),
     "joint_annuity": (pricing.joint_annuity, dict(_check_age=1)),
     "independent_annuity": (pricing.independent_annuity, dict(_check_age=1)),
     "residual_joint_annuity": (pricing.residual_joint_annuity, dict(_check_age=1)),
     "residual_independent_annuity": (pricing.residual_independent_annuity, dict(_check_age=1)),
     "life_expectancy": (lambda m, t: pricing.life_expectancy(m, 1), {}),
     "mean_excess": (lambda m, t: model.mean_excess(m, 1, t), dict(_check_age=1)),
-    "sample_model": (lambda m, t: sampler.sample_model(m, 1000, 7), dict(in_unit=1, neg_log_h_inverse=1)),
+    "sample_model": (lambda m, t: sampler.sample_model(m, 1000, 7), dict(probability=1, neg_log_h_inverse=1)),
 }
 # fig1_left's rounded core clamps its singular mass to 0, which warns
 FIG1_LEFT = pytest.param("fig1_left", marks=pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning"))
@@ -181,7 +184,7 @@ NESTED = {
     "tail_numeric.upper": (lambda m: dependence.tail_numeric(m, 1.0 / m.lam, "upper"), dict(_check_age=1)),
     "tail_lower": (lambda m: dependence.tail_lower(m, 1.0 / m.lam), dict(_check_age=1)),
     "tail_upper": (lambda m: dependence.tail_upper(m, 1.0 / m.lam), dict(_check_age=1)),
-    "marginal_quantile": (lambda m: core.marginal_quantile(m.core, 1, [0.3, 0.6]), dict(in_unit=1)),
+    "marginal_quantile": (lambda m: core.marginal_quantile(m.core, 1, [0.3, 0.6]), {"probability open at 0": 1}),
     "multiplicativity_check": (lambda m: generators.multiplicativity_check(SUPER), {}),
 }
 

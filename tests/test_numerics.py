@@ -277,7 +277,7 @@ def test_infinities_of_both_signs_in_one_level_do_not_read_as_nan(columns):
     def f(z):
         return np.where(z == level_2[0], np.inf, np.where(z == level_2[1], -np.inf, np.exp(-z)))
 
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError), np.errstate(all="ignore"):  # the error state an entry gives it
         _run(False, f, 1e-10, columns)
 
 
@@ -305,7 +305,7 @@ def test_a_running_total_that_overflows_raises(columns):
     def f(z):
         return np.where(np.isin(z, x0), c0, np.where(np.isin(z, x1), c1, 0.0))
 
-    with pytest.raises(ConvergenceError) as exc:
+    with pytest.raises(ConvergenceError) as exc, np.errstate(all="ignore"):  # the error state an entry gives it
         _run(False, f, 1e-10, columns)
     assert np.all(np.asarray(exc.value.estimate) == np.inf)
 
@@ -429,7 +429,8 @@ def test_solve_decreasing_batch_matches_scipy(pairs):
     def fn(z, r):
         return np.exp(-r * z)
 
-    roots = solve_decreasing_batch(fn, targets, args=(rates,))
+    with np.errstate(all="ignore"):  # the error state an entry gives it
+        roots = solve_decreasing_batch(fn, targets, args=(rates,))
     expect = oracles.solve_decreasing_batch(fn, targets, args=(rates,))
     # each stops within 4 eps relative of a sign change of the rounded fn - target, or once
     # |fn - target| <= tiny.  Past 8 eps relative the roots may differ only where that is
@@ -459,7 +460,7 @@ def test_first_step_is_the_secant_point_of_a_finite_bracket():
 
 def test_first_step_bisects_a_bracket_with_an_infinite_end():
     # ln(1 - z) is -inf at the bracket's end 1, where the secant point would sit on 0 and stall
-    with np.errstate(divide="ignore"):
+    with np.errstate(all="ignore"):  # the error state an entry gives it
         root, points = _first_steps(lambda z: np.log(np.maximum(1.0 - z, 0.0)), math.log(0.9))
     assert points[:3] == [0.0, 1.0, 0.5]
     assert root[0] == pytest.approx(0.1, rel=1e-14)

@@ -24,7 +24,6 @@ SETTINGS = {
     "model.Model": ("label",),
     "numerics.Interval": ("hi", "closed", "hole"),
     "numerics.LimitEstimate": ("sequence_tail", "converged"),
-    "numerics.in_unit": ("open_at_0",),
     "numerics.integrate_unit": ("tol",),
     "numerics.integrate_upper": ("tol", "rate"),
     "numerics.invert_monotone": ("tol",),
