@@ -30,9 +30,10 @@ from . import generators as gen_mod
 from .core import CoreParams, _log_a, _marg, marginal_hazard
 from .errors import DomainError
 from .model import Model, copula_t_diag_log
-from .numerics import FRESH, _RANGES, Record, _in_range, _s_grid, entry, integrate_unit, limit_at_zero
+from .numerics import _RANGES, Record, _in_range, _s_grid, entry, integrate_unit, limit_at_zero
 
-DEFAULT_S_GRID = tuple(np.linspace(0.05, 0.95, 19))
+DEFAULT_S_GRID = np.linspace(0.05, 0.95, 19)  # as the s grid admission returns it: a float array, read-only
+DEFAULT_S_GRID.flags.writeable = False
 # ln C_t(u, u), bound when the module loads: the tail limits call the kernel of the entry, not the entry
 _diag_log = copula_t_diag_log.kernel
 TAU_TOL = 1e-9  # relative accuracy of Kendall's tau
@@ -53,10 +54,9 @@ class KendallCurve(Record):
 class TailReport(Record):
     __slots__ = ("t", "which", "value", "method", "classification", "converged")
 
-    def __init__(self, t: float, which: str, value: float, method: str, classification: dict = FRESH,
-                 converged: bool = True):
+    def __init__(self, t: float, which: str, value: float, method: str, classification: dict, converged: bool = True):
         # which: lower | upper; method: lemma_power | lemma_exponential | numeric
-        self._fill(t, which, value, method, {} if classification is FRESH else classification, converged)
+        self._fill(t, which, value, method, classification, converged)
 
 
 # ---------------------------------------------------------------------------

@@ -20,15 +20,17 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 
 import numpy as np
 
 from .errors import ValidationError
-from .numerics import (FRESH, POSITIVE, _FINITE, Interval, Record, _admit, _fields, copula_edges, entry,
+from .numerics import (POSITIVE, _FINITE, Interval, Record, _admit, _fields, copula_edges, entry,
                        solve_decreasing_batch)
 
 _DEEP = -700.0  # below this log, e^lw is too close to underflow for a closed form in e^lw
 _UNIT = Interval(0.0, 1.0, closed=True)
+_INVERTIBLE = Interval(1.0 / sys.float_info.max)  # the positive doubles whose inverse is finite
 
 
 def _unit_edges(x, out):
@@ -131,29 +133,29 @@ class IdentityGenerator(Generator):
 
 
 class StretchedExpGenerator(Generator):
-    """h(x) = exp(-(rate * (-ln x))^shape).
+    """h(x) = exp(-(a * (-ln x))^alpha).
 
-    Comes from the Weibull survival H(z) = exp(-(rate*z)^shape); the
-    positive-stable mixing law lands here too (rate=ratio, shape=a).
+    Comes from the Weibull survival H(z) = exp(-(a z)^alpha), its parameters named as a config names them;
+    the positive-stable mixing law lands here too (a=ratio, alpha=the law's a).
     """
 
     family = "weibull"
 
-    def __init__(self, rate, shape):
-        self.rate = _admit(self.family, "rate", rate, POSITIVE)
-        self.shape = _admit(self.family, "shape", shape, POSITIVE)
-        self.zero_exponent = self.rate if abs(self.shape - 1.0) < 1e-14 else math.nan  # h(x) = x^rate at shape 1
-        self.one_exponent = self.shape
+    def __init__(self, a, alpha):
+        self.a = _admit(self.family, "a", a, POSITIVE)
+        self.alpha = _admit(self.family, "alpha", alpha, POSITIVE)
+        self.zero_exponent = self.a if abs(self.alpha - 1.0) < 1e-14 else math.nan  # h(x) = x^a at alpha 1
+        self.one_exponent = self.alpha
 
     # np.power, not **: a scalar's ** can round apart from the array loop
     def _h_log_from_log(self, lw):
-        return -np.power(self.rate * -lw, self.shape)
+        return -np.power(self.a * -lw, self.alpha)
 
     def _h_log_inv_from_log(self, lw):
-        return -np.power(-lw, 1.0 / self.shape) / self.rate
+        return -np.power(-lw, 1.0 / self.alpha) / self.a
 
     def _h_elasticity(self, lx):
-        return self.shape * self.rate * np.power(self.rate * -lx, self.shape - 1.0)
+        return self.alpha * self.a * np.power(self.a * -lx, self.alpha - 1.0)
 
 
 class GompertzGenerator(Generator):
@@ -461,8 +463,8 @@ def _entry(table: dict, key, what: str):
 
 
 def _pareto(a, mu):
-    """Pareto survival (1 + a z)^(-1/mu) as a generator; a mu whose inverse overflows fails as expo."""
-    return LogPowerGenerator(_admit("pareto", "a", a, POSITIVE), 1.0 / _admit("pareto", "mu", mu, POSITIVE))
+    """Pareto survival (1 + a z)^(-1/mu) as a generator; mu must exceed 1 / the largest double, so 1/mu is finite."""
+    return LogPowerGenerator(_admit("pareto", "a", a, POSITIVE), 1.0 / _admit("pareto", "mu", mu, _INVERTIBLE))
 
 
 # family -> (its parameters in the builder's order, the builder)
@@ -491,9 +493,9 @@ MIXING_LAWS = {
 class MixingLaw(Record):
     __slots__ = ("kind", "params")
 
-    def __init__(self, kind: str, params: dict = FRESH):
+    def __init__(self, kind: str, params: dict):
         name, domain, _ = _entry(MIXING_LAWS, kind, "mixing law")
-        (value,) = _fields({} if params is FRESH else params, (name,), f"{kind} mixing params")
+        (value,) = _fields(params, (name,), f"{kind} mixing params")
         self._fill(kind, {name: _admit(f"{kind} mixing", name, value, domain)})
 
 

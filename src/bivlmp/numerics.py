@@ -31,7 +31,6 @@ entry calls, opens its own.
 from __future__ import annotations
 
 import functools
-import inspect
 import math
 import numbers
 import sys
@@ -85,25 +84,17 @@ class Record:
     def __getstate__(self):
         return self._values()
 
+    def __init_subclass__(cls):
+        # the __set__ of each field's slot, bound here once: _fill calls these, past the refusing __setattr__
+        cls._setters = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
+
     def _fill(self, *values):
         """Set the fields to values, in the order of __slots__: the last step of each __init__."""
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setstate__(self, values):
         self._fill(*values)
-
-
-class _Fresh:
-    """The default of a record field that gets a new empty container in each record."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "<factory>"
-
-
-FRESH = _Fresh()
 
 
 class Interval(Record):
@@ -338,8 +329,8 @@ def entry(**admissions):
     The package's one convention for a public call.  Each keyword names a
     parameter of the body and its kind in ``_RANGES`` or ``_ADMISSIONS``, or
     (its kind, the name its errors give it).  A call runs the admissions in
-    the order of the keywords, on the argument or its default, and hands the
-    body what they admit: a float array (a Python number as a numpy
+    the order of the keywords, on each argument the caller passed, and hands
+    the body what they admit: a float array (a Python number as a numpy
     float64), an age as a float, a margin index as the int 1 or 2.  Each
     value has one range, checked once here and never in a kernel: a
     probability lies in exactly [0, 1] and its log in [-inf, 0], NaN in
@@ -352,40 +343,33 @@ def entry(**admissions):
     caller's error state and never check again a value the call produced.  A
     log that a kernel produced is not clamped again; only where ln h^-1 is
     formed, whose rounding can pass 0 by an ulp, is it clamped.  The plan is
-    built once, here, from the body's code object: a call passes the admitted
-    parameters to the body by position, and the rest as the caller did.  A
-    left-out parameter whose default admits as itself (None as a horizon, a
-    source's name) reaches the body as that default, with no admission.
+    built once, here, from the body's code object: a call admits each
+    argument where the caller put it, by position or by keyword, and passes
+    it on there.  A left-out parameter reaches the body as its own default,
+    unadmitted, so each default is already what its admission returns (None
+    as a horizon, a source's name, the s grid as a float array), and a
+    missing argument raises Python's own TypeError.
     """
 
     def decorate(kernel):
         code = kernel.__code__
         names = code.co_varnames[:code.co_argcount]
-        values = kernel.__defaults__ or ()
-        defaults = dict(zip(names[len(names) - len(values):], values))
         specs = {name: spec if isinstance(spec, tuple) else (spec, name) for name, spec in admissions.items()}
         # a kind of _RANGES binds its row here, so that a call reads no table
         plan = [(names.index(name), name, _ADMISSIONS[kind] if kind not in _RANGES else
                  lambda x, what, first, row=_RANGES[kind]: _in_range(x, what, row), what)
                 for name, (kind, what) in specs.items()]
-        # past need come only parameters whose default admits as itself: each is admitted when the caller passes it
-        need = max((i + 1 for i, name, admit, what in plan
-                    if name not in defaults or admit(defaults[name], what, None) is not defaults[name]), default=0)
 
         @functools.wraps(kernel)
         def call(*args, **kwargs):
-            args = list(args)
-            if len(args) < need:  # the admitted parameters by position: each from its keyword, else its default
-                for name in names[len(args):need]:
-                    if name not in kwargs and name not in defaults:
-                        inspect.signature(kernel).bind(*args, **kwargs)  # raises the TypeError of the missing one
-                    args.append(kwargs.pop(name) if name in kwargs else defaults[name])
-            given = len(args)
-            for i, name, admit, what in plan:
-                if i < given:
-                    args[i] = admit(args[i], what, args[0])
-                elif name in kwargs:
-                    kwargs[name] = admit(kwargs[name], what, args[0])
+            if args or names[0] in kwargs:  # else the body's call raises the TypeError of the missing first argument
+                first = args[0] if args else kwargs[names[0]]
+                args = list(args)
+                for i, name, admit, what in plan:
+                    if i < len(args):
+                        args[i] = admit(args[i], what, first)
+                    elif name in kwargs:
+                        kwargs[name] = admit(kwargs[name], what, first)
             with np.errstate(all="ignore"):
                 out = kernel(*args, **kwargs)
             return scalar_or_array(out) if isinstance(out, _NUMERIC) else out
@@ -412,8 +396,8 @@ class QuadratureResult(Record):
 class LimitEstimate(Record):
     __slots__ = ("value", "sequence_tail", "converged")
 
-    def __init__(self, value: float, sequence_tail: list = FRESH, converged: bool = False):
-        self._fill(value, [] if sequence_tail is FRESH else sequence_tail, converged)
+    def __init__(self, value: float, sequence_tail: list, converged: bool):
+        self._fill(value, sequence_tail, converged)
 
 
 def _de_levels(unit: bool):

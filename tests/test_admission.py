@@ -10,6 +10,8 @@ and seed of the samplers, and each pricing horizon, follows the same rule.
 
 import fractions
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -71,8 +73,25 @@ def test_catalog_covers_every_family():
 @pytest.mark.parametrize("bad", [True, "1", None], ids=repr)
 @pytest.mark.parametrize("case,build,value", CASES, ids=[c[0] for c in CASES])
 def test_a_non_number_is_refused(case, build, value, bad):
-    with pytest.raises(ValidationError, match="must lie in"):
+    owner, name = case.split(".", 1)
+    # a config family's refusal names the family and the parameter as the config does
+    match = f"^{re.escape(owner)}: {re.escape(name)} must lie in" if owner in FAMILIES else "must lie in"
+    with pytest.raises(ValidationError, match=match):
         build(bad)
+
+
+@pytest.mark.parametrize("family,params,name", [
+    ("weibull", dict(a=-1, alpha=2), "a"), ("weibull", dict(a=1, alpha=0), "alpha"),
+    ("pareto", dict(a=1, mu=5e-324), "mu"),  # 1 / mu overflows
+], ids=["weibull.a", "weibull.alpha", "pareto.mu"])
+def test_a_config_refusal_names_the_config_field(family, params, name):
+    with pytest.raises(ValidationError, match=f"^{family}: {name} must lie in .*, not {params[name]!r}$"):
+        make_generator(family, **params)
+
+
+def test_the_least_pareto_mu_has_a_finite_inverse():
+    least = math.nextafter(1 / sys.float_info.max, 1)  # 1 / (1 / the largest double) overflows
+    assert make_generator("pareto", a=1, mu=least).expo == 1 / least < math.inf
 
 
 @pytest.mark.parametrize("case,build,value", CASES, ids=[c[0] for c in CASES])

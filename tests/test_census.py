@@ -17,11 +17,19 @@ a root-finder residual).  Outside numerics, no kernel calls an admission
 helper either, but where EXEMPT says why; and each kind of
 numerics._RANGES and numerics._ADMISSIONS is declared by some entry.  So each
 public call checks each argument once, at its entry, and opens one error
-state by construction.  And only numerics.Record sets a record's field.
+state by construction.  An entry admits only what its caller passed, so
+each default of an admitted parameter is already what its admission returns.
+And only numerics.Record sets a record's field.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
+
+import numpy as np
+
+from bivlmp import numerics
 
 SRC = Path(__file__).parents[1] / "src" / "bivlmp"
 REASONS = {"paper", "cli", "bench-bound"}
@@ -239,6 +247,52 @@ def test_every_kind_of_admission_is_declared_by_an_entry():
     assert _undeclared_kinds(_trees()) == set()
 
 
+def _admits_unchanged(kind: str, what: str, default) -> bool:
+    """Whether kind's admission returns default itself, or an equal float64 array if default is a read-only one."""
+    admit = numerics._ADMISSIONS.get(kind) or (lambda x, w, first: numerics._in_range(x, w, numerics._RANGES[kind]))
+    got = admit(default, what, None)
+    if isinstance(default, np.ndarray):
+        return default.dtype == got.dtype == float and not default.flags.writeable and np.array_equal(got, default)
+    return got is default
+
+
+def _entry_defaults(trees) -> dict:
+    """{(entry, parameter): (its kind, the name its errors give it, its default)} for each defaulted admitted one."""
+    found = {}
+    for module, tree in trees.items():
+        for place, node in _functions(tree, module):
+            if not _is_entry(node):
+                continue
+            owner, name = place.split(".")
+            namespace = importlib.import_module(f"bivlmp.{module}")
+            fn = getattr(namespace if owner == module else getattr(namespace, owner), name)
+            for keyword in [k for d in _entry_decorators(node) for k in d.keywords]:
+                spec = ast.literal_eval(keyword.value)
+                kind, what = spec if isinstance(spec, tuple) else (spec, keyword.arg)
+                default = inspect.signature(fn.kernel).parameters[keyword.arg].default
+                if default is not inspect.Parameter.empty:
+                    found[place, keyword.arg] = kind, what, default
+    return found
+
+
+def test_every_entry_default_is_already_admitted():
+    # a left-out parameter reaches its entry's body unadmitted, so its default must be what its admission returns
+    found = _entry_defaults(_trees())
+    assert set(found) == {("dependence.kendall_function", "s_grid"), ("dependence.kendall_function", "source"),
+                          *((f"pricing.{name}", "horizon") for name in
+                            ("joint_annuity", "independent_annuity", "life_expectancy", "premium_table"))}
+    assert [place for place, spec in found.items() if not _admits_unchanged(*spec)] == []
+
+
+def test_the_rule_refuses_a_default_that_its_admission_converts():
+    grid = tuple(np.linspace(0.05, 0.95, 19))
+    writeable = np.linspace(0.05, 0.95, 19)
+    assert not _admits_unchanged("s grid", "s", grid)  # admitted as a new float array
+    assert not _admits_unchanged("s grid", "s", writeable)  # a default array that a body could write
+    assert not _admits_unchanged("horizon", "horizon", 50)  # admitted as the float 50.0
+    assert _admits_unchanged("horizon", "horizon", None) and _admits_unchanged("Kendall source", "source", "quadrature")
+
+
 def test_the_scan_finds_a_kernel_that_checks_an_argument():
     trees = _trees()
     injected = ast.parse("""
@@ -268,14 +322,15 @@ def test_the_scan_finds_a_kind_that_no_entry_declares():
 
 
 def _field_setters(trees) -> set:
-    """(module, the function or method, None elsewhere) of each object.__setattr__ in the package."""
+    """(module, the function or method, None elsewhere) of each __set__ and each object.__setattr__ in the package."""
     return {(module, place) for module, tree in trees.items() for place, node in _places(tree, module)
-            for sub in ast.walk(node) if isinstance(sub, ast.Attribute) and sub.attr == "__setattr__"
-            and getattr(sub.value, "id", None) == "object"}
+            for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+            and (sub.attr == "__set__" or sub.attr == "__setattr__" and getattr(sub.value, "id", None) == "object")}
 
 
 def test_only_record_sets_a_field():
-    assert _field_setters(_trees()) == {("numerics", "Record._fill")}
+    # Record.__init_subclass__ binds each slot's __set__ once, for Record._fill to call
+    assert _field_setters(_trees()) == {("numerics", "Record.__init_subclass__")}
 
 
 def test_the_scan_finds_a_field_set_outside_record():
@@ -286,4 +341,4 @@ class Quote(Record):
         object.__setattr__(self, "t", t)
 """)
     trees["pricing"].body.extend(injected.body)
-    assert _field_setters(trees) == {("numerics", "Record._fill"), ("pricing", "Quote.__init__")}
+    assert _field_setters(trees) == {("numerics", "Record.__init_subclass__"), ("pricing", "Quote.__init__")}

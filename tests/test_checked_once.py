@@ -151,9 +151,9 @@ def test_both_lifetimes_infinite_read_the_limit(name):
 INTEGRALS = {
     "kendall_tau": (dependence.kendall_tau, dict(_check_age=1)),
     "kendall_function.closed_form": (lambda m, t: dependence.kendall_function(m, t, source="closed_form"),
-                                     {"_check_age": 1, "probability open at 0": 1}),
+                                     dict(_check_age=1)),
     "kendall_function.quadrature": (lambda m, t: dependence.kendall_function(m, t, source="quadrature"),
-                                    {"_check_age": 1, "probability open at 0": 1}),
+                                    dict(_check_age=1)),
     "joint_annuity": (pricing.joint_annuity, dict(_check_age=1)),
     "independent_annuity": (pricing.independent_annuity, dict(_check_age=1)),
     "residual_joint_annuity": (pricing.residual_joint_annuity, dict(_check_age=1)),

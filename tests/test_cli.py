@@ -83,7 +83,8 @@ def test_usage_error_exit_2(capsys):
     ["check", "-c", CFG, "--grid", "0"],
     ["check", "-c", CFG, "--grid", "-3"],
     ["kendall", "-c", CFG, "--t", "0", "--points", "-1"],
-], ids=["check_grid_0", "check_grid_negative", "kendall_points_negative"])
+    ["check", "-c", CFG, "--grid", "abc"],  # no integer: read as 0
+], ids=["check_grid_0", "check_grid_negative", "kendall_points_negative", "check_grid_not_an_integer"])
 def test_size_below_one_is_usage_error(argv, capsys):
     assert run(argv) == 2
     out = capsys.readouterr()

@@ -370,3 +370,22 @@ def test_numeric_lower_tail_raises_where_the_inverse_overflows():
         with pytest.raises(DomainError, match="overflows"):
             call()
     assert tail_numeric(m, 0.0, "upper").converged
+
+
+def test_a_float_grid_outside_the_unit_interval_is_refused(models):
+    with pytest.raises(DomainError, match=r"^s must lie in \(0, 1\]$"):
+        kendall_function(models["mixing_gamma"], 1.0, [0.5, 1.5])
+
+
+class _NoUpperExponent(gen_mod.IdentityGenerator):
+    """The identity generator, stating no exponent at 1, as no built-in family does."""
+
+    one_exponent = math.nan
+
+
+def test_a_generator_with_no_upper_exponent_takes_the_numeric_limit():
+    m, lemma = Model(_NoUpperExponent(), MU), Model(gen_mod.IdentityGenerator(), MU)
+    for t in (0.0, 5.0):
+        report = tail_upper(m, t)
+        assert report == tail_numeric(m, t, "upper") and report.method == "numeric" and report.converged
+        assert report.value == pytest.approx(tail_upper(lemma, t).value, abs=1e-3)

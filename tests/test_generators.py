@@ -9,6 +9,7 @@ from bivlmp.generators import (
     MIXING_LAWS,
     LogPowerGenerator,
     MixingLaw,
+    PolynomialGenerator,
     SibuyaMixingGenerator,
     aging_profile,
     generator_from_mixing,
@@ -272,3 +273,23 @@ def test_multiplicativity_examples():
     assert multiplicativity_check(sup)["sufficient_condition_met"]
     assert multiplicativity_check(sine)["empirical"] == "sub"
     assert multiplicativity_check(make_generator("identity"))["empirical"] == "neither"
+
+
+def test_an_int_past_the_largest_double_is_refused():
+    with pytest.raises(ValidationError, match=r"^gompertz: xi must lie in \(0, inf\), not 1000"):
+        make_generator("gompertz", xi=10**400, mu=1)
+
+
+def test_polynomial_coefficients_as_an_array_and_their_sum():
+    g = PolynomialGenerator(np.array([0.0, 0.5, 0.5]))
+    assert g.coeffs.tolist() == [0.0, 0.5, 0.5] and g.h(0.5) == 0.375
+    with pytest.raises(ValidationError, match=r"^polynomial generator coefficients must sum to 1 \(h\(1\)=1\)$"):
+        PolynomialGenerator([0.0, 0.5, 0.6])
+
+
+def test_an_aging_class_of_both_signs_reads_neither():
+    # d_t(x) > x throughout, but d_t(x) rises in t at some x and falls at others
+    profile = aging_profile(make_generator("polynomial", coeffs=[0, 0.6, -0.3, 0.7]))
+    assert (profile.nbu_nwu, profile.ifr_dfr) == ("NWU", "neither")
+    steps = np.diff(profile.margins, axis=0)
+    assert (profile.margins > 0).all() and (steps > 0).any() and (steps < 0).any()

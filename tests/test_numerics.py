@@ -491,7 +491,7 @@ def _shifted(g, t, x=0.5):
 
 def test_an_entry_admits_each_argument_by_position_keyword_or_default():
     assert _shifted(None, 1, 0.25) == _shifted(None, x=0.25, t=1) == _shifted(g=None, t=1, x=0.25) == 1.25
-    assert type(_shifted(None, 2)) is float and _shifted(None, 2) == 2.5  # the default is admitted too
+    assert type(_shifted(None, 2)) is float and _shifted(None, 2) == 2.5  # the default reaches the body as it is
     assert np.array_equal(_shifted(None, 1, [0.0, 1.0]), [1.0, 2.0])
     assert _shifted.kernel(None, 1.0, 0.25) == 1.25  # the body, unchecked
     with pytest.raises(DomainError, match="^x must lie in"):
@@ -505,6 +505,20 @@ def test_an_entry_admits_each_argument_by_position_keyword_or_default():
 
 
 M = builtin_models()["mixing_gamma"]
+
+
+def test_a_left_out_argument_raises_pythons_own_type_error():
+    with pytest.raises(TypeError, match=r"^fbar_residual\(\) missing 1 required positional argument: 'm'$"):
+        model.fbar_residual(t=1.0, x=1.0, y=1.0)  # the first argument, whose m.tau admits t
+    with pytest.raises(TypeError, match=r"^fbar_residual\(\) missing 1 required positional argument: 't'$"):
+        model.fbar_residual(M, x=1.0, y=1.0)
+    with pytest.raises(TypeError, match=r"^fbar\(\) missing 1 required positional argument: 'y'$"):
+        model.fbar(M, 1.0)
+    with pytest.raises(DomainError, match="^lifetime arguments must be nonnegative$"):
+        model.fbar(M, -1.0)  # a bad argument is admitted before the body's call finds the missing one
+    assert model.fbar_residual(m=M, t=1.0, x=1.0, y=0.5) == model.fbar_residual(M, 1.0, 1.0, 0.5)
+
+
 # public calls whose bodies form ln 0, overflow or 0/0 on the way to an exact value
 EDGE_CALLS = {
     "copula_t at u = 0": lambda: model.copula_t(M, 1.0, 0.0, 0.5),

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from bivlmp import model as model_module
 from bivlmp.core import mu_core
+from bivlmp.errors import ConvergenceError
 from bivlmp.generators import make_generator
 from bivlmp.model import Model, fbar, mean_excess
 from bivlmp.pricing import (
@@ -183,3 +185,18 @@ def test_mo15_residual_quantities_far_out(models, lam_t):
 def test_independent_annuity_pinned(models, name, lam_t, expect):
     m = models[name]
     assert independent_annuity(m, lam_t / m.lam) == pytest.approx(expect, rel=1e-10)
+
+
+def test_a_half_line_integral_that_fails_on_a_light_tail_raises(models, monkeypatch):
+    # mo15's survival underflows at both probe points, so the failure is no heavy tail: it is raised, with its
+    # estimate, under the name of the integral
+    def failing(f, tol, rate):
+        raise ConvergenceError("quadrature did not converge", estimate=1.25)
+
+    monkeypatch.setattr(model_module, "integrate_upper", failing)
+    message = r"^joint annuity integral did not converge \(heavy-tailed survival\?\)$"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        joint_annuity(models["mo15"], 0.0)
+    assert info.value.estimate == 1.25
+    with pytest.raises(ConvergenceError, match="^quadrature did not converge$"):
+        mean_excess(models["mo15"], 1, 0.0)  # the same failure, unnamed, from the model's own integral

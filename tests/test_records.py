@@ -57,12 +57,11 @@ RECORDS = {
                     "SampleBatch(x=array([1., 2.]), y=array([1., 3.]), atom=array([ True, False]), seed=7, "
                     "model_label='core')"),
 }
-# name -> {field: its default}, in field order; MixingLaw's default params are tested on their own
+# name -> {field: its default}, in field order; MixingLaw's params, which are required, are tested on their own
 DEFAULTS = {
     "Interval": {"hi": math.inf, "closed": False, "hole": None},
-    "LimitEstimate": {"sequence_tail": [], "converged": False},
     "CoreParams": {"slack": 1e-9},
-    "TailReport": {"classification": {}, "converged": True},
+    "TailReport": {"converged": True},
     "Model": {"label": ""},
     "PricingQuote": {"model_label": ""},
     "SampleBatch": {"model_label": ""},
@@ -144,8 +143,12 @@ def test_defaults(name):
 
 
 def test_mixing_law_params_default_and_copy():
-    with pytest.raises(ValidationError, match=r"^gamma mixing params missing field\(s\): a$"):
+    with pytest.raises(TypeError, match=r"missing 1 required positional argument: 'params'$"):
         MixingLaw("gamma")
+    with pytest.raises(ValidationError, match=r"^gamma mixing params missing field\(s\): a$"):
+        MixingLaw("gamma", {})
+    with pytest.raises(ValidationError, match=r"^gamma mixing params missing field\(s\): a$"):
+        make_generator("mixing", law={"kind": "gamma"}, ratio=0.5)  # a config law without params
     with pytest.raises(ValidationError, match="must be a JSON object"):
         MixingLaw("gamma", None)
     params = {"a": 2}

@@ -551,3 +551,11 @@ def test_batch_metadata(models):
     assert batch.n == 100
     assert batch.seed == 3
     assert batch.model_label == "mo15"
+
+
+@pytest.mark.parametrize("kind", ["sibuya", "positive_stable"])
+def test_a_mixing_factor_at_a_one_is_one_and_draws_nothing(kind):
+    # at a = 1 the law is the point mass at 1: the factor takes no variate from the stream
+    rng, fresh = np.random.default_rng(5), np.random.default_rng(5)
+    assert np.array_equal(sample_mixing_factor(MixingLaw(kind, {"a": 1.0}), rng, 6), np.ones(6))
+    assert rng.random() == fresh.random()

@@ -16,14 +16,12 @@ import bivlmp
 SETTINGS = {
     "cli.run": ("argv",),
     "core.CoreParams": ("slack",),
-    "dependence.TailReport": ("classification", "converged"),
+    "dependence.TailReport": ("converged",),
     "dependence.empirical_kendall": ("s_grid",),
     "dependence.kendall_function": ("s_grid", "source"),
     "errors.ConvergenceError": ("estimate",),
-    "generators.MixingLaw": ("params",),
     "model.Model": ("label",),
     "numerics.Interval": ("hi", "closed", "hole"),
-    "numerics.LimitEstimate": ("sequence_tail", "converged"),
     "numerics.integrate_unit": ("tol",),
     "numerics.integrate_upper": ("tol", "rate"),
     "numerics.invert_monotone": ("tol",),
