@@ -20,18 +20,16 @@ from __future__ import annotations
 
 import json
 
-from .core import CoreParams, DEFAULT_SLACK
+from .core import CONFIG_NAMES, CoreParams, DEFAULT_SLACK
 from .errors import ValidationError
 from .generators import Generator, _entry, make_generator
 from .model import Model
 from .numerics import _fields
 
-_CORE_FIELDS = ("lambda", "alpha", "gamma1", "gamma2", "alpha1", "alpha2")
-
 
 def parse_config(doc: dict) -> Model:
     gdoc, cdoc = _fields(doc, ("generator", "core"), "config", ("label", "validation_slack"))
-    core = CoreParams(*_fields(cdoc, _CORE_FIELDS, "core"), slack=doc.get("validation_slack", DEFAULT_SLACK))
+    core = CoreParams(*_fields(cdoc, CONFIG_NAMES[:-1], "core"), slack=doc.get("validation_slack", DEFAULT_SLACK))
     return Model(generator=_parse_generator(gdoc), core=core, label=str(doc.get("label", "")))
 
 

@@ -24,13 +24,15 @@ from .numerics import POSITIVE, _FINITE, Interval, Record, _admit, copula_edges,
 
 DEFAULT_SLACK = 1e-9
 _WEIGHT = Interval(0.0, 1.0)
-# each field of CoreParams and its domain; slack, any finite number here, must also be >= 0
-_DOMAINS = {"lam": POSITIVE, "alpha": POSITIVE, "gamma1": POSITIVE, "gamma2": POSITIVE,
+# each field of CoreParams under its config name, and its domain; slack, any finite number here, must also be >= 0
+_DOMAINS = {"lambda": POSITIVE, "alpha": POSITIVE, "gamma1": POSITIVE, "gamma2": POSITIVE,
             "alpha1": _WEIGHT, "alpha2": _WEIGHT, "slack": _FINITE}
+# the config names in field order: a document's core object holds the first six, and slack is its validation_slack
+CONFIG_NAMES = tuple(_DOMAINS)
 
 
 class CoreParams(Record):
-    __slots__ = tuple(_DOMAINS)  # lam, alpha, gamma1, gamma2, alpha1, alpha2, slack
+    __slots__ = ("lam", *CONFIG_NAMES[1:])  # lambda, a keyword of Python, is the field lam
 
     def __init__(self, lam: float, alpha: float, gamma1: float, gamma2: float, alpha1: float, alpha2: float,
                  slack: float = DEFAULT_SLACK):
@@ -73,15 +75,7 @@ class CoreParams(Record):
         )
 
     def describe(self):
-        return {
-            "lambda": self.lam,
-            "alpha": self.alpha,
-            "gamma1": self.gamma1,
-            "gamma2": self.gamma2,
-            "alpha1": self.alpha1,
-            "alpha2": self.alpha2,
-            "slack": self.slack,
-        }
+        return dict(zip(CONFIG_NAMES, self._values()))
 
 
 def mu_core(alpha: float, gamma: float, alpha1: float, alpha2: float) -> CoreParams:

@@ -38,6 +38,7 @@ DEFAULT_S_GRID.flags.writeable = False
 _diag_log = copula_t_diag_log.kernel
 TAU_TOL = 1e-9  # relative accuracy of Kendall's tau
 TAIL_TOL = 1e-4  # absolute accuracy of a numeric tail limit
+TAIL_START = 2.0**-6  # the first point u_0 of a numeric tail limit's sequence
 
 
 class KendallCurve(Record):
@@ -311,13 +312,13 @@ def tail_numeric(m: Model, t: float, which: str) -> TailReport:
             lu = np.log(u)
             return np.exp(_diag_log(m, t, lu) - lu)
 
-        est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=36)
+        est = limit_at_zero(g, u0=TAIL_START, tol=TAIL_TOL, budget=36)
     else:
         def g(eps):
             u = 1.0 - eps
             return (np.exp(_diag_log(m, t, np.log(u))) - (2.0 * u - 1.0)) / eps
 
-        est = limit_at_zero(g, u0=2.0**-6, tol=TAIL_TOL, budget=30)
+        est = limit_at_zero(g, u0=TAIL_START, tol=TAIL_TOL, budget=30)
     value = min(max(est.value, 0.0), 1.0)
     return TailReport(
         t=t, which=which, value=value, method="numeric",

@@ -481,12 +481,42 @@ FAMILIES = {
     "sine": (("theta",), SineGenerator),
 }
 
-# kind -> (its parameter, the parameter's domain, the generator from (parameter, ratio))
+
+def _sample_sibuya(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
+    """Sibuya(a) variates as the mixture Z | P ~ Geometric(P) on {1, 2, ...}, P ~ Beta(a, 1 - a).
+
+    Exact: P(Z > k) = E[(1 - P)^k] = prod_{j<=k}(1 - a/j).  Z = 1 + floor(E / -ln(1 - P)) with E
+    standard exponential, in floats, since a small a puts mass far past the int64 range.  At a = 1, Z = 1.
+    """
+    if a >= 1.0:
+        return np.ones(n)
+    p = rng.beta(a, 1.0 - a, n)
+    return np.floor(rng.standard_exponential(n) / -np.log1p(-p)) + 1.0
+
+
+def _sample_positive_stable(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
+    """Positive-stable variates with E[e^{-sZ}] = e^{-s^a}.
+
+    Classical single-uniform/exponential construction (Kanter 1975 /
+    Chambers-Mallows-Stuck specialization to total positive skew).
+    """
+    if a >= 1.0:
+        return np.ones(n)
+    u = rng.random(n) * math.pi
+    e = rng.exponential(1.0, n)
+    factor = np.sin(a * u) / np.sin(u) ** (1.0 / a)
+    factor *= (np.sin((1.0 - a) * u) / e) ** ((1.0 - a) / a)
+    return factor
+
+
+# kind -> (its parameter, the parameter's domain, the generator from (parameter, ratio),
+#          the factor's sampler of (rng, parameter, n))
 MIXING_LAWS = {
-    "gamma": ("a", POSITIVE, lambda a, ratio: LogPowerGenerator(ratio, a)),
-    "positive_stable": ("a", _UNIT, lambda a, ratio: StretchedExpGenerator(ratio, a)),
-    "sibuya": ("a", _UNIT, SibuyaMixingGenerator),
-    "log_series": ("theta", Interval(-1.0, 0.0), lambda theta, ratio: LogSeriesGenerator(ratio, theta)),
+    "gamma": ("a", POSITIVE, lambda a, ratio: LogPowerGenerator(ratio, a), lambda rng, a, n: rng.gamma(a, 1.0, n)),
+    "positive_stable": ("a", _UNIT, lambda a, ratio: StretchedExpGenerator(ratio, a), _sample_positive_stable),
+    "sibuya": ("a", _UNIT, SibuyaMixingGenerator, _sample_sibuya),
+    "log_series": ("theta", Interval(-1.0, 0.0), lambda theta, ratio: LogSeriesGenerator(ratio, theta),
+                   lambda rng, theta, n: rng.logseries(-theta, n).astype(float)),
 }
 
 
@@ -494,7 +524,7 @@ class MixingLaw(Record):
     __slots__ = ("kind", "params")
 
     def __init__(self, kind: str, params: dict):
-        name, domain, _ = _entry(MIXING_LAWS, kind, "mixing law")
+        name, domain, _, _ = _entry(MIXING_LAWS, kind, "mixing law")
         (value,) = _fields(params, (name,), f"{kind} mixing params")
         self._fill(kind, {name: _admit(f"{kind} mixing", name, value, domain)})
 
@@ -502,7 +532,7 @@ class MixingLaw(Record):
 def generator_from_mixing(law: MixingLaw, ratio: float) -> Generator:
     """Generator h(z) = M_Z(ratio * ln z) for a positive mixing factor Z; law and ratio are its config."""
     ratio = _admit("mixing", "ratio", ratio, POSITIVE)
-    name, _, build = MIXING_LAWS[law.kind]
+    name, _, build, _ = MIXING_LAWS[law.kind]
     g = build(law.params[name], ratio)
     g.config = {"family": "mixing", "law": {"kind": law.kind, "params": dict(law.params)}, "ratio": ratio}
     return g
@@ -635,11 +665,13 @@ def multiplicativity_check(g: Generator) -> dict:
 
     d_t(x) <= x is h(e^-t y) <= h(e^-t) h(y) with y = h^-1(x), so NBU is sub and
     NWU super; a memoryless generator is neither.  The sufficient condition (sign
-    of h'', h''' and, for super, h(x) >= x^2) needs second/third-derivative capability.
+    of h'', h''' and, for super, h(x) >= x^2) needs second/third-derivative capability:
+    sufficient_condition_met is None, not evaluated, for a generator without it,
+    and False for one read as neither.
     """
     empirical = aging_profile.kernel(g).multiplicativity
-    met = False
-    if empirical != "neither" and hasattr(g, "_h_pp"):
+    met = False if hasattr(g, "_h_pp") else None
+    if empirical != "neither" and met is not None:
         grid = np.linspace(0.01, 0.99, 101)
         hpp = np.asarray(g._h_pp(grid))
         hppp = np.asarray(g._h_ppp(grid))

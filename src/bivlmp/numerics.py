@@ -41,7 +41,6 @@ from .errors import ConvergenceError, DomainError, ValidationError
 
 DEFAULT_QUAD_TOL = 1e-10
 DEFAULT_INVERT_TOL = 1e-8
-LIMIT_BUDGET = 40
 QUAD_LEVELS = 8  # quadrature steps 1, 1/2, ..., 2^-QUAD_LEVELS
 FIRST_CHUNK = 5  # levels 0-4 share one integrand call: nearly every integral sums them all
 QUAD_T = 6.0  # nodes at t in [-QUAD_T, QUAD_T]: u down to 1e-275, z from 1e-138 to 1e138 over rate
@@ -513,7 +512,7 @@ def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT
     return float(x[0])
 
 
-def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BUDGET) -> LimitEstimate:
+def limit_at_zero(g, u0: float, tol: float, budget: int) -> LimitEstimate:
     """Estimate lim_{u->0+} g(u) along u_k = u0 * 2^-k with Aitken acceleration.
 
     g is called once, on the array of u_k > 0 for k < budget, and returns
@@ -521,10 +520,13 @@ def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BU
     step is <= tol and <= the step before plus tol, ignoring the values past
     that point; a non-finite value it reaches raises DomainError.  Returns
     converged=False when the accelerated sequence is still drifting at the
-    smallest evaluated u.
+    smallest evaluated u.  Fewer than three u_k > 0, the fewest that one
+    accelerated value needs, raise DomainError.
     """
     u = u0 * 2.0 ** -np.arange(budget)
     u = u[u > 0.0]
+    if u.size < 3:
+        raise DomainError(f"limit_at_zero needs at least 3 points u_k > 0, not {u.size}")
     raw, acc = [], []
     for uk, v in zip(u.tolist(), np.asarray(g(u), dtype=float).tolist()):
         if not math.isfinite(v):
@@ -541,10 +543,7 @@ def limit_at_zero(g, u0: float = 0.25, tol: float = 1e-6, budget: int = LIMIT_BU
                 d2 = abs(acc[-2] - acc[-3])
                 if d1 <= tol and d1 <= d2 + tol:
                     return LimitEstimate(value=acc[-1], sequence_tail=acc[-6:], converged=True)
-    if acc:
-        return LimitEstimate(value=acc[-1], sequence_tail=acc[-6:], converged=False)
-    value = raw[-1] if raw else float("nan")
-    return LimitEstimate(value=value, sequence_tail=raw[-6:], converged=False)
+    return LimitEstimate(value=acc[-1], sequence_tail=acc[-6:], converged=False)
 
 
 def _chandrupatla(residual, x1, f1, x2, f2, fatol, args) -> np.ndarray:

@@ -33,15 +33,15 @@ class PricingQuote(Record):
         self._fill(t, premium_joint, premium_independent, model_label)
 
 
-def _integrate(surv, m: Model, t: float, tau: float, horizon, what: str) -> float:
-    """Integral of surv over [0, horizon - t), or over [0, inf) on the decay scale of m at tau = lambda t.
+def _integrate(surv, m: Model, t: float, horizon, what: str) -> float:
+    """Integral of surv over [0, horizon - t), or over [0, inf) on the decay scale of m at the age t.
 
     To PRICING_TOL; a half-line integral that does not converge reads +inf
     when the tail of surv is heavy.  Under the caller's error state.
     """
     try:
         if horizon is None:
-            return _survival_integral(m, tau, surv, PRICING_TOL)
+            return _survival_integral(m, m.lam * t, surv, PRICING_TOL)
         span = horizon - t
         if span <= 0:
             raise DomainError(f"horizon must exceed the age t = {t!r}")
@@ -53,7 +53,7 @@ def _integrate(surv, m: Model, t: float, tau: float, horizon, what: str) -> floa
 @entry(t="model age", horizon="horizon")
 def joint_annuity(m: Model, t: float, horizon=None) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
-    return _integrate(lambda z: np.exp(m.generator._h_log_from_log(-m.lam * (z + t))), m, t, m.lam * t, horizon,
+    return _integrate(lambda z: np.exp(m.generator._h_log_from_log(-m.lam * (z + t))), m, t, horizon,
                       "joint annuity integral")
 
 
@@ -61,7 +61,7 @@ def joint_annuity(m: Model, t: float, horizon=None) -> float:
 def residual_joint_annuity(m: Model, t: float) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
     tau = m.lam * t
-    return _integrate(lambda z: np.exp(m.generator._residual_log(tau, -m.lam * z)), m, t, tau, None,
+    return _integrate(lambda z: np.exp(m.generator._residual_log(tau, -m.lam * z)), m, t, None,
                       "conditional joint annuity integral")
 
 
@@ -69,7 +69,7 @@ def residual_joint_annuity(m: Model, t: float) -> float:
 def independent_annuity(m: Model, t: float, horizon=None) -> float:
     """Deferred premium under independence with the same marginals."""
     margin = fbar_marginal.kernel
-    return _integrate(lambda z: margin(m, 1, z + t) * margin(m, 2, z + t), m, t, m.lam * t, horizon,
+    return _integrate(lambda z: margin(m, 1, z + t) * margin(m, 2, z + t), m, t, horizon,
                       "independent annuity integral")
 
 
@@ -77,14 +77,14 @@ def independent_annuity(m: Model, t: float, horizon=None) -> float:
 def residual_independent_annuity(m: Model, t: float) -> float:
     """Conditional independence benchmark: product of the residual marginals."""
     margin = residual_marginal.kernel
-    return _integrate(lambda z: margin(m, 1, t, z) * margin(m, 2, t, z), m, t, m.lam * t, None,
+    return _integrate(lambda z: margin(m, 1, t, z) * margin(m, 2, t, z), m, t, None,
                       "conditional independent annuity integral")
 
 
 @entry(horizon="horizon", i="margin")
 def life_expectancy(m: Model, i: int, horizon=None) -> float:
     """Mean of lifetime i: integral of h(Gbar_i), optionally up to a limiting age."""
-    return _integrate(lambda z: fbar_marginal.kernel(m, i, z), m, 0.0, 0.0, horizon, "life expectancy integral")
+    return _integrate(lambda z: fbar_marginal.kernel(m, i, z), m, 0.0, horizon, "life expectancy integral")
 
 
 @entry(ts="model ages", horizon="horizon")

@@ -35,13 +35,11 @@ and side flags.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import CoreParams, singular_mass
 from .errors import DomainError, ValidationError
-from .generators import IdentityGenerator, MixingLaw
+from .generators import MIXING_LAWS, IdentityGenerator, MixingLaw
 from .model import Model
 from .numerics import POSITIVE, _TINY, Record, _admit, _admit_count, _array_of, _real_array, solve_decreasing_batch
 
@@ -315,45 +313,9 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
 # ---------------------------------------------------------------------------
 
 
-def _sample_sibuya(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
-    """Sibuya(a) variates as the mixture Z | P ~ Geometric(P) on {1, 2, ...}, P ~ Beta(a, 1 - a).
-
-    Exact: P(Z > k) = E[(1 - P)^k] = prod_{j<=k}(1 - a/j).  Z = 1 + floor(E / -ln(1 - P)) with E
-    standard exponential, in floats, since a small a puts mass far past the int64 range.  At a = 1, Z = 1.
-    """
-    if a >= 1.0:
-        return np.ones(n)
-    p = rng.beta(a, 1.0 - a, n)
-    return np.floor(rng.standard_exponential(n) / -np.log1p(-p)) + 1.0
-
-
-def _sample_positive_stable(rng: np.random.Generator, a: float, n: int) -> np.ndarray:
-    """Positive-stable variates with E[e^{-sZ}] = e^{-s^a}.
-
-    Classical single-uniform/exponential construction (Kanter 1975 /
-    Chambers-Mallows-Stuck specialization to total positive skew).
-    """
-    if a >= 1.0:
-        return np.ones(n)
-    u = rng.random(n) * math.pi
-    e = rng.exponential(1.0, n)
-    factor = np.sin(a * u) / np.sin(u) ** (1.0 / a)
-    factor *= (np.sin((1.0 - a) * u) / e) ** ((1.0 - a) / a)
-    return factor
-
-
-# kind of a generators.MIXING_LAWS entry -> its factor's sampler, of (rng, the law's one parameter, n)
-_MIXING_SAMPLERS = {
-    "gamma": lambda rng, a, n: rng.gamma(a, 1.0, n),
-    "positive_stable": _sample_positive_stable,
-    "sibuya": _sample_sibuya,
-    "log_series": lambda rng, theta, n: rng.logseries(-theta, n).astype(float),
-}
-
-
 def sample_mixing_factor(law: MixingLaw, rng: np.random.Generator, n: int) -> np.ndarray:
-    (value,) = law.params.values()
-    return _MIXING_SAMPLERS[law.kind](rng, value, n)
+    name, _, _, draw = MIXING_LAWS[law.kind]
+    return draw(rng, law.params[name], n)
 
 
 def sample_mixing_shortcut(law: MixingLaw, p: CoreParams, ratio: float, n: int, seed: int) -> SampleBatch:

@@ -141,13 +141,13 @@ def tail_numeric_scalar(m, t, which, tol=1e-4):
         def g(u):
             return math.exp(model.copula_t_diag_log(m, t, math.log(u)) - math.log(u))
 
-        return limit_at_zero_scalar(g, 2.0**-6, tol, 36)
+        return limit_at_zero_scalar(g, dependence.TAIL_START, tol, 36)
 
     def g(eps):
         u = 1.0 - eps
         return (float(model.copula_t(m, t, u, u)) - (2.0 * u - 1.0)) / eps
 
-    return limit_at_zero_scalar(g, 2.0**-6, tol, 30)
+    return limit_at_zero_scalar(g, dependence.TAIL_START, tol, 30)
 
 
 def concordance_counts_by_search(x, y):

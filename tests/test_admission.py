@@ -50,7 +50,7 @@ def _cases():
                         f, coeffs=[*p["coeffs"][:k], v, *p["coeffs"][k + 1:]]), c)
             else:
                 yield f"{family}.{name}", lambda v, f=family, p=params, n=name: make_generator(f, **{**p, n: v}), value
-    for kind, (name, domain, _) in MIXING_LAWS.items():
+    for kind, (name, domain, _, _) in MIXING_LAWS.items():
         yield f"{kind} mixing.{name}", lambda v, k=kind, n=name: MixingLaw(k, {n: v}), _law_value(domain)
         yield f"{kind} mixing.ratio", lambda v, k=kind, n=name, d=domain: make_generator(
             "mixing", law=MixingLaw(k, {n: _law_value(d)}), ratio=v), 0.5

@@ -13,7 +13,7 @@ from bivlmp.config import (
     load_model,
     parse_config,
 )
-from bivlmp.core import mu_core
+from bivlmp.core import CONFIG_NAMES, mu_core
 from bivlmp.errors import ValidationError
 from bivlmp.generators import (
     IdentityGenerator,
@@ -213,6 +213,13 @@ MALFORMED = {
     "list generator parameter": ("weibull_mu", ("generator", "params", "a"), [1.0]),
     "list ratio": ("mixing_logseries", ("generator", "ratio"), [0.1]),
 }
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES[:-1])
+def test_a_core_refusal_names_the_config_field(name):
+    # lambda too, which CoreParams holds as its field lam
+    with pytest.raises(ValidationError, match=f"^core: {name} must lie in .*, not -1$"):
+        parse_config(_set("identity_mu", ("core", name), -1))
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

@@ -198,7 +198,7 @@ def _bad_parameter_cases():
         yield f"SibuyaMixingGenerator.a={v}", functools.partial(SibuyaMixingGenerator, v, 0.1)
         yield f"SibuyaMixingGenerator.ratio={v}", functools.partial(SibuyaMixingGenerator, 0.5, v)
         yield f"power_scaled.beta={v}", functools.partial(power_scaled, make_generator("identity"), v)
-        for kind, (name, _, _) in MIXING_LAWS.items():
+        for kind, (name, _, _, _) in MIXING_LAWS.items():
             yield f"MixingLaw.{kind}.{name}={v}", functools.partial(MixingLaw, kind, {name: v})
         law = MixingLaw("gamma", {"a": 1.0})
         yield f"mixing.ratio={v}", functools.partial(generator_from_mixing, law, v)
@@ -273,6 +273,12 @@ def test_multiplicativity_examples():
     assert multiplicativity_check(sup)["sufficient_condition_met"]
     assert multiplicativity_check(sine)["empirical"] == "sub"
     assert multiplicativity_check(make_generator("identity"))["empirical"] == "neither"
+
+
+def test_the_sufficient_condition_is_not_evaluated_without_second_and_third_derivatives():
+    # logistic(1, 2) meets the condition on (0, 1), but without _h_pp and _h_ppp it is not checked: None, not False
+    assert multiplicativity_check(make_generator("logistic", a=1.0, theta=2.0)) == {
+        "empirical": "super", "sufficient_condition_met": None}
 
 
 def test_an_int_past_the_largest_double_is_refused():

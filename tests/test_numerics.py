@@ -321,14 +321,20 @@ def test_invert_monotone_increasing():
     assert z == pytest.approx(math.tan(1.0), abs=1e-9)
 
 
+def test_invert_monotone_raises_when_the_bracket_fails():
+    # the ends bracket the target, but every step lands on a NaN inside (0.3, 0.9)
+    with pytest.raises(ConvergenceError, match="monotone inversion did not converge"):
+        invert_monotone(lambda x: math.nan if 0.3 < x < 0.9 else 1.0 - x, 0.5, 0.0, 1.0)
+
+
 def test_limit_at_zero_sinc():
-    est = limit_at_zero(lambda u: np.sin(u) / u)
+    est = limit_at_zero(lambda u: np.sin(u) / u, 0.25, 1e-6, 40)
     assert est.converged
     assert est.value == pytest.approx(1.0, abs=1e-6)
 
 
 def test_limit_at_zero_half_angle():
-    est = limit_at_zero(lambda u: (1.0 - np.cos(u)) / u**2)
+    est = limit_at_zero(lambda u: (1.0 - np.cos(u)) / u**2, 0.25, 1e-6, 40)
     assert est.converged
     assert est.value == pytest.approx(0.5, abs=1e-6)
 
@@ -340,7 +346,7 @@ def test_limit_at_zero_calls_g_once_on_the_whole_sequence():
         calls.append(np.array(u))
         return np.sin(u) / u
 
-    limit_at_zero(g, u0=0.5, budget=12)
+    limit_at_zero(g, 0.5, 1e-6, 12)
     assert len(calls) == 1
     assert calls[0].tolist() == [0.5 * 2.0**-k for k in range(12)]
 
@@ -352,8 +358,8 @@ def test_limit_at_zero_ignores_values_past_convergence():
     def nan_at_the_end(u):
         return np.where(u == u[-1], np.nan, sinc(u))
 
-    est = limit_at_zero(nan_at_the_end)
-    assert est == limit_at_zero(sinc)
+    est = limit_at_zero(nan_at_the_end, 0.25, 1e-6, 40)
+    assert est == limit_at_zero(sinc, 0.25, 1e-6, 40)
     assert est.converged
 
 
@@ -362,18 +368,27 @@ def test_limit_at_zero_raises_on_a_non_finite_value_before_convergence():
         return np.where(u == u[2], np.inf, np.sin(u) / u)
 
     with pytest.raises(DomainError):
-        limit_at_zero(inf_at_the_third)
+        limit_at_zero(inf_at_the_third, 0.25, 1e-6, 40)
 
 
 def test_limit_at_zero_drifting_returns_the_last_accelerated_value():
     def g(u):
         return np.sqrt(-np.log(u))
 
-    est = limit_at_zero(g, u0=0.25, budget=20)
+    est = limit_at_zero(g, 0.25, 1e-6, 20)
     a0, a1, a2 = g(0.25 * 2.0 ** -np.arange(17, 20)).tolist()
     assert not est.converged
     assert est.value == a2 - (a2 - a1) ** 2 / (a2 - 2.0 * a1 + a0)
     assert est.sequence_tail[-1] == est.value and len(est.sequence_tail) == 6
+
+
+@pytest.mark.parametrize("u0,budget", [(0.25, 2), (0.25, 0), (5e-324, 40)], ids=["budget_2", "budget_0", "underflow"])
+def test_limit_at_zero_refuses_fewer_than_three_points(u0, budget):
+    # one accelerated value needs three points u_k > 0; 5e-324 halves to 0 at once
+    calls = []
+    with pytest.raises(DomainError, match="at least 3 points"):
+        limit_at_zero(calls.append, u0, 1e-6, budget)
+    assert not calls
 
 
 def test_solve_decreasing_batch():

@@ -26,8 +26,9 @@ FAST = model.Model(generator=M.generator, core=mu_core(alpha=1.0, gamma=4.0, alp
 
 # (name, error, a fragment of its message, the call)
 REFUSALS = [
-    ("CoreParams.lam_nan", ValidationError, "lam must lie in", lambda: CoreParams(lam=math.nan, **MU)),
-    ("CoreParams.lam_negative", ValidationError, "lam must lie in", lambda: CoreParams(lam=-1.0, **MU)),
+    # the refusal names the field lam as a config does, lambda
+    ("CoreParams.lam_nan", ValidationError, "^core: lambda must lie in", lambda: CoreParams(lam=math.nan, **MU)),
+    ("CoreParams.lam_negative", ValidationError, "^core: lambda must lie in", lambda: CoreParams(lam=-1.0, **MU)),
     ("CoreParams.alpha1_one", ValidationError, r"alpha1 must lie in \(0, 1\)",
      lambda: CoreParams(lam=0.1, **{**MU, "alpha1": 1.0})),
     ("CoreParams.slack_negative", ValidationError, "slack", lambda: CoreParams(lam=0.1, **MU, slack=-1.0)),

@@ -521,8 +521,12 @@ def test_mixing_factor_matches_mgf(law):
 
 
 def test_every_mixing_law_has_one_sampler():
-    # MixingLaw admits exactly the kinds of MIXING_LAWS, so a factor sampler never meets an unknown kind
-    assert sampler._MIXING_SAMPLERS.keys() == MIXING_LAWS.keys()
+    # each row of MIXING_LAWS names its factor's sampler, which sample_mixing_factor runs: n positive floats
+    for kind, (name, domain, _, draw) in MIXING_LAWS.items():
+        value = (domain.lo + domain.hi) / 2 if domain.hi < math.inf else domain.lo + 1.0
+        z = sample_mixing_factor(MixingLaw(kind, {name: value}), np.random.default_rng(3), 8)
+        assert z.dtype == float and z.shape == (8,) and np.all(z > 0), kind
+        assert np.array_equal(z, draw(np.random.default_rng(3), value, 8)), kind
 
 
 def test_sibuya_factor_support():

@@ -25,7 +25,6 @@ SETTINGS = {
     "numerics.integrate_unit": ("tol",),
     "numerics.integrate_upper": ("tol", "rate"),
     "numerics.invert_monotone": ("tol",),
-    "numerics.limit_at_zero": ("u0", "tol", "budget"),
     "numerics.solve_decreasing_batch": ("start", "args"),
     "pricing.PricingQuote": ("model_label",),
     "pricing.independent_annuity": ("horizon",),
