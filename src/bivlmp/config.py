@@ -49,7 +49,7 @@ def emit_config(m: Model) -> dict:
     if m.generator.config is None:
         raise ValidationError(f"a hand-built {m.generator.family!r} generator has no config form")
     core = m.core.describe()
-    slack = core.pop("slack")
+    slack = core.pop("validation_slack")
     return {"label": m.label, "generator": m.generator.describe(), "core": core, "validation_slack": slack}
 
 

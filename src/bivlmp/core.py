@@ -26,20 +26,20 @@ DEFAULT_SLACK = 1e-9
 _WEIGHT = Interval(0.0, 1.0)
 # each field of CoreParams under its config name, and its domain; slack, any finite number here, must also be >= 0
 _DOMAINS = {"lambda": POSITIVE, "alpha": POSITIVE, "gamma1": POSITIVE, "gamma2": POSITIVE,
-            "alpha1": _WEIGHT, "alpha2": _WEIGHT, "slack": _FINITE}
-# the config names in field order: a document's core object holds the first six, and slack is its validation_slack
+            "alpha1": _WEIGHT, "alpha2": _WEIGHT, "validation_slack": _FINITE}
+# the config names in field order: a document's core object holds the first six, and its validation_slack the last
 CONFIG_NAMES = tuple(_DOMAINS)
 
 
 class CoreParams(Record):
-    __slots__ = ("lam", *CONFIG_NAMES[1:])  # lambda, a keyword of Python, is the field lam
+    __slots__ = ("lam", *CONFIG_NAMES[1:-1], "slack")  # lambda, a Python keyword, is lam; validation_slack is slack
 
     def __init__(self, lam: float, alpha: float, gamma1: float, gamma2: float, alpha1: float, alpha2: float,
                  slack: float = DEFAULT_SLACK):
         values = (lam, alpha, gamma1, gamma2, alpha1, alpha2, slack)
         self._fill(*[_admit("core", name, value, domain) for (name, domain), value in zip(_DOMAINS.items(), values)])
         if self.slack < 0:
-            raise ValidationError("slack must be nonnegative")
+            raise ValidationError(f"core: validation_slack must be nonnegative, not {slack!r}")
         # a margin inside the slack still validates (rounded published parameter sets need this)
         lower, upper = self._window()
         low, up, mass = self.margins.values()

@@ -21,7 +21,8 @@ import numpy as np
 from .core import CoreParams, _core_copula_log, _marginal_log, gbar_log, singular_mass
 from .errors import ConvergenceError, DomainError, ValidationError
 from .generators import Generator, Mo15Generator, _residual_log_inverse_from_log, make_generator, time_distortion
-from .numerics import DEFAULT_QUAD_TOL, POSITIVE, Record, _admit, _check_age, copula_edges, entry, integrate_upper
+from .numerics import (DEFAULT_QUAD_TOL, POSITIVE, Record, _admit, _check_age, copula_edges, entry, integrate_unit,
+                       integrate_upper)
 
 
 class Model(Record):
@@ -165,23 +166,31 @@ def _heavy_tailed(m: Model, surv) -> bool:
     return False
 
 
-def _survival_integral(m: Model, tau: float, surv, tol: float) -> float:
-    """Integral of surv over [0, inf) on the decay scale of m at tau = lambda t, +inf if it fails on a heavy tail.
+def _survival_integral(m: Model, t: float, surv, tol: float, what: str, horizon) -> float:
+    """Integral of surv over [0, horizon - t), or over [0, inf) on the decay scale of m at the age t.
 
-    A quadrature that does not converge on a tail the probe finds light raises its ConvergenceError.
+    To tol; a half-line integral that does not converge reads +inf when the
+    tail of surv is heavy.  Any other failure raises ConvergenceError under the
+    name what, with the quadrature's estimate.  Under the caller's error state.
     """
     try:
-        return integrate_upper(surv, tol=tol, rate=_decay_rate(m, tau)).value
-    except ConvergenceError:
-        if _heavy_tailed(m, surv):
+        if horizon is None:
+            return integrate_upper(surv, tol=tol, rate=_decay_rate(m, m.lam * t)).value
+        span = horizon - t
+        if span <= 0:
+            raise DomainError(f"horizon must exceed the age t = {t!r}")
+        return integrate_unit(lambda u: span * surv(span * u), tol=tol).value
+    except ConvergenceError as exc:
+        if horizon is None and _heavy_tailed(m, surv):
             return math.inf
-        raise
+        raise ConvergenceError(f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate) from exc
 
 
 @entry(t="model age", i="margin")
 def mean_excess(m: Model, i: int, t: float) -> float:
     """Mean residual life of margin i at age t: integral of d_tau(Fbar_i(z)) dz, +inf if heavy tailed."""
-    return _survival_integral(m, m.lam * t, lambda z: residual_marginal.kernel(m, i, t, z), DEFAULT_QUAD_TOL)
+    return _survival_integral(m, t, lambda z: residual_marginal.kernel(m, i, t, z), DEFAULT_QUAD_TOL,
+                              "mean excess integral", None)
 
 
 # ---------------------------------------------------------------------------

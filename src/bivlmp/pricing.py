@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
 from .model import Model, _survival_integral, fbar_marginal, residual_marginal
-from .numerics import Record, entry, integrate_unit, integrate_upper  # noqa: F401  (bench/test_checks.py reads integrate_upper)
+from .numerics import Record, entry, integrate_upper  # noqa: F401  (bench/test_checks.py reads integrate_upper)
 
 PRICING_TOL = 1e-8
 
@@ -33,58 +32,42 @@ class PricingQuote(Record):
         self._fill(t, premium_joint, premium_independent, model_label)
 
 
-def _integrate(surv, m: Model, t: float, horizon, what: str) -> float:
-    """Integral of surv over [0, horizon - t), or over [0, inf) on the decay scale of m at the age t.
-
-    To PRICING_TOL; a half-line integral that does not converge reads +inf
-    when the tail of surv is heavy.  Under the caller's error state.
-    """
-    try:
-        if horizon is None:
-            return _survival_integral(m, m.lam * t, surv, PRICING_TOL)
-        span = horizon - t
-        if span <= 0:
-            raise DomainError(f"horizon must exceed the age t = {t!r}")
-        return integrate_unit(lambda u: span * surv(span * u), tol=PRICING_TOL).value
-    except ConvergenceError as exc:
-        raise ConvergenceError(f"{what} did not converge (heavy-tailed survival?)", estimate=exc.estimate) from exc
-
-
 @entry(t="model age", horizon="horizon")
 def joint_annuity(m: Model, t: float, horizon=None) -> float:
     """Net single premium of the deferred joint annuity: integral_t Fbar(z, z) dz."""
-    return _integrate(lambda z: np.exp(m.generator._h_log_from_log(-m.lam * (z + t))), m, t, horizon,
-                      "joint annuity integral")
+    return _survival_integral(m, t, lambda z: np.exp(m.generator._h_log_from_log(-m.lam * (z + t))), PRICING_TOL,
+                              "joint annuity integral", horizon)
 
 
 @entry(t="model age")
 def residual_joint_annuity(m: Model, t: float) -> float:
     """Expected years both survive past t, given both alive at t: integral of Fbar_t(z, z)."""
     tau = m.lam * t
-    return _integrate(lambda z: np.exp(m.generator._residual_log(tau, -m.lam * z)), m, t, None,
-                      "conditional joint annuity integral")
+    return _survival_integral(m, t, lambda z: np.exp(m.generator._residual_log(tau, -m.lam * z)), PRICING_TOL,
+                              "conditional joint annuity integral", None)
 
 
 @entry(t="model age", horizon="horizon")
 def independent_annuity(m: Model, t: float, horizon=None) -> float:
     """Deferred premium under independence with the same marginals."""
     margin = fbar_marginal.kernel
-    return _integrate(lambda z: margin(m, 1, z + t) * margin(m, 2, z + t), m, t, horizon,
-                      "independent annuity integral")
+    return _survival_integral(m, t, lambda z: margin(m, 1, z + t) * margin(m, 2, z + t), PRICING_TOL,
+                              "independent annuity integral", horizon)
 
 
 @entry(t="model age")
 def residual_independent_annuity(m: Model, t: float) -> float:
     """Conditional independence benchmark: product of the residual marginals."""
     margin = residual_marginal.kernel
-    return _integrate(lambda z: margin(m, 1, t, z) * margin(m, 2, t, z), m, t, None,
-                      "conditional independent annuity integral")
+    return _survival_integral(m, t, lambda z: margin(m, 1, t, z) * margin(m, 2, t, z), PRICING_TOL,
+                              "conditional independent annuity integral", None)
 
 
 @entry(horizon="horizon", i="margin")
 def life_expectancy(m: Model, i: int, horizon=None) -> float:
-    """Mean of lifetime i: integral of h(Gbar_i), optionally up to a limiting age."""
-    return _integrate(lambda z: fbar_marginal.kernel(m, i, z), m, 0.0, horizon, "life expectancy integral")
+    """Mean of lifetime i: integral of h(Gbar_i) to the horizon; with none it is mean_excess(m, i, 0) to PRICING_TOL."""
+    return _survival_integral(m, 0.0, lambda z: fbar_marginal.kernel(m, i, z), PRICING_TOL,
+                              "life expectancy integral", horizon)
 
 
 @entry(ts="model ages", horizon="horizon")

@@ -20,6 +20,10 @@ public call checks each argument once, at its entry, and opens one error
 state by construction.  An entry admits only what its caller passed, so
 each default of an admitted parameter is already what its admission returns.
 And only numerics.Record sets a record's field.
+
+One kernel integrates a survival curve: no function of pricing calls a
+quadrature or the decay scale or the heavy-tail probe of model, and only
+model._survival_integral calls those two.
 """
 
 import ast
@@ -342,3 +346,33 @@ class Quote(Record):
 """)
     trees["pricing"].body.extend(injected.body)
     assert _field_setters(trees) == {("numerics", "Record.__init_subclass__"), ("pricing", "Quote.__init__")}
+
+
+# the quadratures, and the two halves of the half-line policy that only model._survival_integral may ask
+INTEGRAL_POLICY = ("integrate_upper", "integrate_unit", "_heavy_tailed", "_decay_rate")
+
+
+def _policy_calls(trees) -> set:
+    """(module, the function or method, None elsewhere, the name) of each call by name of INTEGRAL_POLICY."""
+    return {(module, place, name) for module, tree in trees.items() for place, node in _places(tree, module)
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+            and (name := getattr(call.func, "id", getattr(call.func, "attr", None))) in INTEGRAL_POLICY}
+
+
+def test_one_kernel_integrates_a_survival_curve():
+    calls = _policy_calls(_trees())
+    assert {call for call in calls if call[0] == "pricing"} == set()
+    assert {call for call in calls if call[2] in INTEGRAL_POLICY[2:]} == {
+        ("model", "model._survival_integral", "_heavy_tailed"), ("model", "model._survival_integral", "_decay_rate")}
+
+
+def test_the_scan_finds_an_integral_outside_the_kernel():
+    trees = _trees()
+    injected = ast.parse("""
+def _integrate(surv, m, t, span):
+    rate = _decay_rate(m, m.lam * t)
+    return integrate_unit(lambda u: span * surv(span * u), tol=1e-8).value
+""")
+    trees["pricing"].body.extend(injected.body)
+    assert {call for call in _policy_calls(trees) if call[0] == "pricing"} == {
+        ("pricing", "pricing._integrate", "_decay_rate"), ("pricing", "pricing._integrate", "integrate_unit")}

@@ -13,7 +13,7 @@ from bivlmp.config import (
     load_model,
     parse_config,
 )
-from bivlmp.core import CONFIG_NAMES, mu_core
+from bivlmp.core import CONFIG_NAMES, CoreParams, mu_core
 from bivlmp.errors import ValidationError
 from bivlmp.generators import (
     IdentityGenerator,
@@ -215,11 +215,26 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("name", CONFIG_NAMES[:-1])
-def test_a_core_refusal_names_the_config_field(name):
-    # lambda too, which CoreParams holds as its field lam
-    with pytest.raises(ValidationError, match=f"^core: {name} must lie in .*, not -1$"):
-        parse_config(_set("identity_mu", ("core", name), -1))
+# case -> (the path of a core field in identity_mu, a refused value, the refusal after "core: ")
+CORE_REFUSALS = {name: (("core", name), -1, f"{name} must lie in .*, not -1") for name in CONFIG_NAMES[:-1]}
+CORE_REFUSALS.update({
+    "validation_slack": (("validation_slack",), -1, "validation_slack must be nonnegative, not -1"),
+    "validation_slack nan": (("validation_slack",), np.nan, r"validation_slack must lie in \(-inf, inf\), not nan"),
+    "validation_slack str": (("validation_slack",), "x", r"validation_slack must lie in \(-inf, inf\), not 'x'"),
+    "validation_slack bool": (("validation_slack",), True, r"validation_slack must lie in \(-inf, inf\), not True"),
+})
+
+
+@pytest.mark.parametrize("case", CORE_REFUSALS)
+def test_a_core_refusal_names_the_config_field(case):
+    # lambda too, which CoreParams holds as its field lam, and validation_slack, which it holds as slack
+    path, value, text = CORE_REFUSALS[case]
+    with pytest.raises(ValidationError, match=f"^core: {text}$"):
+        parse_config(_set("identity_mu", path, value))
+    if path == ("validation_slack",):  # the Python API's keyword slack is refused in the same words
+        mu = builtin_model("identity_mu").core
+        with pytest.raises(ValidationError, match=f"^core: {text}$"):
+            CoreParams(mu.lam, mu.alpha, mu.gamma1, mu.gamma2, mu.alpha1, mu.alpha2, slack=value)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))

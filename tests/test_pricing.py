@@ -198,5 +198,30 @@ def test_a_half_line_integral_that_fails_on_a_light_tail_raises(models, monkeypa
     with pytest.raises(ConvergenceError, match=message) as info:
         joint_annuity(models["mo15"], 0.0)
     assert info.value.estimate == 1.25
-    with pytest.raises(ConvergenceError, match="^quadrature did not converge$"):
-        mean_excess(models["mo15"], 1, 0.0)  # the same failure, unnamed, from the model's own integral
+    # the same failure from the model's own integral, named as the annuity's is
+    message = r"^mean excess integral did not converge \(heavy-tailed survival\?\)$"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        mean_excess(models["mo15"], 1, 0.0)
+    assert info.value.estimate == 1.25
+
+
+def test_a_horizon_integral_that_fails_raises_without_asking_the_tail(models, monkeypatch):
+    # pareto_mu's tail is heavy, so a consulted probe would turn the failure into +inf; over [0, horizon) it is
+    # raised, with its estimate, under the name of the integral
+    def failing(f, tol, rate=None):
+        raise ConvergenceError("quadrature did not converge", estimate=2.5)
+
+    probes = []
+    heavy_tailed = model_module._heavy_tailed
+    monkeypatch.setattr(model_module, "_heavy_tailed", lambda m, surv: probes.append(m) or heavy_tailed(m, surv))
+    monkeypatch.setattr(model_module, "integrate_unit", failing)
+    m = models["pareto_mu"]
+    message = r"^life expectancy integral did not converge \(heavy-tailed survival\?\)$"
+    with pytest.raises(ConvergenceError, match=message) as info:
+        life_expectancy(m, 1, 100.0)
+    assert info.value.estimate == 2.5
+    assert probes == []
+    # the count sees a probe: the same failure over [0, inf) asks it once, and reads the heavy tail as +inf
+    monkeypatch.setattr(model_module, "integrate_upper", failing)
+    assert life_expectancy(m, 1) == math.inf
+    assert probes == [m]
