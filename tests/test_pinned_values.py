@@ -6,15 +6,19 @@ with it.  The values cover every integral route: the quadrature tau_t, K_t by
 the closed and the quadrature route, the four annuities, the mean residual
 lives, the life expectancies and a premium row.  The samplers' draws are
 pinned as sha256 digests of the bytes of x, y and atom, at one fixed seed,
-and the CSV that `bivlmp sample` writes as the sha256 of the file.
+and the CSV that `bivlmp sample` writes as the sha256 of the file.  The root
+finder's roots on one seeded problem are pinned as a digest, and one monotone
+inversion, which runs the same refinement loop, as float.hex.
 """
 
 import hashlib
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bivlmp import dependence, model, pricing
+from bivlmp import dependence, model, numerics, pricing
 from bivlmp.cli import run
 from bivlmp.config import builtin_models
 from bivlmp.core import CoreParams
@@ -65,10 +69,14 @@ SHORTCUT_DIGESTS = {
     "mixing_logseries": "b10e7dbd782cebf6991fb9d71df8b15a0b66de372f37e9b8977253bec59c6130",
 }
 
-# sample_model at n = 1e4, whose gaps the root finder solves on both models
+# sample_model, whose gaps the root finder solves on every model here: (model, n, digest) by case.  n = 1e4,
+# and mixing_gamma at n = 2,000 too, the size that the benchmark's analyze and cli workloads draw
 MODEL_DIGESTS = {
-    "mixing_gamma": "01f21f559eac282d3d9af5ecfea871581dad487f8abfeafd19a901a198495cf2",
-    "fig1_left": "3fe5476e0411d9efc0f6bb0943051712ea2ce5bc3aeed63d3d3f560360e17961",
+    "mixing_gamma": ("mixing_gamma", 10_000, "01f21f559eac282d3d9af5ecfea871581dad487f8abfeafd19a901a198495cf2"),
+    "fig1_left": ("fig1_left", 10_000, "3fe5476e0411d9efc0f6bb0943051712ea2ce5bc3aeed63d3d3f560360e17961"),
+    "mo15": ("mo15", 10_000, "3ce8249824d98b1d21ff9f9cf4dbe6c3ca5ff013befaa325a1b969dab5956301"),
+    "pareto_mu": ("pareto_mu", 10_000, "21198c2c6e1375adc56ae4eac777b63024904c5271d7a4c09b27b5f6b1976e5b"),
+    "mixing_gamma_n2000": ("mixing_gamma", 2_000, "050e2ba402d488bc5f35f2ba3a08643b8a31985739b9e66c7d30fa97aad80e2c"),
 }
 
 
@@ -84,10 +92,11 @@ def test_shortcut_draws_keep_their_bits(name):
     assert _digest(sample_mixing_shortcut(law, m.core, cfg["ratio"], 50_000, SEED)) == SHORTCUT_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name", sorted(MODEL_DIGESTS))
+@pytest.mark.parametrize("case", sorted(MODEL_DIGESTS))
 @pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")  # fig1_left's rounded core clamps its mass to 0
-def test_model_draws_keep_their_bits(name):
-    assert _digest(sample_model(MODELS[name], 10_000, SEED)) == MODEL_DIGESTS[name]
+def test_model_draws_keep_their_bits(case):
+    name, n, digest = MODEL_DIGESTS[case]
+    assert _digest(sample_model(MODELS[name], n, SEED)) == digest
 
 
 @pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")
@@ -133,3 +142,28 @@ def test_sample_csv_keeps_its_bytes(name, tmp_path, capsys):
     assert run(["sample", "-c", str(ROOT / "configs" / f"{name}.json"), "-n", "100000", "--seed", "4242",
                 "-o", str(path)]) == 0
     assert hashlib.sha256(path.read_bytes()).hexdigest() == CSV_DIGESTS[name]
+
+
+def test_root_finder_roots_keep_their_bits():
+    # per-element rates through args; every eighth target 1 puts its root at 0, rates down to 1e-9 grow
+    # brackets far past start, and the roots stop by both rules: some at |fn - target| <= fatol, some,
+    # whose residual is still above it, once the bracket is down to 4 eps relative
+    rng = np.random.default_rng(12)
+    rates, targets = 10.0 ** rng.uniform(-9.0, 3.0, 64), rng.uniform(0.0, 1.0, 64)
+    targets[::8] = 1.0
+
+    def fn(z, r):
+        return np.exp(-r * z)
+
+    with np.errstate(all="ignore"):  # the error state an entry gives it
+        roots = numerics.solve_decreasing_batch(fn, targets, start=1.0, args=(rates,))
+    fatol = np.maximum(2.0 * np.finfo(float).eps * targets, np.finfo(float).tiny)
+    assert np.count_nonzero(roots == 0.0) == 8 and np.count_nonzero(roots > 4.0) > 0
+    assert 0 < np.count_nonzero(np.abs(fn(roots, rates) - targets) > fatol) < 64
+    assert hashlib.sha256(roots.tobytes()).hexdigest() == (
+        "a22fdc358d692c12c0e1607b16b7e2532a9088d59d1c2739a0447a4df37558e9")
+
+
+def test_monotone_inversion_keeps_its_bits():
+    # invert_monotone runs the root finder's refinement loop on a scalar f
+    assert numerics.invert_monotone(lambda x: math.exp(-2.0 * x), 0.3, 0.0, 10.0).hex() == "0x1.34378fc6bd3bfp-1"
