@@ -506,7 +506,7 @@ def invert_monotone(f, target: float, lo: float, hi: float, tol: float = DEFAULT
         raise DomainError(f"target {target!r} is not bracketed by f on [{lo!r}, {hi!r}]")
     # its own error state, not an entry's: no entry calls it, and the steps divide by differences that may be 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = _chandrupatla(fv, x1, f1, x2, f2, tol, ())
+        x = _chandrupatla(fv, x1, f1, x2, f2, np.array([tol], dtype=float), ())
     if np.isnan(x[0]):
         raise ConvergenceError("monotone inversion did not converge")
     return float(x[0])
@@ -551,25 +551,25 @@ def _chandrupatla(residual, x1, f1, x2, f2, fatol, args) -> np.ndarray:
 
     Chandrupatla's method, its first step a secant step (_chandrupatla_step).
     An element stops once |x2 - x1| < 4 eps |xmin| + 4 tiny, as in scipy, or
-    once |residual(xmin)| <= fatol (a scalar, or one bound per element), and
+    once |residual(xmin)| <= fatol (an array of one bound per element), and
     leaves the active set; residual sees only the active elements and their
     slices of args.  A NaN residual fails its element.
     """
-    out = np.full(x1.size, np.nan)
+    out, pos = np.full(x1.size, np.nan), np.arange(x1.size)  # pos: each element's place in out
     x3, f3 = x1, f1  # no third point yet: the first step is a secant step (_chandrupatla_step)
-    fatol, pos = np.broadcast_to(fatol, x1.shape), np.arange(x1.size)  # pos: each element's place in out
     for k in range(_MAXITER):
-        small = np.abs(f1) < np.abs(f2)
+        a1, a2 = np.abs(f1), np.abs(f2)
+        small, live = a1 < a2, f1 == f1  # live: False on NaN only
         xmin = np.where(small, x1, x2)
         tol = 4.0 * _EPS * np.abs(xmin) + 4.0 * _TINY
-        live = ~np.isnan(f1)
-        done = live & ((np.abs(np.where(small, f1, f2)) <= fatol) | (np.abs(x2 - x1) < tol))
-        out[pos[done]] = xmin[done]
-        keep = live ^ done
-        if not keep.any():  # checked first: keep.all() holds on no elements too
-            return out
-        if not keep.all():
+        done = live & ((np.where(small, a1, a2) <= fatol) | (np.abs(x2 - x1) < tol))
+        del a1, a2  # not held through the residual's pass, whose temporaries set the peak
+        keep = live ^ done  # a mask while every element is alive: no index array through the residual's pass
+        if not 0 < np.count_nonzero(keep) == keep.size:  # an element stopped or failed, or none is left (no elements)
+            out[pos[done]] = xmin[done]
             keep = np.flatnonzero(keep)
+            if not keep.size:
+                return out
             x1, f1, x2, f2, x3, f3, tol, fatol, pos = (a[keep] for a in (x1, f1, x2, f2, x3, f3, tol, fatol, pos))
             args = [a[keep] for a in args]  # apart from the bracket: fewer old and new copies held at once
         x = _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol, first=not k)
@@ -591,15 +591,16 @@ def _chandrupatla_step(x1, f1, x2, f2, x3, f3, tol, first):
     an infinite end never stalls an element.  A function of its own, so that
     its temporaries are freed before the residual runs.
     """
+    dx = x2 - x1
     if first:
         t = np.where(np.isfinite(f1) & np.isfinite(f2), f1 / (f1 - f2), 0.5)
     else:
         d12, d32 = f1 - f2, f3 - f2
         xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
         iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-        t = np.where(iqi, f1 / d32 * (f3 / d12 + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1)), 0.5)
-    half = 0.5 * tol / np.abs(x2 - x1)
-    return x1 + np.minimum(np.maximum(t, half), 1.0 - half) * (x2 - x1)
+        t = np.where(iqi, f1 / d32 * (f3 / d12 + (x3 - x1) / dx * f2 / (f3 - f1)), 0.5)
+    half = 0.5 * tol / np.abs(dx)
+    return x1 + np.minimum(np.maximum(t, half), 1.0 - half) * dx
 
 
 def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarray:
@@ -613,16 +614,21 @@ def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarr
     than the target: a caller whose fn would subtract per-element constants
     adds them to the target instead.  ``fn`` is handed only the elements still
     being refined, so per-element constants must come through ``args`` (arrays
-    broadcastable with ``targets``), never a closure.  A NaN, a target above
-    fn(0) or one past the largest double raises ConvergenceError.  The solve,
-    fn's passes included, runs under the caller's error state.
+    broadcastable with ``targets``), never a closure.  1-D float targets, and
+    args of their shape, pass uncopied: the solve never writes to them, nor
+    may fn.  A start not positive and finite raises DomainError; a NaN, a
+    target above fn(0) or one past the largest double raises ConvergenceError.
+    The solve, fn's passes included, runs under the caller's error state.
     """
+    if not 0 < start < math.inf:  # a bracket [0, start] that never grows, grows the wrong way or never closes
+        raise DomainError("start must be positive and finite")
     targets = np.asarray(targets, dtype=float)
 
     def residual(d, target, *rest):
         return fn(d, *rest) - target
 
-    flat = tuple(np.broadcast_to(a, targets.shape).ravel() for a in (targets, *args))
+    flat = tuple(a if type(a) is np.ndarray and a.shape == targets.shape == (a.size,)
+                 else np.broadcast_to(a, targets.shape).ravel() for a in (targets, *args))
     lo, hi = np.zeros(targets.size), np.full(targets.size, float(start))
     f_lo, f_hi = residual(lo, *flat), residual(hi, *flat)
     grow = np.flatnonzero((f_lo >= 0) & (f_hi > 0))
@@ -632,12 +638,8 @@ def solve_decreasing_batch(fn, targets, start: float = 1.0, args=()) -> np.ndarr
         hi[grow] *= 4.0
         f_hi[grow] = residual(hi[grow], *(a[grow] for a in flat))
         grow = grow[f_hi[grow] > 0]
-    ok = (f_lo >= 0) & (f_hi <= 0)
-    out = np.full(targets.size, np.nan)
-    ok = slice(None) if ok.all() else ok  # views, not copies, when every element is bracketed
-    fatol = np.maximum(2.0 * _EPS * np.abs(flat[0][ok]), _TINY)
-    out[ok] = _chandrupatla(residual, lo[ok], f_lo[ok], hi[ok], f_hi[ok], fatol, tuple(a[ok] for a in flat))
-    failed = np.count_nonzero(np.isnan(out))
-    if failed:
+    f_lo[~((f_lo >= 0) & (f_hi <= 0))] = np.nan  # not bracketed: the element fails at the refinement's first pass
+    out = _chandrupatla(residual, lo, f_lo, hi, f_hi, np.maximum(2.0 * _EPS * np.abs(flat[0]), _TINY), flat)
+    if failed := np.count_nonzero(np.isnan(out)):
         raise ConvergenceError(f"root finder failed on {failed} elements", estimate=out.reshape(targets.shape))
     return out.reshape(targets.shape)

@@ -48,6 +48,7 @@ GAP_BLOCK = 16384  # draws per block of sample_model's passes: whole-sample pass
 # ages lambda t that the monotonicity probe takes besides the sample's: a model whose q_t fails only at young
 # ages (weibull_mu fails at lambda t <= 0.3) is refused whatever its draws
 YOUNG = (1e-6, 1e-2, 0.1)
+_D_GRID = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24)])  # the probe's gaps times lambda: 0 / lambda is 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +181,9 @@ def _draws(n, seed) -> tuple:
 
 
 def _side_probs(p: CoreParams):
-    lam = p.lam
-    g10 = p.gamma1 * (1.0 - p.alpha1) / p.alpha
-    g20 = p.gamma2 * (1.0 - p.alpha2) / p.alpha
     p0 = singular_mass(p)
-    q1 = 1.0 - g10 / lam  # P(D > 0)
-    q2 = 1.0 - g20 / lam  # P(D < 0)
+    q1 = 1.0 - p.gamma1 * (1.0 - p.alpha1) / p.alpha / p.lam  # P(D > 0) = 1 - g1(0)/lambda
+    q2 = 1.0 - p.gamma2 * (1.0 - p.alpha2) / p.alpha / p.lam  # P(D < 0) = 1 - g2(0)/lambda
     # p0 + q1 + q2 = 1 algebraically; renormalize the float residue
     total = p0 + q1 + q2
     return p0 / total, q1 / total, q2 / total
@@ -222,11 +220,12 @@ def _ln_q_t_unscaled(m: Model, d: np.ndarray, tau, gamma, aw) -> np.ndarray:
     subtracts them.  -inf where q_t is 0.
     """
     g, p = m.generator, m.core
-    lx = -(gamma * d + np.log1p(aw * np.expm1(-gamma * d))) / p.alpha - tau  # core._marginal_log, less tau
+    ngd = -(gd := gamma * d)  # (-gamma) d, the same double
+    lx = -(gd + np.log1p(aw * np.expm1(ngd))) / p.alpha - tau  # core._marginal_log, less tau
     # 1 - hazard_i/lambda = (1 - gamma_i/(alpha lambda) + c) / (1 + c), c = alpha_i e^{-gamma_i d}/(1 - alpha_i):
     # without the cancellation where hazard_i nears lambda, whose noise costs the root finder passes;
     # clamped at 0 (ln = -inf) where a gamma_i / (alpha lambda) above 1 within the core's slack makes it negative
-    c = aw / (1.0 - aw) * np.exp(-gamma * d)
+    c = aw / (1.0 - aw) * np.exp(ngd)
     return (g._h_log_from_log(lx) + np.log(g._h_elasticity(lx))
             + np.log(np.maximum(1.0 - gamma / (p.alpha * p.lam) + c, 0.0)) - np.log1p(c))
 
@@ -248,10 +247,9 @@ def _check_q_monotone(m: Model, w: np.ndarray) -> None:
     # so these are the order statistics of the ages tau = lambda w
     mid = np.partition(w, w.size // 2)[w.size // 2]
     probes = np.concatenate([p.lam * np.array([w.min(), mid, w.max()]), YOUNG])[:, None]
-    d_grid = np.concatenate([[0.0], np.geomspace(1e-3, 8.0, 24) / p.lam])
     lh_tau, lel_tau = _age_constants(m.generator, probes)
     sides = np.reshape([p.gamma1, p.gamma2, p.alpha1, p.alpha2], (2, 2, 1, 1))  # (gamma_i, alpha_i) on axis 0
-    q = np.exp(_ln_q_t_unscaled(m, d_grid, probes, *sides) - lh_tau - lel_tau)  # side x probe age x d
+    q = np.exp(_ln_q_t_unscaled(m, _D_GRID / p.lam, probes, *sides) - lh_tau - lel_tau)  # side x probe age x d
     if np.any(np.diff(q, axis=-1) > 1e-9):
         raise ValidationError(
             "conditional gap survival is not monotone: the generator/core pair "
@@ -281,18 +279,18 @@ def sample_model(m: Model, n: int, seed: int) -> SampleBatch:
         for b in blocks:  # u_cat: the atom and side-1 flags
             atom[b], side1[b], _ = _split(rng.random(b.stop - b.start), p0, q1)
         # for the identity generator q_t is the core's side law, closed form on a side with gamma_i = alpha lambda
-        identity = isinstance(g, IdentityGenerator)
-        closed_sides = [identity and abs(gi / (p.alpha * p.lam) - 1.0) < 1e-12 for gi in (p.gamma1, p.gamma2)]
+        closed_sides = [abs(gi / (p.alpha * p.lam) - 1.0) < 1e-12 for gi in (p.gamma1, p.gamma2)]
         for b in blocks:  # u_mag: each block's gaps, then its x and y
             u_mag, w, atom_b, side1_b = rng.random(b.stop - b.start), x[b], atom[b], side1[b]
             gamma, aw = np.where(side1_b, p.gamma1, p.gamma2), np.where(side1_b, p.alpha1, p.alpha2)
             targets = u_mag * np.where(side1_b, q1, q2)
-            closed = np.where(side1_b, *closed_sides)
-            gap = np.zeros(w.size)
-            k = np.flatnonzero(closed & ~atom_b)
-            # clamped at 0: a target that rounds above its side's weight makes s > 1 and a gap of order -eps/gamma_i
-            gap[k] = np.maximum(_mu_side_quantile(targets[k] / aw[k], p.alpha, aw[k], gamma[k]), 0.0)
-            k = np.flatnonzero(~(closed | atom_b))
+            gap, solved = np.zeros(w.size), ~atom_b  # solved: the draws whose gap the root finder solves
+            if isinstance(g, IdentityGenerator) and any(closed_sides):
+                closed = np.where(side1_b, *closed_sides)
+                k, solved = np.flatnonzero(closed & solved), solved & ~closed
+                # clamped at 0: a target that rounds above its side's weight makes s > 1 and a gap of order -eps/gamma_i
+                gap[k] = np.maximum(_mu_side_quantile(targets[k] / aw[k], p.alpha, aw[k], gamma[k]), 0.0)
+            k = np.flatnonzero(solved)
             if k.size:
                 tau = p.lam * w[k]
                 lh_tau, lel_tau = _age_constants(g, tau)

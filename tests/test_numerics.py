@@ -489,6 +489,43 @@ def test_solve_decreasing_batch_nan_raises():
         solve_decreasing_batch(lambda z: np.where(z > 3.0, np.nan, np.exp(-z)), np.array([0.5, 1e-5]))
 
 
+@pytest.mark.parametrize("start", [0.0, -1.0, math.nan, math.inf])
+def test_a_start_that_is_not_positive_and_finite_is_refused(start):
+    # a bracket [0, 0] never grows and one from -1 grows towards -inf, so the solve would never return;
+    # a NaN or infinite start would fail every element as if the root finder had
+    calls = []
+
+    def fn(z):
+        calls.append(z.size)
+        return np.exp(-z)
+
+    with pytest.raises(DomainError, match="^start must be positive and finite$"):
+        solve_decreasing_batch(fn, np.array([0.5]), start=start)
+    assert not calls
+
+
+def _read_only(a):
+    a = np.array(a, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("shape", [(6,), (2, 3)])
+def test_read_only_targets_and_args_solve_to_the_same_roots(shape):
+    # 1-D targets and args of their shape reach fn uncopied, so the solve must never write to them;
+    # the 2-D case goes through the broadcast copies instead
+    targets = np.reshape([0.9, 0.5, 1.0, 1e-6, 0.25, 0.999], shape)
+    rates = np.resize([1e-9, 0.5, 3.0, 1e-3, 40.0, 1.0], shape[-1:])
+
+    def fn(z, r):
+        return np.exp(-r * z)
+
+    with np.errstate(all="ignore"):  # the error state an entry gives it
+        want = solve_decreasing_batch(fn, targets.copy(), args=(rates.copy(),))
+        got = solve_decreasing_batch(fn, _read_only(targets), args=(_read_only(rates),))
+    assert got.shape == shape and np.array_equal(got, want)
+
+
 @given(
     rate=st.floats(0.1, 5.0),
     target=st.floats(0.01, 0.99),

@@ -144,6 +144,24 @@ def test_no_gap_solve_takes_more_than_a_block(models, monkeypatch):
     assert np.count_nonzero(~batch.atom) == sum(sizes)
 
 
+@pytest.mark.parametrize("name", ["mixing_gamma", "mo15"])
+def test_gap_solve_draws_the_same_from_read_only_arguments(models, name, monkeypatch):
+    # the gap solve's targets and args are 1-D arrays of one shape, which the root finder hands its residual
+    # uncopied: neither may write to them, so read-only ones must give the same draws
+    want, solves = sample_model(models[name], 5_000, seed=13), []
+
+    def read_only(fn, targets, start, args):
+        for a in (targets, *args):
+            a.flags.writeable = False
+        solves.append(len(args))
+        return numerics.solve_decreasing_batch(fn, targets, start=start, args=args)
+
+    monkeypatch.setattr(sampler, "solve_decreasing_batch", read_only)
+    got = sample_model(models[name], 5_000, seed=13)
+    assert solves == [3]
+    assert np.array_equal(got.x, want.x) and np.array_equal(got.y, want.y) and np.array_equal(got.atom, want.atom)
+
+
 @pytest.mark.parametrize("name", ["identity_mu", "mixing_gamma"])
 def test_memory_per_draw_is_bounded(models, name):
     # past one block's working set, a draw keeps x, y, atom and its side flag: 18 bytes, read off the
