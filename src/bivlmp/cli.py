@@ -12,7 +12,9 @@ import warnings
 
 import numpy as np
 
-from . import dependence, generators, model as model_mod, pricing, sampler
+# dependence and pricing load here though validate and eval never call them: bench/tracing.install imports
+# bivlmp.cli and then wraps the functions of config, dependence and pricing that it finds in sys.modules
+from . import dependence, generators, model as model_mod, pricing
 from .config import builtin_model, emit_config, load_model
 from .errors import BivlmpError
 
@@ -139,6 +141,8 @@ def cmd_aging(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    from . import sampler  # no other command calls the sampler, so only this one loads it
+
     m = _load(args)
     batch = sampler.sample_model(m, args.n, args.seed)
     batch.to_csv(args.output)

@@ -206,6 +206,67 @@ print("scipy loaded:", "scipy" in sys.modules)
     assert out.endswith("scipy loaded: False\n")
 
 
+def _loaded_after(code: str) -> list:
+    """The bivlmp submodules a fresh interpreter holds after running code."""
+    out = _fresh(code + "\nimport json, sys\n"
+                 "print(json.dumps(sorted(m for m in sys.modules if m.startswith('bivlmp.'))))\n")
+    return json.loads(out.splitlines()[-1])
+
+
+def test_import_loads_no_submodule_until_one_is_used():
+    assert _loaded_after("import bivlmp") == []
+    # a submodule is an attribute after a bare import, and loads only with what it needs
+    loaded = _loaded_after("import bivlmp\nassert bivlmp.sampler.sample_model and bivlmp.__version__")
+    assert "bivlmp.sampler" in loaded and "bivlmp.dependence" not in loaded and "bivlmp.pricing" not in loaded
+
+
+def test_loading_a_model_loads_only_the_model_modules():
+    loaded = _loaded_after("""
+import bivlmp
+from pathlib import Path
+for path in sorted(Path("configs").glob("*.json")):
+    bivlmp.load_model(path)
+""")
+    assert loaded == [f"bivlmp.{m}" for m in ("config", "core", "errors", "generators", "model", "numerics")]
+
+
+def test_queries_never_load_the_sampler():
+    loaded = _loaded_after("""
+from bivlmp import cli
+for argv in (["validate", "-c", "configs/fig1_right.json"],
+             ["eval", "-c", "configs/mixing_gamma.json", "--x", "3", "--y", "5"],
+             ["tau", "-c", "configs/mixing_stable.json", "--t", "0,1.3"],
+             ["kendall", "-c", "configs/mo15.json", "--t", "0,1.3", "--points", "9"],
+             ["price", "-c", "configs/fig1_left.json", "--t", "0,10,20"],
+             ["paper", "table1"]):
+    assert cli.run(argv) == 0, argv
+""")
+    assert "bivlmp.sampler" not in loaded
+
+
+def test_cli_import_loads_what_bench_tracing_wraps():
+    # bench/tracing.install imports bivlmp.cli, then reads these modules from sys.modules
+    loaded = _loaded_after("import bivlmp.cli")
+    assert {"bivlmp.config", "bivlmp.dependence", "bivlmp.pricing"} <= set(loaded)
+    assert "bivlmp.sampler" not in loaded
+
+
+@pytest.mark.parametrize("argv, span", [
+    (["eval", "-c", "configs/mixing_gamma.json", "--x", "3", "--y", "5"], "model.fbar"),
+    (["sample", "-c", "configs/mixing_gamma.json", "-n", "200", "--seed", "5", "-o", "{tmp}/s.csv"],
+     "sampler.sample_model"),
+])
+def test_traced_cli_child_reports_its_spans(tmp_path, argv, span):
+    # the benchmark's traced CLI run: bench/cli_child.py with TRACE 1 wraps the modules that bivlmp.cli loads
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = tmp_path / "out.json"
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "bench/cli_child.py", str(out), "1", *argv], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["trace"]["stats"][span][0] >= 1
+
+
 @pytest.mark.filterwarnings("ignore:singular mass:RuntimeWarning")  # fig1_left's rounded core clamps its mass
 def test_sample_loads_the_root_finder(tmp_path, monkeypatch):
     # fig1_left's gaps have no closed-form inverse, so sample inverts them with the numpy root finder
